@@ -176,7 +176,8 @@ bench-memwatermark:
 	@cat BENCH_pr9.json
 
 # Allocation-regression guard: one cold region-1 verification must stay
-# under the byte ceiling in alloc_guard_test.go. The test skips itself
-# without the env knob, so plain `go test ./...` stays fast.
+# under the byte and object ceilings in alloc_guard_test.go, and its policy
+# compile under the created-BDD-node ceiling. The test skips itself without
+# the env knob, so plain `go test ./...` stays fast.
 alloc-guard:
 	EXPRESSO_ALLOC_GUARD=1 $(GO) test . -run TestRegion1AllocGuard -count=1 -v -timeout 15m

@@ -6,23 +6,38 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso"
+	"github.com/expresso-verify/expresso/internal/config"
+	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/topology"
 )
 
-// region1AllocCeiling is the allocation-regression budget for one cold
-// region-1 verification. The PR-5 BDD overhaul (bounded lossy operation
-// caches replacing exact rehashing memo tables) brought the run from
-// ~224 MB to ~112 MB of allocations; the ceiling sits between the two
-// with headroom for noise, so a regression back to unbounded memo churn
-// fails loudly while normal variance passes.
-const region1AllocCeiling = 150 << 20
+// The allocation-regression budget for one cold region-1 verification
+// (leak-only). History of the measured run: ~224 MB before the PR-5 BDD
+// overhaul (exact rehashing memo tables), ~126 MB after it while policy
+// compilation still built every prefix guard as an And-chain (1.26 M
+// created nodes, almost all garbage), 22-30 MB in ~91 k objects once
+// guards are constructed directly as cube sets. The ceilings sit 1.3-1.6x
+// over today's worst reading: normal variance passes, either regression
+// fails loudly.
+const (
+	region1AllocCeiling   = 48 << 20
+	region1MallocsCeiling = 120_000
+	// region1CompileNodesCeiling bounds the nodes hash-consed by building
+	// the region-1 engine (space + policy compile): 1,261,290 with
+	// And-chains, 1,143 with direct construction. An apply-built literal
+	// chain creeping back into a guard costs ~200 nodes per configured
+	// prefix and blows through this.
+	region1CompileNodesCeiling = 50_000
+)
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
-// it verifies region 1 cold and fails if the run allocates more than
-// region1AllocCeiling bytes. Gated behind EXPRESSO_ALLOC_GUARD because
-// the measurement needs a quiet heap (about a minute of wall clock with
-// warm-up, and meaningless when other tests run concurrently); `make
-// alloc-guard` — part of `make ci` — sets the variable.
+// it verifies region 1 cold and fails if the run allocates more bytes or
+// objects than the ceilings above, or if compiling its policies creates
+// more BDD nodes than region1CompileNodesCeiling. Gated behind
+// EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
+// meaningless when other tests run concurrently); `make alloc-guard` —
+// part of `make ci` — sets the variable.
 func TestRegion1AllocGuard(t *testing.T) {
 	if os.Getenv("EXPRESSO_ALLOC_GUARD") == "" {
 		t.Skip("set EXPRESSO_ALLOC_GUARD=1 (make alloc-guard) to run the allocation-regression guard")
@@ -45,10 +60,30 @@ func TestRegion1AllocGuard(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("region-1 cold verification allocated %d bytes (ceiling %d)", allocated, uint64(region1AllocCeiling))
+	allocated, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("region-1 cold verification allocated %d bytes in %d objects (ceilings %d, %d)",
+		allocated, mallocs, uint64(region1AllocCeiling), uint64(region1MallocsCeiling))
 	if allocated > region1AllocCeiling {
 		t.Errorf("region-1 verification allocated %d bytes, over the %d-byte regression ceiling",
 			allocated, uint64(region1AllocCeiling))
+	}
+	if mallocs > region1MallocsCeiling {
+		t.Errorf("region-1 verification allocated %d objects, over the %d-object regression ceiling",
+			mallocs, uint64(region1MallocsCeiling))
+	}
+
+	devices, err := config.ParseConfigs(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology.Build(devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, created := epvp.New(topo, epvp.FullMode()).Space.M.UniqueStats()
+	t.Logf("region-1 policy compile created %d BDD nodes (ceiling %d)", created, region1CompileNodesCeiling)
+	if created > region1CompileNodesCeiling {
+		t.Errorf("region-1 policy compile created %d BDD nodes, over the %d-node ceiling: is a guard being built with apply again?",
+			created, region1CompileNodesCeiling)
 	}
 }

@@ -44,8 +44,8 @@
 // exactly like the old single-threaded Manager.
 //
 // Operations that only read the slab (Support, SatCount, AnySat, AllSat,
-// Eval) or only hash-cons without a shared memo (Var, Cube, Restrict,
-// RestrictMany, RenameMonotone) are safe to call from any goroutine
+// Eval) or only hash-cons without a shared memo (Var, Cube, CubeSet,
+// Restrict, RestrictMany, RenameMonotone) are safe to call from any goroutine
 // directly on the Manager. AddVars is the one structural mutation and must
 // not run concurrently with any operation.
 //
@@ -1402,42 +1402,6 @@ func (m *Manager) Eval(n Node, assign map[int]bool) bool {
 		}
 	}
 	return n == True
-}
-
-// Cube returns the conjunction of literals: vars[i] if values[i], else its
-// negation. Safe for concurrent use (hash-consing only).
-func (m *Manager) Cube(vars []int, values []bool) Node {
-	if len(vars) != len(values) {
-		panic("bdd: Cube length mismatch")
-	}
-	r := True
-	// Build bottom-up for efficiency: sort descending by level.
-	idx := make([]int, len(vars))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return m.var2level[vars[idx[a]]] > m.var2level[vars[idx[b]]]
-	})
-	for _, i := range idx {
-		lvl := m.var2level[vars[i]]
-		if values[i] {
-			r = m.mk(lvl, False, r)
-		} else {
-			r = m.mk(lvl, r, False)
-		}
-	}
-	return r
-}
-
-// UintCube encodes value in the given bit variables (vars[0] is the most
-// significant bit) as a conjunction of literals.
-func (m *Manager) UintCube(vars []int, value uint64) Node {
-	values := make([]bool, len(vars))
-	for i := range vars {
-		values[i] = value&(1<<(len(vars)-1-i)) != 0
-	}
-	return m.Cube(vars, values)
 }
 
 // ClearCaches drops the default worker's memo tables (the unique table is

@@ -188,10 +188,9 @@ func New(net *topology.Network, mode Mode) *Engine {
 	return e
 }
 
-// NewContext is New with cancellation. Policy compilation dominates
-// engine construction — seconds on region-scale networks — so it is
-// checked against ctx between devices; a cancelled ctx aborts the build
-// mid-compile and returns ctx's error.
+// NewContext is New with cancellation. Policy compilation is most of
+// engine construction, so it is checked against ctx between devices; a
+// cancelled ctx aborts the build mid-compile and returns ctx's error.
 func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine, error) {
 	devices := make([]*config.Device, 0, len(net.Internals))
 	for _, name := range net.Internals {
@@ -219,10 +218,9 @@ func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine,
 // transfers are adopted instead of recompiled. Transfers are pure data
 // over BDD handles, so adoption is sound exactly when both engines share
 // one node manager (the NewWarm invariant) and the device's policies are
-// textually unchanged. Policy compilation dominates warm-start cost — on
-// the region benchmark it is ~90% of a warm run — so this is what makes a
-// local delta cheap. ctx is checked once per device, making cancellation
-// latency one device's compile rather than the whole table's.
+// textually unchanged, and it keeps a local delta's compile proportional
+// to the routers it touched. ctx is checked once per device, making
+// cancellation latency one device's compile rather than the whole table's.
 func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reuse map[string]bool) error {
 	e.ctx = symbolic.CompileContext{
 		Space:               e.Space,
@@ -234,12 +232,11 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 	// Compile-time reordering gate: policy compilation is single-threaded
 	// and device-ordered, so between-device boundaries are quiescent and
 	// the created counter at each is schedule-independent — the same
-	// determinism argument as the round-end gate. Compilation dominates a
-	// cold engine's node churn (≈90% on the region fixtures), so without
-	// this gate a forced budget could never move the peak watermark. Dead
-	// nodes here are compile intermediates; live transfers are collected
-	// via Roots, and anything owned by other engine instances sharing the
-	// manager is protected by its owner's pins (the Reclaim contract).
+	// determinism argument as the round-end gate. Dead nodes here are the
+	// intermediates of Algorithm 2's guard splitting (the guards themselves
+	// are constructed without any); live transfers are collected via Roots,
+	// and anything owned by other engine instances sharing the manager is
+	// protected by its owner's pins (the Reclaim contract).
 	reorderBudget, reorderOn := telemetry.ReorderBudgetFromEnv()
 	var reorderFloor int64
 	if reorderOn {

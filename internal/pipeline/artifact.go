@@ -129,8 +129,19 @@ func (a *SRCArtifact) unpinHandles() {
 }
 
 // lock serializes engine-touching computation on the artifact's manager.
+// Every holder releases by defer (directly, or through withLock): the
+// service turns a panicking verification into a failed job, and the next
+// job on this manager must not find the lock held.
 func (a *SRCArtifact) lock()   { a.runLock.Lock() }
 func (a *SRCArtifact) unlock() { a.runLock.Unlock() }
+
+// withLock runs f under the run lock, for a section shorter than its
+// enclosing function.
+func (a *SRCArtifact) withLock(f func()) {
+	a.lock()
+	defer a.unlock()
+	f()
+}
 
 // BDDProfile snapshots the artifact's BDD manager under the run lock, so
 // the walk sees a quiescent node population even when the artifact is

@@ -53,7 +53,7 @@ func (g GCMode) String() string {
 
 // reclaim applies the GC policy after a freshly computed SRC fixed point,
 // reporting whether it forced a collection.
-func reclaim(mode GCMode, eng *epvp.Engine) bool {
+func reclaim(mode GCMode, src *SRCArtifact) bool {
 	switch mode {
 	case GCNever:
 		return false
@@ -66,8 +66,10 @@ func reclaim(mode GCMode, eng *epvp.Engine) bool {
 		}
 	}
 	// The fixed point is done: the ITE memo is pure acceleration state and
-	// the analysis stages rebuild what they need.
-	eng.Space.M.ClearCaches()
+	// the analysis stages rebuild what they need. The memo belongs to the
+	// manager's default worker, which a warm artifact shares with every
+	// other job on its baseline.
+	src.withLock(src.Eng.Space.M.ClearCaches)
 	runtime.GC()
 	return true
 }
@@ -246,12 +248,13 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 			// Deserialization allocates the data-plane variable block and
 			// builds nodes in the shared SRC manager: serialize against its
 			// other users exactly like a computed SPF run.
-			src.lock()
-			art, derr := DecodeSPF(src.Eng, spfKey, data)
-			if derr == nil {
-				art.pinHandles(src.Eng.Space.M)
-			}
-			src.unlock()
+			var art *SPFArtifact
+			var derr error
+			src.withLock(func() {
+				if art, derr = DecodeSPF(src.Eng, spfKey, data); derr == nil {
+					art.pinHandles(src.Eng.Space.M)
+				}
+			})
 			if derr == nil {
 				spfArt = art
 				status = StatusDisk
@@ -265,7 +268,6 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		src.lock()
 		// Dead-node sweep before SPF: the fixed point's intermediates are
 		// garbage now, and SPF is about to add 33 data-plane variables per
 		// neighbor and build a large fresh population on top. Gated on the
@@ -275,13 +277,15 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 		// must survive its own run too.
 		// Reordering subsumes the sweep (it reclaims on entry), so at most
 		// one of the two stop-the-world passes runs here.
-		if budget, on := telemetry.ReorderBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-			src.Eng.Space.M.Reorder(append(src.handles(), routing.handles()...)...)
-		} else if budget, on := telemetry.ReclaimBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-			src.Eng.Space.M.Reclaim(append(src.handles(), routing.handles()...)...)
-		}
-		dp, err := spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
-		src.unlock()
+		var dp *spf.Result
+		src.withLock(func() {
+			if budget, on := telemetry.ReorderBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
+				src.Eng.Space.M.Reorder(append(src.handles(), routing.handles()...)...)
+			} else if budget, on := telemetry.ReclaimBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
+				src.Eng.Space.M.Reclaim(append(src.handles(), routing.handles()...)...)
+			}
+			dp, err = spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -291,9 +295,8 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 			r.Cache.Add(StageSPF, spfKey, spfArt)
 		}
 		if diskable {
-			src.lock()
-			blob := EncodeSPF(spfArt, src.Eng.Space.M)
-			src.unlock()
+			var blob []byte
+			src.withLock(func() { blob = EncodeSPF(spfArt, src.Eng.Space.M) })
 			r.Store.Put(StageSPF, diskKey(spfKey), blob)
 		}
 	}
@@ -335,7 +338,10 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 // exact key is present, deserialized from the persistent tier when it
 // holds the key, served or warm-started from the request's named baseline
 // when one is registered, warm-started from a compatible cached prior
-// when one exists, cold otherwise.
+// when one exists, cold otherwise. Whichever branch builds the artifact
+// pins it at birth — even when uncacheable — so the fixed point is rooted
+// before anything else (a concurrent warm run, this request's own pre-SPF
+// sweep) can sweep its manager.
 func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, cacheable, diskable bool) (*SRCArtifact, StageInfo, error) {
 	info := StageInfo{Stage: StageSRC, Status: StatusMiss, Key: srcKey}
 	if cacheable {
@@ -380,6 +386,7 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 			}
 			if decoded, err := DecodeSRC(eng, req.Load, srcKey, data); err == nil {
 				src = decoded
+				src.pinHandles()
 				info.Status = StatusDisk
 			}
 		}
@@ -440,25 +447,20 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 			Workers: eng.WorkerCount(),
 			runLock: &sync.Mutex{},
 		}
+		src.pinHandles()
 	}
-	// Root the fixed point against dead-node reclamation before anything
-	// else (a concurrent warm run, this request's own pre-SPF sweep) can
-	// sweep the manager. Pinned even when uncacheable: the sweep points
-	// downstream rely on it.
-	src.pinHandles()
 	if cacheable {
 		r.Cache.Add(StageSRC, srcKey, src)
 	}
 	// Write a freshly computed fixed point through to the persistent tier
 	// (a deserialized one is already there byte-for-byte).
 	if diskable && info.Status != StatusDisk {
-		src.lock()
-		blob := EncodeSRC(src)
-		src.unlock()
+		var blob []byte
+		src.withLock(func() { blob = EncodeSRC(src) })
 		r.Store.Put(StageSRC, diskKey(srcKey), blob)
 	}
 	gcNote := "gc=skipped"
-	if reclaim(req.GC, src.Eng) {
+	if reclaim(req.GC, src) {
 		gcNote = "gc=forced"
 	}
 	if info.Note != "" {
@@ -475,28 +477,33 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 // the next resolution tier. The warmed artifact computes in the prior's
 // manager and therefore shares its run lock.
 func (r *Runner) warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifact) (*SRCArtifact, int, error) {
-	eng, err := epvp.NewWarm(ctx, req.Load.Net, req.Mode, prior.Eng, UnchangedRouters(prior.Load, req.Load))
+	unchanged, dirty := UnchangedRouters(prior.Load, req.Load), DirtyRouters(prior.Load, req.Load)
+	// Everything from here to the pin builds nodes in the prior artifact's
+	// manager — the changed routers' policy compile as much as the warm run
+	// — so all of it is serialized against the manager's other users:
+	// another job's pre-SPF Reclaim must neither run under the compile nor
+	// sweep the new fixed point before it is rooted.
+	prior.lock()
+	defer prior.unlock()
+	eng, err := epvp.NewWarm(ctx, req.Load.Net, req.Mode, prior.Eng, unchanged)
 	if err != nil {
 		return nil, 0, nil
 	}
-	dirty := DirtyRouters(prior.Load, req.Load)
 	eng.Workers = req.Workers
 	eng.Trace = req.Trace
-	// The warm run computes in the prior artifact's manager: serialize
-	// against its other users for the duration.
-	prior.lock()
 	res, err := eng.RunWarmContext(ctx, prior.Res, dirty)
-	prior.unlock()
 	eng.Trace = nil // the engine outlives the run in the cache
 	if err != nil {
 		return nil, 0, err
 	}
-	return &SRCArtifact{
+	src := &SRCArtifact{
 		Key: srcKey, Digest: hashHex(srcKey),
 		Eng: eng, Res: res, Load: req.Load,
 		Workers: eng.WorkerCount(),
 		runLock: prior.runLock, // shared manager, shared lock
-	}, len(dirty), nil
+	}
+	src.pinHandles()
+	return src, len(dirty), nil
 }
 
 // warmCandidate scans the SRC stage for the most recently used artifact a
@@ -531,12 +538,13 @@ func (r *Runner) resolveAnalysis(ctx context.Context, stage, key string, cacheab
 	}
 	if diskable {
 		if data, ok := r.Store.Get(stage, diskKey(key)); ok {
-			src.lock()
-			art, err := DecodeAnalysis(m, key, varBase, data)
-			if err == nil {
-				art.pinHandles(m)
-			}
-			src.unlock()
+			var art *AnalysisArtifact
+			var err error
+			src.withLock(func() {
+				if art, err = DecodeAnalysis(m, key, varBase, data); err == nil {
+					art.pinHandles(m)
+				}
+			})
 			if err == nil {
 				if cacheable {
 					r.Cache.Add(stage, key, art)
@@ -558,9 +566,8 @@ func (r *Runner) resolveAnalysis(ctx context.Context, stage, key string, cacheab
 		r.Cache.Add(stage, key, art)
 	}
 	if diskable {
-		src.lock()
-		blob := EncodeAnalysis(art, m, varBase)
-		src.unlock()
+		var blob []byte
+		src.withLock(func() { blob = EncodeAnalysis(art, m, varBase) })
 		r.Store.Put(stage, diskKey(key), blob)
 	}
 	return art, StatusMiss, nil

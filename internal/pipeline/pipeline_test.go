@@ -4,9 +4,12 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/properties"
+	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
@@ -296,6 +299,113 @@ func TestRunnerWarmStart(t *testing.T) {
 	}
 	if !warm.SRC.Res.Converged {
 		t.Error("warm run did not converge")
+	}
+}
+
+// TestWarmStartWaitsForTheRunLock: everything a warm start builds — the
+// changed routers' policy compile as much as the fixed point — goes into
+// the prior artifact's BDD manager, so none of it may happen while another
+// user (a job's pre-SPF sweep, say) holds the artifact's run lock. The
+// test is that other user: while it holds the lock, a warm start chained on
+// the artifact must leave the manager's unique table untouched.
+func TestWarmStartWaitsForTheRunLock(t *testing.T) {
+	r := &Runner{Cache: NewStageCache(Capacities{})}
+	ctx := context.Background()
+	props := []properties.Kind{properties.RouteLeakFree}
+	prior, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
+		Workers: 1, Properties: props})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prior.SRC.Eng.Space.M
+
+	prior.SRC.lock()
+	hits, created := m.UniqueStats()
+	type result struct {
+		out *Outcome
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
+			Workers: 1, Properties: props})
+		done <- result{out, err}
+	}()
+	// A violation shows within microseconds of the goroutine starting; a
+	// correct run shows nothing, for as long as the window is held open.
+	window := time.After(200 * time.Millisecond)
+	for open := true; open; {
+		select {
+		case <-window:
+			open = false
+		case <-done:
+			t.Error("warm start finished while the run lock was held")
+			open = false
+		default:
+			if h, c := m.UniqueStats(); h != hits || c != created {
+				t.Errorf("warm start touched the manager under a held run lock: hits %d -> %d, created %d -> %d", hits, h, created, c)
+				open = false
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	prior.SRC.unlock()
+	if t.Failed() {
+		return
+	}
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if s := stageStatus(res.out, StageSRC); s != StatusWarm {
+		t.Errorf("delta run SRC status = %q, want warm", s)
+	}
+}
+
+// TestPanicUnderTheRunLockReleasesIt: the service recovers a panicking
+// verification into a failed job, so a panic inside a locked section — here
+// the store write-through of an analysis artifact whose condition handle
+// points outside the manager's slab — must not leave the shared run lock
+// held: the next job on the same artifact has to run.
+func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Cache: NewStageCache(Capacities{}), Store: disk}
+	ctx := context.Background()
+	first, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
+		Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bad := bdd.Node(1 << 30)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("encoding a handle outside the slab did not panic")
+			}
+		}()
+		r.resolveAnalysis(ctx, StageRouting, "poisoned", false, true, first.SRC, 0, func() ([]properties.Violation, error) {
+			return []properties.Violation{{Cond: bad}}, nil
+		})
+	}()
+	first.SRC.Eng.Space.M.Unpin(bad) // the artifact pinned it before the write-through
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
+			Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree, properties.LoopFree}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job after a panic under the run lock never finished: the lock is still held")
 	}
 }
 

@@ -208,3 +208,68 @@ func TestSupersededJobHasNoTrace(t *testing.T) {
 	}
 	drainServer(t, s)
 }
+
+// TestPanickingJobFailsAlone injects a verification that panics: the job
+// must finish failed with the panic's message, the stack must reach the
+// log, the panic counter must show on /metrics, and the pool's only worker
+// must go on to serve the next job.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	var buf syncBuffer
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	realVerify := s.runVerify
+	s.runVerify = func(ctx context.Context, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
+		if strings.Contains(cfg, "poison") {
+			panic("index out of range [7] with length 3")
+		}
+		return realVerify(ctx, cfg, opts)
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drainServer(t, s)
+
+	code, st := postVerify(t, ts, VerifyRequest{Config: "router poison\n", Wait: true})
+	if code != http.StatusOK {
+		t.Fatalf("poisoned job: status %d", code)
+	}
+	if st.State != JobFailed || !strings.Contains(st.Error, "panicked: index out of range [7]") {
+		t.Fatalf("poisoned job: state = %s err %q, want failed with the panic message", st.State, st.Error)
+	}
+	if p, f := s.Metrics.JobPanics.Load(), s.Metrics.JobsFailed.Load(); p != 1 || f != 1 {
+		t.Errorf("JobPanics = %d, JobsFailed = %d, want 1 and 1", p, f)
+	}
+
+	var logged bool
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) != nil || rec["msg"] != "job panicked" {
+			continue
+		}
+		logged = true
+		if rec["job"] != st.ID {
+			t.Errorf("panic record job = %v, want %v", rec["job"], st.ID)
+		}
+		if stack, _ := rec["stack"].(string); !strings.Contains(stack, "TestPanickingJobFailsAlone") {
+			t.Errorf("panic record's stack does not reach the panicking frame:\n%s", stack)
+		}
+	}
+	if !logged {
+		t.Errorf("no \"job panicked\" record in log:\n%s", buf.String())
+	}
+
+	code, st = postVerify(t, ts, VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	if code != http.StatusOK || st.State != JobDone {
+		t.Fatalf("job after the panic: status %d state %s (err %q), want done", code, st.State, st.Error)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	if f := parseExposition(t, body.String())["expresso_job_panics_total"]; f == nil || len(f.samples) != 1 || f.samples[0].value != 1 {
+		t.Errorf("expresso_job_panics_total = %+v, want a single sample of 1", f)
+	}
+}

@@ -30,6 +30,9 @@ type Metrics struct {
 	// JobsFailed counts jobs whose verification returned a
 	// non-cancellation error (e.g. a config parse error).
 	JobsFailed atomic.Int64
+	// JobPanics counts the failed jobs whose verification panicked (each
+	// is in JobsFailed too); the worker recovered and kept serving.
+	JobPanics atomic.Int64
 	// JobsCancelled counts jobs stopped by cancellation or deadline.
 	JobsCancelled atomic.Int64
 	// JobsRejected counts submissions refused because the queue was full
@@ -175,6 +178,7 @@ func (m *Metrics) WriteText(w io.Writer, snap Snapshot) {
 	counter("expresso_jobs_accepted_total", "Verification requests admitted.", m.JobsAccepted.Load())
 	counter("expresso_jobs_completed_total", "Jobs finished with a report.", m.JobsCompleted.Load())
 	counter("expresso_jobs_failed_total", "Jobs finished with an error.", m.JobsFailed.Load())
+	counter("expresso_job_panics_total", "Failed jobs whose verification panicked (the worker recovered).", m.JobPanics.Load())
 	counter("expresso_jobs_cancelled_total", "Jobs stopped by cancellation or deadline.", m.JobsCancelled.Load())
 	counter("expresso_jobs_rejected_total", "Submissions refused (queue full or draining).", m.JobsRejected.Load())
 	counter("expresso_jobs_coalesced_total", "Queued delta jobs superseded by a newer delta on the same target.", m.JobsCoalesced.Load())

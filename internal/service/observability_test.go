@@ -207,6 +207,13 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		}
 	}
 
+	// Nothing panicked: the family is announced, as a counter, at zero.
+	if c, ok := families["expresso_job_panics_total"]; !ok {
+		t.Error("expresso_job_panics_total missing")
+	} else if c.typ != "counter" || len(c.samples) != 1 || c.samples[0].value != 0 {
+		t.Errorf("expresso_job_panics_total = %s %+v, want a counter with a single 0 sample", c.typ, c.samples)
+	}
+
 	// Per-baseline SLO histograms: both Wait=true submissions were
 	// anonymous, and only the first ran (the second hit the result cache),
 	// so each family has exactly one observation under baseline="".

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,5 +101,61 @@ func TestParallelEngineStress(t *testing.T) {
 			t.Errorf("violation %d differs:\n service:    %s\n sequential: %s",
 				i, got.Violations[i], want.Violations[i])
 		}
+	}
+}
+
+// TestConcurrentDeltasShareOneBaseline is the regression test for the
+// daemon crash: delta jobs on one baseline run in one BDD manager, and
+// under a tiny EXPRESSO_RECLAIM every EPVP round barrier and every pre-SPF
+// point of a running job sweeps that manager — while the pool's other
+// worker picks up the next job and compiles its changed routers into it.
+// Each delta touches every router, so each warm start recompiles the whole
+// policy table; the jobs differ in their property sets so the coalescing
+// queue keeps them all. Under -race any manager access outside the
+// artifact's run lock shows; without it, a sweep under an unlocked compile
+// corrupts the slab and panics.
+func TestConcurrentDeltasShareOneBaseline(t *testing.T) {
+	t.Setenv("EXPRESSO_RECLAIM", "64")
+	s := New(Config{Workers: 2, QueueDepth: 64})
+	s.Start()
+	t.Cleanup(func() { drainServer(t, s) })
+
+	base := netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))
+	registerBaseline(t, s, "prod", base)
+	// Each set has a forwarding property, so each job reaches the pre-SPF
+	// sweep.
+	propSets := [][]expresso.Kind{
+		nil, // every §7.1 property
+		{expresso.BlackHoleFree},
+		{expresso.LoopFree},
+		{expresso.TrafficHijackFree},
+		{expresso.RouteLeakFree, expresso.BlackHoleFree},
+		{expresso.RouteLeakFree, expresso.LoopFree},
+	}
+	var jobs []*Job
+	for i, props := range propSets {
+		line := fmt.Sprintf("\nbgp network 203.0.113.%d/32\nbgp router-id ", i)
+		patch := expresso.DiffConfigs(base, strings.ReplaceAll(base, "\nbgp router-id ", line))
+		if len(patch.Ops) < 2 {
+			t.Fatalf("delta %d touches %d routers, want all of them", i, len(patch.Ops))
+		}
+		job, _, err := s.SubmitDelta("prod", patch, expresso.Options{Properties: props}, 0)
+		if err != nil {
+			t.Fatalf("SubmitDelta %d: %v", i, err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		select {
+		case <-job.Done():
+		case <-time.After(5 * time.Minute):
+			t.Fatalf("job %s did not finish", job.ID)
+		}
+		if st := job.State(); st != JobDone {
+			t.Errorf("job %s state = %s (err %q), want done", job.ID, st, job.Status().Error)
+		}
+	}
+	if got := s.Metrics.JobPanics.Load(); got != 0 {
+		t.Errorf("JobPanics = %d, want 0", got)
 	}
 }

@@ -499,16 +499,7 @@ func (s *Server) runJob(job *Job) {
 	if s.cfg.Trace {
 		opts.Trace = expresso.NewTracer()
 	}
-	var (
-		rep  *expresso.Report
-		info *expresso.RunInfo
-		err  error
-	)
-	if job.baseline != "" {
-		rep, info, err = s.runDelta(ctx, job.baseline, job.configText, opts)
-	} else {
-		rep, info, err = s.runVerify(ctx, job.configText, opts)
-	}
+	rep, info, err := s.verify(ctx, job, opts)
 	now := time.Now()
 	switch {
 	case err == nil:
@@ -540,6 +531,24 @@ func (s *Server) runJob(job *Job) {
 		s.log.Warn("job failed", "job", job.ID, "state", JobFailed,
 			"duration", now.Sub(start), "error", err.Error())
 	}
+}
+
+// verify runs the job's verification. A panic under it — an engine bug, a
+// corrupted shared BDD manager — is reported as the job's error, stack to
+// the log: one poisoned job fails alone instead of taking its worker, and
+// with it the process and every other queued job, down.
+func (s *Server) verify(ctx context.Context, job *Job, opts expresso.Options) (rep *expresso.Report, info *expresso.RunInfo, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.Metrics.JobPanics.Add(1)
+			s.log.Error("job panicked", "job", job.ID, "panic", p, "stack", string(rtdebug.Stack()))
+			rep, info, err = nil, nil, fmt.Errorf("verification panicked: %v", p)
+		}
+	}()
+	if job.baseline != "" {
+		return s.runDelta(ctx, job.baseline, job.configText, opts)
+	}
+	return s.runVerify(ctx, job.configText, opts)
 }
 
 // VerifyRequest is the POST /v1/verify body.

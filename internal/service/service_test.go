@@ -186,7 +186,9 @@ func TestCancelMidEPVP(t *testing.T) {
 	// reuse the baseline's converged SRC artifact and finish before the
 	// cancel ever lands.
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
-	region := netgen.CSP(netgen.CSPOldRegion(1))
+	// Region 4: region 1 converges in tens of milliseconds, too short a
+	// window to land a cancel in.
+	region := netgen.CSP(netgen.CSPOldRegion(4))
 
 	// Uncancelled baseline (leak-only keeps the run EPVP-dominated).
 	start := time.Now()
@@ -331,7 +333,7 @@ func TestDrain(t *testing.T) {
 // engine and surfaces as a cancelled job.
 func TestTimeoutCancelsJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	region := netgen.CSP(netgen.CSPOldRegion(1))
+	region := netgen.CSP(netgen.CSPOldRegion(4)) // ~5x the deadline uncancelled
 	code, st := postVerify(t, ts, VerifyRequest{
 		Config:     region,
 		Properties: []string{"leak"},

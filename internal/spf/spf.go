@@ -355,7 +355,7 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 		entries = append(entries, fibEntry{
 			length: int(st.Prefix.Len),
 			admin:  route.ProtoStatic.AdminDistance(),
-			match:  r.destPredicate(sp, st.Prefix),
+			match:  sp.DestBDD(st.Prefix),
 			port:   st.NextHop,
 		})
 	}
@@ -363,7 +363,7 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 		entries = append(entries, fibEntry{
 			length: int(itf.Prefix.Len),
 			admin:  route.ProtoConnected.AdminDistance(),
-			match:  r.destPredicate(sp, itf.Prefix),
+			match:  sp.DestBDD(itf.Prefix),
 			port:   "", // deliver locally
 		})
 	}
@@ -414,23 +414,10 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 	return fib
 }
 
-// destPredicate is the packet-destination predicate of a concrete prefix:
-// the high Len bits fixed, host bits free.
-func (r *Result) destPredicate(sp *symbolic.Space, p route.Prefix) bdd.Node {
-	n := bdd.True
-	for b := 0; b < int(p.Len); b++ {
-		if p.Addr&(1<<(31-b)) != 0 {
-			n = sp.W.And(n, sp.M.Var(b))
-		} else {
-			n = sp.W.And(n, sp.M.NVar(b))
-		}
-	}
-	return n
-}
-
-// DestPredicate exposes destPredicate for property checks.
+// DestPredicate is the packet-destination predicate of a concrete prefix,
+// for property checks.
 func (r *Result) DestPredicate(p route.Prefix) bdd.Node {
-	return r.destPredicate(r.eng.Space, p)
+	return r.eng.Space.DestBDD(p)
 }
 
 // forwardAll injects a fully symbolic packet at every node (internal and
@@ -604,7 +591,7 @@ func (r *Result) PECsFrom(u, to string) []*PEC {
 // "preferred egress is available" side of EgressPreference.
 func (r *Result) AvailPredicate(ext string, dest route.Prefix) bdd.Node {
 	s := r.eng.Space
-	destPkt := r.destPredicate(s, dest)
+	destPkt := s.DestBDD(dest)
 	avail := bdd.False
 	for _, u := range r.eng.Net.Neighbors(ext) {
 		for _, cand := range r.eng.ImportCandidates(u, ext) {

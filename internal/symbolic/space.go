@@ -44,6 +44,10 @@ type Space struct {
 
 	addrVars []int
 	lenVars  []int
+	// prefixVars is the 38-bit (length, address) field every prefix
+	// predicate is a cube set over: lenVars then addrVars, most significant
+	// first, so a prefix reads as the integer len<<32 | addr.
+	prefixVars []int
 
 	valid    bdd.Node // canonical-prefix predicate, cached
 	lenCubes [33]bdd.Node
@@ -122,6 +126,7 @@ func newSpace(m *bdd.Manager, n int) *Space {
 	for i := range s.lenVars {
 		s.lenVars[i] = AddrBits + i
 	}
+	s.prefixVars = append(append([]int(nil), s.lenVars...), s.addrVars...)
 	for l := 0; l <= 32; l++ {
 		s.lenCubes[l] = s.M.UintCube(s.lenVars, uint64(l))
 	}
@@ -163,19 +168,37 @@ func (s *Space) NbrVars() []int {
 // LenCube returns the predicate "prefix length == l".
 func (s *Space) LenCube(l int) bdd.Node { return s.lenCubes[l] }
 
+// The two fields of a prefixVars cube, as care masks.
+const (
+	lenMask  = (1<<LenBits - 1) << AddrBits
+	addrMask = 1<<AddrBits - 1
+)
+
+// prefixCube is the prefixVars cube "length == l, the address bits in fixed
+// equal addr's, and every address bit at or below the length is zero" — the
+// canonical prefixes of length l under addr/fixed. ok is false when the two
+// demands collide (a 1-bit of addr at or below the length): no such prefix.
+func prefixCube(addr, fixed uint32, l int) (c bdd.BitCube, ok bool) {
+	zero := ^route.MaskOf(uint8(l))
+	if addr&fixed&zero != 0 {
+		return c, false
+	}
+	return bdd.BitCube{
+		Care: lenMask | uint64(fixed|zero),
+		Val:  uint64(l)<<AddrBits | uint64(addr&fixed),
+	}, true
+}
+
 // computeValid builds the canonical-prefix predicate: the length is at most
 // 32 and every address bit at or below the length is zero. This keeps each
 // (address, length) pair a unique prefix.
 func (s *Space) computeValid() bdd.Node {
-	terms := make([]bdd.Node, 0, 33)
-	for l := 0; l <= 32; l++ {
-		t := s.lenCubes[l]
-		for b := l; b < AddrBits; b++ {
-			t = s.W.And(t, s.M.NVar(s.addrVars[b]))
-		}
-		terms = append(terms, t)
+	cubes := make([]bdd.BitCube, 0, AddrBits+1)
+	for l := 0; l <= AddrBits; l++ {
+		c, _ := prefixCube(0, 0, l)
+		cubes = append(cubes, c)
 	}
-	return s.W.Or(terms...)
+	return s.M.CubeSet(s.prefixVars, cubes)
 }
 
 // Valid returns the canonical-prefix predicate (the universe of all
@@ -184,67 +207,39 @@ func (s *Space) Valid() bdd.Node { return s.valid }
 
 // PrefixBDD returns the predicate identifying exactly prefix p.
 func (s *Space) PrefixBDD(p route.Prefix) bdd.Node {
-	return s.W.And(
-		s.M.UintCube(s.addrVars, uint64(p.Addr)),
-		s.lenCubes[p.Len],
-	)
+	return s.M.UintCube(s.prefixVars, uint64(p.Len)<<AddrBits|uint64(p.Addr))
 }
 
-// PrefixesBDD returns the union of PrefixBDD over ps. The union is built
-// as a balanced tree over address-sorted terms: a linear fold over tens of
-// thousands of prefixes would repeatedly traverse the growing union.
+// DestBDD returns the packet-destination predicate of prefix p: the high
+// p.Len address bits fixed, host bits (and the length field) free.
+func (s *Space) DestBDD(p route.Prefix) bdd.Node {
+	return s.M.UintCube(s.addrVars[:p.Len], uint64(p.Addr>>(AddrBits-p.Len)))
+}
+
+// PrefixesBDD returns the union of PrefixBDD over ps.
 func (s *Space) PrefixesBDD(ps []route.Prefix) bdd.Node {
-	sorted := append([]route.Prefix(nil), ps...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Addr != sorted[j].Addr {
-			return sorted[i].Addr < sorted[j].Addr
-		}
-		return sorted[i].Len < sorted[j].Len
-	})
-	terms := make([]bdd.Node, len(sorted))
-	for i, p := range sorted {
-		terms[i] = s.PrefixBDD(p)
+	cubes := make([]bdd.BitCube, len(ps))
+	for i, p := range ps {
+		cubes[i] = bdd.BitCube{Care: lenMask | addrMask, Val: uint64(p.Len)<<AddrBits | uint64(p.Addr)}
 	}
-	for len(terms) > 1 {
-		next := terms[:0]
-		for i := 0; i < len(terms); i += 2 {
-			if i+1 < len(terms) {
-				next = append(next, s.W.Or(terms[i], terms[i+1]))
-			} else {
-				next = append(next, terms[i])
+	return s.M.CubeSet(s.prefixVars, cubes)
+}
+
+// PrefixMatchBDD returns the predicate for if-match prefix specs — a policy
+// node's whole list in one call: all canonical prefixes inside some
+// m.Prefix with length in [m.GE, m.LE]. One cube per spec and admitted
+// length, built as a single cube set.
+func (s *Space) PrefixMatchBDD(ms ...config.PrefixMatch) bdd.Node {
+	cubes := make([]bdd.BitCube, 0, len(ms))
+	for _, m := range ms {
+		fixed := route.MaskOf(m.Prefix.Len)
+		for l := int(m.GE); l <= int(m.LE) && l <= AddrBits; l++ {
+			if c, ok := prefixCube(m.Prefix.Addr, fixed, l); ok {
+				cubes = append(cubes, c)
 			}
 		}
-		terms = next
 	}
-	if len(terms) == 0 {
-		return bdd.False
-	}
-	return terms[0]
-}
-
-// PrefixMatchBDD returns the predicate for an if-match prefix spec: all
-// canonical prefixes inside m.Prefix with length in [m.GE, m.LE].
-func (s *Space) PrefixMatchBDD(m config.PrefixMatch) bdd.Node {
-	// High m.Prefix.Len bits fixed to the spec's address.
-	high := bdd.True
-	for b := 0; b < int(m.Prefix.Len); b++ {
-		bit := m.Prefix.Addr&(1<<(31-b)) != 0
-		if bit {
-			high = s.W.And(high, s.M.Var(s.addrVars[b]))
-		} else {
-			high = s.W.And(high, s.M.NVar(s.addrVars[b]))
-		}
-	}
-	terms := make([]bdd.Node, 0, int(m.LE)-int(m.GE)+1)
-	for l := int(m.GE); l <= int(m.LE); l++ {
-		t := s.W.And(high, s.lenCubes[l])
-		// Canonical form: bits at or below the length are zero.
-		for b := l; b < AddrBits; b++ {
-			t = s.W.And(t, s.M.NVar(s.addrVars[b]))
-		}
-		terms = append(terms, t)
-	}
-	return s.W.Or(terms...)
+	return s.M.CubeSet(s.prefixVars, cubes)
 }
 
 // Cond extracts the advertiser condition of a predicate: the paper's

@@ -102,11 +102,7 @@ func CompilePolicy(ctx CompileContext, p *config.Policy) *Transfer {
 func (ctx CompileContext) nodeGuard(n *config.PolicyNode) Guard {
 	g := Guard{Prefix: bdd.True, Comm: bdd.True}
 	if len(n.MatchPrefixes) > 0 {
-		terms := make([]bdd.Node, len(n.MatchPrefixes))
-		for i, m := range n.MatchPrefixes {
-			terms[i] = ctx.Space.PrefixMatchBDD(m)
-		}
-		g.Prefix = ctx.Space.W.Or(terms...)
+		g.Prefix = ctx.Space.PrefixMatchBDD(n.MatchPrefixes...)
 	}
 	if len(n.MatchCommunities) > 0 {
 		if ctx.SymbolicCommunities {

@@ -70,31 +70,10 @@ func (v *Verifier) RegisterBaseline(ctx context.Context, name, configText string
 	if _, ok := v.baselines.Get(name); ok {
 		return nil, nil, fmt.Errorf("expresso: baseline %q already registered", name)
 	}
-	opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-
-	load, loadInfo, err := v.load(configText)
+	rep, _, out, err := v.run(ctx, input{text: configText, artifacts: true}, "", opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	runner := &pipeline.Runner{Cache: v.cache, Store: v.store, Baselines: v.baselines}
-	req := opts.request(load)
-	if req.GC == GCAuto {
-		req.GC = v.gc
-	}
-	out, err := runner.Run(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	stages := append([]StageInfo{loadInfo}, out.Stages...)
-
-	rep := assembleReport(load.Net.Statistics(), out)
-	rep.Timing.Load = load.Elapsed
-	digest := ReportDigest(configText, opts)
-	v.cache.Add(pipeline.StageReport, digest, rep)
-
 	b := pipeline.NewBaseline(name, configText, out, time.Now())
 	if err := v.baselines.Register(b); err != nil {
 		// Lost a registration race for the name: drop the loser's pins.
@@ -103,10 +82,6 @@ func (v *Verifier) RegisterBaseline(ctx context.Context, name, configText string
 	}
 	if v.store != nil {
 		pipeline.SaveManifest(v.store, b.Manifest())
-	}
-	if opts.Trace != nil {
-		opts.Trace.SetMeta(digest, opts.Mode.Key(), opts.CacheKey(), out.SRC.Workers)
-		traceStages(opts.Trace, stages)
 	}
 	return rep, baselineInfo(b, len(rep.Violations)), nil
 }
@@ -161,12 +136,16 @@ func (v *Verifier) RemoveBaseline(name string) bool {
 // state (serving it outright when the config is canonically unchanged,
 // warm-starting from it otherwise) instead of relying on cache residency.
 // The report is byte-identical (up to timings, heap, and iteration
-// counts) to a scratch run of the same text.
+// counts) to a scratch run of the same text. An empty baseline makes it
+// an anonymous verification (VerifyText).
 func (v *Verifier) VerifyTextFrom(ctx context.Context, baseline, configText string, opts Options) (*Report, *RunInfo, error) {
-	if _, ok := v.baselines.Get(baseline); !ok {
-		return nil, nil, fmt.Errorf("expresso: baseline %q is not registered", baseline)
+	if baseline != "" {
+		if _, ok := v.baselines.Get(baseline); !ok {
+			return nil, nil, fmt.Errorf("expresso: baseline %q is not registered", baseline)
+		}
 	}
-	return v.verifyText(ctx, baseline, configText, opts)
+	rep, info, _, err := v.run(ctx, input{text: configText}, baseline, opts)
+	return rep, info, err
 }
 
 // VerifyDelta applies a patch to the named baseline's registered text and
@@ -182,5 +161,5 @@ func (v *Verifier) VerifyDelta(ctx context.Context, baseline string, p Patch, op
 	if err != nil {
 		return nil, nil, err
 	}
-	return v.verifyText(ctx, baseline, text, opts)
+	return v.VerifyTextFrom(ctx, baseline, text, opts)
 }

@@ -83,61 +83,55 @@ func fatalf(format string, args ...interface{}) {
 }
 
 func loadNetwork(file, dir string) *expresso.Network {
-	switch {
-	case file != "":
-		data, err := os.ReadFile(file)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		net, err := expresso.Load(string(data))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return net
-	case dir != "":
-		net, err := expresso.LoadDir(dir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return net
-	default:
-		fatalf("one of -file or -dir is required")
-		return nil
+	net, err := expresso.Load(loadConfigText(file, dir))
+	if err != nil {
+		fatalf("%v", err)
 	}
+	return net
 }
 
-// loadConfigText returns the raw configuration text: the file's contents,
-// or the sorted concatenation of a directory's *.cfg files (the same
-// sections LoadDir parses). The staged verifier digests this text, so two
+// loadConfigText returns the raw configuration text named by -file or
+// -dir (see loadConfigPath). The staged verifier digests this text, so two
 // invocations over unchanged configs produce identical stage keys.
 func loadConfigText(file, dir string) string {
-	switch {
-	case file != "":
-		data, err := os.ReadFile(file)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		return string(data)
-	case dir != "":
-		paths, err := filepath.Glob(filepath.Join(dir, "*.cfg"))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		sort.Strings(paths)
-		var b strings.Builder
-		for _, p := range paths {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			b.Write(data)
-			b.WriteByte('\n')
-		}
-		return b.String()
-	default:
-		fatalf("one of -file or -dir is required")
-		return ""
+	path := file
+	if path == "" {
+		path = dir
 	}
+	if path == "" {
+		fatalf("one of -file or -dir is required")
+	}
+	text, err := loadConfigPath(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	return text
+}
+
+// verifyOptions translates the verification flags check and gate share.
+func verifyOptions(props, bte string, minus bool, workers int) (expresso.Options, error) {
+	opts := expresso.Options{Workers: workers}
+	if minus {
+		opts.Mode = expresso.ExpressoMinusMode()
+	}
+	for _, p := range strings.Split(props, ",") {
+		if strings.TrimSpace(p) == "" {
+			continue
+		}
+		k, err := expresso.ParseProperty(p)
+		if err != nil {
+			return opts, err
+		}
+		opts.Properties = append(opts.Properties, k)
+	}
+	if bte != "" {
+		c, err := route.ParseCommunity(bte)
+		if err != nil {
+			return opts, err
+		}
+		opts.BTE = c
+	}
+	return opts, nil
 }
 
 func cmdCheck(args []string) {
@@ -150,55 +144,28 @@ func cmdCheck(args []string) {
 	verbose := fs.Bool("v", false, "print every violation")
 	asJSON := fs.Bool("json", false, "print the report as JSON instead of the table")
 	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	explainCache := fs.Bool("explain-cache", false, "run through the staged verifier and print per-stage provenance (status, key, duration)")
+	explainCache := fs.Bool("explain-cache", false, "print per-stage provenance (status, seed, duration, key)")
 	traceFile := fs.String("trace", "", "write a JSON run trace (per-stage spans, EPVP rounds, SPF events) to this file")
 	storeDir := fs.String("store-dir", "", "persistent artifact store directory; stage artifacts are written through and served back on later runs")
 	fs.Parse(args)
 
-	opts := expresso.Options{Workers: *workers}
+	opts, err := verifyOptions(*props, *bte, *minus, *workers)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if *traceFile != "" {
 		opts.Trace = expresso.NewTracer()
 	}
-	if *minus {
-		opts.Mode = expresso.ExpressoMinusMode()
-	}
-	for _, p := range strings.Split(*props, ",") {
-		if strings.TrimSpace(p) == "" {
-			continue
-		}
-		k, err := expresso.ParseProperty(p)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.Properties = append(opts.Properties, k)
-	}
-	if *bte != "" {
-		c, err := route.ParseCommunity(*bte)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.BTE = c
-	}
 
-	var (
-		rep  *expresso.Report
-		info *expresso.RunInfo
-		err  error
-	)
-	if *explainCache || *traceFile != "" || *storeDir != "" {
-		// The staged verifier path also times the load stage, so traces
-		// carry a span for every pipeline stage.
-		text := loadConfigText(*file, *dir)
-		v := expresso.NewVerifier(expresso.VerifierConfig{StoreDir: *storeDir})
-		rep, info, err = v.VerifyText(context.Background(), text, opts)
-		if !*explainCache {
-			info = nil // provenance output wasn't asked for
-		}
-	} else {
-		rep, err = loadNetwork(*file, *dir).Verify(opts)
-	}
+	// Always the staged verifier: it times the load stage too, so every
+	// trace and every -explain-cache table covers all the stages.
+	v := expresso.NewVerifier(expresso.VerifierConfig{StoreDir: *storeDir})
+	rep, info, err := v.VerifyText(context.Background(), loadConfigText(*file, *dir), opts)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if !*explainCache {
+		info = nil // provenance output wasn't asked for
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -283,7 +250,9 @@ func cmdCheck(args []string) {
 }
 
 // loadConfigPath loads a configuration tree from a path that may be a
-// single file or a directory of *.cfg files.
+// single file or a directory of *.cfg files: the file's contents, or the
+// sorted concatenation of the directory's files (the same sections LoadDir
+// parses).
 func loadConfigPath(path string) (string, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -336,28 +305,10 @@ func cmdGate(args []string) {
 		os.Exit(2)
 	}
 
-	opts := expresso.Options{Workers: *workers}
-	if *minus {
-		opts.Mode = expresso.ExpressoMinusMode()
-	}
-	for _, p := range strings.Split(*props, ",") {
-		if strings.TrimSpace(p) == "" {
-			continue
-		}
-		k, err := expresso.ParseProperty(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-			os.Exit(2)
-		}
-		opts.Properties = append(opts.Properties, k)
-	}
-	if *bte != "" {
-		c, err := route.ParseCommunity(*bte)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-			os.Exit(2)
-		}
-		opts.BTE = c
+	opts, err := verifyOptions(*props, *bte, *minus, *workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
+		os.Exit(2)
 	}
 
 	oldText, err := loadConfigPath(fs.Arg(0))

@@ -7,7 +7,8 @@ package expresso_test
 //	BenchmarkDeltaRegion1CoalescedBurst — a burst of superseding deltas
 //	                                     through the coalescing queue
 //
-// `make bench-delta` records all three into BENCH_pr8.json.
+// The serve-delta-region1 benchmark workload measures the same paths
+// through the daemon (verdict_p50_ms, service.runs_per_burst).
 
 import (
 	"context"

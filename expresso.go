@@ -87,21 +87,13 @@ type Options struct {
 	// to a positive integer, overrides a zero value (used by CI to force
 	// the parallel paths under the race detector).
 	Workers int
-	// GC controls memory reclamation between the SRC fixed point and the
-	// analysis stages. The default (GCAuto) drops the engine's ITE memo
-	// and forces a collection only under heap pressure, so small
-	// snapshots on the service hot path no longer pay a forced GC per
-	// request; GCAlways restores the old unconditional behavior and
-	// GCNever disables reclamation. Like Workers, GC changes how a report
-	// is produced, never its content, so it is excluded from CacheKey.
-	GC GCMode
 	// Trace, when non-nil, records a run-scoped telemetry trace: one
 	// span per pipeline stage (with cache provenance) plus fine-grained
 	// engine events — per-EPVP-round convergence records and per-router
 	// SPF work. Call Trace.Finish (or WriteJSON) after the run to obtain
 	// the trace. A nil Trace is the default and costs nothing on the
-	// engine's hot paths. Like Workers and GC, Trace never changes a
-	// report's content and is excluded from CacheKey.
+	// engine's hot paths. Like Workers, Trace never changes a report's
+	// content and is excluded from CacheKey.
 	Trace *Tracer
 }
 
@@ -113,16 +105,6 @@ type Trace = telemetry.Trace
 
 // NewTracer starts a run-scoped trace recorder for Options.Trace.
 func NewTracer() *Tracer { return telemetry.NewTracer() }
-
-// GCMode re-exports the pipeline's post-SRC reclamation policy.
-type GCMode = pipeline.GCMode
-
-// Reclamation policies for Options.GC.
-const (
-	GCAuto   = pipeline.GCAuto
-	GCAlways = pipeline.GCAlways
-	GCNever  = pipeline.GCNever
-)
 
 func (o *Options) normalize() {
 	if o.Mode.IsZero() {
@@ -139,9 +121,9 @@ func (o *Options) normalize() {
 // CacheKey renders the normalized options deterministically (mode flags,
 // sorted property set, BTE community). Two Options values with the same key
 // request the same verification, so services may key result caches on it
-// together with a digest of the configuration text. Workers and GC are
-// deliberately absent: they change how fast a report is produced, not its
-// content, so cached results are shared across those settings.
+// together with a digest of the configuration text. Workers is
+// deliberately absent: it changes how fast a report is produced, not its
+// content, so cached results are shared across worker counts.
 //
 // Every field is rendered explicitly — the mode through Mode.Key, the rest
 // by hand — never through a %+v of a whole struct, whose output shifts
@@ -181,15 +163,6 @@ func ParseProperty(name string) (Kind, error) {
 		return EgressPreference, nil
 	}
 	return "", fmt.Errorf("expresso: unknown property %q", name)
-}
-
-func (o *Options) wants(k Kind) bool {
-	for _, p := range o.Properties {
-		if p == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Timing records per-stage wall-clock durations (Table 3's columns).
@@ -289,36 +262,27 @@ func (n *Network) Verify(opts Options) (*Report, error) {
 // promptly and returns ctx.Err() instead of finishing minutes of symbolic
 // simulation nobody is waiting for.
 //
-// VerifyContext is a thin wrapper over the staged pipeline
-// (internal/pipeline) with no cache attached: every stage runs cold, so
-// repeated calls are fully independent — the determinism tests rely on
-// that. Use a Verifier for stage-granular caching and incremental
-// (warm-start) re-verification.
+// VerifyContext runs the staged pipeline with no cache, store or baseline
+// attached: every stage runs cold, so repeated calls are fully independent
+// — the determinism tests rely on that. Use a Verifier for stage-granular
+// caching and incremental (warm-start) re-verification.
 func (n *Network) VerifyContext(ctx context.Context, opts Options) (*Report, error) {
-	opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	runner := &pipeline.Runner{}
-	out, err := runner.Run(ctx, opts.request(pipeline.FromNetwork(n.Topo)))
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trace != nil {
-		// A pre-loaded network has no config text, hence no digest.
-		opts.Trace.SetMeta("", opts.Mode.Key(), opts.CacheKey(), out.SRC.Workers)
-		traceStages(opts.Trace, out.Stages)
-		traceWatermark(opts.Trace, out.SRC)
-	}
-	return assembleReport(n.Topo.Statistics(), out), nil
+	rep, _, _, err := new(Verifier).run(ctx, input{net: n.Topo}, "", opts)
+	return rep, err
 }
 
-// traceStages records the pipeline's per-stage provenance entries as
-// trace spans (nil-tracer safe).
-func traceStages(tr *Tracer, stages []StageInfo) {
-	for _, st := range stages {
-		tr.Span(st.Stage, st.Status, st.Key, st.Seed, st.Note, st.Duration)
+// traceRun records a finished run on its tracer, if it has one: identity,
+// one span per stage provenance entry, and — when the run reached the SRC
+// stage rather than the report cache (src != nil) — the BDD memory footer.
+func traceRun(opts Options, info *RunInfo, rep *Report, src *pipeline.SRCArtifact) {
+	if opts.Trace == nil {
+		return
 	}
+	opts.Trace.SetMeta(info.Digest, opts.Mode.Key(), opts.CacheKey(), rep.Timing.Workers)
+	for _, st := range info.Stages {
+		opts.Trace.Span(st.Stage, st.Status, st.Key, st.Seed, st.Note, st.Duration)
+	}
+	traceWatermark(opts.Trace, src)
 }
 
 // traceWatermark records the run's BDD memory footer: the peak-live-node
@@ -347,29 +311,6 @@ func traceWatermark(tr *Tracer, src *pipeline.SRCArtifact) {
 	tr.SetWatermark(wm)
 }
 
-// validate rejects option combinations the pipeline cannot run. Checked
-// before any stage executes (the old monolith noticed a missing BTE only
-// after the fixed point had already been computed).
-func (o *Options) validate() error {
-	if o.wants(BlockToExternal) && o.BTE == 0 {
-		return fmt.Errorf("expresso: BlockToExternal requires Options.BTE")
-	}
-	return nil
-}
-
-// request translates normalized options into a pipeline request.
-func (o *Options) request(load *pipeline.LoadArtifact) *pipeline.Request {
-	return &pipeline.Request{
-		Load:       load,
-		Mode:       o.Mode,
-		Properties: o.Properties,
-		BTE:        o.BTE,
-		Workers:    o.Workers,
-		GC:         o.GC,
-		Trace:      o.Trace,
-	}
-}
-
 // assembleReport builds the public Report from a pipeline outcome. The
 // violation order is the monolith's: routing analysis (leak, hijack, bte)
 // then forwarding analysis (traffic, blackhole, loop). Converged,
@@ -396,8 +337,6 @@ func assembleReport(stats topology.Stats, out *pipeline.Outcome) *Report {
 	}
 	for _, st := range out.Stages {
 		switch st.Stage {
-		case pipeline.StageLoad:
-			rep.Timing.Load = st.Duration
 		case pipeline.StageSRC:
 			rep.Timing.SRC = st.Duration
 		case pipeline.StageRouting:

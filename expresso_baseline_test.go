@@ -230,3 +230,94 @@ func TestStoreGCBaselineRoots(t *testing.T) {
 		t.Errorf("%d blobs survive with no baselines registered: %+v", got, d.Keys())
 	}
 }
+
+// TestRegisterBaselineTraceCarriesWatermark: registration goes through the
+// same driver as every other verification, so a traced registration records
+// everything a traced verification does — the stage spans and the BDD
+// memory footer.
+func TestRegisterBaselineTraceCarriesWatermark(t *testing.T) {
+	tracer := NewTracer()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(context.Background(), "prod", testnet.Figure4Fixed, Options{Workers: 1, Trace: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	trace := tracer.Finish()
+	if trace.Watermark == nil || trace.Watermark.PeakLiveNodes == 0 {
+		t.Errorf("traced registration has no watermark footer: %+v", trace.Watermark)
+	}
+	spans := map[string]bool{}
+	for _, sp := range trace.Spans {
+		spans[sp.Name] = true
+	}
+	for _, stage := range []string{"load", "src", "routing_analysis", "spf", "forwarding_analysis", "report"} {
+		if !spans[stage] {
+			t.Errorf("traced registration has no %q span", stage)
+		}
+	}
+}
+
+// TestOneWarmRungForBothAnchors: the same one-router delta warm-starts from
+// the most recent cached fixed point when it is anonymous and from the
+// registered baseline when it names one — one rung, two anchors — and each
+// run's provenance names the anchor it actually chained on.
+func TestOneWarmRungForBothAnchors(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Workers: 1}
+	base := testnet.Figure4Fixed
+	changed := base + "bgp network 203.0.113.7/32\n"
+	wantDirty := fmt.Sprintf("dirty=%d", len(pipeline.DirtyRouters(mustLoad(t, base), mustLoad(t, changed))))
+
+	anon := NewVerifier(VerifierConfig{})
+	_, baseInfo, err := anon.VerifyText(ctx, base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseSRC, _ := findStage(baseInfo, "src")
+	_, info, err := anon.VerifyText(ctx, changed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := findStage(info, "src")
+	if src.Status != StageWarm || src.Seed != pipeline.DiskKey(baseSRC.Key) {
+		t.Errorf("anonymous delta: src %s seed %q, want warm seeded by the cached run %q", src.Status, src.Seed, pipeline.DiskKey(baseSRC.Key))
+	}
+	if want := wantDirty + " gc=skipped"; src.Note != want {
+		t.Errorf("anonymous delta note = %q, want %q", src.Note, want)
+	}
+
+	named := NewVerifier(VerifierConfig{})
+	_, reg, err := named.RegisterBaseline(ctx, "prod", base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A more recent, unrelated fixed point in the SRC cache must not
+	// displace the named anchor.
+	if _, _, err := named.VerifyText(ctx, base+"bgp network 198.51.100.9/32\n", opts); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err = named.VerifyDelta(ctx, "prod", DiffConfigs(base, changed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ = findStage(info, "src")
+	if src.Status != StageWarm || src.Seed != reg.SRCDigest {
+		t.Errorf("named delta: src %s seed %q, want warm seeded by the baseline %q", src.Status, src.Seed, reg.SRCDigest)
+	}
+	if want := "baseline=prod " + wantDirty + " gc=skipped"; src.Note != want {
+		t.Errorf("named delta note = %q, want %q", src.Note, want)
+	}
+	for _, st := range named.CacheStats() {
+		if st.Stage == "src" && st.WarmStarts != 2 {
+			t.Errorf("named verifier counted %d warm starts, want 2 (the unrelated run and the delta)", st.WarmStarts)
+		}
+	}
+}
+
+func mustLoad(t *testing.T, text string) *pipeline.LoadArtifact {
+	t.Helper()
+	a, err := pipeline.Load(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}

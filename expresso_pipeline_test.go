@@ -33,16 +33,6 @@ func TestOptionsCacheKeyGolden(t *testing.T) {
 	}
 }
 
-// TestGCExcludedFromCacheKey: like Workers, the reclamation policy changes
-// how a report is produced, never its content.
-func TestGCExcludedFromCacheKey(t *testing.T) {
-	a := Options{GC: GCAlways}
-	b := Options{GC: GCNever}
-	if a.CacheKey() != b.CacheKey() {
-		t.Error("CacheKey must not depend on Options.GC")
-	}
-}
-
 // TestTimingTotalCoversAllStages sweeps Timing's fields by reflection:
 // every duration field must contribute to Total, so a stage added without
 // extending Total fails here instead of silently vanishing from the sum.

@@ -157,11 +157,11 @@ func TestVerifyTraceDirect(t *testing.T) {
 
 // TestTraceOverhead prices the enabled tracing path against the nil-tracer
 // baseline and asserts it stays under 5% on the region-1 fixture. It is a
-// tier-2 check — timing-sensitive, so it only runs when the bench-trace
-// target sets EXPRESSO_TRACE_OVERHEAD=1.
+// tier-2 check — timing-sensitive, so it only runs with
+// EXPRESSO_TRACE_OVERHEAD=1 set.
 func TestTraceOverhead(t *testing.T) {
 	if os.Getenv("EXPRESSO_TRACE_OVERHEAD") != "1" {
-		t.Skip("timing-sensitive; set EXPRESSO_TRACE_OVERHEAD=1 (make bench-trace) to run")
+		t.Skip("timing-sensitive; set EXPRESSO_TRACE_OVERHEAD=1 to run")
 	}
 	text := netgen.CSP(netgen.CSPOldRegion(1))
 	verify := func(traced bool) {

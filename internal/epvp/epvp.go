@@ -229,19 +229,6 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 		SymbolicASPaths:     e.Mode.SymbolicASPaths,
 	}
 	e.permitAll = symbolic.CompilePolicy(e.ctx, nil)
-	// Compile-time reordering gate: policy compilation is single-threaded
-	// and device-ordered, so between-device boundaries are quiescent and
-	// the created counter at each is schedule-independent — the same
-	// determinism argument as the round-end gate. Dead nodes here are the
-	// intermediates of Algorithm 2's guard splitting (the guards themselves
-	// are constructed without any); live transfers are collected via Roots,
-	// and anything owned by other engine instances sharing the manager is
-	// protected by its owner's pins (the Reclaim contract).
-	reorderBudget, reorderOn := telemetry.ReorderBudgetFromEnv()
-	var reorderFloor int64
-	if reorderOn {
-		_, reorderFloor = e.Space.M.UniqueStats()
-	}
 	for _, name := range e.Net.Internals {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -264,12 +251,6 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 					}
 				}
 				e.transfers[k] = symbolic.CompilePolicy(e.ctx, d.Policies[polName])
-			}
-		}
-		if reorderOn {
-			if _, created := e.Space.M.UniqueStats(); created-reorderFloor >= int64(reorderBudget) {
-				e.Space.M.Reorder(e.Roots()...)
-				_, reorderFloor = e.Space.M.UniqueStats()
 			}
 		}
 	}
@@ -655,25 +636,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		Best:        map[string][]*symbolic.Route{},
 		ExternalRIB: map[string][]*symbolic.Route{},
 	}
-	// Between-round reclamation trigger: sweep once hash-consing growth
-	// since the last sweep exceeds the budget. created at a round boundary
-	// is a pure function of the canonical node set, so the trigger fires
-	// in the same rounds for every worker count (the determinism
-	// invariant).
-	reclaimBudget, reclaimOn := telemetry.ReclaimBudgetFromEnv()
-	var createdFloor int64
-	if reclaimOn {
-		_, createdFloor = e.Space.M.UniqueStats()
-	}
-	// Dynamic-reordering trigger: same shape as the reclamation gate —
-	// growth of the (schedule-independent) created counter since the last
-	// reorder — but with a much larger default budget, since a sift pass
-	// is a far heavier pause than a sweep.
-	reorderBudget, reorderOn := telemetry.ReorderBudgetFromEnv()
-	var reorderFloor int64
-	if reorderOn {
-		_, reorderFloor = e.Space.M.UniqueStats()
-	}
+	// Between-round memory pressure is hash-consing growth: the created
+	// counter's advance since the last sift (siftFloor) and since the last
+	// sift or sweep (sweepFloor). created at a round boundary is a pure
+	// function of the canonical node set, so Relieve fires in the same
+	// rounds for every worker count (the determinism invariant).
+	_, siftFloor := e.Space.M.UniqueStats()
+	sweepFloor := siftFloor
 	workers := e.WorkerCount()
 	var forks []*Engine
 	if workers > 1 {
@@ -777,33 +746,22 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// so this watermark sample is schedule-independent. Two atomics —
 		// cheap enough to run whether or not tracing is on.
 		e.Space.M.NoteWatermark()
-		// Dead-node reclamation between rounds: once enough new nodes have
-		// been hash-consed, sweep everything unreachable from the round's
-		// live state. The forks are quiescent here (WaitGroup barrier), and
-		// the next round's goroutines start after this point, satisfying
-		// Reclaim's quiescence contract; worker memos invalidate lazily via
-		// the manager's generation counter.
-		var rcFreed, rcPause int64
-		var rcRuns int64
-		var roRes bdd.ReorderResult
-		var roRuns int64
-		// Reordering first: a sift pass reclaims on entry, so a round that
-		// reorders skips the separate sweep (both floors reset together).
-		if reorderOn && !converged {
-			if _, created := e.Space.M.UniqueStats(); created-reorderFloor >= int64(reorderBudget) {
-				roRes = e.Space.M.Reorder(e.runRoots(best, extInit, seed)...)
-				roRuns = 1
-				_, reorderFloor = e.Space.M.UniqueStats()
-				createdFloor = reorderFloor
-			}
-		}
-		if reclaimOn && !converged && roRuns == 0 {
-			if _, created := e.Space.M.UniqueStats(); created-createdFloor >= int64(reclaimBudget) {
-				rc0 := e.Space.M.ReclaimStats()
-				rcFreed = int64(e.Space.M.Reclaim(e.runRoots(best, extInit, seed)...))
-				rcPause = int64(e.Space.M.ReclaimStats().Pause - rc0.Pause)
-				rcRuns = 1
-				_, createdFloor = e.Space.M.UniqueStats()
+		// Once enough new nodes have been hash-consed, free everything
+		// unreachable from the round's live state, by a sweep or by the
+		// sift pass that subsumes one. The forks are quiescent here
+		// (WaitGroup barrier), and the next round's goroutines start after
+		// this point, satisfying the quiescence contract; worker memos
+		// invalidate lazily via the manager's generation counter.
+		var relief Relief
+		if !converged {
+			_, created := e.Space.M.UniqueStats()
+			relief = Relieve(e.Space.M, Pressure{Sift: created - siftFloor, Sweep: created - sweepFloor},
+				func() []bdd.Node { return e.runRoots(best, extInit, seed) })
+			if relief.Sifts+relief.Sweeps > 0 {
+				_, sweepFloor = e.Space.M.UniqueStats()
+				if relief.Sifts > 0 {
+					siftFloor = sweepFloor
+				}
 			}
 		}
 		if e.Trace.Enabled() {
@@ -821,13 +779,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 				ITEMisses:      imiss1 - imiss0,
 				UniqueHits:     uhits1 - uhits0,
 				UniqueMisses:   nodes1 - nodes0,
-				Reclaims:       rcRuns,
-				ReclaimedNodes: rcFreed,
-				ReclaimNS:      rcPause,
-				Reorders:       roRuns,
-				ReorderSwaps:   roRes.Swaps,
-				ReorderFreed:   roRes.Freed,
-				ReorderNS:      int64(roRes.Pause),
+				Reclaims:       relief.Sweeps,
+				ReclaimedNodes: relief.SweptNodes,
+				ReclaimNS:      relief.SweepNS,
+				Reorders:       relief.Sifts,
+				ReorderSwaps:   relief.Sift.Swaps,
+				ReorderFreed:   relief.Sift.Freed,
+				ReorderNS:      int64(relief.Sift.Pause),
 				BDDPeak:        peak,
 				Duration:       time.Since(roundStart).Nanoseconds(),
 			})

@@ -13,12 +13,24 @@ import (
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
-// pinner is implemented by artifacts that root BDD handles against
-// dead-node reclamation (bdd.Manager.Pin). The stage cache releases the
-// pins when an artifact is evicted, letting later sweeps in that manager
-// collect it; in-flight requests stay safe because every sweep point also
-// passes its own working set as explicit roots.
-type pinner interface{ unpinHandles() }
+// artifact is a stage output that roots BDD handles against dead-node
+// reclamation (bdd.Manager.Pin): Runner.resolve pins it where it is built,
+// and the stage cache releases the pins when it is evicted, letting later
+// sweeps in that manager collect it; in-flight requests stay safe because
+// every sweep point also passes its own working set as explicit roots.
+type artifact interface {
+	pinHandles()
+	unpinHandles()
+}
+
+// built turns a decoder's (artifact, error) pair into the interface pair a
+// stageSpec returns, without wrapping a nil pointer in a non-nil interface.
+func built[A artifact](a A, err error) (artifact, error) {
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
 
 // LoadArtifact is the Load stage's output: the built network plus the
 // content addresses the downstream stage keys chain on. Digest == ""
@@ -114,10 +126,10 @@ func (a *SRCArtifact) handles() []bdd.Node {
 	return roots
 }
 
-// pinHandles roots the artifact's handles against dead-node reclamation.
-// Called once, when the artifact is built; warm runs chained onto this
-// manager may sweep between rounds, and the sweep must not collect a
-// cached fixed point another request can still hit.
+// pinHandles roots the artifact's handles against dead-node reclamation:
+// warm runs chained onto this manager may sweep between rounds, and the
+// sweep must not collect a cached fixed point another request can still
+// hit.
 func (a *SRCArtifact) pinHandles() {
 	a.pins = a.handles()
 	a.Eng.Space.M.Pin(a.pins...)
@@ -128,29 +140,25 @@ func (a *SRCArtifact) unpinHandles() {
 	a.pins = nil
 }
 
-// lock serializes engine-touching computation on the artifact's manager.
-// Every holder releases by defer (directly, or through withLock): the
-// service turns a panicking verification into a failed job, and the next
-// job on this manager must not find the lock held.
-func (a *SRCArtifact) lock()   { a.runLock.Lock() }
-func (a *SRCArtifact) unlock() { a.runLock.Unlock() }
-
-// withLock runs f under the run lock, for a section shorter than its
-// enclosing function.
-func (a *SRCArtifact) withLock(f func()) {
-	a.lock()
-	defer a.unlock()
+// locked runs f under a run lock. Every holder of one releases it by
+// defer: the service turns a panicking verification into a failed job, and
+// the next job on that manager must not find the lock held.
+func locked(l sync.Locker, f func()) {
+	l.Lock()
+	defer l.Unlock()
 	f()
 }
+
+// withLock runs f under the artifact's run lock.
+func (a *SRCArtifact) withLock(f func()) { locked(a.runLock, f) }
 
 // BDDProfile snapshots the artifact's BDD manager under the run lock, so
 // the walk sees a quiescent node population even when the artifact is
 // shared with in-flight verifications. This is the introspection path
 // behind GET /debug/bdd; it runs only on demand, never inside the engine.
-func (a *SRCArtifact) BDDProfile() bdd.Profile {
-	a.lock()
-	defer a.unlock()
-	return a.Eng.Space.M.Profile()
+func (a *SRCArtifact) BDDProfile() (p bdd.Profile) {
+	a.withLock(func() { p = a.Eng.Space.M.Profile() })
+	return p
 }
 
 // AnalysisArtifact is the output of the RoutingAnalysis and
@@ -161,7 +169,7 @@ type AnalysisArtifact struct {
 	Key        string
 	Violations []properties.Violation
 
-	m    *bdd.Manager
+	m    *bdd.Manager // the SRC manager the conditions live in
 	pins []bdd.Node
 }
 
@@ -178,10 +186,9 @@ func (a *AnalysisArtifact) handles() []bdd.Node {
 // pinHandles roots the violation conditions in the manager that built
 // them, so a cached analysis artifact's Cond handles stay valid across
 // reclaim sweeps by later runs in the same manager.
-func (a *AnalysisArtifact) pinHandles(m *bdd.Manager) {
-	a.m = m
+func (a *AnalysisArtifact) pinHandles() {
 	a.pins = a.handles()
-	m.Pin(a.pins...)
+	a.m.Pin(a.pins...)
 }
 
 func (a *AnalysisArtifact) unpinHandles() {
@@ -196,16 +203,14 @@ type SPFArtifact struct {
 	Digest string
 	Res    *spf.Result
 
-	m    *bdd.Manager
+	m    *bdd.Manager // the SRC manager the SPF stage ran in
 	pins []bdd.Node
 }
 
-// pinHandles roots the FIB and PEC predicates (spf.Result.Nodes) in the
-// SRC manager the SPF stage ran in.
-func (a *SPFArtifact) pinHandles(m *bdd.Manager) {
-	a.m = m
+// pinHandles roots the FIB and PEC predicates (spf.Result.Nodes).
+func (a *SPFArtifact) pinHandles() {
 	a.pins = a.Res.Nodes()
-	m.Pin(a.pins...)
+	a.m.Pin(a.pins...)
 }
 
 func (a *SPFArtifact) unpinHandles() {

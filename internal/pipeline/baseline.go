@@ -160,10 +160,12 @@ func (r *BaselineRegistry) Len() int {
 	return len(r.byName)
 }
 
-// DiskKey is the persistent-store address of a stage key (the hash of the
-// key — see Runner.Store). Exported for the gc sweep and manifests, which
-// must name store blobs the way the pipeline writes them.
-func DiskKey(key string) string { return diskKey(key) }
+// DiskKey is the persistent-store address of a stage key: stage keys embed
+// '|'-joined digest chains, so the store sees their hash (a content address
+// of a content address — collision-free for the same reason the keys are).
+// Exported for the gc sweep and manifests, which must name store blobs the
+// way the pipeline writes them.
+func DiskKey(key string) string { return hashHex(key) }
 
 // StageBaseline is the store stage directory baseline manifests live
 // under. Manifests are JSON (not framed artifact codecs) addressed by the

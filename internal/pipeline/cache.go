@@ -130,7 +130,7 @@ func (c *StageCache) Add(stage, key string, val any) {
 		old := el.Value.(*stageEntry).val
 		el.Value.(*stageEntry).val = val
 		s.order.MoveToFront(el)
-		if p, ok := old.(pinner); ok && old != val {
+		if p, ok := old.(artifact); ok && old != val {
 			p.unpinHandles()
 		}
 		return
@@ -146,7 +146,7 @@ func (c *StageCache) Add(stage, key string, val any) {
 		// still holding the artifact are unaffected until they release
 		// their run lock (sweeps are serialized behind it) and every sweep
 		// roots its own request's working set explicitly.
-		if p, ok := e.val.(pinner); ok {
+		if p, ok := e.val.(artifact); ok {
 			p.unpinHandles()
 		}
 	}

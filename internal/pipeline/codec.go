@@ -571,7 +571,7 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 		vs[i] = r.v
 		vs[i].Cond = roots[r.cond]
 	}
-	return &AnalysisArtifact{Key: key, Violations: vs}, nil
+	return &AnalysisArtifact{Key: key, Violations: vs, m: m}, nil
 }
 
 // --- SPF -----------------------------------------------------------------
@@ -790,5 +790,5 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 		pecs[i] = &spf.PEC{Pkt: pkt, Path: rp.path, Final: spf.FinalState(rp.final)}
 	}
 	res := spf.Rehydrate(eng, varBase, fibs, pecs, dataVars)
-	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res}, nil
+	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res, m: eng.Space.M}, nil
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
+	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/route"
@@ -16,54 +18,23 @@ import (
 	"github.com/expresso-verify/expresso/internal/telemetry"
 )
 
-// GCMode controls the memory reclamation between the SRC fixed point and
-// the analysis stages. The pre-pipeline monolith unconditionally dropped
-// the engine's ITE memos and forced a garbage collection there — right
-// for one-shot verification of the paper's large snapshots (the memo is
-// often gigabytes), wrong as an always-on cost for a service verifying
-// small snapshots at high rate.
-type GCMode int
-
-const (
-	// GCAuto (the default) reclaims only under heap pressure: when the
-	// post-SRC live heap exceeds gcHeapThreshold.
-	GCAuto GCMode = iota
-	// GCAlways reclaims after every SRC computation (the old behavior).
-	GCAlways
-	// GCNever skips reclamation entirely.
-	GCNever
-)
-
-// gcHeapThreshold is the GCAuto heap-pressure cutoff. Small enough that
-// the paper-scale snapshots (multi-GB memos) always reclaim, large enough
-// that testnet-sized service traffic never pays a forced GC per request.
+// gcHeapThreshold is the heap-pressure cutoff of the post-SRC reclamation.
+// Small enough that the paper-scale snapshots (multi-GB memos) always
+// reclaim, large enough that testnet-sized service traffic never pays a
+// forced GC per request.
 const gcHeapThreshold = 256 << 20
 
-// String renders the mode for logs and provenance notes.
-func (g GCMode) String() string {
-	switch g {
-	case GCAlways:
-		return "always"
-	case GCNever:
-		return "never"
-	default:
-		return "auto"
-	}
-}
-
-// reclaim applies the GC policy after a freshly computed SRC fixed point,
-// reporting whether it forced a collection.
-func reclaim(mode GCMode, src *SRCArtifact) bool {
-	switch mode {
-	case GCNever:
-		return false
-	case GCAlways:
-	default: // GCAuto: only under heap pressure
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc < gcHeapThreshold {
-			return false
-		}
+// reclaimAfterSRC drops the engine's op caches and forces a collection
+// between a freshly built SRC fixed point and the analysis stages, but only
+// under heap pressure: right for one-shot verification of the paper's large
+// snapshots (the memo is often gigabytes), wrong as an always-on cost for a
+// service verifying small snapshots at high rate. It returns the provenance
+// note.
+func reclaimAfterSRC(src *SRCArtifact) string {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc < gcHeapThreshold {
+		return "gc=skipped"
 	}
 	// The fixed point is done: the ITE memo is pure acceleration state and
 	// the analysis stages rebuild what they need. The memo belongs to the
@@ -71,7 +42,7 @@ func reclaim(mode GCMode, src *SRCArtifact) bool {
 	// other job on its baseline.
 	src.withLock(src.Eng.Space.M.ClearCaches)
 	runtime.GC()
-	return true
+	return "gc=forced"
 }
 
 // Stage statuses recorded in StageInfo provenance entries.
@@ -110,7 +81,6 @@ type Request struct {
 	Properties []properties.Kind
 	BTE        route.Community
 	Workers    int
-	GC         GCMode
 	// Baseline names the registered baseline this request is a delta
 	// against (""= none). When set and the Runner has a registry, the SRC
 	// stage anchors on the baseline's pinned converged state: an exact
@@ -120,8 +90,8 @@ type Request struct {
 	// Trace, when non-nil, receives fine-grained engine events for the
 	// stages that actually compute (EPVP rounds, SPF per-router work).
 	// Stage spans themselves are recorded by the caller from the
-	// Outcome's StageInfos. Like Workers and GC, Trace never changes a
-	// report's content and is absent from every cache key.
+	// Outcome's StageInfos. Like Workers, Trace never changes a report's
+	// content and is absent from every cache key.
 	Trace *telemetry.Tracer
 }
 
@@ -152,26 +122,143 @@ type Runner struct {
 	Cache *StageCache
 	// Store, when non-nil, is the persistent second tier under the stage
 	// cache: SRC, SPF, and analysis artifacts are written through to it
-	// and, on an in-memory miss, read back and deserialized into a fresh
-	// manager — so a cold process (or a second replica sharing the store
-	// directory) warm-starts from a previously converged state. Store
-	// traffic is keyed by the hash of the stage key and gated on the same
-	// text-born condition as the cache; failures degrade to recompute.
+	// and, on an in-memory miss, read back and deserialized — so a cold
+	// process (or a second replica sharing the store directory)
+	// warm-starts from a previously converged state. Store traffic is
+	// keyed by DiskKey of the stage key and gated on the same text-born
+	// condition as the cache; failures degrade to recompute.
 	Store store.Tier
 	// Baselines, when non-nil, resolves Request.Baseline names to pinned
-	// converged states — the explicit warm-start anchor tier between the
-	// exact-key lookups and the opportunistic warm-candidate scan.
+	// converged states — the explicit anchor of the SRC stage's
+	// baseline-exact and warm rungs.
 	Baselines *BaselineRegistry
 }
 
-// diskKey is the store address of a stage key: stage keys embed '|'-joined
-// digest chains, so the store sees their hash (a content address of a
-// content address — collision-free for the same reason the keys are).
-func diskKey(key string) string { return hashHex(key) }
+// stageSpec is everything that differs between stages; where an artifact
+// comes from, and when it is pinned, cached and persisted, is
+// Runner.resolve and the same for all of them.
+type stageSpec struct {
+	stage, key string
+	// lock is the run lock of the BDD manager the artifact is decoded,
+	// computed and encoded in.
+	lock sync.Locker
+	// decode rebuilds the artifact from a store blob; an error — corrupt
+	// blob, schema mismatch — degrades to the rungs below. compute builds
+	// it from the upstream artifacts. Both return it unpinned.
+	decode  func(data []byte) (artifact, error)
+	compute func() (artifact, error)
+	encode  func(a artifact) []byte
+
+	// SRC's two extra rungs; nil for every other stage. baseline is the
+	// request's named baseline, anchor picks what a warm start chains on
+	// (with its provenance note prefix), and warm computes from it,
+	// returning the dirty-router count, or (nil, 0, nil) when the anchor's
+	// symbolic universe does not fit the request.
+	baseline *Baseline
+	anchor   func() (*SRCArtifact, string)
+	warm     func(anchor *SRCArtifact) (*SRCArtifact, int, error)
+	// settle, when set, runs once an artifact that was not simply served
+	// from memory is cached and persisted, and adds to the provenance note.
+	settle func(a artifact) string
+}
+
+// resolve is the one resolution ladder: memory → the named baseline with
+// the exact key → disk → warm from an anchor → cold. Whichever rung builds
+// the artifact does so under the run lock of the manager it builds in and
+// pins it before that lock is released, so the artifact is rooted before
+// anything else (another job's sweep on a shared baseline manager, this
+// request's own pre-SPF sweep) can reclaim in that manager; a built
+// artifact then enters the stage cache, and one that did not come from the
+// store is encoded — under the lock again — and written through to it.
+// Duration is left to the caller.
+func (r *Runner) resolve(ctx context.Context, s *stageSpec, cacheable, diskable bool) (artifact, StageInfo, error) {
+	info := StageInfo{Stage: s.stage, Status: StatusMiss, Key: s.key}
+	if cacheable {
+		if v, ok := r.Cache.Get(s.stage, s.key); ok {
+			info.Status = StatusHit
+			return v.(artifact), info, nil
+		}
+	}
+	// The named baseline with the exact key: its converged state is
+	// resident and pinned, so serving it costs nothing — and unlike the
+	// stage cache, it cannot have been evicted. It is never inserted into
+	// the stage cache, whose eviction unpin would race the registry's own
+	// pin bookkeeping; the baseline's pins alone keep it resident.
+	if b := s.baseline; b != nil && b.SRC.Key == s.key {
+		info.Status = StatusHit
+		info.Note = "baseline=" + b.Name
+		return b.SRC, info, nil
+	}
+
+	var art artifact
+	held := s.lock // the lock art was built under
+	build := func(lock sync.Locker, f func() (artifact, error)) error {
+		lock.Lock()
+		defer lock.Unlock()
+		a, err := f()
+		if err != nil || a == nil {
+			return err
+		}
+		a.pinHandles()
+		art, held = a, lock
+		return nil
+	}
+
+	if diskable {
+		if data, ok := r.Store.Get(s.stage, DiskKey(s.key)); ok {
+			build(s.lock, func() (artifact, error) { return s.decode(data) })
+			if art != nil {
+				info.Status = StatusDisk
+			}
+		}
+	}
+	if art == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, info, err
+		}
+		if s.anchor != nil {
+			if anchor, note := s.anchor(); anchor != nil {
+				err := build(anchor.runLock, func() (artifact, error) {
+					a, dirty, err := s.warm(anchor)
+					if a == nil {
+						return nil, err
+					}
+					info.Status, info.Seed = StatusWarm, anchor.Digest
+					info.Note = fmt.Sprintf("%sdirty=%d", note, dirty)
+					return a, nil
+				})
+				if err != nil {
+					return nil, info, err
+				}
+				if cacheable && art != nil {
+					r.Cache.NoteWarm()
+				}
+			}
+		}
+	}
+	if art == nil {
+		if err := build(s.lock, s.compute); err != nil {
+			return nil, info, err
+		}
+	}
+	if cacheable {
+		r.Cache.Add(s.stage, s.key, art)
+	}
+	// A deserialized artifact is already in the store byte for byte.
+	if diskable && info.Status != StatusDisk {
+		var blob []byte
+		locked(held, func() { blob = s.encode(art) })
+		r.Store.Put(s.stage, DiskKey(s.key), blob)
+	}
+	if s.settle != nil {
+		info.Note = strings.TrimSpace(info.Note + " " + s.settle(art))
+	}
+	return art, info, nil
+}
 
 // Run drives Load's downstream stages to an Outcome. req.Load must be
-// set; stages are cached and warm-started only when the load carries a
-// digest (text-born) and the Runner has a cache.
+// set; stages are cached, persisted and warm-started only when the load
+// carries a digest (text-born) and the Runner has the tier in question.
 func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 	if req.Load == nil || req.Load.Net == nil {
 		return nil, errors.New("pipeline: request carries no loaded network")
@@ -188,387 +275,227 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 	cacheable := r.Cache != nil && req.Load.Digest != ""
 	diskable := r.Store != nil && req.Load.Digest != ""
 	out := &Outcome{}
+	// stage resolves one stage and records its provenance.
+	stage := func(s *stageSpec) (artifact, error) {
+		start := time.Now()
+		art, info, err := r.resolve(ctx, s, cacheable, diskable)
+		if err != nil {
+			return nil, err
+		}
+		info.Duration = time.Since(start)
+		out.Stages = append(out.Stages, info)
+		return art, nil
+	}
 
 	// --- SRC: the EPVP fixed point -------------------------------------
-	srcKey := SRCKey(req.Load.Digest, req.Mode)
-	start := time.Now()
-	src, info, err := r.resolveSRC(ctx, req, srcKey, cacheable, diskable)
+	art, err := stage(r.srcSpec(ctx, req, cacheable))
 	if err != nil {
 		return nil, err
 	}
-	info.Duration = time.Since(start)
+	src := art.(*SRCArtifact)
 	out.SRC = src
-	out.Stages = append(out.Stages, info)
 
 	// --- RoutingAnalysis -----------------------------------------------
-	routingKey := RoutingKey(src.Digest, routingProps, req.BTE)
-	start = time.Now()
-	routing, status, err := r.resolveAnalysis(ctx, StageRouting, routingKey, cacheable, diskable, src, 0, func() ([]properties.Violation, error) {
-		var vs []properties.Violation
-		src.lock()
-		defer src.unlock()
-		for _, k := range routingProps {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			switch k {
-			case properties.RouteLeakFree:
-				vs = append(vs, properties.CheckRouteLeak(src.Eng, src.Res)...)
-			case properties.RouteHijackFree:
-				vs = append(vs, properties.CheckRouteHijack(src.Eng, src.Res)...)
-			case properties.BlockToExternal:
-				vs = append(vs, properties.CheckBlockToExternal(src.Eng, src.Res, req.BTE)...)
-			}
-		}
-		return vs, nil
-	})
+	art, err = stage(analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE))
 	if err != nil {
 		return nil, err
 	}
+	routing := art.(*AnalysisArtifact)
 	out.Routing = routing
-	out.Stages = append(out.Stages, StageInfo{Stage: StageRouting, Status: status, Key: routingKey, Duration: time.Since(start)})
 
 	if len(forwardingProps) == 0 {
 		return out, nil
 	}
 
 	// --- SPF: symbolic packet forwarding -------------------------------
-	spfKey := SPFKey(src.Digest)
-	start = time.Now()
-	var spfArt *SPFArtifact
-	status = StatusMiss
-	if cacheable {
-		if v, ok := r.Cache.Get(StageSPF, spfKey); ok {
-			spfArt = v.(*SPFArtifact)
-			status = StatusHit
-		}
-	}
-	if spfArt == nil && diskable {
-		if data, ok := r.Store.Get(StageSPF, diskKey(spfKey)); ok {
-			// Deserialization allocates the data-plane variable block and
-			// builds nodes in the shared SRC manager: serialize against its
-			// other users exactly like a computed SPF run.
-			var art *SPFArtifact
-			var derr error
-			src.withLock(func() {
-				if art, derr = DecodeSPF(src.Eng, spfKey, data); derr == nil {
-					art.pinHandles(src.Eng.Space.M)
-				}
-			})
-			if derr == nil {
-				spfArt = art
-				status = StatusDisk
-				if cacheable {
-					r.Cache.Add(StageSPF, spfKey, spfArt)
-				}
-			}
-		}
-	}
-	if spfArt == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Dead-node sweep before SPF: the fixed point's intermediates are
-		// garbage now, and SPF is about to add 33 data-plane variables per
-		// neighbor and build a large fresh population on top. Gated on the
-		// same growth budget as the between-round sweeps so small runs
-		// never pause. The roots are this request's working set — pins
-		// cover the cached artifacts, but an artifact evicted mid-request
-		// must survive its own run too.
-		// Reordering subsumes the sweep (it reclaims on entry), so at most
-		// one of the two stop-the-world passes runs here.
-		var dp *spf.Result
-		src.withLock(func() {
-			if budget, on := telemetry.ReorderBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-				src.Eng.Space.M.Reorder(append(src.handles(), routing.handles()...)...)
-			} else if budget, on := telemetry.ReclaimBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-				src.Eng.Space.M.Reclaim(append(src.handles(), routing.handles()...)...)
-			}
-			dp, err = spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
-		})
-		if err != nil {
-			return nil, err
-		}
-		spfArt = &SPFArtifact{Key: spfKey, Digest: hashHex(spfKey), Res: dp}
-		spfArt.pinHandles(src.Eng.Space.M)
-		if cacheable {
-			r.Cache.Add(StageSPF, spfKey, spfArt)
-		}
-		if diskable {
-			var blob []byte
-			src.withLock(func() { blob = EncodeSPF(spfArt, src.Eng.Space.M) })
-			r.Store.Put(StageSPF, diskKey(spfKey), blob)
-		}
-	}
-	out.SPF = spfArt
-	out.Stages = append(out.Stages, StageInfo{Stage: StageSPF, Status: status, Key: spfKey, Duration: time.Since(start)})
-
-	// --- ForwardingAnalysis --------------------------------------------
-	forwardingKey := ForwardingKey(spfArt.Digest, forwardingProps)
-	start = time.Now()
-	forwarding, status, err := r.resolveAnalysis(ctx, StageForwarding, forwardingKey, cacheable, diskable, src, spfArt.Res.VarBase(), func() ([]properties.Violation, error) {
-		var vs []properties.Violation
-		src.lock()
-		defer src.unlock()
-		for _, k := range forwardingProps {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			switch k {
-			case properties.TrafficHijackFree:
-				vs = append(vs, properties.CheckTrafficHijack(src.Eng, spfArt.Res)...)
-			case properties.BlackHoleFree:
-				vs = append(vs, properties.CheckBlackHole(src.Eng, spfArt.Res,
-					properties.InternalDestPredicate(src.Eng, spfArt.Res))...)
-			case properties.LoopFree:
-				vs = append(vs, properties.CheckLoop(src.Eng, spfArt.Res)...)
-			}
-		}
-		return vs, nil
-	})
+	art, err = stage(spfSpec(ctx, req, src, routing))
 	if err != nil {
 		return nil, err
 	}
-	out.Forwarding = forwarding
-	out.Stages = append(out.Stages, StageInfo{Stage: StageForwarding, Status: status, Key: forwardingKey, Duration: time.Since(start)})
+	spfArt := art.(*SPFArtifact)
+	out.SPF = spfArt
+
+	// --- ForwardingAnalysis --------------------------------------------
+	art, err = stage(analysisSpec(ctx, StageForwarding, ForwardingKey(spfArt.Digest, forwardingProps), src, spfArt.Res, forwardingProps, 0))
+	if err != nil {
+		return nil, err
+	}
+	out.Forwarding = art.(*AnalysisArtifact)
 	return out, nil
 }
 
-// resolveSRC returns the SRC artifact for the request: cached when the
-// exact key is present, deserialized from the persistent tier when it
-// holds the key, served or warm-started from the request's named baseline
-// when one is registered, warm-started from a compatible cached prior
-// when one exists, cold otherwise. Whichever branch builds the artifact
-// pins it at birth — even when uncacheable — so the fixed point is rooted
-// before anything else (a concurrent warm run, this request's own pre-SPF
-// sweep) can sweep its manager.
-func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, cacheable, diskable bool) (*SRCArtifact, StageInfo, error) {
-	info := StageInfo{Stage: StageSRC, Status: StatusMiss, Key: srcKey}
-	if cacheable {
-		if v, ok := r.Cache.Get(StageSRC, srcKey); ok {
-			info.Status = StatusHit
-			return v.(*SRCArtifact), info, nil
-		}
+// srcSpec describes the SRC stage. A fixed point restored from the store
+// (which carries the exact converged state for the key, so only the policy
+// compilation is paid) or computed cold lives in a manager born in this
+// request, whose run lock is born with it; a warm start computes in its
+// anchor's manager and shares the anchor's lock.
+func (r *Runner) srcSpec(ctx context.Context, req *Request, cacheable bool) *stageSpec {
+	key := SRCKey(req.Load.Digest, req.Mode)
+	own := &sync.Mutex{}
+	s := &stageSpec{
+		stage: StageSRC, key: key, lock: own,
+		decode: func(data []byte) (artifact, error) {
+			eng, err := epvp.NewContext(ctx, req.Load.Net, req.Mode)
+			if err != nil {
+				return nil, err
+			}
+			a, err := DecodeSRC(eng, req.Load, key, data)
+			if err != nil {
+				return nil, err
+			}
+			a.runLock = own
+			return a, nil
+		},
+		compute: func() (artifact, error) {
+			eng, err := epvp.NewContext(ctx, req.Load.Net, req.Mode)
+			if err != nil {
+				return nil, err
+			}
+			return converge(eng, req, key, own, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
+		},
+		encode: func(a artifact) []byte { return EncodeSRC(a.(*SRCArtifact)) },
+		warm: func(anchor *SRCArtifact) (*SRCArtifact, int, error) {
+			return warmFrom(ctx, req, key, anchor)
+		},
+		settle: func(a artifact) string { return reclaimAfterSRC(a.(*SRCArtifact)) },
 	}
-	// The named baseline with the exact key beats everything else: its
-	// converged state is already resident and pinned, so serving it costs
-	// nothing — and unlike the stage cache, it cannot have been evicted.
-	var baseline *Baseline
 	if req.Baseline != "" && r.Baselines != nil {
 		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
-			baseline = b
-			if b.SRC.Key == srcKey {
-				// Served straight from the registry — never re-inserted
-				// into the stage cache, whose eviction unpin would race
-				// the registry's own pin bookkeeping. The artifact stays
-				// resident through the baseline's pins alone.
-				info.Status = StatusHit
-				info.Note = "baseline=" + b.Name
-				return b.SRC, info, nil
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, info, err
-	}
-
-	var src *SRCArtifact
-	// The persistent tier beats a warm start: it carries the exact
-	// converged fixed point for this key, so only the policy compilation
-	// (epvp.NewContext) is paid. A decode failure — corrupt blob, schema
-	// mismatch — falls through to recompute, reusing the compiled engine.
-	var eng *epvp.Engine
-	if diskable {
-		if data, ok := r.Store.Get(StageSRC, diskKey(srcKey)); ok {
-			var err error
-			if eng, err = epvp.NewContext(ctx, req.Load.Net, req.Mode); err != nil {
-				return nil, info, err
-			}
-			if decoded, err := DecodeSRC(eng, req.Load, srcKey, data); err == nil {
-				src = decoded
-				src.pinHandles()
-				info.Status = StatusDisk
-			}
+			s.baseline = b
 		}
 	}
 	// The named baseline is the explicit warm anchor: deterministic, pinned,
-	// independent of cache pressure. The opportunistic scan over whatever
-	// the SRC cache still holds remains as the fallback for anonymous
-	// requests.
-	if src == nil && baseline != nil && baseline.SRC.Eng.Space.M.NumNodes() < warmNodeBudget {
-		warmed, dirty, err := r.warmFrom(ctx, req, srcKey, baseline.SRC)
-		if err != nil {
-			return nil, info, err
+	// independent of cache pressure. Anonymous requests — and a baseline
+	// grown past the budget — chain on the most recently used artifact the
+	// SRC cache still holds that a warm start may use: same mode, text-born
+	// (diffable), node table under budget. The compatibility of the symbolic
+	// universes (externals, community atoms) is re-checked by epvp.NewWarm.
+	s.anchor = func() (found *SRCArtifact, note string) {
+		if b := s.baseline; b != nil && b.SRC.Eng.Space.M.NumNodes() < warmNodeBudget {
+			return b.SRC, "baseline=" + b.Name + " "
 		}
-		if warmed != nil {
-			src = warmed
-			info.Status = StatusWarm
-			info.Seed = baseline.SRC.Digest
-			info.Note = fmt.Sprintf("baseline=%s dirty=%d", baseline.Name, dirty)
-			if cacheable {
-				r.Cache.NoteWarm()
-			}
+		if cacheable {
+			r.Cache.Scan(StageSRC, func(v any) bool {
+				a := v.(*SRCArtifact)
+				if a.Eng.Mode == req.Mode && a.Load.Digest != "" && a.Eng.Space.M.NumNodes() < warmNodeBudget {
+					found = a
+				}
+				return found != nil
+			})
 		}
+		return found, ""
 	}
-	if src == nil && cacheable {
-		if prior := r.warmCandidate(req.Mode); prior != nil {
-			warmed, dirty, err := r.warmFrom(ctx, req, srcKey, prior)
-			if err != nil {
-				return nil, info, err
-			}
-			if warmed != nil {
-				src = warmed
-				info.Status = StatusWarm
-				info.Seed = prior.Digest
-				info.Note = fmt.Sprintf("dirty=%d", dirty)
-				r.Cache.NoteWarm()
-			}
-		}
+	return s
+}
+
+// converge runs a compiled engine to its fixed point and wraps the result
+// as the SRC artifact for srcKey, guarded by lock.
+func converge(eng *epvp.Engine, req *Request, srcKey string, lock *sync.Mutex, run func() (*epvp.Result, error)) (*SRCArtifact, error) {
+	eng.Workers = req.Workers
+	eng.Trace = req.Trace
+	res, err := run()
+	eng.Trace = nil // the engine outlives the run in the cache
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		// eng may be left over from a failed store decode; otherwise
-		// compile now.
-		if eng == nil {
-			var err error
-			if eng, err = epvp.NewContext(ctx, req.Load.Net, req.Mode); err != nil {
-				return nil, info, err
-			}
-		}
-		eng.Workers = req.Workers
-		eng.Trace = req.Trace
-		res, err := eng.RunContext(ctx)
-		eng.Trace = nil // the engine outlives the run in the cache
-		if err != nil {
-			return nil, info, err
-		}
-		src = &SRCArtifact{
-			Key: srcKey, Digest: hashHex(srcKey),
-			Eng: eng, Res: res, Load: req.Load,
-			Workers: eng.WorkerCount(),
-			runLock: &sync.Mutex{},
-		}
-		src.pinHandles()
-	}
-	if cacheable {
-		r.Cache.Add(StageSRC, srcKey, src)
-	}
-	// Write a freshly computed fixed point through to the persistent tier
-	// (a deserialized one is already there byte-for-byte).
-	if diskable && info.Status != StatusDisk {
-		var blob []byte
-		src.withLock(func() { blob = EncodeSRC(src) })
-		r.Store.Put(StageSRC, diskKey(srcKey), blob)
-	}
-	gcNote := "gc=skipped"
-	if reclaim(req.GC, src) {
-		gcNote = "gc=forced"
-	}
-	if info.Note != "" {
-		info.Note += " "
-	}
-	info.Note += gcNote
-	return src, info, nil
+	return &SRCArtifact{
+		Key: srcKey, Digest: hashHex(srcKey),
+		Eng: eng, Res: res, Load: req.Load,
+		Workers: eng.WorkerCount(),
+		runLock: lock,
+	}, nil
 }
 
 // warmFrom seeds the EPVP fixed point for srcKey from a prior converged
 // artifact: compile only the changed routers' policies (epvp.NewWarm),
 // then recompute the dirty closure from the prior RIBs. Returns (nil, 0,
-// nil) when the universes are incompatible — the caller falls through to
-// the next resolution tier. The warmed artifact computes in the prior's
-// manager and therefore shares its run lock.
-func (r *Runner) warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifact) (*SRCArtifact, int, error) {
+// nil) when the universes are incompatible — the request then runs cold.
+// Everything here builds nodes in the prior artifact's manager — the
+// changed routers' policy compile as much as the warm run — so the caller
+// holds the prior's run lock throughout: another job's pre-SPF sweep must
+// neither run under the compile nor sweep the new fixed point before it is
+// pinned. The warmed artifact shares that manager, and therefore that lock.
+func warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifact) (*SRCArtifact, int, error) {
 	unchanged, dirty := UnchangedRouters(prior.Load, req.Load), DirtyRouters(prior.Load, req.Load)
-	// Everything from here to the pin builds nodes in the prior artifact's
-	// manager — the changed routers' policy compile as much as the warm run
-	// — so all of it is serialized against the manager's other users:
-	// another job's pre-SPF Reclaim must neither run under the compile nor
-	// sweep the new fixed point before it is rooted.
-	prior.lock()
-	defer prior.unlock()
 	eng, err := epvp.NewWarm(ctx, req.Load.Net, req.Mode, prior.Eng, unchanged)
 	if err != nil {
 		return nil, 0, nil
 	}
-	eng.Workers = req.Workers
-	eng.Trace = req.Trace
-	res, err := eng.RunWarmContext(ctx, prior.Res, dirty)
-	eng.Trace = nil // the engine outlives the run in the cache
-	if err != nil {
-		return nil, 0, err
-	}
-	src := &SRCArtifact{
-		Key: srcKey, Digest: hashHex(srcKey),
-		Eng: eng, Res: res, Load: req.Load,
-		Workers: eng.WorkerCount(),
-		runLock: prior.runLock, // shared manager, shared lock
-	}
-	src.pinHandles()
-	return src, len(dirty), nil
-}
-
-// warmCandidate scans the SRC stage for the most recently used artifact a
-// warm start may chain on: same mode, text-born (diffable), and a node
-// table still under budget. The compatibility of the symbolic universes
-// (externals, community atoms) is re-checked by epvp.NewWarm.
-func (r *Runner) warmCandidate(mode epvp.Mode) *SRCArtifact {
-	var found *SRCArtifact
-	r.Cache.Scan(StageSRC, func(v any) bool {
-		a := v.(*SRCArtifact)
-		if a.Eng.Mode == mode && a.Load.Digest != "" && a.Eng.Space.M.NumNodes() < warmNodeBudget {
-			found = a
-			return true
-		}
-		return false
+	src, err := converge(eng, req, srcKey, prior.runLock, func() (*epvp.Result, error) {
+		return eng.RunWarmContext(ctx, prior.Res, dirty)
 	})
-	return found
+	return src, len(dirty), err
 }
 
-// resolveAnalysis is the shared cache-or-compute driver of the two
-// analysis stages. The violations' condition predicates live in src's
-// prefix manager; the artifact pins them there. varBase is the data-plane
-// variable offset forwarding-stage conditions are built against (0 for the
-// routing stage) — the store codec relocates persisted predicates when the
-// offsets differ between processes.
-func (r *Runner) resolveAnalysis(ctx context.Context, stage, key string, cacheable, diskable bool, src *SRCArtifact, varBase int, compute func() ([]properties.Violation, error)) (*AnalysisArtifact, string, error) {
+// spfSpec describes the SPF stage, which allocates the data-plane variable
+// block and builds its FIB and PEC predicates in the SRC artifact's
+// manager — deserialized or computed alike.
+func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *AnalysisArtifact) *stageSpec {
+	key := SPFKey(src.Digest)
 	m := src.Eng.Space.M
-	if cacheable {
-		if v, ok := r.Cache.Get(stage, key); ok {
-			return v.(*AnalysisArtifact), StatusHit, nil
-		}
-	}
-	if diskable {
-		if data, ok := r.Store.Get(stage, diskKey(key)); ok {
-			var art *AnalysisArtifact
-			var err error
-			src.withLock(func() {
-				if art, err = DecodeAnalysis(m, key, varBase, data); err == nil {
-					art.pinHandles(m)
-				}
+	return &stageSpec{
+		stage: StageSPF, key: key, lock: src.runLock,
+		decode: func(data []byte) (artifact, error) { return built(DecodeSPF(src.Eng, key, data)) },
+		compute: func() (artifact, error) {
+			// The fixed point's intermediates are garbage now, and SPF is
+			// about to add 33 data-plane variables per neighbor and build a
+			// large fresh population on top, so this is a barrier worth a
+			// sweep or a sift when the live population is over budget (small
+			// runs never pause). The roots are this request's working set —
+			// pins cover the cached artifacts, but an artifact evicted
+			// mid-request must survive its own run too.
+			live := int64(m.NumNodes())
+			epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, func() []bdd.Node {
+				return append(src.handles(), routing.handles()...)
 			})
-			if err == nil {
-				if cacheable {
-					r.Cache.Add(stage, key, art)
-				}
-				return art, StatusDisk, nil
+			dp, err := spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return &SPFArtifact{Key: key, Digest: hashHex(key), Res: dp, m: m}, nil
+		},
+		encode: func(a artifact) []byte { return EncodeSPF(a.(*SPFArtifact), m) },
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, StatusMiss, err
+}
+
+// analysisSpec describes one of the two analysis stages: the violations of
+// props, in that order, whose condition predicates live in src's prefix
+// manager. dp is the SPF result the forwarding stage reads (nil for the
+// routing stage); its data-plane variable offset is what forwarding-stage
+// conditions are built against, and the store codec relocates persisted
+// predicates when the offsets differ between processes.
+func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *spf.Result, props []properties.Kind, bte route.Community) *stageSpec {
+	m := src.Eng.Space.M
+	varBase := 0
+	if dp != nil {
+		varBase = dp.VarBase()
 	}
-	vs, err := compute()
-	if err != nil {
-		return nil, StatusMiss, err
+	return &stageSpec{
+		stage: stage, key: key, lock: src.runLock,
+		decode: func(data []byte) (artifact, error) { return built(DecodeAnalysis(m, key, varBase, data)) },
+		compute: func() (artifact, error) {
+			var vs []properties.Violation
+			for _, k := range props {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				switch k {
+				case properties.RouteLeakFree:
+					vs = append(vs, properties.CheckRouteLeak(src.Eng, src.Res)...)
+				case properties.RouteHijackFree:
+					vs = append(vs, properties.CheckRouteHijack(src.Eng, src.Res)...)
+				case properties.BlockToExternal:
+					vs = append(vs, properties.CheckBlockToExternal(src.Eng, src.Res, bte)...)
+				case properties.TrafficHijackFree:
+					vs = append(vs, properties.CheckTrafficHijack(src.Eng, dp)...)
+				case properties.BlackHoleFree:
+					vs = append(vs, properties.CheckBlackHole(src.Eng, dp, properties.InternalDestPredicate(src.Eng, dp))...)
+				case properties.LoopFree:
+					vs = append(vs, properties.CheckLoop(src.Eng, dp)...)
+				}
+			}
+			return &AnalysisArtifact{Key: key, Violations: vs, m: m}, nil
+		},
+		encode: func(a artifact) []byte { return EncodeAnalysis(a.(*AnalysisArtifact), m, varBase) },
 	}
-	art := &AnalysisArtifact{Key: key, Violations: vs}
-	art.pinHandles(m)
-	if cacheable {
-		r.Cache.Add(stage, key, art)
-	}
-	if diskable {
-		var blob []byte
-		src.withLock(func() { blob = EncodeAnalysis(art, m, varBase) })
-		r.Store.Put(stage, diskKey(key), blob)
-	}
-	return art, StatusMiss, nil
 }

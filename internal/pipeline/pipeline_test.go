@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,7 +321,7 @@ func TestWarmStartWaitsForTheRunLock(t *testing.T) {
 	}
 	m := prior.SRC.Eng.Space.M
 
-	prior.SRC.lock()
+	prior.SRC.runLock.Lock()
 	hits, created := m.UniqueStats()
 	type result struct {
 		out *Outcome
@@ -349,7 +351,7 @@ func TestWarmStartWaitsForTheRunLock(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	prior.SRC.unlock()
+	prior.SRC.runLock.Unlock()
 	if t.Failed() {
 		return
 	}
@@ -387,9 +389,11 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 				t.Fatal("encoding a handle outside the slab did not panic")
 			}
 		}()
-		r.resolveAnalysis(ctx, StageRouting, "poisoned", false, true, first.SRC, 0, func() ([]properties.Violation, error) {
-			return []properties.Violation{{Cond: bad}}, nil
-		})
+		spec := analysisSpec(ctx, StageRouting, "poisoned", first.SRC, nil, nil, 0)
+		spec.compute = func() (artifact, error) {
+			return &AnalysisArtifact{Violations: []properties.Violation{{Cond: bad}}, m: first.SRC.Eng.Space.M}, nil
+		}
+		r.resolve(ctx, spec, false, true)
 	}()
 	first.SRC.Eng.Space.M.Unpin(bad) // the artifact pinned it before the write-through
 
@@ -406,6 +410,102 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("the job after a panic under the run lock never finished: the lock is still held")
+	}
+}
+
+// fakeArtifact is a stage output whose only behaviour is to report when it
+// is pinned, and to insist that the run lock is held at that moment.
+type fakeArtifact struct {
+	t    *testing.T
+	mu   *sync.Mutex
+	note func(string)
+}
+
+func (a *fakeArtifact) pinHandles() {
+	if a.mu.TryLock() {
+		a.mu.Unlock()
+		a.t.Error("artifact pinned with the run lock free: a sweep in its manager could have run first")
+	}
+	a.note("pin")
+}
+func (a *fakeArtifact) unpinHandles() {}
+
+// loggedLock is a run lock that reports its acquisitions and releases.
+type loggedLock struct {
+	mu   sync.Mutex
+	note func(string)
+}
+
+func (l *loggedLock) Lock()   { l.mu.Lock(); l.note("lock") }
+func (l *loggedLock) Unlock() { l.note("unlock"); l.mu.Unlock() }
+
+// loggedStore is a store tier that reports its traffic.
+type loggedStore struct {
+	store.Tier
+	note func(string)
+}
+
+func (s loggedStore) Get(stage, digest string) ([]byte, bool) {
+	s.note("store get")
+	return s.Tier.Get(stage, digest)
+}
+func (s loggedStore) Put(stage, digest string, data []byte) {
+	s.note("store put")
+	s.Tier.Put(stage, digest, data)
+}
+
+// TestResolveLadderEventOrder pins the one rule every stage goes through,
+// over a fake stage: an artifact is built and pinned under the run lock,
+// enters the stage cache only after the lock is released, and is encoded
+// under the lock again before it is written through; one restored from the
+// store is decoded and pinned under the lock and not written back. Each
+// event is logged with the stage cache's population at that moment, which
+// is how the cache insertion shows up in the sequence.
+func TestResolveLadderEventOrder(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cache *StageCache
+	var events []string
+	note := func(e string) { events = append(events, fmt.Sprintf("%s/%d", e, cache.Len(StageRouting))) }
+	lock := &loggedLock{note: note}
+	spec := &stageSpec{
+		stage: StageRouting, key: "k", lock: lock,
+		decode: func(data []byte) (artifact, error) {
+			note("decode")
+			return &fakeArtifact{t, &lock.mu, note}, nil
+		},
+		compute: func() (artifact, error) {
+			note("compute")
+			return &fakeArtifact{t, &lock.mu, note}, nil
+		},
+		encode: func(artifact) []byte {
+			note("encode")
+			return []byte("blob")
+		},
+	}
+	run := func(want string) {
+		t.Helper()
+		cache, events = NewStageCache(Capacities{}), nil
+		r := &Runner{Cache: cache, Store: loggedStore{disk, note}}
+		if _, info, err := r.resolve(context.Background(), spec, true, true); err != nil || info.Status != want {
+			t.Fatalf("resolve: status %q err %v, want %q", info.Status, err, want)
+		}
+	}
+
+	run(StatusMiss)
+	want := "store get/0 lock/0 compute/0 pin/0 unlock/0 lock/1 encode/1 unlock/1 store put/1"
+	if got := strings.Join(events, " "); got != want {
+		t.Errorf("computed artifact:\n got %s\nwant %s", got, want)
+	}
+	run(StatusDisk) // a fresh cache over the store the first run wrote to
+	want = "store get/0 lock/0 decode/0 pin/0 unlock/0"
+	if got := strings.Join(events, " "); got != want {
+		t.Errorf("restored artifact:\n got %s\nwant %s", got, want)
+	}
+	if cache.Len(StageRouting) != 1 {
+		t.Error("the restored artifact did not enter the stage cache")
 	}
 }
 

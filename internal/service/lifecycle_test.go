@@ -216,12 +216,12 @@ func TestSupersededJobHasNoTrace(t *testing.T) {
 func TestPanickingJobFailsAlone(t *testing.T) {
 	var buf syncBuffer
 	s := New(Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-	realVerify := s.runVerify
-	s.runVerify = func(ctx context.Context, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
+	realVerify := s.run
+	s.run = func(ctx context.Context, baseline, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
 		if strings.Contains(cfg, "poison") {
 			panic("index out of range [7] with length 3")
 		}
-		return realVerify(ctx, cfg, opts)
+		return realVerify(ctx, baseline, cfg, opts)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

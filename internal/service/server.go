@@ -37,9 +37,6 @@ type Config struct {
 	// CacheSize is the LRU report-cache capacity (default: 128; negative
 	// disables all stage caches, making every run cold).
 	CacheSize int
-	// GC selects the post-SRC memory-reclamation policy for jobs
-	// (default GCAuto: reclaim only under heap pressure).
-	GC expresso.GCMode
 	// StoreDir, when non-empty, enables the persistent artifact store: a
 	// content-addressed on-disk tier shared across restarts and replicas
 	// (see expresso.VerifierConfig.StoreDir). Store traffic appears on
@@ -135,25 +132,23 @@ type Server struct {
 	wg     sync.WaitGroup
 	nextID atomic.Int64
 
-	// runVerify performs one verification; tests may substitute it. The
-	// RunInfo (nil from substitutes) carries per-stage cache provenance.
-	runVerify func(ctx context.Context, configText string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error)
-	// runDelta performs one baseline-anchored verification (the patched
-	// text against the named baseline); tests may substitute it.
-	runDelta func(ctx context.Context, baseline, configText string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error)
+	// run performs one verification — of a delta job's patched text
+	// against its named baseline, anonymously when baseline is ""; tests
+	// may substitute it. The RunInfo (nil from substitutes) carries
+	// per-stage cache provenance.
+	run func(ctx context.Context, baseline, configText string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error)
 }
 
 // New builds a server. Call Start to launch the worker pool.
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize, GC: cfg.GC}
+	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize}
 	if cfg.CacheSize < 0 {
 		// Caching disabled entirely: no stage may retain artifacts.
 		vcfg = expresso.VerifierConfig{
 			LoadCache: -1, SRCCache: -1, RoutingCache: -1,
 			ForwardingCache: -1, SPFCache: -1, ReportCache: -1,
-			GC: cfg.GC,
 		}
 	}
 	vcfg.StoreDir = cfg.StoreDir
@@ -169,8 +164,7 @@ func New(cfg Config) *Server {
 		jobs:       map[string]*Job{},
 		pending:    map[string]*Job{},
 	}
-	s.runVerify = s.verifier.VerifyText
-	s.runDelta = s.verifier.VerifyTextFrom
+	s.run = s.verifier.VerifyTextFrom
 	return s
 }
 
@@ -503,7 +497,7 @@ func (s *Server) runJob(job *Job) {
 	now := time.Now()
 	switch {
 	case err == nil:
-		// The default runVerify (Verifier.VerifyText) has already stored
+		// The default run (Verifier.VerifyTextFrom) has already stored
 		// the report under this digest; storing again covers substituted
 		// verification functions and is a no-op refresh otherwise.
 		s.verifier.StoreReport(job.Digest, rep)
@@ -545,10 +539,7 @@ func (s *Server) verify(ctx context.Context, job *Job, opts expresso.Options) (r
 			rep, info, err = nil, nil, fmt.Errorf("verification panicked: %v", p)
 		}
 	}()
-	if job.baseline != "" {
-		return s.runDelta(ctx, job.baseline, job.configText, opts)
-	}
-	return s.runVerify(ctx, job.configText, opts)
+	return s.run(ctx, job.baseline, job.configText, opts)
 }
 
 // VerifyRequest is the POST /v1/verify body.

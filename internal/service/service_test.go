@@ -257,7 +257,7 @@ func TestCancelMidEPVP(t *testing.T) {
 func TestQueueFullRejects(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	s.runVerify = func(ctx context.Context, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
+	s.run = func(ctx context.Context, baseline, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
 		select {
 		case <-release:
 			return &expresso.Report{Converged: true}, nil, nil
@@ -299,7 +299,7 @@ func TestQueueFullRejects(t *testing.T) {
 func TestDrain(t *testing.T) {
 	s := New(Config{Workers: 1})
 	started := make(chan struct{})
-	s.runVerify = func(ctx context.Context, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
+	s.run = func(ctx context.Context, baseline, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
 		close(started)
 		time.Sleep(100 * time.Millisecond)
 		return &expresso.Report{Converged: true}, nil, nil

@@ -36,9 +36,31 @@ func WorkersFromEnv() int {
 	return n
 }
 
-// warnedReclaim deduplicates the malformed-EXPRESSO_RECLAIM warning, for
-// the same reason as warnedWorkers.
-var warnedReclaim sync.Once
+// warnedReclaim and warnedReorder deduplicate the malformed-budget
+// warnings, for the same reason as warnedWorkers.
+var warnedReclaim, warnedReorder sync.Once
+
+// budgetFromEnv parses a node-growth budget variable: "off" disables the
+// mechanism, a positive integer overrides the budget, and unset or
+// malformed values fall back to def (with a once-per-process warning when
+// malformed).
+func budgetFromEnv(name string, def int, warned *sync.Once) (budget int, enabled bool) {
+	env := os.Getenv(name)
+	switch env {
+	case "":
+		return def, true
+	case "off":
+		return 0, false
+	}
+	n, err := strconv.Atoi(env)
+	if err != nil || n <= 0 {
+		warned.Do(func() {
+			slog.Warn("ignoring malformed "+name+" (want a positive integer or \"off\")", "value", env)
+		})
+		return def, true
+	}
+	return n, true
+}
 
 // DefaultReclaimBudget is the between-round dead-node reclamation trigger
 // when EXPRESSO_RECLAIM is unset: sweep once at least this many nodes have
@@ -48,32 +70,13 @@ var warnedReclaim sync.Once
 const DefaultReclaimBudget = 2 << 20
 
 // ReclaimBudgetFromEnv parses the EXPRESSO_RECLAIM environment variable:
-// "off" disables between-round reclamation, a positive integer overrides
-// the node-growth budget that triggers a sweep (tests use tiny values to
-// force sweeps on small networks), and unset/malformed values fall back to
-// DefaultReclaimBudget (with a once-per-process warning when malformed).
-// This is the only parser of the variable.
+// "off" disables dead-node reclamation at the engine's barriers, a positive
+// integer overrides the node-growth budget that triggers a sweep (tests use
+// tiny values to force sweeps on small networks). This is the only parser
+// of the variable.
 func ReclaimBudgetFromEnv() (budget int, enabled bool) {
-	env := os.Getenv("EXPRESSO_RECLAIM")
-	switch env {
-	case "":
-		return DefaultReclaimBudget, true
-	case "off":
-		return 0, false
-	}
-	n, err := strconv.Atoi(env)
-	if err != nil || n <= 0 {
-		warnedReclaim.Do(func() {
-			slog.Warn("ignoring malformed EXPRESSO_RECLAIM (want a positive integer or \"off\")", "value", env)
-		})
-		return DefaultReclaimBudget, true
-	}
-	return n, true
+	return budgetFromEnv("EXPRESSO_RECLAIM", DefaultReclaimBudget, &warnedReclaim)
 }
-
-// warnedReorder deduplicates the malformed-EXPRESSO_REORDER warning, for
-// the same reason as warnedWorkers.
-var warnedReorder sync.Once
 
 // DefaultReorderBudget is the dynamic-variable-reordering trigger when
 // EXPRESSO_REORDER is unset: sift once at least this many nodes have been
@@ -86,23 +89,8 @@ const DefaultReorderBudget = 1 << 24
 
 // ReorderBudgetFromEnv parses the EXPRESSO_REORDER environment variable:
 // "off" disables dynamic reordering, a positive integer overrides the
-// node-growth budget that triggers a sift, and unset/malformed values fall
-// back to DefaultReorderBudget (with a once-per-process warning when
-// malformed). This is the only parser of the variable.
+// node-growth budget that triggers a sift. This is the only parser of the
+// variable.
 func ReorderBudgetFromEnv() (budget int, enabled bool) {
-	env := os.Getenv("EXPRESSO_REORDER")
-	switch env {
-	case "":
-		return DefaultReorderBudget, true
-	case "off":
-		return 0, false
-	}
-	n, err := strconv.Atoi(env)
-	if err != nil || n <= 0 {
-		warnedReorder.Do(func() {
-			slog.Warn("ignoring malformed EXPRESSO_REORDER (want a positive integer or \"off\")", "value", env)
-		})
-		return DefaultReorderBudget, true
-	}
-	return n, true
+	return budgetFromEnv("EXPRESSO_REORDER", DefaultReorderBudget, &warnedReorder)
 }

@@ -21,7 +21,7 @@
 // so instrumented code calls t.Round(...) (or guards larger snapshot work
 // behind t.Enabled()) without allocating, locking, or branching beyond a
 // single nil check. The engine's hot paths carry no other tracing cost;
-// the bench-trace target pins the disabled-path overhead under 5%.
+// TestTraceOverhead pins the enabled-path overhead under 5%.
 //
 // A Tracer is safe for concurrent use: SPF fans out per-router work
 // across goroutines and workers record events directly.

@@ -7,6 +7,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
+	"github.com/expresso-verify/expresso/internal/topology"
 )
 
 // StageInfo re-exports the pipeline's per-stage provenance record: which
@@ -49,9 +50,6 @@ type VerifierConfig struct {
 	// same whole-request cache the service used to keep, now the last
 	// layer of six.
 	ReportCache int
-	// GC is the default post-SRC reclamation policy for requests whose
-	// Options.GC is GCAuto.
-	GC GCMode
 	// StoreDir, when non-empty, enables the persistent artifact store: an
 	// on-disk content-addressed tier under the stage caches. SRC, SPF, and
 	// analysis artifacts are written through to it and read back on a
@@ -83,7 +81,6 @@ type Verifier struct {
 	cache     *pipeline.StageCache
 	store     store.Tier
 	baselines *pipeline.BaselineRegistry
-	gc        GCMode
 }
 
 // NewVerifier builds a Verifier with the configured cache capacities and,
@@ -99,7 +96,6 @@ func NewVerifier(cfg VerifierConfig) *Verifier {
 			Report:     cfg.ReportCache,
 		}),
 		baselines: pipeline.NewBaselineRegistry(),
-		gc:        cfg.GC,
 	}
 	if cfg.StoreDir != "" {
 		if d, err := store.OpenDisk(cfg.StoreDir, cfg.StoreBudget); err == nil {
@@ -194,83 +190,99 @@ func ReportDigest(configText string, opts Options) string {
 // artifacts where the request's stage keys match earlier runs. The
 // returned RunInfo records the provenance of every stage.
 func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Options) (*Report, *RunInfo, error) {
-	return v.verifyText(ctx, "", configText, opts)
+	return v.VerifyTextFrom(ctx, "", configText, opts)
 }
 
-// verifyText is the shared driver behind VerifyText, VerifyTextFrom, and
-// VerifyDelta: baseline names the registered warm anchor ("" for
-// anonymous requests).
-func (v *Verifier) verifyText(ctx context.Context, baseline, configText string, opts Options) (*Report, *RunInfo, error) {
+// input is what one run verifies.
+type input struct {
+	// text is configuration text: it has a digest, so every cache and
+	// store tier and the warm starts apply. net is a pre-built network
+	// instead: no text, no digest, every stage cold.
+	text string
+	net  *topology.Network
+	// artifacts is set when the caller needs the run's stage artifacts
+	// (baseline registration pins them): a whole cached report is then
+	// not an answer.
+	artifacts bool
+}
+
+// run is the one verification driver: normalize the options, answer from
+// the report cache if it can, else Load, the staged pipeline (which rejects
+// a request it cannot run before any stage computes) and the assembled
+// report — cached under the request digest and traced.
+// baseline names the registered warm anchor ("" for anonymous requests).
+// The Outcome is nil on a report-cache hit. A zero Verifier, which has no
+// tier to consult, serves Network.VerifyContext.
+func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Options) (*Report, *RunInfo, *pipeline.Outcome, error) {
 	opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	info := &RunInfo{Digest: ReportDigest(configText, opts), Baseline: baseline}
-
-	start := time.Now()
-	if cached, ok := v.cache.Get(pipeline.StageReport, info.Digest); ok {
-		info.CacheHit = true
-		info.Stages = append(info.Stages, StageInfo{
-			Stage: pipeline.StageReport, Status: StageHit,
-			Key: info.Digest, Duration: time.Since(start),
-		})
-		rep := cached.(*Report)
-		if opts.Trace != nil {
-			opts.Trace.SetMeta(info.Digest, opts.Mode.Key(), opts.CacheKey(), rep.Timing.Workers)
-			traceStages(opts.Trace, info.Stages)
+	info := &RunInfo{Baseline: baseline}
+	var load *pipeline.LoadArtifact
+	if in.net != nil {
+		load = pipeline.FromNetwork(in.net)
+	} else {
+		info.Digest = ReportDigest(in.text, opts)
+		start := time.Now()
+		if !in.artifacts {
+			if rep, ok := v.CachedReport(info.Digest); ok {
+				info.CacheHit = true
+				info.Stages = []StageInfo{{
+					Stage: pipeline.StageReport, Status: StageHit,
+					Key: info.Digest, Duration: time.Since(start),
+				}}
+				traceRun(opts, info, rep, nil)
+				return rep, info, nil, nil
+			}
 		}
-		return rep, info, nil
+		var loadInfo StageInfo
+		var err error
+		if load, loadInfo, err = v.load(in.text); err != nil {
+			return nil, nil, nil, err
+		}
+		info.Stages = append(info.Stages, loadInfo)
 	}
-
-	load, loadInfo, err := v.load(configText)
-	if err != nil {
-		return nil, nil, err
-	}
-	info.Stages = append(info.Stages, loadInfo)
 
 	runner := &pipeline.Runner{Cache: v.cache, Store: v.store, Baselines: v.baselines}
-	req := opts.request(load)
-	req.Baseline = baseline
-	if req.GC == GCAuto {
-		req.GC = v.gc
-	}
-	out, err := runner.Run(ctx, req)
+	out, err := runner.Run(ctx, &pipeline.Request{
+		Load:       load,
+		Mode:       opts.Mode,
+		Properties: opts.Properties,
+		BTE:        opts.BTE,
+		Workers:    opts.Workers,
+		Baseline:   baseline,
+		Trace:      opts.Trace,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	info.Stages = append(info.Stages, out.Stages...)
 
 	rep := assembleReport(load.Net.Statistics(), out)
 	rep.Timing.Load = load.Elapsed
-	v.cache.Add(pipeline.StageReport, info.Digest, rep)
-	info.Stages = append(info.Stages, StageInfo{
-		Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
-	})
-	if opts.Trace != nil {
-		opts.Trace.SetMeta(info.Digest, opts.Mode.Key(), opts.CacheKey(), out.SRC.Workers)
-		traceStages(opts.Trace, info.Stages)
-		traceWatermark(opts.Trace, out.SRC)
+	if info.Digest != "" {
+		v.StoreReport(info.Digest, rep)
+		info.Stages = append(info.Stages, StageInfo{
+			Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
+		})
 	}
-	return rep, info, nil
+	traceRun(opts, info, rep, out.SRC)
+	return rep, info, out, nil
 }
 
 // load resolves the Load stage through its cache.
 func (v *Verifier) load(configText string) (*pipeline.LoadArtifact, StageInfo, error) {
 	start := time.Now()
-	key := pipeline.ConfigDigest(configText)
-	if cached, ok := v.cache.Get(pipeline.StageLoad, key); ok {
-		return cached.(*pipeline.LoadArtifact), StageInfo{
-			Stage: pipeline.StageLoad, Status: StageHit, Key: key, Duration: time.Since(start),
-		}, nil
+	info := StageInfo{Stage: pipeline.StageLoad, Status: StageHit, Key: pipeline.ConfigDigest(configText)}
+	cached, ok := v.cache.Get(pipeline.StageLoad, info.Key)
+	if !ok {
+		art, err := pipeline.Load(configText)
+		if err != nil {
+			return nil, StageInfo{}, err
+		}
+		v.cache.Add(pipeline.StageLoad, info.Key, art)
+		cached, info.Status = art, StageMiss
 	}
-	art, err := pipeline.Load(configText)
-	if err != nil {
-		return nil, StageInfo{}, err
-	}
-	v.cache.Add(pipeline.StageLoad, key, art)
-	return art, StageInfo{
-		Stage: pipeline.StageLoad, Status: StageMiss, Key: key, Duration: time.Since(start),
-	}, nil
+	info.Duration = time.Since(start)
+	return cached.(*pipeline.LoadArtifact), info, nil
 }
 
 // CachedReport answers from the report cache alone (no stages run),
@@ -284,9 +296,9 @@ func (v *Verifier) CachedReport(digest string) (*Report, bool) {
 	return cached.(*Report), true
 }
 
-// StoreReport inserts a finished report under its digest. VerifyText does
-// this itself; the service also calls it when a substituted verification
-// function produced the report.
+// StoreReport inserts a finished report under its digest. Every
+// verification does this itself; the service also calls it when a
+// substituted verification function produced the report.
 func (v *Verifier) StoreReport(digest string, rep *Report) {
 	v.cache.Add(pipeline.StageReport, digest, rep)
 }

@@ -98,7 +98,7 @@ reorder-check:
 
 # Allocation-regression guard: one cold region-1 verification must stay
 # under the byte and object ceilings in alloc_guard_test.go, and its policy
-# compile under the created-BDD-node ceiling. The test skips itself without
+# compile and its SPF stage each under a created-BDD-node ceiling. The test skips itself without
 # the env knob, so plain `go test ./...` stays fast.
 alloc-guard:
 	EXPRESSO_ALLOC_GUARD=1 $(GO) test . -run TestRegion1AllocGuard -count=1 -v -timeout 15m

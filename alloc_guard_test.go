@@ -9,6 +9,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/spf"
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
@@ -29,12 +30,20 @@ const (
 	// chain creeping back into a guard costs ~200 nodes per configured
 	// prefix and blows through this.
 	region1CompileNodesCeiling = 50_000
+	// region1SPFNodesCeiling bounds the nodes hash-consed by symbolic
+	// packet forwarding on the converged region-1 RIB, between SRC's end
+	// and SPF's end: 470,810 with the data-plane block shortest length
+	// first and the FIBs folded from the highest priority down, ~215,000
+	// with the block ranked and the fold run from the lowest priority up.
+	// A block-order or fold-direction regression lands well over this.
+	region1SPFNodesCeiling = 350_000
 )
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
 // it verifies region 1 cold and fails if the run allocates more bytes or
-// objects than the ceilings above, or if compiling its policies creates
-// more BDD nodes than region1CompileNodesCeiling. Gated behind
+// objects than the ceilings above, if compiling its policies creates more
+// BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
+// its converged RIB creates more than region1SPFNodesCeiling. Gated behind
 // EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
 // meaningless when other tests run concurrently); `make alloc-guard` —
 // part of `make ci` — sets the variable.
@@ -80,10 +89,22 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, created := epvp.New(topo, epvp.FullMode()).Space.M.UniqueStats()
+	eng := epvp.New(topo, epvp.FullMode())
+	_, created := eng.Space.M.UniqueStats()
 	t.Logf("region-1 policy compile created %d BDD nodes (ceiling %d)", created, region1CompileNodesCeiling)
 	if created > region1CompileNodesCeiling {
 		t.Errorf("region-1 policy compile created %d BDD nodes, over the %d-node ceiling: is a guard being built with apply again?",
 			created, region1CompileNodesCeiling)
+	}
+
+	eng.Workers = 1
+	cp := eng.Run()
+	_, srcEnd := eng.Space.M.UniqueStats()
+	spf.Run(eng, cp)
+	_, spfEnd := eng.Space.M.UniqueStats()
+	t.Logf("region-1 SPF created %d BDD nodes (ceiling %d)", spfEnd-srcEnd, region1SPFNodesCeiling)
+	if spfEnd-srcEnd > region1SPFNodesCeiling {
+		t.Errorf("region-1 SPF created %d BDD nodes, over the %d-node ceiling: did the data-plane block order or the FIB fold direction change?",
+			spfEnd-srcEnd, region1SPFNodesCeiling)
 	}
 }

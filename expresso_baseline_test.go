@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
@@ -310,6 +311,58 @@ func TestOneWarmRungForBothAnchors(t *testing.T) {
 		if st.Stage == "src" && st.WarmStarts != 2 {
 			t.Errorf("named verifier counted %d warm starts, want 2 (the unrelated run and the delta)", st.WarmStarts)
 		}
+	}
+}
+
+// TestBaselineDeltasShareOneDataBlock: every delta against a baseline runs
+// SPF in the baseline's manager, and they all use the one data-plane
+// variable block that manager holds — its variable count after ten deltas
+// is what it was after the first — while each delta's report stays
+// byte-identical to a cold run of the same text.
+func TestBaselineDeltasShareOneDataBlock(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Workers: 1}
+	for _, fx := range []struct{ name, base string }{
+		{"testnet", testnet.Figure4Fixed},
+		{"region1", netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))},
+	} {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			v := NewVerifier(VerifierConfig{})
+			if _, _, err := v.RegisterBaseline(ctx, "prod", fx.base, opts); err != nil {
+				t.Fatal(err)
+			}
+			b, _ := v.baselines.Get("prod")
+			m := b.SRC.Eng.Space.M
+			want := m.NumVars()
+			for i := 0; i < 10; i++ {
+				changed := fx.base + fmt.Sprintf("bgp network 203.0.113.%d/32\n", i)
+				rep, info, err := v.VerifyDelta(ctx, "prod", DiffConfigs(fx.base, changed), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if src, _ := findStage(info, "src"); src.Status != StageWarm {
+					t.Fatalf("delta %d: src %s, want warm in the baseline's manager", i, src.Status)
+				}
+				if spf, _ := findStage(info, "spf"); spf.Status != StageMiss {
+					t.Fatalf("delta %d: spf %s, want a computed SPF stage", i, spf.Status)
+				}
+				if got := m.NumVars(); got != want {
+					t.Fatalf("delta %d: baseline manager has %d variables, %d after registration", i, got, want)
+				}
+				coldNet, err := Load(changed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coldRep, err := coldNet.Verify(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := normalizedJSON(t, rep), normalizedJSON(t, coldRep); got != want {
+					t.Errorf("delta %d report differs from scratch run:\ndelta: %s\ncold:  %s", i, got, want)
+				}
+			}
+		})
 	}
 }
 

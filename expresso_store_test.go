@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -132,6 +133,74 @@ func TestStoreDiskWarmByteIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestStoreLegacyBlockOrderRestores: a store whose SPF and forwarding
+// blobs were written from a manager with the legacy data-plane block order
+// (shortest length topmost — what every store written before the block was
+// re-levelled holds) restores under today's code to a report byte-identical
+// to a scratch run. The blobs carry their order, so the restart installs it
+// and imports node for node.
+func TestStoreLegacyBlockOrderRestores(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range []struct{ name, cfg string }{
+		{"testnet", testnet.Figure4},
+		{"region1", netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))},
+	} {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			opts := Options{Workers: 1, Properties: storeProps}
+			want := scratchReport(t, fx.cfg, opts)
+
+			// Converge SRC alone, give its manager the legacy block, then let
+			// SPF and the forwarding analysis build and persist on top of it.
+			dir := t.TempDir()
+			legacy := NewVerifier(VerifierConfig{StoreDir: dir})
+			routingOnly := Options{Workers: 1, Properties: []Kind{RouteLeakFree}}
+			if _, _, err := legacy.VerifyText(ctx, fx.cfg, routingOnly); err != nil {
+				t.Fatal(err)
+			}
+			shortestFirst := make([]int, 33)
+			for l := range shortestFirst {
+				shortestFirst[l] = l
+			}
+			legacy.cache.Scan(pipeline.StageSRC, func(v any) bool {
+				_, got := v.(*pipeline.SRCArtifact).Eng.Space.DataBlock(func() []int { return shortestFirst })
+				if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
+					t.Fatalf("legacy block order not installed: %v", got)
+				}
+				return true
+			})
+			rep, _, err := legacy.VerifyText(ctx, fx.cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := normalizedJSON(t, rep); got != want {
+				t.Errorf("legacy-order report differs from scratch:\n--- scratch ---\n%s\n--- legacy ---\n%s", want, got)
+			}
+
+			restarted := NewVerifier(VerifierConfig{StoreDir: dir})
+			rep, info, err := restarted.VerifyText(ctx, fx.cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, stage := range persistedStages {
+				if s := stageStatus(info, stage); s != StageDisk {
+					t.Errorf("stage %s status = %q, want %q", stage, s, StageDisk)
+				}
+			}
+			if got := normalizedJSON(t, rep); got != want {
+				t.Errorf("report restored from a legacy-order store differs from scratch:\n--- scratch ---\n%s\n--- disk ---\n%s", want, got)
+			}
+			restarted.cache.Scan(pipeline.StageSRC, func(v any) bool {
+				_, got := v.(*pipeline.SRCArtifact).Eng.Space.DataBlock(nil)
+				if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
+					t.Errorf("restart did not adopt the blob's block order: %v", got)
+				}
+				return true
+			})
+		})
 	}
 }
 

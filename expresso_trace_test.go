@@ -81,6 +81,20 @@ func TestVerifyTextTrace(t *testing.T) {
 	if len(trace.PECCoalesce) == 0 {
 		t.Error("no PEC-coalescing events")
 	}
+	if o := trace.SPFOrder; o == nil {
+		t.Error("no SPF order section despite a forwarding property")
+	} else {
+		seen := map[int]bool{}
+		for _, l := range o.Lengths {
+			seen[l] = l >= 0 && l <= 32
+		}
+		if len(o.Lengths) != 33 || len(seen) != 33 {
+			t.Errorf("SPF order %v is not a permutation of the 33 prefix lengths", o.Lengths)
+		}
+		if o.VarsUsed <= 0 || o.VarsUsed > 33*rep.Stats.Peers {
+			t.Errorf("SPF order counts %d referenced data-plane variables over %d neighbors", o.VarsUsed, rep.Stats.Peers)
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := tracer.WriteJSON(&buf); err != nil {

@@ -518,14 +518,33 @@ func (m *Manager) NumNodes() int { return int(m.live.Load()) }
 // index sequence, so existing nodes are unaffected. AddVars must not be
 // called concurrently with any other operation.
 func (m *Manager) AddVars(n int) int {
-	first := m.numVars
-	m.numVars += n
-	for i := first; i < m.numVars; i++ {
-		m.var2level = append(m.var2level, int32(i))
-		m.level2var = append(m.level2var, int32(i))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return m.AddVarsOrdered(order)
+}
+
+// AddVarsOrdered is AddVars(len(order)) with the new block's internal order
+// chosen by the caller: order[k] is the offset, from the returned first
+// index, of the variable decided at the block's k-th level from the top.
+// The block as a whole still sits below every existing level, so existing
+// nodes are unaffected. It panics when order is not a permutation of
+// [0,len(order)) — like NewOrdered, a broken permutation is a programming
+// error, not an input condition.
+func (m *Manager) AddVarsOrdered(order []int) int {
+	l2v, v2l, err := permutation(order, len(order))
+	if err != nil {
+		panic("bdd: " + err.Error())
+	}
+	first := int32(m.numVars)
+	m.numVars += len(order)
+	for k := range l2v {
+		m.level2var = append(m.level2var, first+l2v[k])
+		m.var2level = append(m.var2level, first+v2l[k])
 	}
 	m.growFpPoints()
-	return first
+	return int(first)
 }
 
 // slot returns the slab storage for index idx.

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -397,6 +398,38 @@ func TestAddVars(t *testing.T) {
 	if m.Eval(g, map[int]bool{1: true, 4: true}) != true {
 		t.Error("formula over added vars misbehaves")
 	}
+}
+
+// TestAddVarsOrdered: the new block goes below every existing level in the
+// caller's order, variable indices stay first+offset, and a function built
+// before the call is untouched.
+func TestAddVarsOrdered(t *testing.T) {
+	m := NewOrdered(2, []int{1, 0})
+	f := m.And(m.Var(0), m.NVar(1))
+	if first := m.AddVarsOrdered([]int{2, 0, 1}); first != 2 {
+		t.Fatalf("AddVarsOrdered returned %d, want 2", first)
+	}
+	if got, want := fmt.Sprint(m.Order()), "[1 0 4 2 3]"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	for v, lvl := range []int{1, 0, 3, 4, 2} {
+		if got := m.VarLevel(v); got != lvl {
+			t.Errorf("VarLevel(%d) = %d, want %d", v, got, lvl)
+		}
+	}
+	g := m.And(f, m.Var(4), m.NVar(2))
+	if !m.Eval(g, map[int]bool{0: true, 4: true}) || m.Eval(g, map[int]bool{0: true, 4: true, 2: true}) {
+		t.Error("formula over an ordered block misbehaves")
+	}
+	if h, l := m.Fingerprint(g); h == 0 && l == 0 {
+		t.Error("no fingerprint points for the added variables")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a non-permutation did not panic")
+		}
+	}()
+	m.AddVarsOrdered([]int{0, 0})
 }
 
 func TestClearCaches(t *testing.T) {

@@ -118,48 +118,9 @@ func (m *Manager) Import(data []byte) ([]Node, error) {
 // manager may have sifted its variables into any permutation — are rebuilt
 // through ITE instead of the linear constructor.
 func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
-	d := decoder{data: data}
-	if len(data) < len(serializeMagic) || string(data[:len(serializeMagic)]) != serializeMagic {
-		return nil, fmt.Errorf("bdd: import: bad magic")
-	}
-	d.off = len(serializeMagic)
-	version, err := d.uvarint("version")
+	d, storedVars, blobOrder, err := readHeader(data)
 	if err != nil {
 		return nil, err
-	}
-	if version != 1 && version != serializeVersion {
-		return nil, fmt.Errorf("bdd: import: unsupported format version %d", version)
-	}
-	storedVars, err := d.uvarint("numVars")
-	if err != nil {
-		return nil, err
-	}
-	if storedVars > math.MaxInt32 {
-		return nil, fmt.Errorf("bdd: import: numVars %d out of range", storedVars)
-	}
-	// The order section maps blob levels to the exporter's variable
-	// indices. Version 1 predates reordering: identity. A malformed
-	// section (out-of-range entry, repeated variable) is a corrupt blob
-	// and errors like any other decode failure — store layers treat that
-	// as a cache miss, never a panic.
-	var blobOrder []int32
-	if version >= 2 {
-		if storedVars > uint64(len(data)) {
-			return nil, fmt.Errorf("bdd: import: numVars %d exceeds blob size", storedVars)
-		}
-		blobOrder = make([]int32, storedVars)
-		seen := make([]bool, storedVars)
-		for l := range blobOrder {
-			v, err := d.uvarint("order entry")
-			if err != nil {
-				return nil, err
-			}
-			if v >= storedVars || seen[v] {
-				return nil, fmt.Errorf("bdd: import: order section is not a permutation of [0,%d)", storedVars)
-			}
-			seen[v] = true
-			blobOrder[l] = int32(v)
-		}
 	}
 	count, err := d.uvarint("node count")
 	if err != nil {
@@ -249,6 +210,72 @@ func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
 		return nil, fmt.Errorf("bdd: import: %d trailing bytes", len(data)-d.off)
 	}
 	return roots, nil
+}
+
+// readHeader decodes a blob's magic, version, variable count and order
+// section, leaving the decoder at the node table. blobOrder maps blob
+// levels to the exporter's variable indices; it is nil for version 1,
+// which predates reordering and means the identity. A malformed section
+// (out-of-range entry, repeated variable) is a corrupt blob and errors like
+// any other decode failure — store layers treat that as a cache miss,
+// never a panic.
+func readHeader(data []byte) (d decoder, storedVars uint64, blobOrder []int32, err error) {
+	d = decoder{data: data}
+	if len(data) < len(serializeMagic) || string(data[:len(serializeMagic)]) != serializeMagic {
+		return d, 0, nil, fmt.Errorf("bdd: import: bad magic")
+	}
+	d.off = len(serializeMagic)
+	version, err := d.uvarint("version")
+	if err != nil {
+		return d, 0, nil, err
+	}
+	if version != 1 && version != serializeVersion {
+		return d, 0, nil, fmt.Errorf("bdd: import: unsupported format version %d", version)
+	}
+	if storedVars, err = d.uvarint("numVars"); err != nil {
+		return d, 0, nil, err
+	}
+	if storedVars > math.MaxInt32 {
+		return d, 0, nil, fmt.Errorf("bdd: import: numVars %d out of range", storedVars)
+	}
+	if version >= 2 {
+		if storedVars > uint64(len(data)) {
+			return d, 0, nil, fmt.Errorf("bdd: import: numVars %d exceeds blob size", storedVars)
+		}
+		blobOrder = make([]int32, storedVars)
+		seen := make([]bool, storedVars)
+		for l := range blobOrder {
+			v, err := d.uvarint("order entry")
+			if err != nil {
+				return d, 0, nil, err
+			}
+			if v >= storedVars || seen[v] {
+				return d, 0, nil, fmt.Errorf("bdd: import: order section is not a permutation of [0,%d)", storedVars)
+			}
+			seen[v] = true
+			blobOrder[l] = int32(v)
+		}
+	}
+	return d, storedVars, blobOrder, nil
+}
+
+// ExportedOrder returns the variable order an Export blob was written
+// under — element l is the exporter's variable index at level l — without
+// decoding its nodes. An importer that installs the same order before
+// Import rebuilds the graph node for node through the linear constructor.
+func ExportedOrder(data []byte) ([]int, error) {
+	_, storedVars, blobOrder, err := readHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	order := make([]int, storedVars)
+	for l := range order {
+		order[l] = l
+		if blobOrder != nil {
+			order[l] = int(blobOrder[l])
+		}
+	}
+	return order, nil
 }
 
 // decoder reads bounded uvarints out of a blob without ever panicking.

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -225,6 +226,21 @@ func TestExportImportAcrossOrders(t *testing.T) {
 	m.Pin(roots...)
 	m.Reorder(roots...)
 	blob := m.Export(roots...)
+
+	// The blob says which order it was written under; a manager that
+	// installs it first imports onto the exporter's exact shape.
+	written, err := ExportedOrder(blob)
+	if err != nil || fmt.Sprint(written) != fmt.Sprint(m.Order()) {
+		t.Fatalf("ExportedOrder = %v, %v; want the exporter's %v", written, err, m.Order())
+	}
+	same := NewOrdered(nv, written)
+	if _, err := same.Import(blob); err != nil {
+		t.Fatal(err)
+	}
+	m.Reclaim(roots...)
+	if got, want := same.NumNodes(), m.NumNodes(); got != want {
+		t.Errorf("import under the blob's own order built %d nodes, exporter holds %d", got, want)
+	}
 
 	order := []int{9, 0, 8, 1, 7, 2, 6, 3, 5, 4}
 	for name, m2 := range map[string]*Manager{"identity": New(nv), "permuted": NewOrdered(nv, order)} {

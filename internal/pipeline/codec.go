@@ -579,8 +579,8 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 // EncodeSPF serializes an SPF artifact: symbolic FIBs, PECs, and the
 // per-neighbor data-plane variable statistics, with every predicate
 // exported from the SRC manager m. The stored varBase lets the decoder
-// relocate the data-plane block (RunTraced allocates it with AddVars, so
-// its offset depends on the manager's history).
+// relocate the data-plane block (a blob written before managers kept one
+// block each carries an offset that depends on its manager's history).
 func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 	e := &enc{}
 	e.buf = append(e.buf, spfMagic...)
@@ -600,11 +600,7 @@ func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 		e.u(uint64(f.Entries))
 		e.u(roots.add(f.Arrive))
 		e.u(roots.add(f.BlackHole))
-		ports := make([]string, 0, len(f.PortPred))
-		for p := range f.PortPred {
-			ports = append(ports, p)
-		}
-		sort.Strings(ports)
+		ports := f.Ports()
 		e.u(uint64(len(ports)))
 		for _, p := range ports {
 			e.str(p)
@@ -631,9 +627,10 @@ func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 	return e.buf
 }
 
-// DecodeSPF rebuilds an SPF artifact around eng. It allocates a fresh
-// 33×n data-plane variable block in eng's prefix manager (exactly as
-// spf.RunTraced would) and relocates the stored predicates onto it.
+// DecodeSPF rebuilds an SPF artifact around eng, relocating the stored
+// predicates onto the 33×n data-plane variable block of eng's prefix
+// manager. The blob's own order section says how its writer had the block
+// ordered; a different order here costs import time, never the answer.
 func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) {
 	d := &dec{data: data}
 	if err := d.magic(spfMagic); err != nil {
@@ -747,14 +744,15 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 		return nil, err
 	}
 
-	// Allocate the data-plane block exactly as RunTraced does, then
-	// relocate the stored predicates onto it.
+	// Relocate the stored predicates onto the manager's data-plane block,
+	// allocated here, in the writer's order, if this is the manager's first
+	// SPF result.
 	m := eng.Space.M
 	if storedBase > uint64(m.NumVars()) {
 		return nil, fmt.Errorf("pipeline: codec: varBase %d out of range", storedBase)
 	}
 	n := len(eng.Net.Externals)
-	varBase := m.AddVars(33 * n)
+	varBase, _ := eng.Space.DataBlock(func() []int { return blockLengths(blob, int(storedBase), n) })
 	roots, err := m.ImportShifted(blob, int(storedBase), varBase-int(storedBase))
 	if err != nil {
 		return nil, err
@@ -767,19 +765,21 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 	}
 	fibs := make(map[string]*spf.FIB, len(rawFIBs))
 	for _, rf := range rawFIBs {
-		f := &spf.FIB{PortPred: make(map[string]bdd.Node, len(rf.ports)), Entries: int(rf.entries)}
-		if f.Arrive, err = rootAt(rf.arrive); err != nil {
+		arrive, err := rootAt(rf.arrive)
+		if err != nil {
 			return nil, err
 		}
-		if f.BlackHole, err = rootAt(rf.blackHole); err != nil {
+		blackHole, err := rootAt(rf.blackHole)
+		if err != nil {
 			return nil, err
 		}
+		portPred := make(map[string]bdd.Node, len(rf.ports))
 		for j, p := range rf.ports {
-			if f.PortPred[p], err = rootAt(rf.portPred[j]); err != nil {
+			if portPred[p], err = rootAt(rf.portPred[j]); err != nil {
 				return nil, err
 			}
 		}
-		fibs[rf.name] = f
+		fibs[rf.name] = spf.NewFIB(portPred, arrive, blackHole, int(rf.entries))
 	}
 	pecs := make([]*spf.PEC, len(rawPECs))
 	for i, rp := range rawPECs {
@@ -791,4 +791,29 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 	}
 	res := spf.Rehydrate(eng, varBase, fibs, pecs, dataVars)
 	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res, m: eng.Space.M}, nil
+}
+
+// blockLengths reads, from the order section of an SPF artifact's BDD blob,
+// how its writer had the 33×n data-plane block at base ordered: the prefix
+// lengths by the first level any of their variables sits at, topmost
+// first. A blob that does not say (no neighbors, a block cut short, a
+// section that does not decode) yields nil — the default order, which costs
+// import time and never the answer.
+func blockLengths(blob []byte, base, n int) []int {
+	order, err := bdd.ExportedOrder(blob)
+	if err != nil || n == 0 {
+		return nil
+	}
+	var lengths []int
+	seen := [symbolic.AddrBits + 1]bool{}
+	for _, v := range order {
+		if l := (v - base) / n; v >= base && l <= symbolic.AddrBits && !seen[l] {
+			seen[l] = true
+			lengths = append(lengths, l)
+		}
+	}
+	if len(lengths) != len(seen) {
+		return nil
+	}
+	return lengths
 }

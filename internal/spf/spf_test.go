@@ -13,6 +13,13 @@ import (
 
 func runPipeline(t *testing.T, text string) (*epvp.Engine, *epvp.Result, *Result) {
 	t.Helper()
+	eng, cp := converge(t, text)
+	return eng, cp, Run(eng, cp)
+}
+
+// converge parses text and runs EPVP to its fixed point.
+func converge(t *testing.T, text string) (*epvp.Engine, *epvp.Result) {
+	t.Helper()
 	devices, err := config.ParseConfigs(text)
 	if err != nil {
 		t.Fatal(err)
@@ -26,8 +33,7 @@ func runPipeline(t *testing.T, text string) (*epvp.Engine, *epvp.Result, *Result
 	if !cp.Converged {
 		t.Fatal("EPVP did not converge")
 	}
-	dp := Run(eng, cp)
-	return eng, cp, dp
+	return eng, cp
 }
 
 // destAssign builds a packet assignment: destination IP bits plus

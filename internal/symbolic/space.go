@@ -9,6 +9,7 @@ package symbolic
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/config"
@@ -51,6 +52,61 @@ type Space struct {
 
 	valid    bdd.Node // canonical-prefix predicate, cached
 	lenCubes [33]bdd.Node
+
+	// data is M's data-plane advertiser block, shared by every fork and
+	// every warm-started engine's space over M (they all copy this Space).
+	data *dataBlock
+}
+
+// dataBlock remembers the one data-plane advertiser block a manager holds.
+type dataBlock struct {
+	mu      sync.Mutex
+	base    int   // first variable of the block; 0 until allocated
+	lengths []int // the block's prefix lengths, topmost level first
+}
+
+// LongestFirst returns the prefix lengths 32 down to 0: the order
+// longest-prefix match decides in, and the data-plane block's default.
+func LongestFirst() []int {
+	out := make([]int, 0, AddrBits+1)
+	for l := AddrBits; l >= 0; l-- {
+		out = append(out, l)
+	}
+	return out
+}
+
+// DataBlock returns M's data-plane advertiser block (§5.1): one variable
+// n_i^l per neighbor i and prefix length l, numbered base + l·n + i, and
+// the block's prefix lengths from the topmost level down. The first call
+// allocates the block below every control-plane level — the n variables of
+// lengths()[0] topmost in neighbor order, then those of lengths()[1], and
+// so on — where lengths returns a permutation of 0..32; a nil lengths, or a
+// nil return, means LongestFirst. Every later call on a space over the same manager returns that block
+// and leaves lengths uncalled, so a manager that serves many runs (a pinned
+// baseline and its deltas) holds one block, in the order its first run
+// chose. The allocating call is a structural mutation of M and needs the
+// same quiescence as bdd.Manager.AddVars.
+func (s *Space) DataBlock(lengths func() []int) (base int, order []int) {
+	d := s.data
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.base == 0 {
+		if lengths != nil {
+			d.lengths = lengths()
+		}
+		if d.lengths == nil {
+			d.lengths = LongestFirst()
+		}
+		n := s.NumNeighbors
+		offsets := make([]int, 0, len(d.lengths)*n)
+		for _, l := range d.lengths {
+			for i := 0; i < n; i++ {
+				offsets = append(offsets, l*n+i)
+			}
+		}
+		d.base = s.M.AddVarsOrdered(offsets)
+	}
+	return d.base, d.lengths
 }
 
 // nbrSplitBit is the address bit the advertiser block is interleaved
@@ -116,6 +172,7 @@ func newSpace(m *bdd.Manager, n int) *Space {
 	s := &Space{
 		M:            m,
 		NumNeighbors: n,
+		data:         &dataBlock{},
 	}
 	s.W = s.M.DefaultWorker()
 	s.addrVars = make([]int, AddrBits)

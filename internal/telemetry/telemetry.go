@@ -138,6 +138,15 @@ type CoalesceEvent struct {
 	Coalesced int    `json:"coalesced_pecs"`
 }
 
+// SPFOrderEvent records the variable order an SPF run built under: the
+// data-plane advertiser block's prefix lengths from the topmost level down
+// (one block of n per-neighbor variables each), and how many of the 33·n
+// variables the run's FIBs reference.
+type SPFOrderEvent struct {
+	Lengths  []int `json:"lengths"`
+	VarsUsed int   `json:"vars_used"`
+}
+
 // BDDLevel is one row of a per-level BDD node attribution: live nodes
 // deciding on one variable level and their slab-byte cost. It mirrors
 // bdd.LevelProfile structurally; telemetry stays import-free of the
@@ -187,6 +196,7 @@ type Trace struct {
 	SPFFIBs     []FIBEvent      `json:"spf_fibs,omitempty"`
 	SPFForwards []ForwardEvent  `json:"spf_forwards,omitempty"`
 	PECCoalesce []CoalesceEvent `json:"pec_coalesce,omitempty"`
+	SPFOrder    *SPFOrderEvent  `json:"spf_order,omitempty"`
 	// Watermark is the run's BDD memory footer (nil when the producer
 	// predates it or the run never touched a BDD manager).
 	Watermark *Watermark `json:"watermark,omitempty"`
@@ -298,6 +308,16 @@ func (t *Tracer) Coalesce(ev CoalesceEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.trace.PECCoalesce = append(t.trace.PECCoalesce, ev)
+}
+
+// SPFOrder records the data-plane block order of the run's SPF stage.
+func (t *Tracer) SPFOrder(ev SPFOrderEvent) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.trace.SPFOrder = &ev
 }
 
 // Finish freezes the recording and returns the trace (nil for a nil

@@ -113,6 +113,10 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 		fmt.Fprintf(w, "spf: %d FIBs, %d forward traversals, %d coalesce passes\n",
 			n, len(tr.SPFForwards), len(tr.PECCoalesce))
 	}
+	if o := tr.SPFOrder; o != nil {
+		fmt.Fprintf(w, "spf order: length blocks top to bottom %v; %d data-plane variables referenced\n",
+			o.Lengths, o.VarsUsed)
+	}
 	if wm := tr.Watermark; wm != nil {
 		fmt.Fprintf(w, "watermark: peak %d live nodes (%d bytes) over %d samples; end %d nodes, complement share %.3f\n",
 			wm.PeakLiveNodes, wm.PeakLiveBytes, wm.Samples, wm.EndLiveNodes, wm.ComplementShare)

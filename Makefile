@@ -10,7 +10,7 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check gate-check trace-check reorder-check alloc-guard
+.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard
 
 ci: vet staticcheck build race race-parallel store-check gate-check trace-check reorder-check alloc-guard
 
@@ -34,9 +34,8 @@ test:
 	$(GO) test ./...
 
 # Full race-enabled run (slower; the service package must stay race-clean).
-# Race runtime is ~10-20x on a single-core box, so the timeout carries
-# headroom over the 10m default; the full-network profile test skips
-# itself under race (prof_test.go) — it alone would need ~30min.
+# Race runtime is ~10-20x, so the timeout carries headroom over the 10m
+# default.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -66,11 +65,23 @@ bench-compare:
 # Artifact-store gate: the disk-warm determinism matrix (byte-identical
 # reports across fixtures, worker counts, and forced reclamation sweeps),
 # the shared-directory replica scenario, corruption/version-mismatch
-# injection, and the memory-eviction interaction — plus the store and
-# codec unit tests (framing, LRU eviction, tmp sweep, import fuzz seeds).
-store-check:
+# injection, and the memory-eviction interaction — plus the store, wire
+# and codec unit tests (framing, LRU eviction, tmp sweep, golden blobs,
+# count bounds, fuzz seeds) and a short fuzz of every decoder.
+store-check: fuzz-smoke
 	$(GO) test . -run 'TestStore' -count=1 -timeout 15m
-	$(GO) test -count=1 ./internal/store/ ./internal/bdd/ ./internal/automaton/
+	$(GO) test -count=1 ./internal/store/ ./internal/wire/ ./internal/bdd/ ./internal/automaton/ ./internal/pipeline/
+
+# A store directory is untrusted input: each decoder of its bytes gets five
+# seconds of coverage-guided fuzzing on top of its seed corpus (-fuzz takes
+# one target in one package per run). A crasher lands in the package's
+# testdata/fuzz/ and fails every later `go test` until it is fixed.
+fuzz-smoke:
+	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
+	$(GO) test ./internal/automaton/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
+	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeSRC$$' -fuzztime 5s
+	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime 5s
+	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeSPF$$' -fuzztime 5s
 
 # CI gate semantics: `expresso gate` exit codes (no change and fixed
 # violations pass, new violations fail) plus the baseline/delta

@@ -1,9 +1,9 @@
 package automaton
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
+
+	"github.com/expresso-verify/expresso/internal/wire"
 )
 
 // Binary DFA format (version 1), used by the artifact store to persist
@@ -14,7 +14,7 @@ import (
 //	nstates uvarint
 //	start   uvarint
 //	nstates × state records:
-//	    flags  uvarint (bit 0 = accept)
+//	    accept uvarint (0 or 1)
 //	    other  uvarint (default-transition target)
 //	    ntrans uvarint
 //	    ntrans × (symbol uvarint, target uvarint), sorted by symbol
@@ -31,117 +31,68 @@ const (
 // keep their canonical minimized numbering and transitions are sorted by
 // symbol.
 func (a *Automaton) Export() []byte {
-	buf := make([]byte, 0, 16+8*len(a.states))
-	buf = append(buf, codecMagic...)
-	buf = binary.AppendUvarint(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(a.states)))
-	buf = binary.AppendUvarint(buf, uint64(a.start))
+	e := make(wire.Enc, 0, 16+8*len(a.states))
+	e.Magic(codecMagic, codecVersion)
+	e.U(uint64(len(a.states)))
+	e.U(uint64(a.start))
 	for _, st := range a.states {
-		var flags uint64
-		if st.accept {
-			flags |= 1
-		}
-		buf = binary.AppendUvarint(buf, flags)
-		buf = binary.AppendUvarint(buf, uint64(st.other))
+		e.B(st.accept)
+		e.U(uint64(st.other))
 		syms := make([]Symbol, 0, len(st.trans))
 		for s := range st.trans {
 			syms = append(syms, s)
 		}
 		sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(syms)))
+		e.U(uint64(len(syms)))
 		for _, s := range syms {
-			buf = binary.AppendUvarint(buf, uint64(s))
-			buf = binary.AppendUvarint(buf, uint64(st.trans[s]))
+			e.U(uint64(s))
+			e.U(uint64(st.trans[s]))
 		}
 	}
-	return buf
+	return e
 }
 
 // Import decodes an Export blob. Arbitrary input yields an error or a valid
 // minimal automaton — never a panic: every state index is range-checked and
 // the decoded machine is re-minimized, which also seals its signature.
 func Import(data []byte) (*Automaton, error) {
-	if len(data) < len(codecMagic) || string(data[:len(codecMagic)]) != codecMagic {
-		return nil, fmt.Errorf("automaton: import: bad magic")
-	}
-	off := len(codecMagic)
-	next := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("automaton: import: truncated %s at offset %d", what, off)
-		}
-		off += n
-		return v, nil
-	}
-	version, err := next("version")
-	if err != nil {
+	d := wire.NewDec("automaton: import", data)
+	d.Magic(codecMagic, codecVersion)
+	nstates := d.Count("state", 3) // flags, default target, transition count
+	start := d.U()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("automaton: import: unsupported format version %d", version)
-	}
-	nstates, err := next("state count")
-	if err != nil {
-		return nil, err
-	}
-	// Each state record is at least 3 bytes.
-	if nstates == 0 || nstates > uint64(len(data))/3 {
-		return nil, fmt.Errorf("automaton: import: state count %d out of range", nstates)
-	}
-	start, err := next("start state")
-	if err != nil {
-		return nil, err
-	}
-	if start >= nstates {
-		return nil, fmt.Errorf("automaton: import: start state %d out of range", start)
+	if start >= uint64(nstates) { // which also rejects an automaton with no state
+		return nil, d.Failf("start state %d out of range [0,%d)", start, nstates)
 	}
 	a := &Automaton{states: make([]state, nstates), start: int(start)}
 	for i := range a.states {
-		flags, err := next("flags")
-		if err != nil {
+		accept, other := d.B(), d.U()
+		ntrans := d.Count("transition", 2) // symbol, target
+		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if flags > 1 {
-			return nil, fmt.Errorf("automaton: import: state %d has unknown flags %#x", i, flags)
+		if other >= uint64(nstates) {
+			return nil, d.Failf("state %d default target %d out of range", i, other)
 		}
-		other, err := next("default target")
-		if err != nil {
-			return nil, err
-		}
-		if other >= nstates {
-			return nil, fmt.Errorf("automaton: import: state %d default target %d out of range", i, other)
-		}
-		ntrans, err := next("transition count")
-		if err != nil {
-			return nil, err
-		}
-		if ntrans > uint64(len(data))/2 {
-			return nil, fmt.Errorf("automaton: import: state %d transition count %d out of range", i, ntrans)
-		}
-		st := state{trans: make(map[Symbol]int, ntrans), other: int(other), accept: flags&1 != 0}
+		st := state{trans: make(map[Symbol]int, ntrans), other: int(other), accept: accept}
 		prev := int64(-1)
-		for j := uint64(0); j < ntrans; j++ {
-			sym, err := next("symbol")
-			if err != nil {
-				return nil, err
-			}
+		for j := 0; j < ntrans; j++ {
+			sym, tgt := d.U(), d.U()
 			if sym > uint64(^Symbol(0)) || int64(sym) <= prev {
-				return nil, fmt.Errorf("automaton: import: state %d symbols not strictly sorted", i)
+				return nil, d.Failf("state %d symbols not strictly sorted", i)
 			}
 			prev = int64(sym)
-			tgt, err := next("target")
-			if err != nil {
-				return nil, err
-			}
-			if tgt >= nstates {
-				return nil, fmt.Errorf("automaton: import: state %d target %d out of range", i, tgt)
+			if tgt >= uint64(nstates) {
+				return nil, d.Failf("state %d target %d out of range", i, tgt)
 			}
 			st.trans[Symbol(sym)] = int(tgt)
 		}
 		a.states[i] = st
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("automaton: import: %d trailing bytes", len(data)-off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return a.minimize(), nil
 }

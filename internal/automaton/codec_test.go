@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -53,4 +54,44 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := Import(nil); err == nil {
 		t.Fatal("nil input accepted")
 	}
+}
+
+// FuzzImport: arbitrary bytes yield an error or a minimal automaton that
+// exports and imports again to the same language — never a panic. Seeded
+// with a converged run's AS-path blob (written by the commit before the
+// decoder moved onto internal/wire) and this package's own shapes, each with
+// a spread of truncations and single-byte corruptions.
+func FuzzImport(f *testing.F) {
+	stored, err := os.ReadFile("../pipeline/testdata/aspath.xdfa")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, blob := range [][]byte{
+		stored,
+		Empty().Export(),
+		AnyString().Minus(FromWord([]Symbol{42})).Export(),
+		FromWord([]Symbol{1}).Union(FromWord([]Symbol{2, 3})).Export(),
+	} {
+		f.Add(blob)
+		for i := range blob {
+			f.Add(blob[:i])
+			mut := append([]byte(nil), blob...)
+			mut[i] ^= 1 << (i % 8)
+			f.Add(mut)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Import(data)
+		if err != nil {
+			return
+		}
+		a.ShortestLength()
+		again, err := Import(a.Export())
+		if err != nil {
+			t.Fatalf("re-import of re-export failed: %v", err)
+		}
+		if again.Signature() != a.Signature() {
+			t.Fatalf("signature changed across a round trip: %q vs %q", again.Signature(), a.Signature())
+		}
+	})
 }

@@ -21,10 +21,10 @@
 // # Apply kernels
 //
 // Binary conjunction is a specialized two-operand kernel (And) with its own
-// operation cache and commutative key normalization; Or, Diff and Imp are
-// De Morgan rewrites of the same kernel, so all four share cache entries.
-// Xor/Biimp use a second kernel. The generic three-operand ITE remains for
-// the few genuinely ternary call sites.
+// operation cache and commutative key normalization; Or and Diff are De
+// Morgan rewrites of the same kernel, so all three share cache entries.
+// The generic three-operand ITE remains for the genuinely ternary call
+// sites (the FIB fold, cross-order import and rename).
 //
 // # Concurrency model
 //
@@ -43,11 +43,11 @@
 // itself — those delegating methods are NOT safe for concurrent use,
 // exactly like the old single-threaded Manager.
 //
-// Operations that only read the slab (Support, SatCount, AnySat, AllSat,
-// Eval) or only hash-cons without a shared memo (Var, Cube, CubeSet,
+// Operations that only read the slab (Support, SatCount, AnySat, Eval) or
+// only hash-cons without a shared memo (Var, Cube, CubeSet,
 // Restrict, RestrictMany, RenameMonotone) are safe to call from any goroutine
-// directly on the Manager. AddVars is the one structural mutation and must
-// not run concurrently with any operation.
+// directly on the Manager. AddVarsOrdered is the one structural mutation and
+// must not run concurrently with any operation.
 //
 // # Reclamation
 //
@@ -198,7 +198,7 @@ type Manager struct {
 
 	// fpPts caches the per-variable field points the fingerprint evaluates
 	// at: fpPts[v] = {point for the hi lane, point for the lo lane}. Grown
-	// by AddVars (which requires quiescence); read-only otherwise.
+	// by AddVarsOrdered (which requires quiescence); read-only otherwise.
 	fpPts [][2]uint64
 
 	// def is the default worker backing the Manager's own connective
@@ -485,14 +485,6 @@ func (m *Manager) Order() []int {
 	return out
 }
 
-// VarLevel returns the level variable i currently occupies.
-func (m *Manager) VarLevel(i int) int {
-	if i < 0 || i >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", i, m.numVars))
-	}
-	return int(m.var2level[i])
-}
-
 // DefaultWorker returns the Manager's built-in worker (the one backing the
 // Manager's own connective methods). Single-threaded phases may use it
 // freely; concurrent phases must create one Worker per goroutine instead.
@@ -513,23 +505,12 @@ func (m *Manager) NumVars() int { return m.numVars }
 // frees dead nodes.
 func (m *Manager) NumNodes() int { return int(m.live.Load()) }
 
-// AddVars grows the variable universe by n, returning the index of the first
-// new variable. New variables take the bottommost levels of the order, in
-// index sequence, so existing nodes are unaffected. AddVars must not be
-// called concurrently with any other operation.
-func (m *Manager) AddVars(n int) int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return m.AddVarsOrdered(order)
-}
-
-// AddVarsOrdered is AddVars(len(order)) with the new block's internal order
-// chosen by the caller: order[k] is the offset, from the returned first
-// index, of the variable decided at the block's k-th level from the top.
-// The block as a whole still sits below every existing level, so existing
-// nodes are unaffected. It panics when order is not a permutation of
+// AddVarsOrdered grows the variable universe by len(order) variables and
+// returns the index of the first. The new block sits below every existing
+// level, so existing nodes are unaffected; within it, order[k] is the
+// offset, from the returned index, of the variable decided at the block's
+// k-th level from the top. It must not be called concurrently with any
+// other operation. It panics when order is not a permutation of
 // [0,len(order)) — like NewOrdered, a broken permutation is a programming
 // error, not an input condition.
 func (m *Manager) AddVarsOrdered(order []int) int {
@@ -662,11 +643,9 @@ type Worker struct {
 	binHits, binMisses int64
 }
 
-// Binary-kernel op tags (third key slot of the bin cache).
-const (
-	opAnd int32 = iota
-	opXor
-)
+// opAnd fills the third key slot of the bin cache (the cache type is the
+// ITE memo's, keyed by three operands): one binary kernel, one tag.
+const opAnd int32 = 0
 
 // Manager returns the manager this worker builds into.
 func (w *Worker) Manager() *Manager { return w.m }
@@ -708,12 +687,6 @@ func (w *Worker) CacheSize() int { return w.ite.used + w.bin.used }
 // single-goroutine discipline as every other Worker method.
 func (w *Worker) MemoStats() (hits, misses int64) {
 	return w.iteHits + w.binHits, w.iteMisses + w.binMisses
-}
-
-// KernelStats splits MemoStats by cache: the generic ITE memo and the
-// shared binary-kernel (And/Or/Diff/Imp/Xor/Biimp) memo.
-func (w *Worker) KernelStats() (iteHits, iteMisses, binHits, binMisses int64) {
-	return w.iteHits, w.iteMisses, w.binHits, w.binMisses
 }
 
 // ITE computes if-then-else: f ? g : h. It is the generic ternary
@@ -812,7 +785,7 @@ func (m *Manager) cofactors(n Node, level int32) (lo, hi Node) {
 
 // and2 is the specialized conjunction kernel: two operands, commutative
 // key normalization, and a dedicated cache shared (via De Morgan) with
-// Or, Diff and Imp.
+// Or and Diff.
 func (w *Worker) and2(a, b Node) Node {
 	// Terminal cases: no memo probe, no memo insertion.
 	switch {
@@ -847,40 +820,6 @@ func (w *Worker) and2(a, b Node) Node {
 	return r
 }
 
-// xor2 is the symmetric-difference kernel. Complement bits factor out of
-// Xor entirely (Xor(¬a,b) = ¬Xor(a,b)), so keys are always regular.
-func (w *Worker) xor2(a, b Node) Node {
-	c := (a ^ b) & 1
-	a &^= 1
-	b &^= 1
-	switch {
-	case a == b:
-		return False ^ c
-	case a == False:
-		return b ^ c
-	case b == False:
-		return a ^ c
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if r, ok := w.bin.get(int32(a), int32(b), opXor); ok {
-		w.binHits++
-		return r ^ c
-	}
-	w.binMisses++
-	m := w.m
-	top := m.level(a)
-	if l := m.level(b); l < top {
-		top = l
-	}
-	a0, a1 := m.cofactors(a, top)
-	b0, b1 := m.cofactors(b, top)
-	r := m.mk(top, w.xor2(a0, b0), w.xor2(a1, b1))
-	w.bin.put(int32(a), int32(b), opXor, r)
-	return r ^ c
-}
-
 // And returns the conjunction of its arguments (True for no arguments).
 func (w *Worker) And(ns ...Node) Node {
 	w.sync()
@@ -910,24 +849,6 @@ func (w *Worker) Or(ns ...Node) Node {
 
 // Not returns the negation of n: an O(1) complement-bit flip.
 func (w *Worker) Not(n Node) Node { return n ^ 1 }
-
-// Xor returns the exclusive or of a and b.
-func (w *Worker) Xor(a, b Node) Node {
-	w.sync()
-	return w.xor2(a, b)
-}
-
-// Imp returns the implication a -> b = ¬(a ∧ ¬b).
-func (w *Worker) Imp(a, b Node) Node {
-	w.sync()
-	return w.and2(a, b^1) ^ 1
-}
-
-// Biimp returns the biconditional a <-> b = ¬(a ⊕ b).
-func (w *Worker) Biimp(a, b Node) Node {
-	w.sync()
-	return w.xor2(a, b) ^ 1
-}
 
 // Diff returns a AND NOT b.
 func (w *Worker) Diff(a, b Node) Node {
@@ -975,70 +896,6 @@ func (w *Worker) Exists(n Node, vars ...int) Node {
 	return rec(n)
 }
 
-// Forall universally quantifies the given variables out of n.
-func (w *Worker) Forall(n Node, vars ...int) Node {
-	return w.Exists(n^1, vars...) ^ 1
-}
-
-// Rename replaces each variable old with mapping[old] in n. The mapping must
-// be injective; this implementation rebuilds the BDD from scratch so any
-// injective mapping is safe.
-func (w *Worker) Rename(n Node, mapping map[int]int) Node {
-	w.sync()
-	m := w.m
-	memo := make(map[Node]Node)
-	var rec func(Node) Node
-	rec = func(x Node) Node {
-		if x == True || x == False {
-			return x
-		}
-		if r, ok := memo[x]; ok {
-			return r
-		}
-		v := int(m.level2var[m.level(x)])
-		if nv, ok := mapping[v]; ok {
-			v = nv
-		}
-		r := w.ite3(m.Var(v), rec(m.high(x)), rec(m.low(x)))
-		memo[x] = r
-		return r
-	}
-	return rec(n)
-}
-
-// UintLE returns the predicate "bits <= bound" over the given bit variables
-// (vars[0] most significant).
-func (w *Worker) UintLE(vars []int, bound uint64) Node {
-	w.sync()
-	m := w.m
-	// Build from least significant upward: standard comparator recursion.
-	// le(i) handles bits vars[i:].
-	var build func(i int) Node
-	build = func(i int) Node {
-		if i == len(vars) {
-			return True
-		}
-		bit := bound&(1<<(len(vars)-1-i)) != 0
-		rest := build(i + 1)
-		v := m.Var(vars[i])
-		if bit {
-			// var=0 -> anything below; var=1 -> rest must satisfy.
-			return w.and2(v, rest^1) ^ 1 // v -> rest
-		}
-		// bit=0: var must be 0 and rest satisfy.
-		return w.and2(v^1, rest)
-	}
-	return build(0)
-}
-
-// UintGE returns the predicate "bits >= bound" over the given bit variables.
-func (w *Worker) UintGE(vars []int, bound uint64) Node {
-	if bound == 0 {
-		return True
-	}
-	return w.UintLE(vars, bound-1) ^ 1
-}
-
 // The Manager's connective methods delegate to the default worker,
 // preserving the old single-threaded API. They are not safe for concurrent
 // use; parallel phases create their own Workers.
@@ -1055,32 +912,11 @@ func (m *Manager) Or(ns ...Node) Node { return m.def.Or(ns...) }
 // Not returns the negation of n.
 func (m *Manager) Not(n Node) Node { return n ^ 1 }
 
-// Xor returns the exclusive or of a and b.
-func (m *Manager) Xor(a, b Node) Node { return m.def.Xor(a, b) }
-
-// Imp returns the implication a -> b.
-func (m *Manager) Imp(a, b Node) Node { return m.def.Imp(a, b) }
-
-// Biimp returns the biconditional a <-> b.
-func (m *Manager) Biimp(a, b Node) Node { return m.def.Biimp(a, b) }
-
 // Diff returns a AND NOT b.
 func (m *Manager) Diff(a, b Node) Node { return m.def.Diff(a, b) }
 
 // Exists existentially quantifies the given variables out of n.
 func (m *Manager) Exists(n Node, vars ...int) Node { return m.def.Exists(n, vars...) }
-
-// Forall universally quantifies the given variables out of n.
-func (m *Manager) Forall(n Node, vars ...int) Node { return m.def.Forall(n, vars...) }
-
-// Rename replaces each variable old with mapping[old] in n.
-func (m *Manager) Rename(n Node, mapping map[int]int) Node { return m.def.Rename(n, mapping) }
-
-// UintLE returns the predicate "bits <= bound" over the given bit variables.
-func (m *Manager) UintLE(vars []int, bound uint64) Node { return m.def.UintLE(vars, bound) }
-
-// UintGE returns the predicate "bits >= bound" over the given bit variables.
-func (m *Manager) UintGE(vars []int, bound uint64) Node { return m.def.UintGE(vars, bound) }
 
 // Restrict fixes variable i to value and simplifies. Safe for concurrent
 // use (local memo, lock-free reads, hash-consed writes).
@@ -1379,37 +1215,6 @@ func (m *Manager) minSupportVar(n Node) int {
 	return int(best)
 }
 
-// AllSat invokes fn for every satisfying path of n. Each path is a map from
-// variable to value covering only the decision variables on that path
-// (unmentioned variables are free). fn must not retain the map. If fn
-// returns false, enumeration stops early.
-func (m *Manager) AllSat(n Node, fn func(map[int]bool) bool) {
-	assign := make(map[int]bool)
-	var rec func(Node) bool
-	rec = func(x Node) bool {
-		if x == False {
-			return true
-		}
-		if x == True {
-			return fn(assign)
-		}
-		v := int(m.level2var[m.level(x)])
-		assign[v] = false
-		if !rec(m.low(x)) {
-			delete(assign, v)
-			return false
-		}
-		assign[v] = true
-		if !rec(m.high(x)) {
-			delete(assign, v)
-			return false
-		}
-		delete(assign, v)
-		return true
-	}
-	rec(n)
-}
-
 // Eval evaluates n under a complete assignment (missing variables default to
 // false).
 func (m *Manager) Eval(n Node, assign map[int]bool) bool {
@@ -1677,7 +1482,7 @@ func fpMix(x uint64) uint64 {
 // growFpPoints extends the per-variable fingerprint evaluation points to
 // cover all current variables. Points are a pure function of the variable
 // INDEX (not its level), which is what makes Fingerprint independent of
-// the variable order. Called at construction and from AddVars.
+// the variable order. Called at construction and from AddVarsOrdered.
 func (m *Manager) growFpPoints() {
 	for v := len(m.fpPts); v < m.numVars; v++ {
 		m.fpPts = append(m.fpPts, [2]uint64{

@@ -69,27 +69,6 @@ func TestITETruthTable(t *testing.T) {
 	}
 }
 
-func TestXorImpBiimp(t *testing.T) {
-	m := New(2)
-	a, b := m.Var(0), m.Var(1)
-	for bits := 0; bits < 4; bits++ {
-		assign := map[int]bool{0: bits&2 != 0, 1: bits&1 != 0}
-		av, bv := assign[0], assign[1]
-		if got := m.Eval(m.Xor(a, b), assign); got != (av != bv) {
-			t.Errorf("Xor%v = %v", assign, got)
-		}
-		if got := m.Eval(m.Imp(a, b), assign); got != (!av || bv) {
-			t.Errorf("Imp%v = %v", assign, got)
-		}
-		if got := m.Eval(m.Biimp(a, b), assign); got != (av == bv) {
-			t.Errorf("Biimp%v = %v", assign, got)
-		}
-		if got := m.Eval(m.Diff(a, b), assign); got != (av && !bv) {
-			t.Errorf("Diff%v = %v", assign, got)
-		}
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	m := New(3)
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
@@ -113,11 +92,13 @@ func TestExistsForall(t *testing.T) {
 	if got := m.Exists(f, 0); got != b {
 		t.Errorf("Exists a.(a AND b) = %v, want b", got)
 	}
-	if got := m.Forall(f, 0); got != False {
+	// Universal quantification is the dual, ¬∃¬: complemented operands
+	// go through the same recursion.
+	if got := m.Not(m.Exists(m.Not(f), 0)); got != False {
 		t.Errorf("Forall a.(a AND b) = %v, want False", got)
 	}
 	g := m.Or(a, b)
-	if got := m.Forall(g, 0); got != b {
+	if got := m.Not(m.Exists(m.Not(g), 0)); got != b {
 		t.Errorf("Forall a.(a OR b) = %v, want b", got)
 	}
 	if got := m.Exists(g, 0, 1); got != True {
@@ -129,13 +110,13 @@ func TestRename(t *testing.T) {
 	m := New(6)
 	a, b := m.Var(0), m.Var(1)
 	f := m.And(a, m.Not(b))
-	g := m.Rename(f, map[int]int{0: 3, 1: 4})
+	g := m.RenameAny(f, map[int]int{0: 3, 1: 4})
 	want := m.And(m.Var(3), m.Not(m.Var(4)))
 	if g != want {
 		t.Errorf("Rename result mismatch")
 	}
 	// Swap via rename must also work (rebuilding handles ordering).
-	h := m.Rename(f, map[int]int{0: 1, 1: 0})
+	h := m.RenameAny(f, map[int]int{0: 1, 1: 0})
 	want2 := m.And(m.Var(1), m.Not(m.Var(0)))
 	if h != want2 {
 		t.Errorf("swap Rename result mismatch")
@@ -175,7 +156,7 @@ func TestSatCount(t *testing.T) {
 	if got := m.SatCount(m.Or(a, b)); got != 6 {
 		t.Errorf("SatCount(a OR b) = %v, want 6", got)
 	}
-	if got := m.SatCount(m.Xor(a, m.Var(2))); got != 4 {
+	if got := m.SatCount(xor(m, a, m.Var(2))); got != 4 {
 		t.Errorf("SatCount(a XOR c) = %v, want 4", got)
 	}
 }
@@ -192,30 +173,6 @@ func TestAnySat(t *testing.T) {
 	}
 	if m.AnySat(False) != nil {
 		t.Error("AnySat(False) should be nil")
-	}
-}
-
-func TestAllSat(t *testing.T) {
-	m := New(2)
-	f := m.Or(m.Var(0), m.Var(1))
-	count := 0
-	m.AllSat(f, func(a map[int]bool) bool {
-		count++
-		if !m.Eval(f, a) {
-			// Free variables default false in Eval; a path assignment must
-			// satisfy regardless, so evaluate with defaults.
-			t.Errorf("AllSat path %v does not satisfy f", a)
-		}
-		return true
-	})
-	if count == 0 {
-		t.Error("AllSat found no paths")
-	}
-	// Early stop.
-	n := 0
-	m.AllSat(True, func(map[int]bool) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("AllSat early stop visited %d paths, want 1", n)
 	}
 }
 
@@ -244,31 +201,6 @@ func TestUintCube(t *testing.T) {
 	}
 }
 
-func TestUintLEGE(t *testing.T) {
-	m := New(4)
-	vars := []int{0, 1, 2, 3}
-	le := m.UintLE(vars, 5)
-	ge := m.UintGE(vars, 5)
-	for v := uint64(0); v < 16; v++ {
-		assign := map[int]bool{}
-		for i := 0; i < 4; i++ {
-			assign[i] = v&(1<<(3-i)) != 0
-		}
-		if got := m.Eval(le, assign); got != (v <= 5) {
-			t.Errorf("UintLE(5) at %d = %v", v, got)
-		}
-		if got := m.Eval(ge, assign); got != (v >= 5) {
-			t.Errorf("UintGE(5) at %d = %v", v, got)
-		}
-	}
-	if m.UintGE(vars, 0) != True {
-		t.Error("UintGE(0) should be True")
-	}
-	if got := m.SatCount(m.UintLE(vars, 15)); got != 16 {
-		t.Errorf("SatCount(UintLE(15)) = %v, want 16", got)
-	}
-}
-
 // randomFormula builds a random BDD over nv variables along with an
 // equivalent evaluator function, for differential testing.
 func randomFormula(m *Manager, r *rand.Rand, nv, depth int) (Node, func(map[int]bool) bool) {
@@ -291,7 +223,7 @@ func randomFormula(m *Manager, r *rand.Rand, nv, depth int) (Node, func(map[int]
 	case 1:
 		return m.Or(l, rn), func(a map[int]bool) bool { return lf(a) || rf(a) }
 	case 2:
-		return m.Xor(l, rn), func(a map[int]bool) bool { return lf(a) != rf(a) }
+		return xor(m, l, rn), func(a map[int]bool) bool { return lf(a) != rf(a) }
 	default:
 		return m.Not(l), func(a map[int]bool) bool { return !lf(a) }
 	}
@@ -387,7 +319,7 @@ func TestSatCountMatchesEnumeration(t *testing.T) {
 func TestAddVars(t *testing.T) {
 	m := New(2)
 	f := m.Var(1)
-	first := m.AddVars(3)
+	first := m.AddVarsOrdered([]int{0, 1, 2})
 	if first != 2 {
 		t.Errorf("AddVars returned %d, want 2", first)
 	}
@@ -413,8 +345,8 @@ func TestAddVarsOrdered(t *testing.T) {
 		t.Errorf("order = %s, want %s", got, want)
 	}
 	for v, lvl := range []int{1, 0, 3, 4, 2} {
-		if got := m.VarLevel(v); got != lvl {
-			t.Errorf("VarLevel(%d) = %d, want %d", v, got, lvl)
+		if got := int(m.var2level[v]); got != lvl {
+			t.Errorf("var2level[%d] = %d, want %d", v, got, lvl)
 		}
 	}
 	g := m.And(f, m.Var(4), m.NVar(2))

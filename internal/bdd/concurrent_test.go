@@ -47,7 +47,7 @@ func TestConcurrentWorkersCanonical(t *testing.T) {
 					case 1:
 						f = w.Or(f, v)
 					default:
-						f = w.Xor(f, v)
+						f = w.ITE(f, v^1, v)
 					}
 				}
 				out = append(out, f)

@@ -10,7 +10,7 @@ func TestProfileLevelHistogram(t *testing.T) {
 	var roots []Node
 	acc := True
 	for i := 0; i < 8; i++ {
-		acc = m.And(acc, m.Xor(m.Var(i), m.NVar((i+3)%8)))
+		acc = m.And(acc, xor(m, m.Var(i), m.NVar((i+3)%8)))
 		roots = append(roots, acc)
 	}
 	p := m.Profile()
@@ -62,7 +62,7 @@ func TestProfileExcludesFreeList(t *testing.T) {
 	keep := m.And(m.Var(0), m.Var(1))
 	var garbage Node = True
 	for i := 2; i < 12; i++ {
-		garbage = m.And(garbage, m.Xor(m.Var(i), m.Var(i-1)))
+		garbage = m.And(garbage, xor(m, m.Var(i), m.Var(i-1)))
 	}
 	before := m.NumNodes()
 	freed := m.Reclaim(keep)
@@ -95,7 +95,7 @@ func TestWatermarkPeak(t *testing.T) {
 	}
 	acc := True
 	for i := 0; i < 10; i++ {
-		acc = m.And(acc, m.Xor(m.Var(i), m.Var((i+5)%10)))
+		acc = m.And(acc, xor(m, m.Var(i), m.Var((i+5)%10)))
 	}
 	m.NoteWatermark()
 	grown := int64(m.NumNodes())
@@ -151,7 +151,7 @@ func BenchmarkProfile(b *testing.B) {
 	m := New(64)
 	acc := True
 	for i := 0; m.NumNodes() < 1_000_000; i++ {
-		acc = m.Xor(acc, m.And(m.Var(i%64), m.NVar((i*7+13)%64)))
+		acc = xor(m, acc, m.And(m.Var(i%64), m.NVar((i*7+13)%64)))
 	}
 	b.Logf("population: %d live nodes", m.NumNodes())
 	b.ResetTimer()

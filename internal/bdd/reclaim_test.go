@@ -11,9 +11,9 @@ func junkAndRoot(m *Manager, salt uint64) Node {
 	for i := range vars {
 		vars[i] = i
 	}
-	root := m.UintLE(vars, 40000+salt)
+	root := uintLE(m, vars, 40000+salt)
 	for k := uint64(0); k < 20; k++ {
-		_ = m.UintGE(vars, 1000+salt*37+k*997)
+		_ = uintLE(m, vars, 1000+salt*37+k*997)
 	}
 	return root
 }
@@ -126,7 +126,7 @@ func TestReclaimHandleStability(t *testing.T) {
 	for i := range vars {
 		vars[i] = i
 	}
-	root := m.UintLE(vars, 31337)
+	root := uintLE(m, vars, 31337)
 	_ = junkAndRoot(m, 4)
 	hi0, lo0 := m.Fingerprint(root)
 	nodes0 := m.NumNodes()
@@ -138,7 +138,7 @@ func TestReclaimHandleStability(t *testing.T) {
 	}
 	// Rebuilding the same function must hash-cons onto the surviving
 	// handle: the compacted unique table still indexes every live node.
-	if again := m.UintLE(vars, 31337); again != root {
+	if again := uintLE(m, vars, 31337); again != root {
 		t.Errorf("rebuilt function = %v, want the surviving handle %v", again, root)
 	}
 	if m.NumNodes() >= nodes0 {
@@ -226,12 +226,12 @@ func BenchmarkReclaim(b *testing.B) {
 	for i := range vars {
 		vars[i] = i
 	}
-	root := m.UintLE(vars, 31337)
+	root := uintLE(m, vars, 31337)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for k := uint64(0); k < 200; k++ {
-			_ = m.UintGE(vars, 1000+uint64(i)*31+k*997)
+			_ = uintLE(m, vars, 1000+uint64(i)*31+k*997)
 		}
 		b.StartTimer()
 		m.Reclaim(root)

@@ -90,10 +90,10 @@ func TestReorderPreservesComplementHeavyFunctions(t *testing.T) {
 	// XOR chain: complement edges everywhere, plus a few mixed terms.
 	f := False
 	for i := 0; i < nv; i++ {
-		f = m.Xor(f, m.Var(i))
+		f = xor(m, f, m.Var(i))
 	}
 	g := m.Or(m.And(m.Var(0), m.Not(m.Var(5))), m.And(m.Not(m.Var(2)), m.Var(7)))
-	h := m.Imp(f, g)
+	h := m.Not(m.Diff(f, g))
 	m.Pin(f, g, h)
 	fps := [][2]uint64{}
 	for _, x := range []Node{f, g, h} {
@@ -157,7 +157,7 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 	build := func(m *Manager) Node {
 		f := m.Or(
 			m.And(m.Var(0), m.Var(4), m.Not(m.Var(8))),
-			m.Xor(m.Var(2), m.Var(6)),
+			xor(m, m.Var(2), m.Var(6)),
 			m.And(m.Not(m.Var(1)), m.Var(3)),
 		)
 		return f
@@ -288,8 +288,8 @@ func TestVarLevelAndOrderAccessors(t *testing.T) {
 	if got := m.Order(); !reflect.DeepEqual(got, []int{2, 0, 3, 1}) {
 		t.Fatalf("Order() = %v", got)
 	}
-	if m.VarLevel(2) != 0 || m.VarLevel(1) != 3 {
-		t.Fatalf("VarLevel mismatch: %d %d", m.VarLevel(2), m.VarLevel(1))
+	if m.var2level[2] != 0 || m.var2level[1] != 3 {
+		t.Fatalf("var2level mismatch: %d %d", m.var2level[2], m.var2level[1])
 	}
 	if err := m.SetOrder([]int{0, 1, 2, 3}); err != nil {
 		t.Fatalf("SetOrder on pristine manager: %v", err)

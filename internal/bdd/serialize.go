@@ -1,9 +1,9 @@
 package bdd
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
+
+	"github.com/expresso-verify/expresso/internal/wire"
 )
 
 // Binary graph format (version 2). All integers are unsigned varints.
@@ -76,25 +76,24 @@ func (m *Manager) Export(roots ...Node) []byte {
 		}
 	}
 
-	buf := make([]byte, 0, 16+2*m.numVars+7*len(order))
-	buf = append(buf, serializeMagic...)
-	buf = binary.AppendUvarint(buf, serializeVersion)
-	buf = binary.AppendUvarint(buf, uint64(m.numVars))
+	e := make(wire.Enc, 0, 16+2*m.numVars+7*len(order))
+	e.Magic(serializeMagic, serializeVersion)
+	e.U(uint64(m.numVars))
 	for _, v := range m.level2var {
-		buf = binary.AppendUvarint(buf, uint64(v))
+		e.U(uint64(v))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	e.U(uint64(len(order)))
 	for _, n := range order {
 		nd := m.nodeAt(n)
-		buf = binary.AppendUvarint(buf, uint64(nd.level))
-		buf = binary.AppendUvarint(buf, uint64(pos[nd.low&^1])<<1|uint64(nd.low&1))
-		buf = binary.AppendUvarint(buf, uint64(pos[nd.high&^1])<<1|uint64(nd.high&1))
+		e.U(uint64(nd.level))
+		e.U(uint64(pos[nd.low&^1])<<1 | uint64(nd.low&1))
+		e.U(uint64(pos[nd.high&^1])<<1 | uint64(nd.high&1))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(roots)))
+	e.U(uint64(len(roots)))
 	for _, r := range roots {
-		buf = binary.AppendUvarint(buf, uint64(pos[r&^1])<<1|uint64(r&1))
+		e.U(uint64(pos[r&^1])<<1 | uint64(r&1))
 	}
-	return buf
+	return e
 }
 
 // Import decodes an Export blob into m and returns the root handles,
@@ -108,41 +107,34 @@ func (m *Manager) Import(data []byte) ([]Node, error) {
 
 // ImportShifted is Import with a monotone variable relocation: delta is
 // added to the index of every variable whose index is ≥ from. The
-// pipeline uses it to rebase data-plane variables allocated with AddVars at
-// a different offset than in the exporting manager. (For version-1 blobs
-// and identity-ordered exporters, variable indices and blob levels
-// coincide, so this matches the historical level-space relocation.)
+// pipeline uses it to rebase data-plane variables allocated with
+// AddVarsOrdered at a different offset than in the exporting manager. (For
+// version-1 blobs and identity-ordered exporters, variable indices and blob
+// levels coincide, so this matches the historical level-space relocation.)
 // Relocation must preserve the relative order of the blob's variables in
 // blob-level space, which the per-edge structural check enforces; nodes
 // whose importing levels disagree with the blob's ordering — the importing
 // manager may have sifted its variables into any permutation — are rebuilt
 // through ITE instead of the linear constructor.
 func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
-	d, storedVars, blobOrder, err := readHeader(data)
-	if err != nil {
+	d := wire.NewDec("bdd: import", data)
+	storedVars, blobOrder := readHeader(&d)
+	count := uint64(d.Count("node", 3)) // level, low, high
+	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	count, err := d.uvarint("node count")
-	if err != nil {
-		return nil, err
-	}
-	// Every record is at least 3 bytes; reject counts the blob cannot hold
-	// before allocating.
-	if count > uint64(len(data))/3 {
-		return nil, fmt.Errorf("bdd: import: node count %d exceeds blob size", count)
 	}
 
 	handles := make([]Node, count+1) // table ref -> handle in m; ref 0 = False
 	levels := make([]int32, count+1) // blob level per ref (for ordering checks)
 	levels[0] = maxLevel
 	var w *Worker // lazy: only created when a record needs the ITE path
+	// The restart path decodes every persisted node through this loop: it
+	// reads the shared reader directly, one record per iteration.
 	for i := uint64(1); i <= count; i++ {
-		rawLevel, err := d.uvarint("level")
-		if err != nil {
-			return nil, err
-		}
+		rawLevel, lo, hi := d.U(), d.U(), d.U()
+		lowRef, lowC, highRef := lo>>1, lo&1, hi>>1
 		if rawLevel >= storedVars {
-			return nil, fmt.Errorf("bdd: import: node %d level %d out of range [0,%d)", i, rawLevel, storedVars)
+			return nil, d.Failf("node %d level %d out of range [0,%d)", i, rawLevel, storedVars)
 		}
 		// Blob level -> exporter variable -> relocated variable index.
 		v := int64(rawLevel)
@@ -153,25 +145,20 @@ func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
 			v += int64(delta)
 		}
 		if v < 0 || v >= int64(m.numVars) {
-			return nil, fmt.Errorf("bdd: import: node %d variable %d outside manager range [0,%d)", i, v, m.numVars)
+			return nil, d.Failf("node %d variable %d outside manager range [0,%d)", i, v, m.numVars)
 		}
-		lowRef, lowC, err := d.ref("low", i, i)
-		if err != nil {
-			return nil, err
+		if lowRef >= i || highRef >= i {
+			return nil, d.Failf("node %d references an entry at or after itself", i)
 		}
-		highRef, highC, err := d.ref("high", i, i)
-		if err != nil {
-			return nil, err
-		}
-		if highC != 0 {
-			return nil, fmt.Errorf("bdd: import: node %d has complemented high edge (non-canonical)", i)
+		if hi&1 != 0 {
+			return nil, d.Failf("node %d has complemented high edge (non-canonical)", i)
 		}
 		if lowRef == highRef && lowC == 0 {
-			return nil, fmt.Errorf("bdd: import: node %d has identical children (non-canonical)", i)
+			return nil, d.Failf("node %d has identical children (non-canonical)", i)
 		}
 		// Children must sit strictly deeper in the blob's variable order.
 		if levels[lowRef] <= int32(rawLevel) || levels[highRef] <= int32(rawLevel) {
-			return nil, fmt.Errorf("bdd: import: node %d violates variable ordering", i)
+			return nil, d.Failf("node %d violates variable ordering", i)
 		}
 		low, high := handles[lowRef]^Node(lowC), handles[highRef]
 		// Under the importing manager's order the children usually still
@@ -191,119 +178,65 @@ func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
 		levels[i] = int32(rawLevel)
 	}
 
-	nroots, err := d.uvarint("root count")
-	if err != nil {
-		return nil, err
-	}
-	if nroots > uint64(len(data)) {
-		return nil, fmt.Errorf("bdd: import: root count %d exceeds blob size", nroots)
-	}
-	roots := make([]Node, nroots)
+	roots := make([]Node, d.Count("root", 1))
 	for i := range roots {
-		ref, c, err := d.ref("root", uint64(i), count+1)
-		if err != nil {
-			return nil, err
+		r := d.U()
+		if r>>1 > count {
+			return nil, d.Failf("root %d references out-of-range entry %d", i, r>>1)
 		}
-		roots[i] = handles[ref] ^ Node(c)
+		roots[i] = handles[r>>1] ^ Node(r&1)
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("bdd: import: %d trailing bytes", len(data)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return roots, nil
 }
 
 // readHeader decodes a blob's magic, version, variable count and order
-// section, leaving the decoder at the node table. blobOrder maps blob
-// levels to the exporter's variable indices; it is nil for version 1,
-// which predates reordering and means the identity. A malformed section
-// (out-of-range entry, repeated variable) is a corrupt blob and errors like
-// any other decode failure — store layers treat that as a cache miss,
-// never a panic.
-func readHeader(data []byte) (d decoder, storedVars uint64, blobOrder []int32, err error) {
-	d = decoder{data: data}
-	if len(data) < len(serializeMagic) || string(data[:len(serializeMagic)]) != serializeMagic {
-		return d, 0, nil, fmt.Errorf("bdd: import: bad magic")
-	}
-	d.off = len(serializeMagic)
-	version, err := d.uvarint("version")
-	if err != nil {
-		return d, 0, nil, err
-	}
-	if version != 1 && version != serializeVersion {
-		return d, 0, nil, fmt.Errorf("bdd: import: unsupported format version %d", version)
-	}
-	if storedVars, err = d.uvarint("numVars"); err != nil {
-		return d, 0, nil, err
-	}
-	if storedVars > math.MaxInt32 {
-		return d, 0, nil, fmt.Errorf("bdd: import: numVars %d out of range", storedVars)
-	}
-	if version >= 2 {
-		if storedVars > uint64(len(data)) {
-			return d, 0, nil, fmt.Errorf("bdd: import: numVars %d exceeds blob size", storedVars)
-		}
+// section, leaving d at the node table. blobOrder maps blob levels to the
+// exporter's variable indices; it is nil for version 1, which predates
+// reordering and means the identity. A malformed section (out-of-range
+// entry, repeated variable) is a corrupt blob and fails d like any other
+// decode failure — store layers treat that as a cache miss, never a panic.
+func readHeader(d *wire.Dec) (storedVars uint64, blobOrder []int32) {
+	if d.Magic(serializeMagic, 1, serializeVersion) == 1 {
+		storedVars = d.U()
+	} else {
+		storedVars = uint64(d.Count("order entry", 1))
 		blobOrder = make([]int32, storedVars)
 		seen := make([]bool, storedVars)
 		for l := range blobOrder {
-			v, err := d.uvarint("order entry")
-			if err != nil {
-				return d, 0, nil, err
-			}
+			v := d.U()
 			if v >= storedVars || seen[v] {
-				return d, 0, nil, fmt.Errorf("bdd: import: order section is not a permutation of [0,%d)", storedVars)
+				d.Failf("order section is not a permutation of [0,%d)", storedVars)
+				return 0, nil
 			}
 			seen[v] = true
 			blobOrder[l] = int32(v)
 		}
 	}
-	return d, storedVars, blobOrder, nil
+	if storedVars > math.MaxInt32 {
+		d.Failf("numVars %d out of range", storedVars)
+	}
+	return storedVars, blobOrder
 }
 
 // ExportedOrder returns the variable order an Export blob was written
 // under — element l is the exporter's variable index at level l — without
 // decoding its nodes. An importer that installs the same order before
 // Import rebuilds the graph node for node through the linear constructor.
+// A version-1 blob carries no order section and yields nil: its order is the
+// identity over however many variables it declares, a number nothing in the
+// blob bounds.
 func ExportedOrder(data []byte) ([]int, error) {
-	_, storedVars, blobOrder, err := readHeader(data)
-	if err != nil {
+	d := wire.NewDec("bdd: import", data)
+	_, blobOrder := readHeader(&d)
+	if err := d.Err(); err != nil || blobOrder == nil {
 		return nil, err
 	}
-	order := make([]int, storedVars)
-	for l := range order {
-		order[l] = l
-		if blobOrder != nil {
-			order[l] = int(blobOrder[l])
-		}
+	order := make([]int, len(blobOrder))
+	for l, v := range blobOrder {
+		order[l] = int(v)
 	}
 	return order, nil
-}
-
-// decoder reads bounded uvarints out of a blob without ever panicking.
-type decoder struct {
-	data []byte
-	off  int
-}
-
-func (d *decoder) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bdd: import: truncated %s at offset %d", what, d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-// ref reads an edge reference for the record at table position pos and
-// validates that it stays under limit (the number of already-decoded
-// entries for node records; count+1 for roots).
-func (d *decoder) ref(what string, pos, limit uint64) (uint64, uint64, error) {
-	v, err := d.uvarint(what)
-	if err != nil {
-		return 0, 0, err
-	}
-	ref, c := v>>1, v&1
-	if ref >= limit {
-		return 0, 0, fmt.Errorf("bdd: import: entry %d %s edge references out-of-range entry %d", pos, what, ref)
-	}
-	return ref, c, nil
 }

@@ -25,7 +25,7 @@ func randomGraph(m *Manager, seed int64, count int) []Node {
 		case 1:
 			n = w.Or(a, b)
 		case 2:
-			n = w.Xor(a, b)
+			n = w.ITE(a, b^1, b)
 		default:
 			n = w.Not(a)
 		}
@@ -212,6 +212,12 @@ func TestImportV1BlobAsIdentityOrder(t *testing.T) {
 		if h1 != h2 || l1 != l2 {
 			t.Fatalf("root %d changed across v1 import", i)
 		}
+	}
+	// The identity is not spelled out: a v1 header may declare any number
+	// of variables, and nothing may be sized by it.
+	huge := append([]byte("XBDD"), 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0, 0)
+	if order, err := ExportedOrder(huge); order != nil || err != nil {
+		t.Fatalf("ExportedOrder(v1) = %d entries, %v; want nil, nil", len(order), err)
 	}
 }
 

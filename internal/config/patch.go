@@ -7,8 +7,8 @@
 // with {baseline, patch}) and what `expresso gate` computes between two
 // config trees.
 //
-// Diff compares sections under the same canonicalization the digest layer
-// uses (comments, blank lines, and whitespace runs are insignificant), so
+// Diff compares sections in their Canonical form, the one the digest layer
+// addresses (comments, blank lines, and whitespace runs are insignificant), so
 // a cosmetic edit produces an empty patch, and ApplyPatch(old, Diff(old,
 // new)) is canonically equivalent to new whenever new preserves old's
 // section order. Reordering sections without changing their content also
@@ -75,8 +75,9 @@ type Section struct {
 // SplitSections splits configuration text into its ordered section list.
 // A section starts at a line whose first token (after comment stripping)
 // is "router" with a name; repeated sections for one router merge into
-// the first occurrence, mirroring how the parser and DeviceDigests
-// attribute lines. The preamble (comments and blank lines before the
+// the first occurrence, which is how the parser attributes lines — and the
+// pipeline's per-router digests, which are taken over these sections. The
+// preamble (comments and blank lines before the
 // first router — the parser rejects statements there) is kept as a
 // Router "" section so a split/join round trip preserves every byte.
 func SplitSections(text string) []Section {
@@ -107,30 +108,15 @@ func SplitSections(text string) []Section {
 	return out
 }
 
-// stripComments removes "//" and "#" comments line by line, keeping the
-// line structure.
-func stripComments(text string) string {
-	lines := strings.Split(text, "\n")
-	for i, line := range lines {
-		if j := strings.Index(line, "//"); j >= 0 {
-			line = line[:j]
-		}
-		if j := strings.IndexByte(line, '#'); j >= 0 {
-			line = line[:j]
-		}
-		lines[i] = line
-	}
-	return strings.Join(lines, "\n")
-}
-
-// canonicalSection reduces a section's text to its significant content:
-// comments stripped, each line space-joined, blank lines dropped. Two
-// sections with equal canonical text are semantically identical to the
-// parser and digest-identical to the pipeline.
-func canonicalSection(text string) string {
+// Canonical reduces configuration text to its significant content: every
+// line's tokens (tokenize strips the comments) joined by single spaces,
+// blank lines dropped. Two texts with equal canonical forms are identical
+// to the parser; it is the form the pipeline's content addresses and this
+// package's Diff compare.
+func Canonical(text string) string {
 	var b strings.Builder
-	for _, line := range strings.Split(stripComments(text), "\n") {
-		fields := strings.Fields(line)
+	for _, line := range strings.Split(text, "\n") {
+		fields := tokenize(line)
 		if len(fields) == 0 {
 			continue
 		}
@@ -159,7 +145,7 @@ func Diff(oldText, newText string) Patch {
 	}
 	var p Patch
 	for _, s := range oldSecs {
-		if canonicalSection(s.Text) == "" {
+		if Canonical(s.Text) == "" {
 			continue // comment-only (preamble): nothing to delete
 		}
 		if _, ok := newByName[s.Router]; !ok {
@@ -167,11 +153,11 @@ func Diff(oldText, newText string) Patch {
 		}
 	}
 	for _, s := range newSecs {
-		canon := canonicalSection(s.Text)
+		canon := Canonical(s.Text)
 		if canon == "" {
 			continue // comment-only (preamble): nothing to set
 		}
-		if old, ok := oldByName[s.Router]; ok && canonicalSection(old.Text) == canon {
+		if old, ok := oldByName[s.Router]; ok && Canonical(old.Text) == canon {
 			continue
 		}
 		p.Ops = append(p.Ops, PatchOp{Op: SetOp, Router: s.Router, Config: s.Text})

@@ -84,13 +84,13 @@ interface eth0 ip 10.0.0.5/31
 	// section by section.
 	want := map[string]string{}
 	for _, s := range SplitSections(next) {
-		if c := canonicalSection(s.Text); c != "" {
+		if c := Canonical(s.Text); c != "" {
 			want[s.Router] = c
 		}
 	}
 	got := map[string]string{}
 	for _, s := range SplitSections(patched) {
-		if c := canonicalSection(s.Text); c != "" {
+		if c := Canonical(s.Text); c != "" {
 			got[s.Router] = c
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/expresso-verify/expresso/internal/automaton"
@@ -643,14 +642,8 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	// rounds for every worker count (the determinism invariant).
 	_, siftFloor := e.Space.M.UniqueStats()
 	sweepFloor := siftFloor
-	workers := e.WorkerCount()
-	var forks []*Engine
-	if workers > 1 {
-		forks = make([]*Engine, workers)
-		for i := range forks {
-			forks[i] = e.fork()
-		}
-	}
+	pool := NewPool(e.WorkerCount(), e, e.fork)
+	forks := pool.Forks
 	// Synchronous rounds with change tracking: a router recomputes only
 	// when some neighbor's RIB changed in the previous round, which lets
 	// late rounds touch only the frontier still in motion.
@@ -696,37 +689,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 			}
 		}
 		outs := make([][]*symbolic.Route, len(work))
-		if len(forks) > 0 && len(work) > 1 {
-			var wg sync.WaitGroup
-			var cursor atomic.Int64
-			for _, f := range forks {
-				wg.Add(1)
-				go func(f *Engine) {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(work) || ctx.Err() != nil {
-							return
-						}
-						rs, err := f.recompute(ctx, work[i], best, extInit)
-						if err != nil {
-							return
-						}
-						outs[i] = rs
-					}
-				}(f)
-			}
-			wg.Wait()
-		} else {
-			for i, v := range work {
-				rs, err := e.recompute(ctx, v, best, extInit)
-				if err != nil {
-					return nil, err
-				}
+		err := pool.Each(ctx, len(work), func(f *Engine, i int) {
+			// recompute fails only on cancellation, which Each reports.
+			if rs, err := f.recompute(ctx, work[i], best, extInit); err == nil {
 				outs[i] = rs
 			}
-		}
-		if err := ctx.Err(); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
 		// Deterministic reduction: results land keyed by router name, in
@@ -741,7 +710,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		converged := len(changedNow) == 0
 		best = next
 		changedLast = changedNow
-		// Round end is a quiescent barrier (the WaitGroup above), and which
+		// Round end is a quiescent barrier (Each has returned), and which
 		// round a node population belongs to does not depend on scheduling,
 		// so this watermark sample is schedule-independent. Two atomics —
 		// cheap enough to run whether or not tracing is on.
@@ -749,7 +718,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// Once enough new nodes have been hash-consed, free everything
 		// unreachable from the round's live state, by a sweep or by the
 		// sift pass that subsumes one. The forks are quiescent here
-		// (WaitGroup barrier), and the next round's goroutines start after
+		// (Each has returned), and the next round's goroutines start after
 		// this point, satisfying the quiescence contract; worker memos
 		// invalidate lazily via the manager's generation counter.
 		var relief Relief
@@ -881,7 +850,7 @@ func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]
 
 // memoStats sums the cumulative ITE-memo counters across the engine's
 // default worker and its round forks. Called only at round boundaries,
-// when the fork goroutines are quiescent (WaitGroup-ordered), so the
+// when the fork goroutines are quiescent (Pool.Each has returned), so the
 // single-goroutine Worker contract holds.
 func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
 	hits, misses = e.Space.W.MemoStats()

@@ -9,12 +9,12 @@
 // through minimization, so a decoded artifact is indistinguishable from a
 // computed one — the disk-warm determinism tests pin byte-identical
 // reports against cold runs. Decoding is total: malformed bytes return an
-// error, which callers treat as a store miss.
+// error, which callers treat as a store miss. The field encoding is
+// internal/wire's; a decoder here is straight-line reads, its own range
+// checks (d.Failf), and one error check where a section ends.
 package pipeline
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -25,6 +25,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/spf"
 	"github.com/expresso-verify/expresso/internal/symbolic"
+	"github.com/expresso-verify/expresso/internal/wire"
 )
 
 // Payload magics and version. The store's envelope already carries a CRC
@@ -35,129 +36,21 @@ const (
 	analysisMagic = "XANL"
 	spfMagic      = "XSPF"
 	codecVersion  = 1
+	codecName     = "pipeline: codec"
 )
 
-// enc is an append-only payload writer.
-type enc struct{ buf []byte }
-
-func (e *enc) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-func (e *enc) b(v bool) {
-	if v {
-		e.u(1)
-	} else {
-		e.u(0)
-	}
-}
-
-func (e *enc) str(s string) {
-	e.u(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *enc) bytes(b []byte) {
-	e.u(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *enc) strs(s []string) {
-	e.u(uint64(len(s)))
-	for _, x := range s {
-		e.str(x)
-	}
-}
-
-// dec is a bounds-checked payload reader; every accessor returns an error
-// on truncation so arbitrary bytes can never panic the decoder.
-type dec struct {
-	data []byte
-	off  int
-}
-
-func (d *dec) u(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("pipeline: codec: truncated %s at offset %d", what, d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *dec) b(what string) (bool, error) {
-	v, err := d.u(what)
-	if err != nil {
-		return false, err
-	}
-	if v > 1 {
-		return false, fmt.Errorf("pipeline: codec: bad bool %s", what)
-	}
-	return v == 1, nil
-}
-
-func (d *dec) str(what string) (string, error) {
-	n, err := d.u(what)
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.data)-d.off) {
-		return "", fmt.Errorf("pipeline: codec: truncated %s at offset %d", what, d.off)
-	}
-	s := string(d.data[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *dec) bytes(what string) ([]byte, error) {
-	n, err := d.u(what)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.data)-d.off) {
-		return nil, fmt.Errorf("pipeline: codec: truncated %s at offset %d", what, d.off)
-	}
-	b := d.data[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b, nil
-}
-
-func (d *dec) strs(what string) ([]string, error) {
-	n, err := d.u(what)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.data)-d.off) {
-		return nil, fmt.Errorf("pipeline: codec: %s count %d exceeds blob size", what, n)
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = d.str(what); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (d *dec) magic(m string) error {
-	if len(d.data)-d.off < len(m) || string(d.data[d.off:d.off+len(m)]) != m {
-		return fmt.Errorf("pipeline: codec: bad magic (want %s)", m)
-	}
-	d.off += len(m)
-	v, err := d.u("version")
-	if err != nil {
-		return err
-	}
-	if v != codecVersion {
-		return fmt.Errorf("pipeline: codec: unsupported version %d", v)
-	}
-	return nil
-}
-
-func (d *dec) done() error {
-	if d.off != len(d.data) {
-		return fmt.Errorf("pipeline: codec: %d trailing bytes", len(d.data)-d.off)
-	}
-	return nil
-}
+// Minimum encoded sizes of the records a decoder sizes a slice by, in
+// bytes: one per varint, one for the length of each string or list. They
+// bound wire.Dec.Count.
+const (
+	minRouteBytes     = 11 // U, Comm, ASPath, ASLen, LocalPref, MED, Origin, NextHop, Originator, Path, FromEBGP
+	minRIBBytes       = 2  // name, route count
+	minViolationBytes = 8  // Kind, Node, Detail, Cond, Prefix.Addr, Prefix.Len, Path, Originators
+	minFIBBytes       = 5  // name, Entries, Arrive, BlackHole, port count
+	minPortBytes      = 2  // name, predicate
+	minPECBytes       = 3  // Pkt, Final, Path
+	minDataVarBytes   = 2  // neighbor, count
+)
 
 // rootCollector assigns dense indices to the BDD roots a payload
 // references, deduplicating by handle; the collected list is exported as
@@ -181,6 +74,16 @@ func (c *rootCollector) add(n bdd.Node) uint64 {
 	return i
 }
 
+// sortedKeys is the order map-shaped sections are written in.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // --- SRC -----------------------------------------------------------------
 
 // EncodeSRC serializes a converged SRC artifact: the epvp.Result payload
@@ -194,23 +97,22 @@ func (c *rootCollector) add(n bdd.Node) uint64 {
 // The caller must hold the artifact's run lock: Export reads the shared
 // managers.
 func EncodeSRC(a *SRCArtifact) []byte {
-	e := &enc{}
-	e.buf = append(e.buf, srcMagic...)
-	e.u(codecVersion)
-	e.b(a.Res.Converged)
-	e.u(uint64(a.Res.Iterations))
-	e.u(uint64(a.Workers))
-	e.u(uint64(len(a.Eng.Net.Externals)))
+	var e wire.Enc
+	e.Magic(srcMagic, codecVersion)
+	e.B(a.Res.Converged)
+	e.U(uint64(a.Res.Iterations))
+	e.U(uint64(a.Workers))
+	e.U(uint64(len(a.Eng.Net.Externals)))
 
 	prefixRoots := newRootCollector()
 	commRoots := newRootCollector()
 	autIdx := map[string]uint64{}
 	var autBlobs [][]byte
 	encodeRoute := func(r *symbolic.Route) {
-		e.u(prefixRoots.add(r.U))
-		e.u(commRoots.add(r.Comm))
+		e.U(prefixRoots.add(r.U))
+		e.U(commRoots.add(r.Comm))
 		if r.ASPath == nil {
-			e.u(0)
+			e.U(0)
 		} else {
 			sig := r.ASPath.Signature()
 			i, ok := autIdx[sig]
@@ -219,27 +121,22 @@ func EncodeSRC(a *SRCArtifact) []byte {
 				autIdx[sig] = i
 				autBlobs = append(autBlobs, r.ASPath.Export())
 			}
-			e.u(i + 1)
+			e.U(i + 1)
 		}
-		e.u(uint64(r.ASLen))
-		e.u(uint64(r.LocalPref))
-		e.u(uint64(r.MED))
-		e.u(uint64(r.Origin))
-		e.str(r.NextHop)
-		e.str(r.Originator)
-		e.strs(r.Path)
-		e.b(r.FromEBGP)
+		e.U(uint64(r.ASLen))
+		e.U(uint64(r.LocalPref))
+		e.U(uint64(r.MED))
+		e.U(uint64(r.Origin))
+		e.Str(r.NextHop)
+		e.Str(r.Originator)
+		e.Strs(r.Path)
+		e.B(r.FromEBGP)
 	}
 	encodeRIBs := func(ribs map[string][]*symbolic.Route) {
-		names := make([]string, 0, len(ribs))
-		for n := range ribs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		e.u(uint64(len(names)))
-		for _, n := range names {
-			e.str(n)
-			e.u(uint64(len(ribs[n])))
+		e.U(uint64(len(ribs)))
+		for _, n := range sortedKeys(ribs) {
+			e.Str(n)
+			e.U(uint64(len(ribs[n])))
 			for _, r := range ribs[n] {
 				encodeRoute(r)
 			}
@@ -250,13 +147,46 @@ func EncodeSRC(a *SRCArtifact) []byte {
 	// records accumulated.
 	encodeRIBs(a.Res.Best)
 	encodeRIBs(a.Res.ExternalRIB)
-	e.u(uint64(len(autBlobs)))
+	e.U(uint64(len(autBlobs)))
 	for _, b := range autBlobs {
-		e.bytes(b)
+		e.Bytes(b)
 	}
-	e.bytes(a.Eng.Space.M.Export(prefixRoots.roots...))
-	e.bytes(a.Eng.Comm.M.Export(commRoots.roots...))
-	return e.buf
+	e.Bytes(a.Eng.Space.M.Export(prefixRoots.roots...))
+	e.Bytes(a.Eng.Comm.M.Export(commRoots.roots...))
+	return e
+}
+
+// rawRoute is a route record as stored: its predicates and AS path are
+// indices into the tables at the blob's tail, resolved once those are
+// decoded.
+type rawRoute struct {
+	u, comm, asp           uint64
+	asLen, lp, med, origin uint64
+	nextHop, originator    string
+	path                   []string
+	fromEBGP               bool
+}
+
+type rawRIB struct {
+	name   string
+	routes []rawRoute
+}
+
+func readRIBs(d *wire.Dec) []rawRIB {
+	ribs := make([]rawRIB, d.Count("RIB", minRIBBytes))
+	for i := range ribs {
+		ribs[i].name = d.Str()
+		ribs[i].routes = make([]rawRoute, d.Count("route", minRouteBytes))
+		for j := range ribs[i].routes {
+			r := &ribs[i].routes[j]
+			r.u, r.comm, r.asp = d.U(), d.U(), d.U()
+			r.asLen, r.lp, r.med, r.origin = d.U(), d.U(), d.U(), d.U()
+			r.nextHop, r.originator = d.Str(), d.Str()
+			r.path = d.Strs()
+			r.fromEBGP = d.B()
+		}
+	}
+	return ribs
 }
 
 // DecodeSRC rebuilds an SRC artifact from an EncodeSRC payload around a
@@ -264,139 +194,22 @@ func EncodeSRC(a *SRCArtifact) []byte {
 // roots are imported into the new engine's managers and the result is
 // pinned by the caller exactly like a computed artifact.
 func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*SRCArtifact, error) {
-	d := &dec{data: data}
-	if err := d.magic(srcMagic); err != nil {
-		return nil, err
+	d := wire.NewDec(codecName, data)
+	d.Magic(srcMagic, codecVersion)
+	converged, iterations, workers := d.B(), d.U(), d.U()
+	if n := d.U(); n != uint64(len(eng.Net.Externals)) {
+		return nil, d.Failf("SRC blob has %d externals, engine has %d", n, len(eng.Net.Externals))
 	}
-	converged, err := d.b("converged")
-	if err != nil {
-		return nil, err
-	}
-	iterations, err := d.u("iterations")
-	if err != nil {
-		return nil, err
-	}
-	workers, err := d.u("workers")
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.u("externals")
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != len(eng.Net.Externals) {
-		return nil, fmt.Errorf("pipeline: codec: SRC blob has %d externals, engine has %d", n, len(eng.Net.Externals))
-	}
-
-	// First pass: read the route records with raw indices; resolve after
-	// the automata and BDD blobs at the tail are decoded.
-	type rawRoute struct {
-		u, comm, asp           uint64
-		asLen, lp, med, origin uint64
-		nextHop, originator    string
-		path                   []string
-		fromEBGP               bool
-	}
-	readRoute := func() (rawRoute, error) {
-		var r rawRoute
-		var err error
-		read := func(what string) uint64 {
-			if err != nil {
-				return 0
-			}
-			var v uint64
-			v, err = d.u(what)
-			return v
-		}
-		r.u = read("route U")
-		r.comm = read("route Comm")
-		r.asp = read("route ASPath")
-		r.asLen = read("route ASLen")
-		r.lp = read("route LocalPref")
-		r.med = read("route MED")
-		r.origin = read("route Origin")
-		if err != nil {
-			return r, err
-		}
-		if r.nextHop, err = d.str("route NextHop"); err != nil {
-			return r, err
-		}
-		if r.originator, err = d.str("route Originator"); err != nil {
-			return r, err
-		}
-		if r.path, err = d.strs("route Path"); err != nil {
-			return r, err
-		}
-		r.fromEBGP, err = d.b("route FromEBGP")
-		return r, err
-	}
-	type rawRIB struct {
-		name   string
-		routes []rawRoute
-	}
-	readRIBs := func(what string) ([]rawRIB, error) {
-		cnt, err := d.u(what)
-		if err != nil {
-			return nil, err
-		}
-		if cnt > uint64(len(data)) {
-			return nil, fmt.Errorf("pipeline: codec: %s count %d exceeds blob size", what, cnt)
-		}
-		out := make([]rawRIB, cnt)
-		for i := range out {
-			if out[i].name, err = d.str(what + " name"); err != nil {
-				return nil, err
-			}
-			rc, err := d.u(what + " route count")
-			if err != nil {
-				return nil, err
-			}
-			if rc > uint64(len(data)) {
-				return nil, fmt.Errorf("pipeline: codec: %s route count %d exceeds blob size", what, rc)
-			}
-			out[i].routes = make([]rawRoute, rc)
-			for j := range out[i].routes {
-				if out[i].routes[j], err = readRoute(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-	best, err := readRIBs("best RIBs")
-	if err != nil {
-		return nil, err
-	}
-	external, err := readRIBs("external RIBs")
-	if err != nil {
-		return nil, err
-	}
-	nAut, err := d.u("automaton count")
-	if err != nil {
-		return nil, err
-	}
-	if nAut > uint64(len(data)) {
-		return nil, fmt.Errorf("pipeline: codec: automaton count %d exceeds blob size", nAut)
-	}
-	automata := make([]*automaton.Automaton, nAut)
+	best, external := readRIBs(&d), readRIBs(&d)
+	automata := make([]*automaton.Automaton, d.Count("automaton", 1))
 	for i := range automata {
-		blob, err := d.bytes("automaton")
-		if err != nil {
-			return nil, err
-		}
-		if automata[i], err = automaton.Import(blob); err != nil {
-			return nil, err
+		var err error
+		if automata[i], err = automaton.Import(d.Bytes()); err != nil {
+			return nil, d.Failf("%v", err)
 		}
 	}
-	prefixBlob, err := d.bytes("prefix BDD blob")
-	if err != nil {
-		return nil, err
-	}
-	commBlob, err := d.bytes("community BDD blob")
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
+	prefixBlob, commBlob := d.Bytes(), d.Bytes()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	prefixRoots, err := eng.Space.M.Import(prefixBlob)
@@ -408,50 +221,45 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 		return nil, err
 	}
 
-	buildRoute := func(r rawRoute) (*symbolic.Route, error) {
-		if r.u >= uint64(len(prefixRoots)) || r.comm >= uint64(len(commRoots)) {
-			return nil, fmt.Errorf("pipeline: codec: route references out-of-range BDD root")
-		}
-		if r.asp > uint64(len(automata)) {
-			return nil, fmt.Errorf("pipeline: codec: route references out-of-range automaton")
-		}
-		out := &symbolic.Route{
-			U:          prefixRoots[r.u],
-			Comm:       commRoots[r.comm],
-			ASLen:      int(r.asLen),
-			LocalPref:  uint32(r.lp),
-			MED:        uint32(r.med),
-			Origin:     route.Origin(r.origin),
-			NextHop:    r.nextHop,
-			Originator: r.originator,
-			Path:       r.path,
-			FromEBGP:   r.fromEBGP,
-		}
-		if r.asp > 0 {
-			out.ASPath = automata[r.asp-1]
-		}
-		out.Seal()
-		return out, nil
-	}
-	buildRIBs := func(raw []rawRIB) (map[string][]*symbolic.Route, error) {
+	buildRIBs := func(raw []rawRIB) map[string][]*symbolic.Route {
 		out := make(map[string][]*symbolic.Route, len(raw))
 		for _, rib := range raw {
 			rs := make([]*symbolic.Route, len(rib.routes))
-			for i, rr := range rib.routes {
-				var err error
-				if rs[i], err = buildRoute(rr); err != nil {
-					return nil, err
+			for i, r := range rib.routes {
+				if r.u >= uint64(len(prefixRoots)) || r.comm >= uint64(len(commRoots)) {
+					d.Failf("route references out-of-range BDD root")
+					return nil
 				}
+				if r.asp > uint64(len(automata)) {
+					d.Failf("route references out-of-range automaton")
+					return nil
+				}
+				rs[i] = &symbolic.Route{
+					U:          prefixRoots[r.u],
+					Comm:       commRoots[r.comm],
+					ASLen:      int(r.asLen),
+					LocalPref:  uint32(r.lp),
+					MED:        uint32(r.med),
+					Origin:     route.Origin(r.origin),
+					NextHop:    r.nextHop,
+					Originator: r.originator,
+					Path:       r.path,
+					FromEBGP:   r.fromEBGP,
+				}
+				if r.asp > 0 {
+					rs[i].ASPath = automata[r.asp-1]
+				}
+				rs[i].Seal()
 			}
 			out[rib.name] = rs
 		}
-		return out, nil
+		return out
 	}
-	res := &epvp.Result{Converged: converged, Iterations: int(iterations)}
-	if res.Best, err = buildRIBs(best); err != nil {
-		return nil, err
+	res := &epvp.Result{
+		Converged: converged, Iterations: int(iterations),
+		Best: buildRIBs(best), ExternalRIB: buildRIBs(external),
 	}
-	if res.ExternalRIB, err = buildRIBs(external); err != nil {
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	return &SRCArtifact{
@@ -470,24 +278,23 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 // stage, whose conditions use only control-plane variables); the decoder
 // relocates the predicates when its own offset differs.
 func EncodeAnalysis(a *AnalysisArtifact, m *bdd.Manager, varBase int) []byte {
-	e := &enc{}
-	e.buf = append(e.buf, analysisMagic...)
-	e.u(codecVersion)
-	e.u(uint64(varBase))
+	var e wire.Enc
+	e.Magic(analysisMagic, codecVersion)
+	e.U(uint64(varBase))
 	roots := newRootCollector()
-	e.u(uint64(len(a.Violations)))
+	e.U(uint64(len(a.Violations)))
 	for _, v := range a.Violations {
-		e.str(string(v.Kind))
-		e.str(v.Node)
-		e.str(v.Detail)
-		e.u(roots.add(v.Cond))
-		e.u(uint64(v.Prefix.Addr))
-		e.u(uint64(v.Prefix.Len))
-		e.strs(v.Path)
-		e.strs(v.Originators)
+		e.Str(string(v.Kind))
+		e.Str(v.Node)
+		e.Str(v.Detail)
+		e.U(roots.add(v.Cond))
+		e.U(uint64(v.Prefix.Addr))
+		e.U(uint64(v.Prefix.Len))
+		e.Strs(v.Path)
+		e.Strs(v.Originators)
 	}
-	e.bytes(m.Export(roots.roots...))
-	return e.buf
+	e.Bytes(m.Export(roots.roots...))
+	return e
 }
 
 // DecodeAnalysis rebuilds an analysis artifact in m. varBase is the
@@ -495,81 +302,38 @@ func EncodeAnalysis(a *AnalysisArtifact, m *bdd.Manager, varBase int) []byte {
 // EncodeAnalysis); condition predicates are relocated from the stored
 // offset to it.
 func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*AnalysisArtifact, error) {
-	d := &dec{data: data}
-	if err := d.magic(analysisMagic); err != nil {
-		return nil, err
-	}
-	storedBase, err := d.u("varBase")
-	if err != nil {
-		return nil, err
-	}
-	cnt, err := d.u("violation count")
-	if err != nil {
-		return nil, err
-	}
-	if cnt > uint64(len(data)) {
-		return nil, fmt.Errorf("pipeline: codec: violation count %d exceeds blob size", cnt)
-	}
-	type rawViolation struct {
-		v    properties.Violation
-		cond uint64
-	}
-	raw := make([]rawViolation, cnt)
-	for i := range raw {
-		kind, err := d.str("violation kind")
-		if err != nil {
-			return nil, err
-		}
-		raw[i].v.Kind = properties.Kind(kind)
-		if raw[i].v.Node, err = d.str("violation node"); err != nil {
-			return nil, err
-		}
-		if raw[i].v.Detail, err = d.str("violation detail"); err != nil {
-			return nil, err
-		}
-		if raw[i].cond, err = d.u("violation cond"); err != nil {
-			return nil, err
-		}
-		addr, err := d.u("violation prefix addr")
-		if err != nil {
-			return nil, err
-		}
-		length, err := d.u("violation prefix len")
-		if err != nil {
-			return nil, err
-		}
+	d := wire.NewDec(codecName, data)
+	d.Magic(analysisMagic, codecVersion)
+	storedBase := d.U()
+	vs := make([]properties.Violation, d.Count("violation", minViolationBytes))
+	conds := make([]uint64, len(vs)) // root indices, resolved below
+	for i := range vs {
+		v := &vs[i]
+		v.Kind, v.Node, v.Detail = properties.Kind(d.Str()), d.Str(), d.Str()
+		conds[i] = d.U()
+		addr, length := d.U(), d.U()
 		if addr > 0xFFFFFFFF || length > 32 {
-			return nil, fmt.Errorf("pipeline: codec: violation prefix out of range")
+			return nil, d.Failf("violation prefix out of range")
 		}
-		raw[i].v.Prefix = route.Prefix{Addr: uint32(addr), Len: uint8(length)}
-		if raw[i].v.Path, err = d.strs("violation path"); err != nil {
-			return nil, err
-		}
-		if raw[i].v.Originators, err = d.strs("violation originators"); err != nil {
-			return nil, err
-		}
+		v.Prefix = route.Prefix{Addr: uint32(addr), Len: uint8(length)}
+		v.Path, v.Originators = d.Strs(), d.Strs()
 	}
-	blob, err := d.bytes("analysis BDD blob")
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
+	blob := d.Bytes()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if storedBase > uint64(m.NumVars()) {
-		return nil, fmt.Errorf("pipeline: codec: varBase %d out of range", storedBase)
+		return nil, d.Failf("varBase %d out of range", storedBase)
 	}
 	roots, err := m.ImportShifted(blob, int(storedBase), varBase-int(storedBase))
 	if err != nil {
 		return nil, err
 	}
-	vs := make([]properties.Violation, len(raw))
-	for i, r := range raw {
-		if r.cond >= uint64(len(roots)) {
-			return nil, fmt.Errorf("pipeline: codec: violation references out-of-range BDD root")
+	for i, c := range conds {
+		if c >= uint64(len(roots)) {
+			return nil, d.Failf("violation references out-of-range BDD root")
 		}
-		vs[i] = r.v
-		vs[i].Cond = roots[r.cond]
+		vs[i].Cond = roots[c]
 	}
 	return &AnalysisArtifact{Key: key, Violations: vs, m: m}, nil
 }
@@ -582,49 +346,38 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 // relocate the data-plane block (a blob written before managers kept one
 // block each carries an offset that depends on its manager's history).
 func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
-	e := &enc{}
-	e.buf = append(e.buf, spfMagic...)
-	e.u(codecVersion)
-	e.u(uint64(a.Res.VarBase()))
+	var e wire.Enc
+	e.Magic(spfMagic, codecVersion)
+	e.U(uint64(a.Res.VarBase()))
 	roots := newRootCollector()
 
-	names := make([]string, 0, len(a.Res.FIBs))
-	for n := range a.Res.FIBs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.u(uint64(len(names)))
-	for _, n := range names {
+	e.U(uint64(len(a.Res.FIBs)))
+	for _, n := range sortedKeys(a.Res.FIBs) {
 		f := a.Res.FIBs[n]
-		e.str(n)
-		e.u(uint64(f.Entries))
-		e.u(roots.add(f.Arrive))
-		e.u(roots.add(f.BlackHole))
+		e.Str(n)
+		e.U(uint64(f.Entries))
+		e.U(roots.add(f.Arrive))
+		e.U(roots.add(f.BlackHole))
 		ports := f.Ports()
-		e.u(uint64(len(ports)))
+		e.U(uint64(len(ports)))
 		for _, p := range ports {
-			e.str(p)
-			e.u(roots.add(f.PortPred[p]))
+			e.Str(p)
+			e.U(roots.add(f.PortPred[p]))
 		}
 	}
-	e.u(uint64(len(a.Res.PECs)))
+	e.U(uint64(len(a.Res.PECs)))
 	for _, p := range a.Res.PECs {
-		e.u(roots.add(p.Pkt))
-		e.u(uint64(p.Final))
-		e.strs(p.Path)
+		e.U(roots.add(p.Pkt))
+		e.U(uint64(p.Final))
+		e.Strs(p.Path)
 	}
-	nbrs := make([]string, 0, len(a.Res.DataVarsPerNeighbor))
-	for n := range a.Res.DataVarsPerNeighbor {
-		nbrs = append(nbrs, n)
+	e.U(uint64(len(a.Res.DataVarsPerNeighbor)))
+	for _, n := range sortedKeys(a.Res.DataVarsPerNeighbor) {
+		e.Str(n)
+		e.U(uint64(a.Res.DataVarsPerNeighbor[n]))
 	}
-	sort.Strings(nbrs)
-	e.u(uint64(len(nbrs)))
-	for _, n := range nbrs {
-		e.str(n)
-		e.u(uint64(a.Res.DataVarsPerNeighbor[n]))
-	}
-	e.bytes(m.Export(roots.roots...))
-	return e.buf
+	e.Bytes(m.Export(roots.roots...))
+	return e
 }
 
 // DecodeSPF rebuilds an SPF artifact around eng, relocating the stored
@@ -632,115 +385,48 @@ func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 // manager. The blob's own order section says how its writer had the block
 // ordered; a different order here costs import time, never the answer.
 func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) {
-	d := &dec{data: data}
-	if err := d.magic(spfMagic); err != nil {
-		return nil, err
-	}
-	storedBase, err := d.u("varBase")
-	if err != nil {
-		return nil, err
-	}
-	nFIBs, err := d.u("FIB count")
-	if err != nil {
-		return nil, err
-	}
-	if nFIBs > uint64(len(data)) {
-		return nil, fmt.Errorf("pipeline: codec: FIB count %d exceeds blob size", nFIBs)
+	d := wire.NewDec(codecName, data)
+	d.Magic(spfMagic, codecVersion)
+	storedBase := d.U()
+	// Predicates are stored as indices into the BDD blob at the tail.
+	type rawPort struct {
+		name string
+		pred uint64
 	}
 	type rawFIB struct {
-		name              string
-		entries           uint64
-		arrive, blackHole uint64
-		ports             []string
-		portPred          []uint64
+		name                       string
+		entries, arrive, blackHole uint64
+		ports                      []rawPort
 	}
-	rawFIBs := make([]rawFIB, nFIBs)
+	rawFIBs := make([]rawFIB, d.Count("FIB", minFIBBytes))
 	for i := range rawFIBs {
 		f := &rawFIBs[i]
-		if f.name, err = d.str("FIB name"); err != nil {
-			return nil, err
-		}
-		if f.entries, err = d.u("FIB entries"); err != nil {
-			return nil, err
-		}
-		if f.arrive, err = d.u("FIB arrive"); err != nil {
-			return nil, err
-		}
-		if f.blackHole, err = d.u("FIB blackhole"); err != nil {
-			return nil, err
-		}
-		nPorts, err := d.u("FIB port count")
-		if err != nil {
-			return nil, err
-		}
-		if nPorts > uint64(len(data)) {
-			return nil, fmt.Errorf("pipeline: codec: port count %d exceeds blob size", nPorts)
-		}
-		f.ports = make([]string, nPorts)
-		f.portPred = make([]uint64, nPorts)
+		f.name = d.Str()
+		f.entries, f.arrive, f.blackHole = d.U(), d.U(), d.U()
+		f.ports = make([]rawPort, d.Count("FIB port", minPortBytes))
 		for j := range f.ports {
-			if f.ports[j], err = d.str("FIB port"); err != nil {
-				return nil, err
-			}
-			if f.portPred[j], err = d.u("FIB port pred"); err != nil {
-				return nil, err
-			}
+			f.ports[j] = rawPort{name: d.Str(), pred: d.U()}
 		}
-	}
-	nPECs, err := d.u("PEC count")
-	if err != nil {
-		return nil, err
-	}
-	if nPECs > uint64(len(data)) {
-		return nil, fmt.Errorf("pipeline: codec: PEC count %d exceeds blob size", nPECs)
 	}
 	type rawPEC struct {
-		pkt   uint64
-		final uint64
-		path  []string
+		pkt, final uint64
+		path       []string
 	}
-	rawPECs := make([]rawPEC, nPECs)
+	rawPECs := make([]rawPEC, d.Count("PEC", minPECBytes))
 	for i := range rawPECs {
-		if rawPECs[i].pkt, err = d.u("PEC pkt"); err != nil {
-			return nil, err
-		}
-		if rawPECs[i].final, err = d.u("PEC final"); err != nil {
-			return nil, err
-		}
-		if rawPECs[i].final > uint64(spf.Loop) {
-			return nil, fmt.Errorf("pipeline: codec: PEC final state %d out of range", rawPECs[i].final)
-		}
-		if rawPECs[i].path, err = d.strs("PEC path"); err != nil {
-			return nil, err
-		}
-		if len(rawPECs[i].path) == 0 {
-			return nil, fmt.Errorf("pipeline: codec: PEC with empty path")
+		p := &rawPECs[i]
+		p.pkt, p.final, p.path = d.U(), d.U(), d.Strs()
+		if p.final > uint64(spf.Loop) || len(p.path) == 0 {
+			return nil, d.Failf("PEC %d has an empty path or an unknown final state %d", i, p.final)
 		}
 	}
-	nDV, err := d.u("data-var count")
-	if err != nil {
-		return nil, err
+	dataVars := map[string]int{}
+	for i := d.Count("data-var", minDataVarBytes); i > 0; i-- {
+		name := d.Str()
+		dataVars[name] = int(d.U())
 	}
-	if nDV > uint64(len(data)) {
-		return nil, fmt.Errorf("pipeline: codec: data-var count %d exceeds blob size", nDV)
-	}
-	dataVars := make(map[string]int, nDV)
-	for i := uint64(0); i < nDV; i++ {
-		name, err := d.str("data-var neighbor")
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.u("data-var value")
-		if err != nil {
-			return nil, err
-		}
-		dataVars[name] = int(v)
-	}
-	blob, err := d.bytes("SPF BDD blob")
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
+	blob := d.Bytes()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 
@@ -749,7 +435,7 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 	// SPF result.
 	m := eng.Space.M
 	if storedBase > uint64(m.NumVars()) {
-		return nil, fmt.Errorf("pipeline: codec: varBase %d out of range", storedBase)
+		return nil, d.Failf("varBase %d out of range", storedBase)
 	}
 	n := len(eng.Net.Externals)
 	varBase, _ := eng.Space.DataBlock(func() []int { return blockLengths(blob, int(storedBase), n) })
@@ -757,37 +443,27 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 	if err != nil {
 		return nil, err
 	}
-	rootAt := func(i uint64) (bdd.Node, error) {
+	rootAt := func(i uint64) bdd.Node {
 		if i >= uint64(len(roots)) {
-			return 0, fmt.Errorf("pipeline: codec: SPF artifact references out-of-range BDD root")
+			d.Failf("SPF artifact references out-of-range BDD root %d", i)
+			return bdd.False
 		}
-		return roots[i], nil
+		return roots[i]
 	}
 	fibs := make(map[string]*spf.FIB, len(rawFIBs))
 	for _, rf := range rawFIBs {
-		arrive, err := rootAt(rf.arrive)
-		if err != nil {
-			return nil, err
-		}
-		blackHole, err := rootAt(rf.blackHole)
-		if err != nil {
-			return nil, err
-		}
 		portPred := make(map[string]bdd.Node, len(rf.ports))
-		for j, p := range rf.ports {
-			if portPred[p], err = rootAt(rf.portPred[j]); err != nil {
-				return nil, err
-			}
+		for _, p := range rf.ports {
+			portPred[p.name] = rootAt(p.pred)
 		}
-		fibs[rf.name] = spf.NewFIB(portPred, arrive, blackHole, int(rf.entries))
+		fibs[rf.name] = spf.NewFIB(portPred, rootAt(rf.arrive), rootAt(rf.blackHole), int(rf.entries))
 	}
 	pecs := make([]*spf.PEC, len(rawPECs))
 	for i, rp := range rawPECs {
-		pkt, err := rootAt(rp.pkt)
-		if err != nil {
-			return nil, err
-		}
-		pecs[i] = &spf.PEC{Pkt: pkt, Path: rp.path, Final: spf.FinalState(rp.final)}
+		pecs[i] = &spf.PEC{Pkt: rootAt(rp.pkt), Path: rp.path, Final: spf.FinalState(rp.final)}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	res := spf.Rehydrate(eng, varBase, fibs, pecs, dataVars)
 	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res, m: eng.Space.M}, nil
@@ -797,7 +473,7 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 // how its writer had the 33×n data-plane block at base ordered: the prefix
 // lengths by the first level any of their variables sits at, topmost
 // first. A blob that does not say (no neighbors, a block cut short, a
-// section that does not decode) yields nil — the default order, which costs
+// section that does not decode, a version-1 node table) yields nil — the default order, which costs
 // import time and never the answer.
 func blockLengths(blob []byte, base, n int) []int {
 	order, err := bdd.ExportedOrder(blob)

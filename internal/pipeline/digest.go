@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/route"
@@ -42,27 +43,8 @@ var stageOrder = []string{StageLoad, StageSRC, StageRouting, StageSPF, StageForw
 
 // CanonicalConfig normalizes configuration text for digesting so that
 // inputs differing only in comments, blank lines, or whitespace map to the
-// same key. It mirrors the parser's tokenizer: comments ("//" and "#") are
-// stripped, each line is reduced to its space-joined tokens, and empty
-// lines are dropped.
-func CanonicalConfig(text string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		b.WriteString(strings.Join(fields, " "))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// same key.
+func CanonicalConfig(text string) string { return config.Canonical(text) }
 
 // hashHex is the content-address function: SHA-256, hex-encoded.
 func hashHex(s string) string {
@@ -75,32 +57,14 @@ func ConfigDigest(text string) string {
 	return hashHex(CanonicalConfig(text))
 }
 
-// DeviceDigests splits a canonical configuration into per-router sections
-// (a section starts at a line whose first token is "router") and digests
-// each. Lines before the first router section are keyed under "" — a
-// change there dirties every router, since attribution is unknown. The
+// DeviceDigests digests each per-router section of a canonical
+// configuration. Lines before the first router section are keyed under ""
+// — a change there dirties every router, since attribution is unknown. The
 // warm-start path diffs these maps to find the routers a delta touched.
 func DeviceDigests(canonical string) map[string]string {
-	sections := map[string]*strings.Builder{}
-	name := ""
-	for _, line := range strings.Split(canonical, "\n") {
-		if line == "" {
-			continue
-		}
-		if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == "router" {
-			name = fields[1]
-		}
-		sb, ok := sections[name]
-		if !ok {
-			sb = &strings.Builder{}
-			sections[name] = sb
-		}
-		sb.WriteString(line)
-		sb.WriteByte('\n')
-	}
-	out := make(map[string]string, len(sections))
-	for n, sb := range sections {
-		out[n] = hashHex(sb.String())
+	out := map[string]string{}
+	for _, s := range config.SplitSections(canonical) {
+		out[s.Router] = hashHex(s.Text)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +106,28 @@ func TestDeviceDigests(t *testing.T) {
 	d3 := DeviceDigests(CanonicalConfig("router   A   // x\nbgp  as  1\nrouter B\nbgp as 2\n"))
 	if d3["A"] != d["A"] || d3["B"] != d["B"] {
 		t.Error("formatting noise changed a section digest")
+	}
+}
+
+// TestDigestsKeepTheirBytes pins the canonical form by its digests, taken
+// at the commit before canonicalization moved into internal/config: stage
+// keys and on-disk store keys chain on them, so a drift here orphans every
+// existing store. The text has a comment-only preamble, both comment
+// styles, a repeated router section, ragged whitespace and a CR.
+func TestDigestsKeepTheirBytes(t *testing.T) {
+	text := "# preamble\n\n" + testnet.Figure4 + "router PR1 // again\n bgp  router-id 1.1.1.1\r\n"
+	if got, want := ConfigDigest(text), "ad63ef5d76e171c9837961cf881fce0cf38fd345f17ef9049eed4e31bedd5a47"; got != want {
+		t.Errorf("ConfigDigest = %s, want %s", got, want)
+	}
+	want := map[string]string{
+		"PR1": "99f9a6956e9bf1e64d80cbd4f7a4f74e6cb0201fb68ec671272c38b5c1f12661",
+		"PR2": "e1b0c7b8ba476d817b040a214809e7a0a0efa5461be730438a7d2a78bb73bdd9",
+	}
+	if got := DeviceDigests(CanonicalConfig(text)); !reflect.DeepEqual(got, want) {
+		t.Errorf("DeviceDigests = %v, want %v", got, want)
+	}
+	if got, want := DiskKey(SRCKey(ConfigDigest(text), epvp.FullMode())), "bd1072b830f2f9955cd6e9a5640499dd325cba34e26ce8586fc349bd10c87ca7"; got != want {
+		t.Errorf("SRC store key = %s, want %s", got, want)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 
 // CanonicalConfig normalizes configuration text for digesting so that
 // submissions differing only in comments, blank lines, or whitespace map to
-// the same cache key. It delegates to the pipeline's canonicalizer, which
-// mirrors the parser's tokenizer.
+// the same cache key: the parser's own canonical form (config.Canonical).
 func CanonicalConfig(text string) string {
 	return pipeline.CanonicalConfig(text)
 }

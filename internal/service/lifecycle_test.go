@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	rtdebug "runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +210,65 @@ func TestSupersededJobHasNoTrace(t *testing.T) {
 		t.Errorf("GET winner trace = %d, want 200", code)
 	}
 	drainServer(t, s)
+}
+
+// workerPoison is a context that panics when an engine worker goroutine —
+// one started by epvp.Pool.Each — asks it for its error from inside frame:
+// the engine's fan-out runs caller-supplied code (the context) on its
+// goroutines, which is the one seam a panic can be injected through without
+// a hook in the engine.
+type workerPoison struct {
+	context.Context
+	frame string
+	fired *atomic.Bool
+}
+
+func (c workerPoison) Err() error {
+	stack := string(rtdebug.Stack())
+	if strings.Contains(stack, ".Each.func") && strings.Contains(stack, c.frame) && c.fired.CompareAndSwap(false, true) {
+		panic("poisoned " + c.frame)
+	}
+	return c.Context.Err()
+}
+
+// TestEngineWorkerPanicFailsTheJob: at four engine workers, a panic inside
+// an EPVP round worker and one inside an SPF worker each fail their job —
+// the pool re-raises them on the job's goroutine, where verify recovers —
+// and the daemon's only worker goes on to serve the next request.
+func TestEngineWorkerPanicFailsTheJob(t *testing.T) {
+	var frame atomic.Value // string: where the next job's context panics
+	var fired atomic.Bool
+	s := New(Config{Workers: 1, EngineWorkers: 4, CacheSize: -1, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	realRun := s.run
+	s.run = func(ctx context.Context, baseline, cfg string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error) {
+		if f, _ := frame.Load().(string); f != "" {
+			ctx = workerPoison{ctx, f, &fired}
+		}
+		return realRun(ctx, baseline, cfg, opts)
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer drainServer(t, s)
+
+	req := VerifyRequest{Config: testnet.Figure4, Properties: []string{"leak", "blackhole"}, Wait: true}
+	for i, f := range []string{"epvp.(*Engine).recompute", "spf.(*Result).forward"} {
+		frame.Store(f)
+		fired.Store(false)
+		code, st := postVerify(t, ts, req)
+		if code != http.StatusOK || st.State != JobFailed ||
+			!strings.Contains(st.Error, "panicked: poisoned "+f) || !strings.Contains(st.Error, "[in an engine worker]") {
+			t.Fatalf("job poisoned in %s: status %d state %s err %q, want failed with the worker's panic", f, code, st.State, st.Error)
+		}
+		if p := s.Metrics.JobPanics.Load(); p != int64(i+1) {
+			t.Errorf("JobPanics = %d after %d poisoned jobs", p, i+1)
+		}
+		frame.Store("")
+		code, st = postVerify(t, ts, req)
+		if code != http.StatusOK || st.State != JobDone {
+			t.Fatalf("job after the panic in %s: status %d state %s (err %q), want done", f, code, st.State, st.Error)
+		}
+	}
 }
 
 // TestPanickingJobFailsAlone injects a verification that panics: the job

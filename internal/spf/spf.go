@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -209,14 +208,16 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// its first.
 	varBase, lengths := eng.Space.DataBlock(func() []int { return r.rankLengths(cp) })
 	r.varBase = varBase
-	workers := eng.WorkerCount()
+	// One set of forked spaces (private BDD op caches over the shared node
+	// table) serves both phases.
+	pool := epvp.NewPool(eng.WorkerCount(), eng.Space, eng.Space.Fork)
 
 	// FIB compilation is independent per router (it reads only that
 	// router's converged RIB), so it fans out across the worker pool; the
 	// reduction below assembles the map in router order.
 	internals := eng.Net.Internals
 	fibs := make([]*FIB, len(internals))
-	err := r.each(workers, len(internals), func(sp *symbolic.Space, i int) {
+	err := pool.Each(ctx, len(internals), func(sp *symbolic.Space, i int) {
 		start := time.Time{}
 		if r.trace.Enabled() {
 			start = time.Now()
@@ -239,7 +240,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	}
 	r.sliced = nil
 
-	if err := r.forwardAll(workers); err != nil {
+	if err := r.forwardAll(pool); err != nil {
 		return nil, err
 	}
 	for v := range r.varsUsed {
@@ -255,43 +256,6 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// sample. Always on: two atomics.
 	eng.Space.M.NoteWatermark()
 	return r, nil
-}
-
-// each runs fn for indices 0..n-1 on up to workers goroutines, each with a
-// forked symbolic space (private BDD op caches over the shared node table).
-// With workers <= 1 it runs inline on the engine's own space — the
-// sequential reference path. Returns the context's error if cancelled.
-func (r *Result) each(workers, n int, fn func(sp *symbolic.Space, i int)) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			fn(r.eng.Space, i)
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		sp := r.eng.Space.Fork()
-		go func(sp *symbolic.Space) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n || r.ctx.Err() != nil {
-					return
-				}
-				fn(sp, i)
-			}
-		}(sp)
-	}
-	wg.Wait()
-	return r.ctx.Err()
 }
 
 // rankLengths orders the data-plane block for a manager's first SPF run:
@@ -531,14 +495,14 @@ func (r *Result) DestPredicate(p route.Prefix) bdd.Node {
 // traverse exactly the tree of its first internal hop (the model applies no
 // ingress filtering), so external injections are derived from the internal
 // ones by prepending the neighbor to the path instead of re-exploring.
-func (r *Result) forwardAll(workers int) error {
+func (r *Result) forwardAll(pool *epvp.Pool[*symbolic.Space]) error {
 	// Each injection point's traversal only reads the (now immutable) FIBs,
 	// so start nodes fan out across the pool; per-start PEC slices are
 	// concatenated in injection order, and coalescePECs sorts by path, so
 	// the final list is independent of scheduling.
 	internals := r.eng.Net.Internals
 	perStart := make([][]*PEC, len(internals))
-	err := r.each(workers, len(internals), func(sp *symbolic.Space, i int) {
+	err := pool.Each(r.ctx, len(internals), func(sp *symbolic.Space, i int) {
 		start := time.Time{}
 		if r.trace.Enabled() {
 			start = time.Now()

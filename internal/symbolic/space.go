@@ -85,7 +85,7 @@ func LongestFirst() []int {
 // and leaves lengths uncalled, so a manager that serves many runs (a pinned
 // baseline and its deltas) holds one block, in the order its first run
 // chose. The allocating call is a structural mutation of M and needs the
-// same quiescence as bdd.Manager.AddVars.
+// same quiescence as bdd.Manager.AddVarsOrdered.
 func (s *Space) DataBlock(lengths func() []int) (base int, order []int) {
 	d := s.data
 	d.mu.Lock()

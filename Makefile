@@ -10,7 +10,7 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard
+.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
 
 ci: vet staticcheck build race race-parallel store-check gate-check trace-check reorder-check alloc-guard
 
@@ -113,3 +113,8 @@ reorder-check:
 # the env knob, so plain `go test ./...` stays fast.
 alloc-guard:
 	EXPRESSO_ALLOC_GUARD=1 $(GO) test . -run TestRegion1AllocGuard -count=1 -v -timeout 15m
+
+# The non-test Go line count outside benchmark/ that every CHANGES.md entry
+# quotes.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l

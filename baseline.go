@@ -55,10 +55,15 @@ func baselineInfo(b *pipeline.Baseline, violations int) *BaselineInfo {
 	}
 }
 
+// ErrBaselineExists is wrapped by the error of registering a name that is
+// already registered.
+var ErrBaselineExists = pipeline.ErrBaselineExists
+
 // RegisterBaseline verifies configText and registers its converged state
-// as the named baseline: the SRC fixed point is pinned against cache
-// eviction and BDD reclamation until RemoveBaseline, and becomes the
-// explicit warm-start anchor for every delta request naming the baseline.
+// as the named baseline: the SRC fixed point — with the routing, SPF and
+// forwarding results of this run — stays resident, whatever the caches
+// evict, until RemoveBaseline, and becomes the explicit warm-start anchor
+// for every delta request naming the baseline.
 // When a persistent store is attached, a manifest describing the
 // baseline's artifacts is written through so `expresso store gc` (in this
 // or any other process sharing the directory) treats them as roots.
@@ -68,16 +73,14 @@ func (v *Verifier) RegisterBaseline(ctx context.Context, name, configText string
 		return nil, nil, fmt.Errorf("expresso: baseline name must be non-empty")
 	}
 	if _, ok := v.baselines.Get(name); ok {
-		return nil, nil, fmt.Errorf("expresso: baseline %q already registered", name)
+		return nil, nil, fmt.Errorf("expresso: baseline %q %w", name, ErrBaselineExists)
 	}
-	rep, _, out, err := v.run(ctx, input{text: configText, artifacts: true}, "", opts)
+	var b *pipeline.Baseline
+	rep, _, err := v.run(ctx, input{text: configText, artifacts: func(out *pipeline.Outcome) error {
+		b = pipeline.NewBaseline(name, configText, out, time.Now())
+		return v.baselines.Register(b) // fails on a lost registration race for the name
+	}}, "", opts)
 	if err != nil {
-		return nil, nil, err
-	}
-	b := pipeline.NewBaseline(name, configText, out, time.Now())
-	if err := v.baselines.Register(b); err != nil {
-		// Lost a registration race for the name: drop the loser's pins.
-		b.Release()
 		return nil, nil, err
 	}
 	if v.store != nil {
@@ -119,8 +122,8 @@ func (v *Verifier) Baselines() []*BaselineInfo {
 // gauge).
 func (v *Verifier) BaselineCount() int { return v.baselines.Len() }
 
-// RemoveBaseline unregisters a baseline, releases its pins (its converged
-// state now lives or dies with the stage cache), and deletes its
+// RemoveBaseline unregisters a baseline, lets go of its converged state
+// (which now lives or dies with the SRC cache), and deletes its
 // persistent manifest — the next `expresso store gc` may prune its
 // artifacts. Reports whether the name was registered.
 func (v *Verifier) RemoveBaseline(name string) bool {
@@ -144,8 +147,7 @@ func (v *Verifier) VerifyTextFrom(ctx context.Context, baseline, configText stri
 			return nil, nil, fmt.Errorf("expresso: baseline %q is not registered", baseline)
 		}
 	}
-	rep, info, _, err := v.run(ctx, input{text: configText}, baseline, opts)
-	return rep, info, err
+	return v.run(ctx, input{text: configText}, baseline, opts)
 }
 
 // VerifyDelta applies a patch to the named baseline's registered text and

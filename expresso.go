@@ -267,7 +267,7 @@ func (n *Network) Verify(opts Options) (*Report, error) {
 // — the determinism tests rely on that. Use a Verifier for stage-granular
 // caching and incremental (warm-start) re-verification.
 func (n *Network) VerifyContext(ctx context.Context, opts Options) (*Report, error) {
-	rep, _, _, err := new(Verifier).run(ctx, input{net: n.Topo}, "", opts)
+	rep, _, err := new(Verifier).run(ctx, input{net: n.Topo}, "", opts)
 	return rep, err
 }
 

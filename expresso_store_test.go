@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/netgen"
-	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -165,13 +164,10 @@ func TestStoreLegacyBlockOrderRestores(t *testing.T) {
 			for l := range shortestFirst {
 				shortestFirst[l] = l
 			}
-			legacy.cache.Scan(pipeline.StageSRC, func(v any) bool {
-				_, got := v.(*pipeline.SRCArtifact).Eng.Space.DataBlock(func() []int { return shortestFirst })
-				if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
-					t.Fatalf("legacy block order not installed: %v", got)
-				}
-				return true
-			})
+			_, got := legacy.cache.SRC.Values()[0].Eng.Space.DataBlock(func() []int { return shortestFirst })
+			if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
+				t.Fatalf("legacy block order not installed: %v", got)
+			}
 			rep, _, err := legacy.VerifyText(ctx, fx.cfg, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -193,13 +189,9 @@ func TestStoreLegacyBlockOrderRestores(t *testing.T) {
 			if got := normalizedJSON(t, rep); got != want {
 				t.Errorf("report restored from a legacy-order store differs from scratch:\n--- scratch ---\n%s\n--- disk ---\n%s", want, got)
 			}
-			restarted.cache.Scan(pipeline.StageSRC, func(v any) bool {
-				_, got := v.(*pipeline.SRCArtifact).Eng.Space.DataBlock(nil)
-				if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
-					t.Errorf("restart did not adopt the blob's block order: %v", got)
-				}
-				return true
-			})
+			if _, got := restarted.cache.SRC.Values()[0].Eng.Space.DataBlock(nil); fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
+				t.Errorf("restart did not adopt the blob's block order: %v", got)
+			}
 		})
 	}
 }
@@ -321,9 +313,9 @@ func TestStoreVersionMismatchRecomputes(t *testing.T) {
 }
 
 // TestStoreMemoryEvictionKeepsDiskBlob pins the eviction interaction: when
-// a verification's artifacts are evicted from the in-memory stage caches,
-// the disk blobs survive, and a re-fetch deserializes them into a report
-// byte-identical to the original run.
+// a verification's SRC artifact — and with it everything built on it — is
+// evicted from memory, the disk blobs survive, and a re-fetch deserializes
+// all four of them into a report byte-identical to the original run.
 func TestStoreMemoryEvictionKeepsDiskBlob(t *testing.T) {
 	fixtures := []struct{ name, cfgA, cfgB string }{
 		{"testnet", testnet.Figure4, netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))},
@@ -335,12 +327,10 @@ func TestStoreMemoryEvictionKeepsDiskBlob(t *testing.T) {
 			ctx := context.Background()
 			opts := Options{Workers: 1, Properties: storeProps}
 			dir := t.TempDir()
-			// Single-entry caches so B's artifacts evict A's; the report
-			// cache is disabled so the re-fetch must go through the stages.
-			v := NewVerifier(VerifierConfig{
-				SRCCache: 1, SPFCache: 1, RoutingCache: 1, ForwardingCache: 1,
-				ReportCache: -1, StoreDir: dir,
-			})
+			// A single-entry SRC cache so B's fixed point evicts A's; the
+			// report cache is disabled so the re-fetch must go through the
+			// stages.
+			v := NewVerifier(VerifierConfig{SRCCache: 1, ReportCache: -1, StoreDir: dir})
 			repA, _, err := v.VerifyText(ctx, fx.cfgA, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -356,8 +346,10 @@ func TestStoreMemoryEvictionKeepsDiskBlob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := stageStatus(info, "src"); s != StageDisk {
-				t.Errorf("re-fetched SRC status = %q, want %q (stages: %+v)", s, StageDisk, info.Stages)
+			for _, stage := range persistedStages {
+				if s := stageStatus(info, stage); s != StageDisk {
+					t.Errorf("re-fetched %s status = %q, want %q (stages: %+v)", stage, s, StageDisk, info.Stages)
+				}
 			}
 			if got, want := normalizedJSON(t, rep), normalizedJSON(t, repA); got != want {
 				t.Errorf("re-fetched report differs from original:\n--- original ---\n%s\n--- refetch ---\n%s", want, got)

@@ -31,12 +31,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig mirrors the full evaluation with a practical Minesweeper*
-// budget.
-func DefaultConfig() Config {
-	return Config{MSBudget: 60 * time.Second}
-}
-
 // dataset is a named, generated network.
 type dataset struct {
 	name string

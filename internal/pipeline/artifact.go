@@ -13,25 +13,6 @@ import (
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
-// artifact is a stage output that roots BDD handles against dead-node
-// reclamation (bdd.Manager.Pin): Runner.resolve pins it where it is built,
-// and the stage cache releases the pins when it is evicted, letting later
-// sweeps in that manager collect it; in-flight requests stay safe because
-// every sweep point also passes its own working set as explicit roots.
-type artifact interface {
-	pinHandles()
-	unpinHandles()
-}
-
-// built turns a decoder's (artifact, error) pair into the interface pair a
-// stageSpec returns, without wrapping a nil pointer in a non-nil interface.
-func built[A artifact](a A, err error) (artifact, error) {
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // LoadArtifact is the Load stage's output: the built network plus the
 // content addresses the downstream stage keys chain on. Digest == ""
 // marks a network built outside the text pipeline (expresso.Load /
@@ -105,8 +86,28 @@ type SRCArtifact struct {
 	// symbolic computation on the manager is excluded for the duration.
 	runLock *sync.Mutex
 
-	pins []bdd.Node
+	// The ownership state, the one place BDD handles are pinned (DESIGN.md
+	// "Who owns a handle"). holders counts who keeps the artifact resident:
+	// its SRC cache slot, a registered baseline, every in-flight request
+	// using it. pins are its own handles, rooted from birth until the last
+	// holder lets go; derived is everything built on it — routing, SPF and
+	// forwarding artifacts by stage key — rooted for as long as it is filed
+	// there.
+	mu      sync.Mutex // guards holders and pins
+	holders int
+	pins    []bdd.Node
+	derived Tier[derived]
 }
+
+// derived is an artifact built in an SRC artifact's manager: an SPF result
+// or an analysis result.
+type derived interface{ handles() []bdd.Node }
+
+// derivedCap bounds an SRC artifact's derived table, least recently used
+// out. Eight property subsets times a handful of BTE communities fit; a
+// client walking BTE values (they are part of the routing key) cannot grow
+// a resident baseline's table past it.
+const derivedCap = 16
 
 // handles returns every BDD handle the artifact must keep valid: the
 // engine's cross-run roots (compiled transfers and the edge-transfer memo)
@@ -126,18 +127,54 @@ func (a *SRCArtifact) handles() []bdd.Node {
 	return roots
 }
 
-// pinHandles roots the artifact's handles against dead-node reclamation:
-// warm runs chained onto this manager may sweep between rounds, and the
-// sweep must not collect a cached fixed point another request can still
-// hit.
-func (a *SRCArtifact) pinHandles() {
-	a.pins = a.handles()
+// pin roots a freshly built artifact against dead-node reclamation — warm
+// runs chained onto its manager may sweep between rounds — and makes the
+// request that built it its first holder.
+func (a *SRCArtifact) pin() {
+	a.holders, a.pins, a.derived.cap = 1, a.handles(), derivedCap
 	a.Eng.Space.M.Pin(a.pins...)
 }
 
-func (a *SRCArtifact) unpinHandles() {
+// retain adds a holder. It fails once the last one has let go: the handles
+// are unpinned by then, and a sweep may already have taken them.
+func (a *SRCArtifact) retain() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.holders == 0 {
+		return false
+	}
+	a.holders++
+	return true
+}
+
+// Release drops a holder; the last one out unpins the fixed point and
+// everything derived from it, which later sweeps in that manager may then
+// collect, and closes the table to further adoptions.
+func (a *SRCArtifact) Release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.holders--; a.holders > 0 {
+		return
+	}
 	a.Eng.Space.M.Unpin(a.pins...)
 	a.pins = nil
+	d := &a.derived
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, e := range d.entries {
+		a.Eng.Space.M.Unpin(e.val.handles()...)
+	}
+	d.entries, d.cap = nil, 0
+}
+
+// adopt roots a derived artifact and files it under its stage key. The
+// caller holds the run lock the artifact was built under, so nothing can
+// sweep the manager between the build and the pin.
+func (a *SRCArtifact) adopt(key string, d derived) {
+	a.Eng.Space.M.Pin(d.handles()...)
+	if old, ok := a.derived.Add(key, d); ok {
+		a.Eng.Space.M.Unpin(old.handles()...)
+	}
 }
 
 // locked runs f under a run lock. Every holder of one releases it by
@@ -168,9 +205,6 @@ func (a *SRCArtifact) BDDProfile() (p bdd.Profile) {
 type AnalysisArtifact struct {
 	Key        string
 	Violations []properties.Violation
-
-	m    *bdd.Manager // the SRC manager the conditions live in
-	pins []bdd.Node
 }
 
 // handles returns the violations' condition predicates — the only BDD
@@ -183,40 +217,15 @@ func (a *AnalysisArtifact) handles() []bdd.Node {
 	return out
 }
 
-// pinHandles roots the violation conditions in the manager that built
-// them, so a cached analysis artifact's Cond handles stay valid across
-// reclaim sweeps by later runs in the same manager.
-func (a *AnalysisArtifact) pinHandles() {
-	a.pins = a.handles()
-	a.m.Pin(a.pins...)
-}
-
-func (a *AnalysisArtifact) unpinHandles() {
-	a.m.Unpin(a.pins...)
-	a.pins = nil
-}
-
 // SPFArtifact is the SPF stage's output: symbolic FIBs and PECs, valid in
 // the upstream SRC artifact's manager.
 type SPFArtifact struct {
 	Key    string
 	Digest string
 	Res    *spf.Result
-
-	m    *bdd.Manager // the SRC manager the SPF stage ran in
-	pins []bdd.Node
 }
 
-// pinHandles roots the FIB and PEC predicates (spf.Result.Nodes).
-func (a *SPFArtifact) pinHandles() {
-	a.pins = a.Res.Nodes()
-	a.m.Pin(a.pins...)
-}
-
-func (a *SPFArtifact) unpinHandles() {
-	a.m.Unpin(a.pins...)
-	a.pins = nil
-}
+func (a *SPFArtifact) handles() []bdd.Node { return a.Res.Nodes() }
 
 // DirtyRouters computes the warm-start dirty set between two loads of the
 // same external universe: every router whose canonical config section

@@ -2,28 +2,27 @@ package pipeline
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/store"
 )
 
-// A Baseline is a named, pinned converged state: the SRC fixed point of a
-// registered configuration, rooted against both cache eviction and
-// dead-node reclamation for as long as the registration lives. Baselines
-// are the explicit warm-start anchor of the delta request model — a delta
-// request names its baseline and the Runner seeds the EPVP fixed point
-// from it deterministically, instead of hoping the opportunistic
-// warm-candidate scan still finds something compatible under cache
-// pressure.
-//
-// The baseline takes its own Pin refcounts on the SRC artifact's handles
-// (bdd.Manager.Pin is refcounted), so the stage cache evicting the
-// artifact — which releases the artifact's own pins — cannot expose the
-// baseline's nodes to a reclaim sweep.
+// ErrBaselineExists is wrapped by every refusal to register a name twice.
+var ErrBaselineExists = errors.New("already registered")
+
+// A Baseline is a named, resident converged state: the registry holds the
+// SRC fixed point of a registered configuration (SRCArtifact.retain) for as
+// long as the registration lives, so neither it nor anything built on it —
+// its own routing, SPF and forwarding results — is unpinned by cache
+// eviction. Baselines are the explicit warm-start anchor of the delta
+// request model — a delta request names its baseline and the Runner seeds
+// the EPVP fixed point from it deterministically, instead of hoping the
+// opportunistic warm-candidate scan still finds something compatible under
+// cache pressure.
 type Baseline struct {
 	// Name is the registry key.
 	Name string
@@ -31,8 +30,8 @@ type Baseline struct {
 	// it. ConfigDigest is its canonical digest.
 	ConfigText   string
 	ConfigDigest string
-	// SRC is the pinned converged fixed point; Load its upstream artifact
-	// (the delta diff base).
+	// SRC is the converged fixed point; Load its upstream artifact (the
+	// delta diff base).
 	SRC  *SRCArtifact
 	Load *LoadArtifact
 	// StageKeys maps each pipeline stage that executed during
@@ -41,13 +40,11 @@ type Baseline struct {
 	StageKeys map[string]string
 	// Created is the registration time.
 	Created time.Time
-
-	pins []bdd.Node
 }
 
-// NewBaseline builds a baseline from a completed registration run,
-// pinning the converged state. configText is the registered text (the
-// future delta base); created stamps the manifest.
+// NewBaseline describes a baseline from a completed registration run, which
+// the caller still holds. configText is the registered text (the future
+// delta base); created stamps the manifest.
 func NewBaseline(name, configText string, out *Outcome, created time.Time) *Baseline {
 	b := &Baseline{
 		Name:         name,
@@ -61,20 +58,7 @@ func NewBaseline(name, configText string, out *Outcome, created time.Time) *Base
 	for _, st := range out.Stages {
 		b.StageKeys[st.Stage] = st.Key
 	}
-	b.pins = out.SRC.handles()
-	out.SRC.Eng.Space.M.Pin(b.pins...)
 	return b
-}
-
-// Release drops the baseline's pins. The registry calls it on removal
-// (and a caller that lost a registration race must call it on the loser);
-// after release the converged state lives or dies with the stage cache
-// like any other artifact.
-func (b *Baseline) Release() {
-	if b.pins != nil {
-		b.SRC.Eng.Space.M.Unpin(b.pins...)
-		b.pins = nil
-	}
 }
 
 // Manifest renders the baseline's persistent description.
@@ -107,14 +91,18 @@ func NewBaselineRegistry() *BaselineRegistry {
 	return &BaselineRegistry{byName: map[string]*Baseline{}}
 }
 
-// Register adds a baseline under its name. Registering a name twice is an
-// error: a baseline is an anchor other requests name, so replacing one
-// must be an explicit Remove + Register.
+// Register adds a baseline under its name and becomes a holder of its
+// converged state; a refused registration holds nothing. Registering a name
+// twice is an error: a baseline is an anchor other requests name, so
+// replacing one must be an explicit Remove + Register.
 func (r *BaselineRegistry) Register(b *Baseline) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.byName[b.Name]; ok {
-		return fmt.Errorf("pipeline: baseline %q already registered", b.Name)
+		return fmt.Errorf("pipeline: baseline %q %w", b.Name, ErrBaselineExists)
+	}
+	if !b.SRC.retain() {
+		return fmt.Errorf("pipeline: baseline %q: its converged state was released", b.Name)
 	}
 	r.byName[b.Name] = b
 	return nil
@@ -128,15 +116,16 @@ func (r *BaselineRegistry) Get(name string) (*Baseline, bool) {
 	return b, ok
 }
 
-// Remove unregisters a baseline and releases its pins, returning it (or
-// ok=false if the name is unknown).
+// Remove unregisters a baseline and lets go of its converged state, which
+// from then on lives or dies with the SRC cache like any other artifact. It
+// returns the baseline (or ok=false if the name is unknown).
 func (r *BaselineRegistry) Remove(name string) (*Baseline, bool) {
 	r.mu.Lock()
 	b, ok := r.byName[name]
 	delete(r.byName, name)
 	r.mu.Unlock()
 	if ok {
-		b.Release()
+		b.SRC.Release()
 	}
 	return b, ok
 }

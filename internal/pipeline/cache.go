@@ -1,51 +1,36 @@
 package pipeline
 
 import (
-	"container/list"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Capacities sets per-stage LRU capacities for NewStageCache. Zero means
-// the stage's default; negative disables that stage's cache (every Get
-// misses, Add is a no-op).
+// Capacities sets the LRU capacity of each memory tier for NewStageCache.
+// Zero means the tier's default; negative disables it (every Get misses,
+// nothing is kept).
 //
-// The defaults are shaped by artifact weight: SRC artifacts pin a whole
-// BDD manager plus converged RIBs (often the bulk of a run's heap), so
-// only a handful are retained; SPF artifacts pin PECs and FIB predicates
-// in the same manager; analysis artifacts and reports are plain values
-// and cheap to keep by the hundreds.
+// Only the stages whose artifacts stand on their own have a tier: parsed
+// networks and assembled reports are plain values, cheap to keep by the
+// dozen, and an SRC artifact owns (or shares, when warm-chained) a whole
+// BDD manager plus converged RIBs — often the bulk of a run's heap — so
+// only a handful are retained. Routing, SPF and forwarding artifacts are
+// handles into an SRC artifact's manager and are kept by that artifact
+// (SRCArtifact.adopt), not here.
 type Capacities struct {
-	Load       int // parsed networks; default 32
-	SRC        int // converged EPVP fixed points; default 4
-	Routing    int // routing-analysis violation sets; default 128
-	SPF        int // symbolic forwarding results; default 8
-	Forwarding int // forwarding-analysis violation sets; default 128
-	Report     int // assembled reports; default 128
-}
-
-func (c Capacities) normalized() Capacities {
-	def := func(v, d int) int {
-		if v == 0 {
-			return d
-		}
-		return v
-	}
-	return Capacities{
-		Load:       def(c.Load, 32),
-		SRC:        def(c.SRC, 4),
-		Routing:    def(c.Routing, 128),
-		SPF:        def(c.SPF, 8),
-		Forwarding: def(c.Forwarding, 128),
-		Report:     def(c.Report, 128),
-	}
+	Load   int // parsed networks; default 32
+	SRC    int // converged EPVP fixed points; default 4
+	Report int // assembled reports; default 128
 }
 
 // StageStat is one stage's cache counters, reported by Stats and exported
 // on the service's /metrics endpoint.
 type StageStat struct {
-	Stage   string
-	Hits    int64
-	Misses  int64
+	Stage  string
+	Hits   int64
+	Misses int64
+	// Entries is the tier's population; for the routing, SPF and forwarding
+	// stages, the derived artifacts resident on the SRC artifacts counted.
 	Entries int
 	// WarmStarts counts SRC computations seeded from a cached prior fixed
 	// point instead of the cold initial state (only ever non-zero for the
@@ -53,157 +38,161 @@ type StageStat struct {
 	WarmStarts int64
 }
 
-// StageCache is the stage-granular LRU cache: one bounded LRU per pipeline
-// stage, with per-stage hit/miss counters. It replaces the service's
-// whole-report-only cache — a report lookup that misses can still reuse
-// every upstream artifact the request has in common with earlier runs.
-// All methods are safe for concurrent use; cached artifacts are shared
-// between requests and must be treated as immutable (computation on a
-// shared SRC artifact's engine is serialized by the artifact's run lock,
-// not by this cache).
-type StageCache struct {
-	mu     sync.Mutex
-	stages map[string]*stageLRU
+// tally counts one stage's memory lookups.
+type tally struct{ hits, misses atomic.Int64 }
+
+func (t *tally) count(hit bool) {
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
 }
 
-type stageLRU struct {
+// Tier is the one bounded table: a counted LRU, most recently used first,
+// safe for concurrent use. Its values are shared between requests and must
+// be treated as immutable. Capacities are at most a few dozen, so a lookup
+// is a scan.
+type Tier[V any] struct {
+	mu      sync.Mutex
 	cap     int
-	order   *list.List // front = most recently used; values are *stageEntry
-	entries map[string]*list.Element
-	hits    int64
-	misses  int64
-	warms   int64
+	entries []tierEntry[V]
+	tally
 }
 
-type stageEntry struct {
+type tierEntry[V any] struct {
 	key string
-	val any
+	val V
 }
 
-// NewStageCache builds the per-stage LRUs.
-func NewStageCache(caps Capacities) *StageCache {
-	caps = caps.normalized()
-	byStage := map[string]int{
-		StageLoad:       caps.Load,
-		StageSRC:        caps.SRC,
-		StageRouting:    caps.Routing,
-		StageSPF:        caps.SPF,
-		StageForwarding: caps.Forwarding,
-		StageReport:     caps.Report,
+// Get returns key's value, marking it most recently used and counting a
+// hit or a miss.
+func (t *Tier[V]) Get(key string) (V, bool) {
+	val, ok := t.Probe(key)
+	if !ok {
+		t.count(false)
 	}
-	c := &StageCache{stages: map[string]*stageLRU{}}
-	for stage, n := range byStage {
-		c.stages[stage] = &stageLRU{cap: n, order: list.New(), entries: map[string]*list.Element{}}
+	return val, ok
+}
+
+// Probe is Get for a caller whose miss is followed by the counted Get of the
+// same key — the service's submit path, ahead of the job it enqueues: only a
+// hit counts, so a request is one lookup on /metrics.
+func (t *Tier[V]) Probe(key string) (val V, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, e := range t.entries {
+		if e.key == key {
+			copy(t.entries[1:i+1], t.entries[:i])
+			t.entries[0] = e
+			t.count(true)
+			return e.val, true
+		}
 	}
+	return val, false
+}
+
+// Add files val under key as the most recently used entry and returns the
+// value that left the table for it, if one did: the one key held before, the
+// least recently used one past capacity, or val itself when the tier keeps
+// nothing.
+func (t *Tier[V]) Add(key string, val V) (dropped V, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cap <= 0 {
+		return val, true
+	}
+	entries := append(make([]tierEntry[V], 0, t.cap), tierEntry[V]{key, val})
+	for _, e := range t.entries {
+		if e.key == key || len(entries) == t.cap {
+			dropped, ok = e.val, true
+		} else {
+			entries = append(entries, e)
+		}
+	}
+	t.entries = entries
+	return dropped, ok
+}
+
+// Values snapshots the tier, most recently used first.
+func (t *Tier[V]) Values() []V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]V, len(t.entries))
+	for i, e := range t.entries {
+		out[i] = e.val
+	}
+	return out
+}
+
+// Len reports the tier's population.
+func (t *Tier[V]) Len() int { return len(t.Values()) }
+
+// SRCCache is the SRC tier — the one tier a Runner reads and fills — plus
+// the lookup counters of the three stages derived from it. The tier is a
+// holder of every artifact in it (SRCArtifact.retain): an evicted artifact
+// unpins, with everything built on it, once its in-flight requests have let
+// go too.
+type SRCCache struct {
+	Tier[*SRCArtifact]
+	derived map[string]*tally
+	warms   atomic.Int64
+}
+
+// StageCache is a verifier's memory tier for the stages whose artifacts are
+// not bound to another artifact's BDD manager; R is the report type.
+type StageCache[R any] struct {
+	Load   *Tier[*LoadArtifact]
+	SRC    *SRCCache
+	Report *Tier[R]
+}
+
+// NewStageCache builds the three tiers.
+func NewStageCache[R any](caps Capacities) *StageCache[R] {
+	def := func(v, d int) int {
+		if v == 0 {
+			return d
+		}
+		return v
+	}
+	c := &StageCache[R]{
+		Load:   &Tier[*LoadArtifact]{cap: def(caps.Load, 32)},
+		SRC:    &SRCCache{derived: map[string]*tally{StageRouting: {}, StageSPF: {}, StageForwarding: {}}},
+		Report: &Tier[R]{cap: def(caps.Report, 128)},
+	}
+	c.SRC.cap = def(caps.SRC, 4)
 	return c
 }
 
-// Get returns the cached artifact for (stage, key), marking it most
-// recently used and counting a hit or miss.
-func (c *StageCache) Get(stage, key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.stages[stage]
-	if !ok {
-		return nil, false
-	}
-	el, ok := s.entries[key]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*stageEntry).val, true
-}
-
-// Add inserts or refreshes the artifact for (stage, key), evicting the
-// stage's least recently used entry when full.
-func (c *StageCache) Add(stage, key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.stages[stage]
-	if !ok || s.cap <= 0 {
-		return
-	}
-	if el, ok := s.entries[key]; ok {
-		old := el.Value.(*stageEntry).val
-		el.Value.(*stageEntry).val = val
-		s.order.MoveToFront(el)
-		if p, ok := old.(artifact); ok && old != val {
-			p.unpinHandles()
+// Stats snapshots every stage's counters in pipeline order. The derived
+// stages' entries are counted — a stage key begins with its stage's name —
+// over the cached SRC artifacts and held, the SRC artifacts kept resident
+// outside the cache (registered baselines).
+func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
+	resident := map[string]int{}
+	seen := map[*SRCArtifact]bool{}
+	for _, a := range append(c.SRC.Values(), held...) {
+		if seen[a] {
+			continue
 		}
-		return
-	}
-	s.entries[key] = s.order.PushFront(&stageEntry{key: key, val: val})
-	for s.order.Len() > s.cap {
-		last := s.order.Back()
-		s.order.Remove(last)
-		e := last.Value.(*stageEntry)
-		delete(s.entries, e.key)
-		// Release the evicted artifact's reclamation pins: its BDD handles
-		// may now be collected by the next sweep in its manager. Requests
-		// still holding the artifact are unaffected until they release
-		// their run lock (sweeps are serialized behind it) and every sweep
-		// roots its own request's working set explicitly.
-		if p, ok := e.val.(artifact); ok {
-			p.unpinHandles()
+		seen[a] = true
+		a.derived.mu.Lock()
+		for _, e := range a.derived.entries {
+			stage, _, _ := strings.Cut(e.key, "|")
+			resident[stage]++
 		}
+		a.derived.mu.Unlock()
 	}
-}
-
-// Scan visits the stage's entries from most to least recently used until
-// fn returns true, without disturbing recency or counters. The warm-start
-// path uses it to find a compatible prior SRC artifact after an exact-key
-// miss.
-func (c *StageCache) Scan(stage string, fn func(val any) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.stages[stage]
-	if !ok {
-		return
+	stat := func(stage string, t *tally, entries int) StageStat {
+		return StageStat{Stage: stage, Hits: t.hits.Load(), Misses: t.misses.Load(), Entries: entries}
 	}
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		if fn(el.Value.(*stageEntry).val) {
-			return
-		}
+	out := []StageStat{
+		stat(StageLoad, &c.Load.tally, c.Load.Len()),
+		stat(StageSRC, &c.SRC.tally, c.SRC.Len()),
 	}
-}
-
-// NoteWarm counts one warm-started SRC computation.
-func (c *StageCache) NoteWarm() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.stages[StageSRC]; ok {
-		s.warms++
+	out[1].WarmStarts = c.SRC.warms.Load()
+	for _, stage := range []string{StageRouting, StageSPF, StageForwarding} {
+		out = append(out, stat(stage, c.SRC.derived[stage], resident[stage]))
 	}
-}
-
-// Len reports the number of cached entries in one stage.
-func (c *StageCache) Len(stage string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.stages[stage]
-	if !ok {
-		return 0
-	}
-	return s.order.Len()
-}
-
-// Stats snapshots every stage's counters in pipeline order.
-func (c *StageCache) Stats() []StageStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]StageStat, 0, len(stageOrder))
-	for _, stage := range stageOrder {
-		s := c.stages[stage]
-		out = append(out, StageStat{
-			Stage:      stage,
-			Hits:       s.hits,
-			Misses:     s.misses,
-			Entries:    s.order.Len(),
-			WarmStarts: s.warms,
-		})
-	}
-	return out
+	return append(out, stat(StageReport, &c.Report.tally, c.Report.Len()))
 }

@@ -335,7 +335,7 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 		}
 		vs[i].Cond = roots[c]
 	}
-	return &AnalysisArtifact{Key: key, Violations: vs, m: m}, nil
+	return &AnalysisArtifact{Key: key, Violations: vs}, nil
 }
 
 // --- SPF -----------------------------------------------------------------
@@ -466,7 +466,7 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 		return nil, err
 	}
 	res := spf.Rehydrate(eng, varBase, fibs, pecs, dataVars)
-	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res, m: eng.Space.M}, nil
+	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res}, nil
 }
 
 // blockLengths reads, from the order section of an SPF artifact's BDD blob,

@@ -38,9 +38,6 @@ const (
 	StageReport     = "report"
 )
 
-// stageOrder is the canonical listing order for stats and metrics.
-var stageOrder = []string{StageLoad, StageSRC, StageRouting, StageSPF, StageForwarding, StageReport}
-
 // CanonicalConfig normalizes configuration text for digesting so that
 // inputs differing only in comments, blank lines, or whitespace map to the
 // same key.

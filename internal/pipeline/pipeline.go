@@ -119,7 +119,11 @@ const warmNodeBudget = 4 << 20
 // expresso.Verify path wants (its determinism tests compare repeated
 // runs, including iteration counts).
 type Runner struct {
-	Cache *StageCache
+	// Cache, when non-nil, is the memory tier of SRC artifacts. The stages
+	// built on one (routing, SPF, forwarding) are kept by that artifact
+	// itself, so what memory serves for them was built on the very fixed
+	// point — in the very BDD manager — the request resolved.
+	Cache *SRCCache
 	// Store, when non-nil, is the persistent second tier under the stage
 	// cache: SRC, SPF, and analysis artifacts are written through to it
 	// and, on an in-memory miss, read back and deserialized — so a cold
@@ -135,120 +139,110 @@ type Runner struct {
 }
 
 // stageSpec is everything that differs between stages; where an artifact
-// comes from, and when it is pinned, cached and persisted, is
-// Runner.resolve and the same for all of them.
-type stageSpec struct {
+// comes from, and when it is rooted, filed and persisted, is resolve and
+// the same for all of them.
+type stageSpec[A comparable] struct {
 	stage, key string
 	// lock is the run lock of the BDD manager the artifact is decoded,
 	// computed and encoded in.
 	lock sync.Locker
+	// lookup is the memory rung: the artifact, and a provenance note saying
+	// where it was found when that is not the obvious place.
+	lookup func() (A, string, bool)
 	// decode rebuilds the artifact from a store blob; an error — corrupt
 	// blob, schema mismatch — degrades to the rungs below. compute builds
-	// it from the upstream artifacts. Both return it unpinned.
-	decode  func(data []byte) (artifact, error)
-	compute func() (artifact, error)
-	encode  func(a artifact) []byte
+	// it from the upstream artifacts.
+	decode  func(data []byte) (A, error)
+	compute func() (A, error)
+	// keep roots a built artifact against reclamation and files it where
+	// lookup finds it.
+	keep   func(a A)
+	encode func(a A) []byte
 
-	// SRC's two extra rungs; nil for every other stage. baseline is the
-	// request's named baseline, anchor picks what a warm start chains on
-	// (with its provenance note prefix), and warm computes from it,
-	// returning the dirty-router count, or (nil, 0, nil) when the anchor's
-	// symbolic universe does not fit the request.
-	baseline *Baseline
-	anchor   func() (*SRCArtifact, string)
-	warm     func(anchor *SRCArtifact) (*SRCArtifact, int, error)
+	// SRC's extra rung; nil for every other stage. anchor picks what a warm
+	// start chains on — held for the caller — with its provenance note
+	// prefix, and warm computes from it, returning the dirty-router count,
+	// or the zero A when the anchor's symbolic universe does not fit the
+	// request.
+	anchor func() (*SRCArtifact, string)
+	warm   func(anchor *SRCArtifact) (A, int, error)
 	// settle, when set, runs once an artifact that was not simply served
-	// from memory is cached and persisted, and adds to the provenance note.
-	settle func(a artifact) string
+	// from memory is filed and persisted, and adds to the provenance note.
+	settle func(a A) string
 }
 
-// resolve is the one resolution ladder: memory → the named baseline with
-// the exact key → disk → warm from an anchor → cold. Whichever rung builds
-// the artifact does so under the run lock of the manager it builds in and
-// pins it before that lock is released, so the artifact is rooted before
-// anything else (another job's sweep on a shared baseline manager, this
-// request's own pre-SPF sweep) can reclaim in that manager; a built
-// artifact then enters the stage cache, and one that did not come from the
-// store is encoded — under the lock again — and written through to it.
-// Duration is left to the caller.
-func (r *Runner) resolve(ctx context.Context, s *stageSpec, cacheable, diskable bool) (artifact, StageInfo, error) {
+// resolve is the one resolution ladder: memory → disk → warm from an anchor
+// → cold. Whichever rung builds the artifact does so under the run lock of
+// the manager it builds in and keeps it before that lock is released, so the
+// artifact is rooted before anything else (another job's sweep on a shared
+// baseline manager, this request's own pre-SPF sweep) can reclaim in that
+// manager; one that did not come from the store is encoded — under the lock
+// again — and written through to it. count, when non-nil, tallies the
+// memory rung's hit or miss. Duration is left to the caller.
+func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], count *tally) (A, StageInfo, error) {
 	info := StageInfo{Stage: s.stage, Status: StatusMiss, Key: s.key}
-	if cacheable {
-		if v, ok := r.Cache.Get(s.stage, s.key); ok {
-			info.Status = StatusHit
-			return v.(artifact), info, nil
-		}
+	var none A
+	a, note, ok := s.lookup()
+	if count != nil {
+		count.count(ok)
 	}
-	// The named baseline with the exact key: its converged state is
-	// resident and pinned, so serving it costs nothing — and unlike the
-	// stage cache, it cannot have been evicted. It is never inserted into
-	// the stage cache, whose eviction unpin would race the registry's own
-	// pin bookkeeping; the baseline's pins alone keep it resident.
-	if b := s.baseline; b != nil && b.SRC.Key == s.key {
-		info.Status = StatusHit
-		info.Note = "baseline=" + b.Name
-		return b.SRC, info, nil
+	if ok {
+		info.Status, info.Note = StatusHit, note
+		return a, info, nil
 	}
 
-	var art artifact
-	held := s.lock // the lock art was built under
-	build := func(lock sync.Locker, f func() (artifact, error)) error {
+	art, held := none, s.lock // held: the lock art was built under
+	build := func(lock sync.Locker, f func() (A, error)) error {
 		lock.Lock()
 		defer lock.Unlock()
 		a, err := f()
-		if err != nil || a == nil {
+		if err != nil || a == none {
 			return err
 		}
-		a.pinHandles()
+		s.keep(a)
 		art, held = a, lock
 		return nil
 	}
 
-	if diskable {
-		if data, ok := r.Store.Get(s.stage, DiskKey(s.key)); ok {
-			build(s.lock, func() (artifact, error) { return s.decode(data) })
-			if art != nil {
+	if st != nil {
+		if data, ok := st.Get(s.stage, DiskKey(s.key)); ok {
+			build(s.lock, func() (A, error) { return s.decode(data) })
+			if art != none {
 				info.Status = StatusDisk
 			}
 		}
 	}
-	if art == nil {
+	if art == none {
 		if err := ctx.Err(); err != nil {
-			return nil, info, err
+			return none, info, err
 		}
 		if s.anchor != nil {
 			if anchor, note := s.anchor(); anchor != nil {
-				err := build(anchor.runLock, func() (artifact, error) {
+				err := build(anchor.runLock, func() (A, error) {
 					a, dirty, err := s.warm(anchor)
-					if a == nil {
-						return nil, err
+					if a != none {
+						info.Status, info.Seed = StatusWarm, anchor.Digest
+						info.Note = fmt.Sprintf("%sdirty=%d", note, dirty)
 					}
-					info.Status, info.Seed = StatusWarm, anchor.Digest
-					info.Note = fmt.Sprintf("%sdirty=%d", note, dirty)
-					return a, nil
+					return a, err
 				})
+				anchor.Release()
 				if err != nil {
-					return nil, info, err
-				}
-				if cacheable && art != nil {
-					r.Cache.NoteWarm()
+					return none, info, err
 				}
 			}
 		}
 	}
-	if art == nil {
+	if art == none {
 		if err := build(s.lock, s.compute); err != nil {
-			return nil, info, err
+			return none, info, err
 		}
 	}
-	if cacheable {
-		r.Cache.Add(s.stage, s.key, art)
-	}
 	// A deserialized artifact is already in the store byte for byte.
-	if diskable && info.Status != StatusDisk {
+	if st != nil && info.Status != StatusDisk {
 		var blob []byte
 		locked(held, func() { blob = s.encode(art) })
-		r.Store.Put(s.stage, DiskKey(s.key), blob)
+		st.Put(s.stage, DiskKey(s.key), blob)
 	}
 	if s.settle != nil {
 		info.Note = strings.TrimSpace(info.Note + " " + s.settle(art))
@@ -256,10 +250,17 @@ func (r *Runner) resolve(ctx context.Context, s *stageSpec, cacheable, diskable 
 	return art, info, nil
 }
 
-// Run drives Load's downstream stages to an Outcome. req.Load must be
-// set; stages are cached, persisted and warm-started only when the load
-// carries a digest (text-born) and the Runner has the tier in question.
-func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
+// Release lets go of the SRC artifact the run resolved — and with it, once
+// no cache slot, baseline or other request holds it either, of every handle
+// the outcome's artifacts carry. Every Run that returned an Outcome is paired
+// with one Release, after the last use of those handles.
+func (o *Outcome) Release() { o.SRC.Release() }
+
+// Run drives Load's downstream stages to an Outcome, which the caller
+// releases. req.Load must be set; stages are cached, persisted and
+// warm-started only when the load carries a digest (text-born) and the
+// Runner has the tier in question.
+func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err error) {
 	if req.Load == nil || req.Load.Net == nil {
 		return nil, errors.New("pipeline: request carries no loaded network")
 	}
@@ -272,69 +273,91 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 			return nil, fmt.Errorf("expresso: BlockToExternal requires Options.BTE")
 		}
 	}
-	cacheable := r.Cache != nil && req.Load.Digest != ""
-	diskable := r.Store != nil && req.Load.Digest != ""
+	cached, disk := r.Cache, r.Store
+	if req.Load.Digest == "" {
+		cached, disk = nil, nil
+	}
+	if cached == nil {
+		cached = &SRCCache{} // keeps nothing, counts for nobody
+	}
 	out := &Outcome{}
-	// stage resolves one stage and records its provenance.
-	stage := func(s *stageSpec) (artifact, error) {
-		start := time.Now()
-		art, info, err := r.resolve(ctx, s, cacheable, diskable)
-		if err != nil {
-			return nil, err
-		}
+	// note records the provenance of the stage just resolved; a stage's
+	// clock starts where the previous one's stopped.
+	start := time.Now()
+	note := func(info StageInfo) {
 		info.Duration = time.Since(start)
 		out.Stages = append(out.Stages, info)
-		return art, nil
+		start = time.Now()
 	}
 
 	// --- SRC: the EPVP fixed point -------------------------------------
-	art, err := stage(r.srcSpec(ctx, req, cacheable))
+	src, info, err := resolve(ctx, disk, r.srcSpec(ctx, req, cached), nil)
 	if err != nil {
 		return nil, err
 	}
-	src := art.(*SRCArtifact)
+	note(info)
 	out.SRC = src
+	defer func() {
+		if done == nil { // an error, or a panic on its way to the service's recover
+			src.Release()
+		}
+	}()
 
 	// --- RoutingAnalysis -----------------------------------------------
-	art, err = stage(analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE))
+	out.Routing, info, err = resolve(ctx, disk, analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE), cached.derived[StageRouting])
 	if err != nil {
 		return nil, err
 	}
-	routing := art.(*AnalysisArtifact)
-	out.Routing = routing
-
+	note(info)
 	if len(forwardingProps) == 0 {
 		return out, nil
 	}
 
 	// --- SPF: symbolic packet forwarding -------------------------------
-	art, err = stage(spfSpec(ctx, req, src, routing))
+	out.SPF, info, err = resolve(ctx, disk, spfSpec(ctx, req, src, out.Routing), cached.derived[StageSPF])
 	if err != nil {
 		return nil, err
 	}
-	spfArt := art.(*SPFArtifact)
-	out.SPF = spfArt
+	note(info)
 
 	// --- ForwardingAnalysis --------------------------------------------
-	art, err = stage(analysisSpec(ctx, StageForwarding, ForwardingKey(spfArt.Digest, forwardingProps), src, spfArt.Res, forwardingProps, 0))
+	out.Forwarding, info, err = resolve(ctx, disk, analysisSpec(ctx, StageForwarding, ForwardingKey(out.SPF.Digest, forwardingProps), src, out.SPF.Res, forwardingProps, 0), cached.derived[StageForwarding])
 	if err != nil {
 		return nil, err
 	}
-	out.Forwarding = art.(*AnalysisArtifact)
+	note(info)
 	return out, nil
 }
 
-// srcSpec describes the SRC stage. A fixed point restored from the store
-// (which carries the exact converged state for the key, so only the policy
-// compilation is paid) or computed cold lives in a manager born in this
-// request, whose run lock is born with it; a warm start computes in its
-// anchor's manager and shares the anchor's lock.
-func (r *Runner) srcSpec(ctx context.Context, req *Request, cacheable bool) *stageSpec {
+// srcSpec describes the SRC stage. Memory is the SRC cache, then the
+// request's named baseline when it has the exact key: its converged state is
+// resident for as long as it is registered, whatever the cache evicted. A
+// fixed point restored from the store (which carries the exact converged
+// state for the key, so only the policy compilation is paid) or computed
+// cold lives in a manager born in this request, whose run lock is born with
+// it; a warm start computes in its anchor's manager and shares the anchor's
+// lock. Whatever the rung, the artifact comes back held for the request.
+func (r *Runner) srcSpec(ctx context.Context, req *Request, cached *SRCCache) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
 	own := &sync.Mutex{}
-	s := &stageSpec{
+	var base *Baseline
+	if req.Baseline != "" && r.Baselines != nil {
+		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
+			base = b
+		}
+	}
+	return &stageSpec[*SRCArtifact]{
 		stage: StageSRC, key: key, lock: own,
-		decode: func(data []byte) (artifact, error) {
+		lookup: func() (*SRCArtifact, string, bool) {
+			if a, ok := cached.Get(key); ok && a.retain() {
+				return a, "", true
+			}
+			if base != nil && base.SRC.Key == key && base.SRC.retain() {
+				return base.SRC, "baseline=" + base.Name, true
+			}
+			return nil, "", false
+		},
+		decode: func(data []byte) (*SRCArtifact, error) {
 			eng, err := epvp.NewContext(ctx, req.Load.Net, req.Mode)
 			if err != nil {
 				return nil, err
@@ -346,46 +369,51 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request, cacheable bool) *sta
 			a.runLock = own
 			return a, nil
 		},
-		compute: func() (artifact, error) {
+		compute: func() (*SRCArtifact, error) {
 			eng, err := epvp.NewContext(ctx, req.Load.Net, req.Mode)
 			if err != nil {
 				return nil, err
 			}
 			return converge(eng, req, key, own, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
 		},
-		encode: func(a artifact) []byte { return EncodeSRC(a.(*SRCArtifact)) },
-		warm: func(anchor *SRCArtifact) (*SRCArtifact, int, error) {
-			return warmFrom(ctx, req, key, anchor)
+		keep: func(a *SRCArtifact) {
+			a.pin()
+			a.retain() // for the cache slot
+			if old, ok := cached.Add(key, a); ok {
+				old.Release()
+			}
 		},
-		settle: func(a artifact) string { return reclaimAfterSRC(a.(*SRCArtifact)) },
-	}
-	if req.Baseline != "" && r.Baselines != nil {
-		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
-			s.baseline = b
-		}
-	}
-	// The named baseline is the explicit warm anchor: deterministic, pinned,
-	// independent of cache pressure. Anonymous requests — and a baseline
-	// grown past the budget — chain on the most recently used artifact the
-	// SRC cache still holds that a warm start may use: same mode, text-born
-	// (diffable), node table under budget. The compatibility of the symbolic
-	// universes (externals, community atoms) is re-checked by epvp.NewWarm.
-	s.anchor = func() (found *SRCArtifact, note string) {
-		if b := s.baseline; b != nil && b.SRC.Eng.Space.M.NumNodes() < warmNodeBudget {
-			return b.SRC, "baseline=" + b.Name + " "
-		}
-		if cacheable {
-			r.Cache.Scan(StageSRC, func(v any) bool {
-				a := v.(*SRCArtifact)
-				if a.Eng.Mode == req.Mode && a.Load.Digest != "" && a.Eng.Space.M.NumNodes() < warmNodeBudget {
-					found = a
+		encode: EncodeSRC,
+		// The named baseline is the explicit warm anchor: deterministic,
+		// resident, independent of cache pressure. Anonymous requests — and a
+		// baseline grown past the budget — chain on the most recently used
+		// artifact the SRC cache still holds that a warm start may use: same
+		// mode, text-born (diffable), node table under budget. The
+		// compatibility of the symbolic universes (externals, community atoms)
+		// is re-checked by epvp.NewWarm.
+		anchor: func() (*SRCArtifact, string) {
+			fits := func(a *SRCArtifact) bool {
+				return a.Eng.Mode == req.Mode && a.Load.Digest != "" && a.Eng.Space.M.NumNodes() < warmNodeBudget
+			}
+			if base != nil && fits(base.SRC) && base.SRC.retain() {
+				return base.SRC, "baseline=" + base.Name + " "
+			}
+			for _, a := range cached.Values() {
+				if fits(a) && a.retain() {
+					return a, ""
 				}
-				return found != nil
-			})
-		}
-		return found, ""
+			}
+			return nil, ""
+		},
+		warm: func(anchor *SRCArtifact) (*SRCArtifact, int, error) {
+			a, dirty, err := warmFrom(ctx, req, key, anchor)
+			if a != nil {
+				cached.warms.Add(1)
+			}
+			return a, dirty, err
+		},
+		settle: reclaimAfterSRC,
 	}
-	return s
 }
 
 // converge runs a compiled engine to its fixed point and wraps the result
@@ -430,20 +458,25 @@ func warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifa
 // spfSpec describes the SPF stage, which allocates the data-plane variable
 // block and builds its FIB and PEC predicates in the SRC artifact's
 // manager — deserialized or computed alike.
-func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *AnalysisArtifact) *stageSpec {
+func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *AnalysisArtifact) *stageSpec[*SPFArtifact] {
 	key := SPFKey(src.Digest)
 	m := src.Eng.Space.M
-	return &stageSpec{
+	return &stageSpec[*SPFArtifact]{
 		stage: StageSPF, key: key, lock: src.runLock,
-		decode: func(data []byte) (artifact, error) { return built(DecodeSPF(src.Eng, key, data)) },
-		compute: func() (artifact, error) {
+		lookup: func() (*SPFArtifact, string, bool) {
+			d, _ := src.derived.Get(key)
+			a, ok := d.(*SPFArtifact)
+			return a, "", ok
+		},
+		decode: func(data []byte) (*SPFArtifact, error) { return DecodeSPF(src.Eng, key, data) },
+		compute: func() (*SPFArtifact, error) {
 			// The fixed point's intermediates are garbage now, and SPF is
 			// about to add 33 data-plane variables per neighbor and build a
 			// large fresh population on top, so this is a barrier worth a
 			// sweep or a sift when the live population is over budget (small
 			// runs never pause). The roots are this request's working set —
-			// pins cover the cached artifacts, but an artifact evicted
-			// mid-request must survive its own run too.
+			// pins cover what src keeps, but a routing artifact pushed out of
+			// its table mid-request must survive its own run too.
 			live := int64(m.NumNodes())
 			epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, func() []bdd.Node {
 				return append(src.handles(), routing.handles()...)
@@ -452,9 +485,10 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 			if err != nil {
 				return nil, err
 			}
-			return &SPFArtifact{Key: key, Digest: hashHex(key), Res: dp, m: m}, nil
+			return &SPFArtifact{Key: key, Digest: hashHex(key), Res: dp}, nil
 		},
-		encode: func(a artifact) []byte { return EncodeSPF(a.(*SPFArtifact), m) },
+		keep:   func(a *SPFArtifact) { src.adopt(key, a) },
+		encode: func(a *SPFArtifact) []byte { return EncodeSPF(a, m) },
 	}
 }
 
@@ -464,16 +498,21 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 // routing stage); its data-plane variable offset is what forwarding-stage
 // conditions are built against, and the store codec relocates persisted
 // predicates when the offsets differ between processes.
-func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *spf.Result, props []properties.Kind, bte route.Community) *stageSpec {
+func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *spf.Result, props []properties.Kind, bte route.Community) *stageSpec[*AnalysisArtifact] {
 	m := src.Eng.Space.M
 	varBase := 0
 	if dp != nil {
 		varBase = dp.VarBase()
 	}
-	return &stageSpec{
+	return &stageSpec[*AnalysisArtifact]{
 		stage: stage, key: key, lock: src.runLock,
-		decode: func(data []byte) (artifact, error) { return built(DecodeAnalysis(m, key, varBase, data)) },
-		compute: func() (artifact, error) {
+		lookup: func() (*AnalysisArtifact, string, bool) {
+			d, _ := src.derived.Get(key)
+			a, ok := d.(*AnalysisArtifact)
+			return a, "", ok
+		},
+		decode: func(data []byte) (*AnalysisArtifact, error) { return DecodeAnalysis(m, key, varBase, data) },
+		compute: func() (*AnalysisArtifact, error) {
 			var vs []properties.Violation
 			for _, k := range props {
 				if err := ctx.Err(); err != nil {
@@ -494,8 +533,9 @@ func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *
 					vs = append(vs, properties.CheckLoop(src.Eng, dp)...)
 				}
 			}
-			return &AnalysisArtifact{Key: key, Violations: vs, m: m}, nil
+			return &AnalysisArtifact{Key: key, Violations: vs}, nil
 		},
-		encode: func(a artifact) []byte { return EncodeAnalysis(a.(*AnalysisArtifact), m, varBase) },
+		keep:   func(a *AnalysisArtifact) { src.adopt(key, a) },
+		encode: func(a *AnalysisArtifact) []byte { return EncodeAnalysis(a, m, varBase) },
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,71 +17,88 @@ import (
 
 // --- StageCache (ported from the service's whole-report cache tests) ----
 
+type fakeReport struct{ n int }
+
 func TestStageCacheLRUEviction(t *testing.T) {
-	c := NewStageCache(Capacities{Report: 2})
-	a, b, d := &struct{ n int }{1}, &struct{ n int }{2}, &struct{ n int }{3}
-	c.Add(StageReport, "a", a)
-	c.Add(StageReport, "b", b)
-	if _, ok := c.Get(StageReport, "a"); !ok { // refresh a; b becomes LRU
+	c := NewStageCache[*fakeReport](Capacities{Report: 2}).Report
+	a, b, d := &fakeReport{1}, &fakeReport{2}, &fakeReport{3}
+	c.Add("a", a)
+	if _, dropped := c.Add("b", b); dropped {
+		t.Error("Add below capacity dropped a value")
+	}
+	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Add(StageReport, "d", d) // evicts b
-	if _, ok := c.Get(StageReport, "b"); ok {
+	if got, dropped := c.Add("d", d); !dropped || got != b { // evicts b
+		t.Errorf("Add past capacity dropped %v, want b", got)
+	}
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if got, ok := c.Get(StageReport, "a"); !ok || got != a {
+	if got, ok := c.Get("a"); !ok || got != a {
 		t.Error("a should have survived eviction")
 	}
-	if got, ok := c.Get(StageReport, "d"); !ok || got != d {
+	if got, ok := c.Get("d"); !ok || got != d {
 		t.Error("d should be cached")
 	}
-	if c.Len(StageReport) != 2 {
-		t.Errorf("Len = %d, want 2", c.Len(StageReport))
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.Len())
+	}
+	if got := c.Values(); len(got) != 2 || got[0] != d || got[1] != a {
+		t.Errorf("Values = %v, want d then a (most recently used first)", got)
 	}
 }
 
 func TestStageCacheRefreshExisting(t *testing.T) {
-	c := NewStageCache(Capacities{})
-	r1, r2 := &struct{ n int }{1}, &struct{ n int }{2}
-	c.Add(StageSRC, "k", r1)
-	c.Add(StageSRC, "k", r2)
-	if got, _ := c.Get(StageSRC, "k"); got != r2 {
+	c := NewStageCache[*fakeReport](Capacities{}).Report
+	r1, r2 := &fakeReport{1}, &fakeReport{2}
+	c.Add("k", r1)
+	if got, dropped := c.Add("k", r2); !dropped || got != r1 {
+		t.Errorf("Add over a held key dropped %v, want the value it replaced", got)
+	}
+	if got, _ := c.Get("k"); got != r2 {
 		t.Error("Add should refresh the stored artifact")
 	}
-	if c.Len(StageSRC) != 1 {
-		t.Errorf("Len = %d, want 1", c.Len(StageSRC))
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 
 func TestStageCacheDisabled(t *testing.T) {
-	c := NewStageCache(Capacities{Report: -1})
-	c.Add(StageReport, "k", &struct{}{})
-	if _, ok := c.Get(StageReport, "k"); ok {
+	c := NewStageCache[*fakeReport](Capacities{Report: -1})
+	r := &fakeReport{}
+	if got, dropped := c.Report.Add("k", r); !dropped || got != r {
+		t.Errorf("a disabled tier dropped %v, want the value it was handed", got)
+	}
+	if _, ok := c.Report.Get("k"); ok {
 		t.Error("disabled stage must not store")
 	}
 	// Other stages stay enabled.
-	c.Add(StageSRC, "k", &struct{}{})
-	if _, ok := c.Get(StageSRC, "k"); !ok {
+	c.Load.Add("k", &LoadArtifact{})
+	if _, ok := c.Load.Get("k"); !ok {
 		t.Error("sibling stage wrongly disabled")
 	}
 }
 
 func TestStageCacheStatsCount(t *testing.T) {
-	c := NewStageCache(Capacities{})
-	c.Get(StageSRC, "missing")
-	c.Add(StageSRC, "k", &struct{}{})
-	c.Get(StageSRC, "k")
-	c.NoteWarm()
-	for _, st := range c.Stats() {
-		if st.Stage != StageSRC {
-			continue
-		}
-		if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.WarmStarts != 1 {
-			t.Errorf("src stats = %+v, want hits=1 misses=1 entries=1 warm=1", st)
-		}
-		return
+	c := NewStageCache[*fakeReport](Capacities{})
+	c.Load.Get("missing")
+	c.Load.Add("k", &LoadArtifact{})
+	c.Load.Get("k")
+	c.Report.Probe("missing") // a probe counts only what it finds
+	c.SRC.warms.Add(1)
+	c.SRC.derived[StageSPF].count(false)
+	want := []StageStat{
+		{Stage: StageLoad, Hits: 1, Misses: 1, Entries: 1},
+		{Stage: StageSRC, WarmStarts: 1},
+		{Stage: StageRouting},
+		{Stage: StageSPF, Misses: 1},
+		{Stage: StageForwarding},
+		{Stage: StageReport},
 	}
-	t.Fatal("Stats is missing the src stage")
+	if got := c.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Stats = %+v\nwant    %+v", got, want)
+	}
 }
 
 // --- digests -----------------------------------------------------------
@@ -210,6 +226,8 @@ func TestDirtyRouters(t *testing.T) {
 
 // --- Runner ------------------------------------------------------------
 
+func newSRCCache() *SRCCache { return NewStageCache[*fakeReport](Capacities{}).SRC }
+
 func loadT(t *testing.T, text string) *LoadArtifact {
 	t.Helper()
 	a, err := Load(text)
@@ -233,7 +251,7 @@ func stageStatus(out *Outcome, stage string) string {
 // forwarding property on top reuses SRC and routing analysis and runs
 // only SPF onward.
 func TestRunnerStageReuse(t *testing.T) {
-	r := &Runner{Cache: NewStageCache(Capacities{})}
+	r := &Runner{Cache: newSRCCache()}
 	load := loadT(t, testnet.Figure4)
 	ctx := context.Background()
 
@@ -292,7 +310,7 @@ func TestRunnerStageReuse(t *testing.T) {
 // one-router delta on a cached configuration runs SRC with status "warm"
 // and converges to the same violations as a cold run.
 func TestRunnerWarmStart(t *testing.T) {
-	r := &Runner{Cache: NewStageCache(Capacities{})}
+	r := &Runner{Cache: newSRCCache()}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree, properties.RouteHijackFree}
 
@@ -334,7 +352,7 @@ func TestRunnerWarmStart(t *testing.T) {
 // test is that other user: while it holds the lock, a warm start chained on
 // the artifact must leave the manager's unique table untouched.
 func TestWarmStartWaitsForTheRunLock(t *testing.T) {
-	r := &Runner{Cache: NewStageCache(Capacities{})}
+	r := &Runner{Cache: newSRCCache()}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree}
 	prior, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
@@ -397,7 +415,7 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Cache: NewStageCache(Capacities{}), Store: disk}
+	r := &Runner{Cache: newSRCCache(), Store: disk}
 	ctx := context.Background()
 	first, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
 		Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree}})
@@ -413,12 +431,11 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 			}
 		}()
 		spec := analysisSpec(ctx, StageRouting, "poisoned", first.SRC, nil, nil, 0)
-		spec.compute = func() (artifact, error) {
-			return &AnalysisArtifact{Violations: []properties.Violation{{Cond: bad}}, m: first.SRC.Eng.Space.M}, nil
+		spec.compute = func() (*AnalysisArtifact, error) {
+			return &AnalysisArtifact{Violations: []properties.Violation{{Cond: bad}}}, nil
 		}
-		r.resolve(ctx, spec, false, true)
+		resolve(ctx, disk, spec, nil)
 	}()
-	first.SRC.Eng.Space.M.Unpin(bad) // the artifact pinned it before the write-through
 
 	done := make(chan error, 1)
 	go func() {
@@ -435,23 +452,6 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 		t.Fatal("the job after a panic under the run lock never finished: the lock is still held")
 	}
 }
-
-// fakeArtifact is a stage output whose only behaviour is to report when it
-// is pinned, and to insist that the run lock is held at that moment.
-type fakeArtifact struct {
-	t    *testing.T
-	mu   *sync.Mutex
-	note func(string)
-}
-
-func (a *fakeArtifact) pinHandles() {
-	if a.mu.TryLock() {
-		a.mu.Unlock()
-		a.t.Error("artifact pinned with the run lock free: a sweep in its manager could have run first")
-	}
-	a.note("pin")
-}
-func (a *fakeArtifact) unpinHandles() {}
 
 // loggedLock is a run lock that reports its acquisitions and releases.
 type loggedLock struct {
@@ -478,64 +478,72 @@ func (s loggedStore) Put(stage, digest string, data []byte) {
 }
 
 // TestResolveLadderEventOrder pins the one rule every stage goes through,
-// over a fake stage: an artifact is built and pinned under the run lock,
-// enters the stage cache only after the lock is released, and is encoded
-// under the lock again before it is written through; one restored from the
-// store is decoded and pinned under the lock and not written back. Each
-// event is logged with the stage cache's population at that moment, which
-// is how the cache insertion shows up in the sequence.
+// over a fake stage: an artifact is built and kept — rooted, and filed where
+// the memory rung finds it — under the run lock, and is encoded under the
+// lock again before it is written through; one restored from the store is
+// decoded and kept under the lock and not written back; one found in memory
+// touches neither the lock nor the store.
 func TestResolveLadderEventOrder(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cache *StageCache
+	type fake struct{}
 	var events []string
-	note := func(e string) { events = append(events, fmt.Sprintf("%s/%d", e, cache.Len(StageRouting))) }
+	var kept *fake
+	note := func(e string) { events = append(events, e) }
 	lock := &loggedLock{note: note}
-	spec := &stageSpec{
+	spec := &stageSpec[*fake]{
 		stage: StageRouting, key: "k", lock: lock,
-		decode: func(data []byte) (artifact, error) {
+		lookup: func() (*fake, string, bool) { return kept, "", kept != nil },
+		decode: func(data []byte) (*fake, error) {
 			note("decode")
-			return &fakeArtifact{t, &lock.mu, note}, nil
+			return &fake{}, nil
 		},
-		compute: func() (artifact, error) {
+		compute: func() (*fake, error) {
 			note("compute")
-			return &fakeArtifact{t, &lock.mu, note}, nil
+			return &fake{}, nil
 		},
-		encode: func(artifact) []byte {
+		keep: func(a *fake) {
+			if lock.mu.TryLock() {
+				lock.mu.Unlock()
+				t.Error("artifact kept with the run lock free: a sweep in its manager could have run first")
+			}
+			note("keep")
+			kept = a
+		},
+		encode: func(*fake) []byte {
 			note("encode")
 			return []byte("blob")
 		},
 	}
-	run := func(want string) {
+	run := func(wantStatus, wantEvents string) {
 		t.Helper()
-		cache, events = NewStageCache(Capacities{}), nil
-		r := &Runner{Cache: cache, Store: loggedStore{disk, note}}
-		if _, info, err := r.resolve(context.Background(), spec, true, true); err != nil || info.Status != want {
-			t.Fatalf("resolve: status %q err %v, want %q", info.Status, err, want)
+		events = nil
+		var count tally
+		a, info, err := resolve(context.Background(), loggedStore{disk, note}, spec, &count)
+		if err != nil || info.Status != wantStatus || a == nil || a != kept {
+			t.Fatalf("resolve: artifact %p (kept %p) status %q err %v, want %q", a, kept, info.Status, err, wantStatus)
+		}
+		if got := strings.Join(events, " "); got != wantEvents {
+			t.Errorf("%s:\n got %s\nwant %s", wantStatus, got, wantEvents)
+		}
+		hits, misses := count.hits.Load(), count.misses.Load()
+		if hit := wantStatus == StatusHit; hits+misses != 1 || (hits == 1) != hit {
+			t.Errorf("%s: memory rung counted %d hits and %d misses, want one lookup", wantStatus, hits, misses)
 		}
 	}
 
-	run(StatusMiss)
-	want := "store get/0 lock/0 compute/0 pin/0 unlock/0 lock/1 encode/1 unlock/1 store put/1"
-	if got := strings.Join(events, " "); got != want {
-		t.Errorf("computed artifact:\n got %s\nwant %s", got, want)
-	}
-	run(StatusDisk) // a fresh cache over the store the first run wrote to
-	want = "store get/0 lock/0 decode/0 pin/0 unlock/0"
-	if got := strings.Join(events, " "); got != want {
-		t.Errorf("restored artifact:\n got %s\nwant %s", got, want)
-	}
-	if cache.Len(StageRouting) != 1 {
-		t.Error("the restored artifact did not enter the stage cache")
-	}
+	run(StatusMiss, "store get lock compute keep unlock lock encode unlock store put")
+	run(StatusHit, "")
+	kept = nil // a restarted process over the store the first run wrote to
+	run(StatusDisk, "store get lock decode keep unlock")
 }
 
 // TestRunnerIncompatibleDeltaFallsBackCold: a delta that changes the
 // community atom universe must refuse the warm seed and run cold.
 func TestRunnerIncompatibleDeltaFallsBackCold(t *testing.T) {
-	r := &Runner{Cache: NewStageCache(Capacities{})}
+	r := &Runner{Cache: newSRCCache()}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree}
 	if _, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
@@ -556,7 +564,7 @@ func TestRunnerIncompatibleDeltaFallsBackCold(t *testing.T) {
 // TestRunnerUncacheableLoad: a pre-built network (no digest) must never
 // populate or consult the cache.
 func TestRunnerUncacheableLoad(t *testing.T) {
-	cache := NewStageCache(Capacities{})
+	cache := newSRCCache()
 	r := &Runner{Cache: cache}
 	ctx := context.Background()
 	load := loadT(t, testnet.Figure4)
@@ -571,7 +579,7 @@ func TestRunnerUncacheableLoad(t *testing.T) {
 			t.Errorf("run %d: digestless load SRC status = %q, want miss", i, s)
 		}
 	}
-	if n := cache.Len(StageSRC); n != 0 {
+	if n := cache.Len(); n != 0 {
 		t.Errorf("digestless runs cached %d SRC artifacts", n)
 	}
 }

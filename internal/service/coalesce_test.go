@@ -326,6 +326,48 @@ func TestBaselineHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestBaselineRegistrationRace: concurrent registrations of one name all
+// pass the handler's pre-check, so all but one lose inside the registry — and
+// each loser is told 409 (expresso.ErrBaselineExists), not 400. That the
+// losers' converged states stay pinned nowhere is the root package's
+// TestRegistrationRaceLoserHoldsNothing.
+func TestBaselineRegistrationRace(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	body, err := json.Marshal(BaselineRequest{Name: "prod", Config: testnet.Figure4Fixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]int, 6)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/baselines", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("POST /v1/baselines: %v", err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	created := 0
+	for _, code := range codes {
+		switch code {
+		case http.StatusCreated:
+			created++
+		case http.StatusConflict:
+		default:
+			t.Errorf("racing POST /v1/baselines = %d, want 201 or 409", code)
+		}
+	}
+	if created != 1 || s.verifier.BaselineCount() != 1 {
+		t.Errorf("%d registrations created, %d baselines registered, want 1 and 1 (codes %v)", created, s.verifier.BaselineCount(), codes)
+	}
+}
+
 // TestQueueFullRetryAfter checks the backpressure satellite: a 503 from a
 // full queue carries a Retry-After hint scaled to the backlog.
 func TestQueueFullRetryAfter(t *testing.T) {

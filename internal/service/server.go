@@ -10,7 +10,6 @@ import (
 	"runtime"
 	rtdebug "runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,11 +144,8 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize}
 	if cfg.CacheSize < 0 {
-		// Caching disabled entirely: no stage may retain artifacts.
-		vcfg = expresso.VerifierConfig{
-			LoadCache: -1, SRCCache: -1, RoutingCache: -1,
-			ForwardingCache: -1, SPFCache: -1, ReportCache: -1,
-		}
+		// Caching disabled entirely: no tier may retain artifacts.
+		vcfg = expresso.VerifierConfig{LoadCache: -1, SRCCache: -1, ReportCache: -1}
 	}
 	vcfg.StoreDir = cfg.StoreDir
 	vcfg.StoreBudget = cfg.StoreBudget
@@ -497,10 +493,6 @@ func (s *Server) runJob(job *Job) {
 	now := time.Now()
 	switch {
 	case err == nil:
-		// The default run (Verifier.VerifyTextFrom) has already stored
-		// the report under this digest; storing again covers substituted
-		// verification functions and is a no-op refresh otherwise.
-		s.verifier.StoreReport(job.Digest, rep)
 		if info != nil {
 			job.setStages(info.Stages)
 		}
@@ -811,7 +803,7 @@ func (s *Server) handleBaselineCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, BaselineStatus{BaselineInfo: info, Report: rep})
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, apiError{err.Error()})
-	case strings.Contains(err.Error(), "already registered"):
+	case errors.Is(err, expresso.ErrBaselineExists):
 		writeJSON(w, http.StatusConflict, apiError{err.Error()})
 	default:
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})

@@ -353,7 +353,7 @@ func TestTimeoutCancelsJob(t *testing.T) {
 
 // TestMetricsEndpoint checks /metrics exposes the counters after activity.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	req := VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
 	postVerify(t, ts, req)
 	postVerify(t, ts, req) // cache hit
@@ -376,6 +376,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"expresso_stage_src_seconds_total",
 		"expresso_stage_jobs_total 1",
 		`expresso_stage_cache_hits_total{stage="report"} 1`,
+		// One counted report lookup per request: the submit path's probe
+		// counts only its hit, the job that ran counts the miss.
+		fmt.Sprintf(`expresso_stage_cache_misses_total{stage="report"} %d`, s.Metrics.EngineRuns.Load()),
 		`expresso_stage_cache_misses_total{stage="src"} 1`,
 		`expresso_stage_cache_entries{stage="src"} 1`,
 		"expresso_warm_starts_total 0",

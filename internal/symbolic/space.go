@@ -8,7 +8,6 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -162,12 +161,6 @@ func NewBlockedSpace(n int) *Space {
 	return newSpace(bdd.New(FirstNbrVar+n), n)
 }
 
-// NewOrderedSpace allocates a space with an explicit level2var
-// permutation over the FirstNbrVar+n variables, for order experiments.
-func NewOrderedSpace(n int, level2var []int) *Space {
-	return newSpace(bdd.NewOrdered(FirstNbrVar+n, level2var), n)
-}
-
 func newSpace(m *bdd.Manager, n int) *Space {
 	s := &Space{
 		M:            m,
@@ -221,9 +214,6 @@ func (s *Space) NbrVars() []int {
 	}
 	return out
 }
-
-// LenCube returns the predicate "prefix length == l".
-func (s *Space) LenCube(l int) bdd.Node { return s.lenCubes[l] }
 
 // The two fields of a prefixVars cube, as care masks.
 const (
@@ -344,17 +334,4 @@ func (s *Space) DecodePrefix(assign map[int]bool) route.Prefix {
 		l = 32
 	}
 	return route.Prefix{Addr: addr & route.MaskOf(l), Len: l}
-}
-
-// DecodeAdvertisers reads which neighbors advertise under a satisfying
-// assignment, as a sorted list of neighbor indices whose variable is true.
-func (s *Space) DecodeAdvertisers(assign map[int]bool) []int {
-	var out []int
-	for i := 0; i < s.NumNeighbors; i++ {
-		if assign[s.NbrVar(i)] {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -31,24 +31,18 @@ const (
 // StoreStats re-exports the persistent tier's traffic counters.
 type StoreStats = store.Stats
 
-// VerifierConfig sizes a Verifier's per-stage caches. Zero fields take
-// the pipeline defaults; negative values disable that stage's cache.
+// VerifierConfig sizes a Verifier's memory tiers. Zero fields take the
+// pipeline defaults; negative values disable that tier.
 type VerifierConfig struct {
 	// LoadCache holds parsed networks keyed by config digest.
 	LoadCache int
 	// SRCCache holds converged EPVP fixed points — the expensive stage,
-	// and the seeds for warm-started re-verification. Each entry pins a
-	// BDD manager, so the default is small (4).
+	// and the seeds for warm-started re-verification — each together with
+	// the routing, SPF and forwarding results computed on it, which live
+	// and die with it. Each entry pins a BDD manager, so the default is
+	// small (4).
 	SRCCache int
-	// RoutingCache and ForwardingCache hold per-property-set violation
-	// lists keyed by upstream artifact digests.
-	RoutingCache    int
-	ForwardingCache int
-	// SPFCache holds symbolic forwarding results (FIBs and PECs).
-	SPFCache int
-	// ReportCache holds assembled reports keyed by ReportDigest — the
-	// same whole-request cache the service used to keep, now the last
-	// layer of six.
+	// ReportCache holds assembled reports keyed by ReportDigest.
 	ReportCache int
 	// StoreDir, when non-empty, enables the persistent artifact store: an
 	// on-disk content-addressed tier under the stage caches. SRC, SPF, and
@@ -78,7 +72,7 @@ type VerifierConfig struct {
 // A Verifier is safe for concurrent use; computation on shared symbolic
 // state is serialized per SRC artifact.
 type Verifier struct {
-	cache     *pipeline.StageCache
+	cache     *pipeline.StageCache[*Report]
 	store     store.Tier
 	baselines *pipeline.BaselineRegistry
 }
@@ -87,13 +81,8 @@ type Verifier struct {
 // when cfg.StoreDir is set, the persistent store tier.
 func NewVerifier(cfg VerifierConfig) *Verifier {
 	v := &Verifier{
-		cache: pipeline.NewStageCache(pipeline.Capacities{
-			Load:       cfg.LoadCache,
-			SRC:        cfg.SRCCache,
-			Routing:    cfg.RoutingCache,
-			SPF:        cfg.SPFCache,
-			Forwarding: cfg.ForwardingCache,
-			Report:     cfg.ReportCache,
+		cache: pipeline.NewStageCache[*Report](pipeline.Capacities{
+			Load: cfg.LoadCache, SRC: cfg.SRCCache, Report: cfg.ReportCache,
 		}),
 		baselines: pipeline.NewBaselineRegistry(),
 	}
@@ -108,10 +97,6 @@ func NewVerifier(cfg VerifierConfig) *Verifier {
 // Store returns the persistent tier, or nil when none is attached (no
 // StoreDir configured, or the directory could not be opened).
 func (v *Verifier) Store() store.Tier { return v.store }
-
-// SetStore attaches (or, with nil, detaches) a persistent tier; tests and
-// embedders use it to supply a custom Tier implementation.
-func (v *Verifier) SetStore(t store.Tier) { v.store = t }
 
 // RunInfo describes how a VerifyText call was answered: the request
 // digest, whether the whole report came from cache, and the per-stage
@@ -148,33 +133,19 @@ type BDDProfile struct {
 // serializing against verifications sharing the manager — this is the
 // on-demand path behind GET /debug/bdd, not engine machinery.
 func (v *Verifier) BDDProfiles() []BDDProfile {
-	type target struct {
-		origin, name string
-		art          *pipeline.SRCArtifact
-	}
-	var targets []target
+	out := []BDDProfile{}
 	seen := map[*bdd.Manager]bool{}
-	for _, b := range v.baselines.List() {
-		if b.SRC == nil || seen[b.SRC.Eng.Space.M] {
-			continue
-		}
-		seen[b.SRC.Eng.Space.M] = true
-		targets = append(targets, target{"baseline", b.Name, b.SRC})
-	}
-	// Collect first, profile after: Scan holds the cache lock, and
-	// profiling takes artifact run locks whose holders may be about to
-	// insert into the cache.
-	v.cache.Scan(pipeline.StageSRC, func(val any) bool {
-		a := val.(*pipeline.SRCArtifact)
+	add := func(origin, name string, a *pipeline.SRCArtifact) {
 		if !seen[a.Eng.Space.M] {
 			seen[a.Eng.Space.M] = true
-			targets = append(targets, target{"src-cache", a.Digest, a})
+			out = append(out, BDDProfile{Origin: origin, Name: name, Profile: a.BDDProfile()})
 		}
-		return false
-	})
-	out := make([]BDDProfile, 0, len(targets))
-	for _, t := range targets {
-		out = append(out, BDDProfile{Origin: t.origin, Name: t.name, Profile: t.art.BDDProfile()})
+	}
+	for _, b := range v.baselines.List() {
+		add("baseline", b.Name, b.SRC)
+	}
+	for _, a := range v.cache.SRC.Values() {
+		add("src-cache", a.Digest, a)
 	}
 	return out
 }
@@ -200,10 +171,10 @@ type input struct {
 	// instead: no text, no digest, every stage cold.
 	text string
 	net  *topology.Network
-	// artifacts is set when the caller needs the run's stage artifacts
-	// (baseline registration pins them): a whole cached report is then
-	// not an answer.
-	artifacts bool
+	// artifacts, when set, is handed the run's stage artifacts while the
+	// run still holds them (baseline registration becomes a holder too): a
+	// whole cached report is then not an answer, and its error fails the run.
+	artifacts func(*pipeline.Outcome) error
 }
 
 // run is the one verification driver: normalize the options, answer from
@@ -211,37 +182,38 @@ type input struct {
 // a request it cannot run before any stage computes) and the assembled
 // report — cached under the request digest and traced.
 // baseline names the registered warm anchor ("" for anonymous requests).
-// The Outcome is nil on a report-cache hit. A zero Verifier, which has no
-// tier to consult, serves Network.VerifyContext.
-func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Options) (*Report, *RunInfo, *pipeline.Outcome, error) {
+// A zero Verifier, which has no tier to consult, serves
+// Network.VerifyContext.
+func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Options) (*Report, *RunInfo, error) {
 	opts.normalize()
 	info := &RunInfo{Baseline: baseline}
+	runner := &pipeline.Runner{Store: v.store, Baselines: v.baselines}
 	var load *pipeline.LoadArtifact
 	if in.net != nil {
 		load = pipeline.FromNetwork(in.net)
 	} else {
 		info.Digest = ReportDigest(in.text, opts)
 		start := time.Now()
-		if !in.artifacts {
-			if rep, ok := v.CachedReport(info.Digest); ok {
+		if in.artifacts == nil {
+			if rep, ok := v.cache.Report.Get(info.Digest); ok {
 				info.CacheHit = true
 				info.Stages = []StageInfo{{
 					Stage: pipeline.StageReport, Status: StageHit,
 					Key: info.Digest, Duration: time.Since(start),
 				}}
 				traceRun(opts, info, rep, nil)
-				return rep, info, nil, nil
+				return rep, info, nil
 			}
 		}
 		var loadInfo StageInfo
 		var err error
 		if load, loadInfo, err = v.load(in.text); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		info.Stages = append(info.Stages, loadInfo)
+		runner.Cache = v.cache.SRC
 	}
 
-	runner := &pipeline.Runner{Cache: v.cache, Store: v.store, Baselines: v.baselines}
 	out, err := runner.Run(ctx, &pipeline.Request{
 		Load:       load,
 		Mode:       opts.Mode,
@@ -252,66 +224,62 @@ func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Opti
 		Trace:      opts.Trace,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	defer out.Release()
 	info.Stages = append(info.Stages, out.Stages...)
 
 	rep := assembleReport(load.Net.Statistics(), out)
 	rep.Timing.Load = load.Elapsed
 	if info.Digest != "" {
-		v.StoreReport(info.Digest, rep)
+		v.cache.Report.Add(info.Digest, rep)
 		info.Stages = append(info.Stages, StageInfo{
 			Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
 		})
 	}
 	traceRun(opts, info, rep, out.SRC)
-	return rep, info, out, nil
+	if in.artifacts != nil {
+		err = in.artifacts(out)
+	}
+	return rep, info, err
 }
 
 // load resolves the Load stage through its cache.
 func (v *Verifier) load(configText string) (*pipeline.LoadArtifact, StageInfo, error) {
 	start := time.Now()
 	info := StageInfo{Stage: pipeline.StageLoad, Status: StageHit, Key: pipeline.ConfigDigest(configText)}
-	cached, ok := v.cache.Get(pipeline.StageLoad, info.Key)
+	art, ok := v.cache.Load.Get(info.Key)
 	if !ok {
-		art, err := pipeline.Load(configText)
-		if err != nil {
+		var err error
+		if art, err = pipeline.Load(configText); err != nil {
 			return nil, StageInfo{}, err
 		}
-		v.cache.Add(pipeline.StageLoad, info.Key, art)
-		cached, info.Status = art, StageMiss
+		v.cache.Load.Add(info.Key, art)
+		info.Status = StageMiss
 	}
 	info.Duration = time.Since(start)
-	return cached.(*pipeline.LoadArtifact), info, nil
+	return art, info, nil
 }
 
-// CachedReport answers from the report cache alone (no stages run),
-// counting a report-stage hit or miss. The service's submit path uses it
-// to decide between answering immediately and enqueueing a job.
+// CachedReport answers from the report cache alone (no stages run). A hit
+// is counted; a miss is left to the verification the caller goes on to run,
+// which looks the digest up again. The service's submit path uses it to
+// decide between answering immediately and enqueueing a job.
 func (v *Verifier) CachedReport(digest string) (*Report, bool) {
-	cached, ok := v.cache.Get(pipeline.StageReport, digest)
-	if !ok {
-		return nil, false
-	}
-	return cached.(*Report), true
-}
-
-// StoreReport inserts a finished report under its digest. Every
-// verification does this itself; the service also calls it when a
-// substituted verification function produced the report.
-func (v *Verifier) StoreReport(digest string, rep *Report) {
-	v.cache.Add(pipeline.StageReport, digest, rep)
+	return v.cache.Report.Probe(digest)
 }
 
 // CachedReports reports the number of reports currently cached.
-func (v *Verifier) CachedReports() int {
-	return v.cache.Len(pipeline.StageReport)
-}
+func (v *Verifier) CachedReports() int { return v.cache.Report.Len() }
 
 // CacheStats snapshots every stage's hit/miss/entry counters in pipeline
 // order (the service exports them on /metrics).
 func (v *Verifier) CacheStats() []StageCacheStat {
-	return v.cache.Stats()
+	var held []*pipeline.SRCArtifact
+	for _, b := range v.baselines.List() {
+		held = append(held, b.SRC)
+	}
+	return v.cache.Stats(held...)
 }
 
 // StoreTraffic snapshots the persistent tier's counters; ok is false when

@@ -1,6 +1,10 @@
 # Tier-1 verification lives in ROADMAP.md; `make ci` is the superset run
 # in CI: vet + build + race-enabled tests across every package, then the
-# same race run again with the parallel engine forced on.
+# three steps that cover what that run does not — the same race run with
+# the parallel engine forced on, a short fuzz of every store-blob decoder,
+# and the env-gated allocation guard. The four *-check targets select
+# tests `race` has already run: they are shortcuts for working on one
+# subsystem, not CI steps.
 
 GO ?= go
 
@@ -12,7 +16,7 @@ RACE_WORKERS ?= 4
 
 .PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
 
-ci: vet staticcheck build race race-parallel store-check gate-check trace-check reorder-check alloc-guard
+ci: vet staticcheck build race race-parallel fuzz-smoke alloc-guard
 
 vet:
 	$(GO) vet ./...
@@ -62,8 +66,9 @@ bench:
 bench-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
-# Artifact-store gate: the disk-warm determinism matrix (byte-identical
-# reports across fixtures, worker counts, and forced reclamation sweeps),
+# Developer shortcut, not a CI step (`race` runs every test here): the
+# artifact store's disk-warm determinism matrix (byte-identical reports
+# across fixtures, worker counts, and forced reclamation sweeps),
 # the shared-directory replica scenario, corruption/version-mismatch
 # injection, and the memory-eviction interaction — plus the store, wire
 # and codec unit tests (framing, LRU eviction, tmp sweep, golden blobs,
@@ -83,22 +88,25 @@ fuzz-smoke:
 	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime 5s
 	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeSPF$$' -fuzztime 5s
 
-# CI gate semantics: `expresso gate` exit codes (no change and fixed
-# violations pass, new violations fail) plus the baseline/delta
-# byte-identity acceptance tests behind them.
+# Developer shortcut, not a CI step (`race` runs every test here):
+# `expresso gate` exit codes (no change and fixed violations pass, new
+# violations fail) plus the baseline/delta byte-identity acceptance tests
+# behind them.
 gate-check:
 	$(GO) test . -run 'TestGate|TestBaseline' -count=1
 
-# Trace-analysis gate: the end-to-end `expresso trace diff` attribution
-# golden test (an injected spf slowdown must be flagged, attributed to
+# Developer shortcut, not a CI step (`race` runs every test here): the
+# end-to-end `expresso trace diff` attribution golden test (an injected
+# spf slowdown must be flagged, attributed to
 # spf, and nothing else may drift), the traced-run structure checks, and
 # the traceview unit suite behind the CLI.
 trace-check:
 	$(GO) test . -run 'TestTraceDiffGolden|TestVerifyTextTrace|TestVerifyTrace' -count=1
 	$(GO) test -count=1 ./internal/traceview/
 
-# Dynamic-reordering gate: the forced-sifting determinism matrix (byte-
-# identical reports across worker counts, reclamation schedules, and a
+# Developer shortcut, not a CI step (`race` runs every test here): dynamic
+# reordering's forced-sifting determinism matrix (byte-identical reports
+# across worker counts, reclamation schedules, and a
 # disk-warm restart), the static-order testnet assertion, and the sifting
 # engine's unit suite (swap canonicity, order-independent fingerprints,
 # cross-order serialization).

@@ -38,7 +38,6 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/pipeline"
-	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/service"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/symbolic"
@@ -108,48 +107,38 @@ func loadConfigText(file, dir string) string {
 	return text
 }
 
-// verifyOptions translates the verification flags check and gate share.
-func verifyOptions(props, bte string, minus bool, workers int) (expresso.Options, error) {
-	opts := expresso.Options{Workers: workers}
-	if minus {
-		opts.Mode = expresso.ExpressoMinusMode()
-	}
-	for _, p := range strings.Split(props, ",") {
-		if strings.TrimSpace(p) == "" {
-			continue
+// verifyFlags declares the verification flags check and gate share and
+// returns their translation, to call once the flag set is parsed.
+func verifyFlags(fs *flag.FlagSet) func() (expresso.Options, error) {
+	props := fs.String("props", "leak,hijack,traffic", "comma-separated properties: leak,hijack,traffic,blackhole,loop,bte")
+	bte := fs.String("bte", "", "community for the bte property, e.g. 11537:888")
+	minus := fs.Bool("minus", false, "run Expresso- (concrete AS paths)")
+	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	return func() (expresso.Options, error) {
+		mode := "full"
+		if *minus {
+			mode = "minus"
 		}
-		k, err := expresso.ParseProperty(p)
-		if err != nil {
-			return opts, err
-		}
-		opts.Properties = append(opts.Properties, k)
+		names := strings.FieldsFunc(*props, func(r rune) bool { return r == ',' || r == ' ' })
+		opts, err := expresso.ParseOptions(names, mode, *bte)
+		opts.Workers = *workers
+		return opts, err
 	}
-	if bte != "" {
-		c, err := route.ParseCommunity(bte)
-		if err != nil {
-			return opts, err
-		}
-		opts.BTE = c
-	}
-	return opts, nil
 }
 
 func cmdCheck(args []string) {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	file := fs.String("file", "", "configuration file")
 	dir := fs.String("dir", "", "directory of *.cfg files")
-	props := fs.String("props", "leak,hijack,traffic", "comma-separated properties: leak,hijack,traffic,blackhole,loop,bte")
-	bte := fs.String("bte", "", "community for the bte property, e.g. 11537:888")
-	minus := fs.Bool("minus", false, "run Expresso- (concrete AS paths)")
+	options := verifyFlags(fs)
 	verbose := fs.Bool("v", false, "print every violation")
 	asJSON := fs.Bool("json", false, "print the report as JSON instead of the table")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	explainCache := fs.Bool("explain-cache", false, "print per-stage provenance (status, seed, duration, key)")
 	traceFile := fs.String("trace", "", "write a JSON run trace (per-stage spans, EPVP rounds, SPF events) to this file")
 	storeDir := fs.String("store-dir", "", "persistent artifact store directory; stage artifacts are written through and served back on later runs")
 	fs.Parse(args)
 
-	opts, err := verifyOptions(*props, *bte, *minus, *workers)
+	opts, err := options()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -289,10 +278,7 @@ func loadConfigPath(path string) (string, error) {
 // operational errors (unreadable or unparsable configs, bad flags).
 func cmdGate(args []string) {
 	fs := flag.NewFlagSet("gate", flag.ExitOnError)
-	props := fs.String("props", "leak,hijack,traffic", "comma-separated properties: leak,hijack,traffic,blackhole,loop,bte")
-	bte := fs.String("bte", "", "community for the bte property, e.g. 11537:888")
-	minus := fs.Bool("minus", false, "run Expresso- (concrete AS paths)")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	options := verifyFlags(fs)
 	asJSON := fs.Bool("json", false, "print the full GateResult as JSON")
 	verbose := fs.Bool("v", false, "also list fixed and unchanged violations")
 	fs.Usage = func() {
@@ -305,7 +291,7 @@ func cmdGate(args []string) {
 		os.Exit(2)
 	}
 
-	opts, err := verifyOptions(*props, *bte, *minus, *workers)
+	opts, err := options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
 		os.Exit(2)

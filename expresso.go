@@ -165,6 +165,37 @@ func ParseProperty(name string) (Kind, error) {
 	return "", fmt.Errorf("expresso: unknown property %q", name)
 }
 
+// ParseOptions is the one translation of a request as clients spell it —
+// property names (see ParseProperty; none means the default set), mode ""
+// or "full" for Expresso and "minus" for Expresso-, the BlockToExternal
+// community as "asn:value" or "" — into Options. The CLI's flags and the
+// service's request bodies both go through it.
+func ParseOptions(props []string, mode, bte string) (Options, error) {
+	var opts Options
+	switch mode {
+	case "", "full":
+	case "minus":
+		opts.Mode = ExpressoMinusMode()
+	default:
+		return opts, fmt.Errorf("expresso: unknown mode %q (want \"full\" or \"minus\")", mode)
+	}
+	for _, name := range props {
+		k, err := ParseProperty(name)
+		if err != nil {
+			return opts, err
+		}
+		opts.Properties = append(opts.Properties, k)
+	}
+	if bte != "" {
+		c, err := route.ParseCommunity(bte)
+		if err != nil {
+			return opts, err
+		}
+		opts.BTE = c
+	}
+	return opts, nil
+}
+
 // Timing records per-stage wall-clock durations (Table 3's columns).
 // Durations marshal as integer nanoseconds.
 type Timing struct {

@@ -177,24 +177,37 @@ type stageSpec[A comparable] struct {
 // artifact is rooted before anything else (another job's sweep on a shared
 // baseline manager, this request's own pre-SPF sweep) can reclaim in that
 // manager; one that did not come from the store is encoded — under the lock
-// again — and written through to it. count, when non-nil, tallies the
-// memory rung's hit or miss. Duration is left to the caller.
+// again — and written through to it. A derived stage looks memory up once
+// more under that lock: two requests on one SRC artifact that miss the same
+// key queue on its run lock, and the second is served what the first built
+// instead of building — and filing over — it again. count, when non-nil,
+// tallies whether memory served the request. Duration is left to the caller.
 func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], count *tally) (A, StageInfo, error) {
 	info := StageInfo{Stage: s.stage, Status: StatusMiss, Key: s.key}
-	var none A
-	a, note, ok := s.lookup()
 	if count != nil {
-		count.count(ok)
+		defer func() { count.count(info.Status == StatusHit) }()
 	}
-	if ok {
-		info.Status, info.Note = StatusHit, note
-		return a, info, nil
+	var none A
+	art, held := none, s.lock // held: the lock art was built under
+	lookup := func() bool {
+		a, note, ok := s.lookup()
+		if ok {
+			art, info.Status, info.Note = a, StatusHit, note
+		}
+		return ok
+	}
+	if lookup() {
+		return art, info, nil
 	}
 
-	art, held := none, s.lock // held: the lock art was built under
 	build := func(lock sync.Locker, f func() (A, error)) error {
 		lock.Lock()
 		defer lock.Unlock()
+		// SRC requests never wait for one another's key: each builds in a
+		// manager, or under an anchor, of its own choosing.
+		if s.anchor == nil && lookup() {
+			return nil
+		}
 		a, err := f()
 		if err != nil || a == none {
 			return err
@@ -207,7 +220,7 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 	if st != nil {
 		if data, ok := st.Get(s.stage, DiskKey(s.key)); ok {
 			build(s.lock, func() (A, error) { return s.decode(data) })
-			if art != none {
+			if art != none && info.Status != StatusHit {
 				info.Status = StatusDisk
 			}
 		}
@@ -237,6 +250,9 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 		if err := build(s.lock, s.compute); err != nil {
 			return none, info, err
 		}
+	}
+	if info.Status == StatusHit { // built, filed and persisted by the request ahead
+		return art, info, nil
 	}
 	// A deserialized artifact is already in the store byte for byte.
 	if st != nil && info.Status != StatusDisk {

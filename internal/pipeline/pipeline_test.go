@@ -405,6 +405,75 @@ func TestWarmStartWaitsForTheRunLock(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissesBuildOnce: two requests on one SRC artifact that both
+// miss a derived key they share — {leak, traffic} and {leak, blackhole}
+// share the SPF key, and find their routing result in memory — queue on the
+// artifact's run lock, and the second must be served what the first built:
+// one SPF run, one table entry, and the pins a sequential pair of the same
+// requests leaves.
+func TestConcurrentMissesBuildOnce(t *testing.T) {
+	ctx := context.Background()
+	request := func(props ...properties.Kind) *Request {
+		return &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(), Workers: 1, Properties: props}
+	}
+	run := func(r *Runner, req *Request) *Outcome {
+		out, err := r.Run(ctx, req)
+		if err != nil {
+			t.Error(err)
+			return &Outcome{}
+		}
+		out.Release()
+		return out
+	}
+	pair := [2]properties.Kind{properties.TrafficHijackFree, properties.BlackHoleFree}
+
+	seq := &Runner{Cache: newSRCCache()}
+	base := run(seq, request(properties.RouteLeakFree))
+	for _, p := range pair {
+		run(seq, request(properties.RouteLeakFree, p))
+	}
+	want := base.SRC.Eng.Space.M.PinnedCount()
+
+	r := &Runner{Cache: newSRCCache()}
+	src := run(r, request(properties.RouteLeakFree)).SRC
+	src.runLock.Lock()
+	missed := src.derived.misses.Load()
+	var wg sync.WaitGroup
+	var outs [2]*Outcome
+	for i, p := range pair {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = run(r, request(properties.RouteLeakFree, p))
+		}()
+	}
+	// Both find routing in memory and miss SPF there; then they need the lock.
+	for deadline := time.Now().Add(30 * time.Second); src.derived.misses.Load() < missed+2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two requests never looked SPF up")
+		}
+	}
+	src.runLock.Unlock()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	statuses := map[string]int{}
+	for _, out := range outs {
+		statuses[stageStatus(out, StageSPF)]++
+	}
+	if statuses[StatusMiss] != 1 || statuses[StatusHit] != 1 {
+		t.Errorf("SPF statuses of the two requests = %v, want one miss and one hit", statuses)
+	}
+	if outs[0].SPF != outs[1].SPF {
+		t.Error("the two requests hold different SPF artifacts for one key")
+	}
+	if got := src.Eng.Space.M.PinnedCount(); got != want {
+		t.Errorf("PinnedCount after the concurrent pair = %d, after the sequential pair = %d", got, want)
+	}
+}
+
 // TestPanicUnderTheRunLockReleasesIt: the service recovers a panicking
 // verification into a failed job, so a panic inside a locked section — here
 // the store write-through of an analysis artifact whose condition handle

@@ -383,14 +383,14 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	if _, _, err := s.SubmitDelta("prod", patch, expresso.Options{Workers: 1}, 0); err != nil {
 		t.Fatalf("first SubmitDelta: %v", err)
 	}
-	body, _ := json.Marshal(VerifyRequest{Config: base + "bgp network 198.51.100.1/32\n"})
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(JobRequest{Config: base + "bgp network 198.51.100.1/32\n"})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("POST /v1/verify with full queue = %d, want 503", resp.StatusCode)
+		t.Fatalf("POST /v1/jobs with full queue = %d, want 503", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("503 response is missing Retry-After")

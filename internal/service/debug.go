@@ -3,18 +3,12 @@ package service
 import (
 	"net/http"
 	"net/http/pprof"
-	"runtime"
-	"time"
-
-	"github.com/expresso-verify/expresso"
-	"github.com/expresso-verify/expresso/internal/bdd"
 )
 
 // DebugHandler returns the debug mux mounted by `expresso serve
-// -debug-addr`: the full net/http/pprof suite, a one-shot runtime
-// snapshot, and the engine introspection endpoints. It is deliberately a
-// separate handler so none of this is ever exposed on the public API
-// listener.
+// -debug-addr`: the full net/http/pprof suite and three more renderings of
+// the server's Snapshot. It is deliberately a separate handler so none of
+// this is ever exposed on the public API listener.
 //
 //	GET /debug/pprof/          profile index
 //	GET /debug/pprof/profile   30s CPU profile
@@ -29,66 +23,8 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/stats", handleDebugStats)
-	mux.HandleFunc("GET /debug/bdd", s.handleDebugBDD)
-	mux.HandleFunc("GET /debug/queue", s.handleDebugQueue)
+	mux.HandleFunc("GET /debug/stats", s.serve(false, func(sn *Snapshot) (int, any) { return http.StatusOK, sn.Runtime }))
+	mux.HandleFunc("GET /debug/bdd", s.serve(true, (*Snapshot).profiles))
+	mux.HandleFunc("GET /debug/queue", s.serve(false, func(sn *Snapshot) (int, any) { return http.StatusOK, sn.Queue }))
 	return mux
-}
-
-// debugBDD is the GET /debug/bdd body: one profile per live BDD manager
-// (registered baselines and cached SRC artifacts) plus the process-wide
-// reclamation and reordering totals. Per-manager profiles carry the
-// current variable order and last-sift detail when reordering has run.
-// Profiles are computed on demand — the walk is O(slab) per manager and
-// serializes briefly against verifications sharing the manager, which is
-// why this lives on the debug listener.
-type debugBDD struct {
-	Managers []expresso.BDDProfile `json:"managers"`
-	Reclaim  bdd.ReclaimStats      `json:"reclaim"`
-	Reorder  bdd.ReorderStats      `json:"reorder"`
-	Time     time.Time             `json:"time"`
-}
-
-func (s *Server) handleDebugBDD(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, debugBDD{
-		Managers: s.verifier.BDDProfiles(),
-		Reclaim:  bdd.GlobalReclaimStats(),
-		Reorder:  bdd.GlobalReorderStats(),
-		Time:     time.Now(),
-	})
-}
-
-func (s *Server) handleDebugQueue(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.QueueStats())
-}
-
-// debugStats is the GET /debug/stats body.
-type debugStats struct {
-	Goroutines   int       `json:"goroutines"`
-	GOMAXPROCS   int       `json:"gomaxprocs"`
-	NumCPU       int       `json:"num_cpu"`
-	HeapAlloc    uint64    `json:"heap_alloc_bytes"`
-	HeapSys      uint64    `json:"heap_sys_bytes"`
-	HeapObjects  uint64    `json:"heap_objects"`
-	TotalAlloc   uint64    `json:"total_alloc_bytes"`
-	NumGC        uint32    `json:"num_gc"`
-	PauseTotalNS uint64    `json:"gc_pause_total_ns"`
-	Time         time.Time `json:"time"`
-}
-
-func handleDebugStats(w http.ResponseWriter, r *http.Request) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	writeJSON(w, http.StatusOK, debugStats{
-		Goroutines:   runtime.NumGoroutine(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		HeapAlloc:    ms.HeapAlloc,
-		HeapSys:      ms.HeapSys,
-		HeapObjects:  ms.HeapObjects,
-		TotalAlloc:   ms.TotalAlloc,
-		NumGC:        ms.NumGC,
-		PauseTotalNS: ms.PauseTotalNs,
-		Time:         time.Now(),
-	})
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -31,7 +32,8 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled || s == JobSuperseded
 }
 
-// Job is one verification request tracked by the server.
+// Job is one engine run tracked by the server: a verification, a delta
+// against a named baseline, or a baseline registration.
 type Job struct {
 	// ID is the server-assigned job identifier.
 	ID string
@@ -41,11 +43,13 @@ type Job struct {
 	configText string
 	opts       expresso.Options
 	timeout    time.Duration
-	// baseline names the registered baseline a delta job runs against
-	// (""= anonymous /v1/verify job); coalesceKey is the (baseline,
-	// options) identity superseding deltas collapse on.
+	// baseline names the registered baseline a delta job runs against, and
+	// coalesceKey is the (baseline, options) identity superseding deltas
+	// collapse on; register names the baseline a registration job leaves
+	// behind. All are "" for a plain verification.
 	baseline    string
 	coalesceKey string
+	register    string
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -54,7 +58,8 @@ type Job struct {
 	mu           sync.Mutex
 	state        JobState
 	report       *expresso.Report
-	errMsg       string
+	registered   *expresso.BaselineInfo
+	err          error
 	cacheHit     bool
 	supersededBy string
 	stages       []expresso.StageInfo
@@ -83,6 +88,28 @@ func (j *Job) Report() *expresso.Report {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.report
+}
+
+// Err returns what ended a job that has no report: the verification's error,
+// cancellation, or the notice of having been superseded.
+func (j *Job) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
+}
+
+// setRegistered records the baseline a registration job registered.
+func (j *Job) setRegistered(b *expresso.BaselineInfo) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.registered = b
+}
+
+// Registered returns the baseline a finished registration job registered.
+func (j *Job) Registered() *expresso.BaselineInfo {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.registered
 }
 
 // setStages records per-stage cache provenance for the job's status view.
@@ -132,7 +159,7 @@ func (j *Job) trySupersede(winnerID string, now time.Time) bool {
 	}
 	j.state = JobSuperseded
 	j.supersededBy = winnerID
-	j.errMsg = "superseded by " + winnerID
+	j.err = errors.New("superseded by " + winnerID)
 	j.finished = now
 	j.mu.Unlock()
 	close(j.done)
@@ -149,7 +176,7 @@ func (j *Job) SupersededBy() string {
 
 // finish moves the job to a terminal state exactly once; later calls are
 // ignored (a job cancelled between finish and close would otherwise race).
-func (j *Job) finish(state JobState, report *expresso.Report, errMsg string, now time.Time) {
+func (j *Job) finish(state JobState, report *expresso.Report, err error, now time.Time) {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -157,7 +184,7 @@ func (j *Job) finish(state JobState, report *expresso.Report, errMsg string, now
 	}
 	j.state = state
 	j.report = report
-	j.errMsg = errMsg
+	j.err = err
 	j.finished = now
 	j.mu.Unlock()
 	close(j.done)
@@ -170,18 +197,20 @@ type JobStatus struct {
 	State    JobState `json:"state"`
 	Digest   string   `json:"digest"`
 	CacheHit bool     `json:"cache_hit"`
-	// Baseline is the registered baseline a delta job ran against.
+	// Baseline is the registered baseline a delta job ran against; Register
+	// the name a registration job registers its configuration under.
 	Baseline string `json:"baseline,omitempty"`
+	Register string `json:"register,omitempty"`
 	// SupersededBy points at the winning job when State is superseded.
 	SupersededBy string           `json:"superseded_by,omitempty"`
 	Error        string           `json:"error,omitempty"`
 	Report       *expresso.Report `json:"report,omitempty"`
 	// Stages is the per-stage cache provenance of the run that produced
 	// the report (hit, miss, or warm per pipeline stage).
-	Stages  []expresso.StageInfo `json:"stages,omitempty"`
-	Created time.Time            `json:"created"`
-	Started  *time.Time       `json:"started,omitempty"`
-	Finished *time.Time       `json:"finished,omitempty"`
+	Stages   []expresso.StageInfo `json:"stages,omitempty"`
+	Created  time.Time            `json:"created"`
+	Started  *time.Time           `json:"started,omitempty"`
+	Finished *time.Time           `json:"finished,omitempty"`
 }
 
 // Status snapshots the job for the API.
@@ -194,9 +223,12 @@ func (j *Job) Status() JobStatus {
 		Digest:       j.Digest,
 		CacheHit:     j.cacheHit,
 		Baseline:     j.baseline,
+		Register:     j.register,
 		SupersededBy: j.supersededBy,
-		Error:        j.errMsg,
 		Created:      j.created,
+	}
+	if j.err != nil {
+		st.Error = j.err.Error()
 	}
 	if j.state.Terminal() {
 		st.Report = j.report

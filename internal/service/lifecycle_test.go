@@ -251,7 +251,7 @@ func TestEngineWorkerPanicFailsTheJob(t *testing.T) {
 	defer ts.Close()
 	defer drainServer(t, s)
 
-	req := VerifyRequest{Config: testnet.Figure4, Properties: []string{"leak", "blackhole"}, Wait: true}
+	req := JobRequest{Config: testnet.Figure4, Properties: []string{"leak", "blackhole"}, Wait: true}
 	for i, f := range []string{"epvp.(*Engine).recompute", "spf.(*Result).forward"} {
 		frame.Store(f)
 		fired.Store(false)
@@ -290,7 +290,7 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	defer ts.Close()
 	defer drainServer(t, s)
 
-	code, st := postVerify(t, ts, VerifyRequest{Config: "router poison\n", Wait: true})
+	code, st := postVerify(t, ts, JobRequest{Config: "router poison\n", Wait: true})
 	if code != http.StatusOK {
 		t.Fatalf("poisoned job: status %d", code)
 	}
@@ -319,7 +319,7 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 		t.Errorf("no \"job panicked\" record in log:\n%s", buf.String())
 	}
 
-	code, st = postVerify(t, ts, VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	code, st = postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
 	if code != http.StatusOK || st.State != JobDone {
 		t.Fatalf("job after the panic: status %d state %s (err %q), want done", code, st.State, st.Error)
 	}

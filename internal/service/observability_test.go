@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -129,10 +130,13 @@ func cutLast(s, sep string) (before, after string, found bool) {
 // TestMetricsExpositionFormat checks the full /metrics output is
 // well-formed: every sample belongs to an announced family, counter names
 // end in _total, and histogram buckets are cumulative and consistent with
-// their _count.
+// their _count. The families and their types are the ones
+// testdata/metrics_types.golden lists — written by the commit before
+// /metrics became a rendering of Snapshot, from this very sequence of
+// requests — so no family was lost, added or retyped since.
 func TestMetricsExpositionFormat(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	req := VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
+	_, ts := newTestServer(t, Config{Workers: 1, StoreDir: t.TempDir()})
+	req := JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
 	postVerify(t, ts, req)
 	postVerify(t, ts, req) // cache hit
 
@@ -144,6 +148,21 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	families := parseExposition(t, buf.String())
+
+	var types []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	sort.Strings(types)
+	golden, err := os.ReadFile("testdata/metrics_types.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(types, "\n") + "\n"; got != string(golden) {
+		t.Errorf("metric families or types changed:\n got:\n%s\nwant:\n%s", got, golden)
+	}
 
 	if len(families) == 0 {
 		t.Fatal("no metric families exposed")
@@ -334,6 +353,101 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 }
 
+// sampleValue returns the value of the sample called name — a family's own
+// name, or a histogram's _sum or _count — that carries the given label
+// values (key, value, ...).
+func sampleValue(t *testing.T, families map[string]*metricFamily, name string, labels ...string) float64 {
+	t.Helper()
+	family := name
+	for _, suffix := range []string{"_sum", "_count"} {
+		if f := families[strings.TrimSuffix(name, suffix)]; f != nil && f.typ == "histogram" {
+			family = strings.TrimSuffix(name, suffix)
+		}
+	}
+	if families[family] == nil {
+		t.Fatalf("/metrics has no family %s", family)
+	}
+samples:
+	for _, sm := range families[family].samples {
+		for i := 0; i < len(labels); i += 2 {
+			if sm.labels[labels[i]] != labels[i+1] {
+				continue samples
+			}
+		}
+		if sm.name == name {
+			return sm.value
+		}
+	}
+	t.Fatalf("/metrics has no sample %s%v", name, labels)
+	return 0
+}
+
+// TestSnapshotRenderings reads one Snapshot — a job done, one running, one
+// queued — and renders it to every surface: the numbers two endpoints both
+// report agree because they are one number.
+func TestSnapshotRenderings(t *testing.T) {
+	release := make(chan struct{})
+	s, ts := newTestServerWith(t, Config{Workers: 1}, func(s *Server) { blockSlow(s, release) })
+	defer close(release)
+	postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	startSlow(t, ts, "router slow\n")
+	postVerify(t, ts, JobRequest{Config: "router slower\n"})
+
+	sn := s.Snapshot(true)
+	var page bytes.Buffer
+	sn.WriteMetrics(&page)
+	families := parseExposition(t, page.String())
+	value := func(name string, labels ...string) float64 {
+		t.Helper()
+		return sampleValue(t, families, name, labels...)
+	}
+
+	// /debug/queue and the queue gauges.
+	if sn.Queue.Depth != 1 || sn.Queue.Running != 1 || sn.Queue.OldestSeconds <= 0 {
+		t.Fatalf("queue view = %+v, want one queued job behind one running", sn.Queue)
+	}
+	if got := value("expresso_queue_depth"); got != float64(sn.Queue.Depth) {
+		t.Errorf("expresso_queue_depth = %g, /debug/queue depth = %d", got, sn.Queue.Depth)
+	}
+	if got := value("expresso_queue_oldest_seconds"); got != sn.Queue.OldestSeconds {
+		t.Errorf("expresso_queue_oldest_seconds = %g, /debug/queue oldest_seconds = %g", got, sn.Queue.OldestSeconds)
+	}
+
+	// /healthz and expresso_build_info.
+	code, body := sn.health()
+	health := body.(healthStatus)
+	if code != http.StatusOK || health.Status != "ok" {
+		t.Errorf("health = %d %+v, want 200 ok", code, health)
+	}
+	value("expresso_build_info", "version", health.Version, "revision", health.Revision, "go", health.GoVersion)
+
+	// The cumulative stage families are the stage histograms' sum and count.
+	for _, stage := range stageLabels {
+		total := value("expresso_stage_" + stage + "_seconds_total")
+		if sum := value("expresso_stage_duration_seconds_sum", "stage", stage); total != sum {
+			t.Errorf("expresso_stage_%s_seconds_total = %g, the histogram's sum = %g", stage, total, sum)
+		}
+		if jobs, n := value("expresso_stage_jobs_total"), value("expresso_stage_duration_seconds_count", "stage", stage); jobs != 1 || n != 1 {
+			t.Errorf("expresso_stage_jobs_total = %g, the %s histogram's count = %g, want 1 and 1", jobs, stage, n)
+		}
+	}
+	if value("expresso_stage_src_seconds_total") <= 0 {
+		t.Error("expresso_stage_src_seconds_total is zero after a completed job")
+	}
+
+	// /debug/stats and /debug/bdd.
+	if sn.Runtime.Goroutines <= 0 || sn.Runtime.HeapAlloc == 0 || !sn.Runtime.Time.Equal(sn.Time) {
+		t.Errorf("implausible runtime stats: %+v", sn.Runtime)
+	}
+	_, body = sn.profiles()
+	if view := body.(debugBDD); len(view.Managers) != 1 || view.Reclaim != sn.Reclaim || !view.Time.Equal(sn.Time) {
+		t.Errorf("/debug/bdd = %d managers, reclaim %+v, want the finished job's manager and the snapshot's totals", len(view.Managers), view.Reclaim)
+	}
+	if got := s.Snapshot(false).Managers; got != nil {
+		t.Errorf("a snapshot nobody asked profiles of carries %d", len(got))
+	}
+}
+
 // TestHealthzBuildInfo checks GET /healthz reports liveness plus the
 // binary's build identity.
 func TestHealthzBuildInfo(t *testing.T) {
@@ -359,7 +473,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 // trace when tracing is on, and 404s for unknown jobs and untraced runs.
 func TestJobTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Trace: true})
-	code, st := postVerify(t, ts, VerifyRequest{
+	code, st := postVerify(t, ts, JobRequest{
 		Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true,
 	})
 	if code != http.StatusOK || st.State != JobDone {
@@ -401,7 +515,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 
 	// A cache-hit job never ran the engine, so it has no trace.
-	code, hit := postVerify(t, ts, VerifyRequest{
+	code, hit := postVerify(t, ts, JobRequest{
 		Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true,
 	})
 	if code != http.StatusOK || !hit.CacheHit {
@@ -421,7 +535,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 // Config.Trace is set.
 func TestTraceDisabledByDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	code, st := postVerify(t, ts, VerifyRequest{
+	code, st := postVerify(t, ts, JobRequest{
 		Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true,
 	})
 	if code != http.StatusOK || st.State != JobDone {
@@ -441,7 +555,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // runtime-stats snapshot, and the engine introspection endpoints.
 func TestDebugHandler(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	postVerify(t, ts, VerifyRequest{
+	postVerify(t, ts, JobRequest{
 		Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true,
 	})
 	h := s.DebugHandler()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/expresso-verify/expresso"
-	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/telemetry"
 )
 
@@ -104,6 +103,9 @@ var ErrDraining = errors.New("service: server is draining")
 // not registered.
 var ErrUnknownBaseline = errors.New("service: unknown baseline")
 
+// errPanicked marks the error of a job whose verification panicked.
+var errPanicked = errors.New("verification panicked")
+
 // Server is the verification daemon: a bounded worker pool consuming a
 // FIFO job queue, fronted by a staged Verifier whose stage-granular
 // caches (load, SRC, analysis, SPF, report) let repeated and incremental
@@ -132,10 +134,12 @@ type Server struct {
 	nextID atomic.Int64
 
 	// run performs one verification — of a delta job's patched text
-	// against its named baseline, anonymously when baseline is ""; tests
-	// may substitute it. The RunInfo (nil from substitutes) carries
+	// against its named baseline, anonymously when baseline is "" — and
+	// register one that leaves its converged state registered under name;
+	// tests may substitute them. The RunInfo (nil from substitutes) carries
 	// per-stage cache provenance.
-	run func(ctx context.Context, baseline, configText string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error)
+	run      func(ctx context.Context, baseline, configText string, opts expresso.Options) (*expresso.Report, *expresso.RunInfo, error)
+	register func(ctx context.Context, name, configText string, opts expresso.Options) (*expresso.Report, *expresso.BaselineInfo, error)
 }
 
 // New builds a server. Call Start to launch the worker pool.
@@ -152,7 +156,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,
-		Metrics:    &Metrics{},
+		Metrics:    newMetrics(),
 		verifier:   expresso.NewVerifier(vcfg),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -160,12 +164,11 @@ func New(cfg Config) *Server {
 		jobs:       map[string]*Job{},
 		pending:    map[string]*Job{},
 	}
-	s.run = s.verifier.VerifyTextFrom
+	s.run, s.register = s.verifier.VerifyTextFrom, s.verifier.RegisterBaseline
 	return s
 }
 
-// Verifier exposes the server's staged verifier (baseline registration
-// goes through it).
+// Verifier exposes the server's staged verifier.
 func (s *Server) Verifier() *expresso.Verifier { return s.verifier }
 
 // Start launches the worker pool.
@@ -213,7 +216,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // pool. The returned bool reports a cache hit. timeout <= 0 uses the
 // server default.
 func (s *Server) Submit(configText string, opts expresso.Options, timeout time.Duration) (*Job, bool, error) {
-	return s.submit(configText, "", opts, timeout)
+	return s.submit(configText, "", "", opts, timeout)
 }
 
 // SubmitDelta admits a delta verification: the patch is applied to the
@@ -231,10 +234,26 @@ func (s *Server) SubmitDelta(baseline string, patch expresso.Patch, opts express
 	if err != nil {
 		return nil, false, err
 	}
-	return s.submit(configText, baseline, opts, timeout)
+	return s.submit(configText, baseline, "", opts, timeout)
 }
 
-func (s *Server) submit(configText, baseline string, opts expresso.Options, timeout time.Duration) (*Job, bool, error) {
+// SubmitBaseline admits a registration: configText is verified like any
+// other job — queued, bounded, cancellable — and its converged state is
+// registered as the named baseline when the run succeeds. A registration
+// must run, so the report cache does not answer it, and nothing supersedes
+// it. A name already registered is refused here (expresso.ErrBaselineExists);
+// of several racing for a free one, all but the first to run fail with it.
+func (s *Server) SubmitBaseline(name, configText string, opts expresso.Options, timeout time.Duration) (*Job, error) {
+	if _, ok := s.verifier.Baseline(name); ok {
+		return nil, fmt.Errorf("service: baseline %q %w", name, expresso.ErrBaselineExists)
+	}
+	job, _, err := s.submit(configText, "", name, opts, timeout)
+	return job, err
+}
+
+// submit is the one admission path: every engine run the daemon does is a
+// job that went through it.
+func (s *Server) submit(configText, baseline, register string, opts expresso.Options, timeout time.Duration) (*Job, bool, error) {
 	digest := Digest(configText, opts)
 	now := time.Now()
 	job := &Job{
@@ -244,6 +263,7 @@ func (s *Server) submit(configText, baseline string, opts expresso.Options, time
 		opts:       opts,
 		timeout:    timeout,
 		baseline:   baseline,
+		register:   register,
 		done:       make(chan struct{}),
 		state:      JobQueued,
 		created:    now,
@@ -256,22 +276,24 @@ func (s *Server) submit(configText, baseline string, opts expresso.Options, time
 	}
 	job.ctx, job.cancel = context.WithCancel(s.baseCtx)
 
-	if rep, ok := s.verifier.CachedReport(digest); ok {
-		s.Metrics.JobsAccepted.Add(1)
-		s.Metrics.CacheHits.Add(1)
-		job.cacheHit = true
-		job.stages = []expresso.StageInfo{{
-			Stage: "report", Status: expresso.StageHit, Key: digest,
-		}}
-		job.finish(JobDone, rep, "", now)
-		s.register(job)
-		// Even an answered-from-cache delta supersedes an older queued
-		// delta on its target: this job IS the newer state of the base.
-		s.supersedePending(job, now)
-		s.log.Info("job served from cache", "job", job.ID, "digest", digest)
-		return job, true, nil
+	if register == "" {
+		if rep, ok := s.verifier.CachedReport(digest); ok {
+			s.Metrics.JobsAccepted.Add(1)
+			s.Metrics.CacheHits.Add(1)
+			job.cacheHit = true
+			job.stages = []expresso.StageInfo{{
+				Stage: "report", Status: expresso.StageHit, Key: digest,
+			}}
+			job.finish(JobDone, rep, nil, now)
+			s.track(job)
+			// Even an answered-from-cache delta supersedes an older queued
+			// delta on its target: this job IS the newer state of the base.
+			s.supersedePending(job, now)
+			s.log.Info("job served from cache", "job", job.ID, "digest", digest)
+			return job, true, nil
+		}
+		s.Metrics.CacheMisses.Add(1)
 	}
-	s.Metrics.CacheMisses.Add(1)
 
 	s.mu.Lock()
 	if s.draining {
@@ -299,7 +321,7 @@ func (s *Server) submit(configText, baseline string, opts expresso.Options, time
 		s.logSuperseded(prev, job.ID, now)
 	}
 	s.Metrics.JobsAccepted.Add(1)
-	s.register(job)
+	s.track(job)
 	s.log.Info("job queued", "job", job.ID, "digest", digest, "timeout", job.timeout)
 	return job, false, nil
 }
@@ -341,9 +363,9 @@ func (s *Server) clearPending(job *Job) {
 	s.mu.Unlock()
 }
 
-// register tracks the job for /v1/jobs lookups, evicting the oldest
-// finished jobs beyond the registry cap.
-func (s *Server) register(job *Job) {
+// track files the job for /v1/jobs lookups, evicting the oldest finished
+// jobs beyond the registry cap.
+func (s *Server) track(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[job.ID] = job
@@ -375,16 +397,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Workers reports the resolved worker-pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
-// QueueDepth reports the number of queued jobs (a point-in-time gauge).
-func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return 0
-	}
-	return len(s.queue)
-}
-
 // BaselineQueueStat is one baseline's share of the in-flight work.
 type BaselineQueueStat struct {
 	Queued  int `json:"queued"`
@@ -393,8 +405,10 @@ type BaselineQueueStat struct {
 
 // QueueStats is the GET /debug/queue body and the source of the /metrics
 // queue gauges: a point-in-time view of the FIFO queue and the worker
-// pool, broken down by delta-job baseline ("" = anonymous jobs).
+// pool, broken down by delta-job baseline ("" = every other job).
 type QueueStats struct {
+	// Draining reports that Drain has begun: nothing more is admitted.
+	Draining bool `json:"draining"`
 	// Depth is the FIFO queue population (0 while draining).
 	Depth int `json:"depth"`
 	// Queued/Running count jobs by lifecycle state across the tracked
@@ -405,14 +419,14 @@ type QueueStats struct {
 	OldestJob     string  `json:"oldest_job,omitempty"`
 	OldestSeconds float64 `json:"oldest_seconds"`
 	// PerBaseline splits the queued/running counts by target baseline;
-	// anonymous verification jobs appear under "".
+	// verifications and registrations appear under "".
 	PerBaseline map[string]BaselineQueueStat `json:"per_baseline,omitempty"`
 }
 
-// QueueStats snapshots the queue for /debug/queue and the SLO gauges.
-func (s *Server) QueueStats() QueueStats {
+// queueStats reads the queue and the job registry.
+func (s *Server) queueStats() QueueStats {
 	s.mu.Lock()
-	qs := QueueStats{Depth: len(s.queue)}
+	qs := QueueStats{Draining: s.draining, Depth: len(s.queue)}
 	if s.draining {
 		qs.Depth = 0
 	}
@@ -463,7 +477,7 @@ func (s *Server) runJob(job *Job) {
 	if job.ctx.Err() != nil { // cancelled while queued
 		s.Metrics.JobsCancelled.Add(1)
 		s.log.Info("job cancelled while queued", "job", job.ID)
-		job.finish(JobCancelled, nil, job.ctx.Err().Error(), time.Now())
+		job.finish(JobCancelled, nil, job.ctx.Err(), time.Now())
 		return
 	}
 	start := time.Now()
@@ -472,7 +486,7 @@ func (s *Server) runJob(job *Job) {
 		s.log.Info("job skipped (superseded)", "job", job.ID, "by", job.SupersededBy())
 		return
 	}
-	s.Metrics.ObserveQueueWait(job.baseline, start.Sub(job.created))
+	s.Metrics.observe(s.Metrics.queueWait, job.baseline, start.Sub(job.created))
 	s.log.Info("job started", "job", job.ID, "digest", job.Digest,
 		"queue_wait", start.Sub(job.created))
 	ctx := job.ctx
@@ -501,43 +515,59 @@ func (s *Server) runJob(job *Job) {
 		}
 		s.Metrics.JobsCompleted.Add(1)
 		s.Metrics.ObserveTiming(rep.Timing)
-		s.Metrics.ObserveVerdict(job.baseline, now.Sub(job.created))
-		job.finish(JobDone, rep, "", now)
+		s.Metrics.observe(s.Metrics.verdict, job.baseline, now.Sub(job.created))
+		job.finish(JobDone, rep, nil, now)
 		s.log.Info("job done", "job", job.ID, "state", JobDone,
 			"duration", now.Sub(start), "verdict", now.Sub(job.created),
 			"iterations", rep.Iterations)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.Metrics.JobsCancelled.Add(1)
-		job.finish(JobCancelled, nil, err.Error(), now)
+		job.finish(JobCancelled, nil, err, now)
 		s.log.Info("job cancelled", "job", job.ID, "state", JobCancelled,
 			"duration", now.Sub(start), "error", err.Error())
 	default:
 		s.Metrics.JobsFailed.Add(1)
-		job.finish(JobFailed, nil, err.Error(), now)
+		job.finish(JobFailed, nil, err, now)
 		s.log.Warn("job failed", "job", job.ID, "state", JobFailed,
 			"duration", now.Sub(start), "error", err.Error())
 	}
 }
 
-// verify runs the job's verification. A panic under it — an engine bug, a
-// corrupted shared BDD manager — is reported as the job's error, stack to
-// the log: one poisoned job fails alone instead of taking its worker, and
-// with it the process and every other queued job, down.
+// verify runs the job's verification — the one place the daemon enters the
+// engine. A panic under it — an engine bug, a corrupted shared BDD manager —
+// is reported as the job's error, stack to the log: one poisoned job fails
+// alone instead of taking its worker, and with it the process and every
+// other queued job, down.
 func (s *Server) verify(ctx context.Context, job *Job, opts expresso.Options) (rep *expresso.Report, info *expresso.RunInfo, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.Metrics.JobPanics.Add(1)
 			s.log.Error("job panicked", "job", job.ID, "panic", p, "stack", string(rtdebug.Stack()))
-			rep, info, err = nil, nil, fmt.Errorf("verification panicked: %v", p)
+			rep, info, err = nil, nil, fmt.Errorf("%w: %v", errPanicked, p)
 		}
 	}()
-	return s.run(ctx, job.baseline, job.configText, opts)
+	if job.register == "" {
+		return s.run(ctx, job.baseline, job.configText, opts)
+	}
+	rep, reg, err := s.register(ctx, job.register, job.configText, opts)
+	if err == nil {
+		job.setRegistered(reg)
+		s.log.Info("baseline registered", "job", job.ID, "baseline", reg.Name, "digest", reg.ConfigDigest)
+	}
+	return rep, nil, err
 }
 
-// VerifyRequest is the POST /v1/verify body.
-type VerifyRequest struct {
-	// Config is the multi-router configuration text (required).
-	Config string `json:"config"`
+// JobRequest is the POST /v1/jobs body: a configuration to verify, or a
+// patch against a named baseline — exactly one of the two — plus the
+// verification options.
+type JobRequest struct {
+	// Config is the multi-router configuration text of a verification.
+	Config string `json:"config,omitempty"`
+	// Baseline names the registered base of a delta job, and Patch is the
+	// config-tree delta to apply to its text. The empty patch re-verifies
+	// the baseline as-is.
+	Baseline string         `json:"baseline,omitempty"`
+	Patch    expresso.Patch `json:"patch"`
 	// Properties selects checks by name (leak, hijack, traffic,
 	// blackhole, loop, bte); empty means the default §7.1 set.
 	Properties []string `json:"properties,omitempty"`
@@ -552,35 +582,13 @@ type VerifyRequest struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-// Options translates the request into verification options.
-func (r *VerifyRequest) Options() (expresso.Options, error) {
-	var opts expresso.Options
-	switch r.Mode {
-	case "", "full":
-	case "minus":
-		opts.Mode = expresso.ExpressoMinusMode()
-	default:
-		return opts, fmt.Errorf("unknown mode %q (want \"full\" or \"minus\")", r.Mode)
-	}
-	for _, name := range r.Properties {
-		k, err := expresso.ParseProperty(name)
-		if err != nil {
-			return opts, err
-		}
-		opts.Properties = append(opts.Properties, k)
-	}
-	if r.BTE != "" {
-		c, err := route.ParseCommunity(r.BTE)
-		if err != nil {
-			return opts, err
-		}
-		opts.BTE = c
-	}
-	return opts, nil
-}
+// DeltaRequest is JobRequest under the name it had when /v1/jobs took
+// deltas only.
+type DeltaRequest = JobRequest
 
 // BaselineRequest is the POST /v1/baselines body: a configuration to
-// verify synchronously and register as the named delta base.
+// verify and register as the named delta base. The request waits for its
+// registration job.
 type BaselineRequest struct {
 	// Name is the registry key deltas will reference (required).
 	Name string `json:"name"`
@@ -591,78 +599,43 @@ type BaselineRequest struct {
 	BTE        string   `json:"bte,omitempty"`
 }
 
-// Options translates the registration's verification options.
-func (r *BaselineRequest) Options() (expresso.Options, error) {
-	vr := VerifyRequest{Properties: r.Properties, Mode: r.Mode, BTE: r.BTE}
-	return vr.Options()
-}
-
 // BaselineStatus is the JSON view of a registered baseline.
 type BaselineStatus struct {
 	*expresso.BaselineInfo
-	// Report is the registration run's report (only on POST).
+	// Report is the registration run's report, and Job the ID of the job
+	// that ran it (only on POST).
 	Report *expresso.Report `json:"report,omitempty"`
-}
-
-// DeltaRequest is the POST /v1/jobs body: a patch against a named
-// baseline plus the usual verification options.
-type DeltaRequest struct {
-	// Baseline names the registered base (required).
-	Baseline string `json:"baseline"`
-	// Patch is the config-tree delta to apply to the baseline's text. The
-	// empty patch re-verifies the baseline as-is.
-	Patch      expresso.Patch `json:"patch"`
-	Properties []string       `json:"properties,omitempty"`
-	Mode       string         `json:"mode,omitempty"`
-	BTE        string         `json:"bte,omitempty"`
-	TimeoutMS  int64          `json:"timeout_ms,omitempty"`
-	Wait       bool           `json:"wait,omitempty"`
-}
-
-// Options translates the delta's verification options.
-func (r *DeltaRequest) Options() (expresso.Options, error) {
-	vr := VerifyRequest{Properties: r.Properties, Mode: r.Mode, BTE: r.BTE}
-	return vr.Options()
+	Job    string           `json:"job,omitempty"`
 }
 
 // Handler returns the HTTP API:
 //
-//	POST   /v1/verify           submit a verification (cache-aware)
-//	POST   /v1/baselines        register a named baseline (synchronous)
-//	GET    /v1/baselines        list registered baselines
-//	GET    /v1/baselines/{name} baseline detail
-//	DELETE /v1/baselines/{name} unregister a baseline
-//	POST   /v1/jobs             submit a delta job {baseline, patch}
+//	POST   /v1/jobs             submit a job: {config} or {baseline, patch}
 //	GET    /v1/jobs/{id}        job status and report
 //	GET    /v1/jobs/{id}/trace  run trace (requires Config.Trace)
 //	DELETE /v1/jobs/{id}        cancel a job
+//	POST   /v1/baselines        register a named baseline (a job, waited for)
+//	GET    /v1/baselines        list registered baselines
+//	GET    /v1/baselines/{name} baseline detail
+//	DELETE /v1/baselines/{name} unregister a baseline
 //	GET    /healthz             liveness + build info (503 while draining)
 //	GET    /metrics             Prometheus-style counters and histograms
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/verify", s.handleVerify)
+	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("POST /v1/baselines", s.handleBaselineCreate)
 	mux.HandleFunc("GET /v1/baselines", s.handleBaselineList)
 	mux.HandleFunc("GET /v1/baselines/{name}", s.handleBaselineGet)
 	mux.HandleFunc("DELETE /v1/baselines/{name}", s.handleBaselineDelete)
-	mux.HandleFunc("POST /v1/jobs", s.handleDelta)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /healthz", s.serve(false, (*Snapshot).health))
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		s.Snapshot(false).WriteMetrics(w)
+	})
 	return mux
-}
-
-// setRetryAfter stamps a 503's Retry-After from the current backlog: one
-// second plus the queued-jobs-per-worker ratio, capped at 30 — a rough
-// "when might a slot open" rather than a fixed constant.
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	wait := 1 + s.QueueDepth()/s.cfg.Workers
-	if wait > 30 {
-		wait = 30
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(wait))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -677,136 +650,108 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+// decode reads a JSON request body into req; it answers 400 itself and
+// reports false on a malformed one.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
-		return
-	}
-	if req.Config == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{"missing \"config\""})
-		return
-	}
-	opts, err := req.Options()
+	err := json.NewDecoder(r.Body).Decode(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
+		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
 	}
-	job, hit, err := s.Submit(req.Config, opts, time.Duration(req.TimeoutMS)*time.Millisecond)
-	s.respondSubmitted(w, r, job, hit, req.Wait, err)
+	return err == nil
 }
 
-// respondSubmitted renders a Submit/SubmitDelta outcome: 503 with
-// Retry-After on backpressure, 200 on a cache hit, 202 (or a blocking
-// wait) otherwise.
-func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, job *Job, hit, wait bool, err error) {
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if !s.decode(w, r, &req) {
+		return
+	}
+	var (
+		job     *Job
+		hit     bool
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	)
+	opts, err := expresso.ParseOptions(req.Properties, req.Mode, req.BTE)
 	switch {
-	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
-		return
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, apiError{err.Error()})
-		return
+	case (req.Config == "") == (req.Baseline == ""):
+		err = errors.New(`exactly one of "config" and "baseline" is required`)
+	case req.Baseline != "":
+		job, hit, err = s.SubmitDelta(req.Baseline, req.Patch, opts, timeout)
+	case !req.Patch.Empty():
+		err = errors.New(`"patch" needs a "baseline" to apply to`)
+	default:
+		job, hit, err = s.Submit(req.Config, opts, timeout)
 	}
-	if hit {
-		writeJSON(w, http.StatusOK, job.Status())
-		return
-	}
-	if wait {
-		select {
-		case <-job.Done():
-			writeJSON(w, http.StatusOK, job.Status())
-		case <-r.Context().Done():
-			// The client left; stop the symbolic simulation promptly.
-			job.Cancel()
-			<-job.Done()
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req DeltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
-		return
-	}
-	if req.Baseline == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{"missing \"baseline\""})
-		return
-	}
-	opts, err := req.Options()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
-	}
-	job, hit, err := s.SubmitDelta(req.Baseline, req.Patch, opts, time.Duration(req.TimeoutMS)*time.Millisecond)
-	if errors.Is(err, ErrUnknownBaseline) {
-		writeJSON(w, http.StatusNotFound, apiError{err.Error()})
-		return
-	}
-	if err != nil && !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDraining) {
-		// A patch that does not apply is the client's error, not ours.
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
-	}
-	s.respondSubmitted(w, r, job, hit, req.Wait, err)
+	s.respondSubmitted(w, r, job, hit, req.Wait, err, func(j *Job) (int, any) { return http.StatusOK, j.Status() })
 }
 
 func (s *Server) handleBaselineCreate(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req BaselineRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
+	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.Name == "" || req.Config == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{"missing \"name\" or \"config\""})
-		return
-	}
-	opts, err := req.Options()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
-	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.setRetryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{ErrDraining.Error()})
-		return
-	}
-	if _, ok := s.verifier.Baseline(req.Name); ok {
-		writeJSON(w, http.StatusConflict, apiError{fmt.Sprintf("baseline %q already registered", req.Name)})
-		return
-	}
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.EngineWorkers
-	}
-	ctx := s.baseCtx
-	if s.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer cancel()
-	}
-	s.Metrics.EngineRuns.Add(1)
-	rep, info, err := s.verifier.RegisterBaseline(ctx, req.Name, req.Config, opts)
+	var job *Job
+	opts, err := expresso.ParseOptions(req.Properties, req.Mode, req.BTE)
 	switch {
-	case err == nil:
-		s.Metrics.ObserveTiming(rep.Timing)
-		s.log.Info("baseline registered", "baseline", req.Name, "digest", info.ConfigDigest)
-		writeJSON(w, http.StatusCreated, BaselineStatus{BaselineInfo: info, Report: rep})
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, apiError{err.Error()})
+	case err != nil:
+	case req.Name == "" || req.Config == "":
+		err = errors.New(`missing "name" or "config"`)
+	default:
+		job, err = s.SubmitBaseline(req.Name, req.Config, opts, 0)
+	}
+	s.respondSubmitted(w, r, job, false, true, err, func(j *Job) (int, any) {
+		st, err := j.Status(), j.Err()
+		switch {
+		case st.State == JobDone:
+			return http.StatusCreated, BaselineStatus{BaselineInfo: j.Registered(), Report: st.Report, Job: st.ID}
+		case st.State == JobCancelled:
+			return http.StatusGatewayTimeout, apiError{st.Error}
+		case errors.Is(err, errPanicked):
+			return http.StatusInternalServerError, apiError{st.Error}
+		case errors.Is(err, expresso.ErrBaselineExists):
+			return http.StatusConflict, apiError{st.Error}
+		}
+		return http.StatusBadRequest, apiError{st.Error}
+	})
+}
+
+// respondSubmitted renders a submit outcome, one way for every kind of job:
+// a refusal by its cause — 503 with Retry-After on backpressure, 404 for an
+// unknown baseline, 409 for a registered one, 400 for anything else the
+// client got wrong — then 202 for a job still to run, unless the request
+// waits for it; a finished job is rendered by done. A client that hangs up
+// on its wait cancels the job.
+func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, job *Job, hit, wait bool, err error, done func(*Job) (int, any)) {
+	switch {
+	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining):
+		// One second plus the queued-jobs-per-worker ratio, capped at 30: a
+		// rough "when might a slot open" rather than a fixed constant.
+		retry := min(1+len(s.queue)/s.cfg.Workers, 30)
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
+		return
+	case errors.Is(err, ErrUnknownBaseline):
+		writeJSON(w, http.StatusNotFound, apiError{err.Error()})
+		return
 	case errors.Is(err, expresso.ErrBaselineExists):
 		writeJSON(w, http.StatusConflict, apiError{err.Error()})
-	default:
+		return
+	case err != nil: // e.g. a patch that does not apply
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		return
+	case !hit && !wait:
+		writeJSON(w, http.StatusAccepted, job.Status())
+		return
+	}
+	select {
+	case <-job.Done():
+		code, body := done(job)
+		writeJSON(w, code, body)
+	case <-r.Context().Done():
+		// The client left; stop the symbolic simulation promptly.
+		job.Cancel()
+		<-job.Done()
 	}
 }
 
@@ -869,63 +814,4 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	job.Cancel()
 	writeJSON(w, http.StatusOK, job.Status())
-}
-
-// healthStatus is the GET /healthz body: liveness plus the build identity
-// of the running binary, read once from the embedded module metadata.
-type healthStatus struct {
-	Status    string `json:"status"`
-	Version   string `json:"version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	GoVersion string `json:"go_version"`
-}
-
-var buildInfo = sync.OnceValue(func() healthStatus {
-	st := healthStatus{Status: "ok", GoVersion: runtime.Version()}
-	bi, ok := rtdebug.ReadBuildInfo()
-	if !ok {
-		return st
-	}
-	st.Version = bi.Main.Version
-	for _, kv := range bi.Settings {
-		if kv.Key == "vcs.revision" {
-			st.Revision = kv.Value
-		}
-	}
-	return st
-})
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	st := buildInfo()
-	if draining {
-		st.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, st)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var storeStats *expresso.StoreStats
-	if st, ok := s.verifier.StoreTraffic(); ok {
-		storeStats = &st
-	}
-	qs := s.QueueStats()
-	bi := buildInfo()
-	s.Metrics.WriteText(w, Snapshot{
-		QueueDepth:          qs.Depth,
-		OldestQueuedSeconds: qs.OldestSeconds,
-		Workers:             s.cfg.Workers,
-		EngineWorkers:       s.cfg.EngineWorkers,
-		Baselines:           s.verifier.BaselineCount(),
-		CacheStats:          s.verifier.CacheStats(),
-		StoreStats:          storeStats,
-		Version:             bi.Version,
-		Revision:            bi.Revision,
-		GoVersion:           bi.GoVersion,
-	})
 }

@@ -19,27 +19,33 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTestServerWith(t, cfg, func(*Server) {})
+}
+
+// newTestServerWith is newTestServer with the server's hooks set up before
+// the pool starts.
+func newTestServerWith(t *testing.T, cfg Config, setup func(*Server)) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(cfg)
+	setup(s)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
+		drainServer(t, s)
 	})
 	return s, ts
 }
 
-func postVerify(t *testing.T, ts *httptest.Server, req VerifyRequest) (int, JobStatus) {
+func postVerify(t *testing.T, ts *httptest.Server, req JobRequest) (int, JobStatus) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatalf("marshal request: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /v1/verify: %v", err)
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
 	var st JobStatus
@@ -85,7 +91,7 @@ func TestConcurrentVerify(t *testing.T) {
 		wg.Add(1)
 		go func(props []string) {
 			defer wg.Done()
-			code, st := postVerify(t, ts, VerifyRequest{
+			code, st := postVerify(t, ts, JobRequest{
 				Config:     testnet.Figure4,
 				Properties: props,
 				Wait:       true,
@@ -135,7 +141,7 @@ func TestConcurrentVerify(t *testing.T) {
 // the resubmission differs only in comments and whitespace.
 func TestCacheHit(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	req := VerifyRequest{Config: testnet.Figure4, Properties: []string{"leak"}, Wait: true}
+	req := JobRequest{Config: testnet.Figure4, Properties: []string{"leak"}, Wait: true}
 
 	code, first := postVerify(t, ts, req)
 	if code != http.StatusOK || first.State != JobDone {
@@ -192,7 +198,7 @@ func TestCancelMidEPVP(t *testing.T) {
 
 	// Uncancelled baseline (leak-only keeps the run EPVP-dominated).
 	start := time.Now()
-	code, base := postVerify(t, ts, VerifyRequest{Config: region, Properties: []string{"leak"}, Wait: true})
+	code, base := postVerify(t, ts, JobRequest{Config: region, Properties: []string{"leak"}, Wait: true})
 	baseline := time.Since(start)
 	if code != http.StatusOK || base.State != JobDone {
 		t.Fatalf("baseline run: status %d state %s (err %q)", code, base.State, base.Error)
@@ -202,7 +208,7 @@ func TestCancelMidEPVP(t *testing.T) {
 	// Different property set -> different digest -> a real engine run
 	// (and no stage reuse, since caching is off).
 	start = time.Now()
-	code, st := postVerify(t, ts, VerifyRequest{Config: region, Properties: []string{"hijack"}})
+	code, st := postVerify(t, ts, JobRequest{Config: region, Properties: []string{"hijack"}})
 	if code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d", code)
 	}
@@ -269,7 +275,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 	// Distinct configs so nothing collides in the cache.
 	submit := func(i int) (int, JobStatus) {
-		return postVerify(t, ts, VerifyRequest{Config: fmt.Sprintf("router R%d\nbgp as %d\n", i, i+1)})
+		return postVerify(t, ts, JobRequest{Config: fmt.Sprintf("router R%d\nbgp as %d\n", i, i+1)})
 	}
 	code1, st1 := submit(1) // picked up by the lone worker
 	if code1 != http.StatusAccepted {
@@ -334,7 +340,7 @@ func TestDrain(t *testing.T) {
 func TestTimeoutCancelsJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	region := netgen.CSP(netgen.CSPOldRegion(4)) // ~5x the deadline uncancelled
-	code, st := postVerify(t, ts, VerifyRequest{
+	code, st := postVerify(t, ts, JobRequest{
 		Config:     region,
 		Properties: []string{"leak"},
 		TimeoutMS:  100,
@@ -354,7 +360,7 @@ func TestTimeoutCancelsJob(t *testing.T) {
 // TestMetricsEndpoint checks /metrics exposes the counters after activity.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	req := VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
+	req := JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
 	postVerify(t, ts, req)
 	postVerify(t, ts, req) // cache hit
 
@@ -396,7 +402,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // must omit them.
 func TestStoreMetricsAndProvenance(t *testing.T) {
 	dir := t.TempDir()
-	req := VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
+	req := JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
 
 	_, ts1 := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	if code, st := postVerify(t, ts1, req); code != http.StatusOK || st.State != JobDone {
@@ -461,7 +467,7 @@ func TestJobStagesProvenance(t *testing.T) {
 		return ""
 	}
 
-	code, first := postVerify(t, ts, VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	code, first := postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
 	if code != http.StatusOK || first.State != JobDone {
 		t.Fatalf("first run: status %d state %s (err %q)", code, first.State, first.Error)
 	}
@@ -469,7 +475,7 @@ func TestJobStagesProvenance(t *testing.T) {
 		t.Errorf("first run SRC status = %q, want miss (stages %+v)", got, first.Stages)
 	}
 
-	code, second := postVerify(t, ts, VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak", "hijack"}, Wait: true})
+	code, second := postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak", "hijack"}, Wait: true})
 	if code != http.StatusOK || second.State != JobDone {
 		t.Fatalf("second run: status %d state %s (err %q)", code, second.State, second.Error)
 	}
@@ -479,7 +485,7 @@ func TestJobStagesProvenance(t *testing.T) {
 
 	// Identical resubmission: answered from the report cache, with the
 	// single report-stage entry marking the hit.
-	code, third := postVerify(t, ts, VerifyRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	code, third := postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
 	if code != http.StatusOK || !third.CacheHit {
 		t.Fatalf("resubmission: status %d cacheHit %v", code, third.CacheHit)
 	}
@@ -488,30 +494,37 @@ func TestJobStagesProvenance(t *testing.T) {
 	}
 }
 
-// TestBadRequests exercises the API's error paths.
+// TestBadRequests exercises the API's error paths: a job is a config or a
+// patch against a baseline, never both and never neither, and the route that
+// took configs before /v1/jobs did is gone.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
 		name string
-		req  VerifyRequest
+		req  JobRequest
 	}{
-		{"empty config", VerifyRequest{}},
-		{"bad mode", VerifyRequest{Config: "router A\n", Mode: "turbo"}},
-		{"bad property", VerifyRequest{Config: "router A\n", Properties: []string{"nosuch"}}},
-		{"bad bte", VerifyRequest{Config: "router A\n", BTE: "zzz"}},
+		{"neither config nor baseline", JobRequest{}},
+		{"config and baseline", JobRequest{Config: "router A\n", Baseline: "prod"}},
+		{"config and patch", JobRequest{Config: "router A\n", Patch: expresso.Patch{Ops: []expresso.PatchOp{{Op: "delete", Router: "A"}}}}},
+		{"bad mode", JobRequest{Config: "router A\n", Mode: "turbo"}},
+		{"bad property", JobRequest{Config: "router A\n", Properties: []string{"nosuch"}}},
+		{"bad bte", JobRequest{Config: "router A\n", BTE: "zzz"}},
 	}
 	for _, tc := range cases {
 		if code, _ := postVerify(t, ts, tc.req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/j-999999")
+	if code := getStatus(t, ts.URL+"/v1/jobs/j-999999"); code != http.StatusNotFound {
+		t.Errorf("unknown job: status %d, want 404", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(`{"config":"router A\n"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+		t.Errorf("POST /v1/verify: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -519,7 +532,7 @@ func TestBadRequests(t *testing.T) {
 // not a crash or a cached entry.
 func TestMalformedConfigFails(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	code, st := postVerify(t, ts, VerifyRequest{Config: "bgp as 5\n", Wait: true})
+	code, st := postVerify(t, ts, JobRequest{Config: "bgp as 5\n", Wait: true})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}

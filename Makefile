@@ -1,10 +1,10 @@
 # Tier-1 verification lives in ROADMAP.md; `make ci` is the superset run
 # in CI: vet + build + race-enabled tests across every package, then the
 # three steps that cover what that run does not — the same race run with
-# the parallel engine forced on, a short fuzz of every store-blob decoder,
-# and the env-gated allocation guard. The four *-check targets select
-# tests `race` has already run: they are shortcuts for working on one
-# subsystem, not CI steps.
+# the parallel engine forced on, a short fuzz of every store-blob decoder
+# and of the configuration-text front door, and the env-gated allocation
+# guard. The four *-check targets select tests `race` has already run: they
+# are shortcuts for working on one subsystem, not CI steps.
 
 GO ?= go
 
@@ -77,11 +77,14 @@ store-check: fuzz-smoke
 	$(GO) test . -run 'TestStore' -count=1 -timeout 15m
 	$(GO) test -count=1 ./internal/store/ ./internal/wire/ ./internal/bdd/ ./internal/automaton/ ./internal/pipeline/
 
-# A store directory is untrusted input: each decoder of its bytes gets five
-# seconds of coverage-guided fuzzing on top of its seed corpus (-fuzz takes
+# A store directory is untrusted input, and so is configuration text: each
+# decoder of a store blob, the config parser and the diff/patch pair get five
+# seconds of coverage-guided fuzzing on top of their seed corpus (-fuzz takes
 # one target in one package per run). A crasher lands in the package's
 # testdata/fuzz/ and fails every later `go test` until it is fixed.
 fuzz-smoke:
+	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 5s
+	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s
 	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
 	$(GO) test ./internal/automaton/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
 	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeSRC$$' -fuzztime 5s

@@ -76,10 +76,10 @@ func (v *Verifier) RegisterBaseline(ctx context.Context, name, configText string
 		return nil, nil, fmt.Errorf("expresso: baseline %q %w", name, ErrBaselineExists)
 	}
 	var b *pipeline.Baseline
-	rep, _, err := v.run(ctx, input{text: configText, artifacts: func(out *pipeline.Outcome) error {
+	rep, _, err := v.runText(ctx, configText, "", opts, func(out *pipeline.Outcome) error {
 		b = pipeline.NewBaseline(name, configText, out, time.Now())
 		return v.baselines.Register(b) // fails on a lost registration race for the name
-	}}, "", opts)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,7 +147,7 @@ func (v *Verifier) VerifyTextFrom(ctx context.Context, baseline, configText stri
 			return nil, nil, fmt.Errorf("expresso: baseline %q is not registered", baseline)
 		}
 	}
-	return v.run(ctx, input{text: configText}, baseline, opts)
+	return v.runText(ctx, configText, baseline, opts, nil)
 }
 
 // VerifyDelta applies a patch to the named baseline's registered text and

@@ -29,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -81,30 +80,26 @@ func fatalf(format string, args ...interface{}) {
 	os.Exit(1)
 }
 
-func loadNetwork(file, dir string) *expresso.Network {
-	net, err := expresso.Load(loadConfigText(file, dir))
-	if err != nil {
-		fatalf("%v", err)
+// configFlags declares the -file and -dir flags check, stats and
+// search-policy share and returns the configuration text they name (see
+// expresso.ReadConfig), to call once the flag set is parsed.
+func configFlags(fs *flag.FlagSet) func() string {
+	file := fs.String("file", "", "configuration file")
+	dir := fs.String("dir", "", "directory of *.cfg files, each complete on its own")
+	return func() string {
+		path := *file
+		if path == "" {
+			path = *dir
+		}
+		if path == "" {
+			fatalf("one of -file or -dir is required")
+		}
+		text, err := expresso.ReadConfig(path)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		return text
 	}
-	return net
-}
-
-// loadConfigText returns the raw configuration text named by -file or
-// -dir (see loadConfigPath). The staged verifier digests this text, so two
-// invocations over unchanged configs produce identical stage keys.
-func loadConfigText(file, dir string) string {
-	path := file
-	if path == "" {
-		path = dir
-	}
-	if path == "" {
-		fatalf("one of -file or -dir is required")
-	}
-	text, err := loadConfigPath(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return text
 }
 
 // verifyFlags declares the verification flags check and gate share and
@@ -128,8 +123,7 @@ func verifyFlags(fs *flag.FlagSet) func() (expresso.Options, error) {
 
 func cmdCheck(args []string) {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	file := fs.String("file", "", "configuration file")
-	dir := fs.String("dir", "", "directory of *.cfg files")
+	configText := configFlags(fs)
 	options := verifyFlags(fs)
 	verbose := fs.Bool("v", false, "print every violation")
 	asJSON := fs.Bool("json", false, "print the report as JSON instead of the table")
@@ -149,7 +143,7 @@ func cmdCheck(args []string) {
 	// Always the staged verifier: it times the load stage too, so every
 	// trace and every -explain-cache table covers all the stages.
 	v := expresso.NewVerifier(expresso.VerifierConfig{StoreDir: *storeDir})
-	rep, info, err := v.VerifyText(context.Background(), loadConfigText(*file, *dir), opts)
+	rep, info, err := v.VerifyText(context.Background(), configText(), opts)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -220,16 +214,10 @@ func cmdCheck(args []string) {
 		rep.Timing.Workers)
 	fmt.Printf("state:   converged=%v iterations=%d symbolic routes=%d PECs=%d heap=%.1fMB\n",
 		rep.Converged, rep.Iterations, rep.RIBRoutes, rep.PECs, float64(rep.HeapBytes)/1e6)
-	counts := rep.CountByKind()
-	if len(counts) == 0 {
-		fmt.Println("result:  no property violations")
+	fmt.Println(resultLine(rep))
+	if len(rep.Violations) == 0 {
 		return
 	}
-	fmt.Printf("result:  %d violations:", len(rep.Violations))
-	for k, n := range counts {
-		fmt.Printf(" %s=%d", k, n)
-	}
-	fmt.Println()
 	if *verbose {
 		for _, v := range rep.Violations {
 			fmt.Printf("  %s\n", v)
@@ -238,37 +226,22 @@ func cmdCheck(args []string) {
 	os.Exit(1)
 }
 
-// loadConfigPath loads a configuration tree from a path that may be a
-// single file or a directory of *.cfg files: the file's contents, or the
-// sorted concatenation of the directory's files (the same sections LoadDir
-// parses).
-func loadConfigPath(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
+// resultLine renders check's verdict: the violation count per property, the
+// properties in the order the report lists their violations (routing
+// analysis, then forwarding analysis).
+func resultLine(rep *expresso.Report) string {
+	if len(rep.Violations) == 0 {
+		return "result:  no property violations"
 	}
-	if fi.IsDir() {
-		paths, err := filepath.Glob(filepath.Join(path, "*.cfg"))
-		if err != nil {
-			return "", err
+	line := fmt.Sprintf("result:  %d violations:", len(rep.Violations))
+	counts := rep.CountByKind()
+	for _, v := range rep.Violations {
+		if n, ok := counts[v.Kind]; ok {
+			line += fmt.Sprintf(" %s=%d", v.Kind, n)
+			delete(counts, v.Kind)
 		}
-		sort.Strings(paths)
-		var b strings.Builder
-		for _, p := range paths {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return "", err
-			}
-			b.Write(data)
-			b.WriteByte('\n')
-		}
-		return b.String(), nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
+	return line
 }
 
 // cmdGate diffs two configuration trees and verifies the new one as a
@@ -297,12 +270,12 @@ func cmdGate(args []string) {
 		os.Exit(2)
 	}
 
-	oldText, err := loadConfigPath(fs.Arg(0))
+	oldText, err := expresso.ReadConfig(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
 		os.Exit(2)
 	}
-	newText, err := loadConfigPath(fs.Arg(1))
+	newText, err := expresso.ReadConfig(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
 		os.Exit(2)
@@ -460,10 +433,12 @@ func cmdTrace(args []string) {
 
 func cmdStats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	file := fs.String("file", "", "configuration file")
-	dir := fs.String("dir", "", "directory of *.cfg files")
+	configText := configFlags(fs)
 	fs.Parse(args)
-	net := loadNetwork(*file, *dir)
+	net, err := expresso.Load(configText())
+	if err != nil {
+		fatalf("%v", err)
+	}
 	s := net.Topo.Statistics()
 	fmt.Printf("nodes\tlinks\tpeers\tprefixes\tconfig-lines\n")
 	fmt.Printf("%d\t%d\t%d\t%d\t%d\n", s.Nodes, s.Links, s.Peers, s.Prefixes, s.ConfigLines)
@@ -474,14 +449,16 @@ func cmdStats(args []string) {
 // transform them?
 func cmdSearchPolicy(args []string) {
 	fs := flag.NewFlagSet("search-policy", flag.ExitOnError)
-	file := fs.String("file", "", "configuration file")
-	dir := fs.String("dir", "", "directory of *.cfg files")
+	configText := configFlags(fs)
 	router := fs.String("router", "", "router name")
 	policy := fs.String("policy", "", "policy name")
 	action := fs.String("action", "permit", "permit or deny")
 	fs.Parse(args)
 
-	net := loadNetwork(*file, *dir)
+	net, err := expresso.Load(configText())
+	if err != nil {
+		fatalf("%v", err)
+	}
 	d := net.Topo.Devices[*router]
 	if d == nil {
 		fatalf("unknown router %q", *router)

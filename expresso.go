@@ -20,7 +20,10 @@ package expresso
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -113,9 +116,6 @@ func (o *Options) normalize() {
 	if len(o.Properties) == 0 {
 		o.Properties = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}
 	}
-	if o.Workers == 0 {
-		o.Workers = telemetry.WorkersFromEnv()
-	}
 }
 
 // CacheKey renders the normalized options deterministically (mode flags,
@@ -199,8 +199,8 @@ func ParseOptions(props []string, mode, bte string) (Options, error) {
 // Timing records per-stage wall-clock durations (Table 3's columns).
 // Durations marshal as integer nanoseconds.
 type Timing struct {
-	// Load is the parse+build time (0 when verifying a pre-loaded
-	// Network, whose load happened outside the run).
+	// Load is the parse+build time of the network the run verified (a
+	// Network's was spent in Load, before the run).
 	Load               time.Duration `json:"load_ns"`
 	SRC                time.Duration `json:"src_ns"`
 	RoutingAnalysis    time.Duration `json:"routing_analysis_ns"`
@@ -248,38 +248,74 @@ func (r *Report) CountByKind() map[Kind]int {
 	return out
 }
 
-// Network is a loaded, analyzable network.
+// Network is a loaded, analyzable network, built by Load or LoadDir.
 type Network struct {
+	// Topo is the built topology, for inspection.
 	Topo *topology.Network
+	// load is the Load-stage artifact Topo belongs to: what Verify verifies.
+	load *pipeline.LoadArtifact
 }
 
-// Load parses a multi-router configuration text and builds the network.
+// ReadConfig turns a path into configuration text — the one way from disk to
+// Load and the Verifier: a file's bytes, or a directory's *.cfg files joined
+// in name order. Each file of a directory must parse on its own, so an error
+// names the file and the line within it: joined first, a stray statement
+// opening one file would be taken for the last router of the file before it.
+func ReadConfig(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", fmt.Errorf("expresso: %w", err)
+	}
+	if !fi.IsDir() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return "", fmt.Errorf("expresso: %w", err)
+		}
+		return string(data), nil
+	}
+	entries, err := os.ReadDir(path) // sorted by file name
+	if err != nil {
+		return "", fmt.Errorf("expresso: %w", err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cfg") {
+			continue
+		}
+		file := filepath.Join(path, e.Name())
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return "", fmt.Errorf("expresso: %w", err)
+		}
+		if _, err := config.ParseConfigs(string(data)); err != nil {
+			return "", fmt.Errorf("expresso: %s: %w", file, err)
+		}
+		b.Write(data)
+		b.WriteByte('\n')
+	}
+	if b.Len() == 0 {
+		return "", fmt.Errorf("expresso: no router definitions in any *.cfg file under %s", path)
+	}
+	return b.String(), nil
+}
+
+// Load parses a multi-router configuration text and builds the network: the
+// pipeline's Load stage, digests included, run once.
 func Load(configText string) (*Network, error) {
-	devices, err := config.ParseConfigs(configText)
+	art, err := pipeline.Load(configText)
 	if err != nil {
 		return nil, err
 	}
-	topo, err := topology.Build(devices)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{Topo: topo}, nil
+	return &Network{Topo: art.Net, load: art}, nil
 }
 
-// LoadDir parses every *.cfg file in a directory.
+// LoadDir is Load of a directory's *.cfg files (see ReadConfig).
 func LoadDir(dir string) (*Network, error) {
-	devices, err := config.ParseDir(dir)
+	text, err := ReadConfig(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(devices) == 0 {
-		return nil, fmt.Errorf("expresso: no router definitions in any *.cfg file under %s", dir)
-	}
-	topo, err := topology.Build(devices)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{Topo: topo}, nil
+	return Load(text)
 }
 
 // Verify runs the requested property checks and returns the report.
@@ -293,12 +329,16 @@ func (n *Network) Verify(opts Options) (*Report, error) {
 // promptly and returns ctx.Err() instead of finishing minutes of symbolic
 // simulation nobody is waiting for.
 //
-// VerifyContext runs the staged pipeline with no cache, store or baseline
-// attached: every stage runs cold, so repeated calls are fully independent
-// — the determinism tests rely on that. Use a Verifier for stage-granular
-// caching and incremental (warm-start) re-verification.
+// VerifyContext runs the one verification driver on a zero Verifier, whose
+// tiers keep nothing and which has no store or baseline: every stage runs
+// cold, so repeated calls are fully independent — the determinism tests rely
+// on that. Use a Verifier for stage-granular caching and incremental
+// (warm-start) re-verification.
 func (n *Network) VerifyContext(ctx context.Context, opts Options) (*Report, error) {
-	rep, _, err := new(Verifier).run(ctx, input{net: n.Topo}, "", opts)
+	if n.load == nil {
+		return nil, errors.New("expresso: Network was not built by Load or LoadDir")
+	}
+	rep, _, err := new(Verifier).run(ctx, n.load, nil, "", opts, nil)
 	return rep, err
 }
 

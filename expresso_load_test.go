@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
@@ -76,5 +77,55 @@ func TestLoadDirValid(t *testing.T) {
 	}
 	if got := net.Topo.Statistics().Nodes; got != 2 {
 		t.Errorf("nodes = %d, want 2", got)
+	}
+}
+
+// TestStrayStatementFileIsRejected: the directory the one-reader rule exists
+// for (see testnet.StrayB).
+func TestStrayStatementFileIsRejected(t *testing.T) {
+	dir := t.TempDir()
+	for name, text := range map[string]string{"a.cfg": testnet.StrayA, "b.cfg": testnet.StrayB} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, readErr := ReadConfig(dir)
+	_, loadErr := LoadDir(dir)
+	for what, err := range map[string]error{"ReadConfig": readErr, "LoadDir": loadErr} {
+		if err == nil {
+			t.Errorf("%s accepted a directory whose b.cfg starts outside any router", what)
+		} else if msg := err.Error(); !strings.Contains(msg, "b.cfg") || !strings.Contains(msg, "line 1") {
+			t.Errorf("%s: err %q does not name b.cfg and the line within it", what, msg)
+		}
+	}
+}
+
+// TestReadConfigDirIsTheConcatenation: a directory whose files each stand
+// alone reads as their concatenation in name order — so its config digest,
+// and with it every stage key, is the single file's.
+func TestReadConfigDirIsTheConcatenation(t *testing.T) {
+	pr1, pr2, ok := strings.Cut(testnet.Figure4, "router PR2")
+	if !ok {
+		t.Fatal("Figure4 no longer has a router PR2 section to split at")
+	}
+	dir := t.TempDir()
+	for name, text := range map[string]string{"10-pr1.cfg": pr1, "20-pr2.cfg": "router PR2" + pr2, "README": "bgp as 1\n"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text, err := ReadConfig(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pipeline.CanonicalConfig(text), pipeline.CanonicalConfig(testnet.Figure4); got != want {
+		t.Errorf("directory text is canonically\n%s\nwant Figure4's\n%s", got, want)
+	}
+	if got, want := ReportDigest(text, Options{}), ReportDigest(testnet.Figure4, Options{}); got != want {
+		t.Errorf("report digest %s, want %s", got, want)
+	}
+	file := filepath.Join(dir, "10-pr1.cfg")
+	if got, err := ReadConfig(file); err != nil || got != pr1 {
+		t.Errorf("ReadConfig(file) = %q, %v; want the file's bytes", got, err)
 	}
 }

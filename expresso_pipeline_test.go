@@ -290,25 +290,100 @@ func TestVerifierStageReuse(t *testing.T) {
 }
 
 // TestVerifyTextMatchesVerify: the cached text path and the plain Network
-// path must agree on report content.
+// path are one driver over one kind of Load artifact, and must agree on
+// report content; the Network path keeps nothing between calls.
 func TestVerifyTextMatchesVerify(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{Workers: 1}
-	v := NewVerifier(VerifierConfig{})
-	viaText, _, err := v.VerifyText(ctx, testnet.Case2RouteLeak, opts)
+	region1, _ := regionDelta()
+	for name, text := range map[string]string{"testnet": testnet.Case2RouteLeak, "region1": region1} {
+		viaText, _, err := NewVerifier(VerifierConfig{}).VerifyText(ctx, text, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := Load(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaNetwork [2]*Report
+		for i := range viaNetwork {
+			opts := Options{Workers: 1, Trace: NewTracer()}
+			if viaNetwork[i], err = net.Verify(opts); err != nil {
+				t.Fatal(err)
+			}
+			for _, sp := range opts.Trace.Finish().Spans {
+				if sp.Status != StageMiss {
+					t.Errorf("%s: Verify call %d: stage %s is %q, want every stage cold", name, i+1, sp.Name, sp.Status)
+				}
+			}
+		}
+		if a, b := viaNetwork[0].Iterations, viaNetwork[1].Iterations; a != b {
+			t.Errorf("%s: consecutive Verify calls took %d and %d EPVP rounds", name, a, b)
+		}
+		if got, want := normalizedJSON(t, viaText), normalizedJSON(t, viaNetwork[1]); got != want {
+			t.Errorf("%s: VerifyText and Verify disagree:\n--- Verify ---\n%s\n--- VerifyText ---\n%s", name, want, got)
+		}
+	}
+}
+
+// TestZeroVerifierIsCold: the zero Verifier is the one Network.Verify runs
+// on, and takes text like any other — every run computes every stage.
+func TestZeroVerifierIsCold(t *testing.T) {
+	v := new(Verifier)
+	net, err := Load(testnet.Figure4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := Load(testnet.Case2RouteLeak)
+	want, err := net.Verify(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNetwork, err := net.Verify(opts)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		rep, info, err := v.VerifyText(context.Background(), testnet.Figure4, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.CacheHit || info.Digest != ReportDigest(testnet.Figure4, Options{}) {
+			t.Errorf("run %d: cache hit %v under digest %s", i+1, info.CacheHit, info.Digest)
+		}
+		for _, st := range info.Stages {
+			if st.Status != StageMiss {
+				t.Errorf("run %d: stage %s is %q, want miss", i+1, st.Stage, st.Status)
+			}
+		}
+		if normalizedJSON(t, rep) != normalizedJSON(t, want) {
+			t.Errorf("run %d: the zero Verifier's report differs from Network.Verify's", i+1)
+		}
 	}
-	if got, want := normalizedJSON(t, viaText), normalizedJSON(t, viaNetwork); got != want {
-		t.Errorf("VerifyText and Verify disagree:\n--- Verify ---\n%s\n--- VerifyText ---\n%s", want, got)
+	if n := v.CachedReports(); n != 0 {
+		t.Errorf("the zero Verifier kept %d reports", n)
+	}
+	if _, err := new(Network).Verify(Options{}); err == nil {
+		t.Error("a Network that was never loaded verified")
+	}
+}
+
+// TestReportDigestNormalizesOptions: spellings of one request share a
+// digest; different requests do not.
+func TestReportDigestNormalizesOptions(t *testing.T) {
+	cfg := testnet.Figure4
+	// The zero Mode means FullMode; the default property set is the §7.1
+	// trio. All three spellings must share a digest.
+	dflt := ReportDigest(cfg, Options{})
+	explicit := ReportDigest(cfg, Options{
+		Mode:       FullMode(),
+		Properties: []Kind{TrafficHijackFree, RouteLeakFree, RouteHijackFree},
+	})
+	if dflt != explicit {
+		t.Error("normalized options should digest equally regardless of spelling/order")
+	}
+	if minus := ReportDigest(cfg, Options{Mode: ExpressoMinusMode()}); minus == dflt {
+		t.Error("Expresso- must digest differently from full mode")
+	}
+	if leakOnly := ReportDigest(cfg, Options{Properties: []Kind{RouteLeakFree}}); leakOnly == dflt {
+		t.Error("different property sets must digest differently")
+	}
+	if ReportDigest("router R1\n", Options{}) == ReportDigest("router R2\n", Options{}) {
+		t.Error("different configs must digest differently")
 	}
 }
 

@@ -207,9 +207,9 @@ type Manager struct {
 }
 
 // hashTable is an open-addressing hash table from three-int32 keys to Node,
-// used for the per-stripe unique tables ((level, low, high) -> node) and
-// the per-worker operation memos. Go's built-in maps dominated the profile;
-// this table avoids their per-access overhead.
+// used for the per-stripe unique tables ((level, low, high) -> node). Go's
+// built-in maps dominated the profile; this table avoids their per-access
+// overhead.
 type hashTable struct {
 	keys []tableKey
 	vals []Node
@@ -667,9 +667,8 @@ func (w *Worker) sync() {
 
 // ClearCache drops the worker's memo tables. Handles stay valid (the shared
 // unique table is untouched). It deliberately does NOT reset the cumulative
-// hit/miss counters: telemetry computes per-round deltas from MemoStats,
-// and the engine clears caches mid-run, so resetting here would make the
-// deltas go negative. See MemoStats.
+// hit/miss counters: telemetry computes deltas from MemoStats, which a reset
+// between two readings would make negative. See MemoStats.
 func (w *Worker) ClearCache() {
 	w.ite = newOpCache()
 	w.bin = newOpCache()
@@ -1235,10 +1234,6 @@ func (m *Manager) Eval(n Node, assign map[int]bool) bool {
 func (m *Manager) ClearCaches() {
 	m.def.ClearCache()
 }
-
-// CacheSize returns the number of memoized results in the default worker's
-// caches, a proxy for their memory footprint.
-func (m *Manager) CacheSize() int { return m.def.CacheSize() }
 
 // UniqueStats returns the cumulative unique-table statistics: hits are mk
 // lookups answered by an existing canonical node, created is the number of

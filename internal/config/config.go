@@ -26,8 +26,6 @@ package config
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -368,35 +366,6 @@ func (d *Device) Policy(name string) *Policy {
 func ParseConfigs(text string) ([]*Device, error) {
 	p := &parser{lines: strings.Split(text, "\n")}
 	return p.parse()
-}
-
-// ParseDir parses every *.cfg file in dir (sorted by name) and returns all
-// devices.
-func ParseDir(dir string) ([]*Device, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("config: %v", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".cfg") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var devices []*Device
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("config: %v", err)
-		}
-		ds, err := ParseConfigs(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("config: %s: %v", name, err)
-		}
-		devices = append(devices, ds...)
-	}
-	return devices, nil
 }
 
 type parser struct {

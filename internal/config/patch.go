@@ -148,7 +148,8 @@ func Diff(oldText, newText string) Patch {
 		if Canonical(s.Text) == "" {
 			continue // comment-only (preamble): nothing to delete
 		}
-		if _, ok := newByName[s.Router]; !ok {
+		// A comment-only counterpart carries nothing over, and gets no SetOp.
+		if Canonical(newByName[s.Router].Text) == "" {
 			p.Ops = append(p.Ops, PatchOp{Op: DeleteOp, Router: s.Router})
 		}
 	}

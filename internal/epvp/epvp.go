@@ -763,16 +763,6 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 			res.Converged = true
 			break
 		}
-		// Bound the op memos between rounds on very large runs; the node
-		// table itself is retained, so handles stay valid.
-		if e.Space.M.CacheSize() > 64<<20 {
-			e.Space.M.ClearCaches()
-		}
-		for _, f := range forks {
-			if f.ctx.Space.W.CacheSize() > (64<<20)/len(forks) {
-				f.ctx.Space.W.ClearCache()
-			}
-		}
 	}
 	// Canonical, handle-free ordering so reports are byte-identical across
 	// runs and worker counts (Merge's internal order is only stable within

@@ -14,11 +14,9 @@ import (
 )
 
 // LoadArtifact is the Load stage's output: the built network plus the
-// content addresses the downstream stage keys chain on. Digest == ""
-// marks a network built outside the text pipeline (expresso.Load /
-// LoadDir callers hand the Runner a pre-built topology); such artifacts
-// are never cached or warm-started against, since there is no text to
-// diff.
+// content addresses the downstream stage keys chain on. Load is the only
+// producer — every artifact is born of configuration text — so every one can
+// be cached, persisted, diffed against another and warm-started from.
 type LoadArtifact struct {
 	Net *topology.Network
 	// Digest is the SHA-256 of the canonical configuration text.
@@ -29,9 +27,13 @@ type LoadArtifact struct {
 	DeviceDigests map[string]string
 	// Elapsed is the parse+build wall clock.
 	Elapsed time.Duration
+
+	// canonical is the text Digest addresses, kept for ReportKey.
+	canonical string
 }
 
-// Load runs the Load stage on configuration text.
+// Load runs the Load stage on configuration text: parse, build, and the
+// canonical form's digests, once.
 func Load(text string) (*LoadArtifact, error) {
 	start := time.Now()
 	devices, err := config.ParseConfigs(text)
@@ -48,12 +50,13 @@ func Load(text string) (*LoadArtifact, error) {
 		Digest:        hashHex(canonical),
 		DeviceDigests: DeviceDigests(canonical),
 		Elapsed:       time.Since(start),
+		canonical:     canonical,
 	}, nil
 }
 
-// FromNetwork wraps a pre-built topology as an uncacheable Load artifact.
-func FromNetwork(net *topology.Network) *LoadArtifact {
-	return &LoadArtifact{Net: net}
+// ReportKey is ReportKey of the text the artifact was loaded from.
+func (l *LoadArtifact) ReportKey(optsKey string) string {
+	return reportKey(l.canonical, optsKey)
 }
 
 // SRCArtifact is the SRC stage's output: a converged EPVP fixed point

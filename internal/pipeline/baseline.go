@@ -80,15 +80,11 @@ func (b *Baseline) Manifest() *BaselineManifest {
 }
 
 // BaselineRegistry is the named-baseline table a Runner resolves delta
-// requests against. Safe for concurrent use.
+// requests against. The zero value is an empty registry. Safe for concurrent
+// use.
 type BaselineRegistry struct {
 	mu     sync.Mutex
 	byName map[string]*Baseline
-}
-
-// NewBaselineRegistry returns an empty registry.
-func NewBaselineRegistry() *BaselineRegistry {
-	return &BaselineRegistry{byName: map[string]*Baseline{}}
 }
 
 // Register adds a baseline under its name and becomes a holder of its
@@ -103,6 +99,9 @@ func (r *BaselineRegistry) Register(b *Baseline) error {
 	}
 	if !b.SRC.retain() {
 		return fmt.Errorf("pipeline: baseline %q: its converged state was released", b.Name)
+	}
+	if r.byName == nil {
+		r.byName = map[string]*Baseline{}
 	}
 	r.byName[b.Name] = b
 	return nil

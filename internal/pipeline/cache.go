@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Capacities sets the LRU capacity of each memory tier for NewStageCache.
-// Zero means the tier's default; negative disables it (every Get misses,
-// nothing is kept).
+// Capacities sets the LRU capacity of each memory tier for
+// StageCache.SetCapacities. Zero means the tier's default; negative disables
+// it (every Get misses, nothing is kept).
 //
 // Only the stages whose artifacts stand on their own have a tier: parsed
 // networks and assembled reports are plain values, cheap to keep by the
@@ -50,9 +50,9 @@ func (t *tally) count(hit bool) {
 }
 
 // Tier is the one bounded table: a counted LRU, most recently used first,
-// safe for concurrent use. Its values are shared between requests and must
-// be treated as immutable. Capacities are at most a few dozen, so a lookup
-// is a scan.
+// safe for concurrent use; the zero value has no capacity and keeps nothing.
+// Its values are shared between requests and must be treated as immutable.
+// Capacities are at most a few dozen, so a lookup is a scan.
 type Tier[V any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -132,36 +132,33 @@ func (t *Tier[V]) Len() int { return len(t.Values()) }
 // the lookup counters of the three stages derived from it. The tier is a
 // holder of every artifact in it (SRCArtifact.retain): an evicted artifact
 // unpins, with everything built on it, once its in-flight requests have let
-// go too.
+// go too. The zero value keeps nothing: every stage of every run is cold.
 type SRCCache struct {
 	Tier[*SRCArtifact]
-	derived map[string]*tally
-	warms   atomic.Int64
+	routing, spf, forwarding tally
+	warms                    atomic.Int64
 }
 
 // StageCache is a verifier's memory tier for the stages whose artifacts are
-// not bound to another artifact's BDD manager; R is the report type.
+// not bound to another artifact's BDD manager; R is the report type. The
+// zero value keeps nothing in any tier.
 type StageCache[R any] struct {
-	Load   *Tier[*LoadArtifact]
-	SRC    *SRCCache
-	Report *Tier[R]
+	Load   Tier[*LoadArtifact]
+	SRC    SRCCache
+	Report Tier[R]
 }
 
-// NewStageCache builds the three tiers.
-func NewStageCache[R any](caps Capacities) *StageCache[R] {
+// SetCapacities sizes the three tiers; it is called once, before first use.
+func (c *StageCache[R]) SetCapacities(caps Capacities) {
 	def := func(v, d int) int {
 		if v == 0 {
 			return d
 		}
 		return v
 	}
-	c := &StageCache[R]{
-		Load:   &Tier[*LoadArtifact]{cap: def(caps.Load, 32)},
-		SRC:    &SRCCache{derived: map[string]*tally{StageRouting: {}, StageSPF: {}, StageForwarding: {}}},
-		Report: &Tier[R]{cap: def(caps.Report, 128)},
-	}
+	c.Load.cap = def(caps.Load, 32)
 	c.SRC.cap = def(caps.SRC, 4)
-	return c
+	c.Report.cap = def(caps.Report, 128)
 }
 
 // Stats snapshots every stage's counters in pipeline order. The derived
@@ -189,10 +186,11 @@ func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
 	out := []StageStat{
 		stat(StageLoad, &c.Load.tally, c.Load.Len()),
 		stat(StageSRC, &c.SRC.tally, c.SRC.Len()),
+		stat(StageRouting, &c.SRC.routing, resident[StageRouting]),
+		stat(StageSPF, &c.SRC.spf, resident[StageSPF]),
+		stat(StageForwarding, &c.SRC.forwarding, resident[StageForwarding]),
+		stat(StageReport, &c.Report.tally, c.Report.Len()),
 	}
 	out[1].WarmStarts = c.SRC.warms.Load()
-	for _, stage := range []string{StageRouting, StageSPF, StageForwarding} {
-		out = append(out, stat(stage, c.SRC.derived[stage], resident[stage]))
-	}
-	return append(out, stat(StageReport, &c.Report.tally, c.Report.Len()))
+	return out
 }

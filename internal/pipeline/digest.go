@@ -8,11 +8,13 @@
 // request whose configuration differs from a cached one by a few routers
 // can warm-start the EPVP fixed point from the cached converged RIBs.
 //
-// The package is deliberately below the public API: expresso.Verifier and
-// expresso.Network.VerifyContext both drive a Runner, the former with a
-// StageCache, the latter cold (caching and warm-starts never change what a
-// report says, only how much of it is recomputed — the warm-start
-// determinism tests pin byte-identical reports against cold runs).
+// The package is deliberately below the public API, whose entry points all
+// drive a Runner over a Load artifact born of configuration text (Load is the
+// only way to make one): expresso.Verifier with its StageCache,
+// expresso.Network.VerifyContext with a zero one, which keeps nothing —
+// caching and warm-starts never change what a report says, only how much of
+// it is recomputed (the warm-start determinism tests pin byte-identical
+// reports against cold runs).
 package pipeline
 
 import (
@@ -70,8 +72,12 @@ func DeviceDigests(canonical string) map[string]string {
 // canonicalized configuration plus the caller's rendered options key.
 // expresso.ReportDigest and the service's result cache key on it.
 func ReportKey(configText, optsKey string) string {
+	return reportKey(CanonicalConfig(configText), optsKey)
+}
+
+func reportKey(canonical, optsKey string) string {
 	h := sha256.New()
-	h.Write([]byte(CanonicalConfig(configText)))
+	h.Write([]byte(canonical))
 	h.Write([]byte{0})
 	h.Write([]byte(optsKey))
 	return hex.EncodeToString(h.Sum(nil))

@@ -27,9 +27,8 @@ const gcHeapThreshold = 256 << 20
 // reclaimAfterSRC drops the engine's op caches and forces a collection
 // between a freshly built SRC fixed point and the analysis stages, but only
 // under heap pressure: right for one-shot verification of the paper's large
-// snapshots (the memo is often gigabytes), wrong as an always-on cost for a
-// service verifying small snapshots at high rate. It returns the provenance
-// note.
+// snapshots, wrong as an always-on cost for a service verifying small
+// snapshots at high rate. It returns the provenance note.
 func reclaimAfterSRC(src *SRCArtifact) string {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -114,23 +113,22 @@ type Outcome struct {
 // the old universe along.
 const warmNodeBudget = 4 << 20
 
-// Runner executes the staged pipeline. A nil Cache runs every stage cold
-// — byte-identical results, no reuse — which is exactly what the plain
-// expresso.Verify path wants (its determinism tests compare repeated
-// runs, including iteration counts).
+// Runner executes the staged pipeline.
 type Runner struct {
-	// Cache, when non-nil, is the memory tier of SRC artifacts. The stages
-	// built on one (routing, SPF, forwarding) are kept by that artifact
-	// itself, so what memory serves for them was built on the very fixed
-	// point — in the very BDD manager — the request resolved.
+	// Cache is the memory tier of SRC artifacts (required). The stages built
+	// on one (routing, SPF, forwarding) are kept by that artifact itself, so
+	// what memory serves for them was built on the very fixed point — in the
+	// very BDD manager — the request resolved. A zero SRCCache keeps nothing:
+	// every stage runs cold — byte-identical results, no reuse — which is
+	// what the plain expresso.Verify path wants (its determinism tests
+	// compare repeated runs, including iteration counts).
 	Cache *SRCCache
 	// Store, when non-nil, is the persistent second tier under the stage
 	// cache: SRC, SPF, and analysis artifacts are written through to it
 	// and, on an in-memory miss, read back and deserialized — so a cold
 	// process (or a second replica sharing the store directory)
 	// warm-starts from a previously converged state. Store traffic is
-	// keyed by DiskKey of the stage key and gated on the same text-born
-	// condition as the cache; failures degrade to recompute.
+	// keyed by DiskKey of the stage key; failures degrade to recompute.
 	Store store.Tier
 	// Baselines, when non-nil, resolves Request.Baseline names to pinned
 	// converged states — the explicit anchor of the SRC stage's
@@ -274,8 +272,7 @@ func (o *Outcome) Release() { o.SRC.Release() }
 
 // Run drives Load's downstream stages to an Outcome, which the caller
 // releases. req.Load must be set; stages are cached, persisted and
-// warm-started only when the load carries a digest (text-born) and the
-// Runner has the tier in question.
+// warm-started as far as the Runner's tiers go.
 func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err error) {
 	if req.Load == nil || req.Load.Net == nil {
 		return nil, errors.New("pipeline: request carries no loaded network")
@@ -289,13 +286,6 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 			return nil, fmt.Errorf("expresso: BlockToExternal requires Options.BTE")
 		}
 	}
-	cached, disk := r.Cache, r.Store
-	if req.Load.Digest == "" {
-		cached, disk = nil, nil
-	}
-	if cached == nil {
-		cached = &SRCCache{} // keeps nothing, counts for nobody
-	}
 	out := &Outcome{}
 	// note records the provenance of the stage just resolved; a stage's
 	// clock starts where the previous one's stopped.
@@ -307,7 +297,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	}
 
 	// --- SRC: the EPVP fixed point -------------------------------------
-	src, info, err := resolve(ctx, disk, r.srcSpec(ctx, req, cached), nil)
+	src, info, err := resolve(ctx, r.Store, r.srcSpec(ctx, req), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +310,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	}()
 
 	// --- RoutingAnalysis -----------------------------------------------
-	out.Routing, info, err = resolve(ctx, disk, analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE), cached.derived[StageRouting])
+	out.Routing, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE), &r.Cache.routing)
 	if err != nil {
 		return nil, err
 	}
@@ -330,14 +320,14 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	}
 
 	// --- SPF: symbolic packet forwarding -------------------------------
-	out.SPF, info, err = resolve(ctx, disk, spfSpec(ctx, req, src, out.Routing), cached.derived[StageSPF])
+	out.SPF, info, err = resolve(ctx, r.Store, spfSpec(ctx, req, src, out.Routing), &r.Cache.spf)
 	if err != nil {
 		return nil, err
 	}
 	note(info)
 
 	// --- ForwardingAnalysis --------------------------------------------
-	out.Forwarding, info, err = resolve(ctx, disk, analysisSpec(ctx, StageForwarding, ForwardingKey(out.SPF.Digest, forwardingProps), src, out.SPF.Res, forwardingProps, 0), cached.derived[StageForwarding])
+	out.Forwarding, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageForwarding, ForwardingKey(out.SPF.Digest, forwardingProps), src, out.SPF.Res, forwardingProps, 0), &r.Cache.forwarding)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +343,9 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 // cold lives in a manager born in this request, whose run lock is born with
 // it; a warm start computes in its anchor's manager and shares the anchor's
 // lock. Whatever the rung, the artifact comes back held for the request.
-func (r *Runner) srcSpec(ctx context.Context, req *Request, cached *SRCCache) *stageSpec[*SRCArtifact] {
+func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
-	own := &sync.Mutex{}
+	cached, own := r.Cache, &sync.Mutex{}
 	var base *Baseline
 	if req.Baseline != "" && r.Baselines != nil {
 		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
@@ -404,12 +394,11 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request, cached *SRCCache) *s
 		// resident, independent of cache pressure. Anonymous requests — and a
 		// baseline grown past the budget — chain on the most recently used
 		// artifact the SRC cache still holds that a warm start may use: same
-		// mode, text-born (diffable), node table under budget. The
-		// compatibility of the symbolic universes (externals, community atoms)
-		// is re-checked by epvp.NewWarm.
+		// mode, node table under budget. The compatibility of the symbolic
+		// universes (externals, community atoms) is re-checked by epvp.NewWarm.
 		anchor: func() (*SRCArtifact, string) {
 			fits := func(a *SRCArtifact) bool {
-				return a.Eng.Mode == req.Mode && a.Load.Digest != "" && a.Eng.Space.M.NumNodes() < warmNodeBudget
+				return a.Eng.Mode == req.Mode && a.Eng.Space.M.NumNodes() < warmNodeBudget
 			}
 			if base != nil && fits(base.SRC) && base.SRC.retain() {
 				return base.SRC, "baseline=" + base.Name + " "
@@ -497,6 +486,9 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 			epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, func() []bdd.Node {
 				return append(src.handles(), routing.handles()...)
 			})
+			// The engine may have converged for another request, or been
+			// restored from the store: this request's worker count applies.
+			src.Eng.Workers = req.Workers
 			dp, err := spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
 			if err != nil {
 				return nil, err

@@ -19,8 +19,14 @@ import (
 
 type fakeReport struct{ n int }
 
+func newStageCache(caps Capacities) *StageCache[*fakeReport] {
+	c := &StageCache[*fakeReport]{}
+	c.SetCapacities(caps)
+	return c
+}
+
 func TestStageCacheLRUEviction(t *testing.T) {
-	c := NewStageCache[*fakeReport](Capacities{Report: 2}).Report
+	c := &newStageCache(Capacities{Report: 2}).Report
 	a, b, d := &fakeReport{1}, &fakeReport{2}, &fakeReport{3}
 	c.Add("a", a)
 	if _, dropped := c.Add("b", b); dropped {
@@ -50,7 +56,7 @@ func TestStageCacheLRUEviction(t *testing.T) {
 }
 
 func TestStageCacheRefreshExisting(t *testing.T) {
-	c := NewStageCache[*fakeReport](Capacities{}).Report
+	c := &newStageCache(Capacities{}).Report
 	r1, r2 := &fakeReport{1}, &fakeReport{2}
 	c.Add("k", r1)
 	if got, dropped := c.Add("k", r2); !dropped || got != r1 {
@@ -65,7 +71,7 @@ func TestStageCacheRefreshExisting(t *testing.T) {
 }
 
 func TestStageCacheDisabled(t *testing.T) {
-	c := NewStageCache[*fakeReport](Capacities{Report: -1})
+	c := newStageCache(Capacities{Report: -1})
 	r := &fakeReport{}
 	if got, dropped := c.Report.Add("k", r); !dropped || got != r {
 		t.Errorf("a disabled tier dropped %v, want the value it was handed", got)
@@ -81,13 +87,13 @@ func TestStageCacheDisabled(t *testing.T) {
 }
 
 func TestStageCacheStatsCount(t *testing.T) {
-	c := NewStageCache[*fakeReport](Capacities{})
+	c := newStageCache(Capacities{})
 	c.Load.Get("missing")
 	c.Load.Add("k", &LoadArtifact{})
 	c.Load.Get("k")
 	c.Report.Probe("missing") // a probe counts only what it finds
 	c.SRC.warms.Add(1)
-	c.SRC.derived[StageSPF].count(false)
+	c.SRC.spf.count(false)
 	want := []StageStat{
 		{Stage: StageLoad, Hits: 1, Misses: 1, Entries: 1},
 		{Stage: StageSRC, WarmStarts: 1},
@@ -102,6 +108,17 @@ func TestStageCacheStatsCount(t *testing.T) {
 }
 
 // --- digests -----------------------------------------------------------
+
+func TestCanonicalConfigStripsNoise(t *testing.T) {
+	a := "router R1\nbgp as 100\n"
+	b := "// header comment\n\nrouter   R1   # trailing comment\r\nbgp  as  100\n\n"
+	if CanonicalConfig(a) != CanonicalConfig(b) {
+		t.Errorf("canonical forms differ:\n%q\n%q", CanonicalConfig(a), CanonicalConfig(b))
+	}
+	if CanonicalConfig("router R1\n") == CanonicalConfig("router R2\n") {
+		t.Error("distinct configs canonicalized to the same text")
+	}
+}
 
 func TestDeviceDigests(t *testing.T) {
 	canon := CanonicalConfig("// preamble-free\nrouter A\nbgp as 1\nrouter B\nbgp as 2\n")
@@ -226,7 +243,7 @@ func TestDirtyRouters(t *testing.T) {
 
 // --- Runner ------------------------------------------------------------
 
-func newSRCCache() *SRCCache { return NewStageCache[*fakeReport](Capacities{}).SRC }
+func newSRCCache() *SRCCache { return &newStageCache(Capacities{}).SRC }
 
 func loadT(t *testing.T, text string) *LoadArtifact {
 	t.Helper()
@@ -326,7 +343,7 @@ func TestRunnerWarmStart(t *testing.T) {
 	if s := stageStatus(warm, StageSRC); s != StatusWarm {
 		t.Fatalf("delta run SRC status = %q, want warm (stages: %+v)", s, warm.Stages)
 	}
-	cold, err := (&Runner{}).Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
+	cold, err := (&Runner{Cache: &SRCCache{}}).Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
 		Workers: 1, Properties: props})
 	if err != nil {
 		t.Fatal(err)
@@ -630,32 +647,37 @@ func TestRunnerIncompatibleDeltaFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestRunnerUncacheableLoad: a pre-built network (no digest) must never
-// populate or consult the cache.
-func TestRunnerUncacheableLoad(t *testing.T) {
-	cache := newSRCCache()
-	r := &Runner{Cache: cache}
-	ctx := context.Background()
-	load := loadT(t, testnet.Figure4)
-	bare := FromNetwork(load.Net)
-	for i := 0; i < 2; i++ {
-		out, err := r.Run(ctx, &Request{Load: bare, Mode: epvp.FullMode(), Workers: 1,
-			Properties: []properties.Kind{properties.RouteLeakFree}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := stageStatus(out, StageSRC); s != StatusMiss {
-			t.Errorf("run %d: digestless load SRC status = %q, want miss", i, s)
-		}
+// TestSPFRunsAtTheRequestsWorkerCount: SPF fans out over the engine's worker
+// count, and the engine of an SRC artifact restored from the store was never
+// told one — the request that computes SPF on it sets it.
+func TestSPFRunsAtTheRequestsWorkerCount(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := cache.Len(); n != 0 {
-		t.Errorf("digestless runs cached %d SRC artifacts", n)
+	ctx := context.Background()
+	first := &Runner{Cache: newSRCCache(), Store: disk}
+	if _, err := first.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
+		Workers: 3, Properties: []properties.Kind{properties.RouteLeakFree}}); err != nil {
+		t.Fatal(err)
+	}
+	restarted := &Runner{Cache: newSRCCache(), Store: disk}
+	out, err := restarted.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
+		Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, spf := stageStatus(out, StageSRC), stageStatus(out, StageSPF); src != StatusDisk || spf != StatusMiss {
+		t.Fatalf("SRC %q and SPF %q, want SRC restored from disk and SPF computed", src, spf)
+	}
+	if got := out.SRC.Eng.Workers; got != 1 {
+		t.Errorf("SPF ran on an engine with Workers = %d, want the request's 1", got)
 	}
 }
 
 // TestRunnerBTEValidation pins the early BTE check and its error text.
 func TestRunnerBTEValidation(t *testing.T) {
-	r := &Runner{}
+	r := &Runner{Cache: &SRCCache{}}
 	_, err := r.Run(context.Background(), &Request{Load: loadT(t, testnet.Figure4),
 		Mode: epvp.FullMode(), Workers: 1,
 		Properties: []properties.Kind{properties.BlockToExternal}})

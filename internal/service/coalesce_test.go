@@ -288,7 +288,7 @@ func TestBaselineHTTPAPI(t *testing.T) {
 	if st.State != JobDone || st.Report == nil || st.Baseline != "prod" {
 		t.Fatalf("delta job status = %+v, want done with report", st)
 	}
-	if st.Digest != Digest(text, expresso.Options{}) {
+	if st.Digest != expresso.ReportDigest(text, expresso.Options{}) {
 		t.Errorf("delta job digest = %q, not the patched text's digest", st.Digest)
 	}
 

@@ -254,7 +254,7 @@ func (s *Server) SubmitBaseline(name, configText string, opts expresso.Options, 
 // submit is the one admission path: every engine run the daemon does is a
 // job that went through it.
 func (s *Server) submit(configText, baseline, register string, opts expresso.Options, timeout time.Duration) (*Job, bool, error) {
-	digest := Digest(configText, opts)
+	digest := expresso.ReportDigest(configText, opts)
 	now := time.Now()
 	job := &Job{
 		ID:         fmt.Sprintf("j-%06d", s.nextID.Add(1)),

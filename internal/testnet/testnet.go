@@ -130,3 +130,11 @@ route-policy expeer permit node 20
 bgp peer ISP2b AS 200 import imisp2 export expeer
 bgp peer A AS 400 advertise-community
 `
+
+// StrayA and StrayB are the two files, a.cfg and b.cfg, of a config directory
+// that must be rejected: B opens with a statement outside any router, which —
+// were the files joined before parsing — would be read as router A's.
+const (
+	StrayA = "router A\nbgp as 200\nbgp network 10.0.0.0/8\nbgp peer X AS 100\n"
+	StrayB = "bgp as 777\n"
+)

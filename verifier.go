@@ -7,7 +7,6 @@ import (
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
-	"github.com/expresso-verify/expresso/internal/topology"
 )
 
 // StageInfo re-exports the pipeline's per-stage provenance record: which
@@ -70,22 +69,22 @@ type VerifierConfig struct {
 //     to timings, heap, and iteration counts) to a cold run.
 //
 // A Verifier is safe for concurrent use; computation on shared symbolic
-// state is serialized per SRC artifact.
+// state is serialized per SRC artifact. The zero Verifier is the cold one:
+// its tiers keep nothing and it has no store, so every run computes every
+// stage.
 type Verifier struct {
-	cache     *pipeline.StageCache[*Report]
+	cache     pipeline.StageCache[*Report]
 	store     store.Tier
-	baselines *pipeline.BaselineRegistry
+	baselines pipeline.BaselineRegistry
 }
 
 // NewVerifier builds a Verifier with the configured cache capacities and,
 // when cfg.StoreDir is set, the persistent store tier.
 func NewVerifier(cfg VerifierConfig) *Verifier {
-	v := &Verifier{
-		cache: pipeline.NewStageCache[*Report](pipeline.Capacities{
-			Load: cfg.LoadCache, SRC: cfg.SRCCache, Report: cfg.ReportCache,
-		}),
-		baselines: pipeline.NewBaselineRegistry(),
-	}
+	v := &Verifier{}
+	v.cache.SetCapacities(pipeline.Capacities{
+		Load: cfg.LoadCache, SRC: cfg.SRCCache, Report: cfg.ReportCache,
+	})
 	if cfg.StoreDir != "" {
 		if d, err := store.OpenDisk(cfg.StoreDir, cfg.StoreBudget); err == nil {
 			v.store = d
@@ -164,56 +163,33 @@ func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Optio
 	return v.VerifyTextFrom(ctx, "", configText, opts)
 }
 
-// input is what one run verifies.
-type input struct {
-	// text is configuration text: it has a digest, so every cache and
-	// store tier and the warm starts apply. net is a pre-built network
-	// instead: no text, no digest, every stage cold.
-	text string
-	net  *topology.Network
-	// artifacts, when set, is handed the run's stage artifacts while the
-	// run still holds them (baseline registration becomes a holder too): a
-	// whole cached report is then not an answer, and its error fails the run.
-	artifacts func(*pipeline.Outcome) error
-}
-
 // run is the one verification driver: normalize the options, answer from
-// the report cache if it can, else Load, the staged pipeline (which rejects
-// a request it cannot run before any stage computes) and the assembled
-// report — cached under the request digest and traced.
+// the report cache if it can, else the staged pipeline (which rejects a
+// request it cannot run before any stage computes) and the assembled report
+// — cached under the request digest and traced. What differs between entry
+// points is who produced the Load artifact: the Load cache, whose provenance
+// entry is loaded, for configuration text; expresso.Load for a Network.
 // baseline names the registered warm anchor ("" for anonymous requests).
-// A zero Verifier, which has no tier to consult, serves
-// Network.VerifyContext.
-func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Options) (*Report, *RunInfo, error) {
+// artifacts, when set, is handed the run's stage artifacts while the run
+// still holds them (baseline registration becomes a holder too): a whole
+// cached report is then not an answer, and its error fails the run.
+func (v *Verifier) run(ctx context.Context, load *pipeline.LoadArtifact, loaded []StageInfo, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
 	opts.normalize()
-	info := &RunInfo{Baseline: baseline}
-	runner := &pipeline.Runner{Store: v.store, Baselines: v.baselines}
-	var load *pipeline.LoadArtifact
-	if in.net != nil {
-		load = pipeline.FromNetwork(in.net)
-	} else {
-		info.Digest = ReportDigest(in.text, opts)
-		start := time.Now()
-		if in.artifacts == nil {
-			if rep, ok := v.cache.Report.Get(info.Digest); ok {
-				info.CacheHit = true
-				info.Stages = []StageInfo{{
-					Stage: pipeline.StageReport, Status: StageHit,
-					Key: info.Digest, Duration: time.Since(start),
-				}}
-				traceRun(opts, info, rep, nil)
-				return rep, info, nil
-			}
+	start := time.Now()
+	info := &RunInfo{Baseline: baseline, Digest: load.ReportKey(opts.CacheKey())}
+	if artifacts == nil {
+		if rep, ok := v.cache.Report.Get(info.Digest); ok {
+			info.CacheHit = true
+			info.Stages = []StageInfo{{
+				Stage: pipeline.StageReport, Status: StageHit,
+				Key: info.Digest, Duration: time.Since(start),
+			}}
+			traceRun(opts, info, rep, nil)
+			return rep, info, nil
 		}
-		var loadInfo StageInfo
-		var err error
-		if load, loadInfo, err = v.load(in.text); err != nil {
-			return nil, nil, err
-		}
-		info.Stages = append(info.Stages, loadInfo)
-		runner.Cache = v.cache.SRC
 	}
 
+	runner := &pipeline.Runner{Cache: &v.cache.SRC, Store: v.store, Baselines: &v.baselines}
 	out, err := runner.Run(ctx, &pipeline.Request{
 		Load:       load,
 		Mode:       opts.Mode,
@@ -227,38 +203,36 @@ func (v *Verifier) run(ctx context.Context, in input, baseline string, opts Opti
 		return nil, nil, err
 	}
 	defer out.Release()
-	info.Stages = append(info.Stages, out.Stages...)
 
 	rep := assembleReport(load.Net.Statistics(), out)
 	rep.Timing.Load = load.Elapsed
-	if info.Digest != "" {
-		v.cache.Report.Add(info.Digest, rep)
-		info.Stages = append(info.Stages, StageInfo{
-			Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
-		})
-	}
+	v.cache.Report.Add(info.Digest, rep)
+	info.Stages = append(append(loaded, out.Stages...), StageInfo{
+		Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
+	})
 	traceRun(opts, info, rep, out.SRC)
-	if in.artifacts != nil {
-		err = in.artifacts(out)
+	if artifacts != nil {
+		err = artifacts(out)
 	}
 	return rep, info, err
 }
 
-// load resolves the Load stage through its cache.
-func (v *Verifier) load(configText string) (*pipeline.LoadArtifact, StageInfo, error) {
+// runText is run on configuration text, whose Load stage resolves through
+// its cache.
+func (v *Verifier) runText(ctx context.Context, configText, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
 	start := time.Now()
 	info := StageInfo{Stage: pipeline.StageLoad, Status: StageHit, Key: pipeline.ConfigDigest(configText)}
-	art, ok := v.cache.Load.Get(info.Key)
+	load, ok := v.cache.Load.Get(info.Key)
 	if !ok {
 		var err error
-		if art, err = pipeline.Load(configText); err != nil {
-			return nil, StageInfo{}, err
+		if load, err = pipeline.Load(configText); err != nil {
+			return nil, nil, err
 		}
-		v.cache.Load.Add(info.Key, art)
+		v.cache.Load.Add(info.Key, load)
 		info.Status = StageMiss
 	}
 	info.Duration = time.Since(start)
-	return art, info, nil
+	return v.run(ctx, load, []StageInfo{info}, baseline, opts, artifacts)
 }
 
 // CachedReport answers from the report cache alone (no stages run). A hit

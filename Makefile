@@ -119,9 +119,11 @@ reorder-check:
 	$(GO) test -count=1 ./internal/bdd/
 
 # Allocation-regression guard: one cold region-1 verification must stay
-# under the byte and object ceilings in alloc_guard_test.go, and its policy
-# compile and its SPF stage each under a created-BDD-node ceiling. The test skips itself without
-# the env knob, so plain `go test ./...` stays fast.
+# under the byte and object ceilings in alloc_guard_test.go, its policy
+# compile and its SPF stage each under a created-BDD-node ceiling, and a
+# one-worker region-4 EPVP run under its op-cache-miss and created-node
+# ceilings. The test skips itself without the env knob, so plain
+# `go test ./...` stays fast.
 alloc-guard:
 	EXPRESSO_ALLOC_GUARD=1 $(GO) test . -run TestRegion1AllocGuard -count=1 -v -timeout 15m
 

@@ -10,6 +10,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/spf"
+	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
@@ -37,13 +38,21 @@ const (
 	// with the block ranked and the fold run from the lowest priority up.
 	// A block-order or fold-direction regression lands well over this.
 	region1SPFNodesCeiling = 350_000
+	// The region-4 ceilings bound one Workers=1 EPVP fixed point by the sums
+	// of its per-round trace counters, which repeat exactly: 1,291,165
+	// op-cache misses and 792,568 created nodes with symbolic.Merge
+	// subtracting per (neighbor, preference) tier, 1.85 M and 0.965 M with
+	// the per-route chain it replaced. The chain coming back lands over both.
+	region4EPVPMissesCeiling = 1_600_000
+	region4EPVPNodesCeiling  = 900_000
 )
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
 // it verifies region 1 cold and fails if the run allocates more bytes or
 // objects than the ceilings above, if compiling its policies creates more
 // BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
-// its converged RIB creates more than region1SPFNodesCeiling. Gated behind
+// its converged RIB creates more than region1SPFNodesCeiling; then it runs
+// region 4's EPVP rounds against the region4EPVP ceilings. Gated behind
 // EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
 // meaningless when other tests run concurrently); `make alloc-guard` —
 // part of `make ci` — sets the variable.
@@ -106,5 +115,24 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if spfEnd-srcEnd > region1SPFNodesCeiling {
 		t.Errorf("region-1 SPF created %d BDD nodes, over the %d-node ceiling: did the data-plane block order or the FIB fold direction change?",
 			spfEnd-srcEnd, region1SPFNodesCeiling)
+	}
+
+	region4, err := expresso.Load(netgen.CSP(netgen.CSPOldRegion(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng = epvp.New(region4.Topo, epvp.FullMode())
+	eng.Workers, eng.Trace = 1, telemetry.NewTracer()
+	eng.Run()
+	var misses, nodes int64
+	for _, r := range eng.Trace.Finish().EPVPRounds {
+		misses += r.ITEMisses
+		nodes += r.BDDGrowth
+	}
+	t.Logf("region-4 EPVP rounds: %d op-cache misses, %d BDD nodes created (ceilings %d, %d)",
+		misses, nodes, region4EPVPMissesCeiling, region4EPVPNodesCeiling)
+	if misses > region4EPVPMissesCeiling || nodes > region4EPVPNodesCeiling {
+		t.Errorf("region-4 EPVP rounds cost %d op-cache misses and %d created nodes, over the %d / %d ceilings: is Merge subtracting per route again?",
+			misses, nodes, region4EPVPMissesCeiling, region4EPVPNodesCeiling)
 	}
 }

@@ -1179,39 +1179,22 @@ func (m *Manager) AnySat(n Node) map[int]bool {
 		return nil
 	}
 	assign := make(map[int]bool)
-	for n != True {
-		v := m.minSupportVar(n)
-		if f0 := m.Restrict(n, v, false); f0 != False {
+	// Restricting only shrinks the support, so one pass in index order meets
+	// each smallest remaining variable in turn; one that has left the support
+	// restricts to n itself.
+	for _, v := range m.Support(n) {
+		f0 := m.Restrict(n, v, false)
+		switch {
+		case f0 == n:
+		case f0 != False:
 			assign[v] = false
 			n = f0
-		} else {
+		default:
 			assign[v] = true
 			n = m.Restrict(n, v, true)
 		}
 	}
 	return assign
-}
-
-// minSupportVar returns the smallest variable index in n's support. n must
-// not be a constant.
-func (m *Manager) minSupportVar(n Node) int {
-	best := int32(math.MaxInt32)
-	seen := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(x Node) {
-		x &^= 1
-		if x == False || seen[x] {
-			return
-		}
-		seen[x] = true
-		if v := m.level2var[m.level(x)]; v < best {
-			best = v
-		}
-		rec(m.low(x))
-		rec(m.high(x))
-	}
-	rec(n)
-	return int(best)
 }
 
 // Eval evaluates n under a complete assignment (missing variables default to

@@ -853,11 +853,22 @@ func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
 }
 
 // recompute rebuilds one router's RIB from the previous round's state: its
-// own originated routes plus every neighbor's advertisements, merged by
-// preference. Reads only best/extInit (previous round, immutable during the
-// round) and the engine's shared read-only state, so forks may run it
-// concurrently for different routers.
+// candidates merged by preference. Reads only best/extInit (previous round,
+// immutable during the round) and the engine's shared read-only state, so
+// forks may run it concurrently for different routers.
 func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) ([]*symbolic.Route, error) {
+	cands, err := e.candidates(ctx, v, best, extInit)
+	if err != nil {
+		return nil, err
+	}
+	return symbolic.Merge(e.ctx.Space, cands), nil
+}
+
+// candidates collects what router v chooses among in one round: its own
+// originated route plus, per neighbor, the image of that neighbor's merged
+// RIB (or of its one wildcard or default route) under the edge's transfers
+// — the shape symbolic.Merge's tier invariant rests on.
+func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) ([]*symbolic.Route, error) {
 	var candidates []*symbolic.Route
 	if r := e.originated(e.Net.Devices[v]); r != nil {
 		candidates = append(candidates, r)
@@ -880,5 +891,5 @@ func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*sym
 				e.importAt(v, u, []*symbolic.Route{extInit[u]})...)
 		}
 	}
-	return symbolic.Merge(e.ctx.Space, candidates), nil
+	return candidates, nil
 }

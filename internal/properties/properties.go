@@ -94,17 +94,25 @@ func CheckRouteHijack(eng *epvp.Engine, cp *epvp.Result) []Violation {
 	// Union of all internal prefixes, to discard non-overlapping routes
 	// with a single conjunction before the per-prefix scan.
 	union := eng.Space.PrefixesBDD(internal)
+	var cubes []bdd.Node // PrefixBDD of each internal prefix, built on first use
 	var out []Violation
 	for _, v := range eng.Net.Internals {
 		for _, r := range cp.Best[v] {
 			if eng.Net.IsInternal(r.Originator) {
 				continue
 			}
-			if eng.Space.M.And(r.U, union) == bdd.False {
+			hit := eng.Space.M.And(r.U, union)
+			if hit == bdd.False {
 				continue
 			}
-			for _, d := range internal {
-				overlap := eng.Space.M.And(r.U, eng.Space.PrefixBDD(d))
+			if cubes == nil {
+				cubes = make([]bdd.Node, len(internal))
+				for i, d := range internal {
+					cubes[i] = eng.Space.PrefixBDD(d)
+				}
+			}
+			for i, d := range internal {
+				overlap := eng.Space.M.And(hit, cubes[i])
 				if overlap == bdd.False {
 					continue
 				}

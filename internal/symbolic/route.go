@@ -187,46 +187,60 @@ func Compare(a, b *Route) int {
 // each route keeps only the prefix-environment pairs not claimed by any
 // strictly more preferred route. Routes with identical attributes are
 // coalesced by unioning their U. Empty routes are dropped. The result is
-// deterministic (sorted by attribute key).
+// deterministic (sorted by attribute key); the inputs are not modified.
+//
+// Subtraction runs per tier, not per route: a tier is a maximal run of the
+// preference-sorted candidates that differ at most in Originator (sameTier:
+// one neighbor, one preference level). Every member keeps U \ blocked for
+// the blocked its tier was entered with, and blocked advances once per
+// tier, by the union of the survivors.
+//
+// That is exact under one invariant: two candidates of a tier are
+// Compare-equal (a tie, both kept) or have disjoint U. EPVP's candidate
+// lists have it by construction: untied members differ in Originator, which
+// transfers copy through, so they are images of two Compare classes of ONE
+// neighbor's merged RIB — disjoint there (across tiers by subtraction,
+// within a tier by this invariant a round earlier) and still disjoint after
+// transfers, which only conjoin guards; a neighbor contributing a single
+// route has a single Originator. DESIGN.md "Merge" gives the argument in
+// full, and epvp's TestMergeMatchesChainOracle asserts the invariant and
+// equality with the old per-class chain on every recompute. Any other
+// caller must supply lists with the same property.
 func Merge(s *Space, routes []*Route) []*Route {
-	// Coalesce by attributes first.
-	byAttrs := map[string]*Route{}
-	var order []string
+	// Coalesce by attributes first; a candidate is cloned only when a
+	// second one with its AttrsKey arrives (on measured networks none does).
+	at := make(map[string]int, len(routes))
+	list := make([]*Route, 0, len(routes))
+	var private []bool // list[i] is Merge's own clone, safe to widen
 	for _, r := range routes {
 		if r.U == bdd.False {
 			continue
 		}
-		k := r.AttrsKey()
-		if ex, ok := byAttrs[k]; ok {
-			ex.U = s.W.Or(ex.U, r.U)
-		} else {
-			c := r.Clone()
-			byAttrs[k] = c
-			order = append(order, k)
+		i, dup := at[r.AttrsKey()]
+		if !dup {
+			at[r.AttrsKey()] = len(list)
+			list = append(list, r)
+			continue
 		}
+		if private == nil {
+			private = make([]bool, len(routes))
+		}
+		if !private[i] {
+			list[i], private[i] = list[i].Clone(), true
+		}
+		list[i].U = s.W.Or(list[i].U, r.U)
 	}
-	list := make([]*Route, 0, len(order))
-	for _, k := range order {
-		list = append(list, byAttrs[k])
-	}
-	// Subtract from each route the union of strictly more preferred U.
-	// Grouping by preference class keeps this linear in the number of
-	// routes: classes are processed best-first, accumulating the union of
-	// all strictly better routes.
-	sortStable := append([]*Route(nil), list...)
-	sortByPreference(sortStable)
-	out := make([]*Route, 0, len(sortStable))
-	blocked := bdd.False // union of U over strictly better classes
-	i := 0
-	for i < len(sortStable) {
-		j := i
-		for j < len(sortStable) && Compare(sortStable[j], sortStable[i]) == 0 {
+	sortByPreference(list)
+	out := make([]*Route, 0, len(list))
+	blocked := bdd.False // union of U over strictly better tiers
+	var kept []bdd.Node  // the current tier's survivors
+	for i := 0; i < len(list); {
+		j := i + 1
+		for j < len(list) && sameTier(list[i], list[j]) {
 			j++
 		}
-		classUnion := bdd.False
-		for k := i; k < j; k++ {
-			r := sortStable[k]
-			classUnion = s.W.Or(classUnion, r.U)
+		kept = kept[:0]
+		for _, r := range list[i:j] {
 			u := s.W.Diff(r.U, blocked)
 			if u == bdd.False {
 				continue
@@ -234,12 +248,32 @@ func Merge(s *Space, routes []*Route) []*Route {
 			nr := r.Clone()
 			nr.U = u
 			out = append(out, nr)
+			kept = append(kept, u)
 		}
-		blocked = s.W.Or(blocked, classUnion)
+		if len(kept) > 0 {
+			blocked = s.W.Or(blocked, orBalanced(s.W, kept))
+		}
 		i = j
 	}
 	sortRoutes(out)
 	return out
+}
+
+// sameTier reports whether Compare can tell a and b apart by Originator
+// only: they agree on every field it consults before that one.
+func sameTier(a, b *Route) bool {
+	return a.LocalPref == b.LocalPref && a.ASLen == b.ASLen && a.Origin == b.Origin && a.MED == b.MED &&
+		a.FromEBGP == b.FromEBGP && len(a.Path) == len(b.Path) && a.NextHop == b.NextHop
+}
+
+// orBalanced unions ns (non-empty) pairwise, so no operand is the running
+// union of all the others.
+func orBalanced(w *bdd.Worker, ns []bdd.Node) bdd.Node {
+	if len(ns) == 1 {
+		return ns[0]
+	}
+	h := len(ns) / 2
+	return w.Or(orBalanced(w, ns[:h]), orBalanced(w, ns[h:]))
 }
 
 // sortByPreference orders routes best-first (stable within ties).

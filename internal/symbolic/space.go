@@ -154,6 +154,12 @@ func NewSpace(n int) *Space {
 	return newSpace(bdd.NewOrdered(FirstNbrVar+n, InitialOrder(n)), n)
 }
 
+// NewOrderedSpace allocates a space under any order of its FirstNbrVar+n
+// variables, for the tests that show results do not depend on the order.
+func NewOrderedSpace(n int, level2var []int) *Space {
+	return newSpace(bdd.NewOrdered(FirstNbrVar+n, level2var), n)
+}
+
 // NewBlockedSpace allocates a space with the legacy blocked layout
 // (variable index == level). Kept for order-sensitivity measurements;
 // verification results are identical either way, only node counts move.

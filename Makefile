@@ -14,7 +14,7 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
+.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
 
 ci: vet staticcheck build race race-parallel fuzz-smoke alloc-guard
 
@@ -65,6 +65,12 @@ bench:
 # end-to-end metric, exact repetition of the count rows; exit 1 on a breach.
 bench-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
+
+# The paper's evaluation (EXPERIMENTS.md) at reduced scale: all nine
+# experiments of cmd/expresso-bench, every row under a 20 s budget, ~2 min.
+# Drop -quick (and raise -budget) for the run EXPERIMENTS.md records.
+paper-quick:
+	$(GO) run ./cmd/expresso-bench -all -quick -budget 20s
 
 # Developer shortcut, not a CI step (`race` runs every test here): the
 # artifact store's disk-warm determinism matrix (byte-identical reports

@@ -1,10 +1,11 @@
 // Command expresso-bench regenerates the tables and figures of the paper's
-// evaluation (§7). Each flag selects one experiment; -all runs everything.
+// evaluation (§7). Each experiment of bench.Experiments has a flag; -all
+// runs them all. Every row runs under -budget and prints TIMEOUT past it.
 //
 // Usage:
 //
 //	expresso-bench -table1
-//	expresso-bench -fig6a -msbudget 30s
+//	expresso-bench -fig6a -budget 30s
 //	expresso-bench -all -quick
 //
 // Figures 8a-8c (memory) are the heap columns of the Figure 6a-6c outputs.
@@ -20,49 +21,29 @@ import (
 )
 
 func main() {
-	var (
-		table1 = flag.Bool("table1", false, "dataset statistics")
-		table2 = flag.Bool("table2", false, "violations on the CSP snapshots")
-		fig6a  = flag.Bool("fig6a", false, "runtime/memory vs. neighbors (also Figure 8a)")
-		fig6b  = flag.Bool("fig6b", false, "runtime/memory vs. network size (also Figure 8b)")
-		fig6c  = flag.Bool("fig6c", false, "runtime/memory vs. protocol features (also Figure 8c)")
-		fig7   = flag.Bool("fig7", false, "community/AS-path encoding comparison")
-		table3 = flag.Bool("table3", false, "per-stage runtime")
-		table4 = flag.Bool("table4", false, "Internet2 BlockToExternal comparison")
-		enum   = flag.Bool("enum", false, "Batfish-style enumeration baseline")
-		all    = flag.Bool("all", false, "run every experiment")
-		quick   = flag.Bool("quick", false, "reduced scales for a fast smoke run")
-		budget  = flag.Duration("msbudget", 60*time.Second, "Minesweeper* budget per data point")
-		workers = flag.Int("workers", 0, "engine worker goroutines per run (0 = GOMAXPROCS, 1 = sequential)")
-	)
+	on := map[string]*bool{}
+	for _, e := range bench.Experiments {
+		on[e.Flag] = flag.Bool(e.Flag, false, e.Title)
+	}
+	all := flag.Bool("all", false, "run every experiment")
+	quick := flag.Bool("quick", false, "reduced scales for a fast smoke run")
+	budget := flag.Duration("budget", 60*time.Second, "wall-clock budget of one row, whoever the verifier is")
+	workers := flag.Int("workers", 0, "engine worker goroutines per run (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
-	cfg := bench.Config{Quick: *quick, MSBudget: *budget, Workers: *workers}
-	ran := false
-	run := func(enabled bool, f func() error) {
-		if !enabled && !*all {
-			return
+	var selected []bench.Experiment
+	for _, e := range bench.Experiments {
+		if *all || *on[e.Flag] {
+			selected = append(selected, e)
 		}
-		ran = true
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "expresso-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
 	}
-
-	run(*table1, func() error { return bench.Table1(os.Stdout, cfg) })
-	run(*table2, func() error { return bench.Table2(os.Stdout, cfg) })
-	run(*fig6a, func() error { return bench.Fig6a(os.Stdout, cfg) })
-	run(*fig6b, func() error { return bench.Fig6b(os.Stdout, cfg) })
-	run(*fig6c, func() error { return bench.Fig6c(os.Stdout, cfg) })
-	run(*fig7, func() error { return bench.Fig7(os.Stdout, cfg) })
-	run(*table3, func() error { return bench.Table3(os.Stdout, cfg) })
-	run(*table4, func() error { return bench.Table4(os.Stdout, cfg) })
-	run(*enum, func() error { return bench.Enumeration(os.Stdout, cfg) })
-
-	if !ran {
+	if len(selected) == 0 || *budget <= 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	cfg := bench.Config{Quick: *quick, Budget: *budget, Workers: *workers}
+	if err := bench.Run(os.Stdout, cfg, selected); err != nil {
+		fmt.Fprintf(os.Stderr, "expresso-bench: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -577,36 +577,9 @@ func cmdGen(args []string) {
 	peers := fs.Int("peers", 0, "restrict the number of external peers (0 = spec default)")
 	fs.Parse(args)
 
-	var text string
-	switch *dataset {
-	case "region1", "region2", "region3", "region4":
-		var i int
-		fmt.Sscanf(*dataset, "region%d", &i)
-		spec := netgen.CSPOldRegion(i)
-		if *peers > 0 {
-			spec = spec.WithPeers(*peers)
-		}
-		text = netgen.CSP(spec)
-	case "full-old":
-		spec := netgen.CSPOldFull()
-		if *peers > 0 {
-			spec = spec.WithPeers(*peers)
-		}
-		text = netgen.CSP(spec)
-	case "full-new":
-		spec := netgen.CSPNewFull()
-		if *peers > 0 {
-			spec = spec.WithPeers(*peers)
-		}
-		text = netgen.CSP(spec)
-	case "internet2":
-		spec := netgen.Internet2()
-		if *peers > 0 {
-			spec = spec.WithPeers(*peers)
-		}
-		text = netgen.GenerateI2(spec)
-	default:
-		fatalf("unknown dataset %q", *dataset)
+	text, err := netgen.Dataset(*dataset, *peers)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatalf("%v", err)

@@ -123,3 +123,22 @@ func TestResultLineOrder(t *testing.T) {
 		t.Errorf("clean report renders %q", got)
 	}
 }
+
+// TestGenUnknownDataset: an unknown dataset name exits 1 listing the valid
+// ones and writes nothing; a known one writes <name>.cfg.
+func TestGenUnknownDataset(t *testing.T) {
+	dir := t.TempDir()
+	out, code := cli(t, "gen", "-dataset", "nope", "-out", dir)
+	if code != 1 || !strings.Contains(out, `unknown dataset "nope"`) || !strings.Contains(out, "full-old") {
+		t.Errorf("gen -dataset nope: exit %d, output %q", code, out)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("gen -dataset nope wrote %d files", len(files))
+	}
+	if out, code := cli(t, "gen", "-dataset", "region1", "-peers", "3", "-out", dir); code != 0 {
+		t.Fatalf("gen -dataset region1: exit %d, output %q", code, out)
+	}
+	if out, code := cli(t, "stats", "-file", filepath.Join(dir, "region1.cfg")); code != 0 || !strings.Contains(out, "nodes") {
+		t.Errorf("stats on the generated region1.cfg: exit %d, output %q", code, out)
+	}
+}

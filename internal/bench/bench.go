@@ -1,461 +1,342 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§7). Each experiment prints rows mirroring the published
-// table or plot series; EXPERIMENTS.md records paper-versus-measured
-// results. The cmd/expresso-bench command and the repository-root
-// bench_test.go both drive this package.
+// evaluation (§7). Experiments is the table of them; each prints rows
+// mirroring the published table or plot series, every row measured by the
+// one budgeted runner, measure. cmd/expresso-bench derives its flags from
+// the table; EXPERIMENTS.md records one run of all of it beside the paper's
+// numbers.
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"github.com/expresso-verify/expresso"
 	"github.com/expresso-verify/expresso/internal/enumerate"
 	"github.com/expresso-verify/expresso/internal/minesweeper"
 	"github.com/expresso-verify/expresso/internal/netgen"
-	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
 // Config tunes experiment cost.
 type Config struct {
-	// Quick shrinks sweeps and datasets for fast smoke runs.
-	Quick bool
-	// MSBudget is the wall-clock budget per Minesweeper* data point; the
-	// paper's analogue is its one-day timeout.
-	MSBudget time.Duration
-	// Workers is passed to expresso.Options.Workers for every Expresso run
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Workers int
+	Quick   bool          // shrink sweeps and datasets for a fast smoke run
+	Budget  time.Duration // wall-clock budget of one row, whoever the verifier is (the paper's: one day)
+	Workers int           // expresso.Options.Workers of every Expresso run (0 = GOMAXPROCS, 1 = sequential)
 }
 
-// dataset is a named, generated network.
+// Experiment is one table or figure of §7: the cmd/expresso-bench flag that
+// selects it, the first line of its output, and the function printing its rows.
+type Experiment struct {
+	Flag, Title string
+	Run         func(io.Writer, Config) error
+}
+
+// Experiments lists the evaluation in the order -all prints it. Figures
+// 8a-8c (memory) are the heap columns of Figures 6a-6c.
+var Experiments = []Experiment{
+	{"table1", "Table 1: dataset statistics", table1},
+	{"table2", "Table 2: property violations on the CSP snapshots", table2},
+	{"fig6a", "Figure 6a / 8a: RouteLeakFree runtime and memory vs. number of neighbors", fig6a},
+	{"fig6b", "Figure 6b / 8b: RouteLeakFree runtime and memory vs. network size", fig6b},
+	{"fig6c", "Figure 6c / 8c: runtime and memory vs. protocol features (10 neighbors)", fig6c},
+	{"fig7", "Figure 7: symbolic community and AS path encodings (runtime per dataset workload)", fig7},
+	{"table3", "Table 3: per-stage runtime (seconds, 10 neighbors)", table3},
+	{"table4", "Table 4: BlockToExternal on Internet2", table4},
+	{"enum", "Enumeration baseline (Batfish/SRE-style): RouteLeakFree", enumeration},
+}
+
+// Run runs the selected experiments in order, each under its title and
+// followed by a blank line.
+func Run(w io.Writer, cfg Config, selected []Experiment) error {
+	for _, e := range selected {
+		fmt.Fprintln(w, e.Title)
+		if err := e.Run(w, cfg); err != nil {
+			return fmt.Errorf("-%s: %w", e.Flag, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// dataset names a netgen dataset cut to peers external neighbors (0 = all).
+// sessions and rounds are the workload Figure 7 replays for a CSP snapshot:
+// its external sessions and the EPVP rounds it takes to converge.
 type dataset struct {
-	name string
-	text string
+	name             string
+	peers            int
+	sessions, rounds int
 }
 
-func cspDataset(name string, spec netgen.CSPSpec) dataset {
-	return dataset{name: name, text: netgen.CSP(spec)}
-}
-
-func (d dataset) load() (*expresso.Network, error) { return expresso.Load(d.text) }
-
-func (d dataset) topo() (*topology.Network, error) {
-	net, err := d.load()
+func (d dataset) load() (*expresso.Network, error) {
+	text, err := netgen.Dataset(d.name, d.peers)
 	if err != nil {
 		return nil, err
 	}
-	return net.Topo, nil
+	return expresso.Load(text)
 }
 
-func allDatasets(quick bool) []dataset {
-	out := []dataset{
-		cspDataset("region1", netgen.CSPOldRegion(1)),
-		cspDataset("region2", netgen.CSPOldRegion(2)),
-		cspDataset("region3", netgen.CSPOldRegion(3)),
-		cspDataset("region4", netgen.CSPOldRegion(4)),
-		cspDataset("full(old)", netgen.CSPOldFull()),
-	}
-	if !quick {
-		out = append(out,
-			cspDataset("full(new)", netgen.CSPNewFull()),
-			dataset{name: "Internet2", text: netgen.GenerateI2(netgen.Internet2())},
-		)
+// csp returns the CSP snapshots, in Table 1's order, whose name starts with
+// prefix ("" = all), each cut to peers neighbors. Quick mode leaves out
+// full-new, by far the largest.
+func csp(cfg Config, prefix string, peers int) []dataset {
+	var out []dataset
+	for _, d := range []dataset{{"region1", peers, 10, 4}, {"region2", peers, 20, 4}, {"region3", peers, 20, 5},
+		{"region4", peers, 40, 5}, {"full-old", peers, 90, 5}, {"full-new", peers, 220, 6}} {
+		if strings.HasPrefix(d.name, prefix) && !(cfg.Quick && d.name == "full-new") {
+			out = append(out, d)
+		}
 	}
 	return out
 }
 
-func heapMB() float64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.HeapAlloc) / 1e6
+// verifier is one contender of a comparison. run checks the network within
+// cfg.Budget — ctx's deadline, for those that take a context — and fills in
+// what it found, or that the budget stopped it.
+type verifier struct {
+	name string
+	run  func(ctx context.Context, net *expresso.Network, cfg Config) (row, error)
 }
 
-// Table1 prints the dataset statistics (nodes, links, peers, prefixes,
-// config lines).
-func Table1(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Table 1: dataset statistics\n")
-	fmt.Fprintf(w, "%-11s %7s %7s %7s %9s %12s\n", "dataset", "nodes", "links", "peers", "prefixes", "config-lines")
-	for _, d := range allDatasets(cfg.Quick) {
-		topo, err := d.topo()
-		if err != nil {
-			return fmt.Errorf("%s: %v", d.name, err)
+// row is one (dataset, verifier) measurement: the verifier's findings, and
+// measure's clock and heap reading.
+type row struct {
+	found    int
+	timedOut bool
+	report   *expresso.Report // Expresso and Expresso- only
+	runtime  time.Duration
+	heapMB   float64
+}
+
+func (r row) timeCell() string {
+	if r.timedOut {
+		return fmt.Sprintf(">%.0fs TIMEOUT", r.runtime.Seconds())
+	}
+	return fmt.Sprintf("%.3fs", r.runtime.Seconds())
+}
+
+// expressoVerifier is Expresso checking opts.Properties — or, by opts.Mode,
+// Expresso- or one of Figure 6c's feature levels.
+func expressoVerifier(name string, opts expresso.Options) verifier {
+	return verifier{name, func(ctx context.Context, net *expresso.Network, cfg Config) (row, error) {
+		opts.Workers = cfg.Workers
+		rep, err := net.VerifyContext(ctx, opts)
+		if errors.Is(err, context.DeadlineExceeded) {
+			return row{timedOut: true}, nil
+		} else if err != nil {
+			return row{}, err
 		}
-		s := topo.Statistics()
+		return row{found: len(rep.Violations), report: rep}, nil
+	}}
+}
+
+// contenders are the three verifiers of Figures 6a/6b and Table 4, checking
+// the routing property of opts. Minesweeper*'s timeout applies between its
+// SAT queries and inside the solver; encoding one query of a large snapshot
+// can overrun it, as the paper's Minesweeper* overran its day.
+func contenders(opts expresso.Options, check func(*topology.Network, minesweeper.Options) (*minesweeper.Report, error)) []verifier {
+	minus := opts
+	minus.Mode = expresso.ExpressoMinusMode()
+	return []verifier{
+		{"Minesweeper*", func(_ context.Context, net *expresso.Network, cfg Config) (row, error) {
+			rep, err := check(net.Topo, minesweeper.Options{Timeout: cfg.Budget})
+			if err != nil {
+				return row{}, err
+			}
+			return row{found: rep.Violations, timedOut: rep.TimedOut}, nil
+		}},
+		expressoVerifier("Expresso", opts),
+		expressoVerifier("Expresso-", minus),
+	}
+}
+
+var (
+	// leakVerifiers check RouteLeakFree (Figures 6a and 6b).
+	leakVerifiers = contenders(expresso.Options{Properties: []expresso.Kind{expresso.RouteLeakFree}}, minesweeper.CheckRouteLeak)
+	// allProperties is Expresso with the §7.1 defaults (Tables 2 and 3).
+	allProperties = []verifier{expressoVerifier("Expresso", expresso.Options{})}
+)
+
+// measure is the one budgeted runner: it loads d, collects the heap so the
+// row's memory figure does not carry the rows before it, and runs v under a
+// deadline cfg.Budget away. A verifier stops when it next looks at the
+// clock, so a row's runtime says by how much it overran. heapMB is the
+// process heap when v returns.
+func measure(cfg Config, d dataset, v verifier) (row, error) {
+	net, err := d.load()
+	if err != nil {
+		return row{}, fmt.Errorf("%s: %w", d.name, err)
+	}
+	runtime.GC()
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
+	defer cancel()
+	start := time.Now()
+	r, err := v.run(ctx, net, cfg)
+	r.runtime = time.Since(start)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	r.heapMB = float64(ms.HeapAlloc) / 1e6
+	return r, err
+}
+
+// each measures every verifier on every dataset and hands print the rows.
+func each(cfg Config, datasets []dataset, verifiers []verifier, print func(dataset, verifier, row)) error {
+	for _, d := range datasets {
+		for _, v := range verifiers {
+			r, err := measure(cfg, d, v)
+			if err != nil {
+				return err
+			}
+			print(d, v, r)
+		}
+	}
+	return nil
+}
+
+// figure6 prints the columns Figures 6a-6c share, one row per dataset and
+// verifier; first and second head the two label columns.
+func figure6(w io.Writer, cfg Config, first, second string, label func(dataset) any, datasets []dataset, verifiers []verifier) error {
+	fmt.Fprintf(w, "%-11s %-13s %16s %10s %6s\n", first, second, "runtime", "heap(MB)", "found")
+	return each(cfg, datasets, verifiers, func(d dataset, v verifier, r row) {
+		fmt.Fprintf(w, "%-11v %-13s %16s %10.1f %6d\n", label(d), v.name, r.timeCell(), r.heapMB, r.found)
+	})
+}
+
+func byName(d dataset) any { return d.name }
+
+func table1(w io.Writer, cfg Config) error {
+	fmt.Fprintf(w, "%-11s %7s %7s %7s %9s %12s\n", "dataset", "nodes", "links", "peers", "prefixes", "config-lines")
+	datasets := csp(cfg, "", 0)
+	if !cfg.Quick {
+		datasets = append(datasets, dataset{name: "internet2"})
+	}
+	for _, d := range datasets {
+		net, err := d.load()
+		if err != nil {
+			return err
+		}
+		s := net.Topo.Statistics()
 		fmt.Fprintf(w, "%-11s %7d %7d %7d %9d %12d\n", d.name, s.Nodes, s.Links, s.Peers, s.Prefixes, s.ConfigLines)
 	}
 	return nil
 }
 
-// Table2 prints the violations found on the old and new CSP snapshots
-// (RouteLeak / RouteHijack / TrafficHijack).
-func Table2(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Table 2: property violations on the CSP snapshots\n")
-	fmt.Fprintf(w, "%-10s %10s %11s %13s %7s\n", "snapshot", "RouteLeak", "RouteHijack", "TrafficHijack", "total")
-	specs := []struct {
-		name string
-		spec netgen.CSPSpec
-	}{{"old", netgen.CSPOldFull()}}
+// table2 prints the violations found on the old and new CSP snapshots, all
+// three properties. Quick mode cuts the old snapshot to 20 peers: the
+// forwarding stage on the full snapshots is the most expensive row there is.
+func table2(w io.Writer, cfg Config) error {
+	fmt.Fprintf(w, "%-11s %10s %11s %13s %7s\n", "snapshot", "RouteLeak", "RouteHijack", "TrafficHijack", "total")
+	peers := 0
 	if cfg.Quick {
-		// Quick mode shrinks the snapshot to a 20-peer subset: the
-		// forwarding stage on the full snapshots is the most expensive
-		// experiment in the suite.
-		specs[0].name = "old(20 peers)"
-		specs[0].spec = netgen.CSPOldFull().WithPeers(20)
-	} else {
-		specs = append(specs, struct {
-			name string
-			spec netgen.CSPSpec
-		}{"new", netgen.CSPNewFull()})
+		peers = 20
+		fmt.Fprintf(w, "(quick: cut to %d peers)\n", peers)
 	}
-	for _, s := range specs {
-		net, err := expresso.Load(netgen.CSP(s.spec))
-		if err != nil {
-			return err
+	err := each(cfg, csp(cfg, "full-", peers), allProperties, func(d dataset, _ verifier, r row) {
+		if r.timedOut {
+			fmt.Fprintf(w, "%-11s %s\n", d.name, r.timeCell())
+			return
 		}
-		rep, err := net.Verify(expresso.Options{Workers: cfg.Workers})
-		if err != nil {
-			return err
-		}
-		c := rep.CountByKind()
-		fmt.Fprintf(w, "%-10s %10d %11d %13d %7d\n", s.name,
-			c[expresso.RouteLeakFree], c[expresso.RouteHijackFree],
-			c[expresso.TrafficHijackFree], len(rep.Violations))
-	}
+		c := r.report.CountByKind()
+		fmt.Fprintf(w, "%-11s %10d %11d %13d %7d   (%s, %.0f MB heap)\n", d.name, c[expresso.RouteLeakFree],
+			c[expresso.RouteHijackFree], c[expresso.TrafficHijackFree], r.found, r.timeCell(), r.heapMB)
+	})
 	fmt.Fprintf(w, "(paper: old 3/53/7 total 63; new 36/70/18 total 124)\n")
-	return nil
+	return err
 }
 
-// verifierRow is one (dataset, verifier) measurement.
-type verifierRow struct {
-	dataset  string
-	verifier string
-	runtime  time.Duration
-	heapMB   float64
-	timedOut bool
-	found    int
-}
-
-func (r verifierRow) timeCell() string {
-	if r.timedOut {
-		return fmt.Sprintf(">%s TIMEOUT", r.runtime.Round(time.Second))
-	}
-	return fmt.Sprintf("%.3fs", r.runtime.Seconds())
-}
-
-// runExpressoLeak measures Expresso or Expresso- checking RouteLeakFree.
-func runExpressoLeak(d dataset, minus bool, workers int) (verifierRow, error) {
-	net, err := d.load()
-	if err != nil {
-		return verifierRow{}, err
-	}
-	opts := expresso.Options{Properties: []expresso.Kind{expresso.RouteLeakFree}, Workers: workers}
-	name := "Expresso"
-	if minus {
-		opts.Mode = expresso.ExpressoMinusMode()
-		name = "Expresso-"
-	}
-	start := time.Now()
-	rep, err := net.Verify(opts)
-	if err != nil {
-		return verifierRow{}, err
-	}
-	return verifierRow{
-		dataset: d.name, verifier: name,
-		runtime: time.Since(start),
-		heapMB:  float64(rep.HeapBytes) / 1e6,
-		found:   len(rep.Violations),
-	}, nil
-}
-
-// runMinesweeperLeak measures Minesweeper* checking RouteLeakFree under the
-// configured budget. The check runs in a goroutine with a hard wall-clock
-// cutoff: the encoding phase of large snapshots can itself exceed the
-// budget (the paper's Minesweeper* hit its one-day timeout the same way),
-// and the solver's own deadline only applies between queries.
-func runMinesweeperLeak(d dataset, budget time.Duration) (verifierRow, error) {
-	topo, err := d.topo()
-	if err != nil {
-		return verifierRow{}, err
-	}
-	type outcome struct {
-		rep *minesweeper.Report
-		err error
-	}
-	ch := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		rep, err := minesweeper.CheckRouteLeak(topo, minesweeper.Options{Timeout: budget})
-		ch <- outcome{rep, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return verifierRow{}, o.err
-		}
-		return verifierRow{
-			dataset: d.name, verifier: "Minesweeper*",
-			runtime:  o.rep.Elapsed,
-			heapMB:   heapMB(),
-			timedOut: o.rep.TimedOut,
-			found:    o.rep.Violations,
-		}, nil
-	case <-time.After(budget + budget/2):
-		// Abandon the run (the goroutine finishes on its own deadline).
-		return verifierRow{
-			dataset: d.name, verifier: "Minesweeper*",
-			runtime:  time.Since(start),
-			heapMB:   heapMB(),
-			timedOut: true,
-		}, nil
-	}
-}
-
-// Fig6a prints runtime (and Figure 8a's memory) versus the number of
-// external neighbors, checking RouteLeakFree on subsets of the old
-// snapshot.
-func Fig6a(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Figure 6a / 8a: RouteLeakFree runtime and memory vs. number of neighbors\n")
-	fmt.Fprintf(w, "%-6s %-13s %16s %10s %6s\n", "nbrs", "verifier", "runtime", "heap(MB)", "found")
-	counts := []int{10, 30, 50, 70, 90}
+// fig6a prints runtime (and Figure 8a's memory) versus the number of
+// external neighbors, on subsets of the old snapshot.
+func fig6a(w io.Writer, cfg Config) error {
+	datasets := []dataset{{name: "full-old", peers: 10}, {name: "full-old", peers: 30}, {name: "full-old", peers: 50},
+		{name: "full-old", peers: 70}, {name: "full-old", peers: 90}}
 	if cfg.Quick {
-		counts = []int{10, 30}
+		datasets = datasets[:2]
 	}
-	for _, n := range counts {
-		d := cspDataset(fmt.Sprintf("old-%dn", n), netgen.CSPOldFull().WithPeers(n))
-		ms, err := runMinesweeperLeak(d, cfg.MSBudget)
-		if err != nil {
-			return err
-		}
-		printRow(w, n, ms)
-		ex, err := runExpressoLeak(d, false, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		printRow(w, n, ex)
-		exm, err := runExpressoLeak(d, true, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		printRow(w, n, exm)
-	}
-	return nil
+	return figure6(w, cfg, "nbrs", "verifier", func(d dataset) any { return d.peers }, datasets, leakVerifiers)
 }
 
-func printRow(w io.Writer, n int, r verifierRow) {
-	fmt.Fprintf(w, "%-6d %-13s %16s %10.1f %6d\n", n, r.verifier, r.timeCell(), r.heapMB, r.found)
+func fig6b(w io.Writer, cfg Config) error {
+	return figure6(w, cfg, "dataset", "verifier", byName, csp(cfg, "", 0), leakVerifiers)
 }
 
-// Fig6b prints runtime (and Figure 8b's memory) versus network size across
-// the regions and full snapshots.
-func Fig6b(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Figure 6b / 8b: RouteLeakFree runtime and memory vs. network size\n")
-	fmt.Fprintf(w, "%-11s %-13s %16s %10s %6s\n", "dataset", "verifier", "runtime", "heap(MB)", "found")
-	datasets := []dataset{
-		cspDataset("region1", netgen.CSPOldRegion(1)),
-		cspDataset("region2", netgen.CSPOldRegion(2)),
-		cspDataset("region3", netgen.CSPOldRegion(3)),
-		cspDataset("region4", netgen.CSPOldRegion(4)),
-		cspDataset("full(old)", netgen.CSPOldFull()),
-	}
-	if !cfg.Quick {
-		datasets = append(datasets, cspDataset("full(new)", netgen.CSPNewFull()))
-	}
-	for _, d := range datasets {
-		ms, err := runMinesweeperLeak(d, cfg.MSBudget)
-		if err != nil {
-			return err
-		}
-		printNamedRow(w, d.name, ms)
-		ex, err := runExpressoLeak(d, false, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		printNamedRow(w, d.name, ex)
-		exm, err := runExpressoLeak(d, true, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		printNamedRow(w, d.name, exm)
-	}
-	return nil
-}
-
-func printNamedRow(w io.Writer, name string, r verifierRow) {
-	fmt.Fprintf(w, "%-11s %-13s %16s %10.1f %6d\n", name, r.verifier, r.timeCell(), r.heapMB, r.found)
-}
-
-// Fig6c prints Expresso's runtime (and Figure 8c's memory) under the four
-// protocol-feature levels — none, t, t+c, t+c+a — checking RouteLeakFree
-// and TrafficHijackFree with 10 external neighbors, as in §7.2.
-func Fig6c(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Figure 6c / 8c: runtime and memory vs. protocol features (10 neighbors)\n")
-	fmt.Fprintf(w, "%-11s %-7s %12s %10s %6s\n", "dataset", "mode", "runtime", "heap(MB)", "found")
-	datasets := []dataset{cspDataset("full(old)", netgen.CSPOldFull().WithPeers(10))}
-	if !cfg.Quick {
-		datasets = append(datasets, cspDataset("full(new)", netgen.CSPNewFull().WithPeers(10)))
-	}
-	modes := []struct {
+// fig6c prints Expresso's runtime (and Figure 8c's memory) under the four
+// protocol-feature levels, checking RouteLeakFree and TrafficHijackFree
+// with 10 external neighbors, as in §7.2.
+func fig6c(w io.Writer, cfg Config) error {
+	var levels []verifier
+	for _, m := range []struct {
 		name string
 		mode expresso.Mode
 	}{
-		{"none", expresso.Mode{}},
-		{"t", expresso.Mode{TrafficPolicies: true}},
-		{"t+c", expresso.Mode{TrafficPolicies: true, SymbolicCommunities: true}},
-		{"t+c+a", expresso.FullMode()},
+		{"none", expresso.Mode{}}, {"t", expresso.Mode{TrafficPolicies: true}},
+		{"t+c", expresso.Mode{TrafficPolicies: true, SymbolicCommunities: true}}, {"t+c+a", expresso.FullMode()},
+	} {
+		levels = append(levels, expressoVerifier(m.name, expresso.Options{Mode: m.mode,
+			Properties: []expresso.Kind{expresso.RouteLeakFree, expresso.TrafficHijackFree}}))
 	}
-	for _, d := range datasets {
-		for _, m := range modes {
-			net, err := d.load()
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			rep, err := net.Verify(expresso.Options{
-				Mode:       m.mode,
-				Properties: []expresso.Kind{expresso.RouteLeakFree, expresso.TrafficHijackFree},
-				Workers:    cfg.Workers,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-11s %-7s %11.3fs %10.1f %6d\n",
-				d.name, m.name, time.Since(start).Seconds(), float64(rep.HeapBytes)/1e6, len(rep.Violations))
-		}
-	}
-	return nil
+	return figure6(w, cfg, "dataset", "mode", byName, csp(cfg, "full-", 10), levels)
 }
 
-// Table3 prints per-stage runtimes (SRC, routing analysis, SPF, forwarding
-// analysis) with 10 external neighbors, as in the paper's Table 3.
-func Table3(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Table 3: per-stage runtime (seconds, 10 neighbors)\n")
+// table3 prints per-stage runtimes (SRC, routing analysis, SPF, forwarding
+// analysis) with 10 external neighbors.
+func table3(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-11s %8s %12s %8s %12s\n", "dataset", "SRC", "RoutingProp", "SPF", "FwdProp")
-	datasets := []dataset{
-		cspDataset("region1", netgen.CSPOldRegion(1).WithPeers(10)),
-		cspDataset("region2", netgen.CSPOldRegion(2).WithPeers(10)),
-		cspDataset("region3", netgen.CSPOldRegion(3).WithPeers(10)),
-		cspDataset("region4", netgen.CSPOldRegion(4).WithPeers(10)),
-		cspDataset("full(old)", netgen.CSPOldFull().WithPeers(10)),
-	}
-	if !cfg.Quick {
-		datasets = append(datasets, cspDataset("full(new)", netgen.CSPNewFull().WithPeers(10)))
-	}
-	for _, d := range datasets {
-		net, err := d.load()
-		if err != nil {
-			return err
+	return each(cfg, csp(cfg, "", 10), allProperties, func(d dataset, _ verifier, r row) {
+		if r.timedOut {
+			fmt.Fprintf(w, "%-11s %s\n", d.name, r.timeCell())
+			return
 		}
-		rep, err := net.Verify(expresso.Options{Workers: cfg.Workers})
-		if err != nil {
-			return err
-		}
+		t := r.report.Timing
 		fmt.Fprintf(w, "%-11s %8.3f %12.3f %8.3f %12.3f\n", d.name,
-			rep.Timing.SRC.Seconds(), rep.Timing.RoutingAnalysis.Seconds(),
-			rep.Timing.SPF.Seconds(), rep.Timing.ForwardingAnalysis.Seconds())
-	}
-	return nil
+			t.SRC.Seconds(), t.RoutingAnalysis.Seconds(), t.SPF.Seconds(), t.ForwardingAnalysis.Seconds())
+	})
 }
 
-// Table4 prints the Internet2 BlockToExternal comparison: runtime, memory,
-// and violations for Minesweeper*, Expresso, and Expresso-. The Bagpipe row
-// reproduces the paper's reported numbers (the paper itself used Bagpipe's
-// published results rather than running it).
-func Table4(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Table 4: BlockToExternal on Internet2\n")
+// table4 prints the Internet2 BlockToExternal comparison. The Bagpipe row
+// is the paper's, which itself quoted Bagpipe's published results.
+func table4(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-14s %16s %10s %10s\n", "verifier", "runtime", "mem(GB)", "violations")
 	fmt.Fprintf(w, "%-14s %16s %10s %10d   (reported in the Bagpipe paper)\n", "Bagpipe", "28594s (8h)", "-", 5)
-
-	spec := netgen.Internet2()
+	d := dataset{name: "internet2"}
 	if cfg.Quick {
-		spec.Peers = 30
-		spec.Prefixes = 1000
-		spec.CustomerPrefixLines = 3000
+		d.peers = 30
+		fmt.Fprintf(w, "(quick: cut to %d peers)\n", d.peers)
 	}
-	d := dataset{name: "Internet2", text: netgen.GenerateI2(spec)}
-
-	topo, err := d.topo()
-	if err != nil {
-		return err
-	}
-	type outcome struct {
-		rep *minesweeper.Report
-		err error
-	}
-	ch := make(chan outcome, 1)
-	start := time.Now()
-	go func() {
-		rep, err := minesweeper.CheckBlockToExternal(topo, netgen.BTECommunity, minesweeper.Options{Timeout: cfg.MSBudget})
-		ch <- outcome{rep, err}
-	}()
-	var msTime string
-	var msViolations int
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return o.err
-		}
-		msTime = fmt.Sprintf("%.1fs", o.rep.Elapsed.Seconds())
-		if o.rep.TimedOut {
-			msTime = fmt.Sprintf(">%s TIMEOUT", o.rep.Elapsed.Round(time.Second))
-		}
-		msViolations = o.rep.Violations
-	case <-time.After(cfg.MSBudget + cfg.MSBudget/2):
-		msTime = fmt.Sprintf(">%s TIMEOUT", time.Since(start).Round(time.Second))
-	}
-	fmt.Fprintf(w, "%-14s %16s %10.2f %10d\n", "Minesweeper*", msTime, heapMB()/1e3, msViolations)
-
-	for _, minus := range []bool{false, true} {
-		net, err := d.load()
-		if err != nil {
-			return err
-		}
-		opts := expresso.Options{Properties: []expresso.Kind{expresso.BlockToExternal}, BTE: netgen.BTECommunity, Workers: cfg.Workers}
-		name := "Expresso"
-		if minus {
-			opts.Mode = expresso.ExpressoMinusMode()
-			name = "Expresso-"
-		}
-		start := time.Now()
-		rep, err := net.Verify(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-14s %15.1fs %10.2f %10d\n", name,
-			time.Since(start).Seconds(), float64(rep.HeapBytes)/1e9, len(rep.Violations))
-	}
+	opts := expresso.Options{Properties: []expresso.Kind{expresso.BlockToExternal}, BTE: netgen.BTECommunity}
+	err := each(cfg, []dataset{d}, contenders(opts, func(t *topology.Network, o minesweeper.Options) (*minesweeper.Report, error) {
+		return minesweeper.CheckBlockToExternal(t, netgen.BTECommunity, o)
+	}), func(_ dataset, v verifier, r row) {
+		fmt.Fprintf(w, "%-14s %16s %10.2f %10d\n", v.name, r.timeCell(), r.heapMB/1e3, r.found)
+	})
 	fmt.Fprintf(w, "(paper: Bagpipe 28594s/5, Minesweeper* 2282s/45GB/0, Expresso 655s/12GB/4, Expresso- 338s/12GB/4)\n")
-	return nil
+	return err
 }
 
-// Enumeration prints the Batfish-style enumeration baseline's projected
-// cost (the §7 remark: 1000 environments already took 2 hours).
-func Enumeration(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Enumeration baseline (Batfish/SRE-style): RouteLeakFree on full(old)\n")
-	spec := netgen.CSPOldFull()
+// enumeration prints the Batfish-style enumeration baseline's projected
+// cost on the old snapshot (§7: 1000 environments already took 2 hours).
+func enumeration(w io.Writer, cfg Config) error {
+	const environments = 1000
+	d := dataset{name: "full-old"}
 	if cfg.Quick {
-		spec = netgen.CSPOldRegion(1)
+		d.name = "region1"
 	}
-	topo, err := dataset{text: netgen.CSP(spec)}.topo()
+	var rep *enumerate.Report
+	r, err := measure(cfg, d, verifier{"enumeration", func(_ context.Context, net *expresso.Network, cfg Config) (row, error) {
+		prefixes := net.Topo.InternalPrefixes()
+		rep = enumerate.CheckRouteLeak(net.Topo, enumerate.Options{
+			Prefixes: prefixes[:min(8, len(prefixes))], MaxEnvironments: environments, Timeout: cfg.Budget})
+		return row{found: rep.Violations, timedOut: rep.Environments < environments}, nil
+	}})
 	if err != nil {
 		return err
 	}
-	var prefixes []route.Prefix
-	prefixes = append(prefixes, topo.InternalPrefixes()...)
-	if len(prefixes) > 8 {
-		prefixes = prefixes[:8]
-	}
-	rep := enumerate.CheckRouteLeak(topo, enumerate.Options{
-		Prefixes:        prefixes,
-		MaxEnvironments: 1000,
-		Timeout:         cfg.MSBudget,
-	})
-	fmt.Fprintf(w, "environments checked: %d of %.3g (reduced space; true space is astronomically larger)\n",
-		rep.Environments, rep.SpaceSize)
-	fmt.Fprintf(w, "elapsed: %v; projected exhaustive cost: %.3g years\n", rep.Elapsed.Round(time.Millisecond), rep.ProjectedYears())
-	fmt.Fprintf(w, "violations so far: %d\n", rep.Violations)
+	fmt.Fprintf(w, "%s: environments checked: %d of %.3g (reduced space; true space is astronomically larger)\n",
+		d.name, rep.Environments, rep.SpaceSize)
+	fmt.Fprintf(w, "elapsed: %s; projected exhaustive cost: %.3g years\n", r.timeCell(), rep.ProjectedYears())
+	fmt.Fprintf(w, "violations so far: %d\n", r.found)
 	return nil
 }

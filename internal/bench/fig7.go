@@ -12,7 +12,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/netgen"
 )
 
-// Fig7 compares the symbolic-community and symbolic-AS-path encodings
+// fig7 compares the symbolic-community and symbolic-AS-path encodings
 // (atomic predicates versus automata), reproducing Figure 7's finding:
 // atomic predicates win for communities, automata win for AS paths (the
 // explicit "atomic predicate"-style path encoding blows up, the paper's
@@ -21,25 +21,18 @@ import (
 // The comparison replays the operation workload Expresso performs per
 // dataset — one import (add community / tag test) and one export (match /
 // filter) per session, times the EPVP round count — against each encoding.
-func Fig7(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Figure 7a: symbolic community encodings (runtime per dataset workload)\n")
+func fig7(w io.Writer, cfg Config) error {
+	fmt.Fprintf(w, "7a: symbolic community encodings\n")
 	fmt.Fprintf(w, "%-11s %18s %14s\n", "dataset", "atomic-predicate", "automaton")
-	type ds struct {
-		name     string
-		sessions int
-		rounds   int
-	}
-	sets := []ds{
-		{"region1", 10, 4}, {"region2", 20, 4}, {"region3", 20, 5}, {"region4", 40, 5},
-		{"full(old)", 90, 5},
-	}
-	if !cfg.Quick {
-		sets = append(sets, ds{"full(new)", 220, 6})
-	}
+	sets := csp(cfg, "", 0)
 
 	// The CSP configurations mention one tag community; with the catch-all
 	// that is 2 atoms. Use the real atom universe of the old snapshot.
-	devices, err := config.ParseConfigs(netgen.CSP(netgen.CSPOldRegion(1)))
+	text, err := netgen.Dataset("region1", 0)
+	if err != nil {
+		return err
+	}
+	devices, err := config.ParseConfigs(text)
 	if err != nil {
 		return err
 	}
@@ -72,7 +65,7 @@ func Fig7(w io.Writer, cfg Config) error {
 		fmt.Fprintf(w, "%-11s %17.4fs %13.4fs\n", d.name, apTime.Seconds(), autoTime.Seconds())
 	}
 
-	fmt.Fprintf(w, "\nFigure 7b: symbolic AS path encodings (runtime per dataset workload)\n")
+	fmt.Fprintf(w, "\n7b: symbolic AS path encodings\n")
 	fmt.Fprintf(w, "%-11s %14s %18s\n", "dataset", "automaton", "atomic-predicate")
 	const pathBudget = 200000 // member cap standing in for the 1-hour timeout
 	for _, d := range sets {

@@ -47,23 +47,9 @@ type Report struct {
 	Elapsed time.Duration
 }
 
-// ProjectedFullTime extrapolates the time to exhaust the reduced space at
-// the observed rate, saturating at the maximum representable duration
-// (~292 years) — the spaces involved exceed any unit of time.
-func (r *Report) ProjectedFullTime() time.Duration {
-	if r.Environments == 0 {
-		return 0
-	}
-	perEnv := r.Elapsed.Seconds() / float64(r.Environments)
-	seconds := perEnv * r.SpaceSize
-	if seconds >= float64(math.MaxInt64)/float64(time.Second) {
-		return math.MaxInt64
-	}
-	return time.Duration(seconds * float64(time.Second))
-}
-
-// ProjectedYears extrapolates the exhaustive cost in years as a float (the
-// duration type saturates long before these spaces are covered).
+// ProjectedYears extrapolates the time to exhaust the reduced space at the
+// observed rate, in years as a float (a time.Duration saturates at ~292 years,
+// long before these spaces are covered).
 func (r *Report) ProjectedYears() float64 {
 	if r.Environments == 0 {
 		return 0

@@ -74,11 +74,11 @@ func TestProjection(t *testing.T) {
 	rep := CheckRouteLeak(net, Options{
 		Prefixes: []route.Prefix{route.MustParsePrefix("128.0.0.0/2")},
 	})
-	if rep.ProjectedFullTime() < 0 {
-		t.Error("projection should be non-negative")
+	if rep.ProjectedYears() <= 0 {
+		t.Error("projection should be positive")
 	}
 	empty := &Report{}
-	if empty.ProjectedFullTime() != 0 {
+	if empty.ProjectedYears() != 0 {
 		t.Error("empty report should project zero")
 	}
 }

@@ -45,8 +45,6 @@ type Report struct {
 	Clauses, Vars int
 	// TimedOut reports whether the budget expired before completion.
 	TimedOut bool
-	// Elapsed is the total wall-clock time.
-	Elapsed time.Duration
 }
 
 const (
@@ -532,6 +530,5 @@ func check(net *topology.Network, opts Options,
 			rep.Violations++
 		}
 	}
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }

@@ -119,11 +119,10 @@ func GenerateI2(spec I2Spec) string {
 	return b.String()
 }
 
-// WithPeers restricts the Internet2 spec to n peers.
+// WithPeers restricts the Internet2 spec to n peers; n <= 0 keeps them all.
 func (s I2Spec) WithPeers(n int) I2Spec {
-	out := s
-	if n < out.Peers {
-		out.Peers = n
+	if n > 0 && n < s.Peers {
+		s.Peers = n
 	}
-	return out
+	return s
 }

@@ -136,11 +136,14 @@ func CSP(spec CSPSpec) string {
 		for p := i; p < spec.Prefixes; p += spec.Backbones {
 			w("bgp network %s", internalPrefix(p))
 		}
-		// Traffic-bug export policies toward victim PRs.
-		for j, pfx := range trafficVictims {
-			w("route-policy extraffic%d deny node 5", j)
-			w(" if-match prefix %s", internalPrefix(pfx))
-			w("route-policy extraffic%d permit node 10", j)
+		// Traffic-bug export policies toward victim PRs, in PR order (ranging
+		// over the map would order them differently on every run).
+		for j := 0; j < spec.PeeringRouters; j++ {
+			if pfx, ok := trafficVictims[j]; ok {
+				w("route-policy extraffic%d deny node 5", j)
+				w(" if-match prefix %s", internalPrefix(pfx))
+				w("route-policy extraffic%d permit node 10", j)
+			}
 		}
 		// Sessions to the other backbones.
 		for o := 0; o < spec.Backbones; o++ {
@@ -264,11 +267,10 @@ func CSPNewFull() CSPSpec {
 }
 
 // WithPeers returns a copy of the spec restricted to n external peers
-// (Figure 6a varies the number of neighbors).
+// (Figure 6a varies the number of neighbors); n <= 0 keeps them all.
 func (s CSPSpec) WithPeers(n int) CSPSpec {
-	out := s
-	if n < out.Peers {
-		out.Peers = n
+	if n > 0 && n < s.Peers {
+		s.Peers = n
 	}
-	return out
+	return s
 }

@@ -44,10 +44,12 @@ func TestCSPRegionsParseAndMatchScale(t *testing.T) {
 }
 
 func TestCSPDeterministic(t *testing.T) {
-	a := CSP(CSPOldRegion(1))
-	b := CSP(CSPOldRegion(1))
-	if a != b {
-		t.Fatal("generation must be deterministic")
+	// The old snapshot seeds three traffic bugs, kept in a map: ranging over
+	// it used to order their policies differently on every call.
+	for i := 0; i < 8; i++ {
+		if CSP(CSPOldRegion(1)) != CSP(CSPOldRegion(1)) || CSP(CSPOldFull()) != CSP(CSPOldFull()) {
+			t.Fatal("generation must be deterministic")
+		}
 	}
 }
 
@@ -114,4 +116,36 @@ func TestInternet2FullScaleParses(t *testing.T) {
 		t.Errorf("Internet2 stats = %+v", s)
 	}
 	t.Logf("Internet2: %+v", s)
+}
+
+// TestDatasetNames: every name `expresso gen` documents resolves to a
+// configuration that parses, -peers cuts it, and an unknown name's error
+// lists the valid ones.
+func TestDatasetNames(t *testing.T) {
+	documented := []string{"region1", "region2", "region3", "region4", "full-old", "full-new", "internet2"}
+	for _, name := range documented {
+		if testing.Short() && (name == "full-new" || name == "internet2") {
+			continue
+		}
+		text, err := Dataset(name, 3)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if net := parseAndBuild(t, text); len(net.Externals) != 3 {
+			t.Errorf("%s cut to 3 peers has %d", name, len(net.Externals))
+		}
+	}
+	if text, _ := Dataset("region1", 0); text != CSP(CSPOldRegion(1)) {
+		t.Error("region1 with no cut is not CSPOldRegion(1)")
+	}
+	_, err := Dataset("nope", 0)
+	if err == nil {
+		t.Fatal("unknown dataset resolved")
+	}
+	for _, name := range documented {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
+	}
 }

@@ -1,9 +1,9 @@
 # Tier-1 verification lives in ROADMAP.md; `make ci` is the superset run
 # in CI: vet + build + race-enabled tests across every package, then the
-# three steps that cover what that run does not — the same race run with
-# the parallel engine forced on, a short fuzz of every store-blob decoder
-# and of the configuration-text front door, and the env-gated allocation
-# guard. The four *-check targets select tests `race` has already run: they
+# four steps that cover what that run does not — the same race run with
+# the parallel engine forced on, the daemon-facing packages with a sweep at
+# every barrier, a short fuzz of every store-blob decoder and of the
+# configuration-text front door, and the env-gated allocation guard. The four *-check targets select tests `race` has already run: they
 # are shortcuts for working on one subsystem, not CI steps.
 
 GO ?= go
@@ -14,9 +14,9 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
+.PHONY: ci vet staticcheck build test race race-parallel reclaim-matrix race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
 
-ci: vet staticcheck build race race-parallel fuzz-smoke alloc-guard
+ci: vet staticcheck build race race-parallel reclaim-matrix fuzz-smoke alloc-guard
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +49,13 @@ race:
 # explicitly, so they are covered by the plain `race` run above.
 race-parallel:
 	EXPRESSO_WORKERS=$(RACE_WORKERS) $(GO) test -race -timeout 30m -count=1 ./internal/bdd/ ./internal/epvp/ ./internal/spf/ ./internal/service/
+
+# The packages that share one BDD manager between runs — the pipeline, the
+# daemon and the root package's baseline/delta tests — with a dead-node
+# sweep at every EPVP round and every pre-SPF barrier: anything a run
+# leaves filed or pinned that it should not is swept or roots a sweep here.
+reclaim-matrix:
+	EXPRESSO_RECLAIM=200 $(GO) test -count=1 -timeout 30m ./internal/pipeline ./internal/service .
 
 # Just the verification daemon under the race detector.
 race-service:

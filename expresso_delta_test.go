@@ -1,0 +1,217 @@
+package expresso
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/expresso-verify/expresso/internal/bdd"
+	"github.com/expresso-verify/expresso/internal/config"
+	"github.com/expresso-verify/expresso/internal/netgen"
+)
+
+// deltaFixture is region 1 with the one-router deltas the serve-delta
+// benchmark sends: the i-th delta makes one router, walking them in name
+// order, originate one more /24 inside 10.0.0.0/8, a range every import
+// policy of the generated networks denies.
+type deltaFixture struct {
+	text    string
+	routers []string
+	section map[string]string
+}
+
+func newDeltaFixture() *deltaFixture {
+	f := &deltaFixture{text: netgen.CSP(netgen.CSPOldRegion(1)), section: map[string]string{}}
+	for _, s := range config.SplitSections(f.text) {
+		if s.Router != "" {
+			f.routers = append(f.routers, s.Router)
+			f.section[s.Router] = s.Text
+		}
+	}
+	sort.Strings(f.routers)
+	return f
+}
+
+func (f *deltaFixture) patch(i int) Patch {
+	router := f.routers[i%len(f.routers)]
+	line := fmt.Sprintf("bgp network 10.%d.%d.0/24\n", 200+i/250%50, i%250)
+	return Patch{Ops: []PatchOp{{
+		Op: config.SetOp, Router: router,
+		Config: strings.TrimRight(f.section[router], "\n") + "\n" + line,
+	}}}
+}
+
+func (f *deltaFixture) deltaText(t *testing.T, i int) string {
+	t.Helper()
+	text, err := ApplyPatch(f.text, f.patch(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+var deltaProps = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}
+
+// deltaHeapCeiling bounds the live heap of a verifier that has run 200
+// region-1 deltas against one baseline: the baseline's manager, four
+// cached delta fixed points, 32 parsed networks and 128 reports. The run
+// holds about 62 MB; while deltas left their manager unswept and parsed
+// names pinned each patched text, it held 110 MB.
+const deltaHeapCeiling = 96 << 20
+
+// TestBaselineDeltasStayBounded: 200 deltas against one pinned baseline
+// leave its manager no more than twice as large as the first delta did —
+// warm runs sweep it (pipeline's managerLock.relieveWarm) — keep the heap
+// under a ceiling, and answer what a cold run of the same text answers.
+func TestBaselineDeltasStayBounded(t *testing.T) {
+	t.Setenv("EXPRESSO_RECLAIM", "") // the default budgets: the rule under test is the warm one
+	ctx := context.Background()
+	opts := Options{Workers: 1, Properties: deltaProps}
+	f := newDeltaFixture()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, opts); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := v.baselines.Get("prod")
+	m := b.SRC.Eng.Space.M
+	sweeps := m.ReclaimStats().Runs
+	var bound int
+	for i := 0; i < 200; i++ {
+		rep, info, err := v.VerifyDelta(ctx, "prod", f.patch(i), opts)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if s := stageStatus(info, "src"); s != StageWarm {
+			t.Fatalf("delta %d: src %s, want warm in the baseline's manager", i, s)
+		}
+		live := m.NumNodes()
+		if i == 0 {
+			bound = 2 * live
+		} else if live > bound {
+			t.Fatalf("delta %d: baseline manager holds %d live nodes, over twice the %d after the first delta", i, live, bound/2)
+		}
+		if i%20 == 19 {
+			if got, want := normalizedJSON(t, rep), scratchReport(t, f.deltaText(t, i), opts); got != want {
+				t.Fatalf("delta %d report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", i, want, got)
+			}
+		}
+	}
+	if m.ReclaimStats().Runs == sweeps {
+		t.Error("200 deltas never swept the baseline's manager")
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(v) // its caches are what the ceiling is about
+	t.Logf("after 200 deltas: %d live nodes (%d after the first), %d sweeps, %d MB live heap",
+		m.NumNodes(), bound/2, m.ReclaimStats().Runs-sweeps, ms.HeapAlloc>>20)
+	if ms.HeapAlloc > deltaHeapCeiling {
+		t.Errorf("live heap after 200 deltas is %d MB, ceiling %d MB", ms.HeapAlloc>>20, deltaHeapCeiling>>20)
+	}
+}
+
+// memoWork is what a traced run re-derived instead of finding memoized:
+// the op-cache misses of its EPVP rounds and the route conversions its SPF
+// stage computed.
+func memoWork(tr *Tracer) (misses, conversions int64) {
+	trace := tr.Finish()
+	for _, r := range trace.EPVPRounds {
+		misses += r.ITEMisses
+	}
+	if trace.SPFOrder != nil {
+		conversions = trace.SPFOrder.Converted
+	}
+	return misses, conversions
+}
+
+// newSets counts the distinct prefix-environment sets of the fixed point
+// most recently cached in v that the baseline's fixed point does not hold:
+// the routes a delta is the first to convert.
+func newSets(v *Verifier, baseline string) int {
+	b, _ := v.baselines.Get(baseline)
+	seen := map[bdd.Node]bool{}
+	for _, rs := range b.SRC.Res.Best {
+		for _, r := range rs {
+			seen[r.U] = true
+		}
+	}
+	n := 0
+	for _, rs := range v.cache.SRC.Values()[0].Res.Best {
+		for _, r := range rs {
+			if !seen[r.U] {
+				seen[r.U] = true
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestDeltaReusesBaselineMemo: a delta runs in its baseline's manager with
+// that manager's op caches and SPF conversions, so it re-derives a small
+// fraction of what a cold run of the same text does, and converts only
+// the routes that are new — and its report is the cold one, after a sweep
+// flushed those memos mid-run and at four workers alike.
+func TestDeltaReusesBaselineMemo(t *testing.T) {
+	t.Setenv("EXPRESSO_RECLAIM", "") // no sweep may flush the memos under measurement
+	ctx := context.Background()
+	f := newDeltaFixture()
+	text := f.deltaText(t, 7)
+
+	coldOpts := Options{Workers: 1, Properties: deltaProps, Trace: NewTracer()}
+	coldRep, _, err := NewVerifier(VerifierConfig{}).VerifyText(ctx, text, coldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := normalizedJSON(t, coldRep)
+	coldMisses, coldConv := memoWork(coldOpts.Trace)
+
+	delta := func(opts Options, beforeDelta func()) (*Report, *Verifier) {
+		t.Helper()
+		v := NewVerifier(VerifierConfig{})
+		if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, Options{Workers: 1, Properties: deltaProps}); err != nil {
+			t.Fatal(err)
+		}
+		beforeDelta()
+		rep, info, err := v.VerifyDelta(ctx, "prod", f.patch(7), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := stageStatus(info, "src"); s != StageWarm {
+			t.Fatalf("delta src %s, want warm in the baseline's manager", s)
+		}
+		return rep, v
+	}
+
+	opts := Options{Workers: 1, Properties: deltaProps, Trace: NewTracer()}
+	rep, v := delta(opts, func() {})
+	misses, conv := memoWork(opts.Trace)
+	t.Logf("SRC op-cache misses: cold %d, delta %d; SPF conversions: cold %d, delta %d", coldMisses, misses, coldConv, conv)
+	if misses*4 > coldMisses {
+		t.Errorf("delta missed the op caches %d times, cold run %d: the baseline's caches were not reused", misses, coldMisses)
+	}
+	if fresh := newSets(v, "prod"); conv == 0 || conv > int64(fresh) {
+		t.Errorf("delta computed %d conversions, want between 1 and its %d new route sets (cold run: %d)", conv, fresh, coldConv)
+	}
+	if got := normalizedJSON(t, rep); got != cold {
+		t.Errorf("delta report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
+	}
+
+	swept, v := delta(Options{Workers: 1, Properties: deltaProps}, func() { t.Setenv("EXPRESSO_RECLAIM", "200") })
+	b, _ := v.baselines.Get("prod")
+	if b.SRC.Eng.Space.M.ReclaimStats().Runs == 0 {
+		t.Error("a 200-node reclaim budget never swept the baseline's manager")
+	}
+	if got := normalizedJSON(t, swept); got != cold {
+		t.Errorf("delta report after sweeps differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
+	}
+	t.Setenv("EXPRESSO_RECLAIM", "")
+
+	parallel, _ := delta(Options{Workers: 4, Properties: deltaProps}, func() {})
+	if got := normalizedJSON(t, parallel); got != cold {
+		t.Errorf("delta report at four workers differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
+	}
+}

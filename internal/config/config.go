@@ -364,13 +364,28 @@ func (d *Device) Policy(name string) *Policy {
 
 // ParseConfigs parses a multi-router configuration text into devices.
 func ParseConfigs(text string) ([]*Device, error) {
-	p := &parser{lines: strings.Split(text, "\n")}
+	p := &parser{lines: strings.Split(text, "\n"), interned: map[string]string{}}
 	return p.parse()
 }
 
 type parser struct {
 	lines []string
 	pos   int
+	// interned holds one copy of every token the parse keeps (see intern).
+	interned map[string]string
+}
+
+// intern returns tok as a string of its own, one copy per distinct token
+// per parse. Tokens are substrings of the input, and parsed devices outlive
+// their text — caches keep networks and reports built from them — so a
+// kept token would otherwise keep the whole text alive.
+func (p *parser) intern(tok string) string {
+	if s, ok := p.interned[tok]; ok {
+		return s
+	}
+	s := strings.Clone(tok)
+	p.interned[s] = s
+	return s
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -412,7 +427,7 @@ func (p *parser) parse() ([]*Device, error) {
 			if len(toks) != 2 {
 				return nil, p.errf("usage: router NAME")
 			}
-			cur = &Device{Name: toks[1], Policies: map[string]*Policy{}, Lines: 1}
+			cur = &Device{Name: p.intern(toks[1]), Policies: map[string]*Policy{}, Lines: 1}
 			devices = append(devices, cur)
 			curPolicy, curNode = nil, nil
 			continue
@@ -545,7 +560,7 @@ func (p *parser) parsePeer(d *Device, toks []string) error {
 	if len(toks) == 0 {
 		return p.errf("usage: bgp peer NAME [remote-as N] [import P] [export P] ...")
 	}
-	peer := &Peer{Neighbor: toks[0]}
+	peer := &Peer{Neighbor: p.intern(toks[0])}
 	i := 1
 	for i < len(toks) {
 		switch toks[i] {
@@ -563,13 +578,13 @@ func (p *parser) parsePeer(d *Device, toks []string) error {
 			if i+1 >= len(toks) {
 				return p.errf("import needs a policy name")
 			}
-			peer.Import = toks[i+1]
+			peer.Import = p.intern(toks[i+1])
 			i += 2
 		case "export":
 			if i+1 >= len(toks) {
 				return p.errf("export needs a policy name")
 			}
-			peer.Export = toks[i+1]
+			peer.Export = p.intern(toks[i+1])
 			i += 2
 		case "advertise-community":
 			peer.AdvertiseCommunity = true
@@ -597,7 +612,7 @@ func (p *parser) parseInterface(d *Device, toks []string) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	d.Interfaces = append(d.Interfaces, Interface{Name: toks[0], Prefix: pfx})
+	d.Interfaces = append(d.Interfaces, Interface{Name: p.intern(toks[0]), Prefix: pfx})
 	return nil
 }
 
@@ -610,7 +625,7 @@ func (p *parser) parseStatic(d *Device, toks []string) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	d.Statics = append(d.Statics, StaticRoute{Prefix: pfx, NextHop: toks[2]})
+	d.Statics = append(d.Statics, StaticRoute{Prefix: pfx, NextHop: p.intern(toks[2])})
 	return nil
 }
 
@@ -619,7 +634,7 @@ func (p *parser) parsePolicyHeader(d *Device, toks []string) (*Policy, *PolicyNo
 	if len(toks) != 4 || toks[2] != "node" {
 		return nil, nil, p.errf("usage: route-policy NAME permit|deny node SEQ")
 	}
-	name := toks[0]
+	name := p.intern(toks[0])
 	var permit bool
 	switch toks[1] {
 	case "permit":
@@ -693,7 +708,7 @@ func (p *parser) parseMatch(n *PolicyNode, toks []string) error {
 			return p.errf("if-match community needs at least one expression")
 		}
 		for _, s := range toks[1:] {
-			e, err := ParseCommunityExpr(s)
+			e, err := ParseCommunityExpr(p.intern(s))
 			if err != nil {
 				return p.errf("%v", err)
 			}
@@ -703,7 +718,7 @@ func (p *parser) parseMatch(n *PolicyNode, toks []string) error {
 		if len(toks) < 2 {
 			return p.errf("if-match as-path needs a regex")
 		}
-		expr := strings.Join(toks[1:], " ")
+		expr := p.intern(strings.Join(toks[1:], " "))
 		if _, err := automaton.ParseRegex(expr); err != nil {
 			return p.errf("bad as-path regex: %v", err)
 		}
@@ -735,7 +750,7 @@ func (p *parser) parseAction(n *PolicyNode, toks []string) error {
 		}
 		n.Actions = append(n.Actions, Action{Kind: ActAddCommunity, Community: c})
 	case toks[0] == "delete" && len(toks) == 3 && toks[1] == "community":
-		e, err := ParseCommunityExpr(toks[2])
+		e, err := ParseCommunityExpr(p.intern(toks[2]))
 		if err != nil {
 			return p.errf("%v", err)
 		}

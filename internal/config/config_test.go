@@ -2,7 +2,9 @@ package config
 
 import (
 	"testing"
+	"unsafe"
 
+	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -295,5 +297,51 @@ route-policy p deny node 100
 	out, ok := ApplyPolicy(p, route.Route{Prefix: route.MustParsePrefix("20.0.0.0/8")})
 	if !ok || out.LocalPref != 50 {
 		t.Error("node 200 permit should fire for other prefixes")
+	}
+}
+
+// TestParsedNamesDoNotAliasTheText: parsed devices outlive their input —
+// the Load and report caches keep what was built from them — so no name
+// they keep may point into the text, which would keep all of it alive.
+// Each distinct name is one copy per parse.
+func TestParsedNamesDoNotAliasTheText(t *testing.T) {
+	text := netgen.CSP(netgen.CSPOldRegion(1))
+	devices, err := ParseConfigs(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	copies := map[string]*byte{}
+	check := func(what, s string) {
+		if s == "" {
+			return
+		}
+		p := unsafe.StringData(s)
+		if at := uintptr(unsafe.Pointer(p)); at >= lo && at < hi {
+			t.Errorf("%s %q points into the configuration text", what, s)
+		}
+		if first, ok := copies[s]; ok && first != p {
+			t.Errorf("%s %q is a second copy of the same name", what, s)
+		}
+		copies[s] = p
+	}
+	peers, policies := 0, 0
+	for _, d := range devices {
+		check("device name", d.Name)
+		for name, pol := range d.Policies {
+			check("policy key", name)
+			check("policy name", pol.Name)
+			policies++
+		}
+		for _, p := range d.Peers {
+			check("peer name", p.Neighbor)
+			check("import policy", p.Import)
+			check("export policy", p.Export)
+			peers++
+		}
+	}
+	if len(devices) == 0 || peers == 0 || policies == 0 {
+		t.Fatalf("region 1 parsed to %d devices, %d peers, %d policies", len(devices), peers, policies)
 	}
 }

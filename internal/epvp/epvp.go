@@ -271,9 +271,12 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 //   - the community atom universes have equal signatures (atom i must mean
 //     the same community set in both configurations).
 //
-// The returned engine has forked per-engine BDD workers, so it can run
-// concurrently with readers of the prior engine; the shared node manager
-// is concurrent-safe. Transfers for devices in unchanged (callers pass the
+// The returned engine takes the prior engine's spaces as they are, default
+// BDD workers included, so the op caches every earlier run on the managers
+// filled serve this one too. The default workers are single-goroutine, so
+// every computation on engines sharing them must be serialized — the
+// pipeline's one run lock per manager does that; a run's own fan-out forks
+// private workers. Transfers for devices in unchanged (callers pass the
 // routers whose configuration sections are byte-identical to prior's; nil
 // means none) are adopted from the prior engine; the rest are recompiled
 // from the new devices. The edge-transfer memo starts empty (policies may
@@ -302,8 +305,8 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 	}
 	e := &Engine{
 		Net:       net,
-		Space:     prior.Space.Fork(),
-		Comm:      prior.Comm.Fork(),
+		Space:     prior.Space,
+		Comm:      prior.Comm,
 		Mode:      mode,
 		transfers: map[transferKey]*symbolic.Transfer{},
 		edgeMemo:  newEdgeMemo(),

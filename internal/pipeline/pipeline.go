@@ -174,19 +174,21 @@ type stageSpec[A comparable] struct {
 // the manager it builds in and keeps it before that lock is released, so the
 // artifact is rooted before anything else (another job's sweep on a shared
 // baseline manager, this request's own pre-SPF sweep) can reclaim in that
-// manager; one that did not come from the store is encoded — under the lock
-// again — and written through to it. A derived stage looks memory up once
-// more under that lock: two requests on one SRC artifact that miss the same
-// key queue on its run lock, and the second is served what the first built
-// instead of building — and filing over — it again. count, when non-nil,
-// tallies whether memory served the request. Duration is left to the caller.
+// manager; one that did not come from the store is encoded under the same
+// lock, before it is kept — an encoding that panics leaves nothing filed to
+// root a dead handle in the manager's next sweep — and written through once
+// the lock is released. A derived stage looks memory up once more under that
+// lock: two requests on one SRC artifact that miss the same key queue on its
+// run lock, and the second is served what the first built instead of
+// building — and filing over — it again. count, when non-nil, tallies
+// whether memory served the request. Duration is left to the caller.
 func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], count *tally) (A, StageInfo, error) {
 	info := StageInfo{Stage: s.stage, Status: StatusMiss, Key: s.key}
 	if count != nil {
 		defer func() { count.count(info.Status == StatusHit) }()
 	}
 	var none A
-	art, held := none, s.lock // held: the lock art was built under
+	art, blob := none, []byte(nil) // blob: art's encoding, for the store
 	lookup := func() bool {
 		a, note, ok := s.lookup()
 		if ok {
@@ -198,7 +200,7 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 		return art, info, nil
 	}
 
-	build := func(lock sync.Locker, f func() (A, error)) error {
+	build := func(lock sync.Locker, f func() (A, error), persist bool) error {
 		lock.Lock()
 		defer lock.Unlock()
 		// SRC requests never wait for one another's key: each builds in a
@@ -210,14 +212,18 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 		if err != nil || a == none {
 			return err
 		}
+		if persist {
+			blob = s.encode(a)
+		}
 		s.keep(a)
-		art, held = a, lock
+		art = a
 		return nil
 	}
 
 	if st != nil {
 		if data, ok := st.Get(s.stage, DiskKey(s.key)); ok {
-			build(s.lock, func() (A, error) { return s.decode(data) })
+			// A deserialized artifact is already in the store byte for byte.
+			build(s.lock, func() (A, error) { return s.decode(data) }, false)
 			if art != none && info.Status != StatusHit {
 				info.Status = StatusDisk
 			}
@@ -236,7 +242,7 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 						info.Note = fmt.Sprintf("%sdirty=%d", note, dirty)
 					}
 					return a, err
-				})
+				}, st != nil)
 				anchor.Release()
 				if err != nil {
 					return none, info, err
@@ -245,17 +251,14 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 		}
 	}
 	if art == none {
-		if err := build(s.lock, s.compute); err != nil {
+		if err := build(s.lock, s.compute, st != nil); err != nil {
 			return none, info, err
 		}
 	}
 	if info.Status == StatusHit { // built, filed and persisted by the request ahead
 		return art, info, nil
 	}
-	// A deserialized artifact is already in the store byte for byte.
-	if st != nil && info.Status != StatusDisk {
-		var blob []byte
-		locked(held, func() { blob = s.encode(art) })
+	if blob != nil {
 		st.Put(s.stage, DiskKey(s.key), blob)
 	}
 	if s.settle != nil {
@@ -345,7 +348,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 // lock. Whatever the rung, the artifact comes back held for the request.
 func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
-	cached, own := r.Cache, &sync.Mutex{}
+	cached, own := r.Cache, &managerLock{}
 	var base *Baseline
 	if req.Baseline != "" && r.Baselines != nil {
 		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
@@ -380,7 +383,7 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 			if err != nil {
 				return nil, err
 			}
-			return converge(eng, req, key, own, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
+			return converge(eng, req, key, own, false, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
 		},
 		keep: func(a *SRCArtifact) {
 			a.pin()
@@ -422,8 +425,9 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 }
 
 // converge runs a compiled engine to its fixed point and wraps the result
-// as the SRC artifact for srcKey, guarded by lock.
-func converge(eng *epvp.Engine, req *Request, srcKey string, lock *sync.Mutex, run func() (*epvp.Result, error)) (*SRCArtifact, error) {
+// as the SRC artifact for srcKey, guarded by lock; warm says the engine
+// was warm-started in an anchor's manager.
+func converge(eng *epvp.Engine, req *Request, srcKey string, lock *managerLock, warm bool, run func() (*epvp.Result, error)) (*SRCArtifact, error) {
 	eng.Workers = req.Workers
 	eng.Trace = req.Trace
 	res, err := run()
@@ -435,7 +439,7 @@ func converge(eng *epvp.Engine, req *Request, srcKey string, lock *sync.Mutex, r
 		Key: srcKey, Digest: hashHex(srcKey),
 		Eng: eng, Res: res, Load: req.Load,
 		Workers: eng.WorkerCount(),
-		runLock: lock,
+		runLock: lock, warm: warm,
 	}, nil
 }
 
@@ -454,7 +458,7 @@ func warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifa
 	if err != nil {
 		return nil, 0, nil
 	}
-	src, err := converge(eng, req, srcKey, prior.runLock, func() (*epvp.Result, error) {
+	src, err := converge(eng, req, srcKey, prior.runLock, true, func() (*epvp.Result, error) {
 		return eng.RunWarmContext(ctx, prior.Res, dirty)
 	})
 	return src, len(dirty), err
@@ -479,13 +483,17 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 			// about to add 33 data-plane variables per neighbor and build a
 			// large fresh population on top, so this is a barrier worth a
 			// sweep or a sift when the live population is over budget (small
-			// runs never pause). The roots are this request's working set —
-			// pins cover what src keeps, but a routing artifact pushed out of
-			// its table mid-request must survive its own run too.
+			// runs never pause), and for a warm run, when its manager has
+			// doubled since its first warm run (managerLock.relieveWarm).
+			// The roots are this request's working set — pins cover what src
+			// keeps, but a routing artifact pushed out of its table
+			// mid-request must survive its own run too.
+			roots := func() []bdd.Node { return append(src.handles(), routing.handles()...) }
 			live := int64(m.NumNodes())
-			epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, func() []bdd.Node {
-				return append(src.handles(), routing.handles()...)
-			})
+			relief := epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, roots)
+			if src.warm && relief.Sifts+relief.Sweeps == 0 {
+				src.runLock.relieveWarm(m, roots)
+			}
 			// The engine may have converged for another request, or been
 			// restored from the store: this request's worker count applies.
 			src.Eng.Workers = req.Workers

@@ -495,7 +495,9 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 // verification into a failed job, so a panic inside a locked section — here
 // the store write-through of an analysis artifact whose condition handle
 // points outside the manager's slab — must not leave the shared run lock
-// held: the next job on the same artifact has to run.
+// held: the next job on the same artifact has to run. Nor may it leave the
+// artifact filed: its dead handle would root every later sweep of the
+// manager (EXPRESSO_RECLAIM=200 sweeps at every barrier of the next job).
 func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
@@ -522,6 +524,9 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 		}
 		resolve(ctx, disk, spec, nil)
 	}()
+	if _, filed := first.SRC.derived.Get("poisoned"); filed {
+		t.Fatal("the artifact whose encoding panicked was filed")
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -564,9 +569,9 @@ func (s loggedStore) Put(stage, digest string, data []byte) {
 }
 
 // TestResolveLadderEventOrder pins the one rule every stage goes through,
-// over a fake stage: an artifact is built and kept — rooted, and filed where
-// the memory rung finds it — under the run lock, and is encoded under the
-// lock again before it is written through; one restored from the store is
+// over a fake stage: an artifact is built, encoded and kept — rooted, and
+// filed where the memory rung finds it — under the run lock, and written
+// through once the lock is released; one restored from the store is
 // decoded and kept under the lock and not written back; one found in memory
 // touches neither the lock nor the store.
 func TestResolveLadderEventOrder(t *testing.T) {
@@ -620,7 +625,7 @@ func TestResolveLadderEventOrder(t *testing.T) {
 		}
 	}
 
-	run(StatusMiss, "store get lock compute keep unlock lock encode unlock store put")
+	run(StatusMiss, "store get lock compute encode keep unlock store put")
 	run(StatusHit, "")
 	kept = nil // a restarted process over the store the first run wrote to
 	run(StatusDisk, "store get lock decode keep unlock")

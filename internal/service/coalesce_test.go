@@ -137,6 +137,48 @@ func TestDeltaCoalescingDeterministic(t *testing.T) {
 	s.Drain(ctx)
 }
 
+// TestFinishedJobsDropTheirText: the registry keeps finished jobs by the
+// thousand, so none of them may keep the configuration it verified — not a
+// superseded delta that never ran, and not the delta that ran and won.
+func TestFinishedJobsDropTheirText(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 8})
+	base := testnet.Figure4Fixed
+	registerBaseline(t, s, "prod", base)
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		patch, _ := deltaPatch(t, base, i)
+		job, _, err := s.SubmitDelta("prod", patch, expresso.Options{Workers: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	superseded, done := jobs[0], jobs[1]
+	if st := superseded.State(); st != JobSuperseded {
+		t.Fatalf("first delta is %q, want %q", st, JobSuperseded)
+	}
+	s.Start()
+	select {
+	case <-done.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("delta job did not finish")
+	}
+	if st := done.State(); st != JobDone {
+		t.Fatalf("second delta is %q, want %q (%v)", st, JobDone, done.Err())
+	}
+	for _, j := range jobs {
+		j.mu.Lock()
+		n := len(j.configText)
+		j.mu.Unlock()
+		if n != 0 {
+			t.Errorf("%s job %s still holds %d bytes of config text", j.State(), j.ID, n)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s.Drain(ctx)
+}
+
 // TestDeltaCoalescingRace is the -race stress: concurrent clients posting
 // superseding deltas against one baseline while the pool is running.
 // Every job must reach a terminal state, superseded jobs must point at a

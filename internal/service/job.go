@@ -40,9 +40,8 @@ type Job struct {
 	// Digest is the cache key of the request (config text + options).
 	Digest string
 
-	configText string
-	opts       expresso.Options
-	timeout    time.Duration
+	opts    expresso.Options
+	timeout time.Duration
 	// baseline names the registered baseline a delta job runs against, and
 	// coalesceKey is the (baseline, options) identity superseding deltas
 	// collapse on; register names the baseline a registration job leaves
@@ -55,8 +54,13 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu           sync.Mutex
-	state        JobState
+	mu    sync.Mutex
+	state JobState
+	// configText is the configuration the job verifies, handed to the
+	// worker that runs it and dropped on every terminal transition: the
+	// registry keeps finished jobs by the thousand, and a region-scale text
+	// is hundreds of kilobytes.
+	configText   string
 	report       *expresso.Report
 	registered   *expresso.BaselineInfo
 	err          error
@@ -133,18 +137,19 @@ func (j *Job) Trace() *telemetry.Trace {
 	return j.trace
 }
 
-// setRunning moves a queued job to running. It reports false when the job
-// already left the queued state — superseded or cancelled between the
-// worker's dequeue and here — in which case the worker must not run it.
-func (j *Job) setRunning(now time.Time) bool {
+// setRunning moves a queued job to running and hands over the text to
+// verify. It reports false when the job already left the queued state —
+// superseded or cancelled between the worker's dequeue and here — in which
+// case the worker must not run it.
+func (j *Job) setRunning(now time.Time) (configText string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobQueued {
-		return false
+		return "", false
 	}
 	j.state = JobRunning
 	j.started = now
-	return true
+	return j.configText, true
 }
 
 // trySupersede retires a still-queued job in favor of winnerID: the
@@ -161,6 +166,7 @@ func (j *Job) trySupersede(winnerID string, now time.Time) bool {
 	j.supersededBy = winnerID
 	j.err = errors.New("superseded by " + winnerID)
 	j.finished = now
+	j.configText = ""
 	j.mu.Unlock()
 	close(j.done)
 	j.cancel()
@@ -186,6 +192,7 @@ func (j *Job) finish(state JobState, report *expresso.Report, err error, now tim
 	j.report = report
 	j.err = err
 	j.finished = now
+	j.configText = ""
 	j.mu.Unlock()
 	close(j.done)
 	j.cancel() // release the job's context from the server's base context

@@ -481,7 +481,8 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	start := time.Now()
-	if !job.setRunning(start) {
+	configText, ok := job.setRunning(start)
+	if !ok {
 		// Lost the claim race to a supersede between the checks above.
 		s.log.Info("job skipped (superseded)", "job", job.ID, "by", job.SupersededBy())
 		return
@@ -503,7 +504,7 @@ func (s *Server) runJob(job *Job) {
 	if s.cfg.Trace {
 		opts.Trace = expresso.NewTracer()
 	}
-	rep, info, err := s.verify(ctx, job, opts)
+	rep, info, err := s.verify(ctx, job, configText, opts)
 	now := time.Now()
 	switch {
 	case err == nil:
@@ -538,7 +539,7 @@ func (s *Server) runJob(job *Job) {
 // is reported as the job's error, stack to the log: one poisoned job fails
 // alone instead of taking its worker, and with it the process and every
 // other queued job, down.
-func (s *Server) verify(ctx context.Context, job *Job, opts expresso.Options) (rep *expresso.Report, info *expresso.RunInfo, err error) {
+func (s *Server) verify(ctx context.Context, job *Job, configText string, opts expresso.Options) (rep *expresso.Report, info *expresso.RunInfo, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.Metrics.JobPanics.Add(1)
@@ -547,9 +548,9 @@ func (s *Server) verify(ctx context.Context, job *Job, opts expresso.Options) (r
 		}
 	}()
 	if job.register == "" {
-		return s.run(ctx, job.baseline, job.configText, opts)
+		return s.run(ctx, job.baseline, configText, opts)
 	}
-	rep, reg, err := s.register(ctx, job.register, job.configText, opts)
+	rep, reg, err := s.register(ctx, job.register, configText, opts)
 	if err == nil {
 		job.setRegistered(reg)
 		s.log.Info("baseline registered", "job", job.ID, "baseline", reg.Name, "digest", reg.ConfigDigest)

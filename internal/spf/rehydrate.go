@@ -3,7 +3,6 @@ package spf
 import (
 	"context"
 
-	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/epvp"
 )
 
@@ -17,8 +16,7 @@ func (r *Result) VarBase() int { return r.varBase }
 // the FIBs, PECs, and per-neighbor variable statistics decoded by the
 // artifact store, with every BDD handle already imported into eng's
 // manager and varBase naming the start of the 33×n data-plane variable
-// block those handles use. The conversion cache starts empty (it is pure
-// acceleration state) and the result is immediately usable by the
+// block those handles use. The result is immediately usable by the
 // forwarding property checks, exactly like one produced by RunTraced.
 func Rehydrate(eng *epvp.Engine, varBase int, fibs map[string]*FIB, pecs []*PEC, dataVars map[string]int) *Result {
 	return &Result{
@@ -29,6 +27,5 @@ func Rehydrate(eng *epvp.Engine, varBase int, fibs map[string]*FIB, pecs []*PEC,
 		ctx:                 context.Background(),
 		varBase:             varBase,
 		varsUsed:            map[int]bool{},
-		convCache:           map[bdd.Node][]convEntry{},
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -122,31 +123,23 @@ type Result struct {
 	varsMu   sync.Mutex
 	varsUsed map[int]bool // data-plane variables actually referenced
 
-	// convCache memoizes RIB-entry conversion by the route's U handle: a
-	// route's prefix-environment set is typically unchanged as it
-	// propagates, so the same U appears in many routers' RIBs. Guarded by
-	// convMu: conversions are pure functions of U, so a duplicated
-	// computation by two racing workers is wasted work, never wrong.
-	// convGen is the manager reclamation generation the cache was built
-	// under; a dead-node sweep between uses (warm runs in a shared manager)
-	// may recycle handle numbers, so a stale cache is flushed rather than
-	// trusted.
-	convMu    sync.Mutex
-	convGen   uint64
-	convCache map[bdd.Node][]convEntry
+	// converted and reused count the run's route conversions by where they
+	// came from: computed here, or found in the manager's memo
+	// (symbolic.Space.Converted) — filled by this run or an earlier one.
+	converted, reused atomic.Int64
 	// sliced holds the per-length slices rankLengths took of the converged
 	// RIB's U sets, for the FIB compilation that follows it to rename
 	// rather than slice again. Written before the fan-out, read-only during
 	// it, dropped after it.
-	sliced map[bdd.Node][]convEntry
+	sliced map[bdd.Node][]symbolic.LengthMatch
 }
 
 // Nodes returns every BDD handle the result keeps alive: each FIB's
 // per-port, arrival, and black-hole predicates and each PEC's packet set.
 // The pipeline pins these so cached SPF artifacts survive dead-node
-// reclamation triggered by later runs in the same manager. The conversion
-// cache is deliberately excluded — it is acceleration state, rebuilt on
-// demand and flushed when the manager's reclaim generation moves.
+// reclamation triggered by later runs in the same manager. The manager's
+// conversion memo is deliberately excluded — it is acceleration state,
+// rebuilt on demand and dropped when the manager's generation moves.
 func (r *Result) Nodes() []bdd.Node {
 	var out []bdd.Node
 	for _, f := range r.FIBs {
@@ -159,12 +152,6 @@ func (r *Result) Nodes() []bdd.Node {
 		out = append(out, p.Pkt)
 	}
 	return out
-}
-
-// convEntry is a converted per-length match predicate, port-independent.
-type convEntry struct {
-	length int
-	match  bdd.Node
 }
 
 // Run executes symbolic packet forwarding over an EPVP result.
@@ -194,7 +181,6 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 		ctx:                 ctx,
 		trace:               tr,
 		varsUsed:            map[int]bool{},
-		convCache:           map[bdd.Node][]convEntry{},
 	}
 	// The n_i^l block (§5.1) goes below the control-plane variables, the
 	// variables of one prefix length adjacent. A FIB port predicate is a
@@ -248,7 +234,10 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 		r.DataVarsPerNeighbor[eng.Net.Externals[i]]++
 	}
 	if r.trace.Enabled() {
-		r.trace.SPFOrder(telemetry.SPFOrderEvent{Lengths: lengths, VarsUsed: len(r.varsUsed)})
+		r.trace.SPFOrder(telemetry.SPFOrderEvent{
+			Lengths: lengths, VarsUsed: len(r.varsUsed),
+			Converted: r.converted.Load(), Reused: r.reused.Load(),
+		})
 	}
 	// SPF builds the run's largest node population (33 data-plane vars per
 	// neighbor layered onto the control plane), and forwardAll's barrier
@@ -267,7 +256,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 // at every other length; /24 topmost cuts the kept DAG 2.4M → 0.7M nodes
 // against plain longest-first). A function of the SRC result alone.
 func (r *Result) rankLengths(cp *epvp.Result) []int {
-	r.sliced = map[bdd.Node][]convEntry{}
+	r.sliced = map[bdd.Node][]symbolic.LengthMatch{}
 	var distinct [symbolic.AddrBits + 1]map[bdd.Node]bool
 	for l := range distinct {
 		distinct[l] = map[bdd.Node]bool{}
@@ -280,7 +269,7 @@ func (r *Result) rankLengths(cp *epvp.Result) []int {
 			sl := sliceU(r.eng.Space, sr.U)
 			r.sliced[sr.U] = sl
 			for _, c := range sl {
-				distinct[c.length][c.match] = true
+				distinct[c.Length][c.Match] = true
 			}
 		}
 	}
@@ -294,11 +283,11 @@ func (r *Result) rankLengths(cp *epvp.Result) []int {
 // sliceU splits a prefix-environment set by prefix length: for each length
 // present, the set with that length selected and the host address bits
 // dropped, still over the control-plane advertiser variables.
-func sliceU(sp *symbolic.Space, u bdd.Node) []convEntry {
-	var out []convEntry
+func sliceU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch {
+	var out []symbolic.LengthMatch
 	for _, l := range sp.Lengths(u) {
 		if m := sp.M.RestrictMany(u, lengthSlice[l]); m != bdd.False {
-			out = append(out, convEntry{length: l, match: m})
+			out = append(out, symbolic.LengthMatch{Length: l, Match: m})
 		}
 	}
 	return out
@@ -339,56 +328,58 @@ func (r *Result) convertRoute(sp *symbolic.Space, sr *symbolic.Route) []fibEntry
 	conv := r.convertU(sp, sr.U)
 	out := make([]fibEntry, len(conv))
 	for i, c := range conv {
-		out[i] = fibEntry{length: c.length, admin: route.ProtoBGP.AdminDistance(), match: c.match, port: sr.NextHop}
+		out[i] = fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop}
 	}
 	return out
 }
 
 // convertU compiles a prefix-environment set into per-length data-plane
-// match predicates, memoized on the U handle.
-func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []convEntry {
-	r.convMu.Lock()
-	if g := r.eng.Space.M.Gen(); g != r.convGen {
-		r.convGen = g
-		r.convCache = map[bdd.Node][]convEntry{}
-	}
-	cached, ok := r.convCache[u]
-	r.convMu.Unlock()
+// match predicates, memoized on the U handle in the manager's data block:
+// a route's set is typically unchanged as it propagates, so the same U
+// appears in many routers' RIBs, and a delta against a pinned baseline
+// finds most of its sets converted by the baseline's own run.
+func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch {
+	c, ok := sp.Converted(u)
 	if ok {
-		return cached
+		r.reused.Add(1)
+	} else {
+		r.converted.Add(1)
+		c = r.convert(sp, u)
+		sp.RememberConversion(u, c)
 	}
+	r.varsMu.Lock()
+	for _, dv := range c.Vars {
+		r.varsUsed[dv] = true
+	}
+	r.varsMu.Unlock()
+	return c.Matches
+}
+
+// convert is convertU's computation: slice u by prefix length and rename
+// each slice's control-plane advertiser variables to per-length ones.
+func (r *Result) convert(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
 	slices, ok := r.sliced[u]
 	if !ok {
 		slices = sliceU(sp, u)
 	}
-	out := make([]convEntry, len(slices))
-	var used []int
-	for k, c := range slices {
-		// Rename control-plane advertiser variables to per-length ones.
+	c := symbolic.Conversion{Matches: make([]symbolic.LengthMatch, len(slices))}
+	for k, s := range slices {
 		// Under the initial order the data-plane variables for one length
 		// preserve the neighbor ordering and sit below every control
 		// variable, so the rename is a linear pass; after dynamic
 		// reordering the relative levels may be anything, so RenameAny
 		// checks and falls back to a general rebuild when needed.
 		mapping := map[int]int{}
-		for _, cv := range sp.M.Support(c.match) {
+		for _, cv := range sp.M.Support(s.Match) {
 			if cv >= symbolic.FirstNbrVar && cv < r.varBase {
-				dv := r.dataVar(cv-symbolic.FirstNbrVar, c.length)
+				dv := r.dataVar(cv-symbolic.FirstNbrVar, s.Length)
 				mapping[cv] = dv
-				used = append(used, dv)
+				c.Vars = append(c.Vars, dv)
 			}
 		}
-		out[k] = convEntry{length: c.length, match: sp.M.RenameAny(c.match, mapping)}
+		c.Matches[k] = symbolic.LengthMatch{Length: s.Length, Match: sp.M.RenameAny(s.Match, mapping)}
 	}
-	r.varsMu.Lock()
-	for _, dv := range used {
-		r.varsUsed[dv] = true
-	}
-	r.varsMu.Unlock()
-	r.convMu.Lock()
-	r.convCache[u] = out
-	r.convMu.Unlock()
-	return out
+	return c
 }
 
 // buildFIB assembles the router's symbolic FIB from its BGP RIB plus static

@@ -52,16 +52,69 @@ type Space struct {
 	valid    bdd.Node // canonical-prefix predicate, cached
 	lenCubes [33]bdd.Node
 
-	// data is M's data-plane advertiser block, shared by every fork and
-	// every warm-started engine's space over M (they all copy this Space).
+	// data is M's data-plane state, shared by every fork and every
+	// warm-started engine over M (they all copy or share this Space).
 	data *dataBlock
 }
 
-// dataBlock remembers the one data-plane advertiser block a manager holds.
+// dataBlock is a manager's data-plane state: the one advertiser block it
+// holds, and the memo of what SPF converted into that block.
 type dataBlock struct {
 	mu      sync.Mutex
 	base    int   // first variable of the block; 0 until allocated
 	lengths []int // the block's prefix lengths, topmost level first
+
+	// conv memoizes route conversion by U for every SPF run in the manager
+	// (a pinned baseline's deltas mostly convert the baseline's own sets).
+	// convGen is the manager generation it was filled under: a reclaim or
+	// a sift may recycle handle numbers, so a stale memo is dropped, not
+	// trusted.
+	convGen uint64
+	conv    map[bdd.Node]Conversion
+}
+
+// LengthMatch is one prefix length's share of a converted set: packets to
+// prefixes of that length, over the destination bits and the length's
+// data-plane advertiser variables.
+type LengthMatch struct {
+	Length int
+	Match  bdd.Node
+}
+
+// Conversion is a prefix-environment set compiled into the data plane
+// (§5.1): one match per prefix length present, and the data-plane
+// variables those matches reference.
+type Conversion struct {
+	Matches []LengthMatch
+	Vars    []int
+}
+
+// Converted returns the conversion of u memoized in M's data block, if one
+// was made since M last moved its generation. Safe for concurrent use.
+func (s *Space) Converted(u bdd.Node) (Conversion, bool) {
+	d := s.data
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c, ok := d.convMemo(s.M)[u]
+	return c, ok
+}
+
+// RememberConversion memoizes c as the conversion of u in M's data block.
+// Conversions are pure functions of u, so of two racing callers the later
+// overwrites an equal value. Safe for concurrent use.
+func (s *Space) RememberConversion(u bdd.Node, c Conversion) {
+	d := s.data
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.convMemo(s.M)[u] = c
+}
+
+// convMemo is the conversion memo valid under m's current generation.
+func (d *dataBlock) convMemo(m *bdd.Manager) map[bdd.Node]Conversion {
+	if g := m.Gen(); d.conv == nil || g != d.convGen {
+		d.convGen, d.conv = g, map[bdd.Node]Conversion{}
+	}
+	return d.conv
 }
 
 // LongestFirst returns the prefix lengths 32 down to 0: the order
@@ -196,8 +249,8 @@ func newSpace(m *bdd.Manager, n int) *Space {
 
 // Fork returns a shallow copy of the space whose operations run through a
 // private bdd.Worker. Forks share the node universe (handles are
-// interchangeable) but never contend on an op cache; each fork must be
-// used by a single goroutine at a time.
+// interchangeable) and the data block but never contend on an op cache;
+// each fork must be used by a single goroutine at a time.
 func (s *Space) Fork() *Space {
 	c := *s
 	c.W = s.M.NewWorker()

@@ -114,8 +114,8 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 			n, len(tr.SPFForwards), len(tr.PECCoalesce))
 	}
 	if o := tr.SPFOrder; o != nil {
-		fmt.Fprintf(w, "spf order: length blocks top to bottom %v; %d data-plane variables referenced\n",
-			o.Lengths, o.VarsUsed)
+		fmt.Fprintf(w, "spf order: length blocks top to bottom %v; %d data-plane variables referenced; conversions %d computed, %d reused\n",
+			o.Lengths, o.VarsUsed, o.Converted, o.Reused)
 	}
 	if wm := tr.Watermark; wm != nil {
 		fmt.Fprintf(w, "watermark: peak %d live nodes (%d bytes) over %d samples; end %d nodes, complement share %.3f\n",

@@ -108,7 +108,7 @@ func TestLoadRoundTrip(t *testing.T) {
 		PeakLiveNodes: 42, PeakLiveBytes: 504, Samples: 3, EndLiveNodes: 40,
 		TopLevels: []telemetry.BDDLevel{{Level: 7, Nodes: 10, Bytes: 120}},
 	}
-	tr.SPFOrder = &telemetry.SPFOrderEvent{Lengths: []int{24, 32, 31}, VarsUsed: 17}
+	tr.SPFOrder = &telemetry.SPFOrderEvent{Lengths: []int{24, 32, 31}, VarsUsed: 17, Converted: 5, Reused: 40}
 	raw, _ := json.Marshal(tr)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestLoadRoundTrip(t *testing.T) {
 	var sum strings.Builder
 	Summarize(&sum, got)
 	for _, want := range []string{"load", "src", "warm", "watermark: peak 42",
-		"spf order: length blocks top to bottom [24 32 31]; 17 data-plane variables referenced"} {
+		"spf order: length blocks top to bottom [24 32 31]; 17 data-plane variables referenced; conversions 5 computed, 40 reused"} {
 		if !strings.Contains(sum.String(), want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum.String())
 		}

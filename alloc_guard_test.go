@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso"
+	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
@@ -52,7 +53,8 @@ const (
 // objects than the ceilings above, if compiling its policies creates more
 // BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
-// region 4's EPVP rounds against the region4EPVP ceilings. Gated behind
+// region 4's EPVP rounds against the region4EPVP ceilings and bounds that
+// manager's op-cache slots and unique-table bytes. Gated behind
 // EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
 // meaningless when other tests run concurrently); `make alloc-guard` —
 // part of `make ci` — sets the variable.
@@ -134,5 +136,21 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if misses > region4EPVPMissesCeiling || nodes > region4EPVPNodesCeiling {
 		t.Errorf("region-4 EPVP rounds cost %d op-cache misses and %d created nodes, over the %d / %d ceilings: is Merge subtracting per route again?",
 			misses, nodes, region4EPVPMissesCeiling, region4EPVPNodesCeiling)
+	}
+
+	// The same run's BDD tables: the worker's two op caches stay within
+	// their budget, and the unique table stays index-only at a load of at
+	// least 1/3 (8 bytes per slot, so at most 24 bytes per live node; a
+	// table storing its keys again reads 24–48).
+	p := eng.Space.M.Profile()
+	t.Logf("region-4 EPVP tables: %d op-cache slots (ceiling %d), %d unique-table bytes for %d live nodes (%.1f per node, ceiling 24)",
+		p.OpCacheSlots, 2*bdd.OpCacheMaxSlots, p.UniqueBytes, p.LiveNodes, float64(p.UniqueBytes)/float64(p.LiveNodes))
+	if p.OpCacheSlots > 2*bdd.OpCacheMaxSlots {
+		t.Errorf("region-4 EPVP worker holds %d op-cache slots, over 2 × the %d-slot budget: does a cache grow past it again?",
+			p.OpCacheSlots, bdd.OpCacheMaxSlots)
+	}
+	if p.UniqueBytes > 24*p.LiveNodes {
+		t.Errorf("region-4 unique table takes %d bytes for %d live nodes, over 24 per node: does it store keys again, or run below 1/3 load?",
+			p.UniqueBytes, p.LiveNodes)
 	}
 }

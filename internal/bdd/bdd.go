@@ -28,12 +28,29 @@
 //
 // # Concurrency model
 //
-// The node universe is shared and safe for concurrent use: the node slab is
-// a chunked array with atomic append (handles are stable; slots are never
-// moved or rewritten while reachable), and the unique table is lock-striped,
-// so any number of goroutines may hash-cons nodes at once. Because
-// hash-consing is canonical, a boolean function has exactly one handle
-// within a Manager no matter which goroutine builds it first.
+// The node universe is shared and safe for concurrent use, so any number of
+// goroutines may hash-cons nodes at once. Because hash-consing is canonical,
+// a boolean function has exactly one handle within a Manager no matter which
+// goroutine builds it first. What the goroutines share is the nodes, not hot
+// cache lines:
+//
+//   - The node slab is a chunked array (handles are stable; slots are never
+//     moved or rewritten while reachable).
+//   - The unique table is split into 256 stripes, each an index-only
+//     open-addressing table: one 8-byte word per slot holding the key's hash
+//     as a tag and the slab index, the key itself living in the slab. A hit
+//     is lock-free — atomic loads of the stripe's table and slots, a slab
+//     compare only when the tag matches. A miss takes the stripe's mutex,
+//     re-probes, and inserts: the node is written to the slab before its
+//     slot word is published by an atomic store, and growth publishes a new
+//     table with an atomic pointer store, so a reader holding the old table
+//     can only miss, and a miss re-probes under the lock.
+//   - A stripe allocates under its own lock from its own reservation: a
+//     block of 64 fresh slab indices (one atomic add on the shared bump
+//     pointer per block) or a batch of up to 64 free-list indices. Each
+//     stripe counts the nodes it creates; NumNodes and UniqueStats sum those
+//     counts. Every slab index below the bump pointer is a live node, on the
+//     free list, or in exactly one stripe's unused reservation.
 //
 // Memoized operations go through a Worker, which owns private operation
 // caches: workers never contend on the memo (Sylvan-style per-worker
@@ -54,8 +71,11 @@
 // Dead nodes are reclaimed by Reclaim, a stop-the-world mark-and-sweep over
 // the slab: nodes reachable from the given roots and from the Pin set stay
 // valid (handles are never renumbered), every other slot goes on a free
-// list for reuse, the unique-table stripes are compacted to their live
-// population, and the fingerprint memo drops dead entries. Reclaim requires
+// list for reuse (the stripes' free-list batches are taken back into it;
+// their unused fresh blocks stay reserved), the unique-table stripes are
+// compacted to their live population, and the fingerprint memo drops dead
+// entries. Reclaim and Reorder are the only writers of slab slots that
+// other goroutines may already have read, which is why both require
 // external quiescence — no Manager operation may run concurrently — and
 // goroutines resuming afterwards must be ordered after the reclaim point by
 // the caller (a channel barrier, as in epvp's round loop). Worker caches
@@ -122,11 +142,27 @@ const (
 	stripeShift = 32 - stripeBits
 )
 
+// blockSize is how many slab indices a stripe reserves at once, from the
+// bump pointer or from the free list.
+const blockSize = 64
+
+// uniqueStripe is one lock stripe of the unique table. tab is padded onto a
+// cache line of its own whatever the stripe's alignment: every probe reads
+// it, only growth and compaction write it, while the fields after it are
+// written by every hit or miss in this stripe or the previous one.
 type uniqueStripe struct {
-	mu   sync.Mutex
-	t    hashTable
-	hits int64    // mk lookups that reused a canonical node (guarded by mu)
-	_    [32]byte // keep neighboring stripes off one cache line
+	_   [56]byte
+	tab atomic.Pointer[uniqueTable]
+	_   [56]byte
+
+	mu      sync.Mutex
+	used    int          // occupied slots of tab (guarded by mu)
+	created atomic.Int64 // nodes this stripe hash-consed (written under mu)
+	hits    atomic.Int64 // mk lookups answered by an existing canonical node
+	// The stripe's unused reservation (guarded by mu): fresh indices
+	// [blk, blkEnd) and a batch of free-list indices, spent first.
+	blk, blkEnd uint32
+	spare       []int32
 }
 
 // Manager owns a universe of BDD nodes over a fixed number of boolean
@@ -135,14 +171,18 @@ type uniqueStripe struct {
 // concurrent use; memoized connectives are safe when each goroutine uses
 // its own Worker (see the package comment).
 type Manager struct {
-	chunks  []atomic.Pointer[nodeChunk]
-	next    atomic.Int64 // high-water slab index (slots ever allocated)
-	live    atomic.Int64 // slots in use (next minus free-list population)
-	created atomic.Int64 // cumulative hash-cons misses; monotone across reclaims
-	slabMu  sync.Mutex   // guards chunk allocation only
+	chunks []atomic.Pointer[nodeChunk]
+	next   atomic.Int64 // bump pointer: slab indices below it are in use, free or reserved
+	slabMu sync.Mutex   // guards chunk allocation only
 
-	// Free slots from past reclaims, reused by newNode before the slab
-	// grows. nFree mirrors len(free) so the empty case stays lock-free.
+	// The live population is created minus dropped, where created sums the
+	// stripes' counts plus baseCreated: the constant and the nodes sifting
+	// creates. dropped counts nodes freed by Reclaim and by sifting.
+	baseCreated atomic.Int64
+	dropped     atomic.Int64
+
+	// Free slots from past reclaims, handed to stripes in batches before the
+	// slab grows. nFree mirrors len(free) so the empty case stays lock-free.
 	free   []int32
 	nFree  atomic.Int64
 	freeMu sync.Mutex
@@ -206,36 +246,81 @@ type Manager struct {
 	def Worker
 }
 
-// hashTable is an open-addressing hash table from three-int32 keys to Node,
-// used for the per-stripe unique tables ((level, low, high) -> node). Go's
-// built-in maps dominated the profile; this table avoids their per-access
-// overhead.
-type hashTable struct {
-	keys []tableKey
-	vals []Node
-	used int
-	mask uint32
+// uniqueTable is one stripe's index-only open-addressing table (linear
+// probing). A slot word holds the key's hash3 in its high half as a tag and
+// the node's slab index in its low half; 0 is empty (index 0 is the
+// constant, which is never filed). The (level, low, high) key lives only in
+// the slab, which a probe reads when the tag matches. A published table is
+// only ever added to, by atomic slot stores under the stripe lock; growth
+// and compaction build a new table and publish its pointer.
+type uniqueTable struct {
+	mask  uint32
+	slots []atomic.Uint64
+}
+
+// newUniqueTable returns an empty table for n entries: the smallest power
+// of two (at least 16) that keeps them under 2/3 load, so a table built for
+// its population starts at a load above 1/3.
+func newUniqueTable(n int) *uniqueTable {
+	size := 16
+	for size*2 <= n*3 {
+		size *= 2
+	}
+	return &uniqueTable{mask: uint32(size - 1), slots: make([]atomic.Uint64, size)}
+}
+
+// put files slab index idx under hash h. The caller holds the stripe lock
+// and has made room.
+func (t *uniqueTable) put(h, idx uint32) {
+	i := h & t.mask
+	for t.slots[i].Load() != 0 {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i].Store(uint64(h)<<32 | uint64(idx))
+}
+
+// refiled returns a table sized for n entries holding every entry of t
+// whose slab index keep accepts (nil keeps all). Entries carry their hash,
+// so no slab read is needed.
+func (t *uniqueTable) refiled(n int, keep func(idx uint32) bool) *uniqueTable {
+	nt := newUniqueTable(n)
+	for i := range t.slots {
+		if w := t.slots[i].Load(); w != 0 && (keep == nil || keep(uint32(w))) {
+			nt.put(uint32(w>>32), uint32(w))
+		}
+	}
+	return nt
+}
+
+// add files idx under hash h, first publishing a table twice the size when
+// this one is 2/3 full. Caller holds st.mu.
+func (st *uniqueStripe) add(h, idx uint32) {
+	t := st.tab.Load()
+	if st.used*3 >= len(t.slots)*2 {
+		t = t.refiled(len(t.slots), nil)
+		st.tab.Store(t)
+	}
+	t.put(h, idx)
+	st.used++
+}
+
+// compact republishes the stripe's table holding only the entries keep
+// accepts, sized for that population. Caller holds st.mu.
+func (st *uniqueStripe) compact(keep func(idx uint32) bool) {
+	t := st.tab.Load()
+	kept := 0
+	for i := range t.slots {
+		if w := t.slots[i].Load(); w != 0 && keep(uint32(w)) {
+			kept++
+		}
+	}
+	st.tab.Store(t.refiled(kept, keep))
+	st.used = kept
 }
 
 type tableKey struct{ a, b, c int32 }
 
 const emptySlot = Node(-1)
-
-func newHashTable(capacity int) hashTable {
-	size := uint32(16)
-	for int(size)*2 < capacity*3 {
-		size *= 2
-	}
-	t := hashTable{
-		keys: make([]tableKey, size),
-		vals: make([]Node, size),
-		mask: size - 1,
-	}
-	for i := range t.vals {
-		t.vals[i] = emptySlot
-	}
-	return t
-}
 
 func hash3(a, b, c int32) uint32 {
 	h := uint64(uint32(a))*0x9E3779B1 ^ uint64(uint32(b))*0x85EBCA77 ^ uint64(uint32(c))*0xC2B2AE3D
@@ -245,83 +330,32 @@ func hash3(a, b, c int32) uint32 {
 	return uint32(h)
 }
 
-func (t *hashTable) get(a, b, c int32) (Node, bool) {
-	i := hash3(a, b, c) & t.mask
-	for {
-		if t.vals[i] == emptySlot {
-			return 0, false
-		}
-		k := t.keys[i]
-		if k.a == a && k.b == b && k.c == c {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-func (t *hashTable) put(a, b, c int32, v Node) {
-	if t.used*3 >= len(t.keys)*2 {
-		t.grow()
-	}
-	i := hash3(a, b, c) & t.mask
-	for t.vals[i] != emptySlot {
-		k := t.keys[i]
-		if k.a == a && k.b == b && k.c == c {
-			t.vals[i] = v
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	t.keys[i] = tableKey{a, b, c}
-	t.vals[i] = v
-	t.used++
-}
-
-func (t *hashTable) grow() {
-	old := *t
-	size := uint32(len(old.keys)) * 2
-	t.keys = make([]tableKey, size)
-	t.vals = make([]Node, size)
-	t.mask = size - 1
-	t.used = 0
-	for i := range t.vals {
-		t.vals[i] = emptySlot
-	}
-	for i, v := range old.vals {
-		if v != emptySlot {
-			k := old.keys[i]
-			t.put(k.a, k.b, k.c, v)
-		}
-	}
-}
-
 // opCache is a direct-mapped, lossy operation cache: a put may overwrite
 // an unrelated entry, and a get may miss on something once cached. That is
 // safe — apply results are recomputed into the same canonical nodes — and
 // it bounds the cache's memory, unlike an exact table whose rehash churn
 // used to dominate the allocation profile. The cache starts small and
 // quadruples (rehashing survivors in one pass, no collision chains to
-// maintain) until it reaches its slot budget, after which insertion is
+// maintain) until it reaches OpCacheMaxSlots, after which insertion is
 // pure overwrite.
 type opCache struct {
 	keys []tableKey
 	vals []Node
 	used int // occupied slots; an upper bound on live entries
 	mask uint32
-	max  int // slot budget
 }
 
-const (
-	opCacheInitSlots = 1 << 12
-	opCacheMaxSlots  = 1 << 21 // 32 MiB of entries per cache
-)
+// OpCacheMaxSlots is the slot budget of every operation cache: 2^20 slots
+// of 16 bytes, 16 MiB. A Worker holds two caches.
+const OpCacheMaxSlots = 1 << 20
+
+const opCacheInitSlots = 1 << 12
 
 func newOpCache() opCache {
 	c := opCache{
 		keys: make([]tableKey, opCacheInitSlots),
 		vals: make([]Node, opCacheInitSlots),
 		mask: opCacheInitSlots - 1,
-		max:  opCacheMaxSlots,
 	}
 	for i := range c.vals {
 		c.vals[i] = emptySlot
@@ -341,7 +375,7 @@ func (c *opCache) get(a, b, op int32) (Node, bool) {
 }
 
 func (c *opCache) put(a, b, op int32, v Node) {
-	if c.used*4 >= len(c.keys)*3 && len(c.keys) < c.max {
+	if c.used*4 >= len(c.keys)*3 && len(c.keys)*4 <= OpCacheMaxSlots {
 		c.grow()
 	}
 	i := hash3(a, b, op) & c.mask
@@ -378,25 +412,6 @@ func (c *opCache) grow() {
 	}
 }
 
-// compact rebuilds the table keeping only entries whose value satisfies
-// keep, sized for the surviving population.
-func (t *hashTable) compact(keep func(Node) bool) {
-	kept := 0
-	for _, v := range t.vals {
-		if v != emptySlot && keep(v) {
-			kept++
-		}
-	}
-	nt := newHashTable(kept + kept/2 + 8)
-	for i, v := range t.vals {
-		if v != emptySlot && keep(v) {
-			k := t.keys[i]
-			nt.put(k.a, k.b, k.c, v)
-		}
-	}
-	*t = nt
-}
-
 // New creates a Manager with numVars boolean variables, indexed 0..numVars-1.
 // The initial order is the identity: variable 0 is the topmost.
 func New(numVars int) *Manager {
@@ -416,11 +431,14 @@ func New(numVars int) *Manager {
 	}
 	m.growFpPoints()
 	for i := range m.unique {
-		m.unique[i].t = newHashTable(16)
+		m.unique[i].tab.Store(newUniqueTable(0))
 	}
 	m.def = Worker{m: m, ite: newOpCache(), bin: newOpCache()}
 	// Slot 0 is the single stored constant: False regular, True complemented.
-	m.newNode(maxLevel, False, False)
+	m.ensureChunk(0)
+	*m.slot(0) = node{level: maxLevel}
+	m.next.Store(1)
+	m.baseCreated.Store(1)
 	return m
 }
 
@@ -443,8 +461,8 @@ func NewOrdered(numVars int, level2var []int) *Manager {
 // different variables — or when level2var is not a permutation of
 // [0,NumVars). Use Reorder to change the order of a populated manager.
 func (m *Manager) SetOrder(level2var []int) error {
-	if m.live.Load() > 1 || m.PinnedCount() > 0 {
-		return fmt.Errorf("SetOrder on a non-pristine manager (%d live nodes); use Reorder", m.live.Load())
+	if live := m.live(); live > 1 || m.PinnedCount() > 0 {
+		return fmt.Errorf("SetOrder on a non-pristine manager (%d live nodes); use Reorder", live)
 	}
 	l2v, v2l, err := permutation(level2var, m.numVars)
 	if err != nil {
@@ -503,7 +521,21 @@ func (m *Manager) NumVars() int { return m.numVars }
 // NumNodes returns the number of live hash-consed slab slots (including the
 // shared constant). It is a proxy for memory use and shrinks when Reclaim
 // frees dead nodes.
-func (m *Manager) NumNodes() int { return int(m.live.Load()) }
+func (m *Manager) NumNodes() int { return int(m.live()) }
+
+// created is the cumulative number of nodes hash-consed, the constant
+// included: the stripes' counts plus baseCreated. It sums 256 counters, so
+// callers read it at barriers, not per node.
+func (m *Manager) created() int64 {
+	n := m.baseCreated.Load()
+	for i := range m.unique {
+		n += m.unique[i].created.Load()
+	}
+	return n
+}
+
+// live is the live population: created minus dropped.
+func (m *Manager) live() int64 { return m.created() - m.dropped.Load() }
 
 // AddVarsOrdered grows the variable universe by len(order) variables and
 // returns the index of the first. The new block sits below every existing
@@ -535,8 +567,9 @@ func (m *Manager) slot(idx uint32) *node {
 
 // nodeAt returns the slab slot of n (complement bit ignored). Safe for
 // concurrent readers: a handle only becomes reachable after its slot is
-// fully written, ordered by the unique-table stripe lock (or whatever
-// synchronization published the handle to the reading goroutine).
+// fully written, ordered by the atomic store that files it in the unique
+// table (or whatever synchronization published the handle to the reading
+// goroutine).
 func (m *Manager) nodeAt(n Node) *node {
 	return m.slot(uint32(n) >> 1)
 }
@@ -548,49 +581,56 @@ func (m *Manager) level(n Node) int32 { return m.nodeAt(n).level }
 func (m *Manager) low(n Node) Node  { return m.nodeAt(n).low ^ (n & 1) }
 func (m *Manager) high(n Node) Node { return m.nodeAt(n).high ^ (n & 1) }
 
-// newNode claims a slab slot (reusing the free list when possible), writes
-// the node, and returns its regular handle. Chunk allocation is guarded by
-// slabMu; slot writes race with nothing because each caller holds a
-// distinct slot and freed slots are unreachable until re-published.
-func (m *Manager) newNode(level int32, low, high Node) Node {
-	m.created.Add(1)
-	m.live.Add(1)
-	if m.nFree.Load() > 0 {
+// ensureChunk allocates slab chunk ci if it does not exist yet.
+func (m *Manager) ensureChunk(ci uint32) {
+	if m.chunks[ci].Load() != nil {
+		return
+	}
+	m.slabMu.Lock()
+	if m.chunks[ci].Load() == nil {
+		m.chunks[ci].Store(new(nodeChunk))
+	}
+	m.slabMu.Unlock()
+}
+
+// claim returns an unused slab index from the stripe's reservation,
+// refilling it first when it is spent: a batch of up to blockSize
+// free-list indices while the free list has any, else blockSize fresh
+// indices from one atomic add on the bump pointer. Caller holds st.mu.
+func (m *Manager) claim(st *uniqueStripe) uint32 {
+	if len(st.spare) == 0 && st.blk == st.blkEnd && m.nFree.Load() > 0 {
 		m.freeMu.Lock()
-		if n := len(m.free); n > 0 {
-			idx := uint32(m.free[n-1])
-			m.free = m.free[:n-1]
-			m.nFree.Store(int64(n - 1))
-			m.freeMu.Unlock()
-			*m.slot(idx) = node{level: level, low: low, high: high}
-			return Node(idx << 1)
-		}
+		k := len(m.free) - min(blockSize, len(m.free))
+		st.spare = append(st.spare, m.free[k:]...)
+		m.free = m.free[:k]
+		m.nFree.Store(int64(k))
 		m.freeMu.Unlock()
 	}
-	idx := m.next.Add(1) - 1
-	if idx >= maxNodes {
-		panic("bdd: node table overflow (2^30 nodes)")
+	if n := len(st.spare); n > 0 {
+		idx := uint32(st.spare[n-1])
+		st.spare = st.spare[:n-1]
+		return idx
 	}
-	ci := uint32(idx) >> chunkBits
-	ch := m.chunks[ci].Load()
-	if ch == nil {
-		m.slabMu.Lock()
-		if ch = m.chunks[ci].Load(); ch == nil {
-			ch = new(nodeChunk)
-			m.chunks[ci].Store(ch)
+	if st.blk == st.blkEnd {
+		end := m.next.Add(blockSize)
+		if end > maxNodes {
+			panic("bdd: node table overflow (2^30 nodes)")
 		}
-		m.slabMu.Unlock()
+		st.blk, st.blkEnd = uint32(end-blockSize), uint32(end)
+		m.ensureChunk(st.blk >> chunkBits)
+		m.ensureChunk((st.blkEnd - 1) >> chunkBits)
 	}
-	ch[uint32(idx)&chunkMask] = node{level: level, low: low, high: high}
-	return Node(idx << 1)
+	st.blk++
+	return st.blk - 1
 }
 
 // mk returns the canonical handle for (level, low, high), applying the
 // reduction rule low==high => low and the complement-edge normalization:
 // a node whose high edge is complemented is stored with both children
 // negated and returned as a complemented handle, so the stored form is
-// unique per function pair {f, ¬f}. Safe for concurrent use: the stripe
-// lock serializes lookup and insertion for any given key.
+// unique per function pair {f, ¬f}. Safe for concurrent use: a hit takes
+// no lock; a miss re-probes and inserts under the stripe lock, which
+// serializes insertion for any given key.
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
@@ -598,17 +638,41 @@ func (m *Manager) mk(level int32, low, high Node) Node {
 	c := high & 1
 	low ^= c
 	high ^= c
-	st := &m.unique[hash3(level, int32(low), int32(high))>>stripeShift]
-	st.mu.Lock()
-	h, ok := st.t.get(level, int32(low), int32(high))
-	if ok {
-		st.hits++
-	} else {
-		h = m.newNode(level, low, high)
-		st.t.put(level, int32(low), int32(high), h)
+	h := hash3(level, int32(low), int32(high))
+	st := &m.unique[h>>stripeShift]
+	n, ok := m.lookup(st.tab.Load(), h, level, low, high)
+	if !ok {
+		st.mu.Lock()
+		if n, ok = m.lookup(st.tab.Load(), h, level, low, high); !ok {
+			idx := m.claim(st)
+			*m.slot(idx) = node{level: level, low: low, high: high}
+			st.created.Add(1)
+			st.add(h, idx)
+			n = Node(idx << 1)
+		}
+		st.mu.Unlock()
 	}
-	st.mu.Unlock()
-	return h ^ c
+	if ok {
+		st.hits.Add(1)
+	}
+	return n ^ c
+}
+
+// lookup probes t for the node (level, low, high) with hash h. Lock-free:
+// it reads slot words atomically and the slab only behind a matching tag.
+func (m *Manager) lookup(t *uniqueTable, h uint32, level int32, low, high Node) (Node, bool) {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		w := t.slots[i].Load()
+		if w == 0 {
+			return 0, false
+		}
+		if uint32(w>>32) == h {
+			idx := uint32(w)
+			if nd := m.slot(idx); nd.level == level && nd.low == low && nd.high == high {
+				return Node(idx << 1), true
+			}
+		}
+	}
 }
 
 // Var returns the BDD for variable i (true iff variable i is 1).
@@ -1223,17 +1287,13 @@ func (m *Manager) ClearCaches() {
 // nodes hash-consed over the manager's lifetime (the misses). created is
 // monotone — reclamation lowers NumNodes but never created — so telemetry
 // can difference successive reads for growth rates. Safe for concurrent
-// use; the hit count is a consistent sum across stripes only when no mk
-// races the read, which telemetry callers satisfy by sampling at round
-// boundaries.
+// use; both are consistent sums across stripes only when no mk races the
+// read, which telemetry callers satisfy by sampling at round boundaries.
 func (m *Manager) UniqueStats() (hits, created int64) {
 	for i := range m.unique {
-		st := &m.unique[i]
-		st.mu.Lock()
-		hits += st.hits
-		st.mu.Unlock()
+		hits += m.unique[i].hits.Load()
 	}
-	return hits, m.created.Load()
+	return hits, m.created()
 }
 
 // Pin marks nodes as externally referenced: they (and everything reachable
@@ -1309,7 +1369,7 @@ func (m *Manager) ReclaimStats() ReclaimStats {
 		Runs:  m.rcRuns.Load(),
 		Freed: m.rcFreed.Load(),
 		Pause: time.Duration(m.rcPause.Load()),
-		Live:  m.live.Load(),
+		Live:  m.live(),
 	}
 }
 
@@ -1332,6 +1392,7 @@ func (m *Manager) Reclaim(roots ...Node) int {
 	// reclaim entry is one of the watermark's canonical sample points.
 	m.NoteWatermark()
 	start := time.Now()
+	before := m.live()
 	n := uint32(m.next.Load())
 	marked := make([]uint64, (n+63)/64)
 	marked[0] = 1 // the shared constant is always live
@@ -1357,30 +1418,38 @@ func (m *Manager) Reclaim(roots ...Node) int {
 	for _, r := range roots {
 		mark(r)
 	}
-	keep := func(v Node) bool {
-		idx := uint32(v) >> 1
+	keep := func(idx uint32) bool {
 		return marked[idx>>6]&(1<<(idx&63)) != 0
 	}
+	// Compact every stripe and take its free-list batch back (the sweep
+	// files those slots again); its unused fresh block stays reserved, so
+	// the sweep skips it.
+	reserved := int64(0)
 	for i := range m.unique {
 		st := &m.unique[i]
 		st.mu.Lock()
-		st.t.compact(keep)
+		st.compact(keep)
+		st.spare = st.spare[:0]
+		for idx := st.blk; idx < st.blkEnd; idx++ {
+			marked[idx>>6] |= 1 << (idx & 63)
+		}
+		reserved += int64(st.blkEnd - st.blk)
 		st.mu.Unlock()
 	}
 	m.freeMu.Lock()
 	m.free = m.free[:0]
 	for idx := uint32(1); idx < n; idx++ {
-		if marked[idx>>6]&(1<<(idx&63)) == 0 {
+		if !keep(idx) {
 			m.free = append(m.free, int32(idx))
 		}
 	}
-	live := int64(n) - int64(len(m.free))
+	live := int64(n) - int64(len(m.free)) - reserved
 	m.nFree.Store(int64(len(m.free)))
 	m.freeMu.Unlock()
-	freed := int(m.live.Load() - live)
-	m.live.Store(live)
+	freed := int(before - live)
+	m.dropped.Add(int64(freed))
 	m.fps.Range(func(k, _ any) bool {
-		if !keep(k.(Node)) {
+		if !keep(uint32(k.(Node)) >> 1) {
 			m.fps.Delete(k)
 		}
 		return true

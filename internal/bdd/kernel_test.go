@@ -40,6 +40,24 @@ func TestITETerminalNoMemo(t *testing.T) {
 	}
 }
 
+// TestOpCacheStaysWithinBudget fills one worker's caches with more than
+// four times the budget of distinct results: each must grow to
+// OpCacheMaxSlots and no further. (Quadrupling while below the budget once
+// carried a 2^21-slot budget to 2^22 slots.)
+func TestOpCacheStaysWithinBudget(t *testing.T) {
+	w := New(4).NewWorker()
+	for i := int32(0); i <= 4*OpCacheMaxSlots; i++ {
+		w.bin.put(i, i+1, opAnd, Node(i))
+		w.ite.put(i, i+1, i+2, Node(i))
+	}
+	for name, c := range map[string]*opCache{"and": &w.bin, "ite": &w.ite} {
+		if n := len(c.keys); n != OpCacheMaxSlots {
+			t.Errorf("%s cache holds %d slots after %d distinct results, want the %d-slot budget",
+				name, n, 4*OpCacheMaxSlots+1, OpCacheMaxSlots)
+		}
+	}
+}
+
 // TestMemoStatsSurviveClearCache pins ClearCache's documented behavior:
 // it drops the memo entries but deliberately not the cumulative hit/miss
 // counters, so telemetry consumers computing per-round deltas never see

@@ -30,10 +30,12 @@ type Profile struct {
 	// LiveBytes its slab cost at NodeBytes per node.
 	LiveNodes int64 `json:"live_nodes"`
 	LiveBytes int64 `json:"live_bytes"`
-	// SlabSlots is the slab high-watermark (slots ever allocated,
-	// including the constant and free-listed slots); SlabBytes its
+	// SlabSlots is the slab high-watermark (slots ever allocated to a node,
+	// including the constant and free-listed slots; the fresh slots a
+	// stripe has reserved but not yet used are not counted); SlabBytes its
 	// retained backing storage. FreeSlots counts slots parked on the
-	// reclaim free list awaiting reuse.
+	// reclaim free list awaiting reuse, including the batches stripes have
+	// taken from it but not yet used.
 	SlabSlots int64 `json:"slab_slots"`
 	SlabBytes int64 `json:"slab_bytes"`
 	FreeSlots int64 `json:"free_slots"`
@@ -44,7 +46,8 @@ type Profile struct {
 	ComplementEdges int64   `json:"complement_edges"`
 	ComplementShare float64 `json:"complement_share"`
 	// UniqueUsed/UniqueSlots are the occupancy and capacity summed over
-	// the unique table's stripes; UniqueBytes the tables' backing cost.
+	// the unique table's stripes; UniqueBytes the tables' backing cost, 8
+	// bytes per slot.
 	UniqueUsed  int64 `json:"unique_used"`
 	UniqueSlots int64 `json:"unique_slots"`
 	UniqueBytes int64 `json:"unique_bytes"`
@@ -103,25 +106,19 @@ func (p *Profile) TopLevels(n int) []LevelProfile {
 // internally consistent at a quiescent point — pipeline callers take the
 // artifact's run lock, the engine samples at round boundaries.
 func (m *Manager) Profile() Profile {
+	n := uint32(m.next.Load())
+	// Slots released by past sweeps still hold their old contents and
+	// reserved ones hold zeros; neither is attributed to any level.
+	vacant, free, fresh := m.vacant(n)
 	p := Profile{
-		LiveNodes:  m.live.Load(),
-		SlabSlots:  m.next.Load(),
+		LiveNodes:  m.live(),
+		SlabSlots:  int64(n) - fresh,
+		FreeSlots:  free,
 		Generation: m.gen.Load(),
 	}
 	p.LiveBytes = p.LiveNodes * NodeBytes
 	p.SlabBytes = p.SlabSlots * NodeBytes
 	p.PeakLiveNodes, p.PeakLiveBytes, p.WatermarkSamples = m.Watermark()
-
-	n := uint32(m.next.Load())
-	// Free-list bitset: slots released by past sweeps still hold their
-	// old contents and must not be attributed to any level.
-	freeBits := make([]uint64, (n+63)/64)
-	m.freeMu.Lock()
-	for _, idx := range m.free {
-		freeBits[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
-	}
-	p.FreeSlots = int64(len(m.free))
-	m.freeMu.Unlock()
 
 	// Walk chunk by chunk: one atomic chunk-pointer load per 2^16 slots
 	// instead of one per slot keeps the full-slab walk in the handful-of-
@@ -142,7 +139,7 @@ func (m *Manager) Profile() Profile {
 		}
 		for ; off < end; off++ {
 			idx := base + off
-			if freeBits[idx>>6]&(1<<(idx&63)) != 0 {
+			if vacant[idx>>6]&(1<<(idx&63)) != 0 {
 				continue
 			}
 			nd := &ch[off]
@@ -185,12 +182,12 @@ func (m *Manager) Profile() Profile {
 	for i := range m.unique {
 		st := &m.unique[i]
 		st.mu.Lock()
-		p.UniqueUsed += int64(st.t.used)
-		p.UniqueSlots += int64(len(st.t.keys))
+		p.UniqueUsed += int64(st.used)
+		p.UniqueSlots += int64(len(st.tab.Load().slots))
 		st.mu.Unlock()
 	}
-	// tableKey (12 bytes) + Node (4 bytes) per slot.
-	p.UniqueBytes = p.UniqueSlots * 16
+	// One tag+index word per slot.
+	p.UniqueBytes = p.UniqueSlots * 8
 	p.OpCacheUsed = int64(m.def.ite.used + m.def.bin.used)
 	p.OpCacheSlots = int64(len(m.def.ite.keys) + len(m.def.bin.keys))
 
@@ -200,14 +197,47 @@ func (m *Manager) Profile() Profile {
 	return p
 }
 
+// vacant returns a bitset over slab indices [0, n) marking the slots that
+// hold no node — the free list and every stripe's unused reservation —
+// with the number of free-listed slots (stripes' batches included) and of
+// reserved fresh ones. Consistent only at a quiescent point.
+func (m *Manager) vacant(n uint32) (bits []uint64, free, fresh int64) {
+	bits = make([]uint64, (n+63)/64)
+	set := func(idx uint32) {
+		if idx < n {
+			bits[idx>>6] |= 1 << (idx & 63)
+		}
+	}
+	m.freeMu.Lock()
+	for _, idx := range m.free {
+		set(uint32(idx))
+	}
+	free = int64(len(m.free))
+	m.freeMu.Unlock()
+	for i := range m.unique {
+		st := &m.unique[i]
+		st.mu.Lock()
+		for _, idx := range st.spare {
+			set(uint32(idx))
+		}
+		for idx := st.blk; idx < st.blkEnd; idx++ {
+			set(idx)
+		}
+		free += int64(len(st.spare))
+		fresh += int64(st.blkEnd - st.blk)
+		st.mu.Unlock()
+	}
+	return bits, free, fresh
+}
+
 // NoteWatermark samples the live node count into the peak high-watermark:
-// two atomic loads and a CAS-max, cheap enough to run unconditionally.
-// The engine calls it at deterministic quiescent boundaries — reclaim
-// entry (where the population peaks locally), EPVP round ends, and SPF
-// completion — so the recorded peak does not depend on goroutine
-// scheduling or worker count. Safe for concurrent use.
+// a sum over the unique-table stripes' counters and a CAS-max, cheap
+// enough for every barrier. The engine calls it at deterministic quiescent
+// boundaries — reclaim entry (where the population peaks locally), EPVP
+// round ends, and SPF completion — so the recorded peak does not depend on
+// goroutine scheduling or worker count. Safe for concurrent use.
 func (m *Manager) NoteWatermark() {
-	live := m.live.Load()
+	live := m.live()
 	m.wmSamples.Add(1)
 	for {
 		cur := m.peakLive.Load()
@@ -224,7 +254,7 @@ func (m *Manager) NoteWatermark() {
 func (m *Manager) Watermark() (peakNodes, peakBytes, samples int64) {
 	peakNodes = m.peakLive.Load()
 	samples = m.wmSamples.Load()
-	if cur := m.live.Load(); cur > peakNodes {
+	if cur := m.live(); cur > peakNodes {
 		peakNodes = cur
 	}
 	return peakNodes, peakNodes * NodeBytes, samples

@@ -140,8 +140,8 @@ func (m *Manager) ReorderWith(o ReorderOptions, roots ...Node) ReorderResult {
 		o.MaxGrowth = DefaultReorderGrowth
 	}
 	reclaimed := m.Reclaim(roots...)
-	before := m.live.Load()
 	rs := m.newReorderState(roots)
+	before := rs.live
 
 	// Sift candidates: the variables sitting on the fattest levels of the
 	// post-reclaim histogram, largest first, initial level as tiebreak.
@@ -182,7 +182,7 @@ func (m *Manager) ReorderWith(o ReorderOptions, roots ...Node) ReorderResult {
 	m.gen.Add(1)
 	m.NoteWatermark()
 
-	after := m.live.Load()
+	after := rs.live
 	res := ReorderResult{
 		Swaps:       rs.swaps,
 		Vars:        len(cands),
@@ -218,12 +218,14 @@ type reorderState struct {
 	buckets [][]int32 // per-level slot indices (may hold stale entries)
 	free    []int32   // slots freed during sifting
 	swaps   int64
+	live    int64 // the manager's live population, tracked per create/release
 }
 
-// newReorderState scans the slab once (post-reclaim, so the free list is
-// exactly the dead set) building the per-level buckets and the reference
-// counts. Every edge contributes one count; pins and roots contribute one
-// each so externally held nodes can never be freed mid-sift.
+// newReorderState scans the slab once (post-reclaim, so the vacant slots
+// are exactly the dead set plus the stripes' reservations) building the
+// per-level buckets and the reference counts. Every edge contributes one
+// count; pins and roots contribute one each so externally held nodes can
+// never be freed mid-sift.
 func (m *Manager) newReorderState(roots []Node) *reorderState {
 	n := uint32(m.next.Load())
 	rs := &reorderState{
@@ -231,15 +233,11 @@ func (m *Manager) newReorderState(roots []Node) *reorderState {
 		rc:      make([]int32, n),
 		stamp:   make([]uint32, n),
 		buckets: make([][]int32, m.numVars),
+		live:    m.live(),
 	}
-	freeBits := make([]uint64, (n+63)/64)
-	m.freeMu.Lock()
-	for _, idx := range m.free {
-		freeBits[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
-	}
-	m.freeMu.Unlock()
+	vacant, _, _ := m.vacant(n)
 	for idx := uint32(1); idx < n; idx++ {
-		if freeBits[idx>>6]&(1<<(idx&63)) != 0 {
+		if vacant[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
 		nd := m.slot(idx)
@@ -323,30 +321,33 @@ func (rs *reorderState) release(idx uint32) {
 	lo, hi := nd.low, nd.high
 	nd.level = -1
 	rs.m.fps.Delete(Node(idx << 1))
-	rs.m.live.Add(-1)
+	rs.m.dropped.Add(1)
+	rs.live--
 	rs.free = append(rs.free, int32(idx))
 	rs.deref(lo)
 	rs.deref(hi)
 }
 
 // create claims a slot for a new node at the given level, preferring slots
-// freed earlier in this run, and refs its children. The unique table is
-// NOT updated — it is stale throughout the run and rebuilt at the end;
-// in-run uniqueness is the swap's local map.
+// freed earlier in this run over stripe 0's reservation, and refs its
+// children. The unique table is NOT updated — it is stale throughout the
+// run and rebuilt at the end; in-run uniqueness is the swap's local map.
 func (rs *reorderState) create(level int32, low, high Node) Node {
 	m := rs.m
-	var h Node
+	var idx uint32
 	if n := len(rs.free); n > 0 {
-		idx := uint32(rs.free[n-1])
+		idx = uint32(rs.free[n-1])
 		rs.free = rs.free[:n-1]
-		*m.slot(idx) = node{level: level, low: low, high: high}
-		m.created.Add(1)
-		m.live.Add(1)
-		h = Node(idx << 1)
 	} else {
-		h = m.newNode(level, low, high)
+		st := &m.unique[0]
+		st.mu.Lock()
+		idx = m.claim(st)
+		st.mu.Unlock()
 	}
-	idx := uint32(h) >> 1
+	*m.slot(idx) = node{level: level, low: low, high: high}
+	m.baseCreated.Add(1)
+	rs.live++
+	h := Node(idx << 1)
 	rs.grow(idx)
 	rs.rc[idx] = 0
 	rs.stamp[idx] = 0
@@ -481,13 +482,13 @@ func (rs *reorderState) swap(l int) {
 func (rs *reorderState) sift(v int, maxGrowth float64) {
 	m := rs.m
 	bottom := m.numVars - 1
-	startLive := m.live.Load()
+	startLive := rs.live
 	limit := int64(float64(startLive) * maxGrowth)
 	best := startLive
 	bestLvl := int(m.var2level[v])
 	for int(m.var2level[v]) < bottom {
 		rs.swap(int(m.var2level[v]))
-		live := m.live.Load()
+		live := rs.live
 		if live < best {
 			best, bestLvl = live, int(m.var2level[v])
 		}
@@ -497,7 +498,7 @@ func (rs *reorderState) sift(v int, maxGrowth float64) {
 	}
 	for int(m.var2level[v]) > 0 {
 		rs.swap(int(m.var2level[v]) - 1)
-		live := m.live.Load()
+		live := rs.live
 		if live < best {
 			best, bestLvl = live, int(m.var2level[v])
 		}
@@ -519,27 +520,24 @@ func (rs *reorderState) sift(v int, maxGrowth float64) {
 // end beats maintaining 256 stripes through every swap. Runs under all
 // stripe locks; the caller already guarantees quiescence.
 func (m *Manager) rebuildUnique() {
-	for i := range m.unique {
-		m.unique[i].mu.Lock()
-		m.unique[i].t = newHashTable(16)
-	}
 	n := uint32(m.next.Load())
-	freeBits := make([]uint64, (n+63)/64)
-	m.freeMu.Lock()
-	for _, idx := range m.free {
-		freeBits[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
+	vacant, _, _ := m.vacant(n)
+	for i := range m.unique {
+		st := &m.unique[i]
+		st.mu.Lock()
+		st.tab.Store(newUniqueTable(0))
+		st.used = 0
 	}
-	m.freeMu.Unlock()
 	for idx := uint32(1); idx < n; idx++ {
-		if freeBits[idx>>6]&(1<<(idx&63)) != 0 {
+		if vacant[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
 		nd := m.slot(idx)
 		if nd.level < 0 {
 			continue
 		}
-		st := &m.unique[hash3(nd.level, int32(nd.low), int32(nd.high))>>stripeShift]
-		st.t.put(nd.level, int32(nd.low), int32(nd.high), Node(idx<<1))
+		h := hash3(nd.level, int32(nd.low), int32(nd.high))
+		m.unique[h>>stripeShift].add(h, idx)
 	}
 	for i := range m.unique {
 		m.unique[i].mu.Unlock()

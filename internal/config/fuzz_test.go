@@ -68,7 +68,8 @@ func sectionNames(text string) (names []string, contiguous bool) {
 	return names, Canonical(joined.String()) == Canonical(text)
 }
 
-// FuzzDiffApply: a text diffs to nothing against itself, and applying
+// FuzzDiffApply: SplitSections agrees with its oracle, a text diffs to
+// nothing against itself, and applying
 // Diff(old, new) to old yields new, canonically — under ApplyPatch's
 // documented precondition that new keeps old's section order: no router's
 // section is split in two, the sections new shares with old come first and in
@@ -83,6 +84,7 @@ func FuzzDiffApply(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, oldText, newText string) {
 		for _, text := range []string{oldText, newText} {
+			checkSplitAgainstOracle(t, "input", text)
 			if p := Diff(text, text); !p.Empty() {
 				t.Fatalf("Diff(x, x) = %+v for x = %q", p, text)
 			}

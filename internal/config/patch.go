@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Patch op kinds. SetOp replaces (or introduces) a section's full text;
@@ -79,31 +80,61 @@ type Section struct {
 // pipeline's per-router digests, which are taken over these sections. The
 // preamble (comments and blank lines before the
 // first router — the parser rejects statements there) is kept as a
-// Router "" section so a split/join round trip preserves every byte.
+// Router "" section so a split/join round trip preserves every byte. Every
+// line ends in "\n" in the output, the last one included. Only lines whose
+// first non-blank text is "router" are tokenized, and a section whose
+// lines are contiguous in the text is a substring of it.
 func SplitSections(text string) []Section {
-	lines := strings.Split(text, "\n")
-	if n := len(lines); n > 0 && lines[n-1] == "" {
-		lines = lines[:n-1] // text ended with "\n": not an extra empty line
+	// A section is a list of line runs, text[start:end] each.
+	type section struct {
+		name  string
+		spans [][2]int
 	}
-	order := []string{}
-	bodies := map[string]*strings.Builder{}
-	name := ""
-	for _, line := range lines {
-		if fields := tokenize(line); len(fields) >= 2 && fields[0] == "router" {
-			name = fields[1]
+	var order []*section
+	byName := map[string]*section{}
+	var cur *section
+	enter := func(name string) {
+		if cur = byName[name]; cur == nil {
+			cur = &section{name: name}
+			byName[name] = cur
+			order = append(order, cur)
 		}
-		sb, ok := bodies[name]
-		if !ok {
-			sb = &strings.Builder{}
-			bodies[name] = sb
-			order = append(order, name)
+	}
+	for start := 0; start < len(text); {
+		end := len(text)
+		if i := strings.IndexByte(text[start:], '\n'); i >= 0 {
+			end = start + i + 1
 		}
-		sb.WriteString(line)
-		sb.WriteByte('\n')
+		line := text[start:end]
+		if strings.HasPrefix(strings.TrimLeftFunc(line, unicode.IsSpace), "router") {
+			if fields := tokenize(line); len(fields) >= 2 && fields[0] == "router" && (cur == nil || cur.name != fields[1]) {
+				enter(fields[1])
+			}
+		}
+		if cur == nil {
+			enter("") // lines before the first router
+		}
+		if n := len(cur.spans); n > 0 && cur.spans[n-1][1] == start {
+			cur.spans[n-1][1] = end
+		} else {
+			cur.spans = append(cur.spans, [2]int{start, end})
+		}
+		start = end
 	}
 	out := make([]Section, 0, len(order))
-	for _, n := range order {
-		out = append(out, Section{Router: n, Text: bodies[n].String()})
+	for _, s := range order {
+		sec := text[s.spans[0][0]:s.spans[0][1]]
+		if len(s.spans) > 1 || !strings.HasSuffix(sec, "\n") {
+			var b strings.Builder
+			for _, sp := range s.spans {
+				b.WriteString(text[sp[0]:sp[1]])
+			}
+			if !strings.HasSuffix(b.String(), "\n") {
+				b.WriteByte('\n') // the text's last line had none
+			}
+			sec = b.String()
+		}
+		out = append(out, Section{Router: s.name, Text: sec})
 	}
 	return out
 }

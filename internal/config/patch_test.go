@@ -2,8 +2,12 @@ package config
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/expresso-verify/expresso/internal/netgen"
 )
 
 const patchBase = `// shared preamble
@@ -38,6 +42,70 @@ func TestSplitSections(t *testing.T) {
 	}
 	if b.String() != patchBase {
 		t.Fatalf("split/join round trip changed text:\n%q\n%q", b.String(), patchBase)
+	}
+}
+
+// splitSectionsOracle is SplitSections as it was written first: every line
+// tokenized, every section copied line by line. The fast path must agree
+// with it exactly.
+func splitSectionsOracle(text string) []Section {
+	lines := strings.Split(text, "\n")
+	if n := len(lines); n > 0 && lines[n-1] == "" {
+		lines = lines[:n-1] // text ended with "\n": not an extra empty line
+	}
+	order := []string{}
+	bodies := map[string]*strings.Builder{}
+	name := ""
+	for _, line := range lines {
+		if fields := tokenize(line); len(fields) >= 2 && fields[0] == "router" {
+			name = fields[1]
+		}
+		sb, ok := bodies[name]
+		if !ok {
+			sb = &strings.Builder{}
+			bodies[name] = sb
+			order = append(order, name)
+		}
+		sb.WriteString(line)
+		sb.WriteByte('\n')
+	}
+	out := make([]Section, 0, len(order))
+	for _, n := range order {
+		out = append(out, Section{Router: n, Text: bodies[n].String()})
+	}
+	return out
+}
+
+// checkSplitAgainstOracle fails when SplitSections and the oracle disagree
+// on text.
+func checkSplitAgainstOracle(t *testing.T, label, text string) {
+	t.Helper()
+	if got, want := SplitSections(text), splitSectionsOracle(text); !slices.Equal(got, want) {
+		t.Fatalf("%s: SplitSections = %q, oracle %q", label, got, want)
+	}
+}
+
+// TestSplitSectionsMatchesOracle compares SplitSections with the oracle on
+// every generated dataset, on the fuzz seeds, and on the edge cases of line
+// ends, repeated sections, comments and non-ASCII space.
+func TestSplitSectionsMatchesOracle(t *testing.T) {
+	for _, name := range []string{"region1", "region2", "region3", "region4", "full-old", "full-new", "internet2"} {
+		text, err := netgen.Dataset(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSplitAgainstOracle(t, name, text)
+	}
+	for i, s := range fuzzSeeds() {
+		checkSplitAgainstOracle(t, fmt.Sprintf("fuzz seed %d", i), s)
+	}
+	for _, s := range []string{
+		"", "\n", "\n\n", "router A", "router A\n", "router\nrouter A B\nx\n",
+		"router A\nbgp as 1\nrouter B\nbgp as 2\nrouter A\nbgp network 10.0.0.0/8",
+		"# router X\n  router  A  // c\r\nbgp as 1\r\n", "router//B A\n", "routerA\nrouter A\n",
+		"\u00a0router N\n", "\u0085router M\nx", "\xffrouter A\n", "\trouter \xff\n",
+	} {
+		checkSplitAgainstOracle(t, fmt.Sprintf("%q", s), s)
 	}
 }
 

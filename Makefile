@@ -1,10 +1,12 @@
 # Tier-1 verification lives in ROADMAP.md; `make ci` is the superset run
-# in CI: vet + build + race-enabled tests across every package, then the
-# four steps that cover what that run does not — the same race run with
-# the parallel engine forced on, the daemon-facing packages with a sweep at
-# every barrier, a short fuzz of every store-blob decoder and of the
-# configuration-text front door, and the env-gated allocation guard. The four *-check targets select tests `race` has already run: they
-# are shortcuts for working on one subsystem, not CI steps.
+# in CI: a gofmt check of every tracked Go file, vet + build + race-enabled
+# tests across every package, then the four steps that cover what that run
+# does not — the same race run with the parallel engine forced on, the
+# daemon-facing packages with a sweep at every barrier, a short fuzz of
+# every store-blob decoder and of the configuration-text front door, and
+# the env-gated allocation guard. The four *-check targets select tests
+# `race` has already run: they are shortcuts for working on one subsystem,
+# not CI steps.
 
 GO ?= go
 
@@ -14,9 +16,14 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel reclaim-matrix race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
+.PHONY: ci fmt vet staticcheck build test race race-parallel reclaim-matrix race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
 
-ci: vet staticcheck build race race-parallel reclaim-matrix fuzz-smoke alloc-guard
+ci: fmt vet staticcheck build race race-parallel reclaim-matrix fuzz-smoke alloc-guard
+
+# Every tracked Go file is gofmt-clean; listing tracked files keeps build
+# output such as .bench_build/ out of the check.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

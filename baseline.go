@@ -62,8 +62,8 @@ var ErrBaselineExists = pipeline.ErrBaselineExists
 // RegisterBaseline verifies configText and registers its converged state
 // as the named baseline: the SRC fixed point — with the routing, SPF and
 // forwarding results of this run — stays resident, whatever the caches
-// evict, until RemoveBaseline, and becomes the explicit warm-start anchor
-// for every delta request naming the baseline.
+// evict, until RemoveBaseline, and becomes the warm-start anchor for every
+// delta request naming the baseline.
 // When a persistent store is attached, a manifest describing the
 // baseline's artifacts is written through so `expresso store gc` (in this
 // or any other process sharing the directory) treats them as roots.

@@ -189,8 +189,7 @@ func cmdCheck(args []string) {
 			if len(key) > 48 {
 				key = key[:48] + "…"
 			}
-			// SEED is the digest of the fixed point a warm start grew from
-			// (the baseline's SRC digest on a baseline-anchored run).
+			// SEED is the SRC digest of the baseline a warm start grew from.
 			seed := st.Seed
 			if len(seed) > 12 {
 				seed = seed[:12]
@@ -501,7 +500,7 @@ func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	engineWorkers := fs.Int("engine-workers", 1, "engine goroutines per job (0 = GOMAXPROCS, 1 = sequential)")
+	engineWorkers := fs.Int("engine-workers", 1, "engine goroutines per job (≤ 0 = the default, 1 (sequential))")
 	queueDepth := fs.Int("queue", 64, "job queue depth")
 	cacheSize := fs.Int("cache", 128, "result cache capacity in reports (-1 disables)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-job deadline")

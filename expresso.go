@@ -332,8 +332,8 @@ func (n *Network) Verify(opts Options) (*Report, error) {
 // VerifyContext runs the one verification driver on a zero Verifier, whose
 // tiers keep nothing and which has no store or baseline: every stage runs
 // cold, so repeated calls are fully independent — the determinism tests rely
-// on that. Use a Verifier for stage-granular caching and incremental
-// (warm-start) re-verification.
+// on that. Use a Verifier for stage-granular caching and, against a
+// registered baseline, incremental (warm-start) re-verification.
 func (n *Network) VerifyContext(ctx context.Context, opts Options) (*Report, error) {
 	if n.load == nil {
 		return nil, errors.New("expresso: Network was not built by Load or LoadDir")

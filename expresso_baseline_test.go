@@ -21,64 +21,78 @@ func findStage(info *RunInfo, stage string) (StageInfo, bool) {
 }
 
 // TestBaselineDeltaWarmAndByteIdentical is the acceptance check of the
-// baseline/delta model: a delta verified against a registered baseline
-// anchors its SRC stage on the baseline's pinned fixed point (provenance
-// warm, seeded by the baseline's SRC digest) and produces a report
-// byte-identical — normalized for run-dependent fields — to a scratch run
-// of the patched text.
+// baseline/delta model: for a config delta on the testnet and region
+// fixtures, a delta verified against a registered baseline anchors its SRC
+// stage on the baseline's pinned fixed point (provenance warm, seeded by the
+// baseline's SRC digest, noting the baseline and the dirty-router count) and
+// produces a report byte-identical — normalized for run-dependent fields —
+// to a scratch run of the patched text.
 func TestBaselineDeltaWarmAndByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	opts := Options{Workers: 1}
-	base := testnet.Figure4Fixed
-	changed := base + "bgp network 203.0.113.7/32\n"
+	regionBase, regionChanged := regionDelta()
+	for _, tc := range []struct {
+		name       string
+		base, next string
+		opts       Options
+	}{
+		{"figure4fixed-add-network", testnet.Figure4Fixed, testnet.Figure4Fixed + "bgp network 203.0.113.7/32\n", Options{Workers: 1}},
+		{"figure4-to-fixed", testnet.Figure4, testnet.Figure4Fixed, Options{Workers: 1}},
+		{"region1-add-network", regionBase, regionChanged,
+			Options{Workers: 1, Properties: []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			v := NewVerifier(VerifierConfig{})
+			rep0, info, err := v.RegisterBaseline(ctx, "prod", tc.base, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Name != "prod" || info.SRCDigest == "" || info.ConfigDigest == "" {
+				t.Fatalf("incomplete BaselineInfo: %+v", info)
+			}
+			if info.Violations != len(rep0.Violations) {
+				t.Errorf("info.Violations = %d, want %d", info.Violations, len(rep0.Violations))
+			}
+			if _, _, err := v.RegisterBaseline(ctx, "prod", tc.base, tc.opts); err == nil {
+				t.Fatal("re-registering an existing baseline name did not error")
+			}
 
-	v := NewVerifier(VerifierConfig{})
-	rep0, info, err := v.RegisterBaseline(ctx, "prod", base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Name != "prod" || info.SRCDigest == "" || info.ConfigDigest == "" {
-		t.Fatalf("incomplete BaselineInfo: %+v", info)
-	}
-	if info.Violations != len(rep0.Violations) {
-		t.Errorf("info.Violations = %d, want %d", info.Violations, len(rep0.Violations))
-	}
-	if _, _, err := v.RegisterBaseline(ctx, "prod", base, opts); err == nil {
-		t.Fatal("re-registering an existing baseline name did not error")
-	}
+			patch := DiffConfigs(tc.base, tc.next)
+			if patch.Empty() {
+				t.Fatal("config change diffed to an empty patch")
+			}
+			rep, runInfo, err := v.VerifyDelta(ctx, "prod", patch, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, ok := findStage(runInfo, "src")
+			if !ok {
+				t.Fatalf("no SRC stage in provenance: %+v", runInfo.Stages)
+			}
+			if src.Status != StageWarm || src.Seed != info.SRCDigest {
+				t.Fatalf("delta SRC status %q seed %q, want warm seeded by the baseline %q (stages %+v)", src.Status, src.Seed, info.SRCDigest, runInfo.Stages)
+			}
+			if want := fmt.Sprintf("baseline=prod dirty=%d", len(pipeline.DirtyRouters(mustLoad(t, tc.base), mustLoad(t, tc.next)))); src.Note != want {
+				t.Errorf("delta SRC note = %q, want %q", src.Note, want)
+			}
+			if runInfo.Baseline != "prod" {
+				t.Errorf("RunInfo.Baseline = %q, want %q", runInfo.Baseline, "prod")
+			}
+			if !rep.Converged {
+				t.Fatal("warm-started run did not converge")
+			}
 
-	patch := DiffConfigs(base, changed)
-	if patch.Empty() {
-		t.Fatal("one-line config change diffed to an empty patch")
-	}
-	rep, runInfo, err := v.VerifyDelta(ctx, "prod", patch, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, ok := findStage(runInfo, "src")
-	if !ok {
-		t.Fatalf("no SRC stage in provenance: %+v", runInfo.Stages)
-	}
-	if src.Status != StageWarm && src.Status != StageHit {
-		t.Fatalf("delta SRC status = %q, want warm or better (stages %+v)", src.Status, runInfo.Stages)
-	}
-	if src.Status == StageWarm && src.Seed != info.SRCDigest {
-		t.Errorf("SRC seed = %q, want the baseline's SRC digest %q", src.Seed, info.SRCDigest)
-	}
-	if runInfo.Baseline != "prod" {
-		t.Errorf("RunInfo.Baseline = %q, want %q", runInfo.Baseline, "prod")
-	}
-
-	coldNet, err := Load(changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRep, err := coldNet.Verify(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := normalizedJSON(t, rep), normalizedJSON(t, coldRep); got != want {
-		t.Errorf("delta report differs from scratch run:\ndelta: %s\ncold:  %s", got, want)
+			coldNet, err := Load(tc.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldRep, err := coldNet.Verify(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := normalizedJSON(t, rep), normalizedJSON(t, coldRep); got != want {
+				t.Errorf("delta report differs from scratch run:\ndelta: %s\ncold:  %s", got, want)
+			}
+		})
 	}
 }
 
@@ -257,59 +271,68 @@ func TestRegisterBaselineTraceCarriesWatermark(t *testing.T) {
 	}
 }
 
-// TestOneWarmRungForBothAnchors: the same one-router delta warm-starts from
-// the most recent cached fixed point when it is anonymous and from the
-// registered baseline when it names one — one rung, two anchors — and each
-// run's provenance names the anchor it actually chained on.
-func TestOneWarmRungForBothAnchors(t *testing.T) {
+// TestEveryBaselineOwnsItsManager: a run warm-starts only from the baseline
+// it names. A run that names none — an anonymous verification, or the run
+// behind a registration — is cold in a manager of its own, however recent or
+// compatible the fixed points the verifier holds, so it neither grows a
+// baseline's manager nor queues on its run lock; a delta that names a
+// baseline warm-starts from that one, whatever else the SRC cache holds.
+func TestEveryBaselineOwnsItsManager(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Workers: 1}
-	base := testnet.Figure4Fixed
-	changed := base + "bgp network 203.0.113.7/32\n"
-	wantDirty := fmt.Sprintf("dirty=%d", len(pipeline.DirtyRouters(mustLoad(t, base), mustLoad(t, changed))))
+	base, changed := regionDelta()
+	v := NewVerifier(VerifierConfig{})
+	live := func(name string) (int64, int) {
+		var n int64 = -1
+		profiles := v.BDDProfiles()
+		for _, p := range profiles {
+			if p.Origin == "baseline" && p.Name == name {
+				n = p.Profile.LiveNodes
+			}
+		}
+		return n, len(profiles)
+	}
 
-	anon := NewVerifier(VerifierConfig{})
-	_, baseInfo, err := anon.VerifyText(ctx, base, opts)
+	_, b, err := v.RegisterBaseline(ctx, "b", base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseSRC, _ := findStage(baseInfo, "src")
-	_, info, err := anon.VerifyText(ctx, changed, opts)
+	before, _ := live("b")
+	_, anon, err := v.VerifyText(ctx, changed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := stageStatus(anon, "src"); s != StageMiss {
+		t.Errorf("anonymous run SRC status = %q, want %q", s, StageMiss)
+	}
+	if _, _, err := v.RegisterBaseline(ctx, "c", base+"bgp network 203.0.113.1/32\n", opts); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := live("b")
+	if after != before {
+		t.Errorf("baseline b's manager went from %d to %d live nodes under runs that did not name it", before, after)
+	}
+	c, managers := live("c")
+	if c < 0 || managers != 3 { // b, c and the anonymous run
+		t.Errorf("BDDProfiles lists %d managers (c's live count %d), want b, c and the anonymous run's apart", managers, c)
+	}
+
+	// A delta naming b chains on b, not on the more recent fixed points.
+	next := base + "bgp network 203.0.113.2/32\n"
+	_, info, err := v.VerifyDelta(ctx, "b", DiffConfigs(base, next), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src, _ := findStage(info, "src")
-	if src.Status != StageWarm || src.Seed != pipeline.DiskKey(baseSRC.Key) {
-		t.Errorf("anonymous delta: src %s seed %q, want warm seeded by the cached run %q", src.Status, src.Seed, pipeline.DiskKey(baseSRC.Key))
+	if src.Status != StageWarm || src.Seed != b.SRCDigest {
+		t.Errorf("named delta: src %s seed %q, want warm seeded by the baseline %q", src.Status, src.Seed, b.SRCDigest)
 	}
-	if want := wantDirty + " gc=skipped"; src.Note != want {
-		t.Errorf("anonymous delta note = %q, want %q", src.Note, want)
-	}
-
-	named := NewVerifier(VerifierConfig{})
-	_, reg, err := named.RegisterBaseline(ctx, "prod", base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A more recent, unrelated fixed point in the SRC cache must not
-	// displace the named anchor.
-	if _, _, err := named.VerifyText(ctx, base+"bgp network 198.51.100.9/32\n", opts); err != nil {
-		t.Fatal(err)
-	}
-	_, info, err = named.VerifyDelta(ctx, "prod", DiffConfigs(base, changed), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _ = findStage(info, "src")
-	if src.Status != StageWarm || src.Seed != reg.SRCDigest {
-		t.Errorf("named delta: src %s seed %q, want warm seeded by the baseline %q", src.Status, src.Seed, reg.SRCDigest)
-	}
-	if want := "baseline=prod " + wantDirty + " gc=skipped"; src.Note != want {
+	if want := fmt.Sprintf("baseline=b dirty=%d", len(pipeline.DirtyRouters(mustLoad(t, base), mustLoad(t, next)))); src.Note != want {
 		t.Errorf("named delta note = %q, want %q", src.Note, want)
 	}
-	for _, st := range named.CacheStats() {
-		if st.Stage == "src" && st.WarmStarts != 2 {
-			t.Errorf("named verifier counted %d warm starts, want 2 (the unrelated run and the delta)", st.WarmStarts)
+	for _, st := range v.CacheStats() {
+		if st.Stage == "src" && st.WarmStarts != 1 {
+			t.Errorf("verifier counted %d warm starts, want 1 (the named delta)", st.WarmStarts)
 		}
 	}
 }

@@ -127,10 +127,11 @@ func regionDelta() (base, delta string) {
 }
 
 // TestVerifierWarmStartByteIdentical is the acceptance check of the
-// incremental path: for a one-router config delta on the testnet and
-// region fixtures, a warm-started re-verification produces a report
-// byte-identical (normalized for run-dependent fields) to a cold run of
-// the new configuration.
+// incremental text path: for a one-router config delta on the testnet and
+// region fixtures, re-verifying the new full text against a registered
+// baseline warm-starts SRC and produces a report byte-identical
+// (normalized for run-dependent fields) to a cold run of the new
+// configuration.
 func TestVerifierWarmStartByteIdentical(t *testing.T) {
 	regionBase, regionChanged := regionDelta()
 	cases := []struct {
@@ -147,10 +148,10 @@ func TestVerifierWarmStartByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			v := NewVerifier(VerifierConfig{})
-			if _, _, err := v.VerifyText(ctx, tc.base, tc.opts); err != nil {
+			if _, _, err := v.RegisterBaseline(ctx, "prod", tc.base, tc.opts); err != nil {
 				t.Fatal(err)
 			}
-			warmRep, warmInfo, err := v.VerifyText(ctx, tc.next, tc.opts)
+			warmRep, warmInfo, err := v.VerifyTextFrom(ctx, "prod", tc.next, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,11 +177,12 @@ func TestVerifierWarmStartByteIdentical(t *testing.T) {
 }
 
 // TestVerifierWarmStartWithReclaimSweeps is the warm-chain safety check
-// of dead-node reclamation: with a tiny EXPRESSO_RECLAIM budget, the warm
-// run sweeps the shared manager between rounds while the prior artifact's
-// fixed point, the compiled transfers, and the edge memo are live only
-// through the pinning API. The warm report must stay byte-identical to a
-// cold run of the new configuration at both worker counts.
+// of dead-node reclamation: with a tiny EXPRESSO_RECLAIM budget, a delta
+// against a registered baseline sweeps the baseline's manager between
+// rounds while the baseline's fixed point, the compiled transfers, and the
+// edge memo are live only through the pinning API. The warm report must
+// stay byte-identical to a cold run of the new configuration at both worker
+// counts.
 func TestVerifierWarmStartWithReclaimSweeps(t *testing.T) {
 	t.Setenv("EXPRESSO_RECLAIM", "200")
 	regionBase, regionChanged := regionDelta()
@@ -191,10 +193,10 @@ func TestVerifierWarmStartWithReclaimSweeps(t *testing.T) {
 				Properties: []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}}
 			ctx := context.Background()
 			v := NewVerifier(VerifierConfig{})
-			if _, _, err := v.VerifyText(ctx, regionBase, opts); err != nil {
+			if _, _, err := v.RegisterBaseline(ctx, "prod", regionBase, opts); err != nil {
 				t.Fatal(err)
 			}
-			warmRep, warmInfo, err := v.VerifyText(ctx, regionChanged, opts)
+			warmRep, warmInfo, err := v.VerifyTextFrom(ctx, "prod", regionChanged, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

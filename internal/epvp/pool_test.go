@@ -69,9 +69,16 @@ func TestPoolEachStopsOnCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		p := NewPool(workers, 0, func() int { return 1 })
 		var ran atomic.Int32
+		// Calls after the 5th wait until cancel has returned: a preempted
+		// canceller must not let the other workers run on meanwhile.
+		cancelled := make(chan struct{})
 		err := p.Each(ctx, 1000, func(_ int, i int) {
-			if ran.Add(1) == 5 {
+			switch n := ran.Add(1); {
+			case n == 5:
 				cancel()
+				close(cancelled)
+			case n > 5:
+				<-cancelled
 			}
 		})
 		if err != context.Canceled {

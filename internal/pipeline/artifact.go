@@ -89,7 +89,7 @@ type SRCArtifact struct {
 	// under it as well, which is what makes them safe: every other
 	// symbolic computation on the manager is excluded for the duration.
 	runLock *managerLock
-	// warm marks a fixed point warm-started in an anchor's manager: its
+	// warm marks a fixed point warm-started in a baseline's manager: its
 	// pre-SPF barrier also weighs the manager's warm-sweep floor.
 	warm bool
 

@@ -18,11 +18,10 @@ var ErrBaselineExists = errors.New("already registered")
 // SRC fixed point of a registered configuration (SRCArtifact.retain) for as
 // long as the registration lives, so neither it nor anything built on it —
 // its own routing, SPF and forwarding results — is unpinned by cache
-// eviction. Baselines are the explicit warm-start anchor of the delta
-// request model — a delta request names its baseline and the Runner seeds
-// the EPVP fixed point from it deterministically, instead of hoping the
-// opportunistic warm-candidate scan still finds something compatible under
-// cache pressure.
+// eviction. Baselines are the only warm-start anchor of the delta request
+// model: a delta request names its baseline and the Runner seeds the EPVP
+// fixed point from it, in the baseline's manager; a request that names none
+// runs cold, in a manager of its own.
 type Baseline struct {
 	// Name is the registry key.
 	Name string

@@ -12,7 +12,7 @@ import (
 //
 // Only the stages whose artifacts stand on their own have a tier: parsed
 // networks and assembled reports are plain values, cheap to keep by the
-// dozen, and an SRC artifact owns (or shares, when warm-chained) a whole
+// dozen, and an SRC artifact owns (or shares with its baseline) a whole
 // BDD manager plus converged RIBs — often the bulk of a run's heap — so
 // only a handful are retained. Routing, SPF and forwarding artifacts are
 // handles into an SRC artifact's manager and are kept by that artifact
@@ -32,9 +32,9 @@ type StageStat struct {
 	// Entries is the tier's population; for the routing, SPF and forwarding
 	// stages, the derived artifacts resident on the SRC artifacts counted.
 	Entries int
-	// WarmStarts counts SRC computations seeded from a cached prior fixed
-	// point instead of the cold initial state (only ever non-zero for the
-	// src stage).
+	// WarmStarts counts SRC computations seeded from a registered
+	// baseline's fixed point instead of the cold initial state (only ever
+	// non-zero for the src stage).
 	WarmStarts int64
 }
 

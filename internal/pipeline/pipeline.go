@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,37 +16,11 @@ import (
 	"github.com/expresso-verify/expresso/internal/telemetry"
 )
 
-// gcHeapThreshold is the heap-pressure cutoff of the post-SRC reclamation.
-// Small enough that the paper-scale snapshots (multi-GB memos) always
-// reclaim, large enough that testnet-sized service traffic never pays a
-// forced GC per request.
-const gcHeapThreshold = 256 << 20
-
-// reclaimAfterSRC drops the engine's op caches and forces a collection
-// between a freshly built SRC fixed point and the analysis stages, but only
-// under heap pressure: right for one-shot verification of the paper's large
-// snapshots, wrong as an always-on cost for a service verifying small
-// snapshots at high rate. It returns the provenance note.
-func reclaimAfterSRC(src *SRCArtifact) string {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc < gcHeapThreshold {
-		return "gc=skipped"
-	}
-	// The fixed point is done: the ITE memo is pure acceleration state and
-	// the analysis stages rebuild what they need. The memo belongs to the
-	// manager's default worker, which a warm artifact shares with every
-	// other job on its baseline.
-	src.withLock(src.Eng.Space.M.ClearCaches)
-	runtime.GC()
-	return "gc=forced"
-}
-
 // Stage statuses recorded in StageInfo provenance entries.
 const (
 	StatusHit  = "hit"  // artifact served from the stage cache
 	StatusMiss = "miss" // artifact computed cold
-	StatusWarm = "warm" // SRC only: computed, but seeded from a cached prior
+	StatusWarm = "warm" // SRC only: computed, but seeded from the named baseline
 	StatusDisk = "disk" // artifact deserialized from the persistent store tier
 )
 
@@ -64,9 +36,8 @@ type StageInfo struct {
 	// on ("" for every other provenance) — a first-class column in the
 	// CLI's -explain-cache table and the trace spans.
 	Seed string `json:"seed,omitempty"`
-	// Note carries stage-specific detail: the warm-start dirty count, the
-	// anchoring baseline's name, and whether the post-SRC reclamation
-	// fired.
+	// Note carries stage-specific detail: the anchoring baseline's name
+	// and the warm-start dirty count.
 	Note string `json:"note,omitempty"`
 }
 
@@ -105,12 +76,12 @@ type Outcome struct {
 	Stages     []StageInfo
 }
 
-// warmNodeBudget bounds the live BDD node count of a manager the Runner
-// is willing to warm-start into. Warm chains share one manager; dead-node
-// reclamation between EPVP rounds keeps the live population bounded, but
-// a manager whose pinned artifacts alone exceed the budget is past the
-// point where a cold start with a fresh manager is cheaper than dragging
-// the old universe along.
+// warmNodeBudget bounds the live BDD node count of a baseline's manager
+// the Runner is willing to warm-start a delta into. Every delta against a
+// baseline computes in the baseline's manager; dead-node reclamation keeps
+// the live population bounded, but a manager whose pinned artifacts alone
+// exceed the budget is past the point where a cold start with a fresh
+// manager is cheaper than dragging the old universe along.
 const warmNodeBudget = 4 << 20
 
 // Runner executes the staged pipeline.
@@ -157,27 +128,24 @@ type stageSpec[A comparable] struct {
 	keep   func(a A)
 	encode func(a A) []byte
 
-	// SRC's extra rung; nil for every other stage. anchor picks what a warm
-	// start chains on — held for the caller — with its provenance note
-	// prefix, and warm computes from it, returning the dirty-router count,
-	// or the zero A when the anchor's symbolic universe does not fit the
-	// request.
+	// SRC's extra rung; nil for every other stage. anchor picks the named
+	// baseline's fixed point a warm start chains on — held for the caller —
+	// with its provenance note prefix, or nil; warm computes from it,
+	// returning the dirty-router count, or the zero A when the anchor's
+	// symbolic universe does not fit the request.
 	anchor func() (*SRCArtifact, string)
 	warm   func(anchor *SRCArtifact) (A, int, error)
-	// settle, when set, runs once an artifact that was not simply served
-	// from memory is filed and persisted, and adds to the provenance note.
-	settle func(a A) string
 }
 
-// resolve is the one resolution ladder: memory → disk → warm from an anchor
-// → cold. Whichever rung builds the artifact does so under the run lock of
-// the manager it builds in and keeps it before that lock is released, so the
-// artifact is rooted before anything else (another job's sweep on a shared
-// baseline manager, this request's own pre-SPF sweep) can reclaim in that
-// manager; one that did not come from the store is encoded under the same
-// lock, before it is kept — an encoding that panics leaves nothing filed to
-// root a dead handle in the manager's next sweep — and written through once
-// the lock is released. A derived stage looks memory up once more under that
+// resolve is the one resolution ladder: memory → disk → warm from the named
+// baseline → cold. Whichever rung builds the artifact does so under the run
+// lock of the manager it builds in and keeps it before that lock is released,
+// so the artifact is rooted before anything else (another job's sweep on a
+// shared baseline manager, this request's own pre-SPF sweep) can reclaim in
+// that manager; one that did not come from the store is encoded under the
+// same lock, before it is kept — an encoding that panics leaves nothing filed
+// to root a dead handle in the manager's next sweep — and written through
+// once the lock is released. A derived stage looks memory up once more under that
 // lock: two requests on one SRC artifact that miss the same key queue on its
 // run lock, and the second is served what the first built instead of
 // building — and filing over — it again. count, when non-nil, tallies
@@ -261,9 +229,6 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 	if blob != nil {
 		st.Put(s.stage, DiskKey(s.key), blob)
 	}
-	if s.settle != nil {
-		info.Note = strings.TrimSpace(info.Note + " " + s.settle(art))
-	}
 	return art, info, nil
 }
 
@@ -344,7 +309,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 // fixed point restored from the store (which carries the exact converged
 // state for the key, so only the policy compilation is paid) or computed
 // cold lives in a manager born in this request, whose run lock is born with
-// it; a warm start computes in its anchor's manager and shares the anchor's
+// it; a warm start computes in the named baseline's manager and shares its
 // lock. Whatever the rung, the artifact comes back held for the request.
 func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
@@ -393,23 +358,14 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 			}
 		},
 		encode: EncodeSRC,
-		// The named baseline is the explicit warm anchor: deterministic,
-		// resident, independent of cache pressure. Anonymous requests — and a
-		// baseline grown past the budget — chain on the most recently used
-		// artifact the SRC cache still holds that a warm start may use: same
-		// mode, node table under budget. The compatibility of the symbolic
-		// universes (externals, community atoms) is re-checked by epvp.NewWarm.
+		// The named baseline is the one warm anchor: deterministic, resident,
+		// independent of cache pressure. A request that names none, or names
+		// one grown past the budget, runs cold in a manager of its own. The
+		// compatibility of the symbolic universes (externals, community
+		// atoms) is re-checked by epvp.NewWarm.
 		anchor: func() (*SRCArtifact, string) {
-			fits := func(a *SRCArtifact) bool {
-				return a.Eng.Mode == req.Mode && a.Eng.Space.M.NumNodes() < warmNodeBudget
-			}
-			if base != nil && fits(base.SRC) && base.SRC.retain() {
+			if base != nil && base.SRC.Eng.Space.M.NumNodes() < warmNodeBudget && base.SRC.retain() {
 				return base.SRC, "baseline=" + base.Name + " "
-			}
-			for _, a := range cached.Values() {
-				if fits(a) && a.retain() {
-					return a, ""
-				}
 			}
 			return nil, ""
 		},
@@ -420,7 +376,6 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 			}
 			return a, dirty, err
 		},
-		settle: reclaimAfterSRC,
 	}
 }
 

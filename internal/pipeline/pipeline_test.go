@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -323,38 +324,68 @@ func TestRunnerStageReuse(t *testing.T) {
 	}
 }
 
+// registerT runs text through r and registers its converged state as the
+// baseline name; the run's own hold is released.
+func registerT(t *testing.T, r *Runner, name, text string, props []properties.Kind) *Baseline {
+	t.Helper()
+	out, err := r.Run(context.Background(), &Request{Load: loadT(t, text), Mode: epvp.FullMode(),
+		Workers: 1, Properties: props})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Release()
+	b := NewBaseline(name, text, out, time.Now())
+	if err := r.Baselines.Register(b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestRunnerWarmStart checks the orchestration end of warm-starting: a
-// one-router delta on a cached configuration runs SRC with status "warm"
-// and converges to the same violations as a cold run.
+// one-router delta naming a registered baseline runs SRC with status "warm",
+// seeded by the baseline and noting its dirty count, and converges to the
+// same violations as a cold run; the same text without the name runs cold.
 func TestRunnerWarmStart(t *testing.T) {
-	r := &Runner{Cache: newSRCCache()}
+	r := &Runner{Cache: newSRCCache(), Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree, properties.RouteHijackFree}
+	base := registerT(t, r, "prod", testnet.Figure4, props)
 
-	if _, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
-		Workers: 1, Properties: props}); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
+	anon, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
 		Workers: 1, Properties: props})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := stageStatus(warm, StageSRC); s != StatusWarm {
-		t.Fatalf("delta run SRC status = %q, want warm (stages: %+v)", s, warm.Stages)
+	defer anon.Release()
+	if s := stageStatus(anon, StageSRC); s != StatusMiss {
+		t.Errorf("anonymous delta SRC status = %q, want miss", s)
 	}
-	cold, err := (&Runner{Cache: &SRCCache{}}).Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
-		Workers: 1, Properties: props})
+	if anon.SRC.Eng.Space.M == base.SRC.Eng.Space.M {
+		t.Error("anonymous delta ran in the baseline's manager")
+	}
+
+	// A fresh cache: r's holds the anonymous run's fixed point under the
+	// delta's key, which the memory rung would serve.
+	next := loadT(t, testnet.Figure4Fixed)
+	warm, err := (&Runner{Cache: newSRCCache(), Baselines: r.Baselines}).Run(ctx, &Request{Load: next, Mode: epvp.FullMode(),
+		Workers: 1, Properties: props, Baseline: "prod"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warm.Routing.Violations) != len(cold.Routing.Violations) {
-		t.Fatalf("warm violations = %d, cold = %d", len(warm.Routing.Violations), len(cold.Routing.Violations))
+	src := warm.Stages[0]
+	if src.Status != StatusWarm || src.Seed != base.SRC.Digest {
+		t.Fatalf("delta run SRC status %q seed %q, want warm seeded by %q (stages: %+v)", src.Status, src.Seed, base.SRC.Digest, warm.Stages)
+	}
+	if want := fmt.Sprintf("baseline=prod dirty=%d", len(DirtyRouters(base.Load, next))); src.Note != want {
+		t.Errorf("delta run SRC note = %q, want %q", src.Note, want)
+	}
+	if len(warm.Routing.Violations) != len(anon.Routing.Violations) {
+		t.Fatalf("warm violations = %d, cold = %d", len(warm.Routing.Violations), len(anon.Routing.Violations))
 	}
 	for i := range warm.Routing.Violations {
-		if warm.Routing.Violations[i].String() != cold.Routing.Violations[i].String() {
+		if warm.Routing.Violations[i].String() != anon.Routing.Violations[i].String() {
 			t.Errorf("violation %d differs:\nwarm %s\ncold %s", i,
-				warm.Routing.Violations[i], cold.Routing.Violations[i])
+				warm.Routing.Violations[i], anon.Routing.Violations[i])
 		}
 	}
 	if !warm.SRC.Res.Converged {
@@ -364,19 +395,15 @@ func TestRunnerWarmStart(t *testing.T) {
 
 // TestWarmStartWaitsForTheRunLock: everything a warm start builds — the
 // changed routers' policy compile as much as the fixed point — goes into
-// the prior artifact's BDD manager, so none of it may happen while another
-// user (a job's pre-SPF sweep, say) holds the artifact's run lock. The
-// test is that other user: while it holds the lock, a warm start chained on
-// the artifact must leave the manager's unique table untouched.
+// the baseline's BDD manager, so none of it may happen while another user
+// (a job's pre-SPF sweep, say) holds the baseline's run lock. The test is
+// that other user: while it holds the lock, a delta naming the baseline
+// must leave the manager's unique table untouched.
 func TestWarmStartWaitsForTheRunLock(t *testing.T) {
-	r := &Runner{Cache: newSRCCache()}
+	r := &Runner{Cache: newSRCCache(), Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree}
-	prior, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
-		Workers: 1, Properties: props})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prior := registerT(t, r, "prod", testnet.Figure4, props)
 	m := prior.SRC.Eng.Space.M
 
 	prior.SRC.runLock.Lock()
@@ -388,7 +415,7 @@ func TestWarmStartWaitsForTheRunLock(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		out, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4Fixed), Mode: epvp.FullMode(),
-			Workers: 1, Properties: props})
+			Workers: 1, Properties: props, Baseline: "prod"})
 		done <- result{out, err}
 	}()
 	// A violation shows within microseconds of the goroutine starting; a

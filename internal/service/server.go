@@ -24,8 +24,8 @@ type Config struct {
 	// Workers is the size of the worker pool (default: GOMAXPROCS).
 	Workers int
 	// EngineWorkers is the number of goroutines each verification job's
-	// symbolic engine may use (expresso.Options.Workers): 0 = GOMAXPROCS,
-	// 1 (the default) = sequential. The pool already runs Workers jobs
+	// symbolic engine may use (expresso.Options.Workers): ≤ 0 = the default,
+	// 1 (sequential), unless EXPRESSO_WORKERS says otherwise. The pool already runs Workers jobs
 	// concurrently, so raise this only when jobs are scarcer than cores —
 	// total engine goroutines approach Workers x EngineWorkers.
 	EngineWorkers int

@@ -337,6 +337,25 @@ func TestDrain(t *testing.T) {
 
 // TestTimeoutCancelsJob checks the per-job deadline fires inside the
 // engine and surfaces as a cancelled job.
+// TestEngineWorkersDefault pins the daemon's per-job engine width: unset or
+// non-positive is the documented default, one sequential engine goroutine;
+// a positive value is taken as given.
+func TestEngineWorkersDefault(t *testing.T) {
+	t.Setenv("EXPRESSO_WORKERS", "") // the override race-parallel sets
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{}, 1},
+		{Config{EngineWorkers: -3}, 1},
+		{Config{EngineWorkers: 3}, 3},
+	} {
+		if got := New(tc.cfg).Snapshot(false).EngineWorkers; got != tc.want {
+			t.Errorf("New(%+v) snapshots EngineWorkers = %d, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestTimeoutCancelsJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	region := netgen.CSP(netgen.CSPOldRegion(4)) // ~5x the deadline uncancelled

@@ -117,11 +117,11 @@ func TestWorkersFromEnv(t *testing.T) {
 		{"", 0},
 		{"4", 4},
 		{"1", 1},
-		{"0", 0},     // non-positive → unset
-		{"-2", 0},    // non-positive → unset
-		{"four", 0},  // malformed → unset (plus a warning, once)
-		{"4.5", 0},   // malformed → unset
-		{" 4", 0},    // strict parse: no whitespace trimming
+		{"0", 0},    // non-positive → unset
+		{"-2", 0},   // non-positive → unset
+		{"four", 0}, // malformed → unset (plus a warning, once)
+		{"4.5", 0},  // malformed → unset
+		{" 4", 0},   // strict parse: no whitespace trimming
 	}
 	for _, tc := range cases {
 		t.Setenv("EXPRESSO_WORKERS", tc.value)

@@ -35,11 +35,10 @@ type StoreStats = store.Stats
 type VerifierConfig struct {
 	// LoadCache holds parsed networks keyed by config digest.
 	LoadCache int
-	// SRCCache holds converged EPVP fixed points — the expensive stage,
-	// and the seeds for warm-started re-verification — each together with
-	// the routing, SPF and forwarding results computed on it, which live
-	// and die with it. Each entry pins a BDD manager, so the default is
-	// small (4).
+	// SRCCache holds converged EPVP fixed points — the expensive stage —
+	// each together with the routing, SPF and forwarding results computed
+	// on it, which live and die with it. Each entry pins a BDD manager, so
+	// the default is small (4).
 	SRCCache int
 	// ReportCache holds assembled reports keyed by ReportDigest.
 	ReportCache int
@@ -63,10 +62,12 @@ type VerifierConfig struct {
 //   - A property-set change reuses the converged SRC artifact and re-runs
 //     only the analysis stages (adding a forwarding property also reuses
 //     a cached SPF artifact if one exists).
-//   - A config delta touching a subset of routers warm-starts the EPVP
-//     fixed point from the nearest cached converged state, recomputing
-//     only the dirty closure — and produces a report byte-identical (up
-//     to timings, heap, and iteration counts) to a cold run.
+//   - A config delta against a registered baseline (RegisterBaseline, then
+//     VerifyDelta or VerifyTextFrom) warm-starts the EPVP fixed point from
+//     the baseline's converged state, recomputing only the dirty closure —
+//     and produces a report byte-identical (up to timings, heap, and
+//     iteration counts) to a cold run. A run that names no baseline
+//     computes its fixed point cold, in a BDD manager of its own.
 //
 // A Verifier is safe for concurrent use; computation on shared symbolic
 // state is serialized per SRC artifact. The zero Verifier is the cold one:
@@ -126,7 +127,7 @@ type BDDProfile struct {
 
 // BDDProfiles snapshots every live BDD manager the verifier holds —
 // registered baselines first (name order), then anonymous SRC cache
-// entries (recency order). Warm-started artifacts share their seed's
+// entries (recency order). A delta's artifact shares its baseline's
 // manager, so shared managers are profiled once, under the first name
 // encountered. Each snapshot takes that artifact's run lock, briefly
 // serializing against verifications sharing the manager — this is the
@@ -157,8 +158,9 @@ func ReportDigest(configText string, opts Options) string {
 }
 
 // VerifyText verifies a configuration text, reusing cached stage
-// artifacts where the request's stage keys match earlier runs. The
-// returned RunInfo records the provenance of every stage.
+// artifacts where the request's stage keys match earlier runs. It names no
+// baseline, so an EPVP fixed point it finds neither cached nor stored is
+// computed cold. The returned RunInfo records the provenance of every stage.
 func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Options) (*Report, *RunInfo, error) {
 	return v.VerifyTextFrom(ctx, "", configText, opts)
 }

@@ -140,11 +140,12 @@ reorder-check:
 
 # Allocation-regression guard: one cold region-1 verification must stay
 # under the byte and object ceilings in alloc_guard_test.go, its policy
-# compile and its SPF stage each under a created-BDD-node ceiling, and a
+# compile and its SPF stage each under a created-BDD-node ceiling, a
 # one-worker region-4 EPVP run under its op-cache-miss and created-node
 # ceilings, its op caches within 2 × OpCacheMaxSlots slots and its unique
-# table within 24 bytes per live node. The test skips itself without the
-# env knob, so plain `go test ./...` stays fast.
+# table within 24 bytes per live node, and a one-worker full-old EPVP run
+# under its op-cache-miss ceiling (its wall time is logged). The test skips
+# itself without the env knob, so plain `go test ./...` stays fast.
 alloc-guard:
 	EXPRESSO_ALLOC_GUARD=1 $(GO) test . -run TestRegion1AllocGuard -count=1 -v -timeout 15m
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/expresso-verify/expresso"
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -41,11 +42,20 @@ const (
 	region1SPFNodesCeiling = 350_000
 	// The region-4 ceilings bound one Workers=1 EPVP fixed point by the sums
 	// of its per-round trace counters, which repeat exactly: 1,291,165
-	// op-cache misses and 792,568 created nodes with symbolic.Merge
-	// subtracting per (neighbor, preference) tier, 1.85 M and 0.965 M with
-	// the per-route chain it replaced. The chain coming back lands over both.
+	// op-cache misses and 792,568 created nodes with Merge
+	// subtracting per (neighbor, preference) tier (1,286,901 misses once it
+	// goes through the run's merge memo; region 4 never sweeps), 1.85 M and
+	// 0.965 M with the per-route chain it replaced. The chain coming back
+	// lands over both.
 	region4EPVPMissesCeiling = 1_600_000
 	region4EPVPNodesCeiling  = 900_000
+	// fullOldEPVPMissesCeiling bounds the same sum for one Workers=1 EPVP
+	// fixed point on full-old, which sweeps at the end of rounds 3 and 4:
+	// 23,164,829 op-cache misses before EPVP's merge memo, 20,642,674 with
+	// the memo flushed at every sweep, 16,053,408 with the memo rooted
+	// across them (round 5 drops from 3.8 M to 0.38 M). Losing the memo or
+	// its rooting lands over this.
+	fullOldEPVPMissesCeiling = 20_000_000
 )
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
@@ -54,7 +64,9 @@ const (
 // BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
 // region 4's EPVP rounds against the region4EPVP ceilings and bounds that
-// manager's op-cache slots and unique-table bytes. Gated behind
+// manager's op-cache slots and unique-table bytes; last, it runs full-old's
+// EPVP rounds against fullOldEPVPMissesCeiling and logs their wall time.
+// Gated behind
 // EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
 // meaningless when other tests run concurrently); `make alloc-guard` —
 // part of `make ci` — sets the variable.
@@ -152,5 +164,32 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if p.UniqueBytes > 24*p.LiveNodes {
 		t.Errorf("region-4 unique table takes %d bytes for %d live nodes, over 24 per node: does it store keys again, or run below 1/3 load?",
 			p.UniqueBytes, p.LiveNodes)
+	}
+
+	fullOldText, err := netgen.Dataset("full-old", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullOld, err := expresso.Load(fullOldText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng = epvp.New(fullOld.Topo, epvp.FullMode())
+	eng.Workers, eng.Trace = 1, telemetry.NewTracer()
+	start := time.Now()
+	eng.Run()
+	wall := time.Since(start)
+	var mergeHits, mergeLookups int64
+	misses = 0
+	for _, r := range eng.Trace.Finish().EPVPRounds {
+		misses += r.ITEMisses
+		mergeHits += r.MergeHits
+		mergeLookups += r.MergeHits + r.MergeMisses
+	}
+	t.Logf("full-old EPVP rounds: %d op-cache misses (ceiling %d), merge memo %d hits of %d lookups, %s wall",
+		misses, fullOldEPVPMissesCeiling, mergeHits, mergeLookups, wall.Round(time.Millisecond))
+	if misses > fullOldEPVPMissesCeiling {
+		t.Errorf("full-old EPVP rounds cost %d op-cache misses, over the %d ceiling: does Merge still go through the run's merge memo, and does runRoots keep it across sweeps?",
+			misses, fullOldEPVPMissesCeiling)
 	}
 }

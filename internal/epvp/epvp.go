@@ -326,7 +326,9 @@ func (e *Engine) Ctx() symbolic.CompileContext { return e.ctx }
 // running bdd.Manager.Reclaim at stage boundaries — the pipeline does,
 // before SPF — must pass these as roots, along with any result routes they
 // retain themselves (the pipeline pins its cached artifacts instead). The
-// engine must be quiescent (no run in progress).
+// engine must be quiescent (no run in progress). A run's merge memo is not
+// among them: it lives for one run, whose round-end sweeps root it through
+// runRoots.
 func (e *Engine) Roots() []bdd.Node {
 	out := make([]bdd.Node, 0, 256)
 	out = append(out, e.permitAll.Nodes()...)
@@ -594,6 +596,12 @@ func (e *Engine) RunWarmContext(ctx context.Context, prior *Result, dirty []stri
 // restricted to the dirty closure.
 func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result, error) {
 	best := map[string][]*symbolic.Route{}
+	// Merge's BDD steps repeat across rounds (a router recomputed because
+	// one neighbor moved re-subtracts what the others still send), so one
+	// memo serves every fork for the whole run. It is listed in runRoots,
+	// which keeps its entries valid across the round-end sweeps, and it is
+	// dropped when the run returns.
+	memo := new(symbolic.MergeMemo)
 	var initialWork map[string]bool
 	if seed != nil {
 		initialWork = map[string]bool{}
@@ -625,7 +633,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		if r := e.originated(e.Net.Devices[name]); r != nil {
 			init = append(init, r)
 		}
-		best[name] = symbolic.Merge(e.Space, init)
+		best[name] = memo.Merge(e.Space, init)
 	}
 	extInit := map[string]*symbolic.Route{}
 	for _, name := range e.Net.Externals {
@@ -664,12 +672,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// Telemetry snapshot: counter reads happen only at round
 		// boundaries (forks quiescent), and only when tracing is on.
 		var roundStart time.Time
-		var nodes0, uhits0, ihits0, imiss0 int64
+		var nodes0, uhits0, ihits0, imiss0, mhits0, mmiss0 int64
 		frontier := len(changedLast)
 		if e.Trace.Enabled() {
 			roundStart = time.Now()
 			uhits0, nodes0 = e.Space.M.UniqueStats()
 			ihits0, imiss0 = e.memoStats(forks)
+			mhits0, mmiss0 = memo.Stats()
 		}
 		next := map[string][]*symbolic.Route{}
 		changedNow := map[string]bool{}
@@ -694,7 +703,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		outs := make([][]*symbolic.Route, len(work))
 		err := pool.Each(ctx, len(work), func(f *Engine, i int) {
 			// recompute fails only on cancellation, which Each reports.
-			if rs, err := f.recompute(ctx, work[i], best, extInit); err == nil {
+			if rs, err := f.recompute(ctx, work[i], best, extInit, memo); err == nil {
 				outs[i] = rs
 			}
 		})
@@ -728,7 +737,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		if !converged {
 			_, created := e.Space.M.UniqueStats()
 			relief = Relieve(e.Space.M, Pressure{Sift: created - siftFloor, Sweep: created - sweepFloor},
-				func() []bdd.Node { return e.runRoots(best, extInit, seed) })
+				func() []bdd.Node { return e.runRoots(best, extInit, seed, memo) })
 			if relief.Sifts+relief.Sweeps > 0 {
 				_, sweepFloor = e.Space.M.UniqueStats()
 				if relief.Sifts > 0 {
@@ -739,6 +748,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()
 			ihits1, imiss1 := e.memoStats(forks)
+			mhits1, mmiss1 := memo.Stats()
 			peak, _, _ := e.Space.M.Watermark()
 			e.Trace.Round(telemetry.RoundEvent{
 				Round:          iter + 1,
@@ -751,6 +761,8 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 				ITEMisses:      imiss1 - imiss0,
 				UniqueHits:     uhits1 - uhits0,
 				UniqueMisses:   nodes1 - nodes0,
+				MergeHits:      mhits1 - mhits0,
+				MergeMisses:    mmiss1 - mmiss0,
 				Reclaims:       relief.Sweeps,
 				ReclaimedNodes: relief.SweptNodes,
 				ReclaimNS:      relief.SweepNS,
@@ -813,11 +825,14 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 // runRoots gathers the BDD roots live at a round boundary: the round's
 // RIBs, the external wildcard seeds, the warm seed (a direct
 // RunWarmContext caller may retain the prior result without pinning it),
-// and the engine's cross-run roots (transfers and the edge memo). The
-// space's own cached predicates are pinned by NewSpace, and pipeline
-// artifacts pin their routes, so neither needs listing here.
-func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result) []bdd.Node {
-	roots := e.Roots()
+// the run's merge memo (operands and results, so its entries stay valid
+// across the sweep and a sift keeps their functions), and the engine's
+// cross-run roots (transfers and the edge memo). The space's own cached
+// predicates are pinned by NewSpace, and pipeline artifacts pin their
+// routes, so neither needs listing here. Nothing here is pinned: the run's
+// own roots live only as long as the run.
+func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, memo *symbolic.MergeMemo) []bdd.Node {
+	roots := memo.Roots(e.Roots())
 	for _, rs := range best {
 		for _, r := range rs {
 			roots = append(roots, r.U)
@@ -826,19 +841,22 @@ func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]
 	for _, r := range extInit {
 		roots = append(roots, r.U)
 	}
-	if seed != nil {
-		for _, rs := range seed.Best {
-			for _, r := range rs {
-				roots = append(roots, r.U)
-			}
-		}
-		for _, rs := range seed.ExternalRIB {
-			for _, r := range rs {
-				roots = append(roots, r.U)
+	return seed.roots(roots)
+}
+
+// roots appends the handles of every route r holds; a nil r holds none.
+func (r *Result) roots(out []bdd.Node) []bdd.Node {
+	if r == nil {
+		return out
+	}
+	for _, rib := range []map[string][]*symbolic.Route{r.Best, r.ExternalRIB} {
+		for _, rs := range rib {
+			for _, rt := range rs {
+				out = append(out, rt.U)
 			}
 		}
 	}
-	return roots
+	return out
 }
 
 // memoStats sums the cumulative ITE-memo counters across the engine's
@@ -856,21 +874,22 @@ func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
 }
 
 // recompute rebuilds one router's RIB from the previous round's state: its
-// candidates merged by preference. Reads only best/extInit (previous round,
-// immutable during the round) and the engine's shared read-only state, so
-// forks may run it concurrently for different routers.
-func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) ([]*symbolic.Route, error) {
+// candidates merged by preference through the run's merge memo. Reads only
+// best/extInit (previous round, immutable during the round), the engine's
+// shared read-only state and the striped memos, so forks may run it
+// concurrently for different routers.
+func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.MergeMemo) ([]*symbolic.Route, error) {
 	cands, err := e.candidates(ctx, v, best, extInit)
 	if err != nil {
 		return nil, err
 	}
-	return symbolic.Merge(e.ctx.Space, cands), nil
+	return memo.Merge(e.ctx.Space, cands), nil
 }
 
 // candidates collects what router v chooses among in one round: its own
 // originated route plus, per neighbor, the image of that neighbor's merged
 // RIB (or of its one wildcard or default route) under the edge's transfers
-// — the shape symbolic.Merge's tier invariant rests on.
+// — the shape symbolic.MergeMemo.Merge's tier invariant rests on.
 func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) ([]*symbolic.Route, error) {
 	var candidates []*symbolic.Route
 	if r := e.originated(e.Net.Devices[v]); r != nil {

@@ -14,7 +14,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
-// mergeChain is symbolic.Merge as it stood before the tiered loop, kept as
+// mergeChain is Merge as it stood before the tiered loop, kept as
 // the oracle: coalesce by AttrsKey, sort by preference, then subtract from
 // every Compare class the union of ALL strictly better classes, advancing
 // that union class by class. It assumes nothing about its input, so
@@ -66,7 +66,7 @@ func tierKey(r *symbolic.Route) string {
 
 // tierOverlap returns a description of two candidates of one tier that are
 // neither Compare-equal nor disjoint — a breach of the invariant
-// symbolic.Merge relies on — or "" when there is none. Within a tier only
+// Merge relies on — or "" when there is none. Within a tier only
 // Originator tells Compare classes apart, so the check is one running union
 // per tier: every Originator's union must miss the union of the others.
 func tierOverlap(s *symbolic.Space, cands []*symbolic.Route) string {
@@ -98,30 +98,52 @@ func tierOverlap(s *symbolic.Space, cands []*symbolic.Route) string {
 	return ""
 }
 
-// checkedFixedPoint drives e to its fixed point with a test-owned loop —
-// every router recomputed every round, from seed's RIBs where it has them
-// and the cold initial state elsewhere — and on every recompute asserts
-// the tier invariant on the real candidate list and Merge ≡ mergeChain,
-// route for route and handle for handle (Key embeds U's handle).
-func checkedFixedPoint(t *testing.T, e *Engine, seed map[string][]*symbolic.Route) map[string][]*symbolic.Route {
-	t.Helper()
-	ctx := context.Background()
-	best := map[string][]*symbolic.Route{}
+// initialState is a fixed-point loop's round-0 state: seed's RIBs where it
+// has them and the cold initial RIBs elsewhere, merged through memo, plus
+// the external wildcard seeds.
+func initialState(e *Engine, seed *Result, memo *symbolic.MergeMemo) (best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) {
+	best = map[string][]*symbolic.Route{}
 	for _, v := range e.Net.Internals {
-		if rs, ok := seed[v]; ok {
-			best[v] = rs
-			continue
+		if seed != nil {
+			if rs, ok := seed.Best[v]; ok {
+				best[v] = rs
+				continue
+			}
 		}
 		var init []*symbolic.Route
 		if r := e.originated(e.Net.Devices[v]); r != nil {
 			init = append(init, r)
 		}
-		best[v] = symbolic.Merge(e.Space, init)
+		best[v] = memo.Merge(e.Space, init)
 	}
-	extInit := map[string]*symbolic.Route{}
+	extInit = map[string]*symbolic.Route{}
 	for _, name := range e.Net.Externals {
 		extInit[name] = e.externalInit(name)
 	}
+	return best, extInit
+}
+
+// checkedFixedPoint drives e to its fixed point with a test-owned loop —
+// every router recomputed every round, from seed's RIBs where it has them
+// and the cold initial state elsewhere, through one merge memo kept across
+// rounds — and on every recompute asserts the tier invariant on the real
+// candidate list and Merge ≡ mergeChain, route for route and handle for
+// handle (Key embeds U's handle). With sweep set it sweeps e's manager
+// after the first round, rooted as Engine.run roots its own sweeps plus
+// keep (a result the caller still compares against), so every later round
+// checks memo hits against slots the sweep freed and the rounds reuse.
+//
+// A sweep empties every op cache, so the oracle round after it runs cold:
+// a sweep after every round tripled this package's time under -race, and
+// one after the first round in all three orders took it from 14 to 20 min
+// on 2 cores (region 4's blocked and shuffled runs are 9 min of the 14).
+// Memo validity across a sweep does not depend on the order, so the
+// caller sweeps under one.
+func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) map[string][]*symbolic.Route {
+	t.Helper()
+	ctx := context.Background()
+	memo := new(symbolic.MergeMemo)
+	best, extInit := initialState(e, seed, memo)
 	merges := 0
 	for round := 1; round <= 4*len(e.Net.Internals)+16; round++ {
 		next := map[string][]*symbolic.Route{}
@@ -134,7 +156,7 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed map[string][]*symbolic.Rout
 			if msg := tierOverlap(e.Space, cands); msg != "" {
 				t.Fatalf("round %d router %s: tier invariant broken: %s", round, v, msg)
 			}
-			next[v] = symbolic.Merge(e.Space, cands)
+			next[v] = memo.Merge(e.Space, cands)
 			got, want := symbolic.RIBKey(next[v]), symbolic.RIBKey(mergeChain(e.Space, cands))
 			if got != want {
 				t.Fatalf("round %d router %s (%d candidates): Merge differs from mergeChain\n got: %s\nwant: %s",
@@ -145,8 +167,12 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed map[string][]*symbolic.Rout
 		}
 		best = next
 		if !changed {
-			t.Logf("%d rounds, %d merges checked", round, merges)
+			hits, misses := memo.Stats()
+			t.Logf("%d rounds, %d merges checked, merge memo %d hits of %d lookups", round, merges, hits, hits+misses)
 			return best
+		}
+		if sweep && round == 1 {
+			e.Space.M.Reclaim(keep.roots(e.runRoots(best, extInit, seed, memo))...)
 		}
 	}
 	t.Fatal("test loop did not converge")
@@ -277,7 +303,7 @@ func TestMergeMatchesChainOracle(t *testing.T) {
 				if !res.Converged {
 					t.Fatal("Engine.Run did not converge")
 				}
-				sameRIBs(t, e, checkedFixedPoint(t, e, nil), res)
+				sameRIBs(t, e, checkedFixedPoint(t, e, nil, res, order == "interleaved"), res)
 
 				unchanged := map[string]bool{}
 				for _, v := range netDelta.Internals {
@@ -291,7 +317,7 @@ func TestMergeMatchesChainOracle(t *testing.T) {
 				if err != nil || !warmRes.Converged {
 					t.Fatalf("warm run: converged=%v err=%v", warmRes != nil && warmRes.Converged, err)
 				}
-				sameRIBs(t, warm, checkedFixedPoint(t, warm, res.Best), warmRes)
+				sameRIBs(t, warm, checkedFixedPoint(t, warm, res, warmRes, order == "interleaved"), warmRes)
 			})
 		}
 	}

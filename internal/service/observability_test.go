@@ -211,6 +211,12 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		}
 	}
 
+	// A warm start needs a registered baseline; the HELP text says so.
+	const warmHelp = "SRC computations warm-started from a registered baseline's fixed point."
+	if w, ok := families["expresso_warm_starts_total"]; !ok || w.help != warmHelp {
+		t.Errorf("expresso_warm_starts_total HELP = %+v, want %q", w, warmHelp)
+	}
+
 	// Queue gauges: nothing is waiting after two Wait=true jobs.
 	for _, name := range []string{"expresso_queue_depth", "expresso_queue_oldest_seconds"} {
 		g, ok := families[name]

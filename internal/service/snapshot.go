@@ -222,7 +222,7 @@ func (sn *Snapshot) WriteMetrics(w io.Writer) {
 		for _, st := range sn.Cache {
 			warms += st.WarmStarts
 		}
-		counter("expresso_warm_starts_total", "SRC computations warm-started from a cached fixed point.", float64(warms))
+		counter("expresso_warm_starts_total", "SRC computations warm-started from a registered baseline's fixed point.", float64(warms))
 	}
 	if st := sn.Store; st != nil {
 		counter("expresso_store_hits_total", "Artifact-store blobs served (corrupt blobs count as misses).", float64(st.Hits))

@@ -206,7 +206,11 @@ func Compare(a, b *Route) int {
 // full, and epvp's TestMergeMatchesChainOracle asserts the invariant and
 // equality with the old per-class chain on every recompute. Any other
 // caller must supply lists with the same property.
-func Merge(s *Space, routes []*Route) []*Route {
+//
+// Both BDD steps — a member's U \ blocked and a tier's blocked ∨ survivors
+// — go through m (see MergeMemo); a one-shot caller passes a fresh memo.
+// Every BDD operation runs on s's worker.
+func (m *MergeMemo) Merge(s *Space, routes []*Route) []*Route {
 	// Coalesce by attributes first; a candidate is cloned only when a
 	// second one with its AttrsKey arrives (on measured networks none does).
 	at := make(map[string]int, len(routes))
@@ -241,7 +245,7 @@ func Merge(s *Space, routes []*Route) []*Route {
 		}
 		kept = kept[:0]
 		for _, r := range list[i:j] {
-			u := s.W.Diff(r.U, blocked)
+			u := m.diff(s.W, r.U, blocked)
 			if u == bdd.False {
 				continue
 			}
@@ -251,7 +255,7 @@ func Merge(s *Space, routes []*Route) []*Route {
 			kept = append(kept, u)
 		}
 		if len(kept) > 0 {
-			blocked = s.W.Or(blocked, orBalanced(s.W, kept))
+			blocked = m.union(s.W, blocked, kept)
 		}
 		i = j
 	}

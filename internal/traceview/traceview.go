@@ -49,8 +49,8 @@ func signedNS(v int64) string {
 
 // Summarize writes the per-stage table — duration, cache provenance and
 // warm-start seed, share of total — followed by the EPVP convergence
-// aggregates (rounds, BDD growth, reclaim effectiveness), the SPF event
-// counts, and the watermark footer when present.
+// aggregates (rounds, BDD growth, reclaim effectiveness, merge-memo
+// hits), the SPF event counts, and the watermark footer when present.
 func Summarize(w io.Writer, tr *telemetry.Trace) {
 	fmt.Fprintf(w, "trace %s  workers=%d  duration=%s\n", tr.Digest, tr.Workers, ns(tr.Duration))
 	if tr.Mode != "" {
@@ -82,8 +82,11 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 	if len(tr.EPVPRounds) > 0 {
 		var growth, reclaims, freed, pause, peak int64
 		var reorders, roSwaps, roFreed, roPause int64
+		var mergeHits, mergeLookups int64
 		for _, r := range tr.EPVPRounds {
 			growth += r.BDDGrowth
+			mergeHits += r.MergeHits
+			mergeLookups += r.MergeHits + r.MergeMisses
 			reclaims += r.Reclaims
 			freed += r.ReclaimedNodes
 			pause += r.ReclaimNS
@@ -104,6 +107,7 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 		} else {
 			fmt.Fprintf(w, "reclaim: no sweeps triggered\n")
 		}
+		fmt.Fprintf(w, "epvp merge memo: %d hits of %d lookups\n", mergeHits, mergeLookups)
 		if reorders > 0 {
 			fmt.Fprintf(w, "reorder: %d sifts (%d swaps) freed %d nodes in %s\n",
 				reorders, roSwaps, roFreed, ns(roPause))

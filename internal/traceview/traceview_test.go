@@ -143,3 +143,17 @@ func TestTopWithoutWatermarkErrors(t *testing.T) {
 		t.Fatal("want error for a trace without a watermark section")
 	}
 }
+
+func TestSummarizeMergeMemo(t *testing.T) {
+	tr := trace(span("src", "miss", 10))
+	tr.EPVPRounds = []telemetry.RoundEvent{
+		{Round: 1, MergeMisses: 7, BDDGrowth: 100},
+		{Round: 2, MergeHits: 5, MergeMisses: 2, BDDGrowth: 50, Reclaims: 1, ReclaimedNodes: 30},
+	}
+	var sum strings.Builder
+	Summarize(&sum, tr)
+	want := "reclaim: 1 sweeps freed 30 nodes in 0s (20.0% of round growth)\nepvp merge memo: 5 hits of 14 lookups\n"
+	if !strings.Contains(sum.String(), want) {
+		t.Fatalf("summary missing %q:\n%s", want, sum.String())
+	}
+}

@@ -16,7 +16,7 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci fmt vet staticcheck build test race race-parallel reclaim-matrix race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check reorder-check alloc-guard loc
+.PHONY: ci fmt vet staticcheck build test race race-parallel reclaim-matrix race-service bench bench-compare paper-quick store-check fuzz-smoke gate-check trace-check alloc-guard loc
 
 ci: fmt vet staticcheck build race race-parallel reclaim-matrix fuzz-smoke alloc-guard
 
@@ -126,17 +126,6 @@ gate-check:
 trace-check:
 	$(GO) test . -run 'TestTraceDiffGolden|TestVerifyTextTrace|TestVerifyTrace' -count=1
 	$(GO) test -count=1 ./internal/traceview/
-
-# Developer shortcut, not a CI step (`race` runs every test here): dynamic
-# reordering's forced-sifting determinism matrix (byte-identical reports
-# across worker counts, reclamation schedules, and a
-# disk-warm restart), the static-order testnet assertion, and the sifting
-# engine's unit suite (swap canonicity, order-independent fingerprints,
-# cross-order serialization).
-reorder-check:
-	$(GO) test . -run 'TestReorderDeterminismMatrix|TestReorderDiskWarmByteIdentical' -count=1 -timeout 15m
-	$(GO) test ./internal/epvp/ -run 'TestInterleavedOrderShrinksTestnet' -count=1
-	$(GO) test -count=1 ./internal/bdd/
 
 # Allocation-regression guard: one cold region-1 verification must stay
 # under the byte and object ceilings in alloc_guard_test.go, its policy

@@ -3,118 +3,74 @@ package expresso
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
-
-	"github.com/expresso-verify/expresso/internal/bdd"
-	"github.com/expresso-verify/expresso/internal/netgen"
-	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
-// TestReorderDeterminismMatrix is the acceptance check of dynamic
-// variable reordering: with a tiny EXPRESSO_REORDER budget forcing sift
-// passes at every EPVP round boundary and before SPF, reports must stay
-// byte-identical to a reorder-off sequential baseline across worker
-// counts and reclamation schedules. This only holds because sifting runs
-// at the same schedule-independent quiescent barriers as reclamation,
-// picks its candidates from the canonical node set, and everything
-// report-visible (fingerprints, witnesses, counts) is order-independent.
-func TestReorderDeterminismMatrix(t *testing.T) {
-	fixtures := []struct {
-		name string
-		cfg  string
-		opts Options
-	}{
-		{"figure4", testnet.Figure4, Options{}},
-		{"case1-blackhole", testnet.Case1Blackhole,
-			Options{Properties: []Kind{RouteLeakFree, BlackHoleFree, LoopFree}}},
-		{"region1-small", netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3)),
-			Options{Properties: []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}}},
-	}
-	for _, f := range fixtures {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			net, err := Load(f.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Baseline: sequential, no reordering, no reclamation.
-			t.Setenv("EXPRESSO_REORDER", "off")
-			t.Setenv("EXPRESSO_RECLAIM", "off")
-			seq := f.opts
-			seq.Workers = 1
-			repOff, err := net.Verify(seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := reportJSON(t, repOff)
-
-			t.Setenv("EXPRESSO_REORDER", "200")
-			before := bdd.GlobalReorderStats().Runs
-			for _, reclaim := range []string{"off", "200"} {
-				t.Setenv("EXPRESSO_RECLAIM", reclaim)
-				for _, workers := range []int{1, 4} {
-					opts := f.opts
-					opts.Workers = workers
-					rep, err := net.Verify(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := reportJSON(t, rep); string(got) != string(want) {
-						t.Fatalf("workers=%d reclaim=%s with forced sifting differs from reorder-off baseline:\n--- off ---\n%s\n--- sift ---\n%s",
-							workers, reclaim, want, got)
-					}
-				}
-			}
-			if after := bdd.GlobalReorderStats().Runs; after == before {
-				t.Fatal("forced budget triggered no reorder passes; the matrix asserted nothing")
-			}
-		})
-	}
-}
-
-// TestReorderDiskWarmByteIdentical closes the matrix's last axis: a
-// process restart that serves every stage from the on-disk artifact
-// store (XBDD v2 blobs exported from a reordered manager, re-imported
-// and re-canonicalized under a fresh manager's order) must still produce
-// the reorder-off baseline's bytes while sifting is forced on.
+// TestReorderDiskWarmByteIdentical: blobs exported from a manager whose
+// variable order a sift has permuted restore in a fresh process to the
+// report a scratch run gives. The engine never sifts, so the test sifts a
+// registered baseline's manager itself (bdd.Manager.Reorder); a delta
+// against the baseline then builds every stage in that manager and writes
+// each through to the store (XBDD blobs carrying the sifted order), and a
+// restarted verifier serves the stages from those blobs, re-imported
+// under its own static order.
 func TestReorderDiskWarmByteIdentical(t *testing.T) {
-	cfg := netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))
+	base, delta := regionDelta()
 	ctx := context.Background()
-	opts := Options{Workers: 1, Properties: []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}}
-
-	t.Setenv("EXPRESSO_REORDER", "off")
-	t.Setenv("EXPRESSO_RECLAIM", "off")
-	net, err := Load(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repOff, err := net.Verify(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportJSON(t, repOff)
-
-	t.Setenv("EXPRESSO_REORDER", "200")
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			wopts := opts
-			wopts.Workers = workers
+			opts := Options{Workers: workers, Properties: storeProps}
+			want := scratchReport(t, delta, opts)
+
 			dir := t.TempDir()
-			cold := NewVerifier(VerifierConfig{StoreDir: dir})
-			repCold, _, err := cold.VerifyText(ctx, cfg, wopts)
+			v := NewVerifier(VerifierConfig{StoreDir: dir})
+			if _, _, err := v.RegisterBaseline(ctx, "prod", base, opts); err != nil {
+				t.Fatal(err)
+			}
+			// Nothing else runs on the manager, and the baseline's pins
+			// root everything it keeps.
+			b, _ := v.baselines.Get("prod")
+			m := b.SRC.Eng.Space.M
+			before := m.Order()
+			m.Reorder()
+			if reflect.DeepEqual(before, m.Order()) {
+				t.Fatal("Reorder left the baseline's order unchanged; the test asserts nothing")
+			}
+			rep, info, err := v.VerifyTextFrom(ctx, "prod", delta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := reportJSON(t, repCold); string(got) != string(want) {
-				t.Fatalf("cold store run with forced sifting differs from baseline:\n--- off ---\n%s\n--- cold ---\n%s", want, got)
+			if s := stageStatus(info, "src"); s != StageWarm {
+				t.Fatalf("delta src %s, want warm in the sifted manager", s)
 			}
-			warm := NewVerifier(VerifierConfig{StoreDir: dir})
-			repWarm, _, err := warm.VerifyText(ctx, cfg, wopts)
-			if err != nil {
-				t.Fatal(err)
+			if got := normalizedJSON(t, rep); got != want {
+				t.Fatalf("delta in the sifted manager differs from scratch:\n--- scratch ---\n%s\n--- delta ---\n%s", want, got)
 			}
-			if got := reportJSON(t, repWarm); string(got) != string(want) {
-				t.Fatalf("disk-warm run with forced sifting differs from baseline:\n--- off ---\n%s\n--- warm ---\n%s", want, got)
+
+			// Two restarts. The first asks what the delta asked, so every
+			// stage comes off disk. The second asks for other properties, so
+			// both analyses run on the imported SRC and SPF graphs instead
+			// of replaying stored violations: an import that misread the
+			// sifted order changes its report.
+			other := Options{Workers: workers, Properties: []Kind{RouteLeakFree, TrafficHijackFree, BlackHoleFree}}
+			for _, o := range []struct {
+				opts   Options
+				stages []string
+			}{{opts, persistedStages}, {other, []string{"src", "spf"}}} {
+				restarted := NewVerifier(VerifierConfig{StoreDir: dir})
+				rep, info, err := restarted.VerifyText(ctx, delta, o.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, stage := range o.stages {
+					if s := stageStatus(info, stage); s != StageDisk {
+						t.Errorf("stage %s status = %q, want %q (stages: %+v)", stage, s, StageDisk, info.Stages)
+					}
+				}
+				if got, want := normalizedJSON(t, rep), scratchReport(t, delta, o.opts); got != want {
+					t.Errorf("%v from sifted blobs differs from scratch:\n--- scratch ---\n%s\n--- disk ---\n%s", o.opts.Properties, want, got)
+				}
 			}
 		})
 	}

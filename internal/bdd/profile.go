@@ -71,9 +71,6 @@ type Profile struct {
 	// it differs from the identity — i.e. after NewOrdered/SetOrder or a
 	// Reorder run.
 	Order []int `json:"order,omitempty"`
-	// Reorder summarizes dynamic-reordering activity, present once a
-	// Reorder has run.
-	Reorder *ReorderStats `json:"reorder,omitempty"`
 }
 
 // TopLevels returns the n largest levels by live-node count (all of them
@@ -171,9 +168,6 @@ func (m *Manager) Profile() Profile {
 			p.Order = m.Order()
 			break
 		}
-	}
-	if rs := m.ReorderStats(); rs.Runs > 0 {
-		p.Reorder = &rs
 	}
 	if p.LiveNodes > 0 {
 		p.ComplementShare = float64(p.ComplementEdges) / float64(p.LiveNodes)

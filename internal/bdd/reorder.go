@@ -2,7 +2,6 @@ package bdd
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,12 +17,11 @@ import (
 //
 // Like Reclaim, Reorder requires full quiescence: no other goroutine may
 // touch the Manager during the call, and goroutines resuming afterwards
-// must be ordered after it. The engine invokes it only at the same
-// schedule-independent barriers as reclamation (EPVP round ends, the
-// pre-SPF handoff), which is what keeps reports byte-identical across
-// worker counts and reorder schedules: at a quiescent point the canonical
-// node set is a pure function of the verified network, so the sift
-// (candidates, swap sequence, final order) is too.
+// must be ordered after it. The engine's barriers never call it (they only
+// sweep); tests use it to build non-default orders, and the benchmark's
+// pre-SPF barrier sifts with it. At a quiescent point the canonical node
+// set is a pure function of what was built, so the sift (candidates, swap
+// sequence, final order) is too.
 
 // Default sifting bounds: how many variables one Reorder call sifts (the
 // fattest levels first) and the transient growth factor that aborts a
@@ -90,27 +88,6 @@ func (m *Manager) ReorderStats() ReorderStats {
 		Freed: m.roFreed.Load(),
 		Pause: time.Duration(m.roPause.Load()),
 		Last:  last,
-	}
-}
-
-// Process-wide reordering aggregates across every Manager, mirroring the
-// reclamation globals: managers come and go with verification chains,
-// /metrics scrapes need monotone counters.
-var (
-	globalRoRuns  atomic.Int64
-	globalRoSwaps atomic.Int64
-	globalRoFreed atomic.Int64
-	globalRoPause atomic.Int64
-)
-
-// GlobalReorderStats returns the process-wide reordering counters summed
-// over all managers, past and present. Last is always zero here.
-func GlobalReorderStats() ReorderStats {
-	return ReorderStats{
-		Runs:  globalRoRuns.Load(),
-		Swaps: globalRoSwaps.Load(),
-		Freed: globalRoFreed.Load(),
-		Pause: time.Duration(globalRoPause.Load()),
 	}
 }
 
@@ -196,10 +173,6 @@ func (m *Manager) ReorderWith(o ReorderOptions, roots ...Node) ReorderResult {
 	m.roSwaps.Add(res.Swaps)
 	m.roFreed.Add(res.Freed)
 	m.roPause.Add(int64(res.Pause))
-	globalRoRuns.Add(1)
-	globalRoSwaps.Add(res.Swaps)
-	globalRoFreed.Add(res.Freed)
-	globalRoPause.Add(int64(res.Pause))
 	m.reorderMu.Lock()
 	m.lastReorder = res
 	m.reorderMu.Unlock()

@@ -264,9 +264,6 @@ func TestReorderRespectsPinsAndStats(t *testing.T) {
 	if g2 := m.And(m.Var(0), m.Var(1)); g2 != g {
 		t.Fatalf("pinned handle no longer canonical after reorder")
 	}
-	if before := GlobalReorderStats(); before.Runs < 1 {
-		t.Fatalf("global reorder stats not bumped: %+v", before)
-	}
 }
 
 func TestReorderOnEmptyAndTinyManagers(t *testing.T) {

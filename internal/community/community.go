@@ -1,6 +1,5 @@
 // Package community implements atomic predicates over BGP communities and
-// the two symbolic community-list encodings Expresso evaluates (§4.2 and
-// Figure 7a of the paper).
+// the symbolic community-list encoding Expresso uses (§4.2 of the paper).
 //
 // A community atom is an equivalence class of communities: two communities
 // are in the same atom iff exactly the same set of configuration
@@ -9,15 +8,13 @@
 // mentioned communities by their expression-membership signature; all
 // unmentioned communities form one catch-all atom.
 //
-// A symbolic community list is a set of concrete community lists. Both
-// encodings abstract a concrete list to the set of atoms it intersects
-// (exact for policy matching, since policies only test intersection with
-// expressions, which are unions of atoms):
-//
-//   - Space encodes the set as a BDD over one boolean variable per atom
-//     ("the list contains a community in atom i"). This is the default.
-//   - SetList encodes the set explicitly as a set of atom subsets, the
-//     paper's 2^CA representation, used for the Figure 7a comparison.
+// A symbolic community list is a set of concrete community lists. Space
+// abstracts a concrete list to the set of atoms it intersects (exact for
+// policy matching, since policies only test intersection with expressions,
+// which are unions of atoms) and encodes the set as a BDD over one boolean
+// variable per atom ("the list contains a community in atom i"). Figure
+// 7a's comparison encoding, an automaton over community lists, lives in
+// internal/altenc.
 package community
 
 import (

@@ -135,104 +135,59 @@ func TestSpaceFromConcrete(t *testing.T) {
 	}
 }
 
-func TestSetListMirrorsSpace(t *testing.T) {
-	// Property: a random sequence of operations applied to both encodings
-	// yields the same set of member masks.
+// TestSpaceMirrorsConcreteLists: a random sequence of add, delete and
+// match operations applied to 2^CA yields the BDD whose models are
+// exactly the concrete lists (atom masks) the same sequence produces when
+// applied to each list one at a time.
+func TestSpaceMirrorsConcreteLists(t *testing.T) {
 	a := computeAtoms([]config.CommunityExpr{exprOf(t, "1:1"), exprOf(t, "2:2"), exprOf(t, "3:3")})
 	s := NewSpace(a)
 	k := a.Count
-
-	type op struct {
-		kind int
-		atom int
-	}
-	apply := func(ops []op) bool {
-		sl := AllSetList(k)
+	check := func(kinds, atoms []uint8) bool {
 		n := s.All()
-		for _, o := range ops {
-			atom := o.atom % k
-			if atom < 0 {
-				atom = -atom
+		lists := map[uint64]bool{}
+		for mask := uint64(0); mask < 1<<k; mask++ {
+			lists[mask] = true
+		}
+		for i := 0; i < len(kinds) && i < len(atoms) && i < 8; i++ {
+			atom := int(atoms[i]) % k
+			bit := uint64(1) << atom
+			next := map[uint64]bool{}
+			for m := range lists {
+				switch kinds[i] % 3 {
+				case 0:
+					next[m|bit] = true
+				case 1:
+					next[m&^bit] = true
+				case 2:
+					if m&bit != 0 {
+						next[m] = true
+					}
+				}
 			}
-			switch o.kind % 3 {
+			lists = next
+			switch kinds[i] % 3 {
 			case 0:
-				sl = sl.Add(atom)
 				n = s.Add(n, atom)
 			case 1:
-				sl = sl.Delete([]int{atom})
 				n = s.Delete(n, []int{atom})
 			case 2:
-				sl = sl.MatchAny([]int{atom})
 				n = s.M.And(n, s.MatchAny([]int{atom}))
 			}
 		}
-		// Compare: every mask in 0..2^k-1 must be in sl iff the BDD accepts
-		// the corresponding assignment.
 		for mask := uint64(0); mask < 1<<k; mask++ {
 			assign := map[int]bool{}
 			for i := 0; i < k; i++ {
 				assign[i] = mask&(1<<i) != 0
 			}
-			if s.M.Eval(n, assign) != sl.ContainsMask(mask) {
+			if s.M.Eval(n, assign) != lists[mask] {
 				return false
 			}
 		}
 		return true
 	}
-	check := func(kinds, atoms []int) bool {
-		nops := len(kinds)
-		if len(atoms) < nops {
-			nops = len(atoms)
-		}
-		if nops > 8 {
-			nops = 8
-		}
-		ops := make([]op, nops)
-		for i := range ops {
-			ops[i] = op{kinds[i], atoms[i]}
-		}
-		return apply(ops)
-	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSetListOperations(t *testing.T) {
-	all := AllSetList(3)
-	if all.Size() != 8 {
-		t.Errorf("AllSetList(3) size = %d, want 8", all.Size())
-	}
-	empty := EmptySetList()
-	if empty.Size() != 1 || !empty.ContainsMask(0) {
-		t.Error("EmptySetList malformed")
-	}
-	added := all.Add(0)
-	if added.Size() != 4 {
-		t.Errorf("after Add size = %d, want 4", added.Size())
-	}
-	for _, m := range []uint64{1, 3, 5, 7} {
-		if !added.ContainsMask(m) {
-			t.Errorf("mask %d missing after Add", m)
-		}
-	}
-	matched := all.MatchAny([]int{1})
-	if matched.Size() != 4 {
-		t.Errorf("MatchAny size = %d, want 4", matched.Size())
-	}
-	none := all.MatchNone([]int{1})
-	if none.Size() != 4 {
-		t.Errorf("MatchNone size = %d, want 4", none.Size())
-	}
-	if u := matched.Union(none); !u.Equal(all) {
-		t.Error("MatchAny ∪ MatchNone should be All")
-	}
-	deleted := all.Delete([]int{0, 1, 2})
-	if !deleted.Equal(EmptySetList()) {
-		t.Error("deleting every atom should leave only the empty list")
-	}
-	if matched.MatchNone([]int{1}).Size() != 0 {
-		t.Error("contradictory restriction should be empty")
 	}
 }
 

@@ -647,12 +647,11 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		ExternalRIB: map[string][]*symbolic.Route{},
 	}
 	// Between-round memory pressure is hash-consing growth: the created
-	// counter's advance since the last sift (siftFloor) and since the last
-	// sift or sweep (sweepFloor). created at a round boundary is a pure
-	// function of the canonical node set, so Relieve fires in the same
-	// rounds for every worker count (the determinism invariant).
-	_, siftFloor := e.Space.M.UniqueStats()
-	sweepFloor := siftFloor
+	// counter's advance since the last sweep (sweepFloor). created at a
+	// round boundary is a pure function of the canonical node set, so
+	// Relieve fires in the same rounds for every worker count (the
+	// determinism invariant).
+	_, sweepFloor := e.Space.M.UniqueStats()
 	pool := NewPool(e.WorkerCount(), e, e.fork)
 	forks := pool.Forks
 	// Synchronous rounds with change tracking: a router recomputes only
@@ -728,21 +727,18 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// cheap enough to run whether or not tracing is on.
 		e.Space.M.NoteWatermark()
 		// Once enough new nodes have been hash-consed, free everything
-		// unreachable from the round's live state, by a sweep or by the
-		// sift pass that subsumes one. The forks are quiescent here
-		// (Each has returned), and the next round's goroutines start after
-		// this point, satisfying the quiescence contract; worker memos
-		// invalidate lazily via the manager's generation counter.
+		// unreachable from the round's live state by a sweep. The forks
+		// are quiescent here (Each has returned), and the next round's
+		// goroutines start after this point, satisfying the quiescence
+		// contract; worker memos invalidate lazily via the manager's
+		// generation counter.
 		var relief Relief
 		if !converged {
 			_, created := e.Space.M.UniqueStats()
-			relief = Relieve(e.Space.M, Pressure{Sift: created - siftFloor, Sweep: created - sweepFloor},
+			relief = Relieve(e.Space.M, created-sweepFloor,
 				func() []bdd.Node { return e.runRoots(best, extInit, seed, memo) })
-			if relief.Sifts+relief.Sweeps > 0 {
+			if relief.Sweeps > 0 {
 				_, sweepFloor = e.Space.M.UniqueStats()
-				if relief.Sifts > 0 {
-					siftFloor = sweepFloor
-				}
 			}
 		}
 		if e.Trace.Enabled() {
@@ -766,10 +762,6 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 				Reclaims:       relief.Sweeps,
 				ReclaimedNodes: relief.SweptNodes,
 				ReclaimNS:      relief.SweepNS,
-				Reorders:       relief.Sifts,
-				ReorderSwaps:   relief.Sift.Swaps,
-				ReorderFreed:   relief.Sift.Freed,
-				ReorderNS:      int64(relief.Sift.Pause),
 				BDDPeak:        peak,
 				Duration:       time.Since(roundStart).Nanoseconds(),
 			})
@@ -826,11 +818,10 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 // RIBs, the external wildcard seeds, the warm seed (a direct
 // RunWarmContext caller may retain the prior result without pinning it),
 // the run's merge memo (operands and results, so its entries stay valid
-// across the sweep and a sift keeps their functions), and the engine's
-// cross-run roots (transfers and the edge memo). The space's own cached
-// predicates are pinned by NewSpace, and pipeline artifacts pin their
-// routes, so neither needs listing here. Nothing here is pinned: the run's
-// own roots live only as long as the run.
+// across the sweep), and the engine's cross-run roots (transfers and the
+// edge memo). The space's own cached predicates are pinned by NewSpace,
+// and pipeline artifacts pin their routes, so neither needs listing here.
+// Nothing here is pinned: the run's own roots live only as long as the run.
 func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, memo *symbolic.MergeMemo) []bdd.Node {
 	roots := memo.Roots(e.Roots())
 	for _, rs := range best {

@@ -117,7 +117,7 @@ type managerLock struct {
 }
 
 // relieveWarm is a warm run's pre-SPF barrier rule, applied after the
-// budgets of epvp.Relieve: sweep once the manager's live population is
+// budget of epvp.Relieve: sweep once the manager's live population is
 // twice its floor. A warm run's own growth is a few thousand nodes, far
 // below any budget, so without this the dead nodes of every delta against
 // a pinned baseline accumulate in its manager. The floor is set once and

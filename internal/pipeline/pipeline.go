@@ -437,16 +437,15 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 			// The fixed point's intermediates are garbage now, and SPF is
 			// about to add 33 data-plane variables per neighbor and build a
 			// large fresh population on top, so this is a barrier worth a
-			// sweep or a sift when the live population is over budget (small
-			// runs never pause), and for a warm run, when its manager has
-			// doubled since its first warm run (managerLock.relieveWarm).
+			// sweep when the live population is over budget (small runs
+			// never pause), and for a warm run, when its manager has doubled
+			// since its first warm run (managerLock.relieveWarm).
 			// The roots are this request's working set — pins cover what src
 			// keeps, but a routing artifact pushed out of its table
 			// mid-request must survive its own run too.
 			roots := func() []bdd.Node { return append(src.handles(), routing.handles()...) }
-			live := int64(m.NumNodes())
-			relief := epvp.Relieve(m, epvp.Pressure{Sift: live, Sweep: live}, roots)
-			if src.warm && relief.Sifts+relief.Sweeps == 0 {
+			relief := epvp.Relieve(m, int64(m.NumNodes()), roots)
+			if src.warm && relief.Sweeps == 0 {
 				src.runLock.relieveWarm(m, roots)
 			}
 			// The engine may have converged for another request, or been

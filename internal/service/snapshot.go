@@ -31,9 +31,8 @@ type Snapshot struct {
 	Baselines                  int
 	Cache                      []expresso.StageCacheStat
 	Store                      *expresso.StoreStats // nil without a store
-	// Reclaim and Reorder are process-wide totals over all BDD managers.
+	// Reclaim is the process-wide sweep total over all BDD managers.
 	Reclaim bdd.ReclaimStats
-	Reorder bdd.ReorderStats
 	Runtime debugStats
 	// Managers profiles every live BDD manager (registered baselines and
 	// cached SRC artifacts). Only read when asked for: each profile is an
@@ -90,7 +89,6 @@ func (s *Server) Snapshot(profiles bool) *Snapshot {
 		Baselines:     s.verifier.BaselineCount(),
 		Cache:         s.verifier.CacheStats(),
 		Reclaim:       bdd.GlobalReclaimStats(),
-		Reorder:       bdd.GlobalReorderStats(),
 	}
 	sn.Runtime = debugStats{
 		Goroutines:   runtime.NumGoroutine(),
@@ -135,18 +133,16 @@ func (sn *Snapshot) health() (int, any) {
 	return http.StatusOK, healthStatus{"ok", sn.Build}
 }
 
-// debugBDD is the GET /debug/bdd body: one profile per live BDD manager —
-// with its current variable order and last-sift detail when reordering has
-// run — plus the process-wide reclamation and reordering totals.
+// debugBDD is the GET /debug/bdd body: one profile per live BDD manager
+// plus the process-wide reclamation totals.
 type debugBDD struct {
 	Managers []expresso.BDDProfile `json:"managers"`
 	Reclaim  bdd.ReclaimStats      `json:"reclaim"`
-	Reorder  bdd.ReorderStats      `json:"reorder"`
 	Time     time.Time             `json:"time"`
 }
 
 func (sn *Snapshot) profiles() (int, any) {
-	return http.StatusOK, debugBDD{sn.Managers, sn.Reclaim, sn.Reorder, sn.Time}
+	return http.StatusOK, debugBDD{sn.Managers, sn.Reclaim, sn.Time}
 }
 
 // WriteMetrics renders the snapshot in Prometheus text exposition format.
@@ -194,10 +190,6 @@ func (sn *Snapshot) WriteMetrics(w io.Writer) {
 	counter("expresso_bdd_reclaims_total", "Dead-node sweeps across all BDD managers.", float64(sn.Reclaim.Runs))
 	counter("expresso_bdd_reclaimed_nodes_total", "Slab slots freed by dead-node sweeps.", float64(sn.Reclaim.Freed))
 	counter("expresso_bdd_reclaim_pause_seconds_total", "Cumulative stop-the-world sweep pause.", sn.Reclaim.Pause.Seconds())
-	counter("expresso_bdd_reorders_total", "Dynamic variable-reordering (sifting) passes across all BDD managers.", float64(sn.Reorder.Runs))
-	counter("expresso_bdd_reorder_nodes_freed_total", "Live nodes eliminated by reordering passes.", float64(sn.Reorder.Freed))
-	counter("expresso_bdd_reorder_swaps_total", "Adjacent-level swaps executed by reordering passes.", float64(sn.Reorder.Swaps))
-	counter("expresso_bdd_reorder_pause_seconds_total", "Cumulative stop-the-world reordering pause.", sn.Reorder.Pause.Seconds())
 
 	// The cumulative stage families are the stage histograms' sums and count.
 	for _, s := range sn.Stages {

@@ -156,23 +156,17 @@ func (r *Result) Nodes() []bdd.Node {
 
 // Run executes symbolic packet forwarding over an EPVP result.
 func Run(eng *epvp.Engine, cp *epvp.Result) *Result {
-	r, _ := RunContext(context.Background(), eng, cp)
+	r, _ := RunTraced(context.Background(), eng, cp, nil)
 	return r
 }
 
-// RunContext executes symbolic packet forwarding, checking ctx between FIB
+// RunTraced executes symbolic packet forwarding, checking ctx between FIB
 // compilations and between packet-traversal steps so a cancelled or expired
-// context aborts the stage promptly. On cancellation it returns a nil
-// Result and ctx.Err().
-func RunContext(ctx context.Context, eng *epvp.Engine, cp *epvp.Result) (*Result, error) {
-	return RunTraced(ctx, eng, cp, nil)
-}
-
-// RunTraced is RunContext with a run-scoped tracer attached: it records
-// one telemetry.FIBEvent per router's FIB compilation, one ForwardEvent
-// per injection point's traversal, and the PEC-coalescing pass sizes. A
-// nil tracer is the zero-overhead disabled path (RunContext delegates
-// here with nil).
+// context aborts the stage promptly; on cancellation it returns a nil
+// Result and ctx.Err(). A run-scoped tracer records one
+// telemetry.FIBEvent per router's FIB compilation, one ForwardEvent per
+// injection point's traversal, and the PEC-coalescing pass sizes; a nil
+// tracer is the zero-overhead disabled path.
 func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telemetry.Tracer) (*Result, error) {
 	r := &Result{
 		FIBs:                map[string]*FIB{},

@@ -16,8 +16,7 @@ import (
 // recomputation would build — provided no key or result handle has been
 // freed and its slot reused since it was stored. Whoever runs a dead-node
 // sweep while the memo is in use must therefore keep Roots live (EPVP lists
-// them among its run roots; pinning them would outlive the run). A sift
-// keeps every rooted handle's function, so entries survive one too.
+// them among its run roots; pinning them would outlive the run).
 //
 // One memo serves concurrent Merge calls, each on its own bdd.Worker: it is
 // lock-striped, and two callers racing on one key store the same canonical

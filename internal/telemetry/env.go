@@ -78,19 +78,15 @@ func ReclaimBudgetFromEnv() (budget int, enabled bool) {
 	return budgetFromEnv("EXPRESSO_RECLAIM", DefaultReclaimBudget, &warnedReclaim)
 }
 
-// DefaultReorderBudget is the dynamic-variable-reordering trigger when
-// EXPRESSO_REORDER is unset: sift once at least this many nodes have been
-// hash-consed since the last reorder (or the start of the run). Sifting is
-// a far heavier pause than a sweep, so the default budget is deliberately
-// high — region-scale verifications never trigger it; it exists for the
-// full-snapshot runs whose live population would otherwise exceed memory.
-// Tests and benchmarks force tiny budgets to exercise the machinery.
+// DefaultReorderBudget is the sift trigger ReorderBudgetFromEnv returns
+// when EXPRESSO_REORDER is unset: at least this many hash-consed nodes.
 const DefaultReorderBudget = 1 << 24
 
 // ReorderBudgetFromEnv parses the EXPRESSO_REORDER environment variable:
-// "off" disables dynamic reordering, a positive integer overrides the
-// node-growth budget that triggers a sift. This is the only parser of the
-// variable.
+// "off" disables sifting, a positive integer overrides the node budget
+// that triggers one. The engine does not read it, because its barriers
+// only sweep. Its one caller is benchmark/walk.go, whose pre-SPF barrier
+// still sifts past this budget.
 func ReorderBudgetFromEnv() (budget int, enabled bool) {
 	return budgetFromEnv("EXPRESSO_REORDER", DefaultReorderBudget, &warnedReorder)
 }

@@ -100,15 +100,6 @@ type RoundEvent struct {
 	Reclaims       int64 `json:"reclaims,omitempty"`
 	ReclaimedNodes int64 `json:"reclaimed_nodes,omitempty"`
 	ReclaimNS      int64 `json:"reclaim_ns,omitempty"`
-	// Reorders counts dynamic variable-reordering (sifting) passes run at
-	// this round's boundary; ReorderSwaps their adjacent-level swaps,
-	// ReorderFreed the live nodes the new order eliminated, and ReorderNS
-	// their total stop-the-world pause (entry reclaim included). All zero
-	// in rounds without a reorder.
-	Reorders     int64 `json:"reorders,omitempty"`
-	ReorderSwaps int64 `json:"reorder_swaps,omitempty"`
-	ReorderFreed int64 `json:"reorder_freed,omitempty"`
-	ReorderNS    int64 `json:"reorder_ns,omitempty"`
 	// BDDPeak is the manager's peak-live-node watermark as of this round's
 	// end — the running maximum over the schedule-independent sample
 	// points, not a per-round quantity.

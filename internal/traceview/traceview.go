@@ -81,7 +81,6 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 
 	if len(tr.EPVPRounds) > 0 {
 		var growth, reclaims, freed, pause, peak int64
-		var reorders, roSwaps, roFreed, roPause int64
 		var mergeHits, mergeLookups int64
 		for _, r := range tr.EPVPRounds {
 			growth += r.BDDGrowth
@@ -90,10 +89,6 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 			reclaims += r.Reclaims
 			freed += r.ReclaimedNodes
 			pause += r.ReclaimNS
-			reorders += r.Reorders
-			roSwaps += r.ReorderSwaps
-			roFreed += r.ReorderFreed
-			roPause += r.ReorderNS
 			if r.BDDPeak > peak {
 				peak = r.BDDPeak
 			}
@@ -108,10 +103,6 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 			fmt.Fprintf(w, "reclaim: no sweeps triggered\n")
 		}
 		fmt.Fprintf(w, "epvp merge memo: %d hits of %d lookups\n", mergeHits, mergeLookups)
-		if reorders > 0 {
-			fmt.Fprintf(w, "reorder: %d sifts (%d swaps) freed %d nodes in %s\n",
-				reorders, roSwaps, roFreed, ns(roPause))
-		}
 	}
 	if n := len(tr.SPFFIBs); n > 0 {
 		fmt.Fprintf(w, "spf: %d FIBs, %d forward traversals, %d coalesce passes\n",
@@ -168,11 +159,6 @@ type DiffReport struct {
 	// PeakDelta is the watermark peak-live-node change (new - old) when
 	// both traces carry a watermark footer.
 	PeakDelta int64 `json:"peak_delta,omitempty"`
-	// Reorder deltas attribute regressions (or wins) to dynamic variable
-	// reordering: sift count, nodes freed, and pause time, new - old.
-	ReorderDelta      int64 `json:"reorder_delta,omitempty"`
-	ReorderFreedDelta int64 `json:"reorder_freed_delta,omitempty"`
-	ReorderNSDelta    int64 `json:"reorder_ns_delta,omitempty"`
 }
 
 // regressFloorNS is the absolute slowdown below which a stage is never
@@ -244,9 +230,6 @@ func Diff(oldTr, newTr *telemetry.Trace, threshold float64) *DiffReport {
 		if i < len(newTr.EPVPRounds) {
 			n = newTr.EPVPRounds[i]
 		}
-		rep.ReorderDelta += n.Reorders - o.Reorders
-		rep.ReorderFreedDelta += n.ReorderFreed - o.ReorderFreed
-		rep.ReorderNSDelta += n.ReorderNS - o.ReorderNS
 		rep.Rounds = append(rep.Rounds, RoundDelta{
 			Round:       i + 1,
 			GrowthOld:   o.BDDGrowth,
@@ -293,10 +276,6 @@ func WriteDiff(w io.Writer, rep *DiffReport) {
 	}
 	if rep.PeakDelta != 0 {
 		fmt.Fprintf(w, "watermark: peak live nodes %+d\n", rep.PeakDelta)
-	}
-	if rep.ReorderDelta != 0 || rep.ReorderFreedDelta != 0 || rep.ReorderNSDelta != 0 {
-		fmt.Fprintf(w, "reorder: sifts %+d, nodes freed %+d, pause %s\n",
-			rep.ReorderDelta, rep.ReorderFreedDelta, signedNS(rep.ReorderNSDelta))
 	}
 	if rep.Regressed {
 		fmt.Fprintf(w, "regression: %s (+%s beyond the %.0f%% threshold)\n",

@@ -57,9 +57,9 @@ var deltaProps = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}
 
 // deltaHeapCeiling bounds the live heap of a verifier that has run 200
 // region-1 deltas against one baseline: the baseline's manager, four
-// cached delta fixed points, 32 parsed networks and 128 reports. The run
-// holds about 62 MB; while deltas left their manager unswept and parsed
-// names pinned each patched text, it held 110 MB.
+// cached delta fixed points and 128 reports. The run holds about 44 MB;
+// while deltas left their manager unswept and parsed names pinned each
+// patched text, it held 110 MB.
 const deltaHeapCeiling = 96 << 20
 
 // TestBaselineDeltasStayBounded: 200 deltas against one pinned baseline

@@ -179,8 +179,8 @@ func TestVerifierWarmStartByteIdentical(t *testing.T) {
 // TestVerifierWarmStartWithReclaimSweeps is the warm-chain safety check
 // of dead-node reclamation: with a tiny EXPRESSO_RECLAIM budget, a delta
 // against a registered baseline sweeps the baseline's manager between
-// rounds while the baseline's fixed point, the compiled transfers, and the
-// edge memo are live only through the pinning API. The warm report must
+// rounds while the baseline's fixed point and the compiled transfers are
+// live only through the pinning API. The warm report must
 // stay byte-identical to a cold run of the new configuration at both worker
 // counts.
 func TestVerifierWarmStartWithReclaimSweeps(t *testing.T) {
@@ -245,7 +245,8 @@ func TestVerifierStageReuse(t *testing.T) {
 		t.Errorf("identical resubmission missed the report cache: %+v", i2.Stages)
 	}
 
-	// Property-set change: SRC (and load) reused, analysis re-run.
+	// Property-set change: the text is parsed again (no tier keeps parsed
+	// networks), SRC reused, analysis re-run.
 	_, i3, err := v.VerifyText(ctx, cfg, opts(RouteLeakFree, RouteHijackFree))
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +254,8 @@ func TestVerifierStageReuse(t *testing.T) {
 	if s := stageStatus(i3, "src"); s != StageHit {
 		t.Errorf("property-set change SRC status = %q, want hit (%+v)", s, i3.Stages)
 	}
-	if s := stageStatus(i3, "load"); s != StageHit {
-		t.Errorf("property-set change load status = %q, want hit", s)
+	if s := stageStatus(i3, "load"); s != StageMiss {
+		t.Errorf("property-set change load status = %q, want miss", s)
 	}
 
 	// First forwarding property: SPF computed.

@@ -78,7 +78,6 @@ type Engine struct {
 	ctx       symbolic.CompileContext
 	permitAll *symbolic.Transfer
 	transfers map[transferKey]*symbolic.Transfer
-	edgeMemo  *edgeMemo
 }
 
 type transferKey struct {
@@ -99,10 +98,11 @@ type edgeKey struct {
 	un   bdd.Node
 }
 
-// edgeMemo is the cross-round edge-transfer cache, lock-striped so parallel
-// round workers rarely contend: entries are pure functions of the key, so a
-// duplicated computation under two stripes' races is wasted work, never an
-// inconsistency.
+// edgeMemo is a run's cross-round edge-transfer cache, lock-striped so
+// parallel round workers rarely contend: entries are pure functions of the
+// key, so a duplicated computation under two stripes' races is wasted work,
+// never an inconsistency. Like the merge memo it lives for one run: run
+// creates it and drops it on return.
 type edgeMemo struct {
 	stripes [memoStripes]memoStripe
 }
@@ -149,9 +149,9 @@ func (em *edgeMemo) put(k edgeKey, v []*symbolic.Route) {
 }
 
 // roots appends every BDD handle the memo references — input routes (keys)
-// and output routes (values) — so entries survive dead-node reclamation;
-// the memo is the cross-round (and warm-start) transfer cache, so keeping
-// its nodes live is the point of the cache.
+// and output routes (values) — so entries survive the run's round-end
+// sweeps; the memo is the cross-round transfer cache, so keeping its nodes
+// live is the point of the cache.
 func (em *edgeMemo) roots(out []bdd.Node) []bdd.Node {
 	for i := range em.stripes {
 		s := &em.stripes[i]
@@ -202,7 +202,6 @@ func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine,
 		Comm:      community.NewSpace(atoms),
 		Mode:      mode,
 		transfers: map[transferKey]*symbolic.Transfer{},
-		edgeMemo:  newEdgeMemo(),
 	}
 	if err := e.compilePoliciesReusing(ctx, nil, nil); err != nil {
 		return nil, err
@@ -279,9 +278,8 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 // private workers. Transfers for devices in unchanged (callers pass the
 // routers whose configuration sections are byte-identical to prior's; nil
 // means none) are adopted from the prior engine; the rest are recompiled
-// from the new devices. The edge-transfer memo starts empty (policies may
-// have changed, and the memo does not key on policy content). Like
-// NewContext, compilation checks ctx per device and aborts on cancel.
+// from the new devices. Like NewContext, compilation checks ctx per device
+// and aborts on cancel.
 func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engine, unchanged map[string]bool) (*Engine, error) {
 	if mode != prior.Mode {
 		return nil, fmt.Errorf("epvp: warm-start mode mismatch (%s vs %s)", mode.Key(), prior.Mode.Key())
@@ -309,7 +307,6 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 		Comm:      prior.Comm,
 		Mode:      mode,
 		transfers: map[transferKey]*symbolic.Transfer{},
-		edgeMemo:  newEdgeMemo(),
 	}
 	if err := e.compilePoliciesReusing(ctx, prior, unchanged); err != nil {
 		return nil, err
@@ -321,28 +318,27 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 func (e *Engine) Ctx() symbolic.CompileContext { return e.ctx }
 
 // Roots returns every prefix-space BDD handle the engine keeps alive
-// across runs: the compiled transfer guards and the cross-round
-// edge-transfer memo (both are what make a warm start cheap). Callers
-// running bdd.Manager.Reclaim at stage boundaries — the pipeline does,
-// before SPF — must pass these as roots, along with any result routes they
-// retain themselves (the pipeline pins its cached artifacts instead). The
-// engine must be quiescent (no run in progress). A run's merge memo is not
-// among them: it lives for one run, whose round-end sweeps root it through
-// runRoots.
+// across runs: the permit-all and compiled transfers, which a warm engine
+// adopts (NewWarm). Callers running bdd.Manager.Reclaim at stage
+// boundaries — the pipeline does, before SPF — must pass these as roots,
+// along with any result routes they retain themselves (the pipeline pins
+// its cached artifacts instead). The engine must be quiescent (no run in
+// progress). A run's edge and merge memos are not among them: they live
+// for one run, whose round-end sweeps root them through runRoots.
 func (e *Engine) Roots() []bdd.Node {
 	out := make([]bdd.Node, 0, 256)
 	out = append(out, e.permitAll.Nodes()...)
 	for _, t := range e.transfers {
 		out = append(out, t.Nodes()...)
 	}
-	return e.edgeMemo.roots(out)
+	return out
 }
 
 // fork returns a shallow copy of the engine whose BDD operations run
 // through private per-worker memo caches (symbolic.Space.Fork). Forks share
-// the node universes — handles are interchangeable between forks — as well
-// as the compiled transfers (read-only after New) and the striped edge
-// memo. Each fork must be driven by one goroutine at a time.
+// the node universes — handles are interchangeable between forks — and the
+// compiled transfers (read-only after New); the run hands all of them its
+// striped memos. Each fork must be driven by one goroutine at a time.
 func (e *Engine) fork() *Engine {
 	c := *e
 	c.ctx.Space = e.ctx.Space.Fork()
@@ -524,22 +520,22 @@ func (e *Engine) ImportCandidates(v, ext string) []*symbolic.Route {
 	return e.importAt(v, ext, []*symbolic.Route{e.externalInit(ext)})
 }
 
-// edgeTransfer computes (and memoizes across fixed-point rounds) the routes
-// v accepts when u advertises r: importAt(v, u, export(u, v, r)). Transfers
-// are pure functions of (u, v, r), and most RIB entries persist between
-// rounds, so the memo removes the bulk of repeated work. Cached routes are
-// sealed before publication and shared across round workers; callers must
-// treat them as immutable (Merge clones before mutating).
-func (e *Engine) edgeTransfer(u, v string, r *symbolic.Route) []*symbolic.Route {
+// edgeTransfer computes (and memoizes across the run's fixed-point rounds)
+// the routes v accepts when u advertises r: importAt(v, u, export(u, v, r)).
+// Transfers are pure functions of (u, v, r), and most RIB entries persist
+// between rounds, so the memo removes the bulk of repeated work. Cached
+// routes are sealed before publication and shared across round workers;
+// callers must treat them as immutable (Merge clones before mutating).
+func (e *Engine) edgeTransfer(edges *edgeMemo, u, v string, r *symbolic.Route) []*symbolic.Route {
 	key := edgeKey{u: u, v: v, rkey: r.Key(), un: r.U}
-	if out, ok := e.edgeMemo.get(key); ok {
+	if out, ok := edges.get(key); ok {
 		return out
 	}
 	out := e.importAt(v, u, e.export(u, v, r))
 	for _, o := range out {
 		o.Seal()
 	}
-	e.edgeMemo.put(key, out)
+	edges.put(key, out)
 	return out
 }
 
@@ -596,12 +592,13 @@ func (e *Engine) RunWarmContext(ctx context.Context, prior *Result, dirty []stri
 // restricted to the dirty closure.
 func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result, error) {
 	best := map[string][]*symbolic.Route{}
-	// Merge's BDD steps repeat across rounds (a router recomputed because
-	// one neighbor moved re-subtracts what the others still send), so one
-	// memo serves every fork for the whole run. It is listed in runRoots,
-	// which keeps its entries valid across the round-end sweeps, and it is
+	// Edge transfers and Merge's BDD steps repeat across rounds (most RIB
+	// entries persist, and a router recomputed because one neighbor moved
+	// re-subtracts what the others still send), so one memo of each serves
+	// every fork for the whole run. Both are listed in runRoots, which
+	// keeps their entries valid across the round-end sweeps, and both are
 	// dropped when the run returns.
-	memo := new(symbolic.MergeMemo)
+	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
 	var initialWork map[string]bool
 	if seed != nil {
 		initialWork = map[string]bool{}
@@ -702,7 +699,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		outs := make([][]*symbolic.Route, len(work))
 		err := pool.Each(ctx, len(work), func(f *Engine, i int) {
 			// recompute fails only on cancellation, which Each reports.
-			if rs, err := f.recompute(ctx, work[i], best, extInit, memo); err == nil {
+			if rs, err := f.recompute(ctx, work[i], best, extInit, edges, memo); err == nil {
 				outs[i] = rs
 			}
 		})
@@ -736,7 +733,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		if !converged {
 			_, created := e.Space.M.UniqueStats()
 			relief = Relieve(e.Space.M, created-sweepFloor,
-				func() []bdd.Node { return e.runRoots(best, extInit, seed, memo) })
+				func() []bdd.Node { return e.runRoots(best, extInit, seed, edges, memo) })
 			if relief.Sweeps > 0 {
 				_, sweepFloor = e.Space.M.UniqueStats()
 			}
@@ -817,13 +814,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 // runRoots gathers the BDD roots live at a round boundary: the round's
 // RIBs, the external wildcard seeds, the warm seed (a direct
 // RunWarmContext caller may retain the prior result without pinning it),
-// the run's merge memo (operands and results, so its entries stay valid
-// across the sweep), and the engine's cross-run roots (transfers and the
-// edge memo). The space's own cached predicates are pinned by NewSpace,
+// the run's edge and merge memos (operands and results, so their entries
+// stay valid across the sweep), and the engine's cross-run roots (the
+// transfers). The space's own cached predicates are pinned by NewSpace,
 // and pipeline artifacts pin their routes, so neither needs listing here.
 // Nothing here is pinned: the run's own roots live only as long as the run.
-func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, memo *symbolic.MergeMemo) []bdd.Node {
-	roots := memo.Roots(e.Roots())
+func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, edges *edgeMemo, memo *symbolic.MergeMemo) []bdd.Node {
+	roots := memo.Roots(edges.roots(e.Roots()))
 	for _, rs := range best {
 		for _, r := range rs {
 			roots = append(roots, r.U)
@@ -865,12 +862,12 @@ func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
 }
 
 // recompute rebuilds one router's RIB from the previous round's state: its
-// candidates merged by preference through the run's merge memo. Reads only
-// best/extInit (previous round, immutable during the round), the engine's
-// shared read-only state and the striped memos, so forks may run it
-// concurrently for different routers.
-func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.MergeMemo) ([]*symbolic.Route, error) {
-	cands, err := e.candidates(ctx, v, best, extInit)
+// candidates, through the run's edge memo, merged by preference through
+// the run's merge memo. Reads only best/extInit (previous round, immutable
+// during the round), the engine's shared read-only state and the striped
+// memos, so forks may run it concurrently for different routers.
+func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, edges *edgeMemo, memo *symbolic.MergeMemo) ([]*symbolic.Route, error) {
+	cands, err := e.candidates(ctx, v, best, extInit, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -881,7 +878,7 @@ func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*sym
 // originated route plus, per neighbor, the image of that neighbor's merged
 // RIB (or of its one wildcard or default route) under the edge's transfers
 // — the shape symbolic.MergeMemo.Merge's tier invariant rests on.
-func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) ([]*symbolic.Route, error) {
+func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, edges *edgeMemo) ([]*symbolic.Route, error) {
 	var candidates []*symbolic.Route
 	if r := e.originated(e.Net.Devices[v]); r != nil {
 		candidates = append(candidates, r)
@@ -892,7 +889,7 @@ func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*sy
 		}
 		if e.Net.IsInternal(u) {
 			for _, r := range best[u] {
-				candidates = append(candidates, e.edgeTransfer(u, v, r)...)
+				candidates = append(candidates, e.edgeTransfer(edges, u, v, r)...)
 			}
 			su := e.Net.Session(u, v)
 			if su != nil && su.AdvertiseDefault {

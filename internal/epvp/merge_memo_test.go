@@ -16,12 +16,12 @@ import (
 // sweep freed would by now name some other function.
 func TestMergeMemoSurvivesSweep(t *testing.T) {
 	e := New(mustNet(t, netgen.CSP(netgen.CSPOldRegion(1))), FullMode())
-	memo := new(symbolic.MergeMemo)
+	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
 	best, extInit := initialState(e, nil, memo)
 	for round := 0; round < 3; round++ {
 		next := map[string][]*symbolic.Route{}
 		for _, v := range e.Net.Internals {
-			rs, err := e.recompute(context.Background(), v, best, extInit, memo)
+			rs, err := e.recompute(context.Background(), v, best, extInit, edges, memo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func TestMergeMemoSurvivesSweep(t *testing.T) {
 		t.Fatalf("memo saw %d hits and %d misses; the test needs both", hits, misses)
 	}
 
-	freed := e.Space.M.Reclaim(e.runRoots(best, extInit, nil, memo)...)
+	freed := e.Space.M.Reclaim(e.runRoots(best, extInit, nil, edges, memo)...)
 	if freed == 0 {
 		t.Fatal("the sweep freed nothing; no slot can be reused")
 	}

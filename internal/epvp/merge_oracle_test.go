@@ -142,14 +142,14 @@ func initialState(e *Engine, seed *Result, memo *symbolic.MergeMemo) (best map[s
 func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) map[string][]*symbolic.Route {
 	t.Helper()
 	ctx := context.Background()
-	memo := new(symbolic.MergeMemo)
+	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
 	best, extInit := initialState(e, seed, memo)
 	merges := 0
 	for round := 1; round <= 4*len(e.Net.Internals)+16; round++ {
 		next := map[string][]*symbolic.Route{}
 		changed := false
 		for _, v := range e.Net.Internals {
-			cands, err := e.candidates(ctx, v, best, extInit)
+			cands, err := e.candidates(ctx, v, best, extInit, edges)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) 
 			return best
 		}
 		if sweep && round == 1 {
-			e.Space.M.Reclaim(keep.roots(e.runRoots(best, extInit, seed, memo))...)
+			e.Space.M.Reclaim(keep.roots(e.runRoots(best, extInit, seed, edges, memo))...)
 		}
 	}
 	t.Fatal("test loop did not converge")

@@ -26,7 +26,6 @@ func engineWithSpace(t *testing.T, net *topology.Network, space *symbolic.Space)
 		Comm:      community.NewSpace(atoms),
 		Mode:      FullMode(),
 		transfers: map[transferKey]*symbolic.Transfer{},
-		edgeMemo:  newEdgeMemo(),
 	}
 	if err := e.compilePoliciesReusing(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)

@@ -28,9 +28,6 @@ type LoadArtifact struct {
 	DeviceDigests map[string]string
 	// Elapsed is the parse+build wall clock.
 	Elapsed time.Duration
-
-	// canonical is the text Digest addresses, kept for ReportKey.
-	canonical string
 }
 
 // Load runs the Load stage on configuration text: parse, build, and the
@@ -51,13 +48,12 @@ func Load(text string) (*LoadArtifact, error) {
 		Digest:        hashHex(canonical),
 		DeviceDigests: DeviceDigests(canonical),
 		Elapsed:       time.Since(start),
-		canonical:     canonical,
 	}, nil
 }
 
 // ReportKey is ReportKey of the text the artifact was loaded from.
 func (l *LoadArtifact) ReportKey(optsKey string) string {
-	return reportKey(l.canonical, optsKey)
+	return reportKey(l.Digest, optsKey)
 }
 
 // SRCArtifact is the SRC stage's output: a converged EPVP fixed point
@@ -148,8 +144,8 @@ type derived interface{ handles() []bdd.Node }
 const derivedCap = 16
 
 // handles returns every BDD handle the artifact must keep valid: the
-// engine's cross-run roots (compiled transfers and the edge-transfer memo)
-// plus the converged RIBs' prefix-environment sets.
+// engine's compiled transfers plus the converged RIBs' prefix-environment
+// sets.
 func (a *SRCArtifact) handles() []bdd.Node {
 	roots := a.Eng.Roots()
 	for _, rs := range a.Res.Best {

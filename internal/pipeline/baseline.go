@@ -29,10 +29,9 @@ type Baseline struct {
 	// it. ConfigDigest is its canonical digest.
 	ConfigText   string
 	ConfigDigest string
-	// SRC is the converged fixed point; Load its upstream artifact (the
-	// delta diff base).
-	SRC  *SRCArtifact
-	Load *LoadArtifact
+	// SRC is the converged fixed point; SRC.Load is its upstream artifact
+	// (the delta diff base).
+	SRC *SRCArtifact
 	// StageKeys maps each pipeline stage that executed during
 	// registration to its stage key — the baseline's root set in the
 	// persistent store (see GCStore).
@@ -50,7 +49,6 @@ func NewBaseline(name, configText string, out *Outcome, created time.Time) *Base
 		ConfigText:   configText,
 		ConfigDigest: out.SRC.Load.Digest,
 		SRC:          out.SRC,
-		Load:         out.SRC.Load,
 		StageKeys:    map[string]string{},
 		Created:      created,
 	}

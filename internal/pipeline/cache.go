@@ -10,15 +10,16 @@ import (
 // StageCache.SetCapacities. Zero means the tier's default; negative disables
 // it (every Get misses, nothing is kept).
 //
-// Only the stages whose artifacts stand on their own have a tier: parsed
-// networks and assembled reports are plain values, cheap to keep by the
-// dozen, and an SRC artifact owns (or shares with its baseline) a whole
-// BDD manager plus converged RIBs — often the bulk of a run's heap — so
-// only a handful are retained. Routing, SPF and forwarding artifacts are
-// handles into an SRC artifact's manager and are kept by that artifact
-// (SRCArtifact.adopt), not here.
+// Only what a later request reads has a tier: assembled reports are plain
+// values, cheap to keep by the dozen, and an SRC artifact owns (or shares
+// with its baseline) a whole BDD manager plus converged RIBs — often the
+// bulk of a run's heap — so only a handful are retained. A parsed network
+// has none: a request the report tier cannot answer is a new text or a new
+// option set, and the SRC artifact it resolves keeps the network it was
+// computed from. Routing, SPF and forwarding artifacts are handles into an
+// SRC artifact's manager and are kept by that artifact (SRCArtifact.adopt),
+// not here.
 type Capacities struct {
-	Load   int // parsed networks; default 32
 	SRC    int // converged EPVP fixed points; default 4
 	Report int // assembled reports; default 128
 }
@@ -139,16 +140,15 @@ type SRCCache struct {
 	warms                    atomic.Int64
 }
 
-// StageCache is a verifier's memory tier for the stages whose artifacts are
-// not bound to another artifact's BDD manager; R is the report type. The
-// zero value keeps nothing in any tier.
+// StageCache is a verifier's memory tiers: converged fixed points and
+// assembled reports; R is the report type. The zero value keeps nothing in
+// either tier.
 type StageCache[R any] struct {
-	Load   Tier[*LoadArtifact]
 	SRC    SRCCache
 	Report Tier[R]
 }
 
-// SetCapacities sizes the three tiers; it is called once, before first use.
+// SetCapacities sizes the two tiers; it is called once, before first use.
 func (c *StageCache[R]) SetCapacities(caps Capacities) {
 	def := func(v, d int) int {
 		if v == 0 {
@@ -156,15 +156,15 @@ func (c *StageCache[R]) SetCapacities(caps Capacities) {
 		}
 		return v
 	}
-	c.Load.cap = def(caps.Load, 32)
 	c.SRC.cap = def(caps.SRC, 4)
 	c.Report.cap = def(caps.Report, 128)
 }
 
-// Stats snapshots every stage's counters in pipeline order. The derived
-// stages' entries are counted — a stage key begins with its stage's name —
-// over the cached SRC artifacts and held, the SRC artifacts kept resident
-// outside the cache (registered baselines).
+// Stats snapshots, in pipeline order, the counters of every stage after
+// Load, which has no tier. The derived stages' entries are counted — a
+// stage key begins with its stage's name — over the cached SRC artifacts
+// and held, the SRC artifacts kept resident outside the cache (registered
+// baselines).
 func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
 	resident := map[string]int{}
 	seen := map[*SRCArtifact]bool{}
@@ -184,13 +184,12 @@ func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
 		return StageStat{Stage: stage, Hits: t.hits.Load(), Misses: t.misses.Load(), Entries: entries}
 	}
 	out := []StageStat{
-		stat(StageLoad, &c.Load.tally, c.Load.Len()),
 		stat(StageSRC, &c.SRC.tally, c.SRC.Len()),
 		stat(StageRouting, &c.SRC.routing, resident[StageRouting]),
 		stat(StageSPF, &c.SRC.spf, resident[StageSPF]),
 		stat(StageForwarding, &c.SRC.forwarding, resident[StageForwarding]),
 		stat(StageReport, &c.Report.tally, c.Report.Len()),
 	}
-	out[1].WarmStarts = c.SRC.warms.Load()
+	out[0].WarmStarts = c.SRC.warms.Load()
 	return out
 }

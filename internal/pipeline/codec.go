@@ -89,8 +89,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // (symbolic RIBs across the prefix and community managers, AS-path
 // automata, convergence counters) — everything needed to reconstruct the
 // artifact around a freshly compiled engine without re-running the fixed
-// point. The engine itself (compiled transfers, edge memo) is deliberately
-// not persisted: it is derived from the configuration, which the content
+// point. The engine itself (its compiled transfers) is deliberately not
+// persisted: it is derived from the configuration, which the content
 // address already pins.
 //
 // The caller must hold the artifact's run lock: Export reads the shared

@@ -69,15 +69,17 @@ func DeviceDigests(canonical string) map[string]string {
 }
 
 // ReportKey is the digest identifying a whole verification request: the
-// canonicalized configuration plus the caller's rendered options key.
+// configuration's digest plus the caller's rendered options key.
 // expresso.ReportDigest and the service's result cache key on it.
 func ReportKey(configText, optsKey string) string {
-	return reportKey(CanonicalConfig(configText), optsKey)
+	return reportKey(ConfigDigest(configText), optsKey)
 }
 
-func reportKey(canonical, optsKey string) string {
+// reportKey chains the report key on a configuration digest, so a loaded
+// network (LoadArtifact.ReportKey) needs no copy of its text.
+func reportKey(configDigest, optsKey string) string {
 	h := sha256.New()
-	h.Write([]byte(canonical))
+	h.Write([]byte(configDigest))
 	h.Write([]byte{0})
 	h.Write([]byte(optsKey))
 	return hex.EncodeToString(h.Sum(nil))

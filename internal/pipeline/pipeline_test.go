@@ -80,28 +80,27 @@ func TestStageCacheDisabled(t *testing.T) {
 	if _, ok := c.Report.Get("k"); ok {
 		t.Error("disabled stage must not store")
 	}
-	// Other stages stay enabled.
-	c.Load.Add("k", &LoadArtifact{})
-	if _, ok := c.Load.Get("k"); !ok {
+	// The other tier stays enabled.
+	c.SRC.Add("k", &SRCArtifact{})
+	if _, ok := c.SRC.Get("k"); !ok {
 		t.Error("sibling stage wrongly disabled")
 	}
 }
 
 func TestStageCacheStatsCount(t *testing.T) {
 	c := newStageCache(Capacities{})
-	c.Load.Get("missing")
-	c.Load.Add("k", &LoadArtifact{})
-	c.Load.Get("k")
+	c.Report.Get("missing")
+	c.Report.Add("k", &fakeReport{})
+	c.Report.Get("k")
 	c.Report.Probe("missing") // a probe counts only what it finds
 	c.SRC.warms.Add(1)
 	c.SRC.spf.count(false)
 	want := []StageStat{
-		{Stage: StageLoad, Hits: 1, Misses: 1, Entries: 1},
 		{Stage: StageSRC, WarmStarts: 1},
 		{Stage: StageRouting},
 		{Stage: StageSPF, Misses: 1},
 		{Stage: StageForwarding},
-		{Stage: StageReport},
+		{Stage: StageReport, Hits: 1, Misses: 1, Entries: 1},
 	}
 	if got := c.Stats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stats = %+v\nwant    %+v", got, want)
@@ -376,7 +375,7 @@ func TestRunnerWarmStart(t *testing.T) {
 	if src.Status != StatusWarm || src.Seed != base.SRC.Digest {
 		t.Fatalf("delta run SRC status %q seed %q, want warm seeded by %q (stages: %+v)", src.Status, src.Seed, base.SRC.Digest, warm.Stages)
 	}
-	if want := fmt.Sprintf("baseline=prod dirty=%d", len(DirtyRouters(base.Load, next))); src.Note != want {
+	if want := fmt.Sprintf("baseline=prod dirty=%d", len(DirtyRouters(base.SRC.Load, next))); src.Note != want {
 		t.Errorf("delta run SRC note = %q, want %q", src.Note, want)
 	}
 	if len(warm.Routing.Violations) != len(anon.Routing.Violations) {

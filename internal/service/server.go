@@ -33,7 +33,8 @@ type Config struct {
 	// rejected with 503 (default: 64).
 	QueueDepth int
 	// CacheSize is the LRU report-cache capacity (default: 128; negative
-	// disables all stage caches, making every run cold).
+	// disables both memory tiers, reports and fixed points, making every
+	// run cold).
 	CacheSize int
 	// StoreDir, when non-empty, enables the persistent artifact store: a
 	// content-addressed on-disk tier shared across restarts and replicas
@@ -149,7 +150,7 @@ func New(cfg Config) *Server {
 	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize}
 	if cfg.CacheSize < 0 {
 		// Caching disabled entirely: no tier may retain artifacts.
-		vcfg = expresso.VerifierConfig{LoadCache: -1, SRCCache: -1, ReportCache: -1}
+		vcfg = expresso.VerifierConfig{SRCCache: -1, ReportCache: -1}
 	}
 	vcfg.StoreDir = cfg.StoreDir
 	vcfg.StoreBudget = cfg.StoreBudget

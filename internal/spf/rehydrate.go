@@ -1,10 +1,6 @@
 package spf
 
-import (
-	"context"
-
-	"github.com/expresso-verify/expresso/internal/epvp"
-)
+import "github.com/expresso-verify/expresso/internal/epvp"
 
 // VarBase reports the first data-plane advertiser variable index of the
 // result. The artifact store records it so a persisted SPF result can be
@@ -24,8 +20,6 @@ func Rehydrate(eng *epvp.Engine, varBase int, fibs map[string]*FIB, pecs []*PEC,
 		PECs:                pecs,
 		DataVarsPerNeighbor: dataVars,
 		eng:                 eng,
-		ctx:                 context.Background(),
 		varBase:             varBase,
-		varsUsed:            map[int]bool{},
 	}
 }

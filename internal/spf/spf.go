@@ -116,12 +116,17 @@ type Result struct {
 	DataVarsPerNeighbor map[string]int
 
 	eng     *epvp.Engine
-	ctx     context.Context
-	trace   *telemetry.Tracer
 	varBase int
 
+	// ctx, trace and varsUsed are the run's request state: its
+	// cancellation, its tracer, and the data-plane variables its FIBs
+	// reference (guarded by varsMu), which DataVarsPerNeighbor counts.
+	// RunTraced drops them before it returns, so a cached result keeps no
+	// finished job's state.
+	ctx      context.Context
+	trace    *telemetry.Tracer
 	varsMu   sync.Mutex
-	varsUsed map[int]bool // data-plane variables actually referenced
+	varsUsed map[int]bool
 
 	// converted and reused count the run's route conversions by where they
 	// came from: computed here, or found in the manager's memo
@@ -238,6 +243,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// just made this point quiescent — the watermark's highest-value
 	// sample. Always on: two atomics.
 	eng.Space.M.NoteWatermark()
+	r.ctx, r.trace, r.varsUsed = nil, nil, nil
 	return r, nil
 }
 
@@ -317,14 +323,15 @@ func (r *Result) DataVar(neighbor string, length int) int {
 
 // convertRoute compiles one symbolic RIB entry into per-length FIB entries
 // (§5.1): split U by prefix length, free the host and length bits, and
-// rename each control-plane advertiser variable n_i to n_i^l.
-func (r *Result) convertRoute(sp *symbolic.Space, sr *symbolic.Route) []fibEntry {
+// rename each control-plane advertiser variable n_i to n_i^l. vars are the
+// data-plane variables the entries reference.
+func (r *Result) convertRoute(sp *symbolic.Space, sr *symbolic.Route) (entries []fibEntry, vars []int) {
 	conv := r.convertU(sp, sr.U)
-	out := make([]fibEntry, len(conv))
-	for i, c := range conv {
-		out[i] = fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop}
+	entries = make([]fibEntry, len(conv.Matches))
+	for i, c := range conv.Matches {
+		entries[i] = fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop}
 	}
-	return out
+	return entries, conv.Vars
 }
 
 // convertU compiles a prefix-environment set into per-length data-plane
@@ -332,7 +339,7 @@ func (r *Result) convertRoute(sp *symbolic.Space, sr *symbolic.Route) []fibEntry
 // a route's set is typically unchanged as it propagates, so the same U
 // appears in many routers' RIBs, and a delta against a pinned baseline
 // finds most of its sets converted by the baseline's own run.
-func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch {
+func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
 	c, ok := sp.Converted(u)
 	if ok {
 		r.reused.Add(1)
@@ -341,12 +348,7 @@ func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch
 		c = r.convert(sp, u)
 		sp.RememberConversion(u, c)
 	}
-	r.varsMu.Lock()
-	for _, dv := range c.Vars {
-		r.varsUsed[dv] = true
-	}
-	r.varsMu.Unlock()
-	return c.Matches
+	return c
 }
 
 // convert is convertU's computation: slice u by prefix length and rename
@@ -383,7 +385,13 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 	d := r.eng.Net.Devices[v]
 	var entries []fibEntry
 	for _, sr := range rib {
-		entries = append(entries, r.convertRoute(sp, sr)...)
+		es, vars := r.convertRoute(sp, sr)
+		entries = append(entries, es...)
+		r.varsMu.Lock()
+		for _, dv := range vars {
+			r.varsUsed[dv] = true
+		}
+		r.varsMu.Unlock()
 	}
 	for _, st := range d.Statics {
 		entries = append(entries, fibEntry{
@@ -645,7 +653,8 @@ func (r *Result) AvailPredicate(ext string, dest route.Prefix) bdd.Node {
 	avail := bdd.False
 	for _, u := range r.eng.Net.Neighbors(ext) {
 		for _, cand := range r.eng.ImportCandidates(u, ext) {
-			for _, entry := range r.convertRoute(s, cand) {
+			entries, _ := r.convertRoute(s, cand)
+			for _, entry := range entries {
 				if overlap := s.M.And(entry.match, destPkt); overlap != bdd.False {
 					avail = s.M.Or(avail, r.CondOfPkt(overlap))
 				}

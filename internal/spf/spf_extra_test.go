@@ -1,10 +1,12 @@
 package spf
 
 import (
+	"context"
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/route"
+	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
@@ -92,4 +94,24 @@ func TestExternalInjectionSharesInternalTree(t *testing.T) {
 		}
 	}
 	_ = eng
+}
+
+// TestResultKeepsNoRequestState: the pipeline caches an SPF result on its
+// SRC artifact for later requests, so RunTraced must not hand back the
+// finished run's context, tracer or variable tally with it.
+func TestResultKeepsNoRequestState(t *testing.T) {
+	eng, cp := converge(t, testnet.Figure4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r, err := RunTraced(ctx, eng, cp, telemetry.NewTracer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ctx != nil || r.trace != nil || r.varsUsed != nil || r.sliced != nil {
+		t.Errorf("result keeps request state: ctx=%v trace=%v varsUsed=%v sliced=%d",
+			r.ctx != nil, r.trace != nil, r.varsUsed, len(r.sliced))
+	}
+	if len(r.DataVarsPerNeighbor) == 0 {
+		t.Error("the run's variable tally never reached DataVarsPerNeighbor")
+	}
 }

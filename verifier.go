@@ -33,8 +33,6 @@ type StoreStats = store.Stats
 // VerifierConfig sizes a Verifier's memory tiers. Zero fields take the
 // pipeline defaults; negative values disable that tier.
 type VerifierConfig struct {
-	// LoadCache holds parsed networks keyed by config digest.
-	LoadCache int
 	// SRCCache holds converged EPVP fixed points — the expensive stage —
 	// each together with the routing, SPF and forwarding results computed
 	// on it, which live and die with it. Each entry pins a BDD manager, so
@@ -83,9 +81,7 @@ type Verifier struct {
 // when cfg.StoreDir is set, the persistent store tier.
 func NewVerifier(cfg VerifierConfig) *Verifier {
 	v := &Verifier{}
-	v.cache.SetCapacities(pipeline.Capacities{
-		Load: cfg.LoadCache, SRC: cfg.SRCCache, Report: cfg.ReportCache,
-	})
+	v.cache.SetCapacities(pipeline.Capacities{SRC: cfg.SRCCache, Report: cfg.ReportCache})
 	if cfg.StoreDir != "" {
 		if d, err := store.OpenDisk(cfg.StoreDir, cfg.StoreBudget); err == nil {
 			v.store = d
@@ -151,7 +147,7 @@ func (v *Verifier) BDDProfiles() []BDDProfile {
 }
 
 // ReportDigest is the digest identifying a verification request — the
-// canonicalized configuration text plus the normalized options — used as
+// configuration's canonical digest plus the normalized options — used as
 // the report-cache key by Verifier and the service.
 func ReportDigest(configText string, opts Options) string {
 	return pipeline.ReportKey(configText, opts.CacheKey())
@@ -165,32 +161,18 @@ func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Optio
 	return v.VerifyTextFrom(ctx, "", configText, opts)
 }
 
-// run is the one verification driver: normalize the options, answer from
-// the report cache if it can, else the staged pipeline (which rejects a
-// request it cannot run before any stage computes) and the assembled report
-// — cached under the request digest and traced. What differs between entry
-// points is who produced the Load artifact: the Load cache, whose provenance
-// entry is loaded, for configuration text; expresso.Load for a Network.
-// baseline names the registered warm anchor ("" for anonymous requests).
-// artifacts, when set, is handed the run's stage artifacts while the run
-// still holds them (baseline registration becomes a holder too): a whole
-// cached report is then not an answer, and its error fails the run.
+// run is the one verification driver below the report tier: normalize the
+// options, then the staged pipeline (which rejects a request it cannot run
+// before any stage computes) and the assembled report — filed under the
+// request digest and traced. What differs between entry points is who
+// produced the Load artifact, whose provenance entry is loaded: runText, for
+// configuration text; expresso.Load for a Network. baseline names the
+// registered warm anchor ("" for anonymous requests). artifacts, when set,
+// is handed the run's stage artifacts while the run still holds them
+// (baseline registration becomes a holder too), and its error fails the run.
 func (v *Verifier) run(ctx context.Context, load *pipeline.LoadArtifact, loaded []StageInfo, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
 	opts.normalize()
-	start := time.Now()
 	info := &RunInfo{Baseline: baseline, Digest: load.ReportKey(opts.CacheKey())}
-	if artifacts == nil {
-		if rep, ok := v.cache.Report.Get(info.Digest); ok {
-			info.CacheHit = true
-			info.Stages = []StageInfo{{
-				Stage: pipeline.StageReport, Status: StageHit,
-				Key: info.Digest, Duration: time.Since(start),
-			}}
-			traceRun(opts, info, rep, nil)
-			return rep, info, nil
-		}
-	}
-
 	runner := &pipeline.Runner{Cache: &v.cache.SRC, Store: v.store, Baselines: &v.baselines}
 	out, err := runner.Run(ctx, &pipeline.Request{
 		Load:       load,
@@ -219,21 +201,30 @@ func (v *Verifier) run(ctx context.Context, load *pipeline.LoadArtifact, loaded 
 	return rep, info, err
 }
 
-// runText is run on configuration text, whose Load stage resolves through
-// its cache.
+// runText is run on configuration text. A request that is not a
+// registration is looked up in the report tier first, before anything is
+// parsed; a registration must run, because it holds the run's artifacts,
+// which a cached report does not have.
 func (v *Verifier) runText(ctx context.Context, configText, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
-	start := time.Now()
-	info := StageInfo{Stage: pipeline.StageLoad, Status: StageHit, Key: pipeline.ConfigDigest(configText)}
-	load, ok := v.cache.Load.Get(info.Key)
-	if !ok {
-		var err error
-		if load, err = pipeline.Load(configText); err != nil {
-			return nil, nil, err
+	opts.normalize()
+	if artifacts == nil {
+		start := time.Now()
+		digest := ReportDigest(configText, opts)
+		if rep, ok := v.cache.Report.Get(digest); ok {
+			info := &RunInfo{Baseline: baseline, Digest: digest, CacheHit: true, Stages: []StageInfo{{
+				Stage: pipeline.StageReport, Status: StageHit,
+				Key: digest, Duration: time.Since(start),
+			}}}
+			traceRun(opts, info, rep, nil)
+			return rep, info, nil
 		}
-		v.cache.Load.Add(info.Key, load)
-		info.Status = StageMiss
 	}
-	info.Duration = time.Since(start)
+	start := time.Now()
+	load, err := pipeline.Load(configText)
+	if err != nil {
+		return nil, nil, err
+	}
+	info := StageInfo{Stage: pipeline.StageLoad, Status: StageMiss, Key: load.Digest, Duration: time.Since(start)}
 	return v.run(ctx, load, []StageInfo{info}, baseline, opts, artifacts)
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/traceview"
 )
 
 // deltaFixture is region 1 with the one-router deltas the serve-delta
@@ -64,7 +65,7 @@ const deltaHeapCeiling = 96 << 20
 
 // TestBaselineDeltasStayBounded: 200 deltas against one pinned baseline
 // leave its manager no more than twice as large as the first delta did —
-// warm runs sweep it (pipeline's managerLock.relieveWarm) — keep the heap
+// warm runs sweep it (the warm floor of epvp's Relieve) — keep the heap
 // under a ceiling, and answer what a cold run of the same text answers.
 func TestBaselineDeltasStayBounded(t *testing.T) {
 	t.Setenv("EXPRESSO_RECLAIM", "") // the default budgets: the rule under test is the warm one
@@ -111,6 +112,78 @@ func TestBaselineDeltasStayBounded(t *testing.T) {
 	if ms.HeapAlloc > deltaHeapCeiling {
 		t.Errorf("live heap after 200 deltas is %d MB, ceiling %d MB", ms.HeapAlloc>>20, deltaHeapCeiling>>20)
 	}
+}
+
+// TestBaselineDeltaSweepsOnlyWhatItBuilt: the pre-SPF barrier weighs what
+// the run hash-consed, not the manager's live count, so a budget under the
+// baseline's ~327 k live nodes but far over a delta's ~4 k new ones never
+// sweeps the baseline's manager — whose op caches and SPF conversions the
+// deltas exist to reuse — and every delta still answers what a cold run of
+// its text answers.
+func TestBaselineDeltaSweepsOnlyWhatItBuilt(t *testing.T) {
+	t.Setenv("EXPRESSO_RECLAIM", "100000")
+	ctx := context.Background()
+	opts := Options{Workers: 1, Properties: deltaProps}
+	f := newDeltaFixture()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, opts); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := v.baselines.Get("prod")
+	m := b.SRC.Eng.Space.M
+	if live := m.NumNodes(); live <= 100000 {
+		t.Fatalf("fixture: the baseline holds %d live nodes, want more than the budget", live)
+	}
+	sweeps := m.ReclaimStats().Runs
+	for i := 0; i < 10; i++ {
+		rep, info, err := v.VerifyDelta(ctx, "prod", f.patch(i), opts)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if s := stageStatus(info, "src"); s != StageWarm {
+			t.Fatalf("delta %d: src %s, want warm in the baseline's manager", i, s)
+		}
+		if n := m.ReclaimStats().Runs - sweeps; n != 0 {
+			t.Fatalf("delta %d: the baseline's manager was swept %d times", i, n)
+		}
+		if got, want := normalizedJSON(t, rep), scratchReport(t, f.deltaText(t, i), opts); got != want {
+			t.Fatalf("delta %d report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", i, want, got)
+		}
+	}
+}
+
+// TestPreSPFSweepIsTraced: the pre-SPF barrier's sweep reaches the trace
+// and the reclaim line of its summary. Under a 200-node budget it fires
+// for a cold region-1 run, whose last round and external RIBs grow the
+// manager by thousands of nodes after the last round-end sweep, and for a
+// delta, whose whole warm run is over the budget.
+func TestPreSPFSweepIsTraced(t *testing.T) {
+	t.Setenv("EXPRESSO_RECLAIM", "200")
+	ctx := context.Background()
+	f := newDeltaFixture()
+	v := NewVerifier(VerifierConfig{})
+	check := func(name string, tr *Tracer) {
+		t.Helper()
+		trace := tr.Finish()
+		if s := trace.PreSPFSweep; s == nil || s.Sweeps != 1 || s.SweptNodes == 0 {
+			t.Fatalf("%s: pre-SPF sweep %+v, want one that freed nodes", name, s)
+		}
+		var out strings.Builder
+		traceview.Summarize(&out, trace)
+		if !strings.Contains(out.String(), ", 1 of them before SPF\n") {
+			t.Fatalf("%s: summary does not count the pre-SPF sweep:\n%s", name, out.String())
+		}
+	}
+	cold := NewTracer()
+	if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, Options{Workers: 1, Properties: deltaProps, Trace: cold}); err != nil {
+		t.Fatal(err)
+	}
+	check("cold", cold)
+	delta := NewTracer()
+	if _, _, err := v.VerifyDelta(ctx, "prod", f.patch(0), Options{Workers: 1, Properties: deltaProps, Trace: delta}); err != nil {
+		t.Fatal(err)
+	}
+	check("delta", delta)
 }
 
 // memoWork is what a traced run re-derived instead of finding memoized:

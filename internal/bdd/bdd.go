@@ -199,6 +199,8 @@ type Manager struct {
 	rcRuns  atomic.Int64
 	rcFreed atomic.Int64
 	rcPause atomic.Int64 // nanoseconds across all runs
+	// rcCreated is created as of the end of the last Reclaim.
+	rcCreated atomic.Int64
 
 	// Peak-live-node high-watermark (see NoteWatermark): the largest live
 	// population ever observed at a sample point, and how many samples
@@ -1373,6 +1375,10 @@ func (m *Manager) ReclaimStats() ReclaimStats {
 	}
 }
 
+// CreatedAtReclaim returns the hash-consed node count (UniqueStats'
+// created) as of the end of the last Reclaim, 0 before the first.
+func (m *Manager) CreatedAtReclaim() int64 { return m.rcCreated.Load() }
+
 // Reclaim frees every node not reachable from the given roots or from the
 // Pin set: a stop-the-world mark-and-sweep over the slab. Live handles are
 // never renumbered; dead slots go on a free list for reuse by later mk
@@ -1455,6 +1461,7 @@ func (m *Manager) Reclaim(roots ...Node) int {
 		return true
 	})
 	m.gen.Add(1)
+	m.rcCreated.Store(m.created())
 	pause := int64(time.Since(start))
 	m.rcRuns.Add(1)
 	m.rcFreed.Add(int64(freed))

@@ -78,6 +78,13 @@ type Engine struct {
 	ctx       symbolic.CompileContext
 	permitAll *symbolic.Transfer
 	transfers map[transferKey]*symbolic.Transfer
+
+	// The sweep barriers' state (barrier.go): the hash-consed count when
+	// the run began, the manager's warm floor (shared with the spaces by
+	// NewWarm), and whether NewWarm built this engine.
+	runStart int64
+	floor    *int64
+	warm     bool
 }
 
 type transferKey struct {
@@ -202,6 +209,7 @@ func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine,
 		Comm:      community.NewSpace(atoms),
 		Mode:      mode,
 		transfers: map[transferKey]*symbolic.Transfer{},
+		floor:     new(int64),
 	}
 	if err := e.compilePoliciesReusing(ctx, nil, nil); err != nil {
 		return nil, err
@@ -272,7 +280,8 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 //
 // The returned engine takes the prior engine's spaces as they are, default
 // BDD workers included, so the op caches every earlier run on the managers
-// filled serve this one too. The default workers are single-goroutine, so
+// filled serve this one too; it shares the manager's warm floor with them
+// (Relieve). The default workers are single-goroutine, so
 // every computation on engines sharing them must be serialized — the
 // pipeline's one run lock per manager does that; a run's own fan-out forks
 // private workers. Transfers for devices in unchanged (callers pass the
@@ -307,6 +316,8 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 		Comm:      prior.Comm,
 		Mode:      mode,
 		transfers: map[transferKey]*symbolic.Transfer{},
+		floor:     prior.floor,
+		warm:      true,
 	}
 	if err := e.compilePoliciesReusing(ctx, prior, unchanged); err != nil {
 		return nil, err
@@ -643,12 +654,8 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		Best:        map[string][]*symbolic.Route{},
 		ExternalRIB: map[string][]*symbolic.Route{},
 	}
-	// Between-round memory pressure is hash-consing growth: the created
-	// counter's advance since the last sweep (sweepFloor). created at a
-	// round boundary is a pure function of the canonical node set, so
-	// Relieve fires in the same rounds for every worker count (the
-	// determinism invariant).
-	_, sweepFloor := e.Space.M.UniqueStats()
+	// The barriers' growth counts from here (barrier.go).
+	_, e.runStart = e.Space.M.UniqueStats()
 	pool := NewPool(e.WorkerCount(), e, e.fork)
 	forks := pool.Forks
 	// Synchronous rounds with change tracking: a router recomputes only
@@ -723,20 +730,11 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// so this watermark sample is schedule-independent. Two atomics —
 		// cheap enough to run whether or not tracing is on.
 		e.Space.M.NoteWatermark()
-		// Once enough new nodes have been hash-consed, free everything
-		// unreachable from the round's live state by a sweep. The forks
-		// are quiescent here (Each has returned), and the next round's
-		// goroutines start after this point, satisfying the quiescence
-		// contract; worker memos invalidate lazily via the manager's
-		// generation counter.
-		var relief Relief
+		// The round-end sweep barrier (barrier.go): the forks are quiescent
+		// (Each has returned) and the next round's goroutines start after it.
+		var relief telemetry.SweepEvent
 		if !converged {
-			_, created := e.Space.M.UniqueStats()
-			relief = Relieve(e.Space.M, created-sweepFloor,
-				func() []bdd.Node { return e.runRoots(best, extInit, seed, edges, memo) })
-			if relief.Sweeps > 0 {
-				_, sweepFloor = e.Space.M.UniqueStats()
-			}
+			relief = e.relieve(func() []bdd.Node { return e.runRoots(best, extInit, seed, edges, memo) }, false)
 		}
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()

@@ -10,7 +10,6 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/spf"
-	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
@@ -84,10 +83,10 @@ type SRCArtifact struct {
 	// artifact's manager, so they share its lock too. Reclaim sweeps run
 	// under it as well, which is what makes them safe: every other
 	// symbolic computation on the manager is excluded for the duration.
-	runLock *managerLock
-	// warm marks a fixed point warm-started in a baseline's manager: its
-	// pre-SPF barrier also weighs the manager's warm-sweep floor.
-	warm bool
+	// Every holder releases it by defer: the service turns a panicking
+	// verification into a failed job, and the next job on that manager
+	// must not find the lock held.
+	runLock *sync.Mutex
 
 	// The ownership state, the one place BDD handles are pinned (DESIGN.md
 	// "Who owns a handle"). holders counts who keeps the artifact resident:
@@ -100,37 +99,6 @@ type SRCArtifact struct {
 	holders int
 	pins    []bdd.Node
 	derived Tier[derived]
-}
-
-// managerLock is a BDD manager's run lock (SRCArtifact.runLock), shared by
-// every SRC artifact computed in the manager, with the one policy that is
-// the manager's rather than a run's: when warm runs sweep it.
-type managerLock struct {
-	sync.Mutex
-	// warmFloor is the live node count at the manager's first warm pre-SPF
-	// barrier; 0 until then. Guarded by the lock itself.
-	warmFloor int64
-}
-
-// relieveWarm is a warm run's pre-SPF barrier rule, applied after the
-// budget of epvp.Relieve: sweep once the manager's live population is
-// twice its floor. A warm run's own growth is a few thousand nodes, far
-// below any budget, so without this the dead nodes of every delta against
-// a pinned baseline accumulate in its manager. The floor is set once and
-// never lowered to a post-sweep population: a sweep moves the manager's
-// generation, dropping the op caches and conversions warm runs reuse, and
-// a floor that tracked the swept population would sweep on nearly every
-// delta. EXPRESSO_RECLAIM=off turns this sweep off too. The caller holds
-// the lock.
-func (l *managerLock) relieveWarm(m *bdd.Manager, roots func() []bdd.Node) {
-	live := int64(m.NumNodes())
-	if l.warmFloor == 0 {
-		l.warmFloor = live
-		return
-	}
-	if _, on := telemetry.ReclaimBudgetFromEnv(); on && live >= 2*l.warmFloor {
-		m.Reclaim(roots()...)
-	}
 }
 
 // derived is an artifact built in an SRC artifact's manager: an SPF result
@@ -211,22 +179,14 @@ func (a *SRCArtifact) adopt(key string, d derived) {
 	}
 }
 
-// withLock runs f under the artifact's run lock. Every holder of a run lock
-// releases it by defer: the service turns a panicking verification into a
-// failed job, and the next job on that manager must not find the lock held.
-func (a *SRCArtifact) withLock(f func()) {
-	a.runLock.Lock()
-	defer a.runLock.Unlock()
-	f()
-}
-
 // BDDProfile snapshots the artifact's BDD manager under the run lock, so
 // the walk sees a quiescent node population even when the artifact is
 // shared with in-flight verifications. This is the introspection path
 // behind GET /debug/bdd; it runs only on demand, never inside the engine.
-func (a *SRCArtifact) BDDProfile() (p bdd.Profile) {
-	a.withLock(func() { p = a.Eng.Space.M.Profile() })
-	return p
+func (a *SRCArtifact) BDDProfile() bdd.Profile {
+	a.runLock.Lock()
+	defer a.runLock.Unlock()
+	return a.Eng.Space.M.Profile()
 }
 
 // AnalysisArtifact is the output of the RoutingAnalysis and

@@ -16,6 +16,7 @@ package pipeline
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/expresso-verify/expresso/internal/automaton"
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -265,7 +266,7 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 		Key: key, Digest: hashHex(key),
 		Eng: eng, Res: res, Load: load,
 		Workers: int(workers),
-		runLock: &managerLock{},
+		runLock: new(sync.Mutex),
 	}, nil
 }
 

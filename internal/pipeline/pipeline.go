@@ -76,14 +76,6 @@ type Outcome struct {
 	Stages     []StageInfo
 }
 
-// warmNodeBudget bounds the live BDD node count of a baseline's manager
-// the Runner is willing to warm-start a delta into. Every delta against a
-// baseline computes in the baseline's manager; dead-node reclamation keeps
-// the live population bounded, but a manager whose pinned artifacts alone
-// exceed the budget is past the point where a cold start with a fresh
-// manager is cheaper than dragging the old universe along.
-const warmNodeBudget = 4 << 20
-
 // Runner executes the staged pipeline.
 type Runner struct {
 	// Cache is the memory tier of SRC artifacts (required). The stages built
@@ -313,7 +305,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 // lock. Whatever the rung, the artifact comes back held for the request.
 func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
-	cached, own := r.Cache, &managerLock{}
+	cached, own := r.Cache, new(sync.Mutex)
 	var base *Baseline
 	if req.Baseline != "" && r.Baselines != nil {
 		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
@@ -348,7 +340,7 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 			if err != nil {
 				return nil, err
 			}
-			return converge(eng, req, key, own, false, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
+			return converge(eng, req, key, own, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
 		},
 		keep: func(a *SRCArtifact) {
 			a.pin()
@@ -359,12 +351,12 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 		},
 		encode: EncodeSRC,
 		// The named baseline is the one warm anchor: deterministic, resident,
-		// independent of cache pressure. A request that names none, or names
-		// one grown past the budget, runs cold in a manager of its own. The
-		// compatibility of the symbolic universes (externals, community
-		// atoms) is re-checked by epvp.NewWarm.
+		// independent of cache pressure. A request that names none runs cold
+		// in a manager of its own. The compatibility of the symbolic
+		// universes (externals, community atoms) is re-checked by
+		// epvp.NewWarm.
 		anchor: func() (*SRCArtifact, string) {
-			if base != nil && base.SRC.Eng.Space.M.NumNodes() < warmNodeBudget && base.SRC.retain() {
+			if base != nil && base.SRC.retain() {
 				return base.SRC, "baseline=" + base.Name + " "
 			}
 			return nil, ""
@@ -380,9 +372,8 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 }
 
 // converge runs a compiled engine to its fixed point and wraps the result
-// as the SRC artifact for srcKey, guarded by lock; warm says the engine
-// was warm-started in an anchor's manager.
-func converge(eng *epvp.Engine, req *Request, srcKey string, lock *managerLock, warm bool, run func() (*epvp.Result, error)) (*SRCArtifact, error) {
+// as the SRC artifact for srcKey, guarded by lock.
+func converge(eng *epvp.Engine, req *Request, srcKey string, lock *sync.Mutex, run func() (*epvp.Result, error)) (*SRCArtifact, error) {
 	eng.Workers = req.Workers
 	eng.Trace = req.Trace
 	res, err := run()
@@ -394,7 +385,7 @@ func converge(eng *epvp.Engine, req *Request, srcKey string, lock *managerLock, 
 		Key: srcKey, Digest: hashHex(srcKey),
 		Eng: eng, Res: res, Load: req.Load,
 		Workers: eng.WorkerCount(),
-		runLock: lock, warm: warm,
+		runLock: lock,
 	}, nil
 }
 
@@ -413,7 +404,7 @@ func warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifa
 	if err != nil {
 		return nil, 0, nil
 	}
-	src, err := converge(eng, req, srcKey, prior.runLock, true, func() (*epvp.Result, error) {
+	src, err := converge(eng, req, srcKey, prior.runLock, func() (*epvp.Result, error) {
 		return eng.RunWarmContext(ctx, prior.Res, dirty)
 	})
 	return src, len(dirty), err
@@ -434,19 +425,12 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 		},
 		decode: func(data []byte) (*SPFArtifact, error) { return DecodeSPF(src.Eng, key, data) },
 		compute: func() (*SPFArtifact, error) {
-			// The fixed point's intermediates are garbage now, and SPF is
-			// about to add 33 data-plane variables per neighbor and build a
-			// large fresh population on top, so this is a barrier worth a
-			// sweep when the live population is over budget (small runs
-			// never pause), and for a warm run, when its manager has doubled
-			// since its first warm run (managerLock.relieveWarm).
-			// The roots are this request's working set — pins cover what src
-			// keeps, but a routing artifact pushed out of its table
-			// mid-request must survive its own run too.
-			roots := func() []bdd.Node { return append(src.handles(), routing.handles()...) }
-			relief := epvp.Relieve(m, int64(m.NumNodes()), roots)
-			if src.warm && relief.Sweeps == 0 {
-				src.runLock.relieveWarm(m, roots)
+			// The pre-SPF barrier (epvp's Relieve). Its roots are this
+			// request's working set — pins cover what src keeps, but a
+			// routing artifact pushed out of its table mid-request must
+			// survive its own run too.
+			if ev := src.Eng.Relieve(func() []bdd.Node { return append(src.handles(), routing.handles()...) }); ev.Sweeps > 0 {
+				req.Trace.PreSPFSweep(ev)
 			}
 			// The engine may have converged for another request, or been
 			// restored from the store: this request's worker count applies.

@@ -107,6 +107,14 @@ type RoundEvent struct {
 	Duration int64 `json:"duration_ns"`
 }
 
+// SweepEvent is what a sweep barrier did: sweeps run, slab slots freed and
+// their stop-the-world pause (RoundEvent's Reclaim* fields at a round end).
+type SweepEvent struct {
+	Sweeps     int64 `json:"sweeps"`
+	SweptNodes int64 `json:"swept_nodes"`
+	SweepNS    int64 `json:"sweep_ns"`
+}
+
 // FIBEvent records one router's symbolic FIB compilation during SPF.
 type FIBEvent struct {
 	Router string `json:"router"`
@@ -201,6 +209,8 @@ type Trace struct {
 	// Watermark is the run's BDD memory footer (nil when the producer
 	// predates it or the run never touched a BDD manager).
 	Watermark *Watermark `json:"watermark,omitempty"`
+	// PreSPFSweep is the pre-SPF barrier's sweep, nil when none ran.
+	PreSPFSweep *SweepEvent `json:"pre_spf_sweep,omitempty"`
 }
 
 // Tracer records one run's trace. The zero value is NOT ready for use —
@@ -277,6 +287,16 @@ func (t *Tracer) Round(ev RoundEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.trace.EPVPRounds = append(t.trace.EPVPRounds, ev)
+}
+
+// PreSPFSweep records the sweep the pre-SPF barrier ran.
+func (t *Tracer) PreSPFSweep(ev SweepEvent) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.trace.PreSPFSweep = &ev
 }
 
 // FIB records one router's FIB compilation. Safe to call from SPF's

@@ -79,29 +79,40 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 	}
 	tw.Flush()
 
-	if len(tr.EPVPRounds) > 0 {
-		var growth, reclaims, freed, pause, peak int64
-		var mergeHits, mergeLookups int64
-		for _, r := range tr.EPVPRounds {
-			growth += r.BDDGrowth
-			mergeHits += r.MergeHits
-			mergeLookups += r.MergeHits + r.MergeMisses
-			reclaims += r.Reclaims
-			freed += r.ReclaimedNodes
-			pause += r.ReclaimNS
-			if r.BDDPeak > peak {
-				peak = r.BDDPeak
-			}
-		}
-		last := tr.EPVPRounds[len(tr.EPVPRounds)-1]
+	var growth, reclaims, freed, pause int64
+	var mergeHits, mergeLookups int64
+	for _, r := range tr.EPVPRounds {
+		growth += r.BDDGrowth
+		mergeHits += r.MergeHits
+		mergeLookups += r.MergeHits + r.MergeMisses
+		reclaims += r.Reclaims
+		freed += r.ReclaimedNodes
+		pause += r.ReclaimNS
+	}
+	preSPF := tr.PreSPFSweep
+	if preSPF != nil {
+		reclaims += preSPF.Sweeps
+		freed += preSPF.SweptNodes
+		pause += preSPF.SweepNS
+	}
+	if n := len(tr.EPVPRounds); n > 0 {
 		fmt.Fprintf(w, "epvp: %d rounds, %d nodes hash-consed, %d live after last round\n",
-			len(tr.EPVPRounds), growth, last.BDDNodes)
-		if reclaims > 0 {
-			fmt.Fprintf(w, "reclaim: %d sweeps freed %d nodes in %s (%.1f%% of round growth)\n",
-				reclaims, freed, ns(pause), 100*float64(freed)/float64(growth))
-		} else {
-			fmt.Fprintf(w, "reclaim: no sweeps triggered\n")
+			n, growth, tr.EPVPRounds[n-1].BDDNodes)
+	}
+	switch {
+	case reclaims > 0:
+		fmt.Fprintf(w, "reclaim: %d sweeps freed %d nodes in %s", reclaims, freed, ns(pause))
+		if growth > 0 {
+			fmt.Fprintf(w, " (%.1f%% of round growth)", 100*float64(freed)/float64(growth))
 		}
+		if preSPF != nil {
+			fmt.Fprintf(w, ", %d of them before SPF", preSPF.Sweeps)
+		}
+		fmt.Fprintln(w)
+	case len(tr.EPVPRounds) > 0:
+		fmt.Fprintf(w, "reclaim: no sweeps triggered\n")
+	}
+	if len(tr.EPVPRounds) > 0 {
 		fmt.Fprintf(w, "epvp merge memo: %d hits of %d lookups\n", mergeHits, mergeLookups)
 	}
 	if n := len(tr.SPFFIBs); n > 0 {

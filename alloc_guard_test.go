@@ -11,6 +11,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/spf"
 	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/topology"
@@ -56,6 +57,12 @@ const (
 	// across them (round 5 drops from 3.8 M to 0.38 M). Losing the memo or
 	// its rooting lands over this.
 	fullOldEPVPMissesCeiling = 20_000_000
+	// fullOldLeakNodesCeiling bounds the nodes hash-consed by
+	// CheckRouteLeak on that full-old fixed point: 95,011 while it built a
+	// witness prefix and condition for each of the 696 leaked routes, ~550
+	// once it builds one per reported violation (4 receiving neighbors).
+	// A per-route witness creeping back lands far over this.
+	fullOldLeakNodesCeiling = 5_000
 )
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
@@ -65,7 +72,8 @@ const (
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
 // region 4's EPVP rounds against the region4EPVP ceilings and bounds that
 // manager's op-cache slots and unique-table bytes; last, it runs full-old's
-// EPVP rounds against fullOldEPVPMissesCeiling and logs their wall time.
+// EPVP rounds against fullOldEPVPMissesCeiling, logs their wall time, and
+// holds the route-leak check on their result to fullOldLeakNodesCeiling.
 // Gated behind
 // EXPRESSO_ALLOC_GUARD because the measurement needs a quiet heap (and is
 // meaningless when other tests run concurrently); `make alloc-guard` —
@@ -177,7 +185,7 @@ func TestRegion1AllocGuard(t *testing.T) {
 	eng = epvp.New(fullOld.Topo, epvp.FullMode())
 	eng.Workers, eng.Trace = 1, telemetry.NewTracer()
 	start := time.Now()
-	eng.Run()
+	cp = eng.Run()
 	wall := time.Since(start)
 	var mergeHits, mergeLookups int64
 	misses = 0
@@ -191,5 +199,15 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if misses > fullOldEPVPMissesCeiling {
 		t.Errorf("full-old EPVP rounds cost %d op-cache misses, over the %d ceiling: does Merge still go through the run's merge memo, and does runRoots keep it across sweeps?",
 			misses, fullOldEPVPMissesCeiling)
+	}
+
+	_, leak0 := eng.Space.M.UniqueStats()
+	leaks := properties.CheckRouteLeak(eng, cp)
+	_, leak1 := eng.Space.M.UniqueStats()
+	t.Logf("full-old route-leak check: %d violations, %d BDD nodes created (ceiling %d)",
+		len(leaks), leak1-leak0, fullOldLeakNodesCeiling)
+	if leak1-leak0 > fullOldLeakNodesCeiling {
+		t.Errorf("full-old route-leak check created %d BDD nodes, over the %d-node ceiling: does it build a witness per leaked route again instead of per reported violation?",
+			leak1-leak0, fullOldLeakNodesCeiling)
 	}
 }

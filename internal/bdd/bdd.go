@@ -74,11 +74,14 @@
 // list for reuse (the stripes' free-list batches are taken back into it;
 // their unused fresh blocks stay reserved), the unique-table stripes are
 // compacted to their live population, and the fingerprint memo drops dead
-// entries. Reclaim and Reorder are the only writers of slab slots that
-// other goroutines may already have read, which is why both require
-// external quiescence — no Manager operation may run concurrently — and
-// goroutines resuming afterwards must be ordered after the reclaim point by
-// the caller (a channel barrier, as in epvp's round loop). Worker caches
+// entries. The sweep is stop-the-world but not serial: its mark, stripe
+// compaction and free-list scan each fan out over GOMAXPROCS goroutines,
+// and leave the live set, the tables and the free-list order exactly as a
+// serial sweep would. Reclaim and Reorder are the only writers of slab
+// slots that other goroutines may already have read, which is why both
+// require external quiescence — no Manager operation may run concurrently
+// — and goroutines resuming afterwards must be ordered after the reclaim
+// point by the caller (a channel barrier, as in epvp's round loop). Worker caches
 // are invalidated lazily via a generation counter: the first operation on a
 // Worker after a reclaim drops its memos, since cached results may mention
 // freed handles.
@@ -88,6 +91,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1383,8 +1387,10 @@ func (m *Manager) CreatedAtReclaim() int64 { return m.rcCreated.Load() }
 // Pin set: a stop-the-world mark-and-sweep over the slab. Live handles are
 // never renumbered; dead slots go on a free list for reuse by later mk
 // calls, each unique-table stripe is compacted to its surviving
-// population, and dead fingerprint memos are dropped. Returns the number
-// of slots freed.
+// population, and dead fingerprint memos are dropped. The mark, the
+// compaction and the free-list scan each run on GOMAXPROCS goroutines;
+// the result does not depend on how many. Returns the number of slots
+// freed.
 //
 // The caller must guarantee quiescence: no other goroutine may use the
 // Manager (or any Worker) during the call, and goroutines resuming
@@ -1402,53 +1408,37 @@ func (m *Manager) Reclaim(roots ...Node) int {
 	n := uint32(m.next.Load())
 	marked := make([]uint64, (n+63)/64)
 	marked[0] = 1 // the shared constant is always live
-	var mark func(Node)
-	mark = func(x Node) {
-		idx := uint32(x) >> 1
-		if marked[idx>>6]&(1<<(idx&63)) != 0 {
-			return
-		}
-		marked[idx>>6] |= 1 << (idx & 63)
-		nd := m.slot(idx)
-		if nd.level == maxLevel {
-			return
-		}
-		mark(nd.low)
-		mark(nd.high)
-	}
 	m.pinMu.Lock()
+	seeds := make([]Node, 0, len(m.pinned)+len(roots))
 	for p := range m.pinned {
-		mark(p)
+		seeds = append(seeds, p)
 	}
 	m.pinMu.Unlock()
-	for _, r := range roots {
-		mark(r)
-	}
+	m.mark(marked, append(seeds, roots...))
 	keep := func(idx uint32) bool {
 		return marked[idx>>6]&(1<<(idx&63)) != 0
 	}
 	// Compact every stripe and take its free-list batch back (the sweep
-	// files those slots again); its unused fresh block stays reserved, so
-	// the sweep skips it.
-	reserved := int64(0)
-	for i := range m.unique {
+	// files those slots again). Each stripe owns its table and lock, so
+	// the stripes compact in parallel; nothing writes marked meanwhile.
+	fanOut(numStripes, func(i int) {
 		st := &m.unique[i]
 		st.mu.Lock()
 		st.compact(keep)
 		st.spare = st.spare[:0]
+		st.mu.Unlock()
+	})
+	// A stripe's unused fresh block stays reserved, so the sweep skips it.
+	reserved := int64(0)
+	for i := range m.unique {
+		st := &m.unique[i]
 		for idx := st.blk; idx < st.blkEnd; idx++ {
 			marked[idx>>6] |= 1 << (idx & 63)
 		}
 		reserved += int64(st.blkEnd - st.blk)
-		st.mu.Unlock()
 	}
 	m.freeMu.Lock()
-	m.free = m.free[:0]
-	for idx := uint32(1); idx < n; idx++ {
-		if !keep(idx) {
-			m.free = append(m.free, int32(idx))
-		}
-	}
+	m.free = sweepFree(marked, n, m.free[:0])
 	live := int64(n) - int64(len(m.free)) - reserved
 	m.nFree.Store(int64(len(m.free)))
 	m.freeMu.Unlock()
@@ -1470,6 +1460,117 @@ func (m *Manager) Reclaim(roots ...Node) int {
 	globalRcFreed.Add(int64(freed))
 	globalRcPause.Add(pause)
 	return freed
+}
+
+// fanOut calls fn(i) for every i in [0,n) on up to GOMAXPROCS goroutines
+// and returns when all calls have. It is the sweep's own fan-out: the
+// engine's worker pool lives above this package, and no engine worker runs
+// during a sweep, so every core is free for it.
+func fanOut(n int, fn func(i int)) {
+	procs := min(runtime.GOMAXPROCS(0), n)
+	if procs <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var (
+		wg     sync.WaitGroup
+		cursor atomic.Int64
+	)
+	wg.Add(procs)
+	for g := 0; g < procs; g++ {
+		go func() {
+			defer wg.Done()
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// mark sets the bit of every slab index reachable from seeds. Goroutines
+// take seeds from a shared cursor and walk them depth-first with private
+// stacks; a node is expanded by the goroutine whose compare-and-swap set
+// its bit, so each is expanded once however the walks overlap.
+func (m *Manager) mark(marked []uint64, seeds []Node) {
+	var next atomic.Int64
+	fanOut(runtime.GOMAXPROCS(0), func(int) {
+		var stack []Node
+		for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
+			stack = append(stack[:0], seeds[i])
+			for len(stack) > 0 {
+				idx := uint32(stack[len(stack)-1]) >> 1
+				stack = stack[:len(stack)-1]
+				if !setMark(marked, idx) {
+					continue
+				}
+				if nd := m.slot(idx); nd.level != maxLevel {
+					stack = append(stack, nd.low, nd.high)
+				}
+			}
+		}
+	})
+}
+
+// setMark sets idx's bit and reports whether this call set it.
+func setMark(marked []uint64, idx uint32) bool {
+	w, bit := &marked[idx>>6], uint64(1)<<(idx&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(w, old, old|bit) {
+			return true
+		}
+	}
+}
+
+// sweepFree writes every unmarked slab index in [1,n) into free, ascending,
+// and returns it. Ranges of the bitmap are counted and then filled in
+// parallel, each into its own section of the list, so the order is the
+// serial scan's.
+func sweepFree(marked []uint64, n uint32, free []int32) []int32 {
+	// Four ranges per goroutine even out dense and sparse stretches of the
+	// slab; a range spans at least 64 K slots.
+	words := len(marked)
+	span := max(1024, (words+4*runtime.GOMAXPROCS(0)-1)/(4*runtime.GOMAXPROCS(0)))
+	parts := (words + span - 1) / span
+	unmarked := func(w int) uint64 {
+		x := ^marked[w]
+		// Bits past n in the last word are clear but name no slab slot.
+		if rest := n - uint32(w)<<6; rest < 64 {
+			x &= 1<<rest - 1
+		}
+		return x
+	}
+	counts := make([]int, parts+1)
+	fanOut(parts, func(p int) {
+		c := 0
+		for w := p * span; w < min(words, (p+1)*span); w++ {
+			c += bits.OnesCount64(unmarked(w))
+		}
+		counts[p+1] = c
+	})
+	for p := 1; p <= parts; p++ {
+		counts[p] += counts[p-1]
+	}
+	if total := counts[parts]; cap(free) >= total {
+		free = free[:total]
+	} else {
+		free = make([]int32, total)
+	}
+	fanOut(parts, func(p int) {
+		out := free[counts[p]:counts[p]]
+		for w := p * span; w < min(words, (p+1)*span); w++ {
+			for x := unmarked(w); x != 0; x &= x - 1 {
+				out = append(out, int32(w<<6+bits.TrailingZeros64(x)))
+			}
+		}
+	})
+	return free
 }
 
 // Process-wide reclamation aggregates across every Manager, bumped once

@@ -1,6 +1,8 @@
 package bdd
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -235,5 +237,54 @@ func BenchmarkReclaim(b *testing.B) {
 		}
 		b.StartTimer()
 		m.Reclaim(root)
+	}
+}
+
+// TestReclaimSameAtAnyParallelism pins the parallel sweep to the serial
+// one: the same DAG swept with the same roots and pins under GOMAXPROCS 1
+// and 4 frees the same count, leaves the same profile, and refills the
+// free list in the same order, so the next nodes get the same handles. The
+// DAG spans more than one free-list range and many stripes, and under
+// `go test -race` this is what checks the concurrent mark.
+func TestReclaimSameAtAnyParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	vars := make([]int, 32)
+	for i := range vars {
+		vars[i] = i
+	}
+	bound := func(k uint64) uint64 { return (k*0x9E3779B97F4A7C15 + 12345) >> 32 }
+	sweep := func(procs int) (*Manager, int) {
+		m := New(len(vars))
+		var roots []Node
+		for k := uint64(0); k < 10000; k++ {
+			f := uintLE(m, vars, bound(k))
+			switch {
+			case k%7 == 0:
+				roots = append(roots, f)
+			case k%11 == 0:
+				m.Pin(f)
+			}
+		}
+		runtime.GOMAXPROCS(procs)
+		return m, m.Reclaim(roots...)
+	}
+	m1, freed1 := sweep(1)
+	m4, freed4 := sweep(4)
+	if freed1 != freed4 || freed1 == 0 {
+		t.Fatalf("freed %d nodes at GOMAXPROCS 1, %d at 4; want the same, non-zero", freed1, freed4)
+	}
+	if slots := m1.Profile().SlabSlots; slots < 2*65536 {
+		t.Fatalf("DAG has %d slab slots, too few to span several free-list ranges", slots)
+	}
+	if p1, p4 := m1.Profile(), m4.Profile(); !reflect.DeepEqual(p1, p4) {
+		t.Fatalf("profiles differ after the sweep:\n%+v\n%+v", p1, p4)
+	}
+	for k := uint64(0); k < 300; k++ {
+		if a, b := uintLE(m1, vars, bound(k+5000)), uintLE(m4, vars, bound(k+5000)); a != b {
+			t.Fatalf("function %d after the sweep: handle %v at GOMAXPROCS 1, %v at 4", k, a, b)
+		}
+	}
+	if n1, n4 := m1.NumNodes(), m4.NumNodes(); n1 != n4 {
+		t.Fatalf("live nodes after rebuilding: %d at GOMAXPROCS 1, %d at 4", n1, n4)
 	}
 }

@@ -774,39 +774,50 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	}
 	res.Best = best
 
-	// Routes exported to each external neighbor (their received RIB).
-	for _, ext := range e.Net.Externals {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var recv []*symbolic.Route
-		for _, u := range e.Net.Neighbors(ext) {
-			for _, r := range best[u] {
-				for _, er := range e.export(u, ext, r) {
-					er.Path = append(append([]string(nil), r.Path...), ext)
-					recv = append(recv, er)
-				}
-			}
-			su := e.Net.Session(u, ext)
-			if su != nil && su.AdvertiseDefault {
-				def := e.defaultOriginated(u)
-				def.Path = []string{u, ext}
-				recv = append(recv, def)
-			}
-		}
-		// Externals do not run a decision process; they receive everything.
-		// Drop empties and sort for determinism (stable: routes with equal
-		// attributes keep their deterministic collection order).
-		kept := recv[:0]
-		for _, r := range recv {
-			if r.U != bdd.False {
-				kept = append(kept, r)
-			}
-		}
-		symbolic.SortCanonical(e.Comm, kept)
-		res.ExternalRIB[ext] = kept
+	// Routes exported to each external neighbor (their received RIB),
+	// computed on the pool and assembled in Externals order.
+	recvs := make([][]*symbolic.Route, len(e.Net.Externals))
+	if err := pool.Each(ctx, len(recvs), func(f *Engine, i int) {
+		recvs[i] = f.received(e.Net.Externals[i], best)
+	}); err != nil {
+		return nil, err
+	}
+	for i, ext := range e.Net.Externals {
+		res.ExternalRIB[ext] = recvs[i]
 	}
 	return res, nil
+}
+
+// received is the RIB external neighbor ext receives from the converged
+// RIBs best, in canonical order. It only reads best, so forks may run it
+// concurrently for different neighbors.
+func (e *Engine) received(ext string, best map[string][]*symbolic.Route) []*symbolic.Route {
+	var recv []*symbolic.Route
+	for _, u := range e.Net.Neighbors(ext) {
+		for _, r := range best[u] {
+			for _, er := range e.export(u, ext, r) {
+				er.Path = append(append([]string(nil), r.Path...), ext)
+				recv = append(recv, er)
+			}
+		}
+		su := e.Net.Session(u, ext)
+		if su != nil && su.AdvertiseDefault {
+			def := e.defaultOriginated(u)
+			def.Path = []string{u, ext}
+			recv = append(recv, def)
+		}
+	}
+	// Externals do not run a decision process; they receive everything.
+	// Drop empties and sort for determinism (stable: routes with equal
+	// attributes keep their deterministic collection order).
+	kept := recv[:0]
+	for _, r := range recv {
+		if r.U != bdd.False {
+			kept = append(kept, r)
+		}
+	}
+	symbolic.SortCanonical(e.Comm, kept)
+	return kept
 }
 
 // runRoots gathers the BDD roots live at a round boundary: the round's

@@ -14,6 +14,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/spf"
+	"github.com/expresso-verify/expresso/internal/symbolic"
 )
 
 // Kind names a property.
@@ -40,12 +41,13 @@ type Violation struct {
 	Detail string `json:"detail"`
 	// Cond is the advertiser condition under which the violation occurs
 	// (control-plane variables for routing properties, data-plane variables
-	// for forwarding properties). Conditions of merged duplicate findings
-	// are unioned. The value is a BDD handle, only meaningful within the
-	// process that produced it — and, under the parallel engine, only
-	// within the run (handle numbering depends on scheduling), so it is
-	// excluded from the JSON wire format to keep reports byte-identical
-	// across worker counts.
+	// for forwarding properties). A violation merged from duplicate
+	// findings keeps its first finding's Cond, as it keeps its Prefix and
+	// Path; only Originators aggregate. The value is a BDD handle, only
+	// meaningful within the process that produced it — and, under the
+	// parallel engine, only within the run (handle numbering depends on
+	// scheduling), so it is excluded from the JSON wire format to keep
+	// reports byte-identical across worker counts.
 	Cond bdd.Node `json:"-"`
 	// Prefix is a witness prefix when one is known.
 	Prefix route.Prefix `json:"prefix"`
@@ -61,30 +63,22 @@ func (v Violation) String() string {
 }
 
 // CheckRouteLeak verifies RouteLeakFree (§6.1): no external neighbor may
-// receive a route originated by another external neighbor.
+// receive a route originated by another external neighbor. It reports one
+// violation per receiving neighbor; the witness comes from the first leaked
+// route, and every leaked route adds its originator.
 func CheckRouteLeak(eng *epvp.Engine, cp *epvp.Result) []Violation {
-	var out []Violation
+	var f findings
 	for _, ext := range eng.Net.Externals {
+		detail := fmt.Sprintf("externally originated routes leaked to %s", ext)
 		for _, r := range cp.ExternalRIB[ext] {
 			if r.Originator == ext || eng.Net.IsInternal(r.Originator) {
 				continue
 			}
-			witness := route.Prefix{}
-			if assign := eng.Space.M.AnySat(r.U); assign != nil {
-				witness = eng.Space.DecodePrefix(assign)
-			}
-			out = append(out, Violation{
-				Kind:        RouteLeakFree,
-				Node:        ext,
-				Detail:      fmt.Sprintf("externally originated routes leaked to %s", ext),
-				Cond:        eng.Space.Cond(r.U),
-				Prefix:      witness,
-				Path:        r.Path,
-				Originators: []string{r.Originator},
-			})
+			f.add(Violation{Kind: RouteLeakFree, Node: ext, Detail: detail, Originators: []string{r.Originator}},
+				routeWitness(eng, r))
 		}
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // CheckRouteHijack verifies RouteHijackFree (§6.1): no externally
@@ -95,7 +89,7 @@ func CheckRouteHijack(eng *epvp.Engine, cp *epvp.Result) []Violation {
 	// with a single conjunction before the per-prefix scan.
 	union := eng.Space.PrefixesBDD(internal)
 	var cubes []bdd.Node // PrefixBDD of each internal prefix, built on first use
-	var out []Violation
+	var f findings
 	for _, v := range eng.Net.Internals {
 		for _, r := range cp.Best[v] {
 			if eng.Net.IsInternal(r.Originator) {
@@ -116,49 +110,51 @@ func CheckRouteHijack(eng *epvp.Engine, cp *epvp.Result) []Violation {
 				if overlap == bdd.False {
 					continue
 				}
-				out = append(out, Violation{
+				f.add(Violation{
 					Kind: RouteHijackFree,
 					Node: v,
 					Detail: fmt.Sprintf("an external route can become best for internal prefix %s at %s",
 						d, v),
-					Cond:        eng.Space.Cond(overlap),
 					Prefix:      d,
 					Path:        r.Path,
 					Originators: []string{r.Originator},
-				})
+				}, func(out *Violation) { out.Cond = eng.Space.Cond(overlap) })
 			}
 		}
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // CheckBlockToExternal verifies Bagpipe's BlockToExternal property (§6.3):
 // routes carrying the given community must never be exported to an
-// external neighbor.
+// external neighbor. Like CheckRouteLeak, it reports one violation per
+// receiving neighbor, witnessed by the first offending route.
 func CheckBlockToExternal(eng *epvp.Engine, cp *epvp.Result, bte route.Community) []Violation {
 	atom := eng.Comm.Atoms.AtomOf(bte)
 	hasBTE := eng.Comm.M.Var(atom)
-	var out []Violation
+	var f findings
 	for _, ext := range eng.Net.Externals {
+		detail := fmt.Sprintf("route carrying %s exported to %s", bte, ext)
 		for _, r := range cp.ExternalRIB[ext] {
 			if eng.Comm.M.And(r.Comm, hasBTE) == bdd.False {
 				continue
 			}
-			witness := route.Prefix{}
-			if assign := eng.Space.M.AnySat(r.U); assign != nil {
-				witness = eng.Space.DecodePrefix(assign)
-			}
-			out = append(out, Violation{
-				Kind:   BlockToExternal,
-				Node:   ext,
-				Detail: fmt.Sprintf("route carrying %s exported to %s", bte, ext),
-				Cond:   eng.Space.Cond(r.U),
-				Prefix: witness,
-				Path:   r.Path,
-			})
+			f.add(Violation{Kind: BlockToExternal, Node: ext, Detail: detail}, routeWitness(eng, r))
 		}
 	}
-	return dedupe(out)
+	return f.sorted()
+}
+
+// routeWitness is the fill of a finding witnessed by route r: one prefix
+// of r's route space, r's advertiser condition and r's path.
+func routeWitness(eng *epvp.Engine, r *symbolic.Route) func(*Violation) {
+	return func(v *Violation) {
+		if assign := eng.Space.M.AnySat(r.U); assign != nil {
+			v.Prefix = eng.Space.DecodePrefix(assign)
+		}
+		v.Cond = eng.Space.Cond(r.U)
+		v.Path = r.Path
+	}
 }
 
 // CheckTrafficHijack verifies TrafficHijackFree (§6.2): traffic destined to
@@ -166,7 +162,7 @@ func CheckBlockToExternal(eng *epvp.Engine, cp *epvp.Result, bte route.Community
 // external neighbor.
 func CheckTrafficHijack(eng *epvp.Engine, dp *spf.Result) []Violation {
 	internalDest := internalDestPredicate(eng, dp)
-	var out []Violation
+	var f findings
 	for _, pec := range dp.PECs {
 		if pec.Final != spf.Exit {
 			continue
@@ -178,16 +174,15 @@ func CheckTrafficHijack(eng *epvp.Engine, dp *spf.Result) []Violation {
 		if overlap == bdd.False {
 			continue
 		}
-		out = append(out, Violation{
+		f.add(Violation{
 			Kind: TrafficHijackFree,
 			Node: pec.Start(),
 			Detail: fmt.Sprintf("traffic to internal prefixes can exit to %s",
 				pec.Path[len(pec.Path)-1]),
-			Cond: dp.CondOfPkt(overlap),
 			Path: pec.Path,
-		})
+		}, func(v *Violation) { v.Cond = dp.CondOfPkt(overlap) })
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // CheckBlackHole verifies BlackHoleFree for traffic to the destinations in
@@ -195,7 +190,7 @@ func CheckTrafficHijack(eng *epvp.Engine, dp *spf.Result) []Violation {
 // InternalDestPredicate for the internal prefixes, or bdd.True for all
 // traffic): no matching PEC may end in BLACKHOLE.
 func CheckBlackHole(eng *epvp.Engine, dp *spf.Result, dests bdd.Node) []Violation {
-	var out []Violation
+	var f findings
 	for _, pec := range dp.PECs {
 		if pec.Final != spf.BlackHole {
 			continue
@@ -204,33 +199,31 @@ func CheckBlackHole(eng *epvp.Engine, dp *spf.Result, dests bdd.Node) []Violatio
 		if overlap == bdd.False {
 			continue
 		}
-		out = append(out, Violation{
+		f.add(Violation{
 			Kind:   BlackHoleFree,
 			Node:   pec.Path[len(pec.Path)-1],
 			Detail: fmt.Sprintf("traffic to checked destinations dropped at %s", pec.Path[len(pec.Path)-1]),
-			Cond:   dp.CondOfPkt(overlap),
 			Path:   pec.Path,
-		})
+		}, func(v *Violation) { v.Cond = dp.CondOfPkt(overlap) })
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // CheckLoop verifies LoopFree: no PEC may end in LOOP.
 func CheckLoop(eng *epvp.Engine, dp *spf.Result) []Violation {
-	var out []Violation
+	var f findings
 	for _, pec := range dp.PECs {
 		if pec.Final != spf.Loop {
 			continue
 		}
-		out = append(out, Violation{
+		f.add(Violation{
 			Kind:   LoopFree,
 			Node:   pec.Start(),
 			Detail: "forwarding loop",
-			Cond:   dp.CondOfPkt(pec.Pkt),
 			Path:   pec.Path,
-		})
+		}, func(v *Violation) { v.Cond = dp.CondOfPkt(pec.Pkt) })
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // CheckEgressPreference verifies the §6.3 EgressPreference property: for
@@ -255,14 +248,14 @@ func CheckEgressPreference(eng *epvp.Engine, dp *spf.Result, u string, d route.P
 		conds[i] = c
 		avails[i] = dp.AvailPredicate(egress, d)
 	}
-	var out []Violation
+	var f findings
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
 			bad := eng.Space.M.And(avails[i], conds[j])
 			if bad == bdd.False {
 				continue
 			}
-			out = append(out, Violation{
+			f.add(Violation{
 				Kind: EgressPreference,
 				Node: u,
 				Detail: fmt.Sprintf("traffic from %s to %s can use egress %s while preferred egress %s is available",
@@ -270,10 +263,10 @@ func CheckEgressPreference(eng *epvp.Engine, dp *spf.Result, u string, d route.P
 				Cond:   bad,
 				Prefix: d,
 				Path:   []string{u, order[j]},
-			})
+			}, nil)
 		}
 	}
-	return dedupe(out)
+	return f.sorted()
 }
 
 // InternalDestPredicate is the union of destination predicates of every
@@ -292,22 +285,40 @@ func internalDestPredicate(eng *epvp.Engine, dp *spf.Result) bdd.Node {
 	return n
 }
 
-// dedupe merges duplicate violations (same kind, node, detail) — unioning
-// their witness conditions and originator lists — and sorts the result
-// deterministically.
-func dedupe(vs []Violation) []Violation {
-	seen := map[string]int{}
-	out := vs[:0]
-	for _, v := range vs {
-		k := string(v.Kind) + "|" + v.Node + "|" + v.Detail
-		if i, ok := seen[k]; ok {
-			prev := &out[i]
-			prev.Originators = mergeNames(prev.Originators, v.Originators)
-			continue
-		}
-		seen[k] = len(out)
-		out = append(out, v)
+// findings collects one check's violations, one per dedupe key: kind,
+// node and detail. The first finding under a key becomes the reported
+// violation and keeps its Cond, Prefix and Path; a later finding under the
+// same key only merges its Originators into it. A check knows a finding's
+// key before any BDD work, so it passes the expensive fields as fill,
+// which runs only for the first finding per key: a neighbor that receives
+// hundreds of leaked routes costs one witness, not hundreds.
+type findings struct {
+	seen map[string]int
+	out  []Violation
+}
+
+// add records the finding v, calling fill (when non-nil) to complete it
+// only if its key is new.
+func (f *findings) add(v Violation, fill func(*Violation)) {
+	k := string(v.Kind) + "|" + v.Node + "|" + v.Detail
+	if i, ok := f.seen[k]; ok {
+		prev := &f.out[i]
+		prev.Originators = mergeNames(prev.Originators, v.Originators)
+		return
 	}
+	if f.seen == nil {
+		f.seen = map[string]int{}
+	}
+	f.seen[k] = len(f.out)
+	if fill != nil {
+		fill(&v)
+	}
+	f.out = append(f.out, v)
+}
+
+// sorted returns the collected violations in a deterministic order.
+func (f *findings) sorted() []Violation {
+	out := f.out
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {
 			return out[i].Kind < out[j].Kind

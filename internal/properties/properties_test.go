@@ -1,6 +1,9 @@
 package properties
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -8,6 +11,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/spf"
+	"github.com/expresso-verify/expresso/internal/symbolic"
 	"github.com/expresso-verify/expresso/internal/testnet"
 	"github.com/expresso-verify/expresso/internal/topology"
 )
@@ -215,11 +219,11 @@ bgp peer R1 AS 100
 	}
 }
 
-func TestBlockToExternal(t *testing.T) {
-	// An Internet2-style BTE policy: RTR tags nothing itself, but receives
-	// a route carrying BTE from a peer network and must not export it.
-	// GOOD's export denies BTE; BAD's forgot the filter.
-	text := `
+// bteNet is an Internet2-style BTE policy: RTR tags nothing itself, but
+// receives routes carrying BTE from peer networks and must not export them.
+// PEERA's and PEERC's exports deny BTE; PEERB's forgot the filter, so PEERB
+// receives BTE-tagged routes from both PEERA and PEERC.
+const bteNet = `
 router RTR
 bgp as 11537
 route-policy imall permit node 10
@@ -229,15 +233,18 @@ route-policy exgood permit node 10
 route-policy exbad permit node 10
 bgp peer PEERA AS 200 import imall export exgood advertise-community
 bgp peer PEERB AS 300 import imall export exbad advertise-community
+bgp peer PEERC AS 400 import imall export exgood advertise-community
 `
-	eng, cp, _ := pipeline(t, text)
+
+func TestBlockToExternal(t *testing.T) {
+	eng, cp, _ := pipeline(t, bteNet)
 	bte := route.MustParseCommunity("11537:888")
 	vs := CheckBlockToExternal(eng, cp, bte)
 	if len(vs) == 0 {
 		t.Fatal("expected BTE violations via the unfiltered session")
 	}
 	for _, v := range vs {
-		if v.Node == "PEERA" {
+		if v.Node == "PEERA" || v.Node == "PEERC" {
 			t.Errorf("filtered session flagged: %v", v)
 		}
 	}
@@ -250,6 +257,110 @@ bgp peer PEERB AS 300 import imall export exbad advertise-community
 	if !foundB {
 		t.Error("unfiltered session not flagged")
 	}
+}
+
+// dedupe is the eager reference's merge: violations with the same kind,
+// node and detail merge into the first of them, which keeps its Cond,
+// Prefix and Path; only Originators aggregate. The result is sorted by
+// kind, node and detail.
+func dedupe(vs []Violation) []Violation {
+	seen := map[string]int{}
+	var out []Violation
+	for _, v := range vs {
+		k := string(v.Kind) + "|" + v.Node + "|" + v.Detail
+		if i, ok := seen[k]; ok {
+			out[i].Originators = mergeNames(out[i].Originators, v.Originators)
+			continue
+		}
+		seen[k] = len(out)
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Kind != out[j].Kind {
+			return out[i].Kind < out[j].Kind
+		}
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Detail < out[j].Detail
+	})
+	return out
+}
+
+// eagerWitness builds the full finding for one offending route, as the
+// checks did before they built a witness per reported violation only.
+func eagerWitness(eng *epvp.Engine, kind Kind, ext, detail string, r *symbolic.Route, originators []string) Violation {
+	witness := route.Prefix{}
+	if assign := eng.Space.M.AnySat(r.U); assign != nil {
+		witness = eng.Space.DecodePrefix(assign)
+	}
+	return Violation{Kind: kind, Node: ext, Detail: detail, Cond: eng.Space.Cond(r.U),
+		Prefix: witness, Path: r.Path, Originators: originators}
+}
+
+// sameViolations fails unless got and want agree on every reported field
+// and on the Cond handle.
+func sameViolations(t *testing.T, got, want []Violation) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d violations, want %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Kind != w.Kind || g.Node != w.Node || g.Detail != w.Detail || g.Prefix != w.Prefix ||
+			g.Cond != w.Cond || !reflect.DeepEqual(g.Path, w.Path) || !reflect.DeepEqual(g.Originators, w.Originators) {
+			t.Errorf("violation %d:\n got  %+v\n want %+v", i, g, w)
+		}
+	}
+}
+
+// TestRouteLeakOneWitnessPerNeighbour pins the routing checks that build a
+// witness only for the first finding per reported violation against an
+// eager reference that builds one for every offending route and then
+// dedupes: both must report the same violations, down to the Cond handle.
+func TestRouteLeakOneWitnessPerNeighbour(t *testing.T) {
+	t.Run("leak", func(t *testing.T) {
+		eng, cp, _ := pipeline(t, testnet.Case2RouteLeak)
+		got := CheckRouteLeak(eng, cp)
+		var eager []Violation
+		perNeighbour := map[string]int{}
+		for _, ext := range eng.Net.Externals {
+			for _, r := range cp.ExternalRIB[ext] {
+				if r.Originator == ext || eng.Net.IsInternal(r.Originator) {
+					continue
+				}
+				perNeighbour[ext]++
+				eager = append(eager, eagerWitness(eng, RouteLeakFree, ext,
+					fmt.Sprintf("externally originated routes leaked to %s", ext), r, []string{r.Originator}))
+			}
+		}
+		if perNeighbour["ISP2a"] < 2 {
+			t.Fatalf("ISP2a receives %d leaked routes, want at least 2 so findings merge", perNeighbour["ISP2a"])
+		}
+		sameViolations(t, got, dedupe(eager))
+	})
+	t.Run("block-to-external", func(t *testing.T) {
+		eng, cp, _ := pipeline(t, bteNet)
+		bte := route.MustParseCommunity("11537:888")
+		got := CheckBlockToExternal(eng, cp, bte)
+		hasBTE := eng.Comm.M.Var(eng.Comm.Atoms.AtomOf(bte))
+		var eager []Violation
+		perNeighbour := map[string]int{}
+		for _, ext := range eng.Net.Externals {
+			for _, r := range cp.ExternalRIB[ext] {
+				if eng.Comm.M.And(r.Comm, hasBTE) == bdd.False {
+					continue
+				}
+				perNeighbour[ext]++
+				eager = append(eager, eagerWitness(eng, BlockToExternal, ext,
+					fmt.Sprintf("route carrying %s exported to %s", bte, ext), r, nil))
+			}
+		}
+		if perNeighbour["PEERB"] < 2 {
+			t.Fatalf("PEERB receives %d BTE-tagged routes, want at least 2 so findings merge", perNeighbour["PEERB"])
+		}
+		sameViolations(t, got, dedupe(eager))
+	})
 }
 
 func TestEgressPreference(t *testing.T) {

@@ -114,9 +114,11 @@ fuzz-smoke:
 # Developer shortcut, not a CI step (`race` runs every test here):
 # `expresso gate` exit codes (no change and fixed violations pass, new
 # violations fail) plus the baseline/delta byte-identity acceptance tests
-# behind them.
+# behind them, and the CLI's own exit codes (a property selection no stage
+# runs exits 2).
 gate-check:
 	$(GO) test . -run 'TestGate|TestBaseline' -count=1
+	$(GO) test ./cmd/expresso -run Gate -count=1
 
 # Developer shortcut, not a CI step (`race` runs every test here): the
 # end-to-end `expresso trace diff` attribution golden test (an injected

@@ -37,6 +37,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/pipeline"
+	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/service"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/symbolic"
@@ -75,10 +76,15 @@ func usage() {
 	os.Exit(2)
 }
 
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "expresso: "+format+"\n", args...)
-	os.Exit(1)
+// fail prints a message under one "expresso: " prefix — most library
+// errors carry it already — and exits with code.
+func fail(code int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	fmt.Fprintln(os.Stderr, "expresso: "+strings.TrimPrefix(msg, "expresso: "))
+	os.Exit(code)
 }
+
+func fatalf(format string, args ...any) { fail(1, format, args...) }
 
 // configFlags declares the -file and -dir flags check, stats and
 // search-policy share and returns the configuration text they name (see
@@ -105,7 +111,16 @@ func configFlags(fs *flag.FlagSet) func() string {
 // verifyFlags declares the verification flags check and gate share and
 // returns their translation, to call once the flag set is parsed.
 func verifyFlags(fs *flag.FlagSet) func() (expresso.Options, error) {
-	props := fs.String("props", "leak,hijack,traffic", "comma-separated properties: leak,hijack,traffic,blackhole,loop,bte")
+	var names, defaults []string
+	for _, p := range properties.Table {
+		if p.Stage != properties.None {
+			names = append(names, p.Name)
+		}
+		if p.Default {
+			defaults = append(defaults, p.Name)
+		}
+	}
+	props := fs.String("props", strings.Join(defaults, ","), "comma-separated properties: "+strings.Join(names, ","))
 	bte := fs.String("bte", "", "community for the bte property, e.g. 11537:888")
 	minus := fs.Bool("minus", false, "run Expresso- (concrete AS paths)")
 	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
@@ -265,31 +280,26 @@ func cmdGate(args []string) {
 
 	opts, err := options()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 
 	oldText, err := expresso.ReadConfig(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	newText, err := expresso.ReadConfig(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	res, err := expresso.Gate(context.Background(), oldText, newText, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 
 	if *asJSON {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-			os.Exit(2)
+			fail(2, "%v", err)
 		}
 		fmt.Println(string(out))
 		os.Exit(res.ExitCode())
@@ -376,8 +386,7 @@ func cmdTrace(args []string) {
 	load := func(path string) *telemetry.Trace {
 		tr, err := traceview.Load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-			os.Exit(2)
+			fail(2, "%v", err)
 		}
 		return tr
 	}
@@ -403,8 +412,7 @@ func cmdTrace(args []string) {
 		if *asJSON {
 			out, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-				os.Exit(2)
+				fail(2, "%v", err)
 			}
 			fmt.Println(string(out))
 		} else {
@@ -422,8 +430,7 @@ func cmdTrace(args []string) {
 			traceUsage()
 		}
 		if err := traceview.Top(os.Stdout, load(fs.Arg(0)), *n); err != nil {
-			fmt.Fprintf(os.Stderr, "expresso: %v\n", err)
-			os.Exit(2)
+			fail(2, "%v", err)
 		}
 	default:
 		traceUsage()

@@ -142,3 +142,31 @@ func TestGenUnknownDataset(t *testing.T) {
 		t.Errorf("stats on the generated region1.cfg: exit %d, output %q", code, out)
 	}
 }
+
+// TestGateAndCheckRejectUnrunnableProperties: a selection no stage can run
+// in full fails check (exit 1) and gate (exit 2) with the validation
+// message under exactly one "expresso: " prefix — egress alone used to pass
+// both clean, having checked nothing.
+func TestGateAndCheckRejectUnrunnableProperties(t *testing.T) {
+	file := filepath.Join(writeFiles(t, map[string]string{"net.cfg": testnet.Figure4}), "net.cfg")
+	for _, tc := range []struct{ props, bte, want string }{
+		{"egress", "", "call properties.CheckEgressPreference"},
+		{"leak,bogus", "", `unknown property "bogus"`},
+		{"bte", "", "BlockToExternal requires Options.BTE"},
+	} {
+		for _, run := range []struct {
+			args []string
+			code int
+		}{
+			{[]string{"check", "-props", tc.props, "-bte", tc.bte, "-file", file}, 1},
+			{[]string{"gate", "-props", tc.props, "-bte", tc.bte, file, file}, 2},
+		} {
+			out, code := cli(t, run.args...)
+			if code != run.code || !strings.HasPrefix(out, "expresso: ") || !strings.Contains(out, tc.want) ||
+				strings.Count(out, "expresso:") != 1 {
+				t.Errorf("expresso %s -props %s: exit %d, output %q; want exit %d and one %q line",
+					run.args[0], tc.props, code, out, run.code, "expresso: …"+tc.want)
+			}
+		}
+	}
+}

@@ -77,7 +77,7 @@ type Options struct {
 	Mode Mode
 	// Properties selects which properties to check; empty means
 	// RouteLeakFree, RouteHijackFree, and TrafficHijackFree (the §7.1
-	// set).
+	// set); a Kind no stage checks fails the run before any stage.
 	Properties []Kind
 	// BTE is the community for BlockToExternal (required when that
 	// property is selected).
@@ -114,7 +114,7 @@ func (o *Options) normalize() {
 		o.Mode = FullMode()
 	}
 	if len(o.Properties) == 0 {
-		o.Properties = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}
+		o.Properties = properties.Defaults()
 	}
 }
 
@@ -146,21 +146,8 @@ func (o Options) CacheKey() string {
 // CLI names (leak, hijack, traffic, blackhole, loop, bte, egress) and the
 // canonical kind strings (RouteLeakFree, ...).
 func ParseProperty(name string) (Kind, error) {
-	switch strings.TrimSpace(name) {
-	case "leak", string(RouteLeakFree):
-		return RouteLeakFree, nil
-	case "hijack", string(RouteHijackFree):
-		return RouteHijackFree, nil
-	case "traffic", string(TrafficHijackFree):
-		return TrafficHijackFree, nil
-	case "blackhole", string(BlackHoleFree):
-		return BlackHoleFree, nil
-	case "loop", string(LoopFree):
-		return LoopFree, nil
-	case "bte", string(BlockToExternal):
-		return BlockToExternal, nil
-	case "egress", string(EgressPreference):
-		return EgressPreference, nil
+	if k, ok := properties.Parse(name); ok {
+		return k, nil
 	}
 	return "", fmt.Errorf("expresso: unknown property %q", name)
 }
@@ -169,7 +156,7 @@ func ParseProperty(name string) (Kind, error) {
 // property names (see ParseProperty; none means the default set), mode ""
 // or "full" for Expresso and "minus" for Expresso-, the BlockToExternal
 // community as "asn:value" or "" — into Options. The CLI's flags and the
-// service's request bodies both go through it.
+// service's request bodies both go through it, and properties.Validate.
 func ParseOptions(props []string, mode, bte string) (Options, error) {
 	var opts Options
 	switch mode {
@@ -193,7 +180,7 @@ func ParseOptions(props []string, mode, bte string) (Options, error) {
 		}
 		opts.BTE = c
 	}
-	return opts, nil
+	return opts, properties.Validate(opts.Properties, opts.BTE)
 }
 
 // Timing records per-stage wall-clock durations (Table 3's columns).

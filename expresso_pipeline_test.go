@@ -92,6 +92,50 @@ func TestParsePropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnrunnableSelectionsAreRejected: a property no stage checks, a Kind
+// the property table lacks and BlockToExternal without a community fail
+// both front doors — ParseOptions, which the CLI and the service use, and
+// a Verifier run, which the Go API uses — before any stage runs. Until
+// they were rejected, a selection of EgressPreference alone passed clean
+// having checked nothing.
+func TestUnrunnableSelectionsAreRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		props []string
+		kinds []Kind
+		want  string
+	}{
+		{"egress", []string{"egress"}, []Kind{EgressPreference}, "CheckEgressPreference"},
+		{"egress beside leak", []string{"leak", "egress"}, []Kind{RouteLeakFree, EgressPreference}, "CheckEgressPreference"},
+		{"bte without a community", []string{"bte"}, []Kind{BlockToExternal}, "requires Options.BTE"},
+		{"unknown kind", nil, []Kind{"Bogus"}, `unknown property "Bogus"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.props != nil {
+				if _, err := ParseOptions(tc.props, "", ""); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("ParseOptions(%q) error = %v, want one naming %q", tc.props, err, tc.want)
+				}
+			}
+			v := NewVerifier(VerifierConfig{})
+			rep, info, err := v.VerifyText(context.Background(), testnet.Figure4, Options{Workers: 1, Properties: tc.kinds})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("VerifyText(%v) error = %v, want one naming %q", tc.kinds, err, tc.want)
+			}
+			if rep != nil || info != nil {
+				t.Errorf("VerifyText(%v) returned a report %v and run info %v", tc.kinds, rep, info)
+			}
+			for _, st := range v.CacheStats() {
+				if st.Stage != "report" && st.Hits+st.Misses+int64(st.Entries) != 0 {
+					t.Errorf("stage %s ran: %+v", st.Stage, st)
+				}
+			}
+		})
+	}
+	if _, err := ParseOptions([]string{"bte"}, "", "100:666"); err != nil {
+		t.Errorf("bte with a community: %v", err)
+	}
+}
+
 // normalizedJSON marshals a report with the run-dependent fields zeroed:
 // wall-clock timings, worker count, live heap, and the EPVP round count
 // (a warm start reaches the same fixed point in fewer rounds). Everything

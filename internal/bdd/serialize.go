@@ -100,23 +100,12 @@ func (m *Manager) Export(roots ...Node) []byte {
 // re-canonicalized through the manager's hash-consing constructor: imported
 // functions unify with structurally identical nodes m already holds. It is
 // total over arbitrary input — malformed, truncated, or corrupt bytes
-// produce an error, never a panic or a non-canonical node.
+// produce an error, never a panic or a non-canonical node. Variables keep
+// their indices; their levels are m's. A record whose children do not sit
+// strictly deeper under m's order — m may hold its variables in any
+// permutation of the exporter's — is rebuilt through ITE instead of the
+// linear constructor.
 func (m *Manager) Import(data []byte) ([]Node, error) {
-	return m.ImportShifted(data, 0, 0)
-}
-
-// ImportShifted is Import with a monotone variable relocation: delta is
-// added to the index of every variable whose index is ≥ from. The
-// pipeline uses it to rebase data-plane variables allocated with
-// AddVarsOrdered at a different offset than in the exporting manager. (For
-// version-1 blobs and identity-ordered exporters, variable indices and blob
-// levels coincide, so this matches the historical level-space relocation.)
-// Relocation must preserve the relative order of the blob's variables in
-// blob-level space, which the per-edge structural check enforces; nodes
-// whose importing levels disagree with the blob's ordering — the importing
-// manager may have sifted its variables into any permutation — are rebuilt
-// through ITE instead of the linear constructor.
-func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
 	d := wire.NewDec("bdd: import", data)
 	storedVars, blobOrder := readHeader(&d)
 	count := uint64(d.Count("node", 3)) // level, low, high
@@ -136,15 +125,12 @@ func (m *Manager) ImportShifted(data []byte, from, delta int) ([]Node, error) {
 		if rawLevel >= storedVars {
 			return nil, d.Failf("node %d level %d out of range [0,%d)", i, rawLevel, storedVars)
 		}
-		// Blob level -> exporter variable -> relocated variable index.
+		// Blob level -> variable index.
 		v := int64(rawLevel)
 		if blobOrder != nil {
 			v = int64(blobOrder[rawLevel])
 		}
-		if from >= 0 && v >= int64(from) {
-			v += int64(delta)
-		}
-		if v < 0 || v >= int64(m.numVars) {
+		if v >= int64(m.numVars) {
 			return nil, d.Failf("node %d variable %d outside manager range [0,%d)", i, v, m.numVars)
 		}
 		if lowRef >= i || highRef >= i {

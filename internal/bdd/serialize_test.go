@@ -112,26 +112,6 @@ func TestExportConstantsAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestImportShifted relocates a block of variables and checks semantics via
-// evaluation.
-func TestImportShifted(t *testing.T) {
-	m := New(6)
-	w := m.DefaultWorker()
-	// f = x0 AND (x4 OR NOT x5): x4, x5 play the "data plane" block.
-	f := w.And(m.Var(0), w.Or(m.Var(4), m.NVar(5)))
-	blob := m.Export(f)
-
-	m2 := New(10)
-	got, err := m2.ImportShifted(blob, 4, 4) // relocate vars >= 4 up by 4
-	if err != nil {
-		t.Fatalf("ImportShifted: %v", err)
-	}
-	want := m2.And(m2.Var(0), m2.Or(m2.Var(8), m2.NVar(9)))
-	if got[0] != want {
-		t.Fatalf("shifted import: got %d want %d", got[0], want)
-	}
-}
-
 // TestImportRejectsCorruption flips every byte of a valid blob and asserts
 // the decoder either errors or returns structurally valid roots — and that
 // truncations never pass.
@@ -264,22 +244,23 @@ func TestExportImportAcrossOrders(t *testing.T) {
 	}
 }
 
-// TestImportShiftedIntoReorderedManager: the variable-space relocation
-// must compose with an importing manager whose order was sifted.
-func TestImportShiftedIntoReorderedManager(t *testing.T) {
+// TestImportIntoReorderedManager: a blob written under the identity order
+// imports into a manager holding more variables in a scrambled order, onto
+// the same variable indices.
+func TestImportIntoReorderedManager(t *testing.T) {
 	m := New(6)
 	w := m.DefaultWorker()
 	f := w.And(m.Var(0), w.Or(m.Var(4), m.NVar(5)))
 	blob := m.Export(f)
 
 	m2 := NewOrdered(10, []int{9, 3, 5, 0, 7, 2, 8, 1, 6, 4})
-	got, err := m2.ImportShifted(blob, 4, 4)
+	got, err := m2.Import(blob)
 	if err != nil {
-		t.Fatalf("ImportShifted: %v", err)
+		t.Fatalf("Import: %v", err)
 	}
-	want := m2.And(m2.Var(0), m2.Or(m2.Var(8), m2.NVar(9)))
+	want := m2.And(m2.Var(0), m2.Or(m2.Var(4), m2.NVar(5)))
 	if got[0] != want {
-		t.Fatalf("shifted cross-order import: got %d want %d", got[0], want)
+		t.Fatalf("cross-order import: got %d want %d", got[0], want)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestBarrierSweepRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := cold.Space.M
-	roots := func() []bdd.Node { return res.roots(cold.Roots()) }
+	roots := func() []bdd.Node { return res.Roots(cold.Roots()) }
 	unchanged := map[string]bool{}
 	for _, name := range net.Internals {
 		unchanged[name] = true

@@ -838,11 +838,12 @@ func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]
 	for _, r := range extInit {
 		roots = append(roots, r.U)
 	}
-	return seed.roots(roots)
+	return seed.Roots(roots)
 }
 
-// roots appends the handles of every route r holds; a nil r holds none.
-func (r *Result) roots(out []bdd.Node) []bdd.Node {
+// Roots appends the handles of every route r holds, its Best and external
+// RIBs', to out; a nil r holds none.
+func (r *Result) Roots(out []bdd.Node) []bdd.Node {
 	if r == nil {
 		return out
 	}

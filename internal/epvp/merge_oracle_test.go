@@ -172,7 +172,7 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) 
 			return best
 		}
 		if sweep && round == 1 {
-			e.Space.M.Reclaim(keep.roots(e.runRoots(best, extInit, seed, edges, memo))...)
+			e.Space.M.Reclaim(keep.Roots(e.runRoots(best, extInit, seed, edges, memo))...)
 		}
 	}
 	t.Fatal("test loop did not converge")

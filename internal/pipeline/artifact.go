@@ -114,20 +114,7 @@ const derivedCap = 16
 // handles returns every BDD handle the artifact must keep valid: the
 // engine's compiled transfers plus the converged RIBs' prefix-environment
 // sets.
-func (a *SRCArtifact) handles() []bdd.Node {
-	roots := a.Eng.Roots()
-	for _, rs := range a.Res.Best {
-		for _, r := range rs {
-			roots = append(roots, r.U)
-		}
-	}
-	for _, rs := range a.Res.ExternalRIB {
-		for _, r := range rs {
-			roots = append(roots, r.U)
-		}
-	}
-	return roots
-}
+func (a *SRCArtifact) handles() []bdd.Node { return a.Res.Roots(a.Eng.Roots()) }
 
 // pin roots a freshly built artifact against dead-node reclamation — warm
 // runs chained onto its manager may sweep between rounds — and makes the

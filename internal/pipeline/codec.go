@@ -276,7 +276,7 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 // each condition predicate exported from m. varBase records the data-plane
 // variable offset the conditions were built against (0 for the routing
 // stage, whose conditions use only control-plane variables); the decoder
-// relocates the predicates when its own offset differs.
+// refuses a blob whose offset is not its own.
 func EncodeAnalysis(a *AnalysisArtifact, m *bdd.Manager, varBase int) []byte {
 	var e wire.Enc
 	e.Magic(analysisMagic, codecVersion)
@@ -299,8 +299,8 @@ func EncodeAnalysis(a *AnalysisArtifact, m *bdd.Manager, varBase int) []byte {
 
 // DecodeAnalysis rebuilds an analysis artifact in m. varBase is the
 // decoder's data-plane variable offset (matching the varBase passed to
-// EncodeAnalysis); condition predicates are relocated from the stored
-// offset to it.
+// EncodeAnalysis); a blob that stored another is corrupt — the stage key
+// pins the network, and with it the offset.
 func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*AnalysisArtifact, error) {
 	d := wire.NewDec(codecName, data)
 	d.Magic(analysisMagic, codecVersion)
@@ -322,10 +322,10 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if storedBase > uint64(m.NumVars()) {
-		return nil, d.Failf("varBase %d out of range", storedBase)
+	if storedBase != uint64(varBase) {
+		return nil, d.Failf("varBase %d, want %d", storedBase, varBase)
 	}
-	roots, err := m.ImportShifted(blob, int(storedBase), varBase-int(storedBase))
+	roots, err := m.Import(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -342,9 +342,9 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 
 // EncodeSPF serializes an SPF artifact: symbolic FIBs, PECs, and the
 // per-neighbor data-plane variable statistics, with every predicate
-// exported from the SRC manager m. The stored varBase lets the decoder
-// relocate the data-plane block (a blob written before managers kept one
-// block each carries an offset that depends on its manager's history).
+// exported from the SRC manager m. The stored varBase is checked, not
+// applied: every manager of a network holds its data-plane block at the
+// same base (symbolic.Space.DataBase).
 func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 	var e wire.Enc
 	e.Magic(spfMagic, codecVersion)
@@ -380,10 +380,11 @@ func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 	return e
 }
 
-// DecodeSPF rebuilds an SPF artifact around eng, relocating the stored
+// DecodeSPF rebuilds an SPF artifact around eng, importing the stored
 // predicates onto the 33×n data-plane variable block of eng's prefix
-// manager. The blob's own order section says how its writer had the block
-// ordered; a different order here costs import time, never the answer.
+// manager. A blob whose stored base is not that block's is corrupt. The
+// blob's own order section says how its writer had the block ordered; a
+// different order here costs import time, never the answer.
 func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) {
 	d := wire.NewDec(codecName, data)
 	d.Magic(spfMagic, codecVersion)
@@ -430,16 +431,17 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 		return nil, err
 	}
 
-	// Relocate the stored predicates onto the manager's data-plane block,
+	// Import the stored predicates onto the manager's data-plane block,
 	// allocated here, in the writer's order, if this is the manager's first
 	// SPF result.
-	m := eng.Space.M
-	if storedBase > uint64(m.NumVars()) {
-		return nil, d.Failf("varBase %d out of range", storedBase)
+	if base := eng.Space.DataBase(); storedBase != uint64(base) {
+		return nil, d.Failf("varBase %d, want %d", storedBase, base)
 	}
-	n := len(eng.Net.Externals)
-	varBase, _ := eng.Space.DataBlock(func() []int { return blockLengths(blob, int(storedBase), n) })
-	roots, err := m.ImportShifted(blob, int(storedBase), varBase-int(storedBase))
+	eng.Space.DataBlock(func() []int {
+		order, _ := bdd.ExportedOrder(blob) // nil for a version-1 node table: the default order
+		return eng.Space.BlockLengths(order)
+	})
+	roots, err := eng.Space.M.Import(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -465,31 +467,6 @@ func DecodeSPF(eng *epvp.Engine, key string, data []byte) (*SPFArtifact, error) 
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	res := spf.Rehydrate(eng, varBase, fibs, pecs, dataVars)
+	res := spf.Rehydrate(eng, fibs, pecs, dataVars)
 	return &SPFArtifact{Key: key, Digest: hashHex(key), Res: res}, nil
-}
-
-// blockLengths reads, from the order section of an SPF artifact's BDD blob,
-// how its writer had the 33×n data-plane block at base ordered: the prefix
-// lengths by the first level any of their variables sits at, topmost
-// first. A blob that does not say (no neighbors, a block cut short, a
-// section that does not decode, a version-1 node table) yields nil — the default order, which costs
-// import time and never the answer.
-func blockLengths(blob []byte, base, n int) []int {
-	order, err := bdd.ExportedOrder(blob)
-	if err != nil || n == 0 {
-		return nil
-	}
-	var lengths []int
-	seen := [symbolic.AddrBits + 1]bool{}
-	for _, v := range order {
-		if l := (v - base) / n; v >= base && l <= symbolic.AddrBits && !seen[l] {
-			seen[l] = true
-			lengths = append(lengths, l)
-		}
-	}
-	if len(lengths) != len(seen) {
-		return nil
-	}
-	return lengths
 }

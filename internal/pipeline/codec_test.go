@@ -2,6 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +13,9 @@ import (
 	"github.com/expresso-verify/expresso/internal/automaton"
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/epvp"
+	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/properties"
+	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
 	"github.com/expresso-verify/expresso/internal/wire"
 )
@@ -102,6 +108,98 @@ func TestGoldenBlobsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBytes(t, "XDFA", a.Export(), golden(t, "aspath.xdfa"))
+}
+
+// withBase returns blob, an XSPF or XANL payload, with its stored
+// data-plane base replaced by base.
+func withBase(t *testing.T, blob []byte, magic string, base int) []byte {
+	t.Helper()
+	var head wire.Enc
+	head.Magic(magic, codecVersion)
+	if !bytes.HasPrefix(blob, head) {
+		t.Fatalf("blob does not open with %s", magic)
+	}
+	_, n := binary.Uvarint(blob[len(head):])
+	if n <= 0 {
+		t.Fatal("blob has no stored base")
+	}
+	out := append(wire.Enc(nil), head...)
+	out.U(uint64(base))
+	return append(out, blob[len(head)+n:]...)
+}
+
+// TestStoredBaseMismatchIsCorrupt: every manager of a network holds its
+// data-plane block at the same base, so an SPF or forwarding blob that
+// stored another is corrupt — it fails to decode, and the stage recomputes
+// the same answer instead of importing predicates onto the wrong variables.
+func TestStoredBaseMismatchIsCorrupt(t *testing.T) {
+	eng, _ := figure4Engine(t)
+	base := eng.Space.DataBase()
+	for _, shift := range []int{-1, 1, 33 * eng.Space.NumNeighbors} {
+		spfBlob := withBase(t, golden(t, "spf.xspf"), spfMagic, base+shift)
+		fresh, _ := figure4Engine(t)
+		if _, err := DecodeSPF(fresh, "spf", spfBlob); err == nil {
+			t.Errorf("SPF blob with base %d decoded into a manager whose base is %d", base+shift, base)
+		}
+		fwdBlob := withBase(t, golden(t, "forwarding.xanl"), analysisMagic, base+shift)
+		if _, err := DecodeAnalysis(bdd.New(base+33*eng.Space.NumNeighbors), "forwarding", base, fwdBlob); err == nil {
+			t.Errorf("forwarding blob with base %d decoded against base %d", base+shift, base)
+		}
+	}
+
+	// A restart on blobs whose base was rewritten recomputes SPF and the
+	// forwarding analysis.
+	disk, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := func() *Request {
+		return &Request{Load: loadT(t, netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))), Mode: epvp.FullMode(), Workers: 1,
+			Properties: []properties.Kind{properties.RouteLeakFree, properties.TrafficHijackFree, properties.BlackHoleFree, properties.LoopFree}}
+	}
+	violations := func(out *Outcome) string {
+		b, err := json.Marshal(append(append([]properties.Violation{}, out.Routing.Violations...), out.Forwarding.Violations...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	cold, err := (&Runner{Cache: newSRCCache(), Store: disk}).Run(ctx, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Forwarding.Violations) == 0 {
+		t.Fatal("the fixture has no forwarding violation to recompute")
+	}
+	want := violations(cold)
+	for _, a := range []struct{ stage, key, magic string }{
+		{StageSPF, cold.SPF.Key, spfMagic},
+		{StageForwarding, cold.Forwarding.Key, analysisMagic},
+	} {
+		data, ok := disk.Get(a.stage, DiskKey(a.key))
+		if !ok {
+			t.Fatalf("%s artifact was not written through", a.stage)
+		}
+		disk.Put(a.stage, DiskKey(a.key), withBase(t, data, a.magic, cold.SRC.Eng.Space.DataBase()+1))
+	}
+	cold.Release()
+
+	restarted, err := (&Runner{Cache: newSRCCache(), Store: disk}).Run(ctx, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Release()
+	for stage, status := range map[string]string{
+		StageSRC: StatusDisk, StageRouting: StatusDisk, StageSPF: StatusMiss, StageForwarding: StatusMiss,
+	} {
+		if got := stageStatus(restarted, stage); got != status {
+			t.Errorf("stage %s = %q, want %q", stage, got, status)
+		}
+	}
+	if got := violations(restarted); got != want {
+		t.Errorf("recomputed violations differ:\n got %s\nwant %s", got, want)
+	}
 }
 
 // seedMutations adds blob, a spread of its truncations and a spread of

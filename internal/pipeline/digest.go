@@ -20,6 +20,7 @@ package pipeline
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -98,11 +99,8 @@ func SRCKey(configDigest string, mode epvp.Mode) string {
 // irrelevant otherwise).
 func RoutingKey(srcDigest string, props []properties.Kind, bte route.Community) string {
 	key := StageRouting + "|" + srcDigest + "|props=" + joinKinds(props)
-	for _, p := range props {
-		if p == properties.BlockToExternal {
-			key += "|bte=" + strconv.FormatUint(uint64(bte), 10)
-			break
-		}
+	if properties.NeedsBTE(props) {
+		key += "|bte=" + strconv.FormatUint(uint64(bte), 10)
 	}
 	return key
 }
@@ -127,33 +125,12 @@ func joinKinds(props []properties.Kind) string {
 	return strings.Join(names, ",")
 }
 
-// routingKinds and forwardingKinds define the canonical in-stage order;
-// violations are appended in this order, matching the pre-refactor
-// monolithic VerifyContext.
-var (
-	routingKinds    = []properties.Kind{properties.RouteLeakFree, properties.RouteHijackFree, properties.BlockToExternal}
-	forwardingKinds = []properties.Kind{properties.TrafficHijackFree, properties.BlackHoleFree, properties.LoopFree}
-)
-
 // SplitProperties partitions a property selection into the routing-stage
-// and forwarding-stage subsets, each deduplicated and in canonical order
-// (so equivalent selections produce equal stage keys). Kinds that belong
-// to neither stage (EgressPreference needs per-query parameters and is
-// not driven by the pipeline) are dropped, as in the monolithic path.
+// and forwarding-stage subsets, each deduplicated and in properties.Table
+// order (so equivalent selections produce equal stage keys).
 func SplitProperties(props []properties.Kind) (routing, forwarding []properties.Kind) {
-	selected := map[properties.Kind]bool{}
-	for _, p := range props {
-		selected[p] = true
+	in := func(stage properties.Stage) []properties.Kind {
+		return properties.Select(func(p properties.Property) bool { return p.Stage == stage && slices.Contains(props, p.Kind) })
 	}
-	for _, k := range routingKinds {
-		if selected[k] {
-			routing = append(routing, k)
-		}
-	}
-	for _, k := range forwardingKinds {
-		if selected[k] {
-			forwarding = append(forwarding, k)
-		}
-	}
-	return routing, forwarding
+	return in(properties.Routing), in(properties.Forwarding)
 }

@@ -240,12 +240,10 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	if req.Mode.IsZero() {
 		return nil, errors.New("pipeline: request Mode must be resolved by the caller")
 	}
-	routingProps, forwardingProps := SplitProperties(req.Properties)
-	for _, p := range routingProps {
-		if p == properties.BlockToExternal && req.BTE == 0 {
-			return nil, fmt.Errorf("expresso: BlockToExternal requires Options.BTE")
-		}
+	if err := properties.Validate(req.Properties, req.BTE); err != nil {
+		return nil, err
 	}
+	routingProps, forwardingProps := SplitProperties(req.Properties)
 	out := &Outcome{}
 	// note records the provenance of the stage just resolved; a stage's
 	// clock starts where the previous one's stopped.
@@ -449,9 +447,8 @@ func spfSpec(ctx context.Context, req *Request, src *SRCArtifact, routing *Analy
 // analysisSpec describes one of the two analysis stages: the violations of
 // props, in that order, whose condition predicates live in src's prefix
 // manager. dp is the SPF result the forwarding stage reads (nil for the
-// routing stage); its data-plane variable offset is what forwarding-stage
-// conditions are built against, and the store codec relocates persisted
-// predicates when the offsets differ between processes.
+// routing stage); forwarding-stage conditions are over its data-plane
+// variables, whose first index the store codec records and checks.
 func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *spf.Result, props []properties.Kind, bte route.Community) *stageSpec[*AnalysisArtifact] {
 	m := src.Eng.Space.M
 	varBase := 0
@@ -467,25 +464,14 @@ func analysisSpec(ctx context.Context, stage, key string, src *SRCArtifact, dp *
 		},
 		decode: func(data []byte) (*AnalysisArtifact, error) { return DecodeAnalysis(m, key, varBase, data) },
 		compute: func() (*AnalysisArtifact, error) {
+			in := properties.Input{Eng: src.Eng, CP: src.Res, DP: dp, BTE: bte}
 			var vs []properties.Violation
 			for _, k := range props {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				switch k {
-				case properties.RouteLeakFree:
-					vs = append(vs, properties.CheckRouteLeak(src.Eng, src.Res)...)
-				case properties.RouteHijackFree:
-					vs = append(vs, properties.CheckRouteHijack(src.Eng, src.Res)...)
-				case properties.BlockToExternal:
-					vs = append(vs, properties.CheckBlockToExternal(src.Eng, src.Res, bte)...)
-				case properties.TrafficHijackFree:
-					vs = append(vs, properties.CheckTrafficHijack(src.Eng, dp)...)
-				case properties.BlackHoleFree:
-					vs = append(vs, properties.CheckBlackHole(src.Eng, dp, properties.InternalDestPredicate(src.Eng, dp))...)
-				case properties.LoopFree:
-					vs = append(vs, properties.CheckLoop(src.Eng, dp)...)
-				}
+				p, _ := properties.Lookup(k)
+				vs = append(vs, p.Check(in)...)
 			}
 			return &AnalysisArtifact{Key: key, Violations: vs}, nil
 		},

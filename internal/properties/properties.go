@@ -2,12 +2,16 @@
 // paper): routing properties checked against symbolic RIBs
 // (RouteLeakFree, RouteHijackFree, BlockToExternal) and forwarding
 // properties checked against PECs (TrafficHijackFree, BlackHoleFree,
-// LoopFree, EgressPreference).
+// LoopFree), listed in Table. EgressPreference takes a source, a
+// destination and a preference order per query, which no stage supplies:
+// callers use CheckEgressPreference, and Validate rejects a selection
+// naming it.
 package properties
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -30,6 +34,115 @@ const (
 	BlockToExternal   Kind = "BlockToExternal"
 	EgressPreference  Kind = "EgressPreference"
 )
+
+// Stage is the pipeline stage that runs a property: the routing analysis
+// reads the converged RIBs, the forwarding analysis the PECs; None marks a
+// library check no stage runs.
+type Stage uint8
+
+// Stages.
+const (
+	None Stage = iota
+	Routing
+	Forwarding
+)
+
+// Input is what a stage hands a check: the engine, its fixed point, the SPF
+// result (the forwarding stage's only) and BlockToExternal's community.
+type Input struct {
+	Eng *epvp.Engine
+	CP  *epvp.Result
+	DP  *spf.Result
+	BTE route.Community
+}
+
+// Property is one row of Table: a Kind, the short name accepted beside it,
+// the stage that runs it, whether its check reads Input.BTE, whether an
+// empty selection means it (the §7.1 set), and the check the stage calls —
+// or, for a property no stage runs, the function to call instead.
+type Property struct {
+	Kind              Kind
+	Name              string
+	Stage             Stage
+	NeedsBTE, Default bool
+	Check             func(Input) []Violation
+	Call              string
+}
+
+// Table is the property set: the routing stage's properties in the order it
+// appends their violations, then the forwarding stage's, then the library
+// checks. Name parsing, the defaults, the stage split, validation and the
+// stage checks all read it.
+var Table = []Property{
+	{RouteLeakFree, "leak", Routing, false, true, func(in Input) []Violation { return CheckRouteLeak(in.Eng, in.CP) }, ""},
+	{RouteHijackFree, "hijack", Routing, false, true, func(in Input) []Violation { return CheckRouteHijack(in.Eng, in.CP) }, ""},
+	{BlockToExternal, "bte", Routing, true, false, func(in Input) []Violation { return CheckBlockToExternal(in.Eng, in.CP, in.BTE) }, ""},
+	{TrafficHijackFree, "traffic", Forwarding, false, true, func(in Input) []Violation { return CheckTrafficHijack(in.Eng, in.DP) }, ""},
+	{BlackHoleFree, "blackhole", Forwarding, false, false, func(in Input) []Violation {
+		return CheckBlackHole(in.Eng, in.DP, internalDest(in.Eng, in.DP))
+	}, ""},
+	{LoopFree, "loop", Forwarding, false, false, func(in Input) []Violation { return CheckLoop(in.Eng, in.DP) }, ""},
+	{EgressPreference, "egress", None, false, false, nil, "properties.CheckEgressPreference"},
+}
+
+// Lookup returns k's row.
+func Lookup(k Kind) (Property, bool) {
+	i := slices.IndexFunc(Table, func(p Property) bool { return p.Kind == k })
+	if i < 0 {
+		return Property{}, false
+	}
+	return Table[i], true
+}
+
+// Parse maps a short or canonical property name, surrounding space ignored,
+// to its Kind.
+func Parse(name string) (Kind, bool) {
+	name = strings.TrimSpace(name)
+	i := slices.IndexFunc(Table, func(p Property) bool { return name == p.Name || name == string(p.Kind) })
+	if i < 0 {
+		return "", false
+	}
+	return Table[i].Kind, true
+}
+
+// Select returns the kinds of the rows keep accepts, each once and in table
+// order.
+func Select(keep func(Property) bool) []Kind {
+	var out []Kind
+	for _, p := range Table {
+		if keep(p) {
+			out = append(out, p.Kind)
+		}
+	}
+	return out
+}
+
+// Defaults returns the selection an empty one means.
+func Defaults() []Kind { return Select(func(p Property) bool { return p.Default }) }
+
+// NeedsBTE reports whether props holds a property that reads the BTE
+// community.
+func NeedsBTE(props []Kind) bool {
+	return Select(func(p Property) bool { return p.NeedsBTE && slices.Contains(props, p.Kind) }) != nil
+}
+
+// Validate rejects a selection the stages cannot run in full — a Kind the
+// table lacks, a property no stage runs, one that reads the BTE community
+// when bte is zero — so no request passes having checked less than it named.
+func Validate(props []Kind, bte route.Community) error {
+	for _, k := range props {
+		p, ok := Lookup(k)
+		switch {
+		case !ok:
+			return fmt.Errorf("expresso: unknown property %q", k)
+		case p.Stage == None:
+			return fmt.Errorf("expresso: no verification stage checks %s; call %s with its parameters", k, p.Call)
+		case p.NeedsBTE && bte == 0:
+			return fmt.Errorf("expresso: %s requires Options.BTE", k)
+		}
+	}
+	return nil
+}
 
 // Violation is one property violation with its witness.
 type Violation struct {
@@ -67,18 +180,12 @@ func (v Violation) String() string {
 // violation per receiving neighbor; the witness comes from the first leaked
 // route, and every leaked route adds its originator.
 func CheckRouteLeak(eng *epvp.Engine, cp *epvp.Result) []Violation {
-	var f findings
-	for _, ext := range eng.Net.Externals {
-		detail := fmt.Sprintf("externally originated routes leaked to %s", ext)
-		for _, r := range cp.ExternalRIB[ext] {
-			if r.Originator == ext || eng.Net.IsInternal(r.Originator) {
-				continue
-			}
-			f.add(Violation{Kind: RouteLeakFree, Node: ext, Detail: detail, Originators: []string{r.Originator}},
-				routeWitness(eng, r))
-		}
+	leaked := func(ext string, r *symbolic.Route) bool {
+		return r.Originator != ext && !eng.Net.IsInternal(r.Originator)
 	}
-	return f.sorted()
+	return exportFindings(eng, cp, leaked, func(ext string, r *symbolic.Route) Violation {
+		return Violation{Kind: RouteLeakFree, Node: ext, Detail: "externally originated routes leaked to " + ext, Originators: []string{r.Originator}}
+	})
 }
 
 // CheckRouteHijack verifies RouteHijackFree (§6.1): no externally
@@ -130,98 +237,78 @@ func CheckRouteHijack(eng *epvp.Engine, cp *epvp.Result) []Violation {
 // external neighbor. Like CheckRouteLeak, it reports one violation per
 // receiving neighbor, witnessed by the first offending route.
 func CheckBlockToExternal(eng *epvp.Engine, cp *epvp.Result, bte route.Community) []Violation {
-	atom := eng.Comm.Atoms.AtomOf(bte)
-	hasBTE := eng.Comm.M.Var(atom)
+	hasBTE := eng.Comm.M.Var(eng.Comm.Atoms.AtomOf(bte))
+	tagged := func(_ string, r *symbolic.Route) bool { return eng.Comm.M.And(r.Comm, hasBTE) != bdd.False }
+	return exportFindings(eng, cp, tagged, func(ext string, r *symbolic.Route) Violation {
+		return Violation{Kind: BlockToExternal, Node: ext, Detail: fmt.Sprintf("route carrying %s exported to %s", bte, ext)}
+	})
+}
+
+// exportFindings collects the findings of the routes match picks among
+// those exported to external neighbors: the violation build makes of each,
+// witnessed by one prefix of the route's space, its advertiser condition
+// and its path.
+func exportFindings(eng *epvp.Engine, cp *epvp.Result, match func(ext string, r *symbolic.Route) bool, build func(ext string, r *symbolic.Route) Violation) []Violation {
 	var f findings
 	for _, ext := range eng.Net.Externals {
-		detail := fmt.Sprintf("route carrying %s exported to %s", bte, ext)
 		for _, r := range cp.ExternalRIB[ext] {
-			if eng.Comm.M.And(r.Comm, hasBTE) == bdd.False {
-				continue
+			if match(ext, r) {
+				f.add(build(ext, r), func(v *Violation) {
+					if assign := eng.Space.M.AnySat(r.U); assign != nil {
+						v.Prefix = eng.Space.DecodePrefix(assign)
+					}
+					v.Cond = eng.Space.Cond(r.U)
+					v.Path = r.Path
+				})
 			}
-			f.add(Violation{Kind: BlockToExternal, Node: ext, Detail: detail}, routeWitness(eng, r))
 		}
 	}
 	return f.sorted()
-}
-
-// routeWitness is the fill of a finding witnessed by route r: one prefix
-// of r's route space, r's advertiser condition and r's path.
-func routeWitness(eng *epvp.Engine, r *symbolic.Route) func(*Violation) {
-	return func(v *Violation) {
-		if assign := eng.Space.M.AnySat(r.U); assign != nil {
-			v.Prefix = eng.Space.DecodePrefix(assign)
-		}
-		v.Cond = eng.Space.Cond(r.U)
-		v.Path = r.Path
-	}
 }
 
 // CheckTrafficHijack verifies TrafficHijackFree (§6.2): traffic destined to
 // internal prefixes, observed at an internal router, must not exit to an
 // external neighbor.
 func CheckTrafficHijack(eng *epvp.Engine, dp *spf.Result) []Violation {
-	internalDest := internalDestPredicate(eng, dp)
-	var f findings
-	for _, pec := range dp.PECs {
-		if pec.Final != spf.Exit {
-			continue
-		}
-		if !eng.Net.IsInternal(pec.Start()) {
-			continue
-		}
-		overlap := eng.Space.M.And(pec.Pkt, internalDest)
-		if overlap == bdd.False {
-			continue
-		}
-		f.add(Violation{
-			Kind: TrafficHijackFree,
-			Node: pec.Start(),
-			Detail: fmt.Sprintf("traffic to internal prefixes can exit to %s",
-				pec.Path[len(pec.Path)-1]),
-			Path: pec.Path,
-		}, func(v *Violation) { v.Cond = dp.CondOfPkt(overlap) })
-	}
-	return f.sorted()
+	exits := func(pec *spf.PEC) bool { return pec.Final == spf.Exit && eng.Net.IsInternal(pec.Start()) }
+	return pecFindings(eng, dp, exits, internalDest(eng, dp), func(pec *spf.PEC) Violation {
+		return Violation{Kind: TrafficHijackFree, Node: pec.Start(), Path: pec.Path,
+			Detail: fmt.Sprintf("traffic to internal prefixes can exit to %s", pec.Path[len(pec.Path)-1])}
+	})
 }
 
 // CheckBlackHole verifies BlackHoleFree for traffic to the destinations in
-// dests (a predicate over destination-address variables; use
-// InternalDestPredicate for the internal prefixes, or bdd.True for all
-// traffic): no matching PEC may end in BLACKHOLE.
+// dests (a predicate over destination-address variables; the forwarding
+// stage passes the internal prefixes', bdd.True means all traffic): no
+// matching PEC may end in BLACKHOLE.
 func CheckBlackHole(eng *epvp.Engine, dp *spf.Result, dests bdd.Node) []Violation {
-	var f findings
-	for _, pec := range dp.PECs {
-		if pec.Final != spf.BlackHole {
-			continue
-		}
-		overlap := eng.Space.M.And(pec.Pkt, dests)
-		if overlap == bdd.False {
-			continue
-		}
-		f.add(Violation{
-			Kind:   BlackHoleFree,
-			Node:   pec.Path[len(pec.Path)-1],
-			Detail: fmt.Sprintf("traffic to checked destinations dropped at %s", pec.Path[len(pec.Path)-1]),
-			Path:   pec.Path,
-		}, func(v *Violation) { v.Cond = dp.CondOfPkt(overlap) })
-	}
-	return f.sorted()
+	drops := func(pec *spf.PEC) bool { return pec.Final == spf.BlackHole }
+	return pecFindings(eng, dp, drops, dests, func(pec *spf.PEC) Violation {
+		at := pec.Path[len(pec.Path)-1]
+		return Violation{Kind: BlackHoleFree, Node: at, Detail: "traffic to checked destinations dropped at " + at, Path: pec.Path}
+	})
 }
 
 // CheckLoop verifies LoopFree: no PEC may end in LOOP.
 func CheckLoop(eng *epvp.Engine, dp *spf.Result) []Violation {
+	loops := func(pec *spf.PEC) bool { return pec.Final == spf.Loop }
+	return pecFindings(eng, dp, loops, bdd.True, func(pec *spf.PEC) Violation {
+		return Violation{Kind: LoopFree, Node: pec.Start(), Detail: "forwarding loop", Path: pec.Path}
+	})
+}
+
+// pecFindings collects the findings of the PECs match picks whose packets
+// meet dests: the violation build makes of each, with the data-plane
+// condition of its packets to dests.
+func pecFindings(eng *epvp.Engine, dp *spf.Result, match func(*spf.PEC) bool, dests bdd.Node, build func(*spf.PEC) Violation) []Violation {
 	var f findings
 	for _, pec := range dp.PECs {
-		if pec.Final != spf.Loop {
+		if !match(pec) {
 			continue
 		}
-		f.add(Violation{
-			Kind:   LoopFree,
-			Node:   pec.Start(),
-			Detail: "forwarding loop",
-			Path:   pec.Path,
-		}, func(v *Violation) { v.Cond = dp.CondOfPkt(pec.Pkt) })
+		if overlap := eng.Space.M.And(pec.Pkt, dests); overlap != bdd.False {
+			f.add(build(pec), func(v *Violation) { v.Cond = dp.CondOfPkt(overlap) })
+		}
 	}
 	return f.sorted()
 }
@@ -269,15 +356,9 @@ func CheckEgressPreference(eng *epvp.Engine, dp *spf.Result, u string, d route.P
 	return f.sorted()
 }
 
-// InternalDestPredicate is the union of destination predicates of every
-// internal prefix.
-func InternalDestPredicate(eng *epvp.Engine, dp *spf.Result) bdd.Node {
-	return internalDestPredicate(eng, dp)
-}
-
-// internalDestPredicate is the union of destination predicates of every
-// internal prefix.
-func internalDestPredicate(eng *epvp.Engine, dp *spf.Result) bdd.Node {
+// internalDest is the union of destination predicates of every internal
+// prefix: the traffic TrafficHijackFree and the stage's BlackHoleFree check.
+func internalDest(eng *epvp.Engine, dp *spf.Result) bdd.Node {
 	n := bdd.False
 	for _, p := range eng.Net.InternalPrefixes() {
 		n = eng.Space.M.Or(n, dp.DestPredicate(p))
@@ -302,8 +383,7 @@ type findings struct {
 func (f *findings) add(v Violation, fill func(*Violation)) {
 	k := string(v.Kind) + "|" + v.Node + "|" + v.Detail
 	if i, ok := f.seen[k]; ok {
-		prev := &f.out[i]
-		prev.Originators = mergeNames(prev.Originators, v.Originators)
+		f.out[i].Originators = mergeNames(f.out[i].Originators, v.Originators)
 		return
 	}
 	if f.seen == nil {
@@ -318,31 +398,15 @@ func (f *findings) add(v Violation, fill func(*Violation)) {
 
 // sorted returns the collected violations in a deterministic order.
 func (f *findings) sorted() []Violation {
-	out := f.out
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Detail < out[j].Detail
+	slices.SortFunc(f.out, func(a, b Violation) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Detail, b.Detail))
 	})
-	return out
+	return f.out
 }
 
+// mergeNames returns the sorted union of a and b.
 func mergeNames(a, b []string) []string {
-	set := map[string]bool{}
-	for _, s := range a {
-		set[s] = true
-	}
-	for _, s := range b {
-		set[s] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -570,8 +570,8 @@ type JobRequest struct {
 	// the baseline as-is.
 	Baseline string         `json:"baseline,omitempty"`
 	Patch    expresso.Patch `json:"patch"`
-	// Properties selects checks by name (leak, hijack, traffic,
-	// blackhole, loop, bte); empty means the default §7.1 set.
+	// Properties selects checks by name (leak, hijack, traffic, blackhole,
+	// loop, bte — egress is a 400); empty means the default §7.1 set.
 	Properties []string `json:"properties,omitempty"`
 	// Mode is "" or "full" for full Expresso, "minus" for Expresso-.
 	Mode string `json:"mode,omitempty"`

@@ -514,8 +514,9 @@ func TestJobStagesProvenance(t *testing.T) {
 }
 
 // TestBadRequests exercises the API's error paths: a job is a config or a
-// patch against a baseline, never both and never neither, and the route that
-// took configs before /v1/jobs did is gone.
+// patch against a baseline, never both and never neither, its options name
+// only what a stage can check, and the route that took configs before
+// /v1/jobs did is gone.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -528,6 +529,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad mode", JobRequest{Config: "router A\n", Mode: "turbo"}},
 		{"bad property", JobRequest{Config: "router A\n", Properties: []string{"nosuch"}}},
 		{"bad bte", JobRequest{Config: "router A\n", BTE: "zzz"}},
+		{"property no stage checks", JobRequest{Config: "router A\n", Properties: []string{"egress"}}},
+		{"bte without a community", JobRequest{Config: "router A\n", Properties: []string{"bte"}}},
 	}
 	for _, tc := range cases {
 		if code, _ := postVerify(t, ts, tc.req); code != http.StatusBadRequest {

@@ -115,8 +115,7 @@ type Result struct {
 	// paper's datasets).
 	DataVarsPerNeighbor map[string]int
 
-	eng     *epvp.Engine
-	varBase int
+	eng *epvp.Engine
 
 	// ctx, trace and varsUsed are the run's request state: its
 	// cancellation, its tracer, and the data-plane variables its FIBs
@@ -137,6 +136,25 @@ type Result struct {
 	// rather than slice again. Written before the fan-out, read-only during
 	// it, dropped after it.
 	sliced map[bdd.Node][]symbolic.LengthMatch
+}
+
+// VarBase reports the first data-plane advertiser variable index of the
+// result (symbolic.Space.DataBase). The artifact store records it and
+// refuses a persisted result whose recorded base is not the importing
+// manager's.
+func (r *Result) VarBase() int { return r.eng.Space.DataBase() }
+
+// Rehydrate reconstructs a Result around an engine from the FIBs, PECs and
+// per-neighbor variable statistics the artifact store decoded, every BDD
+// handle already imported into eng's manager: usable by the forwarding
+// checks exactly like one produced by RunTraced.
+func Rehydrate(eng *epvp.Engine, fibs map[string]*FIB, pecs []*PEC, dataVars map[string]int) *Result {
+	return &Result{
+		FIBs:                fibs,
+		PECs:                pecs,
+		DataVarsPerNeighbor: dataVars,
+		eng:                 eng,
+	}
 }
 
 // Nodes returns every BDD handle the result keeps alive: each FIB's
@@ -191,8 +209,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// 0.7M ranked — see DESIGN.md), and foldFIB runs in the direction this
 	// order makes cheap. A manager serving several runs keeps the block of
 	// its first.
-	varBase, lengths := eng.Space.DataBlock(func() []int { return r.rankLengths(cp) })
-	r.varBase = varBase
+	_, lengths := eng.Space.DataBlock(func() []int { return r.rankLengths(cp) })
 	// One set of forked spaces (private BDD op caches over the shared node
 	// table) serves both phases.
 	pool := epvp.NewPool(eng.WorkerCount(), eng.Space, eng.Space.Fork)
@@ -229,8 +246,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 		return nil, err
 	}
 	for v := range r.varsUsed {
-		i := (v - r.varBase) % len(eng.Net.Externals)
-		r.DataVarsPerNeighbor[eng.Net.Externals[i]]++
+		r.DataVarsPerNeighbor[eng.Net.Externals[eng.Space.DataNeighbor(v)]]++
 	}
 	if r.trace.Enabled() {
 		r.trace.SPFOrder(telemetry.SPFOrderEvent{
@@ -310,15 +326,9 @@ var lengthSlice = func() (out [symbolic.AddrBits + 1]map[int]bool) {
 	return out
 }()
 
-// dataVar returns the data-plane advertiser variable n_i^l for neighbor
-// index i and prefix length l.
-func (r *Result) dataVar(i, l int) int {
-	return r.varBase + l*len(r.eng.Net.Externals) + i
-}
-
 // DataVar exposes the n_i^l variable for property checks and tests.
 func (r *Result) DataVar(neighbor string, length int) int {
-	return r.dataVar(r.eng.Net.ExternalIndex[neighbor], length)
+	return r.eng.Space.DataVar(r.eng.Net.ExternalIndex[neighbor], length)
 }
 
 // convertRoute compiles one symbolic RIB entry into per-length FIB entries
@@ -367,8 +377,7 @@ func (r *Result) convert(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
 		// checks and falls back to a general rebuild when needed.
 		mapping := map[int]int{}
 		for _, cv := range sp.M.Support(s.Match) {
-			if cv >= symbolic.FirstNbrVar && cv < r.varBase {
-				dv := r.dataVar(cv-symbolic.FirstNbrVar, s.Length)
+			if dv, ok := sp.PerLength(cv, s.Length); ok {
 				mapping[cv] = dv
 				c.Vars = append(c.Vars, dv)
 			}

@@ -8,6 +8,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -57,12 +58,11 @@ type Space struct {
 	data *dataBlock
 }
 
-// dataBlock is a manager's data-plane state: the one advertiser block it
-// holds, and the memo of what SPF converted into that block.
+// dataBlock is a manager's data-plane state: the order of the one
+// advertiser block it holds, and the memo of what SPF converted into it.
 type dataBlock struct {
 	mu      sync.Mutex
-	base    int   // first variable of the block; 0 until allocated
-	lengths []int // the block's prefix lengths, topmost level first
+	lengths []int // the block's prefix lengths, topmost level first; nil until allocated
 
 	// conv memoizes route conversion by U for every SPF run in the manager
 	// (a pinned baseline's deltas mostly convert the baseline's own sets).
@@ -127,22 +127,63 @@ func LongestFirst() []int {
 	return out
 }
 
-// DataBlock returns M's data-plane advertiser block (§5.1): one variable
-// n_i^l per neighbor i and prefix length l, numbered base + l·n + i, and
-// the block's prefix lengths from the topmost level down. The first call
-// allocates the block below every control-plane level — the n variables of
-// lengths()[0] topmost in neighbor order, then those of lengths()[1], and
-// so on — where lengths returns a permutation of 0..32; a nil lengths, or a
-// nil return, means LongestFirst. Every later call on a space over the same manager returns that block
-// and leaves lengths uncalled, so a manager that serves many runs (a pinned
-// baseline and its deltas) holds one block, in the order its first run
-// chose. The allocating call is a structural mutation of M and needs the
-// same quiescence as bdd.Manager.AddVarsOrdered.
+// DataBase is the first variable of the data-plane advertiser block
+// (§5.1): DataBlock's allocation is the only growth of a prefix manager, so
+// every manager of a network holds the block there.
+func (s *Space) DataBase() int { return FirstNbrVar + s.NumNeighbors }
+
+// DataVar returns the data-plane advertiser variable n_i^l of neighbor i
+// and prefix length l: DataBase + l·n + i.
+func (s *Space) DataVar(i, l int) int { return s.DataBase() + l*s.NumNeighbors + i }
+
+// DataNeighbor returns the neighbor index i of a data-plane variable n_i^l.
+func (s *Space) DataNeighbor(v int) int { return (v - s.DataBase()) % s.NumNeighbors }
+
+// PerLength renames a control-plane advertiser variable n_i to its length-l
+// data-plane variable n_i^l; ok is false for every other variable.
+func (s *Space) PerLength(v, l int) (dv int, ok bool) {
+	if v < FirstNbrVar || v >= s.DataBase() {
+		return 0, false
+	}
+	return s.DataVar(v-FirstNbrVar, l), true
+}
+
+// BlockLengths reads how a manager's data-plane block is ordered from its
+// variable order (level2var): the prefix lengths by the first level any of
+// their variables sits at, topmost first; nil when the order holds no whole
+// block.
+func (s *Space) BlockLengths(order []int) []int {
+	var lengths []int
+	for _, v := range order {
+		if v < s.DataBase() || s.NumNeighbors == 0 {
+			continue
+		}
+		if l := (v - s.DataBase()) / s.NumNeighbors; l <= AddrBits && !slices.Contains(lengths, l) {
+			lengths = append(lengths, l)
+		}
+	}
+	if len(lengths) != AddrBits+1 {
+		return nil
+	}
+	return lengths
+}
+
+// DataBlock returns M's data-plane advertiser block (§5.1): its first
+// variable, DataBase, and its prefix lengths from the topmost level down.
+// The first call allocates the block below every control-plane level — the
+// n variables of lengths()[0] topmost in neighbor order, then those of
+// lengths()[1], and so on — where lengths returns a permutation of 0..32; a
+// nil lengths, or a nil return, means LongestFirst. Every later call on a
+// space over the same manager returns that block and leaves lengths
+// uncalled, so a manager that serves many runs (a pinned baseline and its
+// deltas) holds one block, in the order its first run chose. The
+// allocating call is a structural mutation of M and needs the same
+// quiescence as bdd.Manager.AddVarsOrdered.
 func (s *Space) DataBlock(lengths func() []int) (base int, order []int) {
 	d := s.data
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.base == 0 {
+	if d.lengths == nil {
 		if lengths != nil {
 			d.lengths = lengths()
 		}
@@ -156,9 +197,11 @@ func (s *Space) DataBlock(lengths func() []int) (base int, order []int) {
 				offsets = append(offsets, l*n+i)
 			}
 		}
-		d.base = s.M.AddVarsOrdered(offsets)
+		if got := s.M.AddVarsOrdered(offsets); got != s.DataBase() {
+			panic(fmt.Sprintf("symbolic: data-plane block allocated at %d, want %d", got, s.DataBase()))
+		}
 	}
-	return d.base, d.lengths
+	return s.DataBase(), d.lengths
 }
 
 // nbrSplitBit is the address bit the advertiser block is interleaved

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,40 @@ func TestSpaceVariables(t *testing.T) {
 		}
 	}()
 	s.NbrVar(3)
+}
+
+// TestDataBlockLayout: the data-plane block starts after the control-plane
+// variables, numbers n_i^l as DataBase + l·n + i, renames only advertiser
+// variables, and its order reads back from the manager's variable order.
+func TestDataBlockLayout(t *testing.T) {
+	s := NewSpace(3)
+	ranked := []int{24, 31}
+	for _, l := range LongestFirst() {
+		if l != 24 && l != 31 {
+			ranked = append(ranked, l)
+		}
+	}
+	base, order := s.DataBlock(func() []int { return ranked })
+	if base != FirstNbrVar+3 || base != s.DataBase() || s.M.NumVars() != base+33*3 {
+		t.Fatalf("block at %d (DataBase %d), %d variables", base, s.DataBase(), s.M.NumVars())
+	}
+	if v := s.DataVar(2, 5); v != base+5*3+2 || s.DataNeighbor(v) != 2 {
+		t.Errorf("DataVar(2, 5) = %d, neighbor %d", v, s.DataNeighbor(v))
+	}
+	if dv, ok := s.PerLength(s.NbrVar(1), 7); !ok || dv != s.DataVar(1, 7) {
+		t.Errorf("PerLength(n_1, 7) = %d, %v", dv, ok)
+	}
+	for _, v := range []int{0, AddrBits, s.DataVar(0, 0)} {
+		if _, ok := s.PerLength(v, 7); ok {
+			t.Errorf("PerLength renamed variable %d, no advertiser variable", v)
+		}
+	}
+	if got := s.BlockLengths(s.M.Order()); !slices.Equal(got, order) || !slices.Equal(got, ranked) {
+		t.Errorf("BlockLengths = %v, want the installed %v", got, ranked)
+	}
+	if got := NewSpace(3).BlockLengths(NewSpace(3).M.Order()); got != nil {
+		t.Errorf("BlockLengths of a manager without a block = %v, want nil", got)
+	}
 }
 
 func TestPrefixBDDRoundTrip(t *testing.T) {

@@ -162,9 +162,7 @@ func Replay(eng *epvp.Engine, v properties.Violation, s *Scenario) (string, erro
 func ConfirmRoutingViolations(eng *epvp.Engine, vs []properties.Violation) []string {
 	var out []string
 	for _, v := range vs {
-		switch v.Kind {
-		case properties.RouteLeakFree, properties.RouteHijackFree, properties.BlockToExternal:
-		default:
+		if p, _ := properties.Lookup(v.Kind); p.Stage != properties.Routing {
 			continue
 		}
 		s, err := Concretize(eng, v)

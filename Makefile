@@ -3,8 +3,8 @@
 # tests across every package, then the four steps that cover what that run
 # does not — the same race run with the parallel engine forced on, the
 # daemon-facing packages with a sweep at every barrier, a short fuzz of
-# every store-blob decoder and of the configuration-text front door, and
-# the env-gated allocation guard. The four *-check targets select tests
+# every store-blob decoder, of the configuration-text front door and of
+# SPF's conversion kernel, and the env-gated allocation guard. The four *-check targets select tests
 # `race` has already run: they are shortcuts for working on one subsystem,
 # not CI steps.
 
@@ -97,15 +97,19 @@ store-check: fuzz-smoke
 	$(GO) test . -run 'TestStore' -count=1 -timeout 15m
 	$(GO) test -count=1 ./internal/store/ ./internal/wire/ ./internal/bdd/ ./internal/automaton/ ./internal/pipeline/
 
-# A store directory is untrusted input, and so is configuration text: each
-# decoder of a store blob, the config parser and the diff/patch pair get five
-# seconds of coverage-guided fuzzing on top of their seed corpus (-fuzz takes
-# one target in one package per run). A crasher lands in the package's
-# testdata/fuzz/ and fails every later `go test` until it is fixed.
+# Five seconds of coverage-guided fuzzing per target on top of its seed
+# corpus (-fuzz takes one target in one package per run): a store directory
+# is untrusted input, and so is configuration text, so each decoder of a
+# store blob, the config parser and the diff/patch pair are fuzzed; so is
+# the BDD kernel SPF's conversion runs on (bdd.Worker.Convert), against a
+# restrict-then-rename reference under random static orders. A crasher
+# lands in the package's testdata/fuzz/ and fails every later `go test`
+# until it is fixed.
 fuzz-smoke:
 	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 5s
 	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s
 	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
+	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime 5s
 	$(GO) test ./internal/automaton/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
 	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeSRC$$' -fuzztime 5s
 	$(GO) test ./internal/pipeline/ -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime 5s
@@ -134,7 +138,8 @@ trace-check:
 # compile and its SPF stage each under a created-BDD-node ceiling, a
 # one-worker region-4 EPVP run under its op-cache-miss and created-node
 # ceilings, its op caches within 2 × OpCacheMaxSlots slots and its unique
-# table within 24 bytes per live node, and a one-worker full-old EPVP run
+# table within 24 bytes per live node, SPF on its result under a
+# created-node ceiling, and a one-worker full-old EPVP run
 # under its op-cache-miss ceiling (its wall time is logged). The test skips
 # itself without the env knob, so plain `go test ./...` stays fast.
 alloc-guard:

@@ -37,9 +37,11 @@ const (
 	// region1SPFNodesCeiling bounds the nodes hash-consed by symbolic
 	// packet forwarding on the converged region-1 RIB, between SRC's end
 	// and SPF's end: 470,810 with the data-plane block shortest length
-	// first and the FIBs folded from the highest priority down, ~215,000
-	// with the block ranked and the fold run from the lowest priority up.
-	// A block-order or fold-direction regression lands well over this.
+	// first and the FIBs folded from the highest priority down, 216,339
+	// with the block ranked and the fold run from the lowest priority up,
+	// 155,939 once each FIB converts one union per next hop and folds its
+	// priority groups in a balanced tree. A block-order or fold-direction
+	// regression lands well over this.
 	region1SPFNodesCeiling = 350_000
 	// The region-4 ceilings bound one Workers=1 EPVP fixed point by the sums
 	// of its per-round trace counters, which repeat exactly: 1,291,165
@@ -50,6 +52,14 @@ const (
 	// lands over both.
 	region4EPVPMissesCeiling = 1_600_000
 	region4EPVPNodesCeiling  = 900_000
+	// region4SPFNodesCeiling bounds the nodes spf.Run hash-conses on that
+	// Workers=1 fixed point (block ranking, FIBs and forwarding), which
+	// also repeat exactly: 2,745,518 with one conversion per route and a
+	// linear fold over the rules, 1,829,667 with one union per next hop
+	// and the balanced fold. Either half alone lands over this: the linear
+	// fold over the hop unions reads 2,048,100, per-route conversion under
+	// the balanced fold 3,076,403.
+	region4SPFNodesCeiling = 1_950_000
 	// fullOldEPVPMissesCeiling bounds the same sum for one Workers=1 EPVP
 	// fixed point on full-old, which sweeps at the end of rounds 3 and 4:
 	// 23,164,829 op-cache misses before EPVP's merge memo, 20,642,674 with
@@ -70,8 +80,9 @@ const (
 // objects than the ceilings above, if compiling its policies creates more
 // BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
-// region 4's EPVP rounds against the region4EPVP ceilings and bounds that
-// manager's op-cache slots and unique-table bytes; last, it runs full-old's
+// region 4's EPVP rounds against the region4EPVP ceilings, bounds that
+// manager's op-cache slots and unique-table bytes, and runs SPF on the
+// result against region4SPFNodesCeiling; last, it runs full-old's
 // EPVP rounds against fullOldEPVPMissesCeiling, logs their wall time, and
 // holds the route-leak check on their result to fullOldLeakNodesCeiling.
 // Gated behind
@@ -145,7 +156,7 @@ func TestRegion1AllocGuard(t *testing.T) {
 	}
 	eng = epvp.New(region4.Topo, epvp.FullMode())
 	eng.Workers, eng.Trace = 1, telemetry.NewTracer()
-	eng.Run()
+	cp = eng.Run()
 	var misses, nodes int64
 	for _, r := range eng.Trace.Finish().EPVPRounds {
 		misses += r.ITEMisses
@@ -172,6 +183,15 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if p.UniqueBytes > 24*p.LiveNodes {
 		t.Errorf("region-4 unique table takes %d bytes for %d live nodes, over 24 per node: does it store keys again, or run below 1/3 load?",
 			p.UniqueBytes, p.LiveNodes)
+	}
+
+	_, spf0 := eng.Space.M.UniqueStats()
+	spf.Run(eng, cp)
+	_, spf1 := eng.Space.M.UniqueStats()
+	t.Logf("region-4 SPF created %d BDD nodes (ceiling %d)", spf1-spf0, region4SPFNodesCeiling)
+	if spf1-spf0 > region4SPFNodesCeiling {
+		t.Errorf("region-4 SPF created %d BDD nodes, over the %d-node ceiling: does the FIB convert per route, or fold its priority groups linearly, again?",
+			spf1-spf0, region4SPFNodesCeiling)
 	}
 
 	fullOldText, err := netgen.Dataset("full-old", 0)

@@ -11,6 +11,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/symbolic"
 	"github.com/expresso-verify/expresso/internal/traceview"
 )
 
@@ -200,24 +201,35 @@ func memoWork(tr *Tracer) (misses, conversions int64) {
 	return misses, conversions
 }
 
-// newSets counts the distinct prefix-environment sets of the fixed point
-// most recently cached in v that the baseline's fixed point does not hold:
-// the routes a delta is the first to convert.
+// newSets counts the (router, next hop) unions of U — the sets SPF
+// converts, one per FIB next hop — of the fixed point most recently cached
+// in v that the baseline's fixed point does not hold: the unions a delta
+// is the first to convert.
 func newSets(v *Verifier, baseline string) int {
 	b, _ := v.baselines.Get(baseline)
-	seen := map[bdd.Node]bool{}
-	for _, rs := range b.SRC.Res.Best {
-		for _, r := range rs {
-			seen[r.U] = true
+	w := b.SRC.Eng.Space.M.NewWorker()
+	hopUnions := func(best map[string][]*symbolic.Route) []bdd.Node {
+		var out []bdd.Node
+		for _, rs := range best {
+			byHop := map[string][]bdd.Node{}
+			for _, r := range rs {
+				byHop[r.NextHop] = append(byHop[r.NextHop], r.U)
+			}
+			for _, us := range byHop {
+				out = append(out, symbolic.OrBalanced(w, us))
+			}
 		}
+		return out
+	}
+	seen := map[bdd.Node]bool{}
+	for _, u := range hopUnions(b.SRC.Res.Best) {
+		seen[u] = true
 	}
 	n := 0
-	for _, rs := range v.cache.SRC.Values()[0].Res.Best {
-		for _, r := range rs {
-			if !seen[r.U] {
-				seen[r.U] = true
-				n++
-			}
+	for _, u := range hopUnions(v.cache.SRC.Values()[0].Res.Best) {
+		if !seen[u] {
+			seen[u] = true
+			n++
 		}
 	}
 	return n
@@ -226,8 +238,8 @@ func newSets(v *Verifier, baseline string) int {
 // TestDeltaReusesBaselineMemo: a delta runs in its baseline's manager with
 // that manager's op caches and SPF conversions, so it re-derives a small
 // fraction of what a cold run of the same text does, and converts only
-// the routes that are new — and its report is the cold one, after a sweep
-// flushed those memos mid-run and at four workers alike.
+// the next-hop unions that are new — and its report is the cold one,
+// after a sweep flushed those memos mid-run and at four workers alike.
 func TestDeltaReusesBaselineMemo(t *testing.T) {
 	t.Setenv("EXPRESSO_RECLAIM", "") // no sweep may flush the memos under measurement
 	ctx := context.Background()
@@ -266,8 +278,8 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	if misses*4 > coldMisses {
 		t.Errorf("delta missed the op caches %d times, cold run %d: the baseline's caches were not reused", misses, coldMisses)
 	}
-	if fresh := newSets(v, "prod"); conv == 0 || conv > int64(fresh) {
-		t.Errorf("delta computed %d conversions, want between 1 and its %d new route sets (cold run: %d)", conv, fresh, coldConv)
+	if fresh := newSets(v, "prod"); conv == 0 || conv > int64(fresh) || conv >= coldConv {
+		t.Errorf("delta computed %d conversions, want between 1 and its %d new hop unions, and fewer than the cold run's %d", conv, fresh, coldConv)
 	}
 	if got := normalizedJSON(t, rep); got != cold {
 		t.Errorf("delta report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)

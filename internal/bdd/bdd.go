@@ -24,7 +24,7 @@
 // operation cache and commutative key normalization; Or and Diff are De
 // Morgan rewrites of the same kernel, so all three share cache entries.
 // The generic three-operand ITE remains for the genuinely ternary call
-// sites (the FIB fold, cross-order import and rename).
+// sites (the FIB fold, cross-order import and Convert).
 //
 // # Concurrency model
 //
@@ -62,8 +62,8 @@
 //
 // Operations that only read the slab (Support, SatCount, AnySat, Eval) or
 // only hash-cons without a shared memo (Var, Cube, CubeSet,
-// Restrict, RestrictMany, RenameMonotone) are safe to call from any goroutine
-// directly on the Manager. AddVarsOrdered is the one structural mutation and
+// Restrict, RestrictMany) are safe to call from any goroutine directly on
+// the Manager. AddVarsOrdered is the one structural mutation and
 // must not run concurrently with any operation.
 //
 // # Reclamation
@@ -1059,104 +1059,85 @@ func (m *Manager) RestrictMany(n Node, values map[int]bool) Node {
 	return rec(n)
 }
 
-// RenameMonotone replaces variables per mapping, which must be strictly
-// level-order-preserving on the support of n: the mapped and unmapped
-// support variables must keep their relative positions in the manager's
-// CURRENT variable order (with the identity order that is the familiar
-// old_i < old_j implies mapping[old_i] < mapping[old_j]). Under that
-// contract the rename is a single linear rebuild; it panics if the
-// contract is violated in a way that breaks canonicity locally. Callers
-// that cannot guarantee the contract after dynamic reordering should use
-// RenameAny, which detects the violation and falls back to a general
-// rebuild. Safe for concurrent use.
-func (m *Manager) RenameMonotone(n Node, mapping map[int]int) Node {
-	if len(mapping) == 0 {
-		return n
+// Convert restricts n to the values fix gives its variables and renames
+// each variable of rename to its image, in one memoized pass, and reports
+// the images the result depends on, in increasing order. rename must be
+// injective, and no image may be a variable of fix or one n depends on
+// without being renamed. A rebuilt node whose (renamed) variable sits
+// above both rebuilt children is hash-consed directly; any other — an
+// image at or below a child's top level, which the manager's order may
+// make of any mapping — is built with ITE, so the result is exact under
+// every variable order.
+func (w *Worker) Convert(n Node, fix map[int]bool, rename map[int]int) (Node, []int) {
+	w.sync()
+	m := w.m
+	// The affected variables translate to levels once; the walk runs in
+	// level space and returns the nodes below the deepest of them as they
+	// are.
+	type action struct {
+		fixed, value, renamed bool
+		to                    int32 // the image's level, for a renamed variable
+		image                 int
 	}
+	deepest := int32(-1)
+	for v := range fix {
+		deepest = max(deepest, m.var2level[v])
+	}
+	for v := range rename {
+		deepest = max(deepest, m.var2level[v])
+	}
+	acts := make([]action, deepest+1)
+	for v, val := range fix {
+		acts[m.var2level[v]] = action{fixed: true, value: val}
+	}
+	for v, img := range rename {
+		acts[m.var2level[v]] = action{renamed: true, to: m.var2level[img], image: img}
+	}
+	var kept []int
+	keptSeen := map[int]bool{}
+	// Both operations commute with negation, so the memo holds regular
+	// handles and a complemented one flips the result.
 	memo := make(map[Node]Node)
 	var rec func(Node) Node
 	rec = func(x Node) Node {
-		if x == True || x == False {
+		lvl := m.level(x)
+		if lvl > deepest {
 			return x
 		}
+		c := x & 1
+		x ^= c
 		if r, ok := memo[x]; ok {
-			return r
+			return r ^ c
 		}
-		v := int(m.level2var[m.level(x)])
-		if nv, ok := mapping[v]; ok {
-			v = nv
+		a := acts[lvl]
+		var r Node
+		switch {
+		case a.fixed && a.value:
+			r = rec(m.high(x))
+		case a.fixed:
+			r = rec(m.low(x))
+		default:
+			lo, hi := rec(m.low(x)), rec(m.high(x))
+			to := lvl
+			if a.renamed {
+				to = a.to
+				if lo != hi && !keptSeen[a.image] {
+					keptSeen[a.image] = true
+					kept = append(kept, a.image)
+				}
+			}
+			if to < m.level(lo) && to < m.level(hi) {
+				r = m.mk(to, lo, hi)
+			} else {
+				r = w.ite3(m.mk(to, False, True), hi, lo)
+			}
 		}
-		lvl := m.var2level[v]
-		lo, hi := rec(m.low(x)), rec(m.high(x))
-		if loN, hiN := m.level(lo), m.level(hi); lvl >= loN || lvl >= hiN {
-			panic("bdd: RenameMonotone mapping is not order-preserving")
-		}
-		r := m.mk(lvl, lo, hi)
 		memo[x] = r
-		return r
+		return r ^ c
 	}
-	return rec(n)
-}
-
-// RenameAny replaces variables per mapping (which must be injective on the
-// support of n and must not collide with unmapped support variables). It
-// runs the linear RenameMonotone pass when the mapping preserves the
-// current level order of n's support and falls back to a general ITE-based
-// rebuild otherwise — after dynamic reordering an index-monotone mapping
-// need not be level-monotone. Safe for concurrent use: the fallback builds
-// through a private Worker.
-func (m *Manager) RenameAny(n Node, mapping map[int]int) Node {
-	if len(mapping) == 0 || n == True || n == False {
-		return n
-	}
-	if m.renameLevelMonotone(n, mapping) {
-		return m.RenameMonotone(n, mapping)
-	}
-	w := m.NewWorker()
-	memo := make(map[Node]Node)
-	var rec func(Node) Node
-	rec = func(x Node) Node {
-		if x == True || x == False {
-			return x
-		}
-		if r, ok := memo[x]; ok {
-			return r
-		}
-		v := int(m.level2var[m.level(x)])
-		if nv, ok := mapping[v]; ok {
-			v = nv
-		}
-		r := w.ite3(m.Var(v), rec(m.high(x)), rec(m.low(x)))
-		memo[x] = r
-		return r
-	}
-	return rec(n)
-}
-
-// renameLevelMonotone reports whether mapping keeps the relative level
-// order of n's support variables, the precondition for RenameMonotone's
-// linear pass.
-func (m *Manager) renameLevelMonotone(n Node, mapping map[int]int) bool {
-	sup := m.Support(n)
-	type pair struct{ from, to int32 }
-	ps := make([]pair, len(sup))
-	for i, v := range sup {
-		t := v
-		if nv, ok := mapping[v]; ok {
-			t = nv
-		}
-		if t < 0 || t >= m.numVars {
-			return false // let the fallback's Var panic with a precise message
-		}
-		ps[i] = pair{m.var2level[v], m.var2level[t]}
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].from < ps[b].from })
-	for i := 1; i < len(ps); i++ {
-		if ps[i].to <= ps[i-1].to {
-			return false
-		}
-	}
-	return true
+	r := rec(n)
+	sort.Ints(kept)
+	return r, kept
 }
 
 // Support returns the sorted list of variables n depends on. Read-only and
@@ -1182,6 +1163,64 @@ func (m *Manager) Support(n Node) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Cases is up to 64 partial assignments compiled for SatUnder.
+type Cases struct {
+	// zero[v] and one[v] are the cases in which variable v may be 0 and 1;
+	// a variable past their end is free in every case.
+	zero, one []uint64
+	all       uint64
+}
+
+// NewCases compiles up to 64 partial assignments, case k becoming bit k of
+// SatUnder's answer.
+func NewCases(cases []map[int]bool) *Cases {
+	if len(cases) > 64 {
+		panic("bdd: more than 64 cases")
+	}
+	cs := &Cases{all: 1<<len(cases) - 1}
+	for k, c := range cases {
+		for v, val := range c {
+			for len(cs.zero) <= v {
+				cs.zero = append(cs.zero, cs.all)
+				cs.one = append(cs.one, cs.all)
+			}
+			if val {
+				cs.zero[v] &^= 1 << k
+			} else {
+				cs.one[v] &^= 1 << k
+			}
+		}
+	}
+	return cs
+}
+
+// SatUnder returns the cases under which n is satisfiable: bit k is set
+// when some assignment extending case k makes n true. One read-only walk
+// for all of them, whatever the variable order; safe for concurrent use.
+func (m *Manager) SatUnder(n Node, cs *Cases) uint64 {
+	memo := make(map[Node]uint64)
+	var rec func(Node) uint64
+	rec = func(x Node) uint64 {
+		switch x {
+		case False:
+			return 0
+		case True:
+			return cs.all
+		}
+		if r, ok := memo[x]; ok {
+			return r
+		}
+		lo, hi := rec(m.low(x)), rec(m.high(x))
+		if v := int(m.level2var[m.level(x)]); v < len(cs.zero) {
+			lo &= cs.zero[v]
+			hi &= cs.one[v]
+		}
+		memo[x] = lo | hi
+		return lo | hi
+	}
+	return rec(n)
 }
 
 // SatCount returns the number of satisfying assignments of n over all

@@ -108,18 +108,25 @@ func TestExistsForall(t *testing.T) {
 
 func TestRename(t *testing.T) {
 	m := New(6)
+	w := m.DefaultWorker()
 	a, b := m.Var(0), m.Var(1)
 	f := m.And(a, m.Not(b))
-	g := m.RenameAny(f, map[int]int{0: 3, 1: 4})
+	g, kept := w.Convert(f, nil, map[int]int{0: 3, 1: 4})
 	want := m.And(m.Var(3), m.Not(m.Var(4)))
-	if g != want {
-		t.Errorf("Rename result mismatch")
+	if g != want || fmt.Sprint(kept) != "[3 4]" {
+		t.Errorf("Rename result mismatch (kept %v)", kept)
 	}
 	// Swap via rename must also work (rebuilding handles ordering).
-	h := m.RenameAny(f, map[int]int{0: 1, 1: 0})
+	h, _ := w.Convert(f, nil, map[int]int{0: 1, 1: 0})
 	want2 := m.And(m.Var(1), m.Not(m.Var(0)))
 	if h != want2 {
 		t.Errorf("swap Rename result mismatch")
+	}
+	// Restricting in the same pass: b fixed false leaves a, renamed; an
+	// image the restriction makes irrelevant is not reported kept.
+	r, kept := w.Convert(m.Or(f, m.And(b, m.Var(2))), map[int]bool{1: false}, map[int]int{0: 5, 2: 3})
+	if r != m.Var(5) || fmt.Sprint(kept) != "[5]" {
+		t.Errorf("Convert with b=0: got %v kept %v, want variable 5 kept [5]", r, kept)
 	}
 }
 

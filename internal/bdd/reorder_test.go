@@ -216,7 +216,7 @@ func TestSatCountOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestRenameAnyAfterReorder(t *testing.T) {
+func TestConvertAfterReorder(t *testing.T) {
 	const n = 6
 	m := New(2 * n)
 	f := pairedDisjunction(m, n)
@@ -224,10 +224,10 @@ func TestRenameAnyAfterReorder(t *testing.T) {
 	m.Reorder(f)
 
 	// After sifting, an index-monotone mapping need not be level-monotone;
-	// RenameAny must still produce the renamed function. Map a_i -> a_{i+1}
+	// Convert must still produce the renamed function. Map a_i -> a_{i+1}
 	// style shifts inside the first block.
 	mapping := map[int]int{0: 1, 1: 2, 2: 0}
-	got := m.RenameAny(f, mapping)
+	got, _ := m.DefaultWorker().Convert(f, nil, mapping)
 	// Reference: build the renamed formula directly.
 	want := False
 	for i := 0; i < n; i++ {
@@ -238,7 +238,7 @@ func TestRenameAnyAfterReorder(t *testing.T) {
 		want = m.Or(want, m.And(m.Var(ai), m.Var(n+i)))
 	}
 	if got != want {
-		t.Fatalf("RenameAny after reorder: got %v want %v", got, want)
+		t.Fatalf("Convert after reorder: got %v want %v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
+	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/route"
 	"github.com/expresso-verify/expresso/internal/symbolic"
@@ -156,6 +157,118 @@ func TestFoldMatchesDescendingOracle(t *testing.T) {
 				for _, port := range want.Ports() {
 					if got.PortPred[port] != want.PortPred[port] {
 						t.Fatalf("trial %d: port %s predicate differs from the oracle's", trial, port)
+					}
+				}
+			}
+		})
+	}
+}
+
+// buildFIBPerRoute is the FIB compilation buildFIB replaced, kept as its
+// oracle: one conversion per route, one rule per (route, length), and a
+// linear fold over the rules.
+func buildFIBPerRoute(r *Result, sp *symbolic.Space, v string, rib []*symbolic.Route) *FIB {
+	d := r.eng.Net.Devices[v]
+	var entries []fibEntry
+	for _, sr := range rib {
+		for _, c := range r.convertU(sp, sr.U).Matches {
+			entries = append(entries, fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop})
+		}
+	}
+	for _, st := range d.Statics {
+		entries = append(entries, fibEntry{length: int(st.Prefix.Len), admin: route.ProtoStatic.AdminDistance(), match: sp.DestBDD(st.Prefix), port: st.NextHop})
+	}
+	for _, itf := range d.Interfaces {
+		entries = append(entries, fibEntry{length: int(itf.Prefix.Len), admin: route.ProtoConnected.AdminDistance(), match: sp.DestBDD(itf.Prefix)})
+	}
+	return foldFIBDescending(sp.W, entries)
+}
+
+// perHopRouter is one router with statics and connected routes at the
+// lengths randomRIB draws, and four external peers for its conditions.
+const perHopRouter = `
+router R
+bgp as 100
+interface lo0 ip 10.0.0.1/24
+interface lo1 ip 10.1.0.1/16
+interface lo2 ip 11.0.0.1/32
+static 10.0.0.0/8 next-hop A
+static 10.1.0.0/24 next-hop B
+static 11.0.0.0/16 next-hop A
+static 10.1.0.0/16 next-hop C
+route-policy all permit node 10
+bgp peer W AS 200 import all export all
+bgp peer X AS 300 import all export all
+bgp peer Y AS 400 import all export all
+bgp peer Z AS 500 import all export all
+`
+
+// randomRIB draws a BGP RIB with several routes per next hop ("" being a
+// locally originated route): each route's U is a few prefix ranges under
+// an advertiser condition, ranges nest and collide across hops (ECMP ties
+// and shadowing), and some conditions are complementary, so a hop's union
+// can drop a variable its routes mention.
+func randomRIB(rng *rand.Rand, sp *symbolic.Space) []*symbolic.Route {
+	hops := []string{"", "A", "B", "C"}
+	lengths := []uint8{0, 8, 16, 23, 24, 25, 32}
+	var rib []*symbolic.Route
+	for k := 2 + rng.Intn(10); k > 0; k-- {
+		var specs []config.PrefixMatch
+		for c := 1 + rng.Intn(3); c > 0; c-- {
+			l := lengths[rng.Intn(len(lengths))]
+			addr := uint32(10+rng.Intn(2))<<24 | uint32(rng.Intn(2))<<16 | uint32(rng.Intn(2))<<8
+			le := l
+			if rng.Intn(3) == 0 && l < 32 {
+				le = l + uint8(1+rng.Intn(int(32-l)))
+			}
+			specs = append(specs, config.PrefixMatch{Prefix: route.Prefix{Addr: addr & route.MaskOf(l), Len: l}, GE: l, LE: le})
+		}
+		cond := sp.M.Var(sp.NbrVar(rng.Intn(sp.NumNeighbors)))
+		if rng.Intn(2) == 0 {
+			cond = sp.W.And(cond, sp.M.NVar(sp.NbrVar(rng.Intn(sp.NumNeighbors))))
+		}
+		hop := hops[rng.Intn(len(hops))]
+		u := sp.W.And(sp.PrefixMatchBDD(specs...), cond)
+		rib = append(rib, &symbolic.Route{U: u, NextHop: hop})
+		if rng.Intn(3) == 0 {
+			// The same prefixes under the complementary condition, via
+			// the same hop.
+			rib = append(rib, &symbolic.Route{U: sp.W.Diff(sp.PrefixMatchBDD(specs...), cond), NextHop: hop})
+		}
+	}
+	return rib
+}
+
+// TestBuildFIBMatchesPerRouteOracle checks buildFIB, which converts one
+// union per next hop and folds the priority groups in a balanced tree,
+// against one conversion per route and the linear fold: the same port,
+// arrival and black-hole handles, and the same rule count, under the
+// default block order and the legacy one.
+func TestBuildFIBMatchesPerRouteOracle(t *testing.T) {
+	for _, o := range []struct {
+		name    string
+		lengths func() []int
+	}{{"longest-first", nil}, {"shortest-first", shortestFirst}} {
+		o := o
+		t.Run(o.name, func(t *testing.T) {
+			eng, _ := converge(t, perHopRouter)
+			sp := eng.Space
+			sp.DataBlock(o.lengths)
+			r := &Result{eng: eng, varsUsed: map[int]bool{}}
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 80; trial++ {
+				rib := randomRIB(rng, sp)
+				got, want := r.buildFIB(sp, "R", rib), buildFIBPerRoute(r, sp, "R", rib)
+				if got.Arrive != want.Arrive || got.BlackHole != want.BlackHole || got.Entries != want.Entries {
+					t.Fatalf("trial %d: arrive %d/%d blackhole %d/%d entries %d/%d (got/want)", trial,
+						got.Arrive, want.Arrive, got.BlackHole, want.BlackHole, got.Entries, want.Entries)
+				}
+				if fmt.Sprint(got.Ports()) != fmt.Sprint(want.Ports()) {
+					t.Fatalf("trial %d: ports %v, want %v", trial, got.Ports(), want.Ports())
+				}
+				for _, port := range want.Ports() {
+					if got.PortPred[port] != want.PortPred[port] {
+						t.Fatalf("trial %d: port %s predicate differs from the per-route oracle's", trial, port)
 					}
 				}
 			}

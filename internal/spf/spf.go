@@ -127,15 +127,11 @@ type Result struct {
 	varsMu   sync.Mutex
 	varsUsed map[int]bool
 
-	// converted and reused count the run's route conversions by where they
-	// came from: computed here, or found in the manager's memo
-	// (symbolic.Space.Converted) — filled by this run or an earlier one.
+	// converted and reused count the run's conversions — one per (router,
+	// next hop) union of U, plus AvailPredicate's per-candidate ones — by
+	// where they came from: computed here, or found in the manager's memo
+	// (symbolic.Space.Converted), filled by this run or an earlier one.
 	converted, reused atomic.Int64
-	// sliced holds the per-length slices rankLengths took of the converged
-	// RIB's U sets, for the FIB compilation that follows it to rename
-	// rather than slice again. Written before the fan-out, read-only during
-	// it, dropped after it.
-	sliced map[bdd.Node][]symbolic.LengthMatch
 }
 
 // VarBase reports the first data-plane advertiser variable index of the
@@ -240,7 +236,6 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	for i, v := range internals {
 		r.FIBs[v] = fibs[i]
 	}
-	r.sliced = nil
 
 	if err := r.forwardAll(pool); err != nil {
 		return nil, err
@@ -272,20 +267,20 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 // at every other length; /24 topmost cuts the kept DAG 2.4M → 0.7M nodes
 // against plain longest-first). A function of the SRC result alone.
 func (r *Result) rankLengths(cp *epvp.Result) []int {
-	r.sliced = map[bdd.Node][]symbolic.LengthMatch{}
+	sp := r.eng.Space
 	var distinct [symbolic.AddrBits + 1]map[bdd.Node]bool
 	for l := range distinct {
 		distinct[l] = map[bdd.Node]bool{}
 	}
+	seen := map[bdd.Node]bool{}
 	for _, v := range r.eng.Net.Internals {
 		for _, sr := range cp.Best[v] {
-			if _, ok := r.sliced[sr.U]; ok {
+			if seen[sr.U] {
 				continue
 			}
-			sl := sliceU(r.eng.Space, sr.U)
-			r.sliced[sr.U] = sl
-			for _, c := range sl {
-				distinct[c.Length][c.Match] = true
+			seen[sr.U] = true
+			for _, l := range sp.Lengths(sr.U) {
+				distinct[l][sp.M.RestrictMany(sr.U, symbolic.LengthSlice(l))] = true
 			}
 		}
 	}
@@ -296,108 +291,73 @@ func (r *Result) rankLengths(cp *epvp.Result) []int {
 	return lengths
 }
 
-// sliceU splits a prefix-environment set by prefix length: for each length
-// present, the set with that length selected and the host address bits
-// dropped, still over the control-plane advertiser variables.
-func sliceU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch {
-	var out []symbolic.LengthMatch
-	for _, l := range sp.Lengths(u) {
-		if m := sp.M.RestrictMany(u, lengthSlice[l]); m != bdd.False {
-			out = append(out, symbolic.LengthMatch{Length: l, Match: m})
-		}
-	}
-	return out
-}
-
-// lengthSlice[l] is sliceU's restriction for length l: the length field
-// fixed to l, the host address bits (zero in canonical form) to zero.
-// Read-only after init.
-var lengthSlice = func() (out [symbolic.AddrBits + 1]map[int]bool) {
-	for l := range out {
-		values := map[int]bool{}
-		for b := 0; b < symbolic.LenBits; b++ {
-			values[symbolic.AddrBits+b] = l&(1<<(symbolic.LenBits-1-b)) != 0
-		}
-		for b := l; b < symbolic.AddrBits; b++ {
-			values[b] = false
-		}
-		out[l] = values
-	}
-	return out
-}()
-
 // DataVar exposes the n_i^l variable for property checks and tests.
 func (r *Result) DataVar(neighbor string, length int) int {
 	return r.eng.Space.DataVar(r.eng.Net.ExternalIndex[neighbor], length)
 }
 
-// convertRoute compiles one symbolic RIB entry into per-length FIB entries
-// (§5.1): split U by prefix length, free the host and length bits, and
-// rename each control-plane advertiser variable n_i to n_i^l. vars are the
-// data-plane variables the entries reference.
-func (r *Result) convertRoute(sp *symbolic.Space, sr *symbolic.Route) (entries []fibEntry, vars []int) {
-	conv := r.convertU(sp, sr.U)
-	entries = make([]fibEntry, len(conv.Matches))
-	for i, c := range conv.Matches {
-		entries[i] = fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop}
-	}
-	return entries, conv.Vars
-}
-
 // convertU compiles a prefix-environment set into per-length data-plane
-// match predicates, memoized on the U handle in the manager's data block:
-// a route's set is typically unchanged as it propagates, so the same U
-// appears in many routers' RIBs, and a delta against a pinned baseline
-// finds most of its sets converted by the baseline's own run.
+// match predicates (§5.1), memoized on the U handle in the manager's data
+// block. The sets FIBs convert are unions, one per (router, next hop), so a
+// delta against a pinned baseline finds the unions its change did not
+// reach converted by the baseline's own run.
 func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
 	c, ok := sp.Converted(u)
 	if ok {
 		r.reused.Add(1)
 	} else {
 		r.converted.Add(1)
-		c = r.convert(sp, u)
+		c = convert(sp, u)
 		sp.RememberConversion(u, c)
 	}
 	return c
 }
 
-// convert is convertU's computation: slice u by prefix length and rename
-// each slice's control-plane advertiser variables to per-length ones.
-func (r *Result) convert(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
-	slices, ok := r.sliced[u]
-	if !ok {
-		slices = sliceU(sp, u)
-	}
-	c := symbolic.Conversion{Matches: make([]symbolic.LengthMatch, len(slices))}
-	for k, s := range slices {
-		// Under the initial order the data-plane variables for one length
-		// preserve the neighbor ordering and sit below every control
-		// variable, so the rename is a linear pass; after dynamic
-		// reordering the relative levels may be anything, so RenameAny
-		// checks and falls back to a general rebuild when needed.
-		mapping := map[int]int{}
-		for _, cv := range sp.M.Support(s.Match) {
-			if dv, ok := sp.PerLength(cv, s.Length); ok {
-				mapping[cv] = dv
-				c.Vars = append(c.Vars, dv)
-			}
+// convert is convertU's computation: for each prefix length, one
+// bdd.Worker.Convert pass selects that length's prefixes, drops their host
+// and length bits, and renames each control-plane advertiser variable n_i
+// to n_i^l, reporting the n_i^l the match kept. A length u does not hold
+// converts to False; under the initial order, whose length bits sit on
+// top, that costs only the walk down them.
+func convert(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
+	var c symbolic.Conversion
+	for l := 0; l <= symbolic.AddrBits; l++ {
+		match, vars := sp.W.Convert(u, symbolic.LengthSlice(l), sp.PerLengthRename(l))
+		if match != bdd.False {
+			c.Matches = append(c.Matches, symbolic.LengthMatch{Length: l, Match: match})
+			c.Vars = append(c.Vars, vars...)
 		}
-		c.Matches[k] = symbolic.LengthMatch{Length: s.Length, Match: sp.M.RenameAny(s.Match, mapping)}
 	}
 	return c
 }
 
 // buildFIB assembles the router's symbolic FIB from its BGP RIB plus static
 // and connected routes, then computes effective per-port predicates under
-// longest-prefix-match and administrative-distance priority.
+// longest-prefix-match and administrative-distance priority. The BGP rules
+// come from one union of U per next hop: slicing by length and renaming
+// are Boolean homomorphisms, so converting the union is converting each
+// route and unioning the results, and a length's rules need no per-port
+// chain. Entries still counts one rule per route and length.
 func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *FIB {
 	d := r.eng.Net.Devices[v]
-	var entries []fibEntry
+	byHop := map[string][]bdd.Node{}
+	var hops []string
+	rules := len(d.Statics) + len(d.Interfaces)
 	for _, sr := range rib {
-		es, vars := r.convertRoute(sp, sr)
-		entries = append(entries, es...)
+		if _, ok := byHop[sr.NextHop]; !ok {
+			hops = append(hops, sr.NextHop)
+		}
+		byHop[sr.NextHop] = append(byHop[sr.NextHop], sr.U)
+		rules += len(sp.Lengths(sr.U))
+	}
+	var entries []fibEntry
+	for _, hop := range hops {
+		conv := r.convertU(sp, symbolic.OrBalanced(sp.W, byHop[hop]))
+		for _, c := range conv.Matches {
+			entries = append(entries, fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: hop})
+		}
 		r.varsMu.Lock()
-		for _, dv := range vars {
+		for _, dv := range conv.Vars {
 			r.varsUsed[dv] = true
 		}
 		r.varsMu.Unlock()
@@ -418,25 +378,25 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 			port:   "", // deliver locally
 		})
 	}
-	return foldFIB(sp.W, entries)
+	fib := foldFIB(sp.W, entries)
+	fib.Entries = rules
+	return fib
+}
+
+// fibGroup is a run of consecutive priority groups folded into one: the
+// packets each next hop takes ("" delivering locally), and the packets the
+// run decides.
+type fibGroup struct {
+	pred  map[string]bdd.Node
+	union bdd.Node
 }
 
 // foldFIB applies longest-prefix-match and administrative-distance priority
 // to a rule list: longer prefix first, lower admin distance first within a
 // length; rules tied on both (ECMP) share priority and do not shadow each
-// other. It folds from the lowest priority up — each group g with union
-// U_g takes its packets away from everything below it,
-//
-//	P_port ← (P_port ∧ ¬U_g) ∨ match_{g,port}
-//
-// — because that is the direction the data-plane block order makes cheap:
-// but for the few lengths rankLengths hoists, group g's variables sit above
-// those of every group folded before it, so a step only adds nodes on top
-// of what stands. Folding from the highest priority down (match ∧
-// ¬covered) is the same function and rebuilds everything above the current
-// block at every step; the direction has to match the order (region-4 FIBs,
-// nodes created: longest first 21.2M down / 2.0M up, ranked 4.9M / 1.7M,
-// and under the old shortest-first block 4.1M down / 21.1M up).
+// other. Each priority group takes its packets away from every group below
+// it; foldGroups applies that rule in a balanced tree over the groups,
+// lowest priority first.
 func foldFIB(w *bdd.Worker, entries []fibEntry) *FIB {
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].length != entries[j].length {
@@ -444,46 +404,64 @@ func foldFIB(w *bdd.Worker, entries []fibEntry) *FIB {
 		}
 		return entries[i].admin > entries[j].admin
 	})
-	// pred holds the effective predicate per next hop, "" being local
-	// delivery.
-	pred := map[string]bdd.Node{}
-	covered := bdd.False
+	var groups []fibGroup
 	for i := 0; i < len(entries); {
-		// The group's match per port, ports in first-seen order.
-		group := map[string]bdd.Node{}
-		var ports []string
+		g := fibGroup{pred: map[string]bdd.Node{}}
+		var matches []bdd.Node
 		j := i
 		for ; j < len(entries) && entries[j].length == entries[i].length && entries[j].admin == entries[i].admin; j++ {
-			port := entries[j].port
-			if _, ok := group[port]; !ok {
-				ports = append(ports, port)
-			}
-			group[port] = w.Or(group[port], entries[j].match)
+			g.pred[entries[j].port] = w.Or(g.pred[entries[j].port], entries[j].match)
+			matches = append(matches, entries[j].match)
 		}
-		union := bdd.False
-		for _, port := range ports {
-			union = w.Or(union, group[port])
-		}
-		for port, p := range pred {
-			if _, ok := group[port]; !ok {
-				pred[port] = w.Diff(p, union)
-			}
-		}
-		// match ⊆ union, so this is (pred ∧ ¬union) ∨ match in one pass.
-		for _, port := range ports {
-			pred[port] = w.ITE(union, group[port], pred[port])
-		}
-		covered = w.Or(covered, union)
+		g.union = symbolic.OrBalanced(w, matches)
+		groups = append(groups, g)
 		i = j
 	}
-	arrive := pred[""]
-	delete(pred, "")
-	for port, p := range pred {
+	all := fibGroup{pred: map[string]bdd.Node{}, union: bdd.False}
+	if len(groups) > 0 {
+		all = foldGroups(w, groups)
+	}
+	arrive := all.pred[""]
+	delete(all.pred, "")
+	for port, p := range all.pred {
 		if p == bdd.False {
-			delete(pred, port)
+			delete(all.pred, port)
 		}
 	}
-	return NewFIB(pred, arrive, w.Not(covered), len(entries))
+	return NewFIB(all.pred, arrive, w.Not(all.union), len(entries))
+}
+
+// foldGroups folds priority groups, lowest first, into one: the upper
+// half's union U_hi takes its packets from the lower half,
+//
+//	P_port = ITE(U_hi, P_hi[port], P_lo[port])   or Diff(P_lo[port], U_hi) for a port only below,
+//
+// which is the bottom-up rule applied pairwise, so no operand is the
+// running fold of everything below it. Bottom-up because that is the
+// direction the data-plane block order makes cheap: but for the few
+// lengths rankLengths hoists, an upper group's variables sit above those of
+// the groups below it, so a step only adds nodes on top of what stands.
+// Folding from the highest priority down (match ∧ ¬covered) is the same
+// function and rebuilds everything above the current block at every step
+// (region-4 FIBs, nodes created by the linear fold: longest-first block
+// 21.2M down / 2.0M up, ranked 4.9M / 1.7M, and under the old
+// shortest-first block 4.1M down / 21.1M up; DESIGN.md §5g has the
+// balanced fold's). The groups' maps are reused for the result.
+func foldGroups(w *bdd.Worker, gs []fibGroup) fibGroup {
+	if len(gs) == 1 {
+		return gs[0]
+	}
+	h := len(gs) / 2
+	lo, hi := foldGroups(w, gs[:h]), foldGroups(w, gs[h:])
+	for port, p := range hi.pred {
+		hi.pred[port] = w.ITE(hi.union, p, lo.pred[port])
+	}
+	for port, p := range lo.pred {
+		if _, ok := hi.pred[port]; !ok {
+			hi.pred[port] = w.Diff(p, hi.union)
+		}
+	}
+	return fibGroup{pred: hi.pred, union: w.Or(hi.union, lo.union)}
 }
 
 // DestPredicate is the packet-destination predicate of a concrete prefix,
@@ -662,9 +640,8 @@ func (r *Result) AvailPredicate(ext string, dest route.Prefix) bdd.Node {
 	avail := bdd.False
 	for _, u := range r.eng.Net.Neighbors(ext) {
 		for _, cand := range r.eng.ImportCandidates(u, ext) {
-			entries, _ := r.convertRoute(s, cand)
-			for _, entry := range entries {
-				if overlap := s.M.And(entry.match, destPkt); overlap != bdd.False {
+			for _, c := range r.convertU(s, cand.U).Matches {
+				if overlap := s.M.And(c.Match, destPkt); overlap != bdd.False {
 					avail = s.M.Or(avail, r.CondOfPkt(overlap))
 				}
 			}

@@ -107,9 +107,9 @@ func TestResultKeepsNoRequestState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ctx != nil || r.trace != nil || r.varsUsed != nil || r.sliced != nil {
-		t.Errorf("result keeps request state: ctx=%v trace=%v varsUsed=%v sliced=%d",
-			r.ctx != nil, r.trace != nil, r.varsUsed, len(r.sliced))
+	if r.ctx != nil || r.trace != nil || r.varsUsed != nil {
+		t.Errorf("result keeps request state: ctx=%v trace=%v varsUsed=%v",
+			r.ctx != nil, r.trace != nil, r.varsUsed)
 	}
 	if len(r.DataVarsPerNeighbor) == 0 {
 		t.Error("the run's variable tally never reached DataVarsPerNeighbor")

@@ -10,7 +10,7 @@ import (
 )
 
 // MergeMemo remembers the results of Merge's two BDD steps: U \ blocked,
-// keyed by the handle pair, and a tier's blocked ∨ orBalanced(survivors),
+// keyed by the handle pair, and a tier's blocked ∨ OrBalanced(survivors),
 // keyed by blocked and the survivors' handles in order. Both are pure
 // functions of canonical handles, so a hit returns exactly the handle a
 // recomputation would build — provided no key or result handle has been
@@ -95,7 +95,7 @@ func (m *MergeMemo) diff(w *bdd.Worker, u, blocked bdd.Node) bdd.Node {
 	return out
 }
 
-// union returns blocked ∨ orBalanced(kept) (kept non-empty). kept is copied
+// union returns blocked ∨ OrBalanced(kept) (kept non-empty). kept is copied
 // on a miss; the caller may reuse it. A lone survivor over an empty blocked
 // is a terminal case.
 func (m *MergeMemo) union(w *bdd.Worker, blocked bdd.Node, kept []bdd.Node) bdd.Node {
@@ -116,7 +116,7 @@ func (m *MergeMemo) union(w *bdd.Worker, blocked bdd.Node, kept []bdd.Node) bdd.
 	if ok {
 		return e.out
 	}
-	out := w.Or(blocked, orBalanced(w, kept))
+	out := w.Or(blocked, OrBalanced(w, kept))
 	st.mu.Lock()
 	if st.unions == nil {
 		st.unions = map[unionKey]unionEntry{}
@@ -171,7 +171,7 @@ func (st *mergeStripe) check(w *bdd.Worker) error {
 		}
 	}
 	for k, e := range st.unions {
-		if got := w.Or(k.blocked, orBalanced(w, e.kept)); got != e.out {
+		if got := w.Or(k.blocked, OrBalanced(w, e.kept)); got != e.out {
 			return fmt.Errorf("symbolic: merge memo holds %d ∨ ⋃%v = %d, recomputed %d", k.blocked, e.kept, e.out, got)
 		}
 	}

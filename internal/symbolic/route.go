@@ -270,14 +270,14 @@ func sameTier(a, b *Route) bool {
 		a.FromEBGP == b.FromEBGP && len(a.Path) == len(b.Path) && a.NextHop == b.NextHop
 }
 
-// orBalanced unions ns (non-empty) pairwise, so no operand is the running
+// OrBalanced unions ns (non-empty) pairwise, so no operand is the running
 // union of all the others.
-func orBalanced(w *bdd.Worker, ns []bdd.Node) bdd.Node {
+func OrBalanced(w *bdd.Worker, ns []bdd.Node) bdd.Node {
 	if len(ns) == 1 {
 		return ns[0]
 	}
 	h := len(ns) / 2
-	return w.Or(orBalanced(w, ns[:h]), orBalanced(w, ns[h:]))
+	return w.Or(OrBalanced(w, ns[:h]), OrBalanced(w, ns[h:]))
 }
 
 // sortByPreference orders routes best-first (stable within ties).

@@ -8,6 +8,7 @@ package symbolic
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -61,16 +62,24 @@ type Space struct {
 // dataBlock is a manager's data-plane state: the order of the one
 // advertiser block it holds, and the memo of what SPF converted into it.
 type dataBlock struct {
-	mu      sync.Mutex
-	lengths []int // the block's prefix lengths, topmost level first; nil until allocated
+	mu      sync.Mutex // guards lengths
+	lengths []int      // the block's prefix lengths, topmost level first; nil until allocated
 
-	// conv memoizes route conversion by U for every SPF run in the manager
-	// (a pinned baseline's deltas mostly convert the baseline's own sets).
-	// convGen is the manager generation it was filled under: a reclaim or
-	// a sift may recycle handle numbers, so a stale memo is dropped, not
-	// trusted.
+	// conv memoizes conversion by U for every SPF run in the manager (a
+	// pinned baseline's deltas mostly convert the baseline's own sets), and
+	// lens Lengths' answer, as a bit set, by U. convGen is the manager
+	// generation both were filled under: a reclaim or a sift may recycle
+	// handle numbers, so a stale memo is dropped, not trusted. memoMu
+	// guards the three apart from mu, which DataBlock holds while its
+	// lengths callback reads them.
+	memoMu  sync.Mutex
 	convGen uint64
 	conv    map[bdd.Node]Conversion
+	lens    map[bdd.Node]uint64
+
+	// renames[l] is PerLengthRename(l), built on first use.
+	renameOnce sync.Once
+	renames    [AddrBits + 1]map[int]int
 }
 
 // LengthMatch is one prefix length's share of a converted set: packets to
@@ -93,9 +102,10 @@ type Conversion struct {
 // was made since M last moved its generation. Safe for concurrent use.
 func (s *Space) Converted(u bdd.Node) (Conversion, bool) {
 	d := s.data
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c, ok := d.convMemo(s.M)[u]
+	d.memoMu.Lock()
+	defer d.memoMu.Unlock()
+	d.sync(s.M)
+	c, ok := d.conv[u]
 	return c, ok
 }
 
@@ -104,17 +114,18 @@ func (s *Space) Converted(u bdd.Node) (Conversion, bool) {
 // overwrites an equal value. Safe for concurrent use.
 func (s *Space) RememberConversion(u bdd.Node, c Conversion) {
 	d := s.data
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.convMemo(s.M)[u] = c
+	d.memoMu.Lock()
+	defer d.memoMu.Unlock()
+	d.sync(s.M)
+	d.conv[u] = c
 }
 
-// convMemo is the conversion memo valid under m's current generation.
-func (d *dataBlock) convMemo(m *bdd.Manager) map[bdd.Node]Conversion {
+// sync drops memos filled under an earlier generation of m. Caller holds
+// d.memoMu.
+func (d *dataBlock) sync(m *bdd.Manager) {
 	if g := m.Gen(); d.conv == nil || g != d.convGen {
-		d.convGen, d.conv = g, map[bdd.Node]Conversion{}
+		d.convGen, d.conv, d.lens = g, map[bdd.Node]Conversion{}, map[bdd.Node]uint64{}
 	}
-	return d.conv
 }
 
 // LongestFirst returns the prefix lengths 32 down to 0: the order
@@ -146,6 +157,22 @@ func (s *Space) PerLength(v, l int) (dv int, ok bool) {
 		return 0, false
 	}
 	return s.DataVar(v-FirstNbrVar, l), true
+}
+
+// PerLengthRename returns the renaming of every control-plane advertiser
+// variable n_i to n_i^l (bdd.Worker.Convert's rename). The map is built
+// once per manager and shared; callers must not modify it.
+func (s *Space) PerLengthRename(l int) map[int]int {
+	d := s.data
+	d.renameOnce.Do(func() {
+		for l := range d.renames {
+			d.renames[l] = make(map[int]int, s.NumNeighbors)
+			for _, v := range s.NbrVars() {
+				d.renames[l][v], _ = s.PerLength(v, l)
+			}
+		}
+	})
+	return d.renames[l]
 }
 
 // BlockLengths reads how a manager's data-plane block is ordered from its
@@ -406,13 +433,51 @@ func (s *Space) PrefixPart(u bdd.Node) bdd.Node {
 	return s.W.Exists(u, s.NbrVars()...)
 }
 
-// Lengths returns the sorted prefix lengths present in u.
-func (s *Space) Lengths(u bdd.Node) []int {
-	var out []int
-	for l := 0; l <= 32; l++ {
-		if s.W.And(u, s.lenCubes[l]) != bdd.False {
-			out = append(out, l)
+// lengthSlices[l] selects the canonical prefixes of length l: the length
+// field fixed to l, the host address bits (zero in canonical form) to zero.
+// lengthCases compiles the 33 of them for one SatUnder walk. Read-only
+// after init.
+var (
+	lengthSlices = func() (out [AddrBits + 1]map[int]bool) {
+		for l := range out {
+			values := map[int]bool{}
+			for b := 0; b < LenBits; b++ {
+				values[AddrBits+b] = l&(1<<(LenBits-1-b)) != 0
+			}
+			for b := l; b < AddrBits; b++ {
+				values[b] = false
+			}
+			out[l] = values
 		}
+		return out
+	}()
+	lengthCases = bdd.NewCases(lengthSlices[:])
+)
+
+// LengthSlice returns the restriction that selects u's prefixes of length
+// l with their host bits dropped (bdd.Worker.Convert's fix). The map is
+// shared; callers must not modify it.
+func LengthSlice(l int) map[int]bool { return lengthSlices[l] }
+
+// Lengths returns the sorted prefix lengths whose LengthSlice of u is not
+// empty: one read-only walk of u, no node built, memoized in M's data
+// block. Safe for concurrent use.
+func (s *Space) Lengths(u bdd.Node) []int {
+	d := s.data
+	d.memoMu.Lock()
+	d.sync(s.M)
+	mask, ok := d.lens[u]
+	d.memoMu.Unlock()
+	if !ok {
+		mask = s.M.SatUnder(u, lengthCases)
+		d.memoMu.Lock()
+		d.sync(s.M)
+		d.lens[u] = mask
+		d.memoMu.Unlock()
+	}
+	var out []int
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
 	}
 	return out
 }

@@ -146,9 +146,10 @@ type CoalesceEvent struct {
 // SPFOrderEvent records the variable order an SPF run built under: the
 // data-plane advertiser block's prefix lengths from the topmost level down
 // (one block of n per-neighbor variables each), how many of the 33·n
-// variables the run's FIBs reference, and how many route conversions the
-// run computed against how many it found in the manager's memo (a delta
-// against a pinned baseline reuses the baseline's).
+// variables the run's FIBs reference, and how many conversions — one per
+// (router, next hop) union of route sets — the run computed against how
+// many it found in the manager's memo (a delta against a pinned baseline
+// reuses the baseline's).
 type SPFOrderEvent struct {
 	Lengths   []int `json:"lengths"`
 	VarsUsed  int   `json:"vars_used"`

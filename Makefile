@@ -139,7 +139,8 @@ trace-check:
 # one-worker region-4 EPVP run under its op-cache-miss and created-node
 # ceilings, its op caches within 2 × OpCacheMaxSlots slots and its unique
 # table within 24 bytes per live node, SPF on its result under a
-# created-node ceiling, and a one-worker full-old EPVP run
+# created-node ceiling and its block ranking creating none, and a
+# one-worker full-old EPVP run
 # under its op-cache-miss ceiling (its wall time is logged). The test skips
 # itself without the env knob, so plain `go test ./...` stays fast.
 alloc-guard:

@@ -56,10 +56,12 @@ const (
 	// Workers=1 fixed point (block ranking, FIBs and forwarding), which
 	// also repeat exactly: 2,745,518 with one conversion per route and a
 	// linear fold over the rules, 1,829,667 with one union per next hop
-	// and the balanced fold. Either half alone lands over this: the linear
-	// fold over the hop unions reads 2,048,100, per-route conversion under
-	// the balanced fold 3,076,403.
-	region4SPFNodesCeiling = 1_950_000
+	// and the balanced fold, 1,715,509 once the ranking reads length
+	// cofactors instead of restricting out slices (114,514 nodes; the
+	// guard also holds the ranking alone to none). Either fold half alone
+	// lands over this: the linear fold over the hop unions reads
+	// 2,048,100, per-route conversion under the balanced fold 3,076,403.
+	region4SPFNodesCeiling = 1_800_000
 	// fullOldEPVPMissesCeiling bounds the same sum for one Workers=1 EPVP
 	// fixed point on full-old, which sweeps at the end of rounds 3 and 4:
 	// 23,164,829 op-cache misses before EPVP's merge memo, 20,642,674 with
@@ -82,7 +84,8 @@ const (
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
 // region 4's EPVP rounds against the region4EPVP ceilings, bounds that
 // manager's op-cache slots and unique-table bytes, and runs SPF on the
-// result against region4SPFNodesCeiling; last, it runs full-old's
+// result against region4SPFNodesCeiling, its block ranking against no
+// node at all; last, it runs full-old's
 // EPVP rounds against fullOldEPVPMissesCeiling, logs their wall time, and
 // holds the route-leak check on their result to fullOldLeakNodesCeiling.
 // Gated behind
@@ -185,7 +188,14 @@ func TestRegion1AllocGuard(t *testing.T) {
 			p.UniqueBytes, p.LiveNodes)
 	}
 
+	_, rank0 := eng.Space.M.UniqueStats()
+	spf.RankLengths(eng, cp)
 	_, spf0 := eng.Space.M.UniqueStats()
+	t.Logf("region-4 block ranking created %d BDD nodes (ceiling 0)", spf0-rank0)
+	if spf0 != rank0 {
+		t.Errorf("ranking the region-4 data-plane block created %d BDD nodes, want none: does it restrict the route sets again instead of reading their length cofactors?",
+			spf0-rank0)
+	}
 	spf.Run(eng, cp)
 	_, spf1 := eng.Space.M.UniqueStats()
 	t.Logf("region-4 SPF created %d BDD nodes (ceiling %d)", spf1-spf0, region4SPFNodesCeiling)

@@ -1016,43 +1016,39 @@ func (m *Manager) Restrict(n Node, i int, value bool) Node {
 	return rec(n)
 }
 
-// RestrictMany fixes several variables at once and simplifies; it is a
-// single linear pass, unlike chained Restrict calls. Safe for concurrent
-// use.
-func (m *Manager) RestrictMany(n Node, values map[int]bool) Node {
-	if len(values) == 0 {
-		return n
+// Cofactor fixes vars to val in UintCube's convention (vars[0] the most
+// significant bit; at most 64 of them) and simplifies. When the fixed
+// variables are the topmost levels it is a walk of at most len(vars)
+// steps that allocates nothing and builds no node; otherwise the nodes
+// above the deepest fixed level are rebuilt, as a restriction must. Safe
+// for concurrent use.
+func (m *Manager) Cofactor(n Node, vars []int, val uint64) Node {
+	deepest := int32(-1)
+	for _, v := range vars {
+		deepest = max(deepest, m.var2level[v])
 	}
-	// Translate the fixed variables to levels once; the pass itself runs
-	// in level space and prunes below the deepest fixed level.
-	byLevel := make(map[int32]bool, len(values))
-	maxLvl := int32(-1)
-	for v, val := range values {
-		l := m.var2level[v]
-		byLevel[l] = val
-		if l > maxLvl {
-			maxLvl = l
-		}
-	}
-	memo := make(map[Node]Node)
+	var memo map[Node]Node // filled only below a free level
 	var rec func(Node) Node
 	rec = func(x Node) Node {
-		if m.level(x) > maxLvl {
+		lvl := m.level(x)
+		if lvl > deepest {
 			return x
+		}
+		for k, v := range vars {
+			if m.var2level[v] == lvl {
+				if val>>(len(vars)-1-k)&1 != 0 {
+					return rec(m.high(x))
+				}
+				return rec(m.low(x))
+			}
 		}
 		if r, ok := memo[x]; ok {
 			return r
 		}
-		var r Node
-		if val, fixed := byLevel[m.level(x)]; fixed {
-			if val {
-				r = rec(m.high(x))
-			} else {
-				r = rec(m.low(x))
-			}
-		} else {
-			r = m.mk(m.level(x), rec(m.low(x)), rec(m.high(x)))
+		if memo == nil {
+			memo = make(map[Node]Node)
 		}
+		r := m.mk(lvl, rec(m.low(x)), rec(m.high(x)))
 		memo[x] = r
 		return r
 	}
@@ -1163,64 +1159,6 @@ func (m *Manager) Support(n Node) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Cases is up to 64 partial assignments compiled for SatUnder.
-type Cases struct {
-	// zero[v] and one[v] are the cases in which variable v may be 0 and 1;
-	// a variable past their end is free in every case.
-	zero, one []uint64
-	all       uint64
-}
-
-// NewCases compiles up to 64 partial assignments, case k becoming bit k of
-// SatUnder's answer.
-func NewCases(cases []map[int]bool) *Cases {
-	if len(cases) > 64 {
-		panic("bdd: more than 64 cases")
-	}
-	cs := &Cases{all: 1<<len(cases) - 1}
-	for k, c := range cases {
-		for v, val := range c {
-			for len(cs.zero) <= v {
-				cs.zero = append(cs.zero, cs.all)
-				cs.one = append(cs.one, cs.all)
-			}
-			if val {
-				cs.zero[v] &^= 1 << k
-			} else {
-				cs.one[v] &^= 1 << k
-			}
-		}
-	}
-	return cs
-}
-
-// SatUnder returns the cases under which n is satisfiable: bit k is set
-// when some assignment extending case k makes n true. One read-only walk
-// for all of them, whatever the variable order; safe for concurrent use.
-func (m *Manager) SatUnder(n Node, cs *Cases) uint64 {
-	memo := make(map[Node]uint64)
-	var rec func(Node) uint64
-	rec = func(x Node) uint64 {
-		switch x {
-		case False:
-			return 0
-		case True:
-			return cs.all
-		}
-		if r, ok := memo[x]; ok {
-			return r
-		}
-		lo, hi := rec(m.low(x)), rec(m.high(x))
-		if v := int(m.level2var[m.level(x)]); v < len(cs.zero) {
-			lo &= cs.zero[v]
-			hi &= cs.one[v]
-		}
-		memo[x] = lo | hi
-		return lo | hi
-	}
-	return rec(n)
 }
 
 // SatCount returns the number of satisfying assignments of n over all

@@ -10,11 +10,13 @@ import (
 // spec covers it.
 const convertVars = 8
 
-// convertReference is Convert done the slow way: RestrictMany, then a
-// rename that rebuilds every node with ITE, which is exact under any
-// order because it never assumes where an image sits.
+// convertReference is Convert done the slow way: one Restrict per fixed
+// variable, then a rename that rebuilds every node with ITE, which is
+// exact under any order because it never assumes where an image sits.
 func convertReference(m *Manager, n Node, fix map[int]bool, rename map[int]int) Node {
-	n = m.RestrictMany(n, fix)
+	for v, val := range fix {
+		n = m.Restrict(n, v, val)
+	}
 	w := m.NewWorker()
 	memo := map[Node]Node{}
 	var rec func(Node) Node
@@ -175,4 +177,36 @@ func FuzzConvert(f *testing.F) {
 		m, fn, fix, rename := convertCase(orderSeed, true, spec)
 		checkConvert(t, m, fn, fix, rename)
 	})
+}
+
+// TestCofactorMatchesRestrict holds Cofactor to one Restrict per fixed
+// variable on random functions, with the fixed variables on top of the
+// order (the walk, which must allocate nothing and build no node) and
+// under scrambled orders (the rebuild).
+func TestCofactorMatchesRestrict(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		spec := make([]byte, convertVars+2*(1+rng.Intn(8)))
+		rng.Read(spec)
+		scramble := trial%2 == 1
+		m, f, _, _ := convertCase(rng.Int63(), scramble, spec)
+		vars := []int{0, 1, 2}[:1+rng.Intn(3)] // the topmost under the identity order
+		if scramble {
+			vars = rng.Perm(convertVars)[:1+rng.Intn(4)]
+		}
+		val := uint64(rng.Intn(1 << len(vars)))
+		want := f
+		for k, v := range vars {
+			want = m.Restrict(want, v, val>>(len(vars)-1-k)&1 != 0)
+		}
+		_, before := m.UniqueStats()
+		var got Node
+		allocs := testing.AllocsPerRun(1, func() { got = m.Cofactor(f, vars, val) })
+		if got != want {
+			t.Fatalf("Cofactor(vars %v = %b) under order %v: got %v, want %v", vars, val, m.Order(), got, want)
+		}
+		if _, after := m.UniqueStats(); !scramble && (allocs != 0 || after != before) {
+			t.Fatalf("Cofactor over the top levels allocated %.0f objects and built %d nodes, want none", allocs, after-before)
+		}
+	}
 }

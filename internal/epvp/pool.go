@@ -10,8 +10,9 @@ import (
 
 // Pool is the engine's one fan-out: a fixed set of forks — private BDD op
 // caches over the shared node tables — made once and kept for a whole run,
-// across EPVP rounds and across SPF's FIB and forwarding phases. Self is
-// the unforked original, which runs whatever is not worth fanning out.
+// across EPVP rounds and across SPF's FIB and forwarding phases (SPF's for
+// the manager's life: symbolic.Space.SPFForks). Self is the unforked
+// original, which runs whatever is not worth fanning out.
 type Pool[F any] struct {
 	Self  F
 	Forks []F // one per worker; none at one worker

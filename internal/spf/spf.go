@@ -205,10 +205,16 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// 0.7M ranked — see DESIGN.md), and foldFIB runs in the direction this
 	// order makes cheap. A manager serving several runs keeps the block of
 	// its first.
-	_, lengths := eng.Space.DataBlock(func() []int { return r.rankLengths(cp) })
+	_, lengths := eng.Space.DataBlock(func() []int { return RankLengths(eng, cp) })
 	// One set of forked spaces (private BDD op caches over the shared node
-	// table) serves both phases.
-	pool := epvp.NewPool(eng.WorkerCount(), eng.Space, eng.Space.Fork)
+	// table) serves both phases: the manager's own, so a delta reuses what
+	// its baseline's run cached.
+	pool := &epvp.Pool[*symbolic.Space]{Self: eng.Space}
+	if workers := eng.WorkerCount(); workers > 1 {
+		var release func()
+		pool.Forks, release = eng.Space.SPFForks(workers)
+		defer release()
+	}
 
 	// FIB compilation is independent per router (it reads only that
 	// router's converged RIB), so it fans out across the worker pool; the
@@ -258,37 +264,52 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	return r, nil
 }
 
-// rankLengths orders the data-plane block for a manager's first SPF run:
+// RankLengths orders the data-plane block for a manager's first SPF run:
 // prefix lengths by how many distinct per-length slices the converged RIB's
 // U sets have, most first, ties longest first. The count is how many
 // different conditions the policies attach at that length, so the lengths
 // they discriminate at go to the top of the block and every other length's
 // chain is shared below them (region-4: 259 slices at /24, 225 at /31, 215
 // at every other length; /24 topmost cuts the kept DAG 2.4M → 0.7M nodes
-// against plain longest-first). A function of the SRC result alone.
-func (r *Result) rankLengths(cp *epvp.Result) []int {
-	sp := r.eng.Space
+// against plain longest-first). Slices are counted as length cofactors
+// (symbolic.Space.LengthCofactor), which stand for them one for one and,
+// under the initial order, are found without building a node. A function
+// of the SRC result alone.
+func RankLengths(eng *epvp.Engine, cp *epvp.Result) []int {
+	counts := sliceCounts(eng, cp)
+	lengths := symbolic.LongestFirst()
+	sort.SliceStable(lengths, func(i, j int) bool {
+		return counts[lengths[i]] > counts[lengths[j]]
+	})
+	return lengths
+}
+
+// sliceCounts counts, per prefix length, the distinct non-empty slices of
+// the converged RIB's route sets.
+func sliceCounts(eng *epvp.Engine, cp *epvp.Result) (counts [symbolic.AddrBits + 1]int) {
+	sp := eng.Space
 	var distinct [symbolic.AddrBits + 1]map[bdd.Node]bool
 	for l := range distinct {
 		distinct[l] = map[bdd.Node]bool{}
 	}
 	seen := map[bdd.Node]bool{}
-	for _, v := range r.eng.Net.Internals {
+	for _, v := range eng.Net.Internals {
 		for _, sr := range cp.Best[v] {
 			if seen[sr.U] {
 				continue
 			}
 			seen[sr.U] = true
-			for _, l := range sp.Lengths(sr.U) {
-				distinct[l][sp.M.RestrictMany(sr.U, symbolic.LengthSlice(l))] = true
+			for l := range distinct {
+				if c := sp.LengthCofactor(sr.U, l); c != bdd.False {
+					distinct[l][c] = true
+				}
 			}
 		}
 	}
-	lengths := symbolic.LongestFirst()
-	sort.SliceStable(lengths, func(i, j int) bool {
-		return len(distinct[lengths[i]]) > len(distinct[lengths[j]])
-	})
-	return lengths
+	for l := range distinct {
+		counts[l] = len(distinct[l])
+	}
+	return counts
 }
 
 // DataVar exposes the n_i^l variable for property checks and tests.
@@ -439,7 +460,7 @@ func foldFIB(w *bdd.Worker, entries []fibEntry) *FIB {
 // which is the bottom-up rule applied pairwise, so no operand is the
 // running fold of everything below it. Bottom-up because that is the
 // direction the data-plane block order makes cheap: but for the few
-// lengths rankLengths hoists, an upper group's variables sit above those of
+// lengths RankLengths hoists, an upper group's variables sit above those of
 // the groups below it, so a step only adds nodes on top of what stands.
 // Folding from the highest priority down (match ∧ ¬covered) is the same
 // function and rebuilds everything above the current block at every step

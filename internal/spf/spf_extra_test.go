@@ -6,6 +6,7 @@ import (
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/route"
+	"github.com/expresso-verify/expresso/internal/symbolic"
 	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -113,5 +114,47 @@ func TestResultKeepsNoRequestState(t *testing.T) {
 	}
 	if len(r.DataVarsPerNeighbor) == 0 {
 		t.Error("the run's variable tally never reached DataVarsPerNeighbor")
+	}
+}
+
+// TestRunsReuseManagerForks: at two workers SPF fans out on the forks its
+// manager keeps, so a later run over the manager (a delta against a pinned
+// baseline) finds the op caches an earlier one filled. A run that finds
+// them held gets fresh forks and leaves the held ones alone.
+func TestRunsReuseManagerForks(t *testing.T) {
+	eng, cp := converge(t, testnet.Figure4)
+	eng.Workers = 2
+	first := Run(eng, cp)
+	work := func(forks []*symbolic.Space) (n int64) {
+		for _, f := range forks {
+			hits, misses := f.W.MemoStats()
+			n += hits + misses
+		}
+		return n
+	}
+	held, release := eng.Space.SPFForks(2)
+	before := work(held)
+	if before == 0 {
+		t.Fatal("the manager's kept forks did no work: SPF forked fresh ones")
+	}
+	second := Run(eng, cp)
+	if after := work(held); after != before {
+		t.Errorf("a run used forks another holder had taken (%d → %d operations)", before, after)
+	}
+	release()
+	again, release := eng.Space.SPFForks(2)
+	defer release()
+	for i := range again {
+		if again[i] != held[i] {
+			t.Errorf("fork %d was not kept across release", i)
+		}
+	}
+	if len(first.PECs) != len(second.PECs) {
+		t.Fatalf("%d PECs, then %d", len(first.PECs), len(second.PECs))
+	}
+	for i := range first.PECs {
+		if first.PECs[i].Pkt != second.PECs[i].Pkt {
+			t.Errorf("PEC %d differs between the runs", i)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package symbolic
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -60,22 +59,26 @@ type Space struct {
 }
 
 // dataBlock is a manager's data-plane state: the order of the one
-// advertiser block it holds, and the memo of what SPF converted into it.
+// advertiser block it holds, the memo of what SPF converted into it, and
+// the forks SPF fans out on.
 type dataBlock struct {
 	mu      sync.Mutex // guards lengths
 	lengths []int      // the block's prefix lengths, topmost level first; nil until allocated
 
 	// conv memoizes conversion by U for every SPF run in the manager (a
-	// pinned baseline's deltas mostly convert the baseline's own sets), and
-	// lens Lengths' answer, as a bit set, by U. convGen is the manager
-	// generation both were filled under: a reclaim or a sift may recycle
-	// handle numbers, so a stale memo is dropped, not trusted. memoMu
-	// guards the three apart from mu, which DataBlock holds while its
-	// lengths callback reads them.
+	// pinned baseline's deltas mostly convert the baseline's own sets).
+	// convGen is the manager generation it was filled under: a reclaim or
+	// a sift may recycle handle numbers, so a stale memo is dropped, not
+	// trusted. memoMu guards both.
 	memoMu  sync.Mutex
 	convGen uint64
 	conv    map[bdd.Node]Conversion
-	lens    map[bdd.Node]uint64
+
+	// forks are SPFForks' kept forks; forksOut is set while a run holds
+	// them. forkMu guards both.
+	forkMu   sync.Mutex
+	forks    []*Space
+	forksOut bool
 
 	// renames[l] is PerLengthRename(l), built on first use.
 	renameOnce sync.Once
@@ -120,11 +123,11 @@ func (s *Space) RememberConversion(u bdd.Node, c Conversion) {
 	d.conv[u] = c
 }
 
-// sync drops memos filled under an earlier generation of m. Caller holds
+// sync drops a memo filled under an earlier generation of m. Caller holds
 // d.memoMu.
 func (d *dataBlock) sync(m *bdd.Manager) {
 	if g := m.Gen(); d.conv == nil || g != d.convGen {
-		d.convGen, d.conv, d.lens = g, map[bdd.Node]Conversion{}, map[bdd.Node]uint64{}
+		d.convGen, d.conv = g, map[bdd.Node]Conversion{}
 	}
 }
 
@@ -327,6 +330,34 @@ func (s *Space) Fork() *Space {
 	return &c
 }
 
+// SPFForks returns n forks for one SPF run's fan-out, and the release
+// that hands them back. They are the forks M keeps for its SPF runs, so a
+// delta against a pinned baseline finds the op caches the baseline's run
+// filled (each fork holds two op caches of up to bdd.OpCacheMaxSlots
+// slots for the manager's life); a run that finds them held by another
+// gets fresh ones, and releasing those keeps nothing.
+func (s *Space) SPFForks(n int) (forks []*Space, release func()) {
+	d := s.data
+	d.forkMu.Lock()
+	defer d.forkMu.Unlock()
+	if d.forksOut {
+		forks = make([]*Space, n)
+		for i := range forks {
+			forks[i] = s.Fork()
+		}
+		return forks, func() {}
+	}
+	d.forksOut = true
+	for len(d.forks) < n {
+		d.forks = append(d.forks, s.Fork())
+	}
+	return d.forks[:n], func() {
+		d.forkMu.Lock()
+		defer d.forkMu.Unlock()
+		d.forksOut = false
+	}
+}
+
 // NbrVar returns the advertiser variable of neighbor i.
 func (s *Space) NbrVar(i int) int {
 	if i < 0 || i >= s.NumNeighbors {
@@ -435,49 +466,46 @@ func (s *Space) PrefixPart(u bdd.Node) bdd.Node {
 
 // lengthSlices[l] selects the canonical prefixes of length l: the length
 // field fixed to l, the host address bits (zero in canonical form) to zero.
-// lengthCases compiles the 33 of them for one SatUnder walk. Read-only
-// after init.
-var (
-	lengthSlices = func() (out [AddrBits + 1]map[int]bool) {
-		for l := range out {
-			values := map[int]bool{}
-			for b := 0; b < LenBits; b++ {
-				values[AddrBits+b] = l&(1<<(LenBits-1-b)) != 0
-			}
-			for b := l; b < AddrBits; b++ {
-				values[b] = false
-			}
-			out[l] = values
+// Read-only after init.
+var lengthSlices = func() (out [AddrBits + 1]map[int]bool) {
+	for l := range out {
+		values := map[int]bool{}
+		for b := 0; b < LenBits; b++ {
+			values[AddrBits+b] = l&(1<<(LenBits-1-b)) != 0
 		}
-		return out
-	}()
-	lengthCases = bdd.NewCases(lengthSlices[:])
-)
+		for b := l; b < AddrBits; b++ {
+			values[b] = false
+		}
+		out[l] = values
+	}
+	return out
+}()
 
 // LengthSlice returns the restriction that selects u's prefixes of length
 // l with their host bits dropped (bdd.Worker.Convert's fix). The map is
 // shared; callers must not modify it.
 func LengthSlice(l int) map[int]bool { return lengthSlices[l] }
 
-// Lengths returns the sorted prefix lengths whose LengthSlice of u is not
-// empty: one read-only walk of u, no node built, memoized in M's data
-// block. Safe for concurrent use.
+// LengthCofactor returns u with its length field fixed to l. For a route
+// set — every one lies inside Valid, whose length-l cofactor pins the host
+// bits to zero — it stands for the LengthSlice of u one for one: two sets
+// have the same slice at l exactly when they have the same cofactor, and
+// the slice is empty exactly when the cofactor is False. Under
+// InitialOrder the length bits are the top six levels, so it is a walk of
+// at most six steps that builds nothing; under another order the levels
+// above them are rebuilt.
+func (s *Space) LengthCofactor(u bdd.Node, l int) bdd.Node {
+	return s.M.Cofactor(u, s.lenVars, uint64(l))
+}
+
+// Lengths returns the sorted prefix lengths of route set u: those whose
+// LengthCofactor is not False. Safe for concurrent use.
 func (s *Space) Lengths(u bdd.Node) []int {
-	d := s.data
-	d.memoMu.Lock()
-	d.sync(s.M)
-	mask, ok := d.lens[u]
-	d.memoMu.Unlock()
-	if !ok {
-		mask = s.M.SatUnder(u, lengthCases)
-		d.memoMu.Lock()
-		d.sync(s.M)
-		d.lens[u] = mask
-		d.memoMu.Unlock()
-	}
 	var out []int
-	for ; mask != 0; mask &= mask - 1 {
-		out = append(out, bits.TrailingZeros64(mask))
+	for l := 0; l <= AddrBits; l++ {
+		if s.LengthCofactor(u, l) != bdd.False {
+			out = append(out, l)
+		}
 	}
 	return out
 }

@@ -52,10 +52,12 @@ race:
 
 # The packages with parallel hot paths, race-checked with the concurrent
 # engine forced on for every verification (not just tests that opt in).
-# The root package's own determinism/race tests already pin Workers
-# explicitly, so they are covered by the plain `race` run above.
+# The pipeline is among them: every fan-out over a BDD manager runs on the
+# manager's kept workers, and its run lock is the one thing that keeps two
+# runs off them. The root package's own determinism/race tests already
+# pin Workers explicitly, so they are covered by the plain `race` run above.
 race-parallel:
-	EXPRESSO_WORKERS=$(RACE_WORKERS) $(GO) test -race -timeout 30m -count=1 ./internal/bdd/ ./internal/epvp/ ./internal/spf/ ./internal/service/
+	EXPRESSO_WORKERS=$(RACE_WORKERS) $(GO) test -race -timeout 30m -count=1 ./internal/bdd/ ./internal/epvp/ ./internal/spf/ ./internal/pipeline/ ./internal/service/
 
 # The packages that share one BDD manager between runs — the pipeline, the
 # daemon and the root package's baseline/delta tests — with a dead-node

@@ -299,4 +299,39 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	if got := normalizedJSON(t, parallel); got != cold {
 		t.Errorf("delta report at four workers differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
 	}
+
+	// At two workers the baseline's runs and the delta's fan out on the
+	// baseline manager's two kept workers. Worker 1 is used by nothing but
+	// fan-outs, and a routing-only delta runs none outside its SRC stage,
+	// so worker 1's lookups show where the delta's EPVP ran. How many of
+	// them miss depends on which worker took which router, so that is
+	// logged, not gated.
+	routing := []Kind{RouteLeakFree, RouteHijackFree}
+	coldRouting, _, err := NewVerifier(VerifierConfig{}).VerifyText(ctx, text, Options{Workers: 1, Properties: routing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := NewVerifier(VerifierConfig{})
+	if _, _, err := v2.RegisterBaseline(ctx, "prod", f.text, Options{Workers: 2, Properties: deltaProps}); err != nil {
+		t.Fatal(err)
+	}
+	b, _ = v2.baselines.Get("prod")
+	kept := b.SRC.Eng.Space.M.Workers(2)[1]
+	before, _ := kept.MemoStats()
+	opts = Options{Workers: 2, Properties: routing, Trace: NewTracer()}
+	two, info, err := v2.VerifyDelta(ctx, "prod", f.patch(7), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := stageStatus(info, "src"); s != StageWarm {
+		t.Fatalf("two-worker delta src %s, want warm in the baseline's manager", s)
+	}
+	misses, _ = memoWork(opts.Trace)
+	t.Logf("SRC op-cache misses at two workers: cold %d, delta %d", coldMisses, misses)
+	if after, _ := kept.MemoStats(); after == before {
+		t.Error("the delta's SRC never used its baseline manager's kept worker 1: it fanned out on other workers")
+	}
+	if got, want := normalizedJSON(t, two), normalizedJSON(t, coldRouting); got != want {
+		t.Errorf("routing delta report at two workers differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", want, got)
+	}
 }

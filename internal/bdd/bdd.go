@@ -54,11 +54,12 @@
 //
 // Memoized operations go through a Worker, which owns private operation
 // caches: workers never contend on the memo (Sylvan-style per-worker
-// caches). A Worker must be used by one goroutine at a time; create one per
-// goroutine with NewWorker. The Manager embeds a default Worker so existing
-// single-threaded callers can keep invoking the same methods on the Manager
-// itself — those delegating methods are NOT safe for concurrent use,
-// exactly like the old single-threaded Manager.
+// caches). A Worker must be used by one goroutine at a time; a fan-out
+// takes one per goroutine from the manager's kept set, Workers. The
+// Manager embeds a default Worker, the set's first, so existing
+// single-threaded callers can keep invoking the same methods on the
+// Manager itself — those delegating methods are NOT safe for concurrent
+// use, exactly like the old single-threaded Manager.
 //
 // Operations that only read the slab (Support, SatCount, AnySat, Eval) or
 // only hash-cons without a shared memo (Var, Cube, CubeSet,
@@ -248,8 +249,11 @@ type Manager struct {
 	fpPts [][2]uint64
 
 	// def is the default worker backing the Manager's own connective
-	// methods, preserving the old single-threaded API.
-	def Worker
+	// methods, preserving the old single-threaded API. workers is the kept
+	// set Workers hands out, def first; workersMu guards its growth.
+	def       Worker
+	workersMu sync.Mutex
+	workers   []*Worker
 }
 
 // uniqueTable is one stripe's index-only open-addressing table (linear
@@ -440,6 +444,7 @@ func New(numVars int) *Manager {
 		m.unique[i].tab.Store(newUniqueTable(0))
 	}
 	m.def = Worker{m: m, ite: newOpCache(), bin: newOpCache()}
+	m.workers = []*Worker{&m.def}
 	// Slot 0 is the single stored constant: False regular, True complemented.
 	m.ensureChunk(0)
 	*m.slot(0) = node{level: maxLevel}
@@ -510,13 +515,30 @@ func (m *Manager) Order() []int {
 }
 
 // DefaultWorker returns the Manager's built-in worker (the one backing the
-// Manager's own connective methods). Single-threaded phases may use it
-// freely; concurrent phases must create one Worker per goroutine instead.
+// Manager's own connective methods), worker 0 of Workers. Single-threaded
+// phases may use it freely; a fan-out takes one worker per goroutine from
+// Workers.
 func (m *Manager) DefaultWorker() *Worker { return &m.def }
 
-// NewWorker creates a Worker with private operation caches. A Worker is
-// cheap (two small hash tables); create one per goroutine for parallel
-// phases.
+// Workers returns the manager's first n kept workers (one when n < 1);
+// worker 0 is the default worker. The set grows on demand and is kept for
+// the manager's life, so every fan-out over the manager finds the op
+// caches earlier ones filled; each worker holds two op caches of up to
+// OpCacheMaxSlots slots. Its contract is the default worker's: one run
+// uses the set at a time, each worker from one goroutine at a time.
+func (m *Manager) Workers(n int) []*Worker {
+	n = max(n, 1)
+	m.workersMu.Lock()
+	defer m.workersMu.Unlock()
+	for len(m.workers) < n {
+		m.workers = append(m.workers, m.NewWorker())
+	}
+	return m.workers[:n:n]
+}
+
+// NewWorker creates a Worker with private operation caches that the
+// manager does not keep: for a one-off caller outside a run's fan-out,
+// which borrows kept workers from Workers instead.
 func (m *Manager) NewWorker() *Worker {
 	return &Worker{m: m, ite: newOpCache(), bin: newOpCache(), gen: m.gen.Load()}
 }

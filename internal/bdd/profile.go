@@ -51,9 +51,9 @@ type Profile struct {
 	UniqueUsed  int64 `json:"unique_used"`
 	UniqueSlots int64 `json:"unique_slots"`
 	UniqueBytes int64 `json:"unique_bytes"`
-	// OpCacheUsed/OpCacheSlots are the default worker's operation-cache
-	// occupancy and capacity (ITE plus binary-kernel caches). Forked
-	// workers hold private caches this snapshot cannot see.
+	// OpCacheUsed/OpCacheSlots are the operation-cache occupancy and
+	// capacity (ITE plus binary-kernel caches) summed over the manager's
+	// kept workers (Workers). Workers made with NewWorker are not counted.
 	OpCacheUsed  int64 `json:"op_cache_used"`
 	OpCacheSlots int64 `json:"op_cache_slots"`
 	// Pinned counts distinct pinned handles (external references that
@@ -93,7 +93,7 @@ func (p *Profile) TopLevels(n int) []LevelProfile {
 
 // Profile walks the node slab and cache tables and returns a structural
 // snapshot: the per-level live-node histogram, byte attribution,
-// complement-edge share, unique-table and (default-worker) op-cache
+// complement-edge share, unique-table and kept-worker op-cache
 // occupancy, and the peak watermark. It is an O(slab) walk — this is the
 // on-demand introspection path, never called from engine hot loops, which
 // is how the zero-overhead-when-disabled tracing contract is preserved.
@@ -182,8 +182,12 @@ func (m *Manager) Profile() Profile {
 	}
 	// One tag+index word per slot.
 	p.UniqueBytes = p.UniqueSlots * 8
-	p.OpCacheUsed = int64(m.def.ite.used + m.def.bin.used)
-	p.OpCacheSlots = int64(len(m.def.ite.keys) + len(m.def.bin.keys))
+	m.workersMu.Lock()
+	for _, w := range m.workers {
+		p.OpCacheUsed += int64(w.ite.used + w.bin.used)
+		p.OpCacheSlots += int64(len(w.ite.keys) + len(w.bin.keys))
+	}
+	m.workersMu.Unlock()
 
 	m.pinMu.Lock()
 	p.Pinned = len(m.pinned)

@@ -1,6 +1,9 @@
 package bdd
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestProfileLevelHistogram checks that a quiescent Profile accounts for
 // every live non-constant node exactly once in the per-level histogram,
@@ -53,6 +56,52 @@ func TestProfileLevelHistogram(t *testing.T) {
 		t.Fatalf("op cache capacity missing")
 	}
 	_ = roots
+}
+
+// TestProfileCountsKeptWorkers: after a two-worker run, Profile's op-cache
+// occupancy and capacity are the sums over the manager's kept workers,
+// worker 0 being the default worker; a worker made with NewWorker is not
+// counted, and asking for the set again creates no worker.
+func TestProfileCountsKeptWorkers(t *testing.T) {
+	m := New(16)
+	ws := m.Workers(2)
+	if len(ws) != 2 || ws[0] != m.DefaultWorker() || ws[1] == ws[0] {
+		t.Fatalf("Workers(2) = %p, want the default worker %p and one more", ws, m.DefaultWorker())
+	}
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc := False
+			for k := 0; k < 16; k++ {
+				acc = w.Or(acc, w.And(m.Var(k), m.Var((5*k+i+1)%16)))
+				acc = w.ITE(m.Var((k+i)%16), acc, m.NVar((3*k+1)%16))
+			}
+		}()
+	}
+	wg.Wait()
+	m.NewWorker().And(m.Var(1), m.Var(9), m.Var(12))
+
+	p := m.Profile()
+	var used, slots int64
+	for i, w := range m.Workers(2) {
+		if w != ws[i] {
+			t.Fatalf("worker %d was replaced", i)
+		}
+		if w.CacheSize() == 0 {
+			t.Fatalf("worker %d did no memoized work", i)
+		}
+		used += int64(w.ite.used + w.bin.used)
+		slots += int64(len(w.ite.keys) + len(w.bin.keys))
+	}
+	if p.OpCacheUsed != used || p.OpCacheSlots != slots {
+		t.Errorf("Profile op caches %d used of %d slots, the kept workers %d of %d",
+			p.OpCacheUsed, p.OpCacheSlots, used, slots)
+	}
+	if got := m.Workers(0); len(got) != 1 || got[0] != ws[0] {
+		t.Errorf("Workers(0) = %p, want the default worker alone", got)
+	}
 }
 
 // TestProfileExcludesFreeList checks that slots released by Reclaim are

@@ -177,9 +177,9 @@ func (a *Atoms) ListAtoms(s route.CommunitySet) []int {
 
 // Space is the BDD encoding of symbolic community lists: variable i of M is
 // "the list contains a community in atom i". W is the operation view
-// holding the op cache; a Space must be used by one goroutine at a time,
-// and parallel phases call Fork for a view with a private bdd.Worker over
-// the same manager.
+// holding the op cache, M's default worker; a Space must be used by one
+// goroutine at a time, and parallel phases take views over M's kept
+// workers from Workers.
 type Space struct {
 	Atoms *Atoms
 	M     *bdd.Manager
@@ -192,12 +192,18 @@ func NewSpace(atoms *Atoms) *Space {
 	return &Space{Atoms: atoms, M: m, W: m.DefaultWorker()}
 }
 
-// Fork returns a shallow copy of the space with a private op cache. Forks
-// share the node universe, so handles remain interchangeable.
-func (s *Space) Fork() *Space {
-	c := *s
-	c.W = s.M.NewWorker()
-	return &c
+// Workers returns n views of the space over M's first n kept workers
+// (bdd.Manager.Workers), view 0 over the default worker. Views share the
+// node universe, so handles remain interchangeable.
+func (s *Space) Workers(n int) []*Space {
+	ws := s.M.Workers(n)
+	out := make([]*Space, len(ws))
+	for i, w := range ws {
+		c := *s
+		c.W = w
+		out[i] = &c
+	}
+	return out
 }
 
 // All returns the symbolic list containing every concrete community list

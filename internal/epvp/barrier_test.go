@@ -65,11 +65,19 @@ func TestBarrierSweepRules(t *testing.T) {
 	net := mustNet(t, testnet.Figure4)
 	t.Setenv("EXPRESSO_RECLAIM", "off")
 	cold := New(net, FullMode())
+	m := cold.Space.M
+	// The cold rule needs a manager holding far more than its run builds,
+	// as a baseline's holds its policy compile: pin 400 nodes of prefix
+	// cubes the run never builds before it starts.
+	var next uint32
+	for held := m.NumNodes() + 400; m.NumNodes() < held; {
+		next++
+		m.Pin(cold.Space.PrefixBDD(route.Prefix{Addr: next * 2654435761, Len: 32}))
+	}
 	res, err := cold.RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cold.Space.M
 	roots := func() []bdd.Node { return res.Roots(cold.Roots()) }
 	unchanged := map[string]bool{}
 	for _, name := range net.Internals {
@@ -85,7 +93,6 @@ func TestBarrierSweepRules(t *testing.T) {
 		}
 		return w
 	}
-	var next uint32
 	sweeps := func(e *Engine) int64 { return e.Relieve(roots).Sweeps }
 
 	// Cold: a budget just over the run's own growth is far under the

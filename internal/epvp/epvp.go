@@ -278,16 +278,16 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 //   - the community atom universes have equal signatures (atom i must mean
 //     the same community set in both configurations).
 //
-// The returned engine takes the prior engine's spaces as they are, default
-// BDD workers included, so the op caches every earlier run on the managers
-// filled serve this one too; it shares the manager's warm floor with them
-// (Relieve). The default workers are single-goroutine, so
-// every computation on engines sharing them must be serialized — the
-// pipeline's one run lock per manager does that; a run's own fan-out forks
-// private workers. Transfers for devices in unchanged (callers pass the
-// routers whose configuration sections are byte-identical to prior's; nil
-// means none) are adopted from the prior engine; the rest are recompiled
-// from the new devices. Like NewContext, compilation checks ctx per device
+// The returned engine takes the prior engine's spaces as they are, so its
+// runs fan out on the same kept BDD workers (bdd.Manager.Workers), default
+// worker first, and the op caches every earlier run on the managers filled
+// serve this one too; it shares the manager's warm floor with them
+// (Relieve). Each worker is single-goroutine and the set is the manager's,
+// so every computation on engines sharing the managers must be serialized
+// — the pipeline's one run lock per manager does that. Transfers for
+// devices in unchanged (callers pass the routers whose configuration
+// sections are byte-identical to prior's; nil means none) are adopted from
+// the prior engine; the rest are recompiled from the new devices. Like NewContext, compilation checks ctx per device
 // and aborts on cancel.
 func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engine, unchanged map[string]bool) (*Engine, error) {
 	if mode != prior.Mode {
@@ -345,18 +345,23 @@ func (e *Engine) Roots() []bdd.Node {
 	return out
 }
 
-// fork returns a shallow copy of the engine whose BDD operations run
-// through private per-worker memo caches (symbolic.Space.Fork). Forks share
-// the node universes — handles are interchangeable between forks — and the
-// compiled transfers (read-only after New); the run hands all of them its
-// striped memos. Each fork must be driven by one goroutine at a time.
-func (e *Engine) fork() *Engine {
-	c := *e
-	c.ctx.Space = e.ctx.Space.Fork()
-	c.ctx.Comm = e.ctx.Comm.Fork()
-	c.Space = c.ctx.Space
-	c.Comm = c.ctx.Comm
-	return &c
+// workers returns the engine's fan-out over its managers' first n kept
+// workers (symbolic.Space.Workers, community.Space.Workers): the engine
+// itself at index 0 and, at each other index, a shallow copy whose spaces
+// are the views over that index's worker. The copies share the node
+// universes — handles are interchangeable — and the compiled transfers
+// (read-only after New); the run hands all of them its striped memos.
+// Each must be driven by one goroutine at a time.
+func (e *Engine) workers(n int) Pool[*Engine] {
+	spaces, comms := e.Space.Workers(n), e.Comm.Workers(n)
+	pool := Pool[*Engine]{e}
+	for i := 1; i < len(spaces); i++ {
+		c := *e
+		c.ctx.Space, c.ctx.Comm = spaces[i], comms[i]
+		c.Space, c.Comm = spaces[i], comms[i]
+		pool = append(pool, &c)
+	}
+	return pool
 }
 
 // WorkerCount resolves Workers: 0 means the EXPRESSO_WORKERS environment
@@ -561,14 +566,15 @@ func (e *Engine) Run() *Result {
 // promptly (well before convergence on large networks). On cancellation it
 // returns a nil Result and ctx.Err().
 //
-// With Workers > 1 the routers of one synchronous round are recomputed by a
-// pool of engine forks. This changes nothing observable: a round only reads
-// the previous round's RIBs, so per-router recomputation is independent;
-// hash-consing makes BDD handles canonical within a run regardless of which
-// fork builds a node; and the per-round reduction assembles results in
-// router order. Handle *numbering* does vary with scheduling, so the final
-// RIBs are ordered by symbolic.SortCanonical (structural fingerprints, not
-// handles), which makes the Result identical for every worker count.
+// With Workers > 1 the routers of one synchronous round are recomputed on
+// a pool of engine views over the managers' kept workers. This changes
+// nothing observable: a round only reads the previous round's RIBs, so
+// per-router recomputation is independent; hash-consing makes BDD handles
+// canonical within a run regardless of which worker builds a node; and the
+// per-round reduction assembles results in router order. Handle
+// *numbering* does vary with scheduling, so the final RIBs are ordered by
+// symbolic.SortCanonical (structural fingerprints, not handles), which
+// makes the Result identical for every worker count.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	return e.run(ctx, nil, nil)
 }
@@ -606,7 +612,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	// Edge transfers and Merge's BDD steps repeat across rounds (most RIB
 	// entries persist, and a router recomputed because one neighbor moved
 	// re-subtracts what the others still send), so one memo of each serves
-	// every fork for the whole run. Both are listed in runRoots, which
+	// every worker for the whole run. Both are listed in runRoots, which
 	// keeps their entries valid across the round-end sweeps, and both are
 	// dropped when the run returns.
 	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
@@ -656,8 +662,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	}
 	// The barriers' growth counts from here (barrier.go).
 	_, e.runStart = e.Space.M.UniqueStats()
-	pool := NewPool(e.WorkerCount(), e, e.fork)
-	forks := pool.Forks
+	pool := e.workers(e.WorkerCount())
 	// Synchronous rounds with change tracking: a router recomputes only
 	// when some neighbor's RIB changed in the previous round, which lets
 	// late rounds touch only the frontier still in motion.
@@ -673,14 +678,14 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 		// Telemetry snapshot: counter reads happen only at round
-		// boundaries (forks quiescent), and only when tracing is on.
+		// boundaries (workers quiescent), and only when tracing is on.
 		var roundStart time.Time
 		var nodes0, uhits0, ihits0, imiss0, mhits0, mmiss0 int64
 		frontier := len(changedLast)
 		if e.Trace.Enabled() {
 			roundStart = time.Now()
 			uhits0, nodes0 = e.Space.M.UniqueStats()
-			ihits0, imiss0 = e.memoStats(forks)
+			ihits0, imiss0 = e.memoStats(pool)
 			mhits0, mmiss0 = memo.Stats()
 		}
 		next := map[string][]*symbolic.Route{}
@@ -714,7 +719,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 			return nil, err
 		}
 		// Deterministic reduction: results land keyed by router name, in
-		// this round's work order, no matter which fork computed them.
+		// this round's work order, no matter which worker computed them.
 		for i, v := range work {
 			next[v] = outs[i]
 			if k := symbolic.RIBKey(next[v]); k != ribKeys[v] {
@@ -730,7 +735,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// so this watermark sample is schedule-independent. Two atomics —
 		// cheap enough to run whether or not tracing is on.
 		e.Space.M.NoteWatermark()
-		// The round-end sweep barrier (barrier.go): the forks are quiescent
+		// The round-end sweep barrier (barrier.go): the workers are quiescent
 		// (Each has returned) and the next round's goroutines start after it.
 		var relief telemetry.SweepEvent
 		if !converged {
@@ -738,7 +743,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		}
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()
-			ihits1, imiss1 := e.memoStats(forks)
+			ihits1, imiss1 := e.memoStats(pool)
 			mhits1, mmiss1 := memo.Stats()
 			peak, _, _ := e.Space.M.Watermark()
 			e.Trace.Round(telemetry.RoundEvent{
@@ -789,7 +794,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 }
 
 // received is the RIB external neighbor ext receives from the converged
-// RIBs best, in canonical order. It only reads best, so forks may run it
+// RIBs best, in canonical order. It only reads best, so workers may run it
 // concurrently for different neighbors.
 func (e *Engine) received(ext string, best map[string][]*symbolic.Route) []*symbolic.Route {
 	var recv []*symbolic.Route
@@ -857,13 +862,12 @@ func (r *Result) Roots(out []bdd.Node) []bdd.Node {
 	return out
 }
 
-// memoStats sums the cumulative ITE-memo counters across the engine's
-// default worker and its round forks. Called only at round boundaries,
-// when the fork goroutines are quiescent (Pool.Each has returned), so the
-// single-goroutine Worker contract holds.
-func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
-	hits, misses = e.Space.W.MemoStats()
-	for _, f := range forks {
+// memoStats sums the cumulative ITE-memo counters of the run's workers,
+// each once. Called only at round boundaries, when the worker goroutines
+// are quiescent (Pool.Each has returned), so the single-goroutine Worker
+// contract holds.
+func (e *Engine) memoStats(pool Pool[*Engine]) (hits, misses int64) {
+	for _, f := range pool {
 		h, m := f.Space.W.MemoStats()
 		hits += h
 		misses += m
@@ -875,7 +879,7 @@ func (e *Engine) memoStats(forks []*Engine) (hits, misses int64) {
 // candidates, through the run's edge memo, merged by preference through
 // the run's merge memo. Reads only best/extInit (previous round, immutable
 // during the round), the engine's shared read-only state and the striped
-// memos, so forks may run it concurrently for different routers.
+// memos, so workers may run it concurrently for different routers.
 func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, edges *edgeMemo, memo *symbolic.MergeMemo) ([]*symbolic.Route, error) {
 	cands, err := e.candidates(ctx, v, best, extInit, edges)
 	if err != nil {

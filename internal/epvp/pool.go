@@ -8,46 +8,34 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the engine's one fan-out: a fixed set of forks — private BDD op
-// caches over the shared node tables — made once and kept for a whole run,
-// across EPVP rounds and across SPF's FIB and forwarding phases (SPF's for
-// the manager's life: symbolic.Space.SPFForks). Self is the unforked
-// original, which runs whatever is not worth fanning out.
-type Pool[F any] struct {
-	Self  F
-	Forks []F // one per worker; none at one worker
-}
+// Pool is the engine's one fan-out: one view per worker over a BDD
+// manager's kept workers (bdd.Manager.Workers) — private op caches over
+// the shared node tables, kept for the manager's life — on which EPVP
+// rounds, the external export and SPF's FIB and forwarding phases all fan
+// out, so every run over a manager (a pinned baseline's deltas) finds the
+// op caches earlier ones filled. Index 0 is the caller's own, over the
+// manager's default worker: the engine itself in EPVP, a view of eng.Space
+// in SPF.
+type Pool[F any] []F
 
-// NewPool forks once per worker, or not at all when workers <= 1.
-func NewPool[F any](workers int, self F, fork func() F) *Pool[F] {
-	p := &Pool[F]{Self: self}
-	if workers > 1 {
-		p.Forks = make([]F, workers)
-		for i := range p.Forks {
-			p.Forks[i] = fork()
-		}
-	}
-	return p
-}
-
-// Each calls fn(f, i) for every i in [0,n), f being the fork of whichever
+// Each calls fn(f, i) for every i in [0,n), f being the view of whichever
 // worker took i, and returns when all calls have, with ctx's error if it
 // was cancelled meanwhile (indices not yet taken are then skipped). fn
 // stores its result by index, so what a caller assembles does not depend
-// on the worker count or on scheduling. Without forks, or with a single
-// index, it runs inline on Self — the sequential reference path.
+// on the worker count or on scheduling. With one view, or a single index,
+// it runs inline on view 0 — the sequential reference path.
 //
 // A panic in a worker goroutine would end the process before any recover
 // on the calling goroutine could see it. Each captures it, lets the other
 // workers finish the index they hold, and panics again on the caller with
 // the original value and the worker's stack.
-func (p *Pool[F]) Each(ctx context.Context, n int, fn func(f F, i int)) error {
-	if len(p.Forks) == 0 || n <= 1 {
+func (p Pool[F]) Each(ctx context.Context, n int, fn func(f F, i int)) error {
+	if len(p) == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(p.Self, i)
+			fn(p[0], i)
 		}
 		return ctx.Err()
 	}
@@ -57,7 +45,7 @@ func (p *Pool[F]) Each(ctx context.Context, n int, fn func(f F, i int)) error {
 		once     sync.Once
 		panicked any
 	)
-	for _, f := range p.Forks[:min(len(p.Forks), n)] {
+	for _, f := range p[:min(len(p), n)] {
 		wg.Add(1)
 		go func(f F) {
 			defer wg.Done()

@@ -7,19 +7,25 @@ import (
 	"testing"
 )
 
-// TestPoolEachLandsByIndex: every index runs exactly once, on a fork when
-// there are forks and on Self when there are none, at any worker count.
+// views returns a pool of n views numbered 0..n-1.
+func views(n int) Pool[int] {
+	p := make(Pool[int], n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
+// TestPoolEachLandsByIndex: every index runs exactly once, inline on view 0
+// when the pool has one view, on the pool's own views otherwise, at any
+// worker count.
 func TestPoolEachLandsByIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		forked := 0
-		p := NewPool(workers, -1, func() int { forked++; return forked })
-		if want := workers; (workers > 1 && forked != want) || (workers <= 1 && forked != 0) {
-			t.Fatalf("workers %d: forked %d times", workers, forked)
-		}
+	for _, workers := range []int{1, 2, 4, 16} {
+		p := views(workers)
 		out := make([]int32, 100)
 		err := p.Each(context.Background(), len(out), func(f int, i int) {
-			if (f == -1) != (workers <= 1) {
-				t.Errorf("workers %d: index %d ran on fork %d", workers, i, f)
+			if f < 0 || f >= workers {
+				t.Errorf("workers %d: index %d ran on view %d", workers, i, f)
 			}
 			atomic.AddInt32(&out[i], 1)
 		})
@@ -31,6 +37,14 @@ func TestPoolEachLandsByIndex(t *testing.T) {
 				t.Fatalf("workers %d: index %d ran %d times", workers, i, n)
 			}
 		}
+		// A single index is not worth a goroutine: it runs on view 0.
+		if err := p.Each(context.Background(), 1, func(f int, i int) {
+			if f != 0 {
+				t.Errorf("workers %d: the single index ran on view %d, want 0", workers, f)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -38,7 +52,7 @@ func TestPoolEachLandsByIndex(t *testing.T) {
 // the caller's recover — carrying the original value and the worker's stack
 // — after the other workers have stopped, instead of ending the process.
 func TestPoolEachReraisesWorkerPanic(t *testing.T) {
-	p := NewPool(4, 0, func() int { return 1 })
+	p := views(4)
 	var ran atomic.Int32
 	var got any
 	func() {
@@ -67,7 +81,7 @@ func TestPoolEachReraisesWorkerPanic(t *testing.T) {
 func TestPoolEachStopsOnCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		p := NewPool(workers, 0, func() int { return 1 })
+		p := views(workers)
 		var ran atomic.Int32
 		// Calls after the 5th wait until cancel has returned: a preempted
 		// canceller must not let the other workers run on meanwhile.

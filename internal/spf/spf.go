@@ -206,15 +206,10 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// order makes cheap. A manager serving several runs keeps the block of
 	// its first.
 	_, lengths := eng.Space.DataBlock(func() []int { return RankLengths(eng, cp) })
-	// One set of forked spaces (private BDD op caches over the shared node
-	// table) serves both phases: the manager's own, so a delta reuses what
-	// its baseline's run cached.
-	pool := &epvp.Pool[*symbolic.Space]{Self: eng.Space}
-	if workers := eng.WorkerCount(); workers > 1 {
-		var release func()
-		pool.Forks, release = eng.Space.SPFForks(workers)
-		defer release()
-	}
+	// Both phases fan out on views over the manager's kept workers (private
+	// BDD op caches over the shared node table), the ones EPVP ran on, so a
+	// delta reuses what its baseline's runs cached.
+	pool := epvp.Pool[*symbolic.Space](eng.Space.Workers(eng.WorkerCount()))
 
 	// FIB compilation is independent per router (it reads only that
 	// router's converged RIB), so it fans out across the worker pool; the
@@ -496,7 +491,7 @@ func (r *Result) DestPredicate(p route.Prefix) bdd.Node {
 // traverse exactly the tree of its first internal hop (the model applies no
 // ingress filtering), so external injections are derived from the internal
 // ones by prepending the neighbor to the path instead of re-exploring.
-func (r *Result) forwardAll(pool *epvp.Pool[*symbolic.Space]) error {
+func (r *Result) forwardAll(pool epvp.Pool[*symbolic.Space]) error {
 	// Each injection point's traversal only reads the (now immutable) FIBs,
 	// so start nodes fan out across the pool; per-start PEC slices are
 	// concatenated in injection order, and coalescePECs sorts by path, so

@@ -6,7 +6,6 @@ import (
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/route"
-	"github.com/expresso-verify/expresso/internal/symbolic"
 	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -117,38 +116,39 @@ func TestResultKeepsNoRequestState(t *testing.T) {
 	}
 }
 
-// TestRunsReuseManagerForks: at two workers SPF fans out on the forks its
-// manager keeps, so a later run over the manager (a delta against a pinned
-// baseline) finds the op caches an earlier one filled. A run that finds
-// them held gets fresh forks and leaves the held ones alone.
+// TestRunsReuseManagerForks: a manager keeps one set of workers for every
+// fan-out over it. After a two-worker EPVP run, SPF fans out on the same
+// M.Workers(2), so a later run over the manager (a delta against a pinned
+// baseline) finds the op caches earlier ones filled; a second run creates
+// no worker, and both runs give the same PECs.
 func TestRunsReuseManagerForks(t *testing.T) {
-	eng, cp := converge(t, testnet.Figure4)
-	eng.Workers = 2
-	first := Run(eng, cp)
-	work := func(forks []*symbolic.Space) (n int64) {
-		for _, f := range forks {
-			hits, misses := f.W.MemoStats()
-			n += hits + misses
+	eng, cp := convergeAt(t, testnet.Figure4, 2)
+	ws := eng.Space.M.Workers(2)
+	lookups := func(w *bdd.Worker) int64 {
+		hits, misses := w.MemoStats()
+		return hits + misses
+	}
+	before := lookups(ws[1])
+	var runs []*Result
+	for run := 0; run < 2; run++ {
+		runs = append(runs, Run(eng, cp))
+		if got := eng.Space.M.Workers(2); got[0] != ws[0] || got[1] != ws[1] {
+			t.Fatalf("run %d replaced the manager's kept workers", run)
 		}
-		return n
-	}
-	held, release := eng.Space.SPFForks(2)
-	before := work(held)
-	if before == 0 {
-		t.Fatal("the manager's kept forks did no work: SPF forked fresh ones")
-	}
-	second := Run(eng, cp)
-	if after := work(held); after != before {
-		t.Errorf("a run used forks another holder had taken (%d → %d operations)", before, after)
-	}
-	release()
-	again, release := eng.Space.SPFForks(2)
-	defer release()
-	for i := range again {
-		if again[i] != held[i] {
-			t.Errorf("fork %d was not kept across release", i)
+		// Profile counts every kept worker's op caches: if they hold no
+		// more than these two do, the run kept no other worker.
+		var used int64
+		for _, w := range ws {
+			used += int64(w.CacheSize())
+		}
+		if p := eng.Space.M.Profile(); p.OpCacheUsed != used {
+			t.Errorf("run %d: the manager's kept workers hold %d op-cache entries, its first two %d", run, p.OpCacheUsed, used)
 		}
 	}
+	if lookups(ws[1]) == before {
+		t.Error("SPF never used the manager's kept worker 1: it fanned out on other workers")
+	}
+	first, second := runs[0], runs[1]
 	if len(first.PECs) != len(second.PECs) {
 		t.Fatalf("%d PECs, then %d", len(first.PECs), len(second.PECs))
 	}

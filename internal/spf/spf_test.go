@@ -20,6 +20,12 @@ func runPipeline(t *testing.T, text string) (*epvp.Engine, *epvp.Result, *Result
 // converge parses text and runs EPVP to its fixed point.
 func converge(t *testing.T, text string) (*epvp.Engine, *epvp.Result) {
 	t.Helper()
+	return convergeAt(t, text, 0)
+}
+
+// convergeAt is converge with the engine's Workers set to workers.
+func convergeAt(t *testing.T, text string, workers int) (*epvp.Engine, *epvp.Result) {
+	t.Helper()
 	devices, err := config.ParseConfigs(text)
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +35,7 @@ func converge(t *testing.T, text string) (*epvp.Engine, *epvp.Result) {
 		t.Fatal(err)
 	}
 	eng := epvp.New(net, epvp.FullMode())
+	eng.Workers = workers
 	cp := eng.Run()
 	if !cp.Converged {
 		t.Fatal("EPVP did not converge")

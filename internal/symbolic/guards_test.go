@@ -29,13 +29,13 @@ func applyPrefixMatch(s *Space, m config.PrefixMatch) bdd.Node {
 	out := bdd.False
 	for l := int(m.GE); l <= int(m.LE); l++ {
 		// Canonical form: bits at or below the length are zero.
-		out = s.W.Or(out, applyAddrBits(s, s.W.And(high, s.lenCubes[l]), 0, l, AddrBits))
+		out = s.W.Or(out, applyAddrBits(s, s.W.And(high, s.M.UintCube(s.lenVars, uint64(l))), 0, l, AddrBits))
 	}
 	return out
 }
 
 func applyPrefix(s *Space, p route.Prefix) bdd.Node {
-	return applyAddrBits(s, s.lenCubes[p.Len], p.Addr, 0, AddrBits)
+	return applyAddrBits(s, s.M.UintCube(s.lenVars, uint64(p.Len)), p.Addr, 0, AddrBits)
 }
 
 // guardTestSpaces returns spaces under the identity order, the static

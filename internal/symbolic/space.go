@@ -33,11 +33,11 @@ const (
 // number of external neighbors.
 //
 // M is the shared node universe (safe for concurrent hash-consing); W is
-// the operation view holding the memo for ITE-based connectives. A Space
-// must be used by one goroutine at a time; parallel phases call Fork to get
-// a shallow copy with a private Worker (Sylvan-style per-worker op caches)
-// over the same manager, so BDD handles remain interchangeable between
-// forks.
+// the operation view holding the memo for ITE-based connectives, M's
+// default worker. A Space must be used by one goroutine at a time;
+// parallel phases take views over M's kept workers from Workers
+// (Sylvan-style per-worker op caches over the same manager), so BDD
+// handles remain interchangeable between views.
 type Space struct {
 	M            *bdd.Manager
 	W            *bdd.Worker
@@ -50,17 +50,15 @@ type Space struct {
 	// first, so a prefix reads as the integer len<<32 | addr.
 	prefixVars []int
 
-	valid    bdd.Node // canonical-prefix predicate, cached
-	lenCubes [33]bdd.Node
+	valid bdd.Node // canonical-prefix predicate, cached
 
-	// data is M's data-plane state, shared by every fork and every
+	// data is M's data-plane state, shared by every worker view and every
 	// warm-started engine over M (they all copy or share this Space).
 	data *dataBlock
 }
 
 // dataBlock is a manager's data-plane state: the order of the one
-// advertiser block it holds, the memo of what SPF converted into it, and
-// the forks SPF fans out on.
+// advertiser block it holds and the memo of what SPF converted into it.
 type dataBlock struct {
 	mu      sync.Mutex // guards lengths
 	lengths []int      // the block's prefix lengths, topmost level first; nil until allocated
@@ -73,12 +71,6 @@ type dataBlock struct {
 	memoMu  sync.Mutex
 	convGen uint64
 	conv    map[bdd.Node]Conversion
-
-	// forks are SPFForks' kept forks; forksOut is set while a run holds
-	// them. forkMu guards both.
-	forkMu   sync.Mutex
-	forks    []*Space
-	forksOut bool
 
 	// renames[l] is PerLengthRename(l), built on first use.
 	renameOnce sync.Once
@@ -309,53 +301,27 @@ func newSpace(m *bdd.Manager, n int) *Space {
 		s.lenVars[i] = AddrBits + i
 	}
 	s.prefixVars = append(append([]int(nil), s.lenVars...), s.addrVars...)
-	for l := 0; l <= 32; l++ {
-		s.lenCubes[l] = s.M.UintCube(s.lenVars, uint64(l))
-	}
 	s.valid = s.computeValid()
-	// The cached predicates must survive dead-node reclamation for the
-	// life of the space (forks share them by value).
+	// The cached predicate must survive dead-node reclamation for the life
+	// of the space (worker views share it by value).
 	s.M.Pin(s.valid)
-	s.M.Pin(s.lenCubes[:]...)
 	return s
 }
 
-// Fork returns a shallow copy of the space whose operations run through a
-// private bdd.Worker. Forks share the node universe (handles are
-// interchangeable) and the data block but never contend on an op cache;
-// each fork must be used by a single goroutine at a time.
-func (s *Space) Fork() *Space {
-	c := *s
-	c.W = s.M.NewWorker()
-	return &c
-}
-
-// SPFForks returns n forks for one SPF run's fan-out, and the release
-// that hands them back. They are the forks M keeps for its SPF runs, so a
-// delta against a pinned baseline finds the op caches the baseline's run
-// filled (each fork holds two op caches of up to bdd.OpCacheMaxSlots
-// slots for the manager's life); a run that finds them held by another
-// gets fresh ones, and releasing those keeps nothing.
-func (s *Space) SPFForks(n int) (forks []*Space, release func()) {
-	d := s.data
-	d.forkMu.Lock()
-	defer d.forkMu.Unlock()
-	if d.forksOut {
-		forks = make([]*Space, n)
-		for i := range forks {
-			forks[i] = s.Fork()
-		}
-		return forks, func() {}
+// Workers returns n views of the space over M's first n kept workers
+// (bdd.Manager.Workers), view 0 over the default worker. Views share the
+// node universe (handles are interchangeable) and the data block; each
+// must be used by one goroutine at a time, and one run at a time uses the
+// set.
+func (s *Space) Workers(n int) []*Space {
+	ws := s.M.Workers(n)
+	out := make([]*Space, len(ws))
+	for i, w := range ws {
+		c := *s
+		c.W = w
+		out[i] = &c
 	}
-	d.forksOut = true
-	for len(d.forks) < n {
-		d.forks = append(d.forks, s.Fork())
-	}
-	return d.forks[:n], func() {
-		d.forkMu.Lock()
-		defer d.forkMu.Unlock()
-		d.forksOut = false
-	}
+	return out
 }
 
 // NbrVar returns the advertiser variable of neighbor i.

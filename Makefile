@@ -102,7 +102,8 @@ store-check: fuzz-smoke
 # Five seconds of coverage-guided fuzzing per target on top of its seed
 # corpus (-fuzz takes one target in one package per run): a store directory
 # is untrusted input, and so is configuration text, so each decoder of a
-# store blob, the config parser and the diff/patch pair are fuzzed; so is
+# store blob, the config parser, its parse against a baseline's sections
+# and the diff/patch pair are fuzzed; so is
 # the BDD kernel SPF's conversion runs on (bdd.Worker.Convert), against a
 # restrict-then-rename reference under random static orders. A crasher
 # lands in the package's testdata/fuzz/ and fails every later `go test`
@@ -110,6 +111,7 @@ store-check: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzParseConfigs$$' -fuzztime 5s
 	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 5s
+	$(GO) test ./internal/config/ -run '^$$' -fuzz '^FuzzParseAgainst$$' -fuzztime 5s
 	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s
 	$(GO) test ./internal/bdd/ -run '^$$' -fuzz '^FuzzConvert$$' -fuzztime 5s
 	$(GO) test ./internal/automaton/ -run '^$$' -fuzz '^FuzzImport$$' -fuzztime 5s

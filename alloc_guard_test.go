@@ -11,6 +11,7 @@ import (
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/spf"
 	"github.com/expresso-verify/expresso/internal/telemetry"
@@ -75,11 +76,19 @@ const (
 	// once it builds one per reported violation (4 receiving neighbors).
 	// A per-route witness creeping back lands far over this.
 	fullOldLeakNodesCeiling = 5_000
+	// region1DeltaLoadShare bounds the bytes the Load stage of a one-router
+	// region-1 delta against the unpatched text as its baseline allocates, as
+	// a share of a full pipeline.Load of the same text: patching the largest
+	// router (a fifth of the text) reads ~0.16 once the other routers keep
+	// the baseline's parse, 0.82 when it parses the whole text again.
+	region1DeltaLoadShare = 0.25
 )
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
 // it verifies region 1 cold and fails if the run allocates more bytes or
-// objects than the ceilings above, if compiling its policies creates more
+// objects than the ceilings above, if a one-router delta's Load stage
+// against it allocates more than region1DeltaLoadShare of a full load's
+// bytes, if compiling its policies creates more
 // BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
 // its converged RIB creates more than region1SPFNodesCeiling; then it runs
 // region 4's EPVP rounds against the region4EPVP ceilings, bounds that
@@ -124,6 +133,35 @@ func TestRegion1AllocGuard(t *testing.T) {
 	if mallocs > region1MallocsCeiling {
 		t.Errorf("region-1 verification allocated %d objects, over the %d-object regression ceiling",
 			mallocs, uint64(region1MallocsCeiling))
+	}
+
+	// The baseline stands in for a registered one: its text, and the Load
+	// artifact its fixed point would sit on.
+	baseLoad, err := pipeline.Load(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := pipeline.NewBaseline("region1", text, &pipeline.Outcome{SRC: &pipeline.SRCArtifact{Load: baseLoad}}, time.Now())
+	var largest config.Section
+	for _, s := range config.SplitSections(text) {
+		if len(s.Text) > len(largest.Text) {
+			largest = s
+		}
+	}
+	delta, err := config.ApplyPatch(text, config.Patch{Ops: []config.PatchOp{{
+		Op: config.SetOp, Router: largest.Router, Config: largest.Text + "bgp network 10.200.0.0/24\n",
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := pipeline.NewSource(delta)
+	deltaLoad := allocatedBy(t, func() error { _, err := pipeline.LoadSource(src, base); return err })
+	fullLoad := allocatedBy(t, func() error { _, err := pipeline.Load(delta); return err })
+	t.Logf("region-1 one-router delta load allocated %d bytes, a full load %d (share %.2f, ceiling %.2f)",
+		deltaLoad, fullLoad, float64(deltaLoad)/float64(fullLoad), region1DeltaLoadShare)
+	if float64(deltaLoad) > region1DeltaLoadShare*float64(fullLoad) {
+		t.Errorf("a one-router region-1 delta load allocated %d bytes, over %.2f of a full load's %d: does it parse the whole text again?",
+			deltaLoad, region1DeltaLoadShare, fullLoad)
 	}
 
 	devices, err := config.ParseConfigs(text)
@@ -240,4 +278,20 @@ func TestRegion1AllocGuard(t *testing.T) {
 		t.Errorf("full-old route-leak check created %d BDD nodes, over the %d-node ceiling: does it build a witness per leaked route again instead of per reported violation?",
 			leak1-leak0, fullOldLeakNodesCeiling)
 	}
+}
+
+// allocatedBy reports the bytes one call of f allocates, after a warm-up call.
+func allocatedBy(t *testing.T, f func() error) uint64 {
+	t.Helper()
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := f(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -3,14 +3,17 @@ package expresso
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/symbolic"
 	"github.com/expresso-verify/expresso/internal/traceview"
 )
@@ -333,5 +336,128 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	}
 	if got, want := normalizedJSON(t, two), normalizedJSON(t, coldRouting); got != want {
 		t.Errorf("routing delta report at two workers differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", want, got)
+	}
+}
+
+// TestDeltaLoadParsesOnlyItsPatch: the Load stage of a delta against a
+// registered baseline (Verifier.load, as VerifyDelta runs it) gives the digests a cold load of the patched text
+// gives, and the delta's report is the cold run's to the byte — or, for a
+// text that does not load, its error is the cold load's. Every router whose
+// section the patch left as it was keeps the baseline's parsed Device,
+// pointer-equal; every other router is parsed anew.
+func TestDeltaLoadParsesOnlyItsPatch(t *testing.T) {
+	f := newDeltaFixture()
+	base := "# region 1\n" + f.text
+	r0, r1 := f.routers[0], f.routers[1]
+	set := func(router, text string) Patch {
+		return Patch{Ops: []PatchOp{{Op: config.SetOp, Router: router, Config: text}}}
+	}
+	opts := Options{Workers: 1, Properties: []Kind{RouteLeakFree}}
+	ctx := context.Background()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "base", base, opts); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := v.baselines.Get("base")
+	baseSections := map[string]string{}
+	for _, s := range config.SplitSections(base) {
+		baseSections[s.Router] = s.Text
+	}
+	for _, tc := range []struct {
+		name  string
+		patch Patch
+	}{
+		{"set-section", f.patch(0)},
+		{"add-router", set("rNEW", "router rNEW\nbgp as 100\nbgp network 10.250.0.0/24\n")},
+		{"delete-router", Patch{Ops: []PatchOp{{Op: config.DeleteOp, Router: r1}}}},
+		{"comment-only", set(r0, f.section[r0]+"// reviewed\n")},
+		{"preamble-comment", set("", "# region 1, reviewed\n")},
+		{"preamble-statement", set("", "bgp as 100\n")},
+		{"repeated-router", set("rX", "router "+r0+"\nbgp network 10.251.0.0/24\n")},
+		{"unparsable-section", set(r1, "router "+r1+"\nbgp as 100\nbgp bogus\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			text, err := ApplyPatch(base, tc.patch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, coldErr := pipeline.Load(text)
+			load, loadErr := v.load(pipeline.NewSource(text), "base")
+			rep, _, err := v.VerifyDelta(ctx, "base", tc.patch, opts)
+			if coldErr != nil {
+				for _, err := range []error{loadErr, err} {
+					if err == nil || err.Error() != coldErr.Error() {
+						t.Fatalf("delta error %v, cold load error %v", err, coldErr)
+					}
+				}
+				t.Logf("fails as a cold load does: %v", coldErr)
+				return
+			}
+			if loadErr != nil || err != nil {
+				t.Fatal(loadErr, err)
+			}
+			if load.Digest != cold.Digest || !reflect.DeepEqual(load.DeviceDigests, cold.DeviceDigests) {
+				t.Errorf("delta load digests %s %v, cold %s %v", load.Digest, load.DeviceDigests, cold.Digest, cold.DeviceDigests)
+			}
+			coldRep, err := (&Network{Topo: cold.Net, load: cold}).Verify(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := normalizedJSON(t, rep), normalizedJSON(t, coldRep); got != want {
+				t.Errorf("delta report differs from the cold run's:\ndelta: %s\ncold:  %s", got, want)
+			}
+			for _, s := range config.SplitSections(text) {
+				if s.Router == "" {
+					continue
+				}
+				shared := load.Net.Devices[s.Router] == b.SRC.Load.Net.Devices[s.Router]
+				if unchanged := baseSections[s.Router] == s.Text; shared != unchanged {
+					t.Errorf("router %s: section unchanged %v, Device shared with the baseline %v", s.Router, unchanged, shared)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentDeltasShareBaselineDevices: deltas whose mode differs from
+// their baseline's run cold, each in a manager of its own and under no
+// common lock, yet share the baseline's parsed Devices for the routers they
+// did not change — here router A, whose AS-path match every run compiles.
+// Under -race this holds the claim that a parsed Device is never written.
+func TestConcurrentDeltasShareBaselineDevices(t *testing.T) {
+	const base = `router A
+bgp as 100
+route-policy im permit node 10
+ if-match as-path .*200
+ set local-preference 50
+route-policy im permit node 20
+bgp peer X AS 200 import im
+bgp peer B AS 100
+router B
+bgp as 100
+bgp network 10.0.0.0/8
+bgp peer A AS 100
+bgp peer Y AS 300
+`
+	ctx := context.Background()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "base", base, Options{Workers: 1, Mode: ExpressoMinusMode()}); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 1, Mode: FullMode()}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = v.VerifyTextFrom(ctx, "base", base+fmt.Sprintf("bgp network 10.%d.0.0/16\n", 100+i), opts)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

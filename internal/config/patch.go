@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Patch op kinds. SetOp replaces (or introduces) a section's full text;
@@ -143,18 +144,59 @@ func SplitSections(text string) []Section {
 // line's tokens (tokenize strips the comments) joined by single spaces,
 // blank lines dropped. Two texts with equal canonical forms are identical
 // to the parser; it is the form the pipeline's content addresses and this
-// package's Diff compare.
+// package's Diff compare. It walks the text once, line by line, into one
+// buffer: a line is cut at its comment and split on the six ASCII spaces
+// strings.Fields splits on, and a line with a byte ≥ 0x80 before its comment
+// goes through tokenize itself, so the output is tokenize's to the byte.
 func Canonical(text string) string {
 	var b strings.Builder
-	for _, line := range strings.Split(text, "\n") {
-		fields := tokenize(line)
-		if len(fields) == 0 {
-			continue
-		}
-		b.WriteString(strings.Join(fields, " "))
-		b.WriteByte('\n')
+	b.Grow(len(text))
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		appendCanonicalLine(&b, line)
 	}
 	return b.String()
+}
+
+// asciiSpace holds the bytes strings.Fields splits an ASCII string on.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendCanonicalLine writes line's canonical form — its fields joined by
+// single spaces and a newline, or nothing when it has none — to b.
+func appendCanonicalLine(b *strings.Builder, line string) {
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= utf8.RuneSelf:
+			if fields := tokenize(line); len(fields) > 0 {
+				b.WriteString(strings.Join(fields, " "))
+				b.WriteByte('\n')
+			}
+			return
+		case c == '#' || c == '/' && i+1 < len(line) && line[i+1] == '/':
+			line = line[:i] // and the scan ends
+		}
+	}
+	mark := b.Len()
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
+		}
+		j := i
+		for j < len(line) && !asciiSpace[line[j]] {
+			j++
+		}
+		if j > i {
+			if b.Len() > mark {
+				b.WriteByte(' ')
+			}
+			b.WriteString(line[i:j])
+		}
+		i = j
+	}
+	if b.Len() > mark {
+		b.WriteByte('\n')
+	}
 }
 
 // Diff computes the canonical patch transforming oldText's config tree

@@ -109,6 +109,55 @@ func TestSplitSectionsMatchesOracle(t *testing.T) {
 	}
 }
 
+// canonicalOracle is Canonical as it was written first: every line split
+// with strings.Split, tokenized, and joined. The one-pass scan must agree
+// with it to the byte, since the pipeline's content addresses hash it.
+func canonicalOracle(text string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(text, "\n") {
+		fields := tokenize(line)
+		if len(fields) == 0 {
+			continue
+		}
+		b.WriteString(strings.Join(fields, " "))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestCanonicalMatchesOracle compares Canonical with the oracle on every
+// generated dataset, on the fuzz seeds, and on the edge cases of spacing
+// (every ASCII space strings.Fields knows, NEL and NBSP), invalid UTF-8,
+// line ends and comments.
+func TestCanonicalMatchesOracle(t *testing.T) {
+	check := func(label, text string) {
+		t.Helper()
+		if got, want := Canonical(text), canonicalOracle(text); got != want {
+			t.Fatalf("%s: Canonical = %q, oracle %q", label, got, want)
+		}
+	}
+	for _, name := range []string{"region1", "region2", "region3", "region4", "full-old", "full-new", "internet2"} {
+		text, err := netgen.Dataset(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, text)
+	}
+	for i, s := range fuzzSeeds() {
+		check(fmt.Sprintf("fuzz seed %d", i), s)
+	}
+	for _, s := range []string{
+		"", "\n", "\n\n", " \t\n", "router A", "router A\n", "router A\r\nbgp as 1\r\n",
+		"\tbgp\tas  1\t\n", "bgp\vas\f1\r\n", "\v\f\r\n",
+		"bgp as 1 // comment\n", "bgp as 1# comment\n", "# only\n// only\n", "a/b c/ /d //e\n", "a#b\n", "/\n/x\n",
+		"\u0085router A\n", "\u00a0bgp\u00a0as 1\n", "bgp\u3000as 1\n", "\u00a0\n", "x // \u00a0 y\n", "x # \xff\n",
+		"\xffrouter A\n", "router \xff\n", "bgp as\xc2 1\n", "\xc2\x85x\n",
+		"router A\nbgp as 1", "router A\n\n\nbgp as 1\n\n",
+	} {
+		check(fmt.Sprintf("%q", s), s)
+	}
+}
+
 func TestDiffEmptyOnCosmeticEdit(t *testing.T) {
 	cosmetic := strings.ReplaceAll(patchBase, "// shared preamble", "# different comment")
 	cosmetic = strings.ReplaceAll(cosmetic, "interface eth0 ip", "interface  eth0  ip")

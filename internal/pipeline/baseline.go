@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/expresso-verify/expresso/internal/config"
 	"github.com/expresso-verify/expresso/internal/store"
 )
 
@@ -38,6 +39,11 @@ type Baseline struct {
 	StageKeys map[string]string
 	// Created is the registration time.
 	Created time.Time
+
+	// sections maps each router to its raw section of ConfigText
+	// (config.SplitSections): substrings of the text, not copies, which a
+	// delta's load compares its own sections with (LoadSource).
+	sections map[string]string
 }
 
 // NewBaseline describes a baseline from a completed registration run, which
@@ -51,9 +57,13 @@ func NewBaseline(name, configText string, out *Outcome, created time.Time) *Base
 		SRC:          out.SRC,
 		StageKeys:    map[string]string{},
 		Created:      created,
+		sections:     map[string]string{},
 	}
 	for _, st := range out.Stages {
 		b.StageKeys[st.Stage] = st.Key
+	}
+	for _, s := range config.SplitSections(configText) {
+		b.sections[s.Router] = s.Text
 	}
 	return b
 }

@@ -201,15 +201,17 @@ func (v *Verifier) run(ctx context.Context, load *pipeline.LoadArtifact, loaded 
 	return rep, info, err
 }
 
-// runText is run on configuration text. A request that is not a
+// runText is run on configuration text, canonicalized once: the report key
+// and the Load stage both come from that one pass. A request that is not a
 // registration is looked up in the report tier first, before anything is
 // parsed; a registration must run, because it holds the run's artifacts,
 // which a cached report does not have.
 func (v *Verifier) runText(ctx context.Context, configText, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
 	opts.normalize()
+	start := time.Now()
+	src := pipeline.NewSource(configText)
 	if artifacts == nil {
-		start := time.Now()
-		digest := ReportDigest(configText, opts)
+		digest := src.ReportKey(opts.CacheKey())
 		if rep, ok := v.cache.Report.Get(digest); ok {
 			info := &RunInfo{Baseline: baseline, Digest: digest, CacheHit: true, Stages: []StageInfo{{
 				Stage: pipeline.StageReport, Status: StageHit,
@@ -219,13 +221,23 @@ func (v *Verifier) runText(ctx context.Context, configText, baseline string, opt
 			return rep, info, nil
 		}
 	}
-	start := time.Now()
-	load, err := pipeline.Load(configText)
+	load, err := v.load(src, baseline)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := StageInfo{Stage: pipeline.StageLoad, Status: StageMiss, Key: load.Digest, Duration: time.Since(start)}
 	return v.run(ctx, load, []StageInfo{info}, baseline, opts, artifacts)
+}
+
+// load runs the Load stage on src; a delta against a registered baseline
+// parses only the router sections its text does not share with the
+// baseline's.
+func (v *Verifier) load(src pipeline.Source, baseline string) (*pipeline.LoadArtifact, error) {
+	var base *pipeline.Baseline
+	if baseline != "" {
+		base, _ = v.baselines.Get(baseline)
+	}
+	return pipeline.LoadSource(src, base)
 }
 
 // CachedReport answers from the report cache alone (no stages run). A hit

@@ -186,8 +186,9 @@ func ParseOptions(props []string, mode, bte string) (Options, error) {
 // Timing records per-stage wall-clock durations (Table 3's columns).
 // Durations marshal as integer nanoseconds.
 type Timing struct {
-	// Load is the parse+build time of the network the run verified (a
-	// Network's was spent in Load, before the run).
+	// Load is the Load stage's time for the network the run verified: the
+	// canonical pass and digests, the parse and the build (a Network's was
+	// spent in Load, before the run).
 	Load               time.Duration `json:"load_ns"`
 	SRC                time.Duration `json:"src_ns"`
 	RoutingAnalysis    time.Duration `json:"routing_analysis_ns"`

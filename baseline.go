@@ -61,9 +61,9 @@ var ErrBaselineExists = pipeline.ErrBaselineExists
 
 // RegisterBaseline verifies configText and registers its converged state
 // as the named baseline: the SRC fixed point — with the routing, SPF and
-// forwarding results of this run — stays resident, whatever the caches
-// evict, until RemoveBaseline, and becomes the warm-start anchor for every
-// delta request naming the baseline.
+// forwarding results of this run — stays resident until RemoveBaseline, and
+// becomes the warm-start anchor for every delta request naming the baseline.
+// A baseline is the one way to keep a fixed point in memory between runs.
 // When a persistent store is attached, a manifest describing the
 // baseline's artifacts is written through so `expresso store gc` (in this
 // or any other process sharing the directory) treats them as roots.
@@ -123,7 +123,7 @@ func (v *Verifier) Baselines() []*BaselineInfo {
 func (v *Verifier) BaselineCount() int { return v.baselines.Len() }
 
 // RemoveBaseline unregisters a baseline, lets go of its converged state
-// (which now lives or dies with the SRC cache), and deletes its
+// (unpinned once no in-flight request uses it either), and deletes its
 // persistent manifest — the next `expresso store gc` may prune its
 // artifacts. Reports whether the name was registered.
 func (v *Verifier) RemoveBaseline(name string) bool {
@@ -136,8 +136,8 @@ func (v *Verifier) RemoveBaseline(name string) bool {
 
 // VerifyTextFrom verifies configText as a delta against the named
 // baseline: the SRC stage anchors on the baseline's pinned converged
-// state (serving it outright when the config is canonically unchanged,
-// warm-starting from it otherwise) instead of relying on cache residency.
+// state, serving it outright when the config is canonically unchanged and
+// warm-starting from it otherwise.
 // The report is byte-identical (up to timings, heap, and iteration
 // counts) to a scratch run of the same text. An empty baseline makes it
 // an anonymous verification (VerifyText).

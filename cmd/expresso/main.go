@@ -509,7 +509,7 @@ func cmdServe(args []string) {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	engineWorkers := fs.Int("engine-workers", 1, "engine goroutines per job (≤ 0 = the default, 1 (sequential))")
 	queueDepth := fs.Int("queue", 64, "job queue depth")
-	cacheSize := fs.Int("cache", 128, "report cache capacity (-1 disables the report and fixed-point caches, so every run is cold)")
+	cacheSize := fs.Int("cache", 128, "report cache capacity (-1 keeps no report; fixed points stay in memory only for registered baselines)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "default per-job deadline")
 	drainWait := fs.Duration("drain", 30*time.Second, "max graceful drain time on SIGTERM")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")

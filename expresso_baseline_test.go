@@ -96,23 +96,22 @@ func TestBaselineDeltaWarmAndByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBaselineSurvivesCachePressure pins the tentpole property the old
-// opportunistic warm scan could not give: the baseline's converged state
-// stays available after the SRC stage cache has evicted it. The registry
-// holds its own BDD pins, so eviction neither frees the nodes nor breaks
-// the warm anchor.
+// TestBaselineSurvivesCachePressure pins the property the old opportunistic
+// warm scan could not give: the baseline's converged state stays available
+// whatever else the verifier runs. The registry holds its own BDD pins, so
+// the runs of other networks neither free its nodes nor break the warm
+// anchor.
 func TestBaselineSurvivesCachePressure(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Workers: 1}
 	base := testnet.Figure4Fixed
 
-	v := NewVerifier(VerifierConfig{SRCCache: 2})
+	v := NewVerifier(VerifierConfig{})
 	_, info, err := v.RegisterBaseline(ctx, "prod", base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four semantically distinct configs through a 2-entry SRC cache
-	// guarantee the baseline's artifact is evicted.
+	// Four semantically distinct configs, each converged and let go.
 	for i := 0; i < 4; i++ {
 		other := base + fmt.Sprintf("bgp network 198.51.100.%d/32\n", i)
 		if _, _, err := v.VerifyText(ctx, other, opts); err != nil {
@@ -122,18 +121,17 @@ func TestBaselineSurvivesCachePressure(t *testing.T) {
 
 	// An unchanged config under different options misses the report cache
 	// but matches the baseline's SRC key exactly: the registry serves the
-	// pinned artifact as a hit even though the cache dropped it.
+	// pinned artifact as a hit.
 	leakOnly := Options{Workers: 1, Properties: []Kind{RouteLeakFree}}
 	_, exactInfo, err := v.VerifyTextFrom(ctx, "prod", base, leakOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src, _ := findStage(exactInfo, "src"); src.Status != StageHit {
-		t.Errorf("post-eviction exact-key SRC status = %q, want %q (note %q)", src.Status, StageHit, src.Note)
+		t.Errorf("exact-key SRC status = %q, want %q (note %q)", src.Status, StageHit, src.Note)
 	}
 
-	// A real delta warm-starts from the baseline, not from whatever the
-	// cache happens to hold.
+	// A real delta warm-starts from the baseline.
 	changed := base + "bgp network 203.0.113.9/32\n"
 	rep, runInfo, err := v.VerifyDelta(ctx, "prod", DiffConfigs(base, changed), opts)
 	if err != nil {
@@ -141,10 +139,10 @@ func TestBaselineSurvivesCachePressure(t *testing.T) {
 	}
 	src, _ := findStage(runInfo, "src")
 	if src.Status != StageWarm {
-		t.Fatalf("post-eviction delta SRC status = %q, want %q (stages %+v)", src.Status, StageWarm, runInfo.Stages)
+		t.Fatalf("delta SRC status = %q, want %q (stages %+v)", src.Status, StageWarm, runInfo.Stages)
 	}
 	if src.Seed != info.SRCDigest {
-		t.Errorf("post-eviction SRC seed = %q, want baseline digest %q", src.Seed, info.SRCDigest)
+		t.Errorf("delta SRC seed = %q, want baseline digest %q", src.Seed, info.SRCDigest)
 	}
 
 	coldNet, err := Load(changed)
@@ -156,7 +154,7 @@ func TestBaselineSurvivesCachePressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := normalizedJSON(t, rep), normalizedJSON(t, coldRep); got != want {
-		t.Errorf("post-eviction delta report differs from scratch run:\ndelta: %s\ncold:  %s", got, want)
+		t.Errorf("delta report differs from scratch run:\ndelta: %s\ncold:  %s", got, want)
 	}
 
 	if !v.RemoveBaseline("prod") {
@@ -275,8 +273,9 @@ func TestRegisterBaselineTraceCarriesWatermark(t *testing.T) {
 // it names. A run that names none — an anonymous verification, or the run
 // behind a registration — is cold in a manager of its own, however recent or
 // compatible the fixed points the verifier holds, so it neither grows a
-// baseline's manager nor queues on its run lock; a delta that names a
-// baseline warm-starts from that one, whatever else the SRC cache holds.
+// baseline's manager nor queues on its run lock, and the verifier keeps its
+// manager only for a registration; a delta that names a baseline
+// warm-starts from that one, whatever else is registered.
 func TestEveryBaselineOwnsItsManager(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Workers: 1}
@@ -286,7 +285,7 @@ func TestEveryBaselineOwnsItsManager(t *testing.T) {
 		var n int64 = -1
 		profiles := v.BDDProfiles()
 		for _, p := range profiles {
-			if p.Origin == "baseline" && p.Name == name {
+			if p.Name == name {
 				n = p.Profile.LiveNodes
 			}
 		}
@@ -313,8 +312,8 @@ func TestEveryBaselineOwnsItsManager(t *testing.T) {
 		t.Errorf("baseline b's manager went from %d to %d live nodes under runs that did not name it", before, after)
 	}
 	c, managers := live("c")
-	if c < 0 || managers != 3 { // b, c and the anonymous run
-		t.Errorf("BDDProfiles lists %d managers (c's live count %d), want b, c and the anonymous run's apart", managers, c)
+	if c < 0 || managers != 2 { // b and c; the anonymous run keeps none
+		t.Errorf("BDDProfiles lists %d managers (c's live count %d), want b's and c's apart", managers, c)
 	}
 
 	// A delta naming b chains on b, not on the more recent fixed points.

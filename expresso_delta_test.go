@@ -61,10 +61,9 @@ func (f *deltaFixture) deltaText(t *testing.T, i int) string {
 var deltaProps = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree}
 
 // deltaHeapCeiling bounds the live heap of a verifier that has run 200
-// region-1 deltas against one baseline: the baseline's manager, four
-// cached delta fixed points and 128 reports. The run holds about 44 MB;
-// while deltas left their manager unswept and parsed names pinned each
-// patched text, it held 110 MB.
+// region-1 deltas against one baseline: the baseline's manager and 128
+// reports. The run holds about 31 MB; while deltas left their manager
+// unswept and parsed names pinned each patched text, it held 110 MB.
 const deltaHeapCeiling = 96 << 20
 
 // TestBaselineDeltasStayBounded: 200 deltas against one pinned baseline
@@ -205,12 +204,11 @@ func memoWork(tr *Tracer) (misses, conversions int64) {
 }
 
 // newSets counts the (router, next hop) unions of U — the sets SPF
-// converts, one per FIB next hop — of the fixed point most recently cached
-// in v that the baseline's fixed point does not hold: the unions a delta
-// is the first to convert.
-func newSets(v *Verifier, baseline string) int {
-	b, _ := v.baselines.Get(baseline)
-	w := b.SRC.Eng.Space.M.NewWorker()
+// converts, one per FIB next hop — of a delta's fixed point that its
+// baseline's fixed point does not hold: the unions the delta is the first
+// to convert.
+func newSets(base, delta *pipeline.SRCArtifact) int {
+	w := base.Eng.Space.M.NewWorker()
 	hopUnions := func(best map[string][]*symbolic.Route) []bdd.Node {
 		var out []bdd.Node
 		for _, rs := range best {
@@ -225,11 +223,11 @@ func newSets(v *Verifier, baseline string) int {
 		return out
 	}
 	seen := map[bdd.Node]bool{}
-	for _, u := range hopUnions(b.SRC.Res.Best) {
+	for _, u := range hopUnions(base.Res.Best) {
 		seen[u] = true
 	}
 	n := 0
-	for _, u := range hopUnions(v.cache.SRC.Values()[0].Res.Best) {
+	for _, u := range hopUnions(delta.Res.Best) {
 		if !seen[u] {
 			seen[u] = true
 			n++
@@ -257,38 +255,46 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	cold := normalizedJSON(t, coldRep)
 	coldMisses, coldConv := memoWork(coldOpts.Trace)
 
-	delta := func(opts Options, beforeDelta func()) (*Report, *Verifier) {
+	// delta runs f.patch(7) against a fresh registration of the baseline,
+	// as VerifyDelta does, and counts the new hop unions of its fixed point
+	// while the run still holds it.
+	delta := func(opts Options, beforeDelta func()) (*Report, *Verifier, int) {
 		t.Helper()
 		v := NewVerifier(VerifierConfig{})
 		if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, Options{Workers: 1, Properties: deltaProps}); err != nil {
 			t.Fatal(err)
 		}
+		b, _ := v.baselines.Get("prod")
 		beforeDelta()
-		rep, info, err := v.VerifyDelta(ctx, "prod", f.patch(7), opts)
+		fresh := 0
+		rep, info, err := v.runText(ctx, text, "prod", opts, func(out *pipeline.Outcome) error {
+			fresh = newSets(b.SRC, out.SRC)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := stageStatus(info, "src"); s != StageWarm {
 			t.Fatalf("delta src %s, want warm in the baseline's manager", s)
 		}
-		return rep, v
+		return rep, v, fresh
 	}
 
 	opts := Options{Workers: 1, Properties: deltaProps, Trace: NewTracer()}
-	rep, v := delta(opts, func() {})
+	rep, _, fresh := delta(opts, func() {})
 	misses, conv := memoWork(opts.Trace)
 	t.Logf("SRC op-cache misses: cold %d, delta %d; SPF conversions: cold %d, delta %d", coldMisses, misses, coldConv, conv)
 	if misses*4 > coldMisses {
 		t.Errorf("delta missed the op caches %d times, cold run %d: the baseline's caches were not reused", misses, coldMisses)
 	}
-	if fresh := newSets(v, "prod"); conv == 0 || conv > int64(fresh) || conv >= coldConv {
+	if conv == 0 || conv > int64(fresh) || conv >= coldConv {
 		t.Errorf("delta computed %d conversions, want between 1 and its %d new hop unions, and fewer than the cold run's %d", conv, fresh, coldConv)
 	}
 	if got := normalizedJSON(t, rep); got != cold {
 		t.Errorf("delta report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
 	}
 
-	swept, v := delta(Options{Workers: 1, Properties: deltaProps}, func() { t.Setenv("EXPRESSO_RECLAIM", "200") })
+	swept, v, _ := delta(Options{Workers: 1, Properties: deltaProps}, func() { t.Setenv("EXPRESSO_RECLAIM", "200") })
 	b, _ := v.baselines.Get("prod")
 	if b.SRC.Eng.Space.M.ReclaimStats().Runs == 0 {
 		t.Error("a 200-node reclaim budget never swept the baseline's manager")
@@ -298,7 +304,7 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	}
 	t.Setenv("EXPRESSO_RECLAIM", "")
 
-	parallel, _ := delta(Options{Workers: 4, Properties: deltaProps}, func() {})
+	parallel, _, _ := delta(Options{Workers: 4, Properties: deltaProps}, func() {})
 	if got := normalizedJSON(t, parallel); got != cold {
 		t.Errorf("delta report at four workers differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)
 	}

@@ -14,8 +14,7 @@ import (
 )
 
 // fillers are n small, semantically distinct networks: each converges to
-// its own SRC artifact, so n of them push everything older out of an SRC
-// cache of capacity n.
+// its own SRC artifact, in a BDD manager of its own.
 func fillers(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -26,11 +25,12 @@ func fillers(n int) []string {
 
 // TestEvictedSRCTakesItsDerivedArtifactsAlong: SPF and forwarding results
 // are BDD handles into the manager of the SRC artifact they were built on.
-// When that artifact is evicted and the same network comes back, its fixed
-// point is rebuilt in a new manager — and nothing built in the old one may
-// be served for it. With the derived stages in LRUs of their own (keyed by
-// content digest, eight SPF slots against four SRC slots) the third call
-// below got SRC miss + SPF hit and dereferenced the dead manager's handles.
+// An anonymous run lets go of that artifact when it returns, and when the
+// same network comes back its fixed point is rebuilt in a new manager — and
+// nothing built in the old one may be served for it. With the derived stages
+// in LRUs of their own (keyed by content digest, eight SPF slots against
+// four SRC slots) the third call below got SRC miss + SPF hit and
+// dereferenced the dead manager's handles.
 func TestEvictedSRCTakesItsDerivedArtifactsAlong(t *testing.T) {
 	ctx := context.Background()
 	region := netgen.CSP(netgen.CSPOldRegion(1))
@@ -45,8 +45,6 @@ func TestEvictedSRCTakesItsDerivedArtifactsAlong(t *testing.T) {
 	}{
 		{"default", VerifierConfig{}, false, StageMiss},
 		{"default-store", VerifierConfig{}, true, StageDisk},
-		{"src1", VerifierConfig{SRCCache: 1}, false, StageMiss},
-		{"src1-store", VerifierConfig{SRCCache: 1}, true, StageDisk},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.store {
@@ -85,9 +83,9 @@ var allProps = []Kind{RouteLeakFree, RouteHijackFree, TrafficHijackFree, BlackHo
 
 // TestBaselineKeepsItsDerivedArtifacts: a registered baseline holds its SRC
 // artifact, and the routing, SPF and forwarding results of the registration
-// run live on that artifact — so after more unrelated networks than the SRC
-// cache has slots, re-verifying the baseline as it is computes nothing past
-// parsing the text, which no tier keeps.
+// run live on that artifact — so after unrelated networks, re-verifying the
+// baseline as it is computes nothing past parsing the text, which no tier
+// keeps.
 func TestBaselineKeepsItsDerivedArtifacts(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Workers: 4, Properties: allProps}
@@ -131,48 +129,43 @@ func TestBaselineKeepsItsDerivedArtifacts(t *testing.T) {
 	}
 }
 
-// TestEvictedDeltaLeavesNothingPinned: a delta against a baseline builds its
-// fixed point, its SPF result and its analyses in the baseline's manager.
-// Once the SRC cache evicts it, all of that is unpinned — the manager's pin
-// count is what it was before the delta ran.
-func TestEvictedDeltaLeavesNothingPinned(t *testing.T) {
+// TestFinishedDeltaLeavesNothingPinned: a delta against a baseline builds its
+// fixed point, its SPF result and its analyses in the baseline's manager, and
+// the request is their one holder. Once it returns, all of that is unpinned:
+// the manager's pin count is what registration left, delta after delta.
+func TestFinishedDeltaLeavesNothingPinned(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{Workers: 4, Properties: allProps}
-	base, changed := regionDelta()
-
-	v := NewVerifier(VerifierConfig{SRCCache: 1})
-	if _, _, err := v.RegisterBaseline(ctx, "prod", base, opts); err != nil {
+	opts := Options{Workers: 1, Properties: deltaProps}
+	f := newDeltaFixture()
+	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "prod", f.text, opts); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := v.baselines.Get("prod")
 	m := b.SRC.Eng.Space.M
-	before := m.PinnedCount()
-
-	_, info, err := v.VerifyDelta(ctx, "prod", DiffConfigs(base, changed), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := stageStatus(info, "src"); s != StageWarm {
-		t.Fatalf("delta SRC = %q, want warm in the baseline's manager", s)
-	}
-	if during := m.PinnedCount(); during <= before {
-		t.Fatalf("the cached delta pins nothing in the baseline's manager: %d pinned, %d before it", during, before)
-	}
-	if _, _, err := v.VerifyText(ctx, testnet.Figure4, opts); err != nil { // takes the one SRC slot
-		t.Fatal(err)
-	}
-	if after := m.PinnedCount(); after != before {
-		t.Errorf("evicted delta left pins behind: %d pinned, %d before the delta", after, before)
+	registered := m.PinnedCount()
+	for i := 0; i < 8; i++ {
+		_, info, err := v.VerifyDelta(ctx, "prod", f.patch(i), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := stageStatus(info, "src"); s != StageWarm {
+			t.Fatalf("delta %d: src %q, want warm in the baseline's manager", i, s)
+		}
+		if got := m.PinnedCount(); got != registered {
+			t.Fatalf("delta %d left pins behind: %d pinned, %d after registration", i, got, registered)
+		}
 	}
 }
 
-// TestConcurrentDeltasSurviveEvictionAndSweeps: deltas against one baseline
-// share its manager, a one-slot SRC cache evicts each delta's fixed point
-// while other requests are still between its stages, and a tiny reclaim
-// budget makes every EPVP round and every pre-SPF barrier sweep that
-// manager. A request holds the artifact it resolved, so an eviction never
-// exposes handles still in use: every report equals a scratch run's.
-func TestConcurrentDeltasSurviveEvictionAndSweeps(t *testing.T) {
+// TestConcurrentDeltasSurviveReleaseAndSweeps: deltas against one baseline
+// share its manager, each lets go of its fixed point while other requests
+// are still between their stages, and a tiny reclaim budget makes every EPVP
+// round and every pre-SPF barrier sweep that manager. A request holds the
+// artifact it resolved, so another's release never exposes handles still in
+// use: every report equals a scratch run's, and once all are done the
+// manager has what registration pinned.
+func TestConcurrentDeltasSurviveReleaseAndSweeps(t *testing.T) {
 	t.Setenv("EXPRESSO_RECLAIM", "200")
 	ctx := context.Background()
 	opts := Options{Workers: 4, Properties: allProps}
@@ -184,7 +177,7 @@ func TestConcurrentDeltasSurviveEvictionAndSweeps(t *testing.T) {
 		want[i] = scratchReport(t, texts[i], opts)
 	}
 
-	v := NewVerifier(VerifierConfig{SRCCache: 1, ReportCache: -1})
+	v := NewVerifier(VerifierConfig{ReportCache: -1})
 	if _, _, err := v.RegisterBaseline(ctx, "prod", base, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +204,6 @@ func TestConcurrentDeltasSurviveEvictionAndSweeps(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if _, _, err := v.VerifyText(ctx, testnet.Figure4, opts); err != nil { // takes the one SRC slot
-		t.Fatal(err)
-	}
 	if got := b.SRC.Eng.Space.M.PinnedCount(); got != pinned {
 		t.Errorf("%d handles pinned in the baseline's manager after the deltas are gone, %d before them", got, pinned)
 	}
@@ -267,13 +257,12 @@ func TestDerivedTableIsCapped(t *testing.T) {
 
 // TestRegistrationRaceLoserHoldsNothing: of several concurrent registrations
 // of one name exactly one wins, the others fail with ErrBaselineExists, and
-// no loser keeps the converged state resident — once the winner is removed
-// and the SRC cache has moved on, its manager has nothing pinned beyond what
-// it was born with.
+// no loser keeps the converged state resident — once the winner is removed,
+// its manager has nothing pinned beyond what it was born with.
 func TestRegistrationRaceLoserHoldsNothing(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Workers: 1}
-	v := NewVerifier(VerifierConfig{SRCCache: 1})
+	v := NewVerifier(VerifierConfig{})
 	errs := make([]error, 6)
 	var wg sync.WaitGroup
 	for i := range errs {
@@ -300,9 +289,6 @@ func TestRegistrationRaceLoserHoldsNothing(t *testing.T) {
 	b, _ := v.baselines.Get("prod")
 	m := b.SRC.Eng.Space.M
 	v.RemoveBaseline("prod")
-	if _, _, err := v.VerifyText(ctx, netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3)), opts); err != nil { // takes the one SRC slot
-		t.Fatal(err)
-	}
 	// A space pins its own cached predicates for life.
 	born := symbolic.NewSpace(b.SRC.Eng.Space.NumNeighbors).M.PinnedCount()
 	if got := m.PinnedCount(); got != born {

@@ -262,10 +262,11 @@ func TestVerifierWarmStartWithReclaimSweeps(t *testing.T) {
 	}
 }
 
-// TestVerifierStageReuse pins the observable reuse matrix: identical
-// resubmission hits the report cache; a property-set change reuses the
-// converged SRC artifact; adding a forwarding property on a checked
-// snapshot reuses SRC and SPF.
+// TestVerifierStageReuse pins the observable reuse matrix: an identical
+// resubmission hits the report cache; an anonymous text re-verified with
+// another property set recomputes its fixed point into the report a cold
+// run gives; a registered baseline re-verified that way is served its own
+// fixed point, and adding a forwarding property on it reuses SRC and SPF.
 func TestVerifierStageReuse(t *testing.T) {
 	ctx := context.Background()
 	v := NewVerifier(VerifierConfig{})
@@ -289,47 +290,68 @@ func TestVerifierStageReuse(t *testing.T) {
 		t.Errorf("identical resubmission missed the report cache: %+v", i2.Stages)
 	}
 
-	// Property-set change: the text is parsed again (no tier keeps parsed
-	// networks), SRC reused, analysis re-run.
-	_, i3, err := v.VerifyText(ctx, cfg, opts(RouteLeakFree, RouteHijackFree))
+	// Anonymous property-set change: the text is parsed again and its fixed
+	// point recomputed — nothing keeps an anonymous one — into a cold run's
+	// report, iteration count included.
+	rep3, i3, err := v.VerifyText(ctx, cfg, opts(RouteLeakFree, RouteHijackFree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := stageStatus(i3, "src"); s != StageHit {
-		t.Errorf("property-set change SRC status = %q, want hit (%+v)", s, i3.Stages)
+	if s := stageStatus(i3, "src"); s != StageMiss {
+		t.Errorf("anonymous property-set change SRC status = %q, want miss (%+v)", s, i3.Stages)
 	}
 	if s := stageStatus(i3, "load"); s != StageMiss {
 		t.Errorf("property-set change load status = %q, want miss", s)
 	}
-
-	// First forwarding property: SPF computed.
-	_, i4, err := v.VerifyText(ctx, cfg, opts(RouteLeakFree, BlackHoleFree))
+	cold, _, err := new(Verifier).VerifyText(ctx, cfg, opts(RouteLeakFree, RouteHijackFree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := stageStatus(i4, "spf"); s != StageMiss {
+	if got, want := normalizedJSON(t, rep3), normalizedJSON(t, cold); got != want || rep3.Iterations != cold.Iterations {
+		t.Errorf("re-verified report differs from a cold run (%d and %d rounds):\n--- cold ---\n%s\n--- got ---\n%s", cold.Iterations, rep3.Iterations, want, got)
+	}
+
+	// A registered baseline re-verified with another property set: SRC
+	// served from the baseline, analysis re-run.
+	if _, _, err := v.RegisterBaseline(ctx, "prod", cfg, opts(RouteLeakFree)); err != nil {
+		t.Fatal(err)
+	}
+	_, i4, err := v.VerifyTextFrom(ctx, "prod", cfg, opts(RouteHijackFree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, _ := findStage(i4, "src"); src.Status != StageHit || src.Note != "baseline=prod" {
+		t.Errorf("baseline property-set change SRC %q note %q, want hit noting baseline=prod (%+v)", src.Status, src.Note, i4.Stages)
+	}
+
+	// First forwarding property: SPF computed.
+	_, i5, err := v.VerifyTextFrom(ctx, "prod", cfg, opts(RouteLeakFree, BlackHoleFree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := stageStatus(i5, "spf"); s != StageMiss {
 		t.Errorf("first forwarding run SPF status = %q, want miss", s)
 	}
 	// Second forwarding property: SRC, SPF, and the repeated routing
 	// subset all reused; only the forwarding analysis runs.
-	_, i5, err := v.VerifyText(ctx, cfg, opts(RouteLeakFree, LoopFree))
+	_, i6, err := v.VerifyTextFrom(ctx, "prod", cfg, opts(RouteLeakFree, LoopFree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := stageStatus(i5, "spf"); s != StageHit {
-		t.Errorf("second forwarding run SPF status = %q, want hit (%+v)", s, i5.Stages)
+	if s := stageStatus(i6, "spf"); s != StageHit {
+		t.Errorf("second forwarding run SPF status = %q, want hit (%+v)", s, i6.Stages)
 	}
-	if s := stageStatus(i5, "routing_analysis"); s != StageHit {
+	if s := stageStatus(i6, "routing_analysis"); s != StageHit {
 		t.Errorf("repeated routing subset status = %q, want hit", s)
 	}
 
-	stats := v.CacheStats()
 	byStage := map[string]StageCacheStat{}
-	for _, st := range stats {
+	for _, st := range v.CacheStats() {
 		byStage[st.Stage] = st
 	}
-	if byStage["src"].Hits < 3 || byStage["src"].Entries != 1 {
-		t.Errorf("src cache stats = %+v, want >=3 hits over 1 entry", byStage["src"])
+	// Misses: the first run, the anonymous change, the registration.
+	if src := byStage["src"]; src.Hits != 3 || src.Misses != 3 || src.Entries != 1 {
+		t.Errorf("src cache stats = %+v, want 3 hits, 3 misses, 1 entry", src)
 	}
 	if byStage["report"].Hits != 1 {
 		t.Errorf("report cache hits = %d, want 1", byStage["report"].Hits)
@@ -435,13 +457,16 @@ func TestReportDigestNormalizesOptions(t *testing.T) {
 }
 
 // TestVerifierConcurrentSharedArtifacts hammers one Verifier from several
-// goroutines with overlapping property sets, so cached SRC/SPF artifacts
-// are used concurrently; the per-artifact run lock must serialize the
-// engine. Run under -race this is the regression test for shared-manager
-// concurrency.
+// goroutines with overlapping property sets on one registered baseline, so
+// its SRC and SPF artifacts are used concurrently; the per-manager run lock
+// must serialize the engine. Run under -race this is the regression test
+// for shared-manager concurrency.
 func TestVerifierConcurrentSharedArtifacts(t *testing.T) {
 	ctx := context.Background()
 	v := NewVerifier(VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "prod", testnet.Figure4, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
 	propSets := [][]Kind{
 		{RouteLeakFree},
 		{RouteLeakFree, RouteHijackFree},
@@ -453,7 +478,7 @@ func TestVerifierConcurrentSharedArtifacts(t *testing.T) {
 		for _, props := range propSets {
 			props := props
 			go func() {
-				_, _, err := v.VerifyText(ctx, testnet.Figure4, Options{Workers: 2, Properties: props})
+				_, _, err := v.VerifyTextFrom(ctx, "prod", testnet.Figure4, Options{Workers: 2, Properties: props})
 				errc <- err
 			}()
 		}

@@ -114,8 +114,8 @@ func TestStoreDiskWarmByteIdentical(t *testing.T) {
 					}
 
 					// A fresh Verifier simulates a restarted process: its
-					// stage caches are empty, so everything it serves warm
-					// comes off disk.
+					// report tier is empty and it holds no baseline, so
+					// everything it serves warm comes off disk.
 					warm := NewVerifier(VerifierConfig{StoreDir: dir})
 					rep, info, err := warm.VerifyText(ctx, fx.cfg, opts)
 					if err != nil {
@@ -152,32 +152,37 @@ func TestStoreLegacyBlockOrderRestores(t *testing.T) {
 			opts := Options{Workers: 1, Properties: storeProps}
 			want := scratchReport(t, fx.cfg, opts)
 
-			// Converge SRC alone, give its manager the legacy block, then let
-			// SPF and the forwarding analysis build and persist on top of it.
+			// Converge SRC alone and hold it as a baseline, give its manager
+			// the legacy block, then let SPF and the forwarding analysis build
+			// and persist on top of it.
 			dir := t.TempDir()
 			legacy := NewVerifier(VerifierConfig{StoreDir: dir})
 			routingOnly := Options{Workers: 1, Properties: []Kind{RouteLeakFree}}
-			if _, _, err := legacy.VerifyText(ctx, fx.cfg, routingOnly); err != nil {
+			if _, _, err := legacy.RegisterBaseline(ctx, "legacy", fx.cfg, routingOnly); err != nil {
 				t.Fatal(err)
 			}
 			shortestFirst := make([]int, 33)
 			for l := range shortestFirst {
 				shortestFirst[l] = l
 			}
-			_, got := legacy.cache.SRC.Values()[0].Eng.Space.DataBlock(func() []int { return shortestFirst })
+			b, _ := legacy.baselines.Get("legacy")
+			_, got := b.SRC.Eng.Space.DataBlock(func() []int { return shortestFirst })
 			if fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
 				t.Fatalf("legacy block order not installed: %v", got)
 			}
-			rep, _, err := legacy.VerifyText(ctx, fx.cfg, opts)
+			rep, info, err := legacy.VerifyTextFrom(ctx, "legacy", fx.cfg, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if s := stageStatus(info, "src"); s != StageHit {
+				t.Fatalf("SRC status = %q, want the baseline's artifact", s)
 			}
 			if got := normalizedJSON(t, rep); got != want {
 				t.Errorf("legacy-order report differs from scratch:\n--- scratch ---\n%s\n--- legacy ---\n%s", want, got)
 			}
 
 			restarted := NewVerifier(VerifierConfig{StoreDir: dir})
-			rep, info, err := restarted.VerifyText(ctx, fx.cfg, opts)
+			rep, info, err = restarted.VerifyText(ctx, fx.cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +194,13 @@ func TestStoreLegacyBlockOrderRestores(t *testing.T) {
 			if got := normalizedJSON(t, rep); got != want {
 				t.Errorf("report restored from a legacy-order store differs from scratch:\n--- scratch ---\n%s\n--- disk ---\n%s", want, got)
 			}
-			if _, got := restarted.cache.SRC.Values()[0].Eng.Space.DataBlock(nil); fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
+			// Registration restores the fixed point from the store once more,
+			// and holds it.
+			if _, _, err := restarted.RegisterBaseline(ctx, "restarted", fx.cfg, opts); err != nil {
+				t.Fatal(err)
+			}
+			b, _ = restarted.baselines.Get("restarted")
+			if _, got := b.SRC.Eng.Space.DataBlock(nil); fmt.Sprint(got) != fmt.Sprint(shortestFirst) {
 				t.Errorf("restart did not adopt the blob's block order: %v", got)
 			}
 		})
@@ -312,10 +323,12 @@ func TestStoreVersionMismatchRecomputes(t *testing.T) {
 	}
 }
 
-// TestStoreMemoryEvictionKeepsDiskBlob pins the eviction interaction: when
-// a verification's SRC artifact — and with it everything built on it — is
-// evicted from memory, the disk blobs survive, and a re-fetch deserializes
-// all four of them into a report byte-identical to the original run.
+// TestStoreMemoryEvictionKeepsDiskBlob pins the eviction interaction: a
+// verification's SRC artifact — and with it everything built on it — leaves
+// memory when the run returns, and its report leaves the report tier when
+// the next one takes its one slot, but the disk blobs survive, and a
+// re-fetch deserializes all four of them into a report byte-identical to the
+// original run.
 func TestStoreMemoryEvictionKeepsDiskBlob(t *testing.T) {
 	fixtures := []struct{ name, cfgA, cfgB string }{
 		{"testnet", testnet.Figure4, netgen.CSP(netgen.CSPOldRegion(1).WithPeers(3))},
@@ -327,10 +340,9 @@ func TestStoreMemoryEvictionKeepsDiskBlob(t *testing.T) {
 			ctx := context.Background()
 			opts := Options{Workers: 1, Properties: storeProps}
 			dir := t.TempDir()
-			// A single-entry SRC cache so B's fixed point evicts A's; the
-			// report cache is disabled so the re-fetch must go through the
-			// stages.
-			v := NewVerifier(VerifierConfig{SRCCache: 1, ReportCache: -1, StoreDir: dir})
+			// A single-entry report tier, so B's report evicts A's and the
+			// re-fetch must go through the stages.
+			v := NewVerifier(VerifierConfig{ReportCache: 1, StoreDir: dir})
 			repA, _, err := v.VerifyText(ctx, fx.cfgA, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -12,8 +12,9 @@ import (
 // inherited debt blocks every commit and gets disabled; one that fails
 // only on regressions stays on.
 type GateResult struct {
-	// OldDigest / NewDigest are the canonical config digests of the two
-	// trees; Patch is the canonical delta between them.
+	// OldDigest / NewDigest are the ReportDigest of each tree under the
+	// gate's options: its canonical config digest chained with the options
+	// key. Patch is the canonical delta between the trees.
 	OldDigest string `json:"old_digest"`
 	NewDigest string `json:"new_digest"`
 	Patch     Patch  `json:"patch"`

@@ -333,7 +333,7 @@ func (e *Engine) Ctx() symbolic.CompileContext { return e.ctx }
 // adopts (NewWarm). Callers running bdd.Manager.Reclaim at stage
 // boundaries — the pipeline does, before SPF — must pass these as roots,
 // along with any result routes they retain themselves (the pipeline pins
-// its cached artifacts instead). The engine must be quiescent (no run in
+// its held artifacts instead). The engine must be quiescent (no run in
 // progress). A run's edge and merge memos are not among them: they live
 // for one run, whose round-end sweeps root them through runRoots.
 func (e *Engine) Roots() []bdd.Node {

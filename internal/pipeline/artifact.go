@@ -22,8 +22,10 @@ type LoadArtifact struct {
 	// Digest is the SHA-256 of the canonical configuration text.
 	Digest string
 	// DeviceDigests maps each router name to the digest of its canonical
-	// config section ("" keys any preamble). Warm-starts diff two of
-	// these maps to find the routers a delta touched.
+	// config section; a text that loads has no "" key (no preamble), since
+	// the parser rejects statements before the first router and the
+	// canonical form drops comment and blank lines. Warm-starts diff two
+	// of these maps to find the routers a delta touched.
 	DeviceDigests map[string]string
 	// Elapsed is the Load stage's wall clock: the canonical pass and digests
 	// (the Source's included), the parse and the build.
@@ -96,8 +98,8 @@ type SRCArtifact struct {
 
 	// runLock serializes all symbolic computation touching Eng's BDD
 	// manager: the manager's default worker is not safe for concurrent
-	// use, and a cached artifact can be picked up by several requests at
-	// once. Artifacts produced by warm-starting share the prior
+	// use, and a baseline's artifact can be picked up by several requests
+	// at once. Artifacts produced by warm-starting share the prior
 	// artifact's manager, so they share its lock too. Reclaim sweeps run
 	// under it as well, which is what makes them safe: every other
 	// symbolic computation on the manager is excluded for the duration.
@@ -108,11 +110,10 @@ type SRCArtifact struct {
 
 	// The ownership state, the one place BDD handles are pinned (DESIGN.md
 	// "Who owns a handle"). holders counts who keeps the artifact resident:
-	// its SRC cache slot, a registered baseline, every in-flight request
-	// using it. pins are its own handles, rooted from birth until the last
-	// holder lets go; derived is everything built on it — routing, SPF and
-	// forwarding artifacts by stage key — rooted for as long as it is filed
-	// there.
+	// a registered baseline and every in-flight request using it. pins are
+	// its own handles, rooted from birth until the last holder lets go;
+	// derived is everything built on it — routing, SPF and forwarding
+	// artifacts by stage key — rooted for as long as it is filed there.
 	mu      sync.Mutex // guards holders and pins
 	holders int
 	pins    []bdd.Node
@@ -230,8 +231,7 @@ func (a *SPFArtifact) handles() []bdd.Node { return a.Res.Nodes() }
 // whose AS changed. The old-topology neighbors matter because change
 // propagation in the new engine cannot see deltas the new topology no
 // longer contains (a removed session or router): the routers that used to
-// consume the removed state must be recomputed explicitly. A preamble
-// change ("" section) dirties every router.
+// consume the removed state must be recomputed explicitly.
 func DirtyRouters(old, new *LoadArtifact) []string {
 	changed := map[string]bool{}
 	for name, d := range new.DeviceDigests {
@@ -243,11 +243,6 @@ func DirtyRouters(old, new *LoadArtifact) []string {
 		if _, ok := new.DeviceDigests[name]; !ok {
 			changed[name] = true
 		}
-	}
-	if changed[""] {
-		// Preamble text changed: no per-router attribution, dirty them all.
-		out := append([]string(nil), new.Net.Internals...)
-		return out
 	}
 	dirty := map[string]bool{}
 	addWithNeighbors := func(name string) {
@@ -281,18 +276,10 @@ func DirtyRouters(old, new *LoadArtifact) []string {
 // UnchangedRouters returns the routers whose canonical config sections are
 // byte-identical between two loads — the set whose compiled policy
 // transfers a warm engine may adopt from the prior engine instead of
-// recompiling (epvp.NewWarm). A preamble change disqualifies everything:
-// preamble text has no per-router attribution, so no section can be
-// trusted to mean the same thing.
+// recompiling (epvp.NewWarm).
 func UnchangedRouters(old, new *LoadArtifact) map[string]bool {
-	if old.DeviceDigests[""] != new.DeviceDigests[""] {
-		return nil
-	}
 	unchanged := map[string]bool{}
 	for name, d := range new.DeviceDigests {
-		if name == "" {
-			continue
-		}
 		if od, ok := old.DeviceDigests[name]; ok && od == d {
 			unchanged[name] = true
 		}

@@ -18,11 +18,12 @@ var ErrBaselineExists = errors.New("already registered")
 // A Baseline is a named, resident converged state: the registry holds the
 // SRC fixed point of a registered configuration (SRCArtifact.retain) for as
 // long as the registration lives, so neither it nor anything built on it —
-// its own routing, SPF and forwarding results — is unpinned by cache
-// eviction. Baselines are the only warm-start anchor of the delta request
-// model: a delta request names its baseline and the Runner seeds the EPVP
-// fixed point from it, in the baseline's manager; a request that names none
-// runs cold, in a manager of its own.
+// its own routing, SPF and forwarding results — is unpinned while it is
+// registered. It is the one holder of a fixed point besides the in-flight
+// requests using it. Baselines are the only warm-start anchor of the delta
+// request model: a delta request names its baseline and the Runner seeds the
+// EPVP fixed point from it, in the baseline's manager; a request that names
+// none runs cold, in a manager of its own.
 type Baseline struct {
 	// Name is the registry key.
 	Name string
@@ -122,9 +123,9 @@ func (r *BaselineRegistry) Get(name string) (*Baseline, bool) {
 	return b, ok
 }
 
-// Remove unregisters a baseline and lets go of its converged state, which
-// from then on lives or dies with the SRC cache like any other artifact. It
-// returns the baseline (or ok=false if the name is unknown).
+// Remove unregisters a baseline and lets go of its converged state, which is
+// unpinned once the last in-flight request using it lets go too. It returns
+// the baseline (or ok=false if the name is unknown).
 func (r *BaselineRegistry) Remove(name string) (*Baseline, bool) {
 	r.mu.Lock()
 	b, ok := r.byName[name]

@@ -6,32 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Capacities sets the LRU capacity of each memory tier for
-// StageCache.SetCapacities. Zero means the tier's default; negative disables
-// it (every Get misses, nothing is kept).
-//
-// Only what a later request reads has a tier: assembled reports are plain
-// values, cheap to keep by the dozen, and an SRC artifact owns (or shares
-// with its baseline) a whole BDD manager plus converged RIBs — often the
-// bulk of a run's heap — so only a handful are retained. A parsed network
-// has none: a request the report tier cannot answer is a new text or a new
-// option set, and the SRC artifact it resolves keeps the network it was
-// computed from. Routing, SPF and forwarding artifacts are handles into an
-// SRC artifact's manager and are kept by that artifact (SRCArtifact.adopt),
-// not here.
-type Capacities struct {
-	SRC    int // converged EPVP fixed points; default 4
-	Report int // assembled reports; default 128
-}
-
 // StageStat is one stage's cache counters, reported by Stats and exported
 // on the service's /metrics endpoint.
 type StageStat struct {
 	Stage  string
 	Hits   int64
 	Misses int64
-	// Entries is the tier's population; for the routing, SPF and forwarding
-	// stages, the derived artifacts resident on the SRC artifacts counted.
+	// Entries is the tier's population: for the src stage the resident SRC
+	// artifacts, which are the registered baselines'; for the routing, SPF
+	// and forwarding stages the derived artifacts resident on them.
 	Entries int
 	// WarmStarts counts SRC computations seeded from a registered
 	// baseline's fixed point instead of the cold initial state (only ever
@@ -53,7 +36,7 @@ func (t *tally) count(hit bool) {
 // Tier is the one bounded table: a counted LRU, most recently used first,
 // safe for concurrent use; the zero value has no capacity and keeps nothing.
 // Its values are shared between requests and must be treated as immutable.
-// Capacities are at most a few dozen, so a lookup is a scan.
+// Capacities are at most a hundred or so, so a lookup is a scan.
 type Tier[V any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -115,64 +98,49 @@ func (t *Tier[V]) Add(key string, val V) (dropped V, ok bool) {
 	return dropped, ok
 }
 
-// Values snapshots the tier, most recently used first.
-func (t *Tier[V]) Values() []V {
+// Len reports the tier's population.
+func (t *Tier[V]) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]V, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = e.val
-	}
-	return out
+	return len(t.entries)
 }
 
-// Len reports the tier's population.
-func (t *Tier[V]) Len() int { return len(t.Values()) }
-
-// SRCCache is the SRC tier — the one tier a Runner reads and fills — plus
-// the lookup counters of the three stages derived from it. The tier is a
-// holder of every artifact in it (SRCArtifact.retain): an evicted artifact
-// unpins, with everything built on it, once its in-flight requests have let
-// go too. The zero value keeps nothing: every stage of every run is cold.
-type SRCCache struct {
-	Tier[*SRCArtifact]
-	routing, spf, forwarding tally
-	warms                    atomic.Int64
+// Counters tallies the memory lookups of every stage a Runner resolves after
+// Load, which has no tier, and its warm starts.
+type Counters struct {
+	src, routing, spf, forwarding tally
+	warms                         atomic.Int64
 }
 
-// StageCache is a verifier's memory tiers: converged fixed points and
-// assembled reports; R is the report type. The zero value keeps nothing in
-// either tier.
+// StageCache is a verifier's one memory tier, assembled reports (R is the
+// report type), and the counters of the stages its Runner resolves. Only what
+// a later request reads has a tier: a report is a plain value, cheap to keep
+// by the dozen, and a request the report tier cannot answer is a new text or
+// a new option set. A fixed point is kept only by a registered baseline,
+// which a request names; everything a run builds on an SRC artifact
+// (routing, SPF and forwarding artifacts) is kept by that artifact
+// (SRCArtifact.adopt). The zero value keeps no report.
 type StageCache[R any] struct {
-	SRC    SRCCache
-	Report Tier[R]
+	Counters Counters
+	Report   Tier[R]
 }
 
-// SetCapacities sizes the two tiers; it is called once, before first use.
-func (c *StageCache[R]) SetCapacities(caps Capacities) {
-	def := func(v, d int) int {
-		if v == 0 {
-			return d
-		}
-		return v
+// SetReportCap sizes the report tier; it is called once, before first use.
+// Zero means 128; negative keeps none.
+func (c *StageCache[R]) SetReportCap(n int) {
+	if n == 0 {
+		n = 128
 	}
-	c.SRC.cap = def(caps.SRC, 4)
-	c.Report.cap = def(caps.Report, 128)
+	c.Report.cap = n
 }
 
 // Stats snapshots, in pipeline order, the counters of every stage after
-// Load, which has no tier. The derived stages' entries are counted — a
-// stage key begins with its stage's name — over the cached SRC artifacts
-// and held, the SRC artifacts kept resident outside the cache (registered
-// baselines).
+// Load. The resident SRC artifacts are held, one per registered baseline; the
+// derived stages' entries are counted over them — a stage key begins with its
+// stage's name.
 func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
 	resident := map[string]int{}
-	seen := map[*SRCArtifact]bool{}
-	for _, a := range append(c.SRC.Values(), held...) {
-		if seen[a] {
-			continue
-		}
-		seen[a] = true
+	for _, a := range held {
 		a.derived.mu.Lock()
 		for _, e := range a.derived.entries {
 			stage, _, _ := strings.Cut(e.key, "|")
@@ -183,13 +151,14 @@ func (c *StageCache[R]) Stats(held ...*SRCArtifact) []StageStat {
 	stat := func(stage string, t *tally, entries int) StageStat {
 		return StageStat{Stage: stage, Hits: t.hits.Load(), Misses: t.misses.Load(), Entries: entries}
 	}
+	n := &c.Counters
 	out := []StageStat{
-		stat(StageSRC, &c.SRC.tally, c.SRC.Len()),
-		stat(StageRouting, &c.SRC.routing, resident[StageRouting]),
-		stat(StageSPF, &c.SRC.spf, resident[StageSPF]),
-		stat(StageForwarding, &c.SRC.forwarding, resident[StageForwarding]),
+		stat(StageSRC, &n.src, len(held)),
+		stat(StageRouting, &n.routing, resident[StageRouting]),
+		stat(StageSPF, &n.spf, resident[StageSPF]),
+		stat(StageForwarding, &n.forwarding, resident[StageForwarding]),
 		stat(StageReport, &c.Report.tally, c.Report.Len()),
 	}
-	out[0].WarmStarts = c.SRC.warms.Load()
+	out[0].WarmStarts = n.warms.Load()
 	return out
 }

@@ -165,7 +165,7 @@ func TestStoredBaseMismatchIsCorrupt(t *testing.T) {
 		}
 		return string(b)
 	}
-	cold, err := (&Runner{Cache: newSRCCache(), Store: disk}).Run(ctx, req())
+	cold, err := (&Runner{Store: disk}).Run(ctx, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStoredBaseMismatchIsCorrupt(t *testing.T) {
 	}
 	cold.Release()
 
-	restarted, err := (&Runner{Cache: newSRCCache(), Store: disk}).Run(ctx, req())
+	restarted, err := (&Runner{Store: disk}).Run(ctx, req())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@
 // timing, cancellation check, and content-addressed cache key. The stage
 // keys chain: a stage's key is derived from its inputs plus the digest of
 // the upstream artifact, so any two requests that agree on a prefix of the
-// pipeline share that prefix's artifacts through the StageCache, and a
-// request whose configuration differs from a cached one by a few routers
-// can warm-start the EPVP fixed point from the cached converged RIBs.
+// pipeline share that prefix's artifacts (through a registered baseline or
+// the store), and a request whose configuration differs from a registered
+// baseline's by a few routers can warm-start the EPVP fixed point from its
+// converged RIBs.
 //
 // The package is deliberately below the public API, whose entry points all
 // drive a Runner over a Load artifact born of configuration text (Load is the
@@ -32,8 +33,8 @@ import (
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
-// Stage names, in pipeline order. They key the StageCache sections and
-// label StageInfo provenance entries and per-stage metrics.
+// Stage names, in pipeline order. They prefix the stage keys and label
+// StageInfo provenance entries and per-stage metrics.
 const (
 	StageLoad       = "load"
 	StageSRC        = "src"
@@ -48,10 +49,20 @@ const (
 // same key.
 func CanonicalConfig(text string) string { return config.Canonical(text) }
 
-// hashHex is the content-address function: SHA-256, hex-encoded.
+// hashHex is the content-address function: SHA-256, hex-encoded. The text
+// reaches the hash through a fixed buffer, because []byte(s) — and
+// io.WriteString, which converts the same way — copies the whole of it: a
+// whole configuration text is hashed at least once per run.
 func hashHex(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	var buf [4096]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // ConfigDigest content-addresses a configuration text (canonicalized).
@@ -83,9 +94,10 @@ func (s Source) ReportKey(optsKey string) string {
 }
 
 // DeviceDigests digests each per-router section of a canonical
-// configuration. Lines before the first router section are keyed under ""
-// — a change there dirties every router, since attribution is unknown. The
-// warm-start path diffs these maps to find the routers a delta touched.
+// configuration. Lines before the first router section would be keyed under
+// "", but a text that loads has none: the parser rejects statements there,
+// and the canonical form drops comment and blank lines. The warm-start path
+// diffs these maps to find the routers a delta touched.
 func DeviceDigests(canonical string) map[string]string {
 	return deviceDigests(canonical, nil, nil)
 }

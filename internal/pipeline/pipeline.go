@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -18,7 +19,7 @@ import (
 
 // Stage statuses recorded in StageInfo provenance entries.
 const (
-	StatusHit  = "hit"  // artifact served from the stage cache
+	StatusHit  = "hit"  // artifact served from memory
 	StatusMiss = "miss" // artifact computed cold
 	StatusWarm = "warm" // SRC only: computed, but seeded from the named baseline
 	StatusDisk = "disk" // artifact deserialized from the persistent store tier
@@ -55,7 +56,7 @@ type Request struct {
 	// against (""= none). When set and the Runner has a registry, the SRC
 	// stage anchors on the baseline's pinned converged state: an exact
 	// config match serves it directly, anything else warm-starts from it.
-	// Like the stage cache, the anchor never changes what a report says.
+	// Like every tier, the anchor never changes what a report says.
 	Baseline string
 	// Trace, when non-nil, receives fine-grained engine events for the
 	// stages that actually compute (EPVP rounds, SPF per-router work).
@@ -76,19 +77,21 @@ type Outcome struct {
 	Stages     []StageInfo
 }
 
-// Runner executes the staged pipeline.
+// Runner executes the staged pipeline. Memory holds an SRC artifact only
+// while a registered baseline or an in-flight request holds it; the stages
+// built on one (routing, SPF, forwarding) are kept by that artifact itself,
+// so what memory serves for them was built on the very fixed point — in the
+// very BDD manager — the request resolved. A Runner with no registry and no
+// store runs every stage cold — byte-identical results, no reuse — which is
+// what the plain expresso.Verify path wants (its determinism tests compare
+// repeated runs, including iteration counts).
 type Runner struct {
-	// Cache is the memory tier of SRC artifacts (required). The stages built
-	// on one (routing, SPF, forwarding) are kept by that artifact itself, so
-	// what memory serves for them was built on the very fixed point — in the
-	// very BDD manager — the request resolved. A zero SRCCache keeps nothing:
-	// every stage runs cold — byte-identical results, no reuse — which is
-	// what the plain expresso.Verify path wants (its determinism tests
-	// compare repeated runs, including iteration counts).
-	Cache *SRCCache
-	// Store, when non-nil, is the persistent second tier under the stage
-	// cache: SRC, SPF, and analysis artifacts are written through to it
-	// and, on an in-memory miss, read back and deserialized — so a cold
+	// Counts, when non-nil, tallies every stage's memory lookups and the
+	// SRC stage's warm starts.
+	Counts *Counters
+	// Store, when non-nil, is the persistent tier under memory: SRC, SPF,
+	// and analysis artifacts are written through to it and, on an
+	// in-memory miss, read back and deserialized — so a cold
 	// process (or a second replica sharing the store directory)
 	// warm-starts from a previously converged state. Store traffic is
 	// keyed by DiskKey of the stage key; failures degrade to recompute.
@@ -115,8 +118,8 @@ type stageSpec[A comparable] struct {
 	// it from the upstream artifacts.
 	decode  func(data []byte) (A, error)
 	compute func() (A, error)
-	// keep roots a built artifact against reclamation and files it where
-	// lookup finds it.
+	// keep roots a built artifact against reclamation; a derived stage's
+	// also files it where lookup finds it.
 	keep   func(a A)
 	encode func(a A) []byte
 
@@ -225,8 +228,8 @@ func resolve[A comparable](ctx context.Context, st store.Tier, s *stageSpec[A], 
 }
 
 // Release lets go of the SRC artifact the run resolved — and with it, once
-// no cache slot, baseline or other request holds it either, of every handle
-// the outcome's artifacts carry. Every Run that returned an Outcome is paired
+// no baseline or other request holds it either, of every handle the
+// outcome's artifacts carry. Every Run that returned an Outcome is paired
 // with one Release, after the last use of those handles.
 func (o *Outcome) Release() { o.SRC.Release() }
 
@@ -254,8 +257,13 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 		start = time.Now()
 	}
 
+	counts := r.Counts
+	if counts == nil {
+		counts = new(Counters)
+	}
+
 	// --- SRC: the EPVP fixed point -------------------------------------
-	src, info, err := resolve(ctx, r.Store, r.srcSpec(ctx, req), nil)
+	src, info, err := resolve(ctx, r.Store, r.srcSpec(ctx, req, &counts.warms), &counts.src)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +276,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	}()
 
 	// --- RoutingAnalysis -----------------------------------------------
-	out.Routing, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE), &r.Cache.routing)
+	out.Routing, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageRouting, RoutingKey(src.Digest, routingProps, req.BTE), src, nil, routingProps, req.BTE), &counts.routing)
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +286,14 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	}
 
 	// --- SPF: symbolic packet forwarding -------------------------------
-	out.SPF, info, err = resolve(ctx, r.Store, spfSpec(ctx, req, src, out.Routing), &r.Cache.spf)
+	out.SPF, info, err = resolve(ctx, r.Store, spfSpec(ctx, req, src, out.Routing), &counts.spf)
 	if err != nil {
 		return nil, err
 	}
 	note(info)
 
 	// --- ForwardingAnalysis --------------------------------------------
-	out.Forwarding, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageForwarding, ForwardingKey(out.SPF.Digest, forwardingProps), src, out.SPF.Res, forwardingProps, 0), &r.Cache.forwarding)
+	out.Forwarding, info, err = resolve(ctx, r.Store, analysisSpec(ctx, StageForwarding, ForwardingKey(out.SPF.Digest, forwardingProps), src, out.SPF.Res, forwardingProps, 0), &counts.forwarding)
 	if err != nil {
 		return nil, err
 	}
@@ -293,17 +301,19 @@ func (r *Runner) Run(ctx context.Context, req *Request) (done *Outcome, err erro
 	return out, nil
 }
 
-// srcSpec describes the SRC stage. Memory is the SRC cache, then the
-// request's named baseline when it has the exact key: its converged state is
-// resident for as long as it is registered, whatever the cache evicted. A
-// fixed point restored from the store (which carries the exact converged
-// state for the key, so only the policy compilation is paid) or computed
-// cold lives in a manager born in this request, whose run lock is born with
-// it; a warm start computes in the named baseline's manager and shares its
-// lock. Whatever the rung, the artifact comes back held for the request.
-func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtifact] {
+// srcSpec describes the SRC stage. Memory is the request's named baseline
+// when it has the exact key: its converged state is resident for as long as
+// it is registered. A fixed point restored from the store (which carries the
+// exact converged state for the key, so only the policy compilation is paid)
+// or computed cold lives in a manager born in this request, whose run lock is
+// born with it; a warm start computes in the named baseline's manager and
+// shares its lock, and counts in warms. Whatever the rung, the artifact comes
+// back held for the request; one the request built is held by nothing else
+// (until a registration holds it too), so the request's Release unpins it,
+// with everything built on it.
+func (r *Runner) srcSpec(ctx context.Context, req *Request, warms *atomic.Int64) *stageSpec[*SRCArtifact] {
 	key := SRCKey(req.Load.Digest, req.Mode)
-	cached, own := r.Cache, new(sync.Mutex)
+	own := new(sync.Mutex)
 	var base *Baseline
 	if req.Baseline != "" && r.Baselines != nil {
 		if b, ok := r.Baselines.Get(req.Baseline); ok && b.SRC.Eng.Mode == req.Mode {
@@ -313,9 +323,6 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 	return &stageSpec[*SRCArtifact]{
 		stage: StageSRC, key: key, lock: own,
 		lookup: func() (*SRCArtifact, string, bool) {
-			if a, ok := cached.Get(key); ok && a.retain() {
-				return a, "", true
-			}
 			if base != nil && base.SRC.Key == key && base.SRC.retain() {
 				return base.SRC, "baseline=" + base.Name, true
 			}
@@ -340,19 +347,12 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 			}
 			return converge(eng, req, key, own, func() (*epvp.Result, error) { return eng.RunContext(ctx) })
 		},
-		keep: func(a *SRCArtifact) {
-			a.pin()
-			a.retain() // for the cache slot
-			if old, ok := cached.Add(key, a); ok {
-				old.Release()
-			}
-		},
+		keep:   func(a *SRCArtifact) { a.pin() },
 		encode: EncodeSRC,
-		// The named baseline is the one warm anchor: deterministic, resident,
-		// independent of cache pressure. A request that names none runs cold
-		// in a manager of its own. The compatibility of the symbolic
-		// universes (externals, community atoms) is re-checked by
-		// epvp.NewWarm.
+		// The named baseline is the one warm anchor: deterministic and
+		// resident. A request that names none runs cold in a manager of its
+		// own. The compatibility of the symbolic universes (externals,
+		// community atoms) is re-checked by epvp.NewWarm.
 		anchor: func() (*SRCArtifact, string) {
 			if base != nil && base.SRC.retain() {
 				return base.SRC, "baseline=" + base.Name + " "
@@ -362,7 +362,7 @@ func (r *Runner) srcSpec(ctx context.Context, req *Request) *stageSpec[*SRCArtif
 		warm: func(anchor *SRCArtifact) (*SRCArtifact, int, error) {
 			a, dirty, err := warmFrom(ctx, req, key, anchor)
 			if a != nil {
-				cached.warms.Add(1)
+				warms.Add(1)
 			}
 			return a, dirty, err
 		},
@@ -375,7 +375,7 @@ func converge(eng *epvp.Engine, req *Request, srcKey string, lock *sync.Mutex, r
 	eng.Workers = req.Workers
 	eng.Trace = req.Trace
 	res, err := run()
-	eng.Trace = nil // the engine outlives the run in the cache
+	eng.Trace = nil // the engine outlives the run in a baseline
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"strings"
@@ -21,14 +23,14 @@ import (
 
 type fakeReport struct{ n int }
 
-func newStageCache(caps Capacities) *StageCache[*fakeReport] {
+func newStageCache(reportCap int) *StageCache[*fakeReport] {
 	c := &StageCache[*fakeReport]{}
-	c.SetCapacities(caps)
+	c.SetReportCap(reportCap)
 	return c
 }
 
 func TestStageCacheLRUEviction(t *testing.T) {
-	c := &newStageCache(Capacities{Report: 2}).Report
+	c := &newStageCache(2).Report
 	a, b, d := &fakeReport{1}, &fakeReport{2}, &fakeReport{3}
 	c.Add("a", a)
 	if _, dropped := c.Add("b", b); dropped {
@@ -52,13 +54,14 @@ func TestStageCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	if got := c.Values(); len(got) != 2 || got[0] != d || got[1] != a {
-		t.Errorf("Values = %v, want d then a (most recently used first)", got)
+	// d was used after a, so a is now the least recently used.
+	if got, dropped := c.Add("e", &fakeReport{4}); !dropped || got != a {
+		t.Errorf("Add past capacity dropped %v, want a (least recently used)", got)
 	}
 }
 
 func TestStageCacheRefreshExisting(t *testing.T) {
-	c := &newStageCache(Capacities{}).Report
+	c := &newStageCache(0).Report
 	r1, r2 := &fakeReport{1}, &fakeReport{2}
 	c.Add("k", r1)
 	if got, dropped := c.Add("k", r2); !dropped || got != r1 {
@@ -73,7 +76,7 @@ func TestStageCacheRefreshExisting(t *testing.T) {
 }
 
 func TestStageCacheDisabled(t *testing.T) {
-	c := newStageCache(Capacities{Report: -1})
+	c := newStageCache(-1)
 	r := &fakeReport{}
 	if got, dropped := c.Report.Add("k", r); !dropped || got != r {
 		t.Errorf("a disabled tier dropped %v, want the value it was handed", got)
@@ -81,29 +84,35 @@ func TestStageCacheDisabled(t *testing.T) {
 	if _, ok := c.Report.Get("k"); ok {
 		t.Error("disabled stage must not store")
 	}
-	// The other tier stays enabled.
-	c.SRC.Add("k", &SRCArtifact{})
-	if _, ok := c.SRC.Get("k"); !ok {
-		t.Error("sibling stage wrongly disabled")
+	if c.Report.Len() != 0 {
+		t.Errorf("a disabled tier holds %d reports", c.Report.Len())
 	}
 }
 
+// TestStageCacheStatsCount: every stage's counters come from the one
+// Counters a Runner tallies into, the report tier's from the tier; the src
+// entries are the held artifacts, and the derived entries are what those
+// hold.
 func TestStageCacheStatsCount(t *testing.T) {
-	c := newStageCache(Capacities{})
+	c := newStageCache(0)
 	c.Report.Get("missing")
 	c.Report.Add("k", &fakeReport{})
 	c.Report.Get("k")
 	c.Report.Probe("missing") // a probe counts only what it finds
-	c.SRC.warms.Add(1)
-	c.SRC.spf.count(false)
+	c.Counters.warms.Add(1)
+	c.Counters.src.count(true)
+	c.Counters.spf.count(false)
+	held := &SRCArtifact{}
+	held.derived.cap = derivedCap
+	held.derived.Add(SPFKey("d"), &SPFArtifact{})
 	want := []StageStat{
-		{Stage: StageSRC, WarmStarts: 1},
+		{Stage: StageSRC, Hits: 1, Entries: 1, WarmStarts: 1},
 		{Stage: StageRouting},
-		{Stage: StageSPF, Misses: 1},
+		{Stage: StageSPF, Misses: 1, Entries: 1},
 		{Stage: StageForwarding},
 		{Stage: StageReport, Hits: 1, Misses: 1, Entries: 1},
 	}
-	if got := c.Stats(); !reflect.DeepEqual(got, want) {
+	if got := c.Stats(held); !reflect.DeepEqual(got, want) {
 		t.Errorf("Stats = %+v\nwant    %+v", got, want)
 	}
 }
@@ -199,6 +208,51 @@ func TestDigestsKeepTheirBytes(t *testing.T) {
 	}
 }
 
+// TestHashHexDoesNotCopyTheText: a whole-text digest streams the text
+// through a fixed buffer, so hashing region 1's ~190 KB allocates nothing
+// near a copy of it — and gives the digest sha256.Sum256 does.
+func TestHashHexDoesNotCopyTheText(t *testing.T) {
+	text, err := netgen.Dataset("region1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256([]byte(text)); hashHex(text) != hex.EncodeToString(sum[:]) {
+		t.Fatal("hashHex differs from sha256.Sum256")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hashHex(text)
+		}
+	})
+	if n := res.AllocedBytesPerOp(); n >= 1<<10 {
+		t.Errorf("one hashHex of a %d-byte text allocates %d bytes, want under 1 KiB", len(text), n)
+	}
+}
+
+// TestLoadHasNoPreambleKey: a LoadArtifact's DeviceDigests has one key per
+// router and never the "" key of text before the first router, which is
+// what lets DirtyRouters and UnchangedRouters read every key as a router:
+// the canonical form drops comment and blank lines, and the parser rejects
+// any statement before the first router line.
+func TestLoadHasNoPreambleKey(t *testing.T) {
+	body := "router r1\nbgp as 1\nrouter r2\nbgp as 2\n"
+	for _, text := range []string{body, "# comment\n\n" + body, "// comment\n \t\n\n" + body} {
+		a, err := Load(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if _, ok := a.DeviceDigests[""]; ok || len(a.DeviceDigests) != 2 {
+			t.Errorf("%q: DeviceDigests %v, want r1 and r2 alone", text, a.DeviceDigests)
+		}
+	}
+	for _, text := range []string{"bgp as 1\n" + body, "# comment\n  bgp as 1 # again\n" + body, "router\n" + body} {
+		if a, err := Load(text); err == nil {
+			t.Errorf("%q: a statement before the first router loaded, DeviceDigests %v", text, a.DeviceDigests)
+		}
+	}
+}
+
 func TestStageKeysChain(t *testing.T) {
 	full := epvp.FullMode()
 	k1 := SRCKey("cfg1", full)
@@ -278,8 +332,6 @@ func TestDirtyRouters(t *testing.T) {
 
 // --- Runner ------------------------------------------------------------
 
-func newSRCCache() *SRCCache { return &newStageCache(Capacities{}).SRC }
-
 func loadT(t *testing.T, text string) *LoadArtifact {
 	t.Helper()
 	a, err := Load(text)
@@ -298,63 +350,68 @@ func stageStatus(out *Outcome, stage string) string {
 	return ""
 }
 
-// TestRunnerStageReuse drives the reuse matrix the refactor exists for:
-// same config with a grown property set hits the SRC cache; adding a
-// forwarding property on top reuses SRC and routing analysis and runs
-// only SPF onward.
+// TestRunnerStageReuse drives the reuse matrix the refactor exists for: a
+// request naming a registered baseline with the baseline's own text and a
+// grown property set is served the baseline's SRC artifact, counted as a
+// hit; adding a forwarding property on top reuses SRC and routing analysis
+// and runs only SPF onward. The same request naming no baseline computes a
+// fixed point of its own.
 func TestRunnerStageReuse(t *testing.T) {
-	r := &Runner{Cache: newSRCCache()}
+	counts := &Counters{}
+	r := &Runner{Counts: counts, Baselines: &BaselineRegistry{}}
+	b := registerT(t, r, "prod", testnet.Figure4, []properties.Kind{properties.RouteLeakFree})
 	load := loadT(t, testnet.Figure4)
-	ctx := context.Background()
-
-	out1, err := r.Run(ctx, &Request{Load: load, Mode: epvp.FullMode(), Workers: 1,
-		Properties: []properties.Kind{properties.RouteLeakFree}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := stageStatus(out1, StageSRC); s != StatusMiss {
-		t.Errorf("first run SRC status = %q, want miss", s)
-	}
-	if len(out1.Routing.Violations) != 1 {
-		t.Fatalf("Figure4 leak violations = %d, want 1", len(out1.Routing.Violations))
+	run := func(baseline string, props ...properties.Kind) *Outcome {
+		t.Helper()
+		out, err := r.Run(context.Background(), &Request{Load: load, Mode: epvp.FullMode(), Workers: 1,
+			Properties: props, Baseline: baseline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(out.Release)
+		return out
 	}
 
 	// Property-set change: SRC hit, routing recomputed.
-	out2, err := r.Run(ctx, &Request{Load: load, Mode: epvp.FullMode(), Workers: 1,
-		Properties: []properties.Kind{properties.RouteLeakFree, properties.RouteHijackFree}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := run("prod", properties.RouteLeakFree, properties.RouteHijackFree)
 	if s := stageStatus(out2, StageSRC); s != StatusHit {
 		t.Errorf("property-set change SRC status = %q, want hit", s)
 	}
 	if s := stageStatus(out2, StageRouting); s != StatusMiss {
 		t.Errorf("grown routing property set status = %q, want miss", s)
 	}
-	if out2.SRC != out1.SRC {
-		t.Error("SRC artifact was not shared between runs")
+	if out2.SRC != b.SRC || out2.Stages[0].Note != "baseline=prod" {
+		t.Errorf("SRC artifact was not the baseline's (note %q)", out2.Stages[0].Note)
+	}
+	if len(out2.Routing.Violations) == 0 {
+		t.Fatal("Figure4 has no routing violation")
 	}
 
 	// Adding a forwarding property: SRC hit, SPF runs once...
-	out3, err := r.Run(ctx, &Request{Load: load, Mode: epvp.FullMode(), Workers: 1,
-		Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out3 := run("prod", properties.RouteLeakFree, properties.BlackHoleFree)
 	if s := stageStatus(out3, StageSPF); s != StatusMiss {
 		t.Errorf("first forwarding run SPF status = %q, want miss", s)
 	}
 	// ...and is reused by the next forwarding request.
-	out4, err := r.Run(ctx, &Request{Load: load, Mode: epvp.FullMode(), Workers: 1,
-		Properties: []properties.Kind{properties.RouteLeakFree, properties.LoopFree}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out4 := run("prod", properties.RouteLeakFree, properties.LoopFree)
 	if s := stageStatus(out4, StageSPF); s != StatusHit {
 		t.Errorf("second forwarding run SPF status = %q, want hit", s)
 	}
 	if s := stageStatus(out4, StageRouting); s != StatusHit {
 		t.Errorf("repeated routing selection status = %q, want hit", s)
+	}
+
+	// Naming no baseline: a fixed point of its own, computed.
+	anon := run("", properties.RouteLeakFree, properties.RouteHijackFree)
+	if s := stageStatus(anon, StageSRC); s != StatusMiss || anon.SRC == b.SRC {
+		t.Errorf("anonymous SRC status = %q (the baseline's artifact: %v), want a miss of its own", s, anon.SRC == b.SRC)
+	}
+	if a, b := fmt.Sprint(anon.Routing.Violations), fmt.Sprint(out2.Routing.Violations); a != b {
+		t.Errorf("anonymous violations differ from the baseline's:\n%s\n%s", a, b)
+	}
+	// The registration's miss, three baseline hits, the anonymous miss.
+	if hits, misses := counts.src.hits.Load(), counts.src.misses.Load(); hits != 3 || misses != 2 {
+		t.Errorf("src counted %d hits and %d misses, want 3 and 2", hits, misses)
 	}
 }
 
@@ -380,7 +437,7 @@ func registerT(t *testing.T, r *Runner, name, text string, props []properties.Ki
 // seeded by the baseline and noting its dirty count, and converges to the
 // same violations as a cold run; the same text without the name runs cold.
 func TestRunnerWarmStart(t *testing.T) {
-	r := &Runner{Cache: newSRCCache(), Baselines: &BaselineRegistry{}}
+	r := &Runner{Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree, properties.RouteHijackFree}
 	base := registerT(t, r, "prod", testnet.Figure4, props)
@@ -398,10 +455,8 @@ func TestRunnerWarmStart(t *testing.T) {
 		t.Error("anonymous delta ran in the baseline's manager")
 	}
 
-	// A fresh cache: r's holds the anonymous run's fixed point under the
-	// delta's key, which the memory rung would serve.
 	next := loadT(t, testnet.Figure4Fixed)
-	warm, err := (&Runner{Cache: newSRCCache(), Baselines: r.Baselines}).Run(ctx, &Request{Load: next, Mode: epvp.FullMode(),
+	warm, err := r.Run(ctx, &Request{Load: next, Mode: epvp.FullMode(),
 		Workers: 1, Properties: props, Baseline: "prod"})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +489,7 @@ func TestRunnerWarmStart(t *testing.T) {
 // that other user: while it holds the lock, a delta naming the baseline
 // must leave the manager's unique table untouched.
 func TestWarmStartWaitsForTheRunLock(t *testing.T) {
-	r := &Runner{Cache: newSRCCache(), Baselines: &BaselineRegistry{}}
+	r := &Runner{Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree}
 	prior := registerT(t, r, "prod", testnet.Figure4, props)
@@ -483,16 +538,16 @@ func TestWarmStartWaitsForTheRunLock(t *testing.T) {
 	}
 }
 
-// TestConcurrentMissesBuildOnce: two requests on one SRC artifact that both
-// miss a derived key they share — {leak, traffic} and {leak, blackhole}
-// share the SPF key, and find their routing result in memory — queue on the
-// artifact's run lock, and the second must be served what the first built:
-// one SPF run, one table entry, and the pins a sequential pair of the same
-// requests leaves.
+// TestConcurrentMissesBuildOnce: two requests on one baseline's SRC
+// artifact that both miss a derived key they share — {leak, traffic} and
+// {leak, blackhole} share the SPF key, and find their routing result in
+// memory — queue on the artifact's run lock, and the second must be served
+// what the first built: one SPF run, one table entry, and the pins a
+// sequential pair of the same requests leaves.
 func TestConcurrentMissesBuildOnce(t *testing.T) {
 	ctx := context.Background()
 	request := func(props ...properties.Kind) *Request {
-		return &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(), Workers: 1, Properties: props}
+		return &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(), Workers: 1, Properties: props, Baseline: "prod"}
 	}
 	run := func(r *Runner, req *Request) *Outcome {
 		out, err := r.Run(ctx, req)
@@ -505,15 +560,16 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 	}
 	pair := [2]properties.Kind{properties.TrafficHijackFree, properties.BlackHoleFree}
 
-	seq := &Runner{Cache: newSRCCache()}
-	base := run(seq, request(properties.RouteLeakFree))
+	leak := []properties.Kind{properties.RouteLeakFree}
+	seq := &Runner{Baselines: &BaselineRegistry{}}
+	base := registerT(t, seq, "prod", testnet.Figure4, leak)
 	for _, p := range pair {
 		run(seq, request(properties.RouteLeakFree, p))
 	}
 	want := base.SRC.Eng.Space.M.PinnedCount()
 
-	r := &Runner{Cache: newSRCCache()}
-	src := run(r, request(properties.RouteLeakFree)).SRC
+	r := &Runner{Baselines: &BaselineRegistry{}}
+	src := registerT(t, r, "prod", testnet.Figure4, leak).SRC
 	src.runLock.Lock()
 	missed := src.derived.misses.Load()
 	var wg sync.WaitGroup
@@ -555,8 +611,8 @@ func TestConcurrentMissesBuildOnce(t *testing.T) {
 // TestPanicUnderTheRunLockReleasesIt: the service recovers a panicking
 // verification into a failed job, so a panic inside a locked section — here
 // the store write-through of an analysis artifact whose condition handle
-// points outside the manager's slab — must not leave the shared run lock
-// held: the next job on the same artifact has to run. Nor may it leave the
+// points outside a baseline manager's slab — must not leave the shared run
+// lock held: the next job on the same artifact has to run. Nor may it leave the
 // artifact filed: its dead handle would root every later sweep of the
 // manager (EXPRESSO_RECLAIM=200 sweeps at every barrier of the next job).
 func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
@@ -564,13 +620,9 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Cache: newSRCCache(), Store: disk}
+	r := &Runner{Store: disk, Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
-	first, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
-		Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := registerT(t, r, "prod", testnet.Figure4, []properties.Kind{properties.RouteLeakFree})
 
 	bad := bdd.Node(1 << 30)
 	func() {
@@ -591,8 +643,11 @@ func TestPanicUnderTheRunLockReleasesIt(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
-			Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree, properties.LoopFree}})
+		out, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(), Workers: 1,
+			Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree, properties.LoopFree}, Baseline: "prod"})
+		if err == nil && out.SRC != first.SRC {
+			err = fmt.Errorf("the job after the panic ran on another SRC artifact (src %s)", stageStatus(out, StageSRC))
+		}
 		done <- err
 	}()
 	select {
@@ -693,18 +748,15 @@ func TestResolveLadderEventOrder(t *testing.T) {
 }
 
 // TestRunnerIncompatibleDeltaFallsBackCold: a delta that changes the
-// community atom universe must refuse the warm seed and run cold.
+// community atom universe must refuse its baseline's warm seed and run cold.
 func TestRunnerIncompatibleDeltaFallsBackCold(t *testing.T) {
-	r := &Runner{Cache: newSRCCache()}
+	r := &Runner{Baselines: &BaselineRegistry{}}
 	ctx := context.Background()
 	props := []properties.Kind{properties.RouteLeakFree}
-	if _, err := r.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
-		Workers: 1, Properties: props}); err != nil {
-		t.Fatal(err)
-	}
+	registerT(t, r, "prod", testnet.Figure4, props)
 	changed := strings.ReplaceAll(testnet.Figure4, "300:100", "300:777")
 	out, err := r.Run(ctx, &Request{Load: loadT(t, changed), Mode: epvp.FullMode(),
-		Workers: 1, Properties: props})
+		Workers: 1, Properties: props, Baseline: "prod"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,12 +774,12 @@ func TestSPFRunsAtTheRequestsWorkerCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	first := &Runner{Cache: newSRCCache(), Store: disk}
+	first := &Runner{Store: disk}
 	if _, err := first.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
 		Workers: 3, Properties: []properties.Kind{properties.RouteLeakFree}}); err != nil {
 		t.Fatal(err)
 	}
-	restarted := &Runner{Cache: newSRCCache(), Store: disk}
+	restarted := &Runner{Store: disk}
 	out, err := restarted.Run(ctx, &Request{Load: loadT(t, testnet.Figure4), Mode: epvp.FullMode(),
 		Workers: 1, Properties: []properties.Kind{properties.RouteLeakFree, properties.BlackHoleFree}})
 	if err != nil {
@@ -743,7 +795,7 @@ func TestSPFRunsAtTheRequestsWorkerCount(t *testing.T) {
 
 // TestRunnerBTEValidation pins the early BTE check and its error text.
 func TestRunnerBTEValidation(t *testing.T) {
-	r := &Runner{Cache: &SRCCache{}}
+	r := &Runner{}
 	_, err := r.Run(context.Background(), &Request{Load: loadT(t, testnet.Figure4),
 		Mode: epvp.FullMode(), Workers: 1,
 		Properties: []properties.Kind{properties.BlockToExternal}})

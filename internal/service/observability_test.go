@@ -396,6 +396,7 @@ func TestSnapshotRenderings(t *testing.T) {
 	s, ts := newTestServerWith(t, Config{Workers: 1}, func(s *Server) { blockSlow(s, release) })
 	defer close(release)
 	postVerify(t, ts, JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true})
+	registerBaseline(t, s, "prod", testnet.Figure4Fixed) // the one manager kept between jobs
 	startSlow(t, ts, "router slow\n")
 	postVerify(t, ts, JobRequest{Config: "router slower\n"})
 
@@ -446,8 +447,8 @@ func TestSnapshotRenderings(t *testing.T) {
 		t.Errorf("implausible runtime stats: %+v", sn.Runtime)
 	}
 	_, body = sn.profiles()
-	if view := body.(debugBDD); len(view.Managers) != 1 || view.Reclaim != sn.Reclaim || !view.Time.Equal(sn.Time) {
-		t.Errorf("/debug/bdd = %d managers, reclaim %+v, want the finished job's manager and the snapshot's totals", len(view.Managers), view.Reclaim)
+	if view := body.(debugBDD); len(view.Managers) != 1 || view.Managers[0].Name != "prod" || view.Reclaim != sn.Reclaim || !view.Time.Equal(sn.Time) {
+		t.Errorf("/debug/bdd = %d managers, reclaim %+v, want the baseline's manager and the snapshot's totals", len(view.Managers), view.Reclaim)
 	}
 	if got := s.Snapshot(false).Managers; got != nil {
 		t.Errorf("a snapshot nobody asked profiles of carries %d", len(got))
@@ -564,6 +565,7 @@ func TestDebugHandler(t *testing.T) {
 	postVerify(t, ts, JobRequest{
 		Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true,
 	})
+	registerBaseline(t, s, "prod", testnet.Figure4Fixed)
 	h := s.DebugHandler()
 
 	rec := httptest.NewRecorder()
@@ -588,9 +590,9 @@ func TestDebugHandler(t *testing.T) {
 		t.Errorf("implausible runtime stats: %+v", st)
 	}
 
-	// /debug/bdd: the completed job left its SRC artifact in the stage
-	// cache, so at least one manager profile must be reported, with a
-	// populated level histogram and watermark.
+	// /debug/bdd: the registered baseline keeps its SRC artifact's
+	// manager, so its profile must be reported, with a populated level
+	// histogram and watermark; the finished anonymous job keeps none.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/bdd", nil))
 	if rec.Code != http.StatusOK {
@@ -600,8 +602,8 @@ func TestDebugHandler(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&bddBody); err != nil {
 		t.Fatalf("decode bdd: %v", err)
 	}
-	if len(bddBody.Managers) == 0 {
-		t.Fatal("debug bdd reports no managers after a completed job")
+	if len(bddBody.Managers) != 1 || bddBody.Managers[0].Name != "prod" {
+		t.Fatalf("debug bdd reports %d managers, want the baseline's alone", len(bddBody.Managers))
 	}
 	p := bddBody.Managers[0].Profile
 	if p.LiveNodes <= 0 || len(p.Levels) == 0 {

@@ -33,8 +33,8 @@ type Config struct {
 	// rejected with 503 (default: 64).
 	QueueDepth int
 	// CacheSize is the LRU report-cache capacity (default: 128; negative
-	// disables both memory tiers, reports and fixed points, making every
-	// run cold).
+	// keeps no report). Reports are the one memory tier: a fixed point stays
+	// resident only while a registered baseline or a running job holds it.
 	CacheSize int
 	// StoreDir, when non-empty, enables the persistent artifact store: a
 	// content-addressed on-disk tier shared across restarts and replicas
@@ -147,13 +147,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize}
-	if cfg.CacheSize < 0 {
-		// Caching disabled entirely: no tier may retain artifacts.
-		vcfg = expresso.VerifierConfig{SRCCache: -1, ReportCache: -1}
-	}
-	vcfg.StoreDir = cfg.StoreDir
-	vcfg.StoreBudget = cfg.StoreBudget
+	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize, StoreDir: cfg.StoreDir, StoreBudget: cfg.StoreBudget}
 	s := &Server{
 		cfg:        cfg,
 		log:        cfg.Logger,

@@ -188,9 +188,9 @@ func TestCacheHit(t *testing.T) {
 // in the EPVP fixed point, cancels it via the API mid-run, and checks the
 // job stops well before the measured uncancelled duration.
 func TestCancelMidEPVP(t *testing.T) {
-	// Caching disabled: with the stage cache on, the second run would
-	// reuse the baseline's converged SRC artifact and finish before the
-	// cancel ever lands.
+	// No report is kept; nor is the first run's anonymous fixed point, so
+	// the second run computes it again and is still running when the
+	// cancel lands.
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	// Region 4: region 1 converges in tens of milliseconds, too short a
 	// window to land a cancel in.
@@ -206,7 +206,7 @@ func TestCancelMidEPVP(t *testing.T) {
 	t.Logf("uncancelled baseline: %v", baseline)
 
 	// Different property set -> different digest -> a real engine run
-	// (and no stage reuse, since caching is off).
+	// (and no stage reuse: nothing keeps an anonymous fixed point).
 	start = time.Now()
 	code, st := postVerify(t, ts, JobRequest{Config: region, Properties: []string{"hijack"}})
 	if code != http.StatusAccepted {
@@ -376,12 +376,19 @@ func TestTimeoutCancelsJob(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint checks /metrics exposes the counters after activity.
+// TestMetricsEndpoint checks /metrics exposes the counters after activity:
+// an anonymous job, its resubmission, a registration and a job on the
+// registered text with another property set, whose fixed point is the
+// baseline's — the one resident SRC artifact, and a src hit.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	req := JobRequest{Config: testnet.Figure4Fixed, Properties: []string{"leak"}, Wait: true}
 	postVerify(t, ts, req)
 	postVerify(t, ts, req) // cache hit
+	registerBaseline(t, s, "prod", testnet.Figure4Fixed)
+	if code, st := postVerify(t, ts, JobRequest{Baseline: "prod", Properties: []string{"hijack"}, Wait: true}); code != http.StatusOK || st.State != JobDone {
+		t.Fatalf("baseline job: status %d state %s (err %q)", code, st.State, st.Error)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -392,19 +399,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	text := buf.String()
 	for _, want := range []string{
-		"expresso_jobs_accepted_total 2",
-		"expresso_jobs_completed_total 1",
+		"expresso_jobs_accepted_total 3",
+		"expresso_jobs_completed_total 2",
 		"expresso_cache_hits_total 1",
-		"expresso_cache_misses_total 1",
-		"expresso_engine_runs_total 1",
+		"expresso_cache_misses_total 2",
+		"expresso_engine_runs_total 2",
 		"expresso_queue_depth 0",
 		"expresso_stage_src_seconds_total",
-		"expresso_stage_jobs_total 1",
+		"expresso_stage_jobs_total 2",
 		`expresso_stage_cache_hits_total{stage="report"} 1`,
 		// One counted report lookup per request: the submit path's probe
 		// counts only its hit, the job that ran counts the miss.
 		fmt.Sprintf(`expresso_stage_cache_misses_total{stage="report"} %d`, s.Metrics.EngineRuns.Load()),
-		`expresso_stage_cache_misses_total{stage="src"} 1`,
+		// The anonymous job and the registration computed; the baseline job
+		// was served the baseline's.
+		`expresso_stage_cache_misses_total{stage="src"} 2`,
+		`expresso_stage_cache_hits_total{stage="src"} 1`,
 		`expresso_stage_cache_entries{stage="src"} 1`,
 		"expresso_warm_starts_total 0",
 	} {
@@ -474,9 +484,10 @@ func TestStoreMetricsAndProvenance(t *testing.T) {
 
 // TestJobStagesProvenance checks the API surfaces per-stage cache
 // provenance: the first run misses everywhere, a property-set change on
-// the same snapshot reuses the converged SRC artifact.
+// the same anonymous text computes its fixed point again, and one on a
+// registered baseline's text is served the baseline's, noted by name.
 func TestJobStagesProvenance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	stageStatus := func(st JobStatus, stage string) string {
 		for _, s := range st.Stages {
 			if s.Stage == stage {
@@ -498,8 +509,21 @@ func TestJobStagesProvenance(t *testing.T) {
 	if code != http.StatusOK || second.State != JobDone {
 		t.Fatalf("second run: status %d state %s (err %q)", code, second.State, second.Error)
 	}
-	if got := stageStatus(second, "src"); got != expresso.StageHit {
-		t.Errorf("property-set change SRC status = %q, want hit (stages %+v)", got, second.Stages)
+	if got := stageStatus(second, "src"); got != expresso.StageMiss {
+		t.Errorf("anonymous property-set change SRC status = %q, want miss (stages %+v)", got, second.Stages)
+	}
+	registerBaseline(t, s, "prod", testnet.Figure4Fixed)
+	code, onBase := postVerify(t, ts, JobRequest{Baseline: "prod", Properties: []string{"hijack"}, Wait: true})
+	if code != http.StatusOK || onBase.State != JobDone {
+		t.Fatalf("baseline run: status %d state %s (err %q)", code, onBase.State, onBase.Error)
+	}
+	if got := stageStatus(onBase, "src"); got != expresso.StageHit {
+		t.Errorf("property-set change on a baseline: SRC status %q, want hit (stages %+v)", got, onBase.Stages)
+	}
+	for _, st := range onBase.Stages {
+		if st.Stage == "src" && st.Note != "baseline=prod" {
+			t.Errorf("property-set change on a baseline: SRC note %q, want baseline=prod", st.Note)
+		}
 	}
 
 	// Identical resubmission: answered from the report cache, with the

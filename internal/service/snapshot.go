@@ -34,8 +34,8 @@ type Snapshot struct {
 	// Reclaim is the process-wide sweep total over all BDD managers.
 	Reclaim bdd.ReclaimStats
 	Runtime debugStats
-	// Managers profiles every live BDD manager (registered baselines and
-	// cached SRC artifacts). Only read when asked for: each profile is an
+	// Managers profiles the BDD manager of every registered baseline, the
+	// managers kept between jobs. Only read when asked for: each profile is an
 	// O(slab) walk under that manager's run lock, briefly serializing
 	// against the verifications sharing it.
 	Managers []expresso.BDDProfile

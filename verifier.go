@@ -30,18 +30,15 @@ const (
 // StoreStats re-exports the persistent tier's traffic counters.
 type StoreStats = store.Stats
 
-// VerifierConfig sizes a Verifier's memory tiers. Zero fields take the
-// pipeline defaults; negative values disable that tier.
+// VerifierConfig sizes a Verifier's report tier and attaches its store.
 type VerifierConfig struct {
-	// SRCCache holds converged EPVP fixed points — the expensive stage —
-	// each together with the routing, SPF and forwarding results computed
-	// on it, which live and die with it. Each entry pins a BDD manager, so
-	// the default is small (4).
-	SRCCache int
-	// ReportCache holds assembled reports keyed by ReportDigest.
+	// ReportCache is the number of assembled reports kept, keyed by
+	// ReportDigest: 0 means 128, negative keeps none. It is the one memory
+	// tier; a converged fixed point stays resident only while a registered
+	// baseline (RegisterBaseline) or an in-flight request holds it.
 	ReportCache int
 	// StoreDir, when non-empty, enables the persistent artifact store: an
-	// on-disk content-addressed tier under the stage caches. SRC, SPF, and
+	// on-disk content-addressed tier under memory. SRC, SPF, and
 	// analysis artifacts are written through to it and read back on a
 	// miss, so a restarted process — or a second replica sharing the
 	// directory — serves warm verifications without recomputing the fixed
@@ -57,9 +54,12 @@ type VerifierConfig struct {
 // with stage-granular caching and incremental EPVP warm-starts:
 //
 //   - An identical resubmission is answered from the report cache.
-//   - A property-set change reuses the converged SRC artifact and re-runs
-//     only the analysis stages (adding a forwarding property also reuses
-//     a cached SPF artifact if one exists).
+//   - A registered baseline re-verified as it is, with another property
+//     set, reuses its converged SRC artifact and re-runs only the analysis
+//     stages (adding a forwarding property also reuses its SPF artifact if
+//     one exists). An anonymous text re-verified that way recomputes its
+//     fixed point, or reads it from the store: registering the text is the
+//     named way to keep one.
 //   - A config delta against a registered baseline (RegisterBaseline, then
 //     VerifyDelta or VerifyTextFrom) warm-starts the EPVP fixed point from
 //     the baseline's converged state, recomputing only the dirty closure —
@@ -68,20 +68,20 @@ type VerifierConfig struct {
 //     computes its fixed point cold, in a BDD manager of its own.
 //
 // A Verifier is safe for concurrent use; computation on shared symbolic
-// state is serialized per SRC artifact. The zero Verifier is the cold one:
-// its tiers keep nothing and it has no store, so every run computes every
-// stage.
+// state is serialized per BDD manager. The zero Verifier is the cold one:
+// it keeps no report and has no store, so every run that names no baseline
+// computes every stage.
 type Verifier struct {
 	cache     pipeline.StageCache[*Report]
 	store     store.Tier
 	baselines pipeline.BaselineRegistry
 }
 
-// NewVerifier builds a Verifier with the configured cache capacities and,
-// when cfg.StoreDir is set, the persistent store tier.
+// NewVerifier builds a Verifier with the configured report-tier capacity
+// and, when cfg.StoreDir is set, the persistent store tier.
 func NewVerifier(cfg VerifierConfig) *Verifier {
 	v := &Verifier{}
-	v.cache.SetCapacities(pipeline.Capacities{SRC: cfg.SRCCache, Report: cfg.ReportCache})
+	v.cache.SetReportCap(cfg.ReportCache)
 	if cfg.StoreDir != "" {
 		if d, err := store.OpenDisk(cfg.StoreDir, cfg.StoreBudget); err == nil {
 			v.store = d
@@ -110,38 +110,23 @@ type RunInfo struct {
 	Stages []StageInfo `json:"stages"`
 }
 
-// BDDProfile is one live BDD manager's structural snapshot, named by the
-// surface holding it: a registered baseline or the SRC stage cache.
+// BDDProfile is the structural snapshot of a registered baseline's BDD
+// manager.
 type BDDProfile struct {
-	// Origin is "baseline" (a registered, pinned converged state) or
-	// "src-cache" (an anonymous cached SRC artifact).
-	Origin string `json:"origin"`
-	// Name is the baseline name, or the artifact digest for cache entries.
+	// Name is the baseline's name.
 	Name    string      `json:"name"`
 	Profile bdd.Profile `json:"profile"`
 }
 
-// BDDProfiles snapshots every live BDD manager the verifier holds —
-// registered baselines first (name order), then anonymous SRC cache
-// entries (recency order). A delta's artifact shares its baseline's
-// manager, so shared managers are profiled once, under the first name
-// encountered. Each snapshot takes that artifact's run lock, briefly
-// serializing against verifications sharing the manager — this is the
-// on-demand path behind GET /debug/bdd, not engine machinery.
+// BDDProfiles snapshots the BDD manager of every registered baseline, in
+// name order: the managers the verifier keeps between runs (a delta computes
+// in its baseline's manager). Each snapshot takes the baseline's run lock,
+// briefly serializing against verifications sharing the manager — this is
+// the on-demand path behind GET /debug/bdd, not engine machinery.
 func (v *Verifier) BDDProfiles() []BDDProfile {
 	out := []BDDProfile{}
-	seen := map[*bdd.Manager]bool{}
-	add := func(origin, name string, a *pipeline.SRCArtifact) {
-		if !seen[a.Eng.Space.M] {
-			seen[a.Eng.Space.M] = true
-			out = append(out, BDDProfile{Origin: origin, Name: name, Profile: a.BDDProfile()})
-		}
-	}
 	for _, b := range v.baselines.List() {
-		add("baseline", b.Name, b.SRC)
-	}
-	for _, a := range v.cache.SRC.Values() {
-		add("src-cache", a.Digest, a)
+		out = append(out, BDDProfile{Name: b.Name, Profile: b.SRC.BDDProfile()})
 	}
 	return out
 }
@@ -153,10 +138,10 @@ func ReportDigest(configText string, opts Options) string {
 	return pipeline.ReportKey(configText, opts.CacheKey())
 }
 
-// VerifyText verifies a configuration text, reusing cached stage
-// artifacts where the request's stage keys match earlier runs. It names no
-// baseline, so an EPVP fixed point it finds neither cached nor stored is
-// computed cold. The returned RunInfo records the provenance of every stage.
+// VerifyText verifies a configuration text: a cached report answers it
+// whole, and otherwise the stages run, reading the store where it holds
+// their keys. It names no baseline, so an EPVP fixed point the store does not
+// hold is computed cold. The returned RunInfo records the provenance of every stage.
 func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Options) (*Report, *RunInfo, error) {
 	return v.VerifyTextFrom(ctx, "", configText, opts)
 }
@@ -173,7 +158,7 @@ func (v *Verifier) VerifyText(ctx context.Context, configText string, opts Optio
 func (v *Verifier) run(ctx context.Context, load *pipeline.LoadArtifact, loaded []StageInfo, baseline string, opts Options, artifacts func(*pipeline.Outcome) error) (*Report, *RunInfo, error) {
 	opts.normalize()
 	info := &RunInfo{Baseline: baseline, Digest: load.ReportKey(opts.CacheKey())}
-	runner := &pipeline.Runner{Cache: &v.cache.SRC, Store: v.store, Baselines: &v.baselines}
+	runner := &pipeline.Runner{Counts: &v.cache.Counters, Store: v.store, Baselines: &v.baselines}
 	out, err := runner.Run(ctx, &pipeline.Request{
 		Load:       load,
 		Mode:       opts.Mode,

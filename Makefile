@@ -2,11 +2,11 @@
 # in CI: a gofmt check of every tracked Go file, vet + build + race-enabled
 # tests across every package, then the four steps that cover what that run
 # does not — the same race run with the parallel engine forced on, the
-# daemon-facing packages with a sweep at every barrier, a short fuzz of
-# every store-blob decoder, of the configuration-text front door and of
-# SPF's conversion kernel, and the env-gated allocation guard. The four *-check targets select tests
-# `race` has already run: they are shortcuts for working on one subsystem,
-# not CI steps.
+# engine and daemon-facing packages with a sweep at every barrier, a short
+# fuzz of every store-blob decoder, of the configuration-text front door
+# and of SPF's conversion kernel, and the env-gated allocation guard. The
+# four *-check targets select tests `race` has already run: they are
+# shortcuts for working on one subsystem, not CI steps.
 
 GO ?= go
 
@@ -60,11 +60,13 @@ race-parallel:
 	EXPRESSO_WORKERS=$(RACE_WORKERS) $(GO) test -race -timeout 30m -count=1 ./internal/bdd/ ./internal/epvp/ ./internal/spf/ ./internal/pipeline/ ./internal/service/
 
 # The packages that share one BDD manager between runs — the pipeline, the
-# daemon and the root package's baseline/delta tests — with a dead-node
-# sweep at every EPVP round and every pre-SPF barrier: anything a run
-# leaves filed or pinned that it should not is swept or roots a sweep here.
+# daemon and the root package's baseline/delta tests — and the engine
+# package that roots a run's memo, with a dead-node sweep at every EPVP
+# round and every pre-SPF barrier: anything a run leaves filed or pinned
+# that it should not, or fails to root, is swept or roots a sweep here.
+# (The engine's barrier tests pin their own budgets.)
 reclaim-matrix:
-	EXPRESSO_RECLAIM=200 $(GO) test -count=1 -timeout 30m ./internal/pipeline ./internal/service .
+	EXPRESSO_RECLAIM=200 $(GO) test -count=1 -timeout 30m ./internal/epvp ./internal/pipeline ./internal/service .
 
 # Just the verification daemon under the race detector.
 race-service:

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/expresso-verify/expresso/internal/automaton"
@@ -65,9 +64,10 @@ type Engine struct {
 	Comm  *community.Space
 	Mode  Mode
 	// Workers is the number of goroutines recomputing routers within one
-	// synchronous round. Values <= 1 keep the sequential reference path;
-	// 0 is resolved to runtime.GOMAXPROCS(0) at Run time. Results are
-	// identical for every value (see RunContext).
+	// synchronous round. 1 keeps the sequential reference path; 0 or less
+	// is resolved at Run time by WorkerCount (EXPRESSO_WORKERS if set,
+	// else runtime.GOMAXPROCS(0)). Results are identical for every value
+	// (see RunContext).
 	Workers int
 	// Trace, when non-nil, receives one telemetry.RoundEvent per
 	// fixed-point round. Set it before Run; the pipeline attaches the
@@ -90,88 +90,6 @@ type Engine struct {
 type transferKey struct {
 	device string
 	policy string
-}
-
-// edgeKey identifies a memoized edge transfer without building a composite
-// string per lookup (the old u+"|"+v+"|"+Key() key dominated allocations on
-// the fixed-point hot path); rkey is the route's memoized Key. un is the
-// route's U handle — fully determined by rkey (which embeds its digits) so
-// it does not change key identity, but keeping it lets reclamation root
-// memo entries: if un were freed and its handle reused by a different
-// predicate, a later route could collide with this entry's rkey.
-type edgeKey struct {
-	u, v string
-	rkey string
-	un   bdd.Node
-}
-
-// edgeMemo is a run's cross-round edge-transfer cache, lock-striped so
-// parallel round workers rarely contend: entries are pure functions of the
-// key, so a duplicated computation under two stripes' races is wasted work,
-// never an inconsistency. Like the merge memo it lives for one run: run
-// creates it and drops it on return.
-type edgeMemo struct {
-	stripes [memoStripes]memoStripe
-}
-
-const memoStripes = 64
-
-type memoStripe struct {
-	mu sync.Mutex
-	m  map[edgeKey][]*symbolic.Route
-	_  [40]byte // keep neighboring stripes off one cache line
-}
-
-func newEdgeMemo() *edgeMemo {
-	em := &edgeMemo{}
-	for i := range em.stripes {
-		em.stripes[i].m = map[edgeKey][]*symbolic.Route{}
-	}
-	return em
-}
-
-func (k edgeKey) stripe() uint32 {
-	h := uint32(2166136261)
-	for _, s := range [3]string{k.u, k.v, k.rkey} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint32(s[i])) * 16777619
-		}
-	}
-	return h % memoStripes
-}
-
-func (em *edgeMemo) get(k edgeKey) ([]*symbolic.Route, bool) {
-	s := &em.stripes[k.stripe()]
-	s.mu.Lock()
-	out, ok := s.m[k]
-	s.mu.Unlock()
-	return out, ok
-}
-
-func (em *edgeMemo) put(k edgeKey, v []*symbolic.Route) {
-	s := &em.stripes[k.stripe()]
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// roots appends every BDD handle the memo references — input routes (keys)
-// and output routes (values) — so entries survive the run's round-end
-// sweeps; the memo is the cross-round transfer cache, so keeping its nodes
-// live is the point of the cache.
-func (em *edgeMemo) roots(out []bdd.Node) []bdd.Node {
-	for i := range em.stripes {
-		s := &em.stripes[i]
-		s.mu.Lock()
-		for k, rs := range s.m {
-			out = append(out, k.un)
-			for _, r := range rs {
-				out = append(out, r.U)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // Result is the converged symbolic routing state.
@@ -198,48 +116,49 @@ func New(net *topology.Network, mode Mode) *Engine {
 // engine construction, so it is checked against ctx between devices; a
 // cancelled ctx aborts the build mid-compile and returns ctx's error.
 func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine, error) {
+	return build(ctx, net, mode, nil, nil)
+}
+
+// build is NewContext for a nil prior and NewWarm's construction
+// otherwise: it computes net's community atoms and either allocates fresh
+// spaces or, checking the atom universes agree, shares prior's; then it
+// fills the compile context, the permit-all transfer, and the per-(device,
+// policy) transfer table, with transfer reuse: for a device in reuse (its
+// configuration section is unchanged from prior's), the prior engine's
+// compiled transfers are adopted instead of recompiled. Transfers are pure
+// data over BDD handles, so adoption is sound exactly when both engines
+// share one node manager (the NewWarm invariant) and the device's policies
+// are textually unchanged, and it keeps a local delta's compile
+// proportional to the routers it touched. ctx is checked once per device,
+// making cancellation latency one device's compile rather than the whole
+// table's.
+func build(ctx context.Context, net *topology.Network, mode Mode, prior *Engine, reuse map[string]bool) (*Engine, error) {
 	devices := make([]*config.Device, 0, len(net.Internals))
 	for _, name := range net.Internals {
 		devices = append(devices, net.Devices[name])
 	}
 	atoms := community.ComputeAtoms(devices)
-	e := &Engine{
-		Net:       net,
-		Space:     symbolic.NewSpace(len(net.Externals)),
-		Comm:      community.NewSpace(atoms),
-		Mode:      mode,
-		transfers: map[transferKey]*symbolic.Transfer{},
-		floor:     new(int64),
+	e := &Engine{Net: net, Mode: mode, transfers: map[transferKey]*symbolic.Transfer{}}
+	if prior == nil {
+		e.Space, e.Comm, e.floor = symbolic.NewSpace(len(net.Externals)), community.NewSpace(atoms), new(int64)
+	} else {
+		if atoms.Signature() != prior.Comm.Atoms.Signature() {
+			return nil, fmt.Errorf("epvp: warm-start community atom universe changed")
+		}
+		e.Space, e.Comm, e.floor, e.warm = prior.Space, prior.Comm, prior.floor, true
 	}
-	if err := e.compilePoliciesReusing(ctx, nil, nil); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// compilePoliciesReusing fills the compile context, the permit-all
-// transfer, and the per-(device, policy) transfer table from e.Net and
-// e.Mode, with transfer reuse: for a device in reuse (its configuration
-// section is unchanged from prior's), the prior engine's compiled
-// transfers are adopted instead of recompiled. Transfers are pure data
-// over BDD handles, so adoption is sound exactly when both engines share
-// one node manager (the NewWarm invariant) and the device's policies are
-// textually unchanged, and it keeps a local delta's compile proportional
-// to the routers it touched. ctx is checked once per device, making
-// cancellation latency one device's compile rather than the whole table's.
-func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reuse map[string]bool) error {
 	e.ctx = symbolic.CompileContext{
 		Space:               e.Space,
 		Comm:                e.Comm,
-		SymbolicCommunities: e.Mode.SymbolicCommunities,
-		SymbolicASPaths:     e.Mode.SymbolicASPaths,
+		SymbolicCommunities: mode.SymbolicCommunities,
+		SymbolicASPaths:     mode.SymbolicASPaths,
 	}
 	e.permitAll = symbolic.CompilePolicy(e.ctx, nil)
-	for _, name := range e.Net.Internals {
+	for _, name := range net.Internals {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		d := e.Net.Devices[name]
+		d := net.Devices[name]
 		adopt := prior != nil && reuse[name]
 		for _, p := range d.Peers {
 			for _, polName := range []string{p.Import, p.Export} {
@@ -260,7 +179,7 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 			}
 		}
 	}
-	return nil
+	return e, nil
 }
 
 // NewWarm builds an engine for net that shares the symbolic and community
@@ -287,8 +206,8 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 // — the pipeline's one run lock per manager does that. Transfers for
 // devices in unchanged (callers pass the routers whose configuration
 // sections are byte-identical to prior's; nil means none) are adopted from
-// the prior engine; the rest are recompiled from the new devices. Like NewContext, compilation checks ctx per device
-// and aborts on cancel.
+// the prior engine; the rest are recompiled from the new devices. Like
+// NewContext, compilation checks ctx per device and aborts on cancel.
 func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engine, unchanged map[string]bool) (*Engine, error) {
 	if mode != prior.Mode {
 		return nil, fmt.Errorf("epvp: warm-start mode mismatch (%s vs %s)", mode.Key(), prior.Mode.Key())
@@ -302,27 +221,7 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 			return nil, fmt.Errorf("epvp: warm-start external set changed at %q", name)
 		}
 	}
-	devices := make([]*config.Device, 0, len(net.Internals))
-	for _, name := range net.Internals {
-		devices = append(devices, net.Devices[name])
-	}
-	atoms := community.ComputeAtoms(devices)
-	if atoms.Signature() != prior.Comm.Atoms.Signature() {
-		return nil, fmt.Errorf("epvp: warm-start community atom universe changed")
-	}
-	e := &Engine{
-		Net:       net,
-		Space:     prior.Space,
-		Comm:      prior.Comm,
-		Mode:      mode,
-		transfers: map[transferKey]*symbolic.Transfer{},
-		floor:     prior.floor,
-		warm:      true,
-	}
-	if err := e.compilePoliciesReusing(ctx, prior, unchanged); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return build(ctx, net, mode, prior, unchanged)
 }
 
 // Ctx exposes the compile context (spaces and feature flags).
@@ -334,8 +233,8 @@ func (e *Engine) Ctx() symbolic.CompileContext { return e.ctx }
 // boundaries — the pipeline does, before SPF — must pass these as roots,
 // along with any result routes they retain themselves (the pipeline pins
 // its held artifacts instead). The engine must be quiescent (no run in
-// progress). A run's edge and merge memos are not among them: they live
-// for one run, whose round-end sweeps root them through runRoots.
+// progress). A run's memo is not among them: it lives for one run, whose
+// round-end sweeps root it through runRoots.
 func (e *Engine) Roots() []bdd.Node {
 	out := make([]bdd.Node, 0, 256)
 	out = append(out, e.permitAll.Nodes()...)
@@ -350,7 +249,7 @@ func (e *Engine) Roots() []bdd.Node {
 // itself at index 0 and, at each other index, a shallow copy whose spaces
 // are the views over that index's worker. The copies share the node
 // universes — handles are interchangeable — and the compiled transfers
-// (read-only after New); the run hands all of them its striped memos.
+// (read-only after New); the run hands all of them its one memo.
 // Each must be driven by one goroutine at a time.
 func (e *Engine) workers(n int) Pool[*Engine] {
 	spaces, comms := e.Space.Workers(n), e.Comm.Workers(n)
@@ -539,20 +438,11 @@ func (e *Engine) ImportCandidates(v, ext string) []*symbolic.Route {
 // edgeTransfer computes (and memoizes across the run's fixed-point rounds)
 // the routes v accepts when u advertises r: importAt(v, u, export(u, v, r)).
 // Transfers are pure functions of (u, v, r), and most RIB entries persist
-// between rounds, so the memo removes the bulk of repeated work. Cached
-// routes are sealed before publication and shared across round workers;
-// callers must treat them as immutable (Merge clones before mutating).
-func (e *Engine) edgeTransfer(edges *edgeMemo, u, v string, r *symbolic.Route) []*symbolic.Route {
-	key := edgeKey{u: u, v: v, rkey: r.Key(), un: r.U}
-	if out, ok := edges.get(key); ok {
-		return out
-	}
-	out := e.importAt(v, u, e.export(u, v, r))
-	for _, o := range out {
-		o.Seal()
-	}
-	edges.put(key, out)
-	return out
+// between rounds, so the memo removes the bulk of repeated work. Memoized
+// routes are sealed and shared across round workers; callers must treat
+// them as immutable (Merge clones before mutating).
+func (e *Engine) edgeTransfer(memo *symbolic.RunMemo, u, v string, r *symbolic.Route) []*symbolic.Route {
+	return memo.Edge(u, v, r, func() []*symbolic.Route { return e.importAt(v, u, e.export(u, v, r)) })
 }
 
 // Run executes EPVP to its fixed point.
@@ -611,11 +501,11 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	best := map[string][]*symbolic.Route{}
 	// Edge transfers and Merge's BDD steps repeat across rounds (most RIB
 	// entries persist, and a router recomputed because one neighbor moved
-	// re-subtracts what the others still send), so one memo of each serves
-	// every worker for the whole run. Both are listed in runRoots, which
-	// keeps their entries valid across the round-end sweeps, and both are
-	// dropped when the run returns.
-	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
+	// re-subtracts what the others still send), so one memo of both serves
+	// every worker for the whole run. It is listed in runRoots, which keeps
+	// its entries valid across the round-end sweeps, and dropped when the
+	// run returns.
+	memo := new(symbolic.RunMemo)
 	var initialWork map[string]bool
 	if seed != nil {
 		initialWork = map[string]bool{}
@@ -711,7 +601,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		outs := make([][]*symbolic.Route, len(work))
 		err := pool.Each(ctx, len(work), func(f *Engine, i int) {
 			// recompute fails only on cancellation, which Each reports.
-			if rs, err := f.recompute(ctx, work[i], best, extInit, edges, memo); err == nil {
+			if rs, err := f.recompute(ctx, work[i], best, extInit, memo); err == nil {
 				outs[i] = rs
 			}
 		})
@@ -739,7 +629,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// (Each has returned) and the next round's goroutines start after it.
 		var relief telemetry.SweepEvent
 		if !converged {
-			relief = e.relieve(func() []bdd.Node { return e.runRoots(best, extInit, seed, edges, memo) }, false)
+			relief = e.relieve(func() []bdd.Node { return e.runRoots(best, extInit, seed, memo) }, false)
 		}
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()
@@ -828,13 +718,13 @@ func (e *Engine) received(ext string, best map[string][]*symbolic.Route) []*symb
 // runRoots gathers the BDD roots live at a round boundary: the round's
 // RIBs, the external wildcard seeds, the warm seed (a direct
 // RunWarmContext caller may retain the prior result without pinning it),
-// the run's edge and merge memos (operands and results, so their entries
-// stay valid across the sweep), and the engine's cross-run roots (the
-// transfers). The space's own cached predicates are pinned by NewSpace,
-// and pipeline artifacts pin their routes, so neither needs listing here.
+// the run's memo (operands and results, so its entries stay valid across
+// the sweep), and the engine's cross-run roots (the transfers). The
+// space's own cached predicates are pinned by NewSpace, and pipeline
+// artifacts pin their routes, so neither needs listing here.
 // Nothing here is pinned: the run's own roots live only as long as the run.
-func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, edges *edgeMemo, memo *symbolic.MergeMemo) []bdd.Node {
-	roots := memo.Roots(edges.roots(e.Roots()))
+func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, memo *symbolic.RunMemo) []bdd.Node {
+	roots := memo.Roots(e.Roots())
 	for _, rs := range best {
 		for _, r := range rs {
 			roots = append(roots, r.U)
@@ -876,12 +766,12 @@ func (e *Engine) memoStats(pool Pool[*Engine]) (hits, misses int64) {
 }
 
 // recompute rebuilds one router's RIB from the previous round's state: its
-// candidates, through the run's edge memo, merged by preference through
-// the run's merge memo. Reads only best/extInit (previous round, immutable
-// during the round), the engine's shared read-only state and the striped
-// memos, so workers may run it concurrently for different routers.
-func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, edges *edgeMemo, memo *symbolic.MergeMemo) ([]*symbolic.Route, error) {
-	cands, err := e.candidates(ctx, v, best, extInit, edges)
+// candidates merged by preference, both through the run's memo. Reads only
+// best/extInit (previous round, immutable during the round), the engine's
+// shared read-only state and the striped memo, so workers may run it
+// concurrently for different routers.
+func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
+	cands, err := e.candidates(ctx, v, best, extInit, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -891,8 +781,8 @@ func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*sym
 // candidates collects what router v chooses among in one round: its own
 // originated route plus, per neighbor, the image of that neighbor's merged
 // RIB (or of its one wildcard or default route) under the edge's transfers
-// — the shape symbolic.MergeMemo.Merge's tier invariant rests on.
-func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, edges *edgeMemo) ([]*symbolic.Route, error) {
+// — the shape symbolic.RunMemo.Merge's tier invariant rests on.
+func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
 	var candidates []*symbolic.Route
 	if r := e.originated(e.Net.Devices[v]); r != nil {
 		candidates = append(candidates, r)
@@ -903,7 +793,7 @@ func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*sy
 		}
 		if e.Net.IsInternal(u) {
 			for _, r := range best[u] {
-				candidates = append(candidates, e.edgeTransfer(edges, u, v, r)...)
+				candidates = append(candidates, e.edgeTransfer(memo, u, v, r)...)
 			}
 			su := e.Net.Session(u, v)
 			if su != nil && su.AdvertiseDefault {

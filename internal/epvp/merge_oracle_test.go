@@ -101,7 +101,7 @@ func tierOverlap(s *symbolic.Space, cands []*symbolic.Route) string {
 // initialState is a fixed-point loop's round-0 state: seed's RIBs where it
 // has them and the cold initial RIBs elsewhere, merged through memo, plus
 // the external wildcard seeds.
-func initialState(e *Engine, seed *Result, memo *symbolic.MergeMemo) (best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) {
+func initialState(e *Engine, seed *Result, memo *symbolic.RunMemo) (best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) {
 	best = map[string][]*symbolic.Route{}
 	for _, v := range e.Net.Internals {
 		if seed != nil {
@@ -125,7 +125,7 @@ func initialState(e *Engine, seed *Result, memo *symbolic.MergeMemo) (best map[s
 
 // checkedFixedPoint drives e to its fixed point with a test-owned loop —
 // every router recomputed every round, from seed's RIBs where it has them
-// and the cold initial state elsewhere, through one merge memo kept across
+// and the cold initial state elsewhere, through one run memo kept across
 // rounds — and on every recompute asserts the tier invariant on the real
 // candidate list and Merge ≡ mergeChain, route for route and handle for
 // handle (Key embeds U's handle). With sweep set it sweeps e's manager
@@ -142,14 +142,14 @@ func initialState(e *Engine, seed *Result, memo *symbolic.MergeMemo) (best map[s
 func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) map[string][]*symbolic.Route {
 	t.Helper()
 	ctx := context.Background()
-	edges, memo := newEdgeMemo(), new(symbolic.MergeMemo)
+	memo := new(symbolic.RunMemo)
 	best, extInit := initialState(e, seed, memo)
 	merges := 0
 	for round := 1; round <= 4*len(e.Net.Internals)+16; round++ {
 		next := map[string][]*symbolic.Route{}
 		changed := false
 		for _, v := range e.Net.Internals {
-			cands, err := e.candidates(ctx, v, best, extInit, edges)
+			cands, err := e.candidates(ctx, v, best, extInit, memo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) 
 			return best
 		}
 		if sweep && round == 1 {
-			e.Space.M.Reclaim(keep.Roots(e.runRoots(best, extInit, seed, edges, memo))...)
+			e.Space.M.Reclaim(keep.Roots(e.runRoots(best, extInit, seed, memo))...)
 		}
 	}
 	t.Fatal("test loop did not converge")

@@ -11,25 +11,21 @@ import (
 	"github.com/expresso-verify/expresso/internal/topology"
 )
 
-// engineWithSpace replicates NewContext with a caller-chosen space, so
-// order experiments can A/B the static layout on one network.
+// engineWithSpace is NewContext with a caller-chosen space, so order
+// experiments can A/B the static layout on one network: build adopts the
+// spaces of a stub prior engine, and the result is then marked cold.
 func engineWithSpace(t *testing.T, net *topology.Network, space *symbolic.Space) *Engine {
 	t.Helper()
 	devices := make([]*config.Device, 0, len(net.Internals))
 	for _, name := range net.Internals {
 		devices = append(devices, net.Devices[name])
 	}
-	atoms := community.ComputeAtoms(devices)
-	e := &Engine{
-		Net:       net,
-		Space:     space,
-		Comm:      community.NewSpace(atoms),
-		Mode:      FullMode(),
-		transfers: map[transferKey]*symbolic.Transfer{},
-	}
-	if err := e.compilePoliciesReusing(context.Background(), nil, nil); err != nil {
+	stub := &Engine{Space: space, Comm: community.NewSpace(community.ComputeAtoms(devices)), floor: new(int64)}
+	e, err := build(context.Background(), net, FullMode(), stub, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	e.warm = false
 	return e
 }
 

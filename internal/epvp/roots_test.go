@@ -9,9 +9,8 @@ import (
 
 // TestRootsAfterRunAreTheTransfers: a finished run leaves the engine
 // rooting only what a warm engine adopts — the permit-all and compiled
-// transfers. The run's edge and merge memos die with the run, so an SRC
-// artifact that pins Engine.Roots pins no acceleration state of the run
-// that built it.
+// transfers. The run's memo dies with the run, so an SRC artifact that
+// pins Engine.Roots pins no acceleration state of the run that built it.
 func TestRootsAfterRunAreTheTransfers(t *testing.T) {
 	e := New(mustNet(t, netgen.CSP(netgen.CSPOldRegion(1))), FullMode())
 	want := e.permitAll.Nodes()

@@ -15,7 +15,7 @@ import (
 // TestParallelEngineStress drives the service with a multi-goroutine engine
 // (EngineWorkers > 1) under several concurrent jobs and cancels one
 // mid-run. Under -race this exercises the shared BDD node table, the
-// striped edge memo, and parallel SPF from multiple engine goroutines at
+// run's striped memo, and parallel SPF from multiple engine goroutines at
 // once, plus context cancellation racing the EPVP/SPF pools.
 func TestParallelEngineStress(t *testing.T) {
 	s := New(Config{Workers: 2, EngineWorkers: 4, QueueDepth: 16, CacheSize: -1, JobTimeout: time.Minute})

@@ -108,9 +108,10 @@ var ErrUnknownBaseline = errors.New("service: unknown baseline")
 var errPanicked = errors.New("verification panicked")
 
 // Server is the verification daemon: a bounded worker pool consuming a
-// FIFO job queue, fronted by a staged Verifier whose caches (reports, and
-// SRC fixed points with the analysis and SPF artifacts built on them) let
-// repeated and incremental submissions reuse earlier work.
+// FIFO job queue, fronted by a staged Verifier whose report cache and
+// registered baselines (each SRC fixed point with the analysis and SPF
+// artifacts built on it) let repeated and incremental submissions reuse
+// earlier work.
 type Server struct {
 	cfg      Config
 	log      *slog.Logger

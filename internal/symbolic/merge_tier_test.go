@@ -51,7 +51,7 @@ func TestMergeTieInsideTierKeepsBoth(t *testing.T) {
 	tie1 := f.route(w.Or(f.a, f.b), nil)
 	tie2 := f.route(w.Or(f.b, f.c), func(r *Route) { r.Comm = f.s.M.Var(0) }) // any handle but tie1's
 	worse := f.route(w.Or(f.a, f.b, f.c, f.d), func(r *Route) { r.LocalPref = 50 })
-	got := survivors(new(MergeMemo).Merge(f.s, []*Route{worse, tie2, tie1}), tie1, tie2, worse)
+	got := survivors(new(RunMemo).Merge(f.s, []*Route{worse, tie2, tie1}), tie1, tie2, worse)
 	want := []bdd.Node{tie1.U, tie2.U, f.d}
 	for i := range want {
 		if got[i] != want[i] {
@@ -72,7 +72,7 @@ func TestMergeDisjointOriginatorsShareATier(t *testing.T) {
 		t.Fatal("fixture: o1 and o2 must be distinct classes of one tier")
 	}
 	worse := f.route(w.Or(f.a, f.b, f.c), func(r *Route) { r.NextHop = "n2" })
-	got := survivors(new(MergeMemo).Merge(f.s, []*Route{worse, o2, o1}), o1, o2, worse)
+	got := survivors(new(RunMemo).Merge(f.s, []*Route{worse, o2, o1}), o1, o2, worse)
 	want := []bdd.Node{f.a, f.b, f.c}
 	for i := range want {
 		if got[i] != want[i] {
@@ -89,7 +89,7 @@ func TestMergeDominatedTierLeavesBlockedAlone(t *testing.T) {
 	// tier is cut by best alone.
 	dominated := f.route(f.a, func(r *Route) { r.NextHop = "n2" })
 	last := f.route(w.Or(f.a, f.c), func(r *Route) { r.NextHop = "n3" })
-	merged := new(MergeMemo).Merge(f.s, []*Route{last, dominated, best})
+	merged := new(RunMemo).Merge(f.s, []*Route{last, dominated, best})
 	if len(merged) != 2 {
 		t.Fatalf("merged size = %d, want 2 (the dominated route is dropped)", len(merged))
 	}
@@ -113,7 +113,7 @@ func TestMergeCoalescesBeforeTiering(t *testing.T) {
 	half2 := f.route(f.c, func(r *Route) { r.NextHop = "n2" })
 	half1.Seal()
 	before := half1.U
-	merged := new(MergeMemo).Merge(f.s, []*Route{half1, best, half2})
+	merged := new(RunMemo).Merge(f.s, []*Route{half1, best, half2})
 	if len(merged) != 2 {
 		t.Fatalf("merged size = %d, want 2", len(merged))
 	}
@@ -144,7 +144,7 @@ func TestMergePathLengthAndNextHopSplitTiers(t *testing.T) {
 		if sameTier(better, worse) {
 			t.Errorf("%s: must split a tier", name)
 		}
-		got := survivors(new(MergeMemo).Merge(f.s, []*Route{worse, better}), better, worse)
+		got := survivors(new(RunMemo).Merge(f.s, []*Route{worse, better}), better, worse)
 		if got[0] != better.U || got[1] != f.c {
 			t.Errorf("%s: kept %v / %v, want the better route whole and the worse one cut to c", name, got[0], got[1])
 		}

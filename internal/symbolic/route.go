@@ -208,9 +208,9 @@ func Compare(a, b *Route) int {
 // caller must supply lists with the same property.
 //
 // Both BDD steps — a member's U \ blocked and a tier's blocked ∨ survivors
-// — go through m (see MergeMemo); a one-shot caller passes a fresh memo.
+// — go through m (see RunMemo); a one-shot caller passes a fresh memo.
 // Every BDD operation runs on s's worker.
-func (m *MergeMemo) Merge(s *Space, routes []*Route) []*Route {
+func (m *RunMemo) Merge(s *Space, routes []*Route) []*Route {
 	// Coalesce by attributes first; a candidate is cloned only when a
 	// second one with its AttrsKey arrives (on measured networks none does).
 	at := make(map[string]int, len(routes))

@@ -25,20 +25,14 @@ type SearchResult struct {
 
 // SearchPolicy reproduces Batfish's SearchRoutePolicies question (§2.3 of
 // the paper): it returns the behavior classes of a route policy whose
-// outcome matches wantPermit. Unlike the unit test in Batfish, the same
-// compiled-transfer machinery drives the full network analysis, so a
-// passing policy search plus EPVP covers both local policy bugs and
-// end-to-end bugs (e.g. the missing advertise-community of Figure 4, which
-// no per-policy unit test can see).
+// outcome matches wantPermit, skipping empty guards. Unlike the unit test
+// in Batfish, the same compiled-transfer machinery drives the full network
+// analysis, so a passing policy search plus EPVP covers both local policy
+// bugs and end-to-end bugs (e.g. the missing advertise-community of Figure
+// 4, which no per-policy unit test can see).
 func SearchPolicy(ctx CompileContext, pol *config.Policy, wantPermit bool) []SearchResult {
-	return SearchCompiled(ctx, CompilePolicy(ctx, pol), wantPermit)
-}
-
-// SearchCompiled returns the behavior classes of a compiled transfer with
-// the requested outcome, skipping empty guards.
-func SearchCompiled(ctx CompileContext, t *Transfer, wantPermit bool) []SearchResult {
 	var out []SearchResult
-	for _, pair := range t.Pairs {
+	for _, pair := range CompilePolicy(ctx, pol).Pairs {
 		if pair.Permit != wantPermit || ctx.emptyGuard(pair.Guard) {
 			continue
 		}

@@ -240,7 +240,7 @@ func TestMergePaperExample(t *testing.T) {
 		Comm:   bdd.True,
 	}
 	r2.SyncASLen()
-	merged := new(MergeMemo).Merge(s, []*Route{r1, r2})
+	merged := new(RunMemo).Merge(s, []*Route{r1, r2})
 	if len(merged) != 2 {
 		t.Fatalf("merged size = %d, want 2", len(merged))
 	}
@@ -273,7 +273,7 @@ func TestMergeEqualPreferenceKeepsBoth(t *testing.T) {
 			NextHop: nh,
 		}
 	}
-	merged := new(MergeMemo).Merge(s, []*Route{mk(0, "a"), mk(1, "b")})
+	merged := new(RunMemo).Merge(s, []*Route{mk(0, "a"), mk(1, "b")})
 	if len(merged) != 2 {
 		t.Fatalf("merged size = %d, want 2 (ECMP)", len(merged))
 	}
@@ -290,7 +290,7 @@ func TestMergeCoalescesIdenticalAttrs(t *testing.T) {
 	pb := s.PrefixBDD(route.MustParsePrefix("20.0.0.0/8"))
 	r1 := &Route{U: pa, ASLen: 0, Comm: bdd.True}
 	r2 := &Route{U: pb, ASLen: 0, Comm: bdd.True}
-	merged := new(MergeMemo).Merge(s, []*Route{r1, r2})
+	merged := new(RunMemo).Merge(s, []*Route{r1, r2})
 	if len(merged) != 1 {
 		t.Fatalf("identical-attribute routes should coalesce, got %d", len(merged))
 	}
@@ -301,10 +301,10 @@ func TestMergeCoalescesIdenticalAttrs(t *testing.T) {
 
 func TestMergeDropsEmpty(t *testing.T) {
 	s := NewSpace(1)
-	if got := new(MergeMemo).Merge(s, []*Route{{U: bdd.False, Comm: bdd.True}}); len(got) != 0 {
+	if got := new(RunMemo).Merge(s, []*Route{{U: bdd.False, Comm: bdd.True}}); len(got) != 0 {
 		t.Error("empty routes should be dropped")
 	}
-	if got := new(MergeMemo).Merge(s, nil); len(got) != 0 {
+	if got := new(RunMemo).Merge(s, nil); len(got) != 0 {
 		t.Error("merging nothing should be empty")
 	}
 }

@@ -88,10 +88,10 @@ type RoundEvent struct {
 	// lookups: a hit reused a canonical node, a miss created one.
 	UniqueHits   int64 `json:"unique_hits"`
 	UniqueMisses int64 `json:"unique_misses"`
-	// MergeHits/MergeMisses are the round's lookups in the run's merge
+	// MergeHits/MergeMisses are the round's merge lookups in the run's
 	// memo (a member's U \ blocked and a tier's union, see
-	// symbolic.MergeMemo): a hit reused a result computed earlier in the
-	// run, a miss computed one.
+	// symbolic.RunMemo; its edge transfers are not counted): a hit reused
+	// a result computed earlier in the run, a miss computed one.
 	MergeHits   int64 `json:"merge_hits,omitempty"`
 	MergeMisses int64 `json:"merge_misses,omitempty"`
 	// Reclaims counts dead-node sweeps run at this round's boundary;

@@ -1,8 +1,10 @@
 package expresso_test
 
 import (
+	"context"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,6 +78,16 @@ const (
 	// once it builds one per reported violation (4 receiving neighbors).
 	// A per-route witness creeping back lands far over this.
 	fullOldLeakNodesCeiling = 5_000
+	// The region-1 delta ceilings bound one traced Workers=1 delta that adds
+	// a /24 to peering router r1PR0: the recomputes its EPVP rounds ran,
+	// summed, and the length slices its SPF converted. Recomputes read 32
+	// while change detection compared RIBs as lists (round 1 then counted
+	// every dirty router as changed, its seed being in canonical order and
+	// its recomputation in Merge's) and 24 as sets; conversions read 9, one
+	// /24 slice per hop union the route reached, where a memo keyed by the
+	// whole union converts every slice of those unions again.
+	region1DeltaRecomputedCeiling  = 31
+	region1DeltaConversionsCeiling = 12
 	// region1DeltaLoadShare bounds the bytes the Load stage of a one-router
 	// region-1 delta against the unpatched text as its baseline allocates, as
 	// a share of a full pipeline.Load of the same text: patching the largest
@@ -89,8 +101,10 @@ const (
 // objects than the ceilings above, if a one-router delta's Load stage
 // against it allocates more than region1DeltaLoadShare of a full load's
 // bytes, if compiling its policies creates more
-// BDD nodes than region1CompileNodesCeiling, or if symbolic forwarding over
-// its converged RIB creates more than region1SPFNodesCeiling; then it runs
+// BDD nodes than region1CompileNodesCeiling, if symbolic forwarding over
+// its converged RIB creates more than region1SPFNodesCeiling, or if a
+// one-router delta against it recomputes more routers or converts more
+// length slices than the region1Delta ceilings; then it runs
 // region 4's EPVP rounds against the region4EPVP ceilings, bounds that
 // manager's op-cache slots and unique-table bytes, and runs SPF on the
 // result against region4SPFNodesCeiling, its block ranking against no
@@ -191,6 +205,18 @@ func TestRegion1AllocGuard(t *testing.T) {
 			spfEnd-srcEnd, region1SPFNodesCeiling)
 	}
 
+	recomputed, conversions := region1DeltaWork(t, text, "r1PR0")
+	t.Logf("region-1 one-router delta: %d router recomputes (ceiling %d), %d length-slice conversions (ceiling %d)",
+		recomputed, region1DeltaRecomputedCeiling, conversions, region1DeltaConversionsCeiling)
+	if recomputed > region1DeltaRecomputedCeiling {
+		t.Errorf("a one-router region-1 delta recomputed routers %d times, over the %d ceiling: does warm change detection compare RIBs as lists again?",
+			recomputed, region1DeltaRecomputedCeiling)
+	}
+	if conversions > region1DeltaConversionsCeiling {
+		t.Errorf("a one-router region-1 delta converted %d length slices, over the %d ceiling: is SPF's conversion memo keyed by whole unions again?",
+			conversions, region1DeltaConversionsCeiling)
+	}
+
 	region4, err := expresso.Load(netgen.CSP(netgen.CSPOldRegion(4)))
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +304,43 @@ func TestRegion1AllocGuard(t *testing.T) {
 		t.Errorf("full-old route-leak check created %d BDD nodes, over the %d-node ceiling: does it build a witness per leaked route again instead of per reported violation?",
 			leak1-leak0, fullOldLeakNodesCeiling)
 	}
+}
+
+// region1DeltaWork registers text as a baseline at one worker, runs one
+// traced delta adding a /24 to router's section, and returns the delta's
+// summed EPVP recomputes and its SPF's computed length-slice conversions.
+func region1DeltaWork(t *testing.T, text, router string) (recomputed int, conversions int64) {
+	t.Helper()
+	ctx := context.Background()
+	props := []expresso.Kind{expresso.RouteLeakFree, expresso.RouteHijackFree, expresso.TrafficHijackFree}
+	v := expresso.NewVerifier(expresso.VerifierConfig{})
+	if _, _, err := v.RegisterBaseline(ctx, "region1", text, expresso.Options{Workers: 1, Properties: props}); err != nil {
+		t.Fatal(err)
+	}
+	var section string
+	for _, s := range config.SplitSections(text) {
+		if s.Router == router {
+			section = s.Text
+		}
+	}
+	if section == "" {
+		t.Fatalf("no router %s in the text", router)
+	}
+	tr := expresso.NewTracer()
+	patch := expresso.Patch{Ops: []expresso.PatchOp{{
+		Op: config.SetOp, Router: router, Config: strings.TrimRight(section, "\n") + "\nbgp network 10.200.0.0/24\n",
+	}}}
+	if _, _, err := v.VerifyDelta(ctx, "region1", patch, expresso.Options{Workers: 1, Properties: props, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	trace := tr.Finish()
+	for _, r := range trace.EPVPRounds {
+		recomputed += r.Recomputed
+	}
+	if trace.SPFOrder == nil {
+		t.Fatal("the delta's trace has no SPF order event")
+	}
+	return recomputed, trace.SPFOrder.Converted
 }
 
 // allocatedBy reports the bytes one call of f allocates, after a warm-up call.

@@ -190,8 +190,8 @@ func TestPreSPFSweepIsTraced(t *testing.T) {
 }
 
 // memoWork is what a traced run re-derived instead of finding memoized:
-// the op-cache misses of its EPVP rounds and the route conversions its SPF
-// stage computed.
+// the op-cache misses of its EPVP rounds and the length-slice conversions
+// its SPF stage computed.
 func memoWork(tr *Tracer) (misses, conversions int64) {
 	trace := tr.Finish()
 	for _, r := range trace.EPVPRounds {
@@ -203,33 +203,43 @@ func memoWork(tr *Tracer) (misses, conversions int64) {
 	return misses, conversions
 }
 
-// newSets counts the (router, next hop) unions of U — the sets SPF
-// converts, one per FIB next hop — of a delta's fixed point that its
-// baseline's fixed point does not hold: the unions the delta is the first
-// to convert.
-func newSets(base, delta *pipeline.SRCArtifact) int {
-	w := base.Eng.Space.M.NewWorker()
-	hopUnions := func(best map[string][]*symbolic.Route) []bdd.Node {
-		var out []bdd.Node
+// newSlices counts the length slices SPF converts — one per (LengthCofactor,
+// length) pair of a (router, next hop) union of U — of a delta's fixed
+// point that its baseline's fixed point does not hold: the slices the
+// delta is the first to convert.
+func newSlices(base, delta *pipeline.SRCArtifact) int {
+	sp := base.Eng.Space
+	w := sp.M.NewWorker()
+	type slice struct {
+		cofactor bdd.Node
+		length   int
+	}
+	slices := func(best map[string][]*symbolic.Route) []slice {
+		var out []slice
 		for _, rs := range best {
 			byHop := map[string][]bdd.Node{}
 			for _, r := range rs {
 				byHop[r.NextHop] = append(byHop[r.NextHop], r.U)
 			}
 			for _, us := range byHop {
-				out = append(out, symbolic.OrBalanced(w, us))
+				u := symbolic.OrBalanced(w, us)
+				for l := 0; l <= symbolic.AddrBits; l++ {
+					if c := sp.LengthCofactor(u, l); c != bdd.False {
+						out = append(out, slice{c, l})
+					}
+				}
 			}
 		}
 		return out
 	}
-	seen := map[bdd.Node]bool{}
-	for _, u := range hopUnions(base.Res.Best) {
-		seen[u] = true
+	seen := map[slice]bool{}
+	for _, s := range slices(base.Res.Best) {
+		seen[s] = true
 	}
 	n := 0
-	for _, u := range hopUnions(delta.Res.Best) {
-		if !seen[u] {
-			seen[u] = true
+	for _, s := range slices(delta.Res.Best) {
+		if !seen[s] {
+			seen[s] = true
 			n++
 		}
 	}
@@ -238,8 +248,9 @@ func newSets(base, delta *pipeline.SRCArtifact) int {
 
 // TestDeltaReusesBaselineMemo: a delta runs in its baseline's manager with
 // that manager's op caches and SPF conversions, so it re-derives a small
-// fraction of what a cold run of the same text does, and converts only
-// the next-hop unions that are new — and its report is the cold one,
+// fraction of what a cold run of the same text does, and converts exactly
+// the length slices of its next-hop unions that are new — and its report
+// is the cold one,
 // after a sweep flushed those memos mid-run and at four workers alike.
 func TestDeltaReusesBaselineMemo(t *testing.T) {
 	t.Setenv("EXPRESSO_RECLAIM", "") // no sweep may flush the memos under measurement
@@ -256,8 +267,8 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	coldMisses, coldConv := memoWork(coldOpts.Trace)
 
 	// delta runs f.patch(7) against a fresh registration of the baseline,
-	// as VerifyDelta does, and counts the new hop unions of its fixed point
-	// while the run still holds it.
+	// as VerifyDelta does, and counts the new hop-union slices of its fixed
+	// point while the run still holds it.
 	delta := func(opts Options, beforeDelta func()) (*Report, *Verifier, int) {
 		t.Helper()
 		v := NewVerifier(VerifierConfig{})
@@ -268,7 +279,7 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 		beforeDelta()
 		fresh := 0
 		rep, info, err := v.runText(ctx, text, "prod", opts, func(out *pipeline.Outcome) error {
-			fresh = newSets(b.SRC, out.SRC)
+			fresh = newSlices(b.SRC, out.SRC)
 			return nil
 		})
 		if err != nil {
@@ -283,12 +294,12 @@ func TestDeltaReusesBaselineMemo(t *testing.T) {
 	opts := Options{Workers: 1, Properties: deltaProps, Trace: NewTracer()}
 	rep, _, fresh := delta(opts, func() {})
 	misses, conv := memoWork(opts.Trace)
-	t.Logf("SRC op-cache misses: cold %d, delta %d; SPF conversions: cold %d, delta %d", coldMisses, misses, coldConv, conv)
+	t.Logf("SRC op-cache misses: cold %d, delta %d; SPF slice conversions: cold %d, delta %d", coldMisses, misses, coldConv, conv)
 	if misses*4 > coldMisses {
 		t.Errorf("delta missed the op caches %d times, cold run %d: the baseline's caches were not reused", misses, coldMisses)
 	}
-	if conv == 0 || conv > int64(fresh) || conv >= coldConv {
-		t.Errorf("delta computed %d conversions, want between 1 and its %d new hop unions, and fewer than the cold run's %d", conv, fresh, coldConv)
+	if conv == 0 || conv != int64(fresh) || conv >= coldConv {
+		t.Errorf("delta computed %d slice conversions, want exactly its %d new hop-union slices, and fewer than the cold run's %d", conv, fresh, coldConv)
 	}
 	if got := normalizedJSON(t, rep); got != cold {
 		t.Errorf("delta report differs from a cold run:\n--- cold ---\n%s\n--- delta ---\n%s", cold, got)

@@ -445,6 +445,55 @@ func (e *Engine) edgeTransfer(memo *symbolic.RunMemo, u, v string, r *symbolic.R
 	return memo.Edge(u, v, r, func() []*symbolic.Route { return e.importAt(v, u, e.export(u, v, r)) })
 }
 
+// injectedImport is edgeTransfer for a route u injects without an export
+// step — an external neighbor's wildcard, or the default route of an
+// advertise-default session — whose image at v is importAt alone. Its memo
+// keys cannot meet an internal edge's: u is external, or the session
+// exports nothing else (candidates).
+func (e *Engine) injectedImport(memo *symbolic.RunMemo, u, v string, r *symbolic.Route) []*symbolic.Route {
+	return memo.Edge(u, v, r, func() []*symbolic.Route { return e.importAt(v, u, []*symbolic.Route{r}) })
+}
+
+// advertisesDefault reports whether u's session to v advertises only the
+// default route.
+func advertisesDefault(net *topology.Network, u, v string) bool {
+	su := net.Session(u, v)
+	return su != nil && su.AdvertiseDefault
+}
+
+// injection holds the routes a run injects. They depend on configuration
+// alone, so each is built once per run: every internal router's originated
+// route (absent when it originates nothing), every external neighbor's
+// wildcard route, and the default route of every internal router with an
+// advertise-default session. They are sealed and shared read-only with the
+// round workers.
+type injection struct {
+	origin, ext, def map[string]*symbolic.Route
+}
+
+func (e *Engine) injected() *injection {
+	in := &injection{origin: map[string]*symbolic.Route{}, ext: map[string]*symbolic.Route{}, def: map[string]*symbolic.Route{}}
+	add := func(m map[string]*symbolic.Route, name string, r *symbolic.Route) {
+		r.Seal()
+		m[name] = r
+	}
+	for _, name := range e.Net.Internals {
+		if r := e.originated(e.Net.Devices[name]); r != nil {
+			add(in.origin, name, r)
+		}
+		for _, v := range e.Net.Neighbors(name) {
+			if advertisesDefault(e.Net, name, v) {
+				add(in.def, name, e.defaultOriginated(name))
+				break
+			}
+		}
+	}
+	for _, name := range e.Net.Externals {
+		add(in.ext, name, e.externalInit(name))
+	}
+	return in
+}
+
 // Run executes EPVP to its fixed point.
 func (e *Engine) Run() *Result {
 	res, _ := e.RunContext(context.Background())
@@ -506,12 +555,17 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	// its entries valid across the round-end sweeps, and dropped when the
 	// run returns.
 	memo := new(symbolic.RunMemo)
+	in := e.injected()
+	// changedLast is the change set round 0 starts from: every router on a
+	// cold start; on a warm one the dirty routers and those the seed lacks,
+	// whose RIBs are the ones that may differ from the seed's.
+	changedLast := map[string]bool{}
 	var initialWork map[string]bool
 	if seed != nil {
 		initialWork = map[string]bool{}
 		for _, d := range dirty {
 			if e.Net.IsInternal(d) {
-				initialWork[d] = true
+				initialWork[d], changedLast[d] = true, true
 			}
 			for _, v := range e.Net.Neighbors(d) {
 				if e.Net.IsInternal(v) {
@@ -533,17 +587,12 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 			// set the caller computed.
 			initialWork[name] = true
 		}
+		changedLast[name] = true
 		var init []*symbolic.Route
-		if r := e.originated(e.Net.Devices[name]); r != nil {
+		if r := in.origin[name]; r != nil {
 			init = append(init, r)
 		}
 		best[name] = memo.Merge(e.Space, init)
-	}
-	extInit := map[string]*symbolic.Route{}
-	for _, name := range e.Net.Externals {
-		r := e.externalInit(name)
-		r.Seal() // shared read-only with round workers
-		extInit[name] = r
 	}
 
 	res := &Result{
@@ -557,10 +606,6 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 	// when some neighbor's RIB changed in the previous round, which lets
 	// late rounds touch only the frontier still in motion.
 	maxIter := 4*len(e.Net.Internals) + 16
-	changedLast := map[string]bool{}
-	for _, v := range e.Net.Internals {
-		changedLast[v] = true
-	}
 	ribKeys := map[string]string{}
 	for v, rs := range best {
 		ribKeys[v] = symbolic.RIBKey(rs)
@@ -601,7 +646,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		outs := make([][]*symbolic.Route, len(work))
 		err := pool.Each(ctx, len(work), func(f *Engine, i int) {
 			// recompute fails only on cancellation, which Each reports.
-			if rs, err := f.recompute(ctx, work[i], best, extInit, memo); err == nil {
+			if rs, err := f.recompute(ctx, work[i], best, in, memo); err == nil {
 				outs[i] = rs
 			}
 		})
@@ -629,7 +674,7 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// (Each has returned) and the next round's goroutines start after it.
 		var relief telemetry.SweepEvent
 		if !converged {
-			relief = e.relieve(func() []bdd.Node { return e.runRoots(best, extInit, seed, memo) }, false)
+			relief = e.relieve(func() []bdd.Node { return e.runRoots(best, in, seed, memo) }, false)
 		}
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()
@@ -695,8 +740,7 @@ func (e *Engine) received(ext string, best map[string][]*symbolic.Route) []*symb
 				recv = append(recv, er)
 			}
 		}
-		su := e.Net.Session(u, ext)
-		if su != nil && su.AdvertiseDefault {
+		if advertisesDefault(e.Net, u, ext) {
 			def := e.defaultOriginated(u)
 			def.Path = []string{u, ext}
 			recv = append(recv, def)
@@ -716,22 +760,24 @@ func (e *Engine) received(ext string, best map[string][]*symbolic.Route) []*symb
 }
 
 // runRoots gathers the BDD roots live at a round boundary: the round's
-// RIBs, the external wildcard seeds, the warm seed (a direct
-// RunWarmContext caller may retain the prior result without pinning it),
-// the run's memo (operands and results, so its entries stay valid across
-// the sweep), and the engine's cross-run roots (the transfers). The
-// space's own cached predicates are pinned by NewSpace, and pipeline
-// artifacts pin their routes, so neither needs listing here.
+// RIBs, the run's injected routes, the warm seed (a direct RunWarmContext
+// caller may retain the prior result without pinning it), the run's memo
+// (operands and results, so its entries stay valid across the sweep), and
+// the engine's cross-run roots (the transfers). The space's own cached
+// predicates are pinned by NewSpace, and pipeline artifacts pin their
+// routes, so neither needs listing here.
 // Nothing here is pinned: the run's own roots live only as long as the run.
-func (e *Engine) runRoots(best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, seed *Result, memo *symbolic.RunMemo) []bdd.Node {
+func (e *Engine) runRoots(best map[string][]*symbolic.Route, in *injection, seed *Result, memo *symbolic.RunMemo) []bdd.Node {
 	roots := memo.Roots(e.Roots())
 	for _, rs := range best {
 		for _, r := range rs {
 			roots = append(roots, r.U)
 		}
 	}
-	for _, r := range extInit {
-		roots = append(roots, r.U)
+	for _, m := range []map[string]*symbolic.Route{in.origin, in.ext, in.def} {
+		for _, r := range m {
+			roots = append(roots, r.U)
+		}
 	}
 	return seed.Roots(roots)
 }
@@ -767,11 +813,11 @@ func (e *Engine) memoStats(pool Pool[*Engine]) (hits, misses int64) {
 
 // recompute rebuilds one router's RIB from the previous round's state: its
 // candidates merged by preference, both through the run's memo. Reads only
-// best/extInit (previous round, immutable during the round), the engine's
-// shared read-only state and the striped memo, so workers may run it
-// concurrently for different routers.
-func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
-	cands, err := e.candidates(ctx, v, best, extInit, memo)
+// best (previous round, immutable during the round), the run's injected
+// routes, the engine's shared read-only state and the striped memo, so
+// workers may run it concurrently for different routers.
+func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*symbolic.Route, in *injection, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
+	cands, err := e.candidates(ctx, v, best, in, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -781,28 +827,29 @@ func (e *Engine) recompute(ctx context.Context, v string, best map[string][]*sym
 // candidates collects what router v chooses among in one round: its own
 // originated route plus, per neighbor, the image of that neighbor's merged
 // RIB (or of its one wildcard or default route) under the edge's transfers
-// — the shape symbolic.RunMemo.Merge's tier invariant rests on.
-func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
+// — the shape symbolic.RunMemo.Merge's tier invariant rests on. Every
+// image comes through the run's memo.
+func (e *Engine) candidates(ctx context.Context, v string, best map[string][]*symbolic.Route, in *injection, memo *symbolic.RunMemo) ([]*symbolic.Route, error) {
 	var candidates []*symbolic.Route
-	if r := e.originated(e.Net.Devices[v]); r != nil {
+	if r := in.origin[v]; r != nil {
 		candidates = append(candidates, r)
 	}
 	for _, u := range e.Net.Neighbors(v) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if e.Net.IsInternal(u) {
+		switch {
+		case !e.Net.IsInternal(u):
+			candidates = append(candidates, e.injectedImport(memo, u, v, in.ext[u])...)
+		case advertisesDefault(e.Net, u, v):
+			// export sends nothing else over the session (it returns nil
+			// for every RIB route), so the default route's (u, v) memo
+			// entries are the only ones.
+			candidates = append(candidates, e.injectedImport(memo, u, v, in.def[u])...)
+		default:
 			for _, r := range best[u] {
 				candidates = append(candidates, e.edgeTransfer(memo, u, v, r)...)
 			}
-			su := e.Net.Session(u, v)
-			if su != nil && su.AdvertiseDefault {
-				candidates = append(candidates,
-					e.importAt(v, u, []*symbolic.Route{e.defaultOriginated(u)})...)
-			}
-		} else {
-			candidates = append(candidates,
-				e.importAt(v, u, []*symbolic.Route{extInit[u]})...)
 		}
 	}
 	return candidates, nil

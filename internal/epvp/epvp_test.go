@@ -392,31 +392,37 @@ func TestFeatureModeNone(t *testing.T) {
 	}
 }
 
+// TestAdvertiseDefaultSymbolic: an advertise-default session gives its peer
+// exactly the default route, under every environment — also when the
+// sender originates 0.0.0.0/0 itself, so its RIB holds a route equal, key
+// for key, to the default it injects, whose edge-memo entry must not stand
+// in for the injected one.
 func TestAdvertiseDefaultSymbolic(t *testing.T) {
-	text := `
+	const text = `
 router GW
 bgp as 100
 route-policy all permit node 10
 bgp peer ISP AS 200 import all export all
 bgp peer EDGE AS 100 advertise-default
-
+%s
 router EDGE
 bgp as 100
 bgp peer GW AS 100
 `
-	net := mustNet(t, text)
-	e := New(net, FullMode())
-	res := e.Run()
-	// EDGE has exactly the default route, under every environment.
-	edge := res.Best["EDGE"]
-	if len(edge) != 1 {
-		t.Fatalf("EDGE RIB = %d routes, want 1", len(edge))
-	}
-	if e.Space.PrefixPart(edge[0].U) != e.Space.PrefixBDD(route.Prefix{}) {
-		t.Error("EDGE's only route should be the default")
-	}
-	if e.Space.Cond(edge[0].U) != bdd.True {
-		t.Error("default route should exist under every environment")
+	for name, extra := range map[string]string{"plain": "", "gw-originates-default": "bgp network 0.0.0.0/0\n"} {
+		net := mustNet(t, fmt.Sprintf(text, extra))
+		e := New(net, FullMode())
+		res := e.Run()
+		edge := res.Best["EDGE"]
+		if len(edge) != 1 {
+			t.Fatalf("%s: EDGE RIB = %d routes, want 1", name, len(edge))
+		}
+		if e.Space.PrefixPart(edge[0].U) != e.Space.PrefixBDD(route.Prefix{}) {
+			t.Errorf("%s: EDGE's only route should be the default", name)
+		}
+		if e.Space.Cond(edge[0].U) != bdd.True {
+			t.Errorf("%s: default route should exist under every environment", name)
+		}
 	}
 }
 

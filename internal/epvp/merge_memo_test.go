@@ -55,7 +55,7 @@ func TestMergeMemoSurvivesSweep(t *testing.T) {
 
 func checkMemoSurvivesSweep(t *testing.T, e *Engine) {
 	memo := new(symbolic.RunMemo)
-	best, extInit := initialState(e, nil, memo)
+	best, in := initialState(e, nil, memo)
 	// Every edge transfer the rounds look up, as candidates walks them.
 	type edge struct {
 		u, v string
@@ -72,7 +72,7 @@ func checkMemoSurvivesSweep(t *testing.T, e *Engine) {
 					}
 				}
 			}
-			rs, err := e.recompute(context.Background(), v, best, extInit, memo)
+			rs, err := e.recompute(context.Background(), v, best, in, memo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func checkMemoSurvivesSweep(t *testing.T, e *Engine) {
 		t.Fatal("the rounds looked up no edge transfer")
 	}
 
-	freed := e.Space.M.Reclaim(e.runRoots(nil, nil, nil, memo)...)
+	freed := e.Space.M.Reclaim(e.runRoots(nil, new(injection), nil, memo)...)
 	if freed == 0 {
 		t.Fatal("the sweep freed nothing; no slot can be reused")
 	}

@@ -100,8 +100,9 @@ func tierOverlap(s *symbolic.Space, cands []*symbolic.Route) string {
 
 // initialState is a fixed-point loop's round-0 state: seed's RIBs where it
 // has them and the cold initial RIBs elsewhere, merged through memo, plus
-// the external wildcard seeds.
-func initialState(e *Engine, seed *Result, memo *symbolic.RunMemo) (best map[string][]*symbolic.Route, extInit map[string]*symbolic.Route) {
+// the run's injected routes.
+func initialState(e *Engine, seed *Result, memo *symbolic.RunMemo) (best map[string][]*symbolic.Route, in *injection) {
+	in = e.injected()
 	best = map[string][]*symbolic.Route{}
 	for _, v := range e.Net.Internals {
 		if seed != nil {
@@ -111,16 +112,12 @@ func initialState(e *Engine, seed *Result, memo *symbolic.RunMemo) (best map[str
 			}
 		}
 		var init []*symbolic.Route
-		if r := e.originated(e.Net.Devices[v]); r != nil {
+		if r := in.origin[v]; r != nil {
 			init = append(init, r)
 		}
 		best[v] = memo.Merge(e.Space, init)
 	}
-	extInit = map[string]*symbolic.Route{}
-	for _, name := range e.Net.Externals {
-		extInit[name] = e.externalInit(name)
-	}
-	return best, extInit
+	return best, in
 }
 
 // checkedFixedPoint drives e to its fixed point with a test-owned loop —
@@ -143,13 +140,13 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) 
 	t.Helper()
 	ctx := context.Background()
 	memo := new(symbolic.RunMemo)
-	best, extInit := initialState(e, seed, memo)
+	best, in := initialState(e, seed, memo)
 	merges := 0
 	for round := 1; round <= 4*len(e.Net.Internals)+16; round++ {
 		next := map[string][]*symbolic.Route{}
 		changed := false
 		for _, v := range e.Net.Internals {
-			cands, err := e.candidates(ctx, v, best, extInit, memo)
+			cands, err := e.candidates(ctx, v, best, in, memo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +169,7 @@ func checkedFixedPoint(t *testing.T, e *Engine, seed, keep *Result, sweep bool) 
 			return best
 		}
 		if sweep && round == 1 {
-			e.Space.M.Reclaim(keep.Roots(e.runRoots(best, extInit, seed, memo))...)
+			e.Space.M.Reclaim(keep.Roots(e.runRoots(best, in, seed, memo))...)
 		}
 	}
 	t.Fatal("test loop did not converge")

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/expresso-verify/expresso/internal/netgen"
 	"github.com/expresso-verify/expresso/internal/symbolic"
+	"github.com/expresso-verify/expresso/internal/telemetry"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
@@ -94,29 +96,94 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartNoDelta checks the degenerate warm start: an empty dirty set
-// over an identical configuration converges in one verification round.
+// TestWarmStartNoDelta checks the degenerate warm start: over an identical
+// configuration, a run with an empty dirty set, and a region-1 run with
+// every router dirty, converge in one round that changes no RIB. The dirty
+// routers recompute the RIBs they were seeded with, in Merge's order rather
+// than the seed's canonical one, and change detection compares RIBs as
+// sets (symbolic.RIBKey), so none of them counts as changed.
 func TestWarmStartNoDelta(t *testing.T) {
-	net := mustNet(t, testnet.Figure4)
+	for name, tc := range map[string]struct {
+		text     string
+		allDirty bool
+	}{
+		"figure4-none-dirty":  {testnet.Figure4, false},
+		"region1-every-dirty": {netgen.CSP(netgen.CSPOldRegion(1)), true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := mustNet(t, tc.text)
+			eng := New(net, FullMode())
+			res, err := eng.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmEng, err := NewWarm(context.Background(), mustNet(t, tc.text), FullMode(), eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dirty []string
+			if tc.allDirty {
+				dirty = net.Internals
+			}
+			warmEng.Trace = telemetry.NewTracer()
+			warm, err := warmEng.RunWarmContext(context.Background(), res, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !warm.Converged || warm.Iterations != 1 {
+				t.Errorf("no-delta warm start: converged=%v iterations=%d, want converged in 1 round",
+					warm.Converged, warm.Iterations)
+			}
+			for _, r := range warmEng.Trace.Finish().EPVPRounds {
+				if r.RIBChanges != 0 {
+					t.Errorf("round %d changed %d RIBs, want none", r.Round, r.RIBChanges)
+				}
+			}
+			if got, want := ribSignature(warmEng, warm), ribSignature(eng, res); got != want {
+				t.Error("no-delta warm start changed the fixed point")
+			}
+		})
+	}
+}
+
+// TestRoundOneFrontier: round 1's frontier is the change set its work list
+// starts from — every internal router on a cold run; on a warm run the
+// internal routers of the dirty set plus the routers the seed lacks, not
+// every router the seed holds.
+func TestRoundOneFrontier(t *testing.T) {
+	ctx := context.Background()
+	net := mustNet(t, netgen.CSP(netgen.CSPOldRegion(1)))
 	eng := New(net, FullMode())
-	res, err := eng.RunContext(context.Background())
+	eng.Trace = telemetry.NewTracer()
+	res, err := eng.RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmEng, err := NewWarm(context.Background(), mustNet(t, testnet.Figure4), FullMode(), eng, nil)
+	if got, want := eng.Trace.Finish().EPVPRounds[0].Frontier, len(net.Internals); got != want {
+		t.Errorf("cold round 1 frontier %d, want every internal router (%d)", got, want)
+	}
+
+	missing, dirty := net.Internals[0], net.Internals[3]
+	seed := &Result{Best: map[string][]*symbolic.Route{}, ExternalRIB: res.ExternalRIB}
+	for v, rs := range res.Best {
+		if v != missing {
+			seed.Best[v] = rs
+		}
+	}
+	warmEng, err := NewWarm(ctx, net, FullMode(), eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := warmEng.RunWarmContext(context.Background(), res, nil)
+	warmEng.Trace = telemetry.NewTracer()
+	warm, err := warmEng.RunWarmContext(ctx, seed, []string{dirty, net.Externals[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Converged || warm.Iterations != 1 {
-		t.Errorf("no-delta warm start: converged=%v iterations=%d, want converged in 1 round",
-			warm.Converged, warm.Iterations)
+	if got := warmEng.Trace.Finish().EPVPRounds[0].Frontier; got != 2 {
+		t.Errorf("warm round 1 frontier %d, want 2: dirty %s and %s, missing from the seed", got, dirty, missing)
 	}
 	if got, want := ribSignature(warmEng, warm), ribSignature(eng, res); got != want {
-		t.Error("no-delta warm start changed the fixed point")
+		t.Error("a warm run reseeding one router changed the fixed point")
 	}
 }
 

@@ -171,7 +171,7 @@ func buildFIBPerRoute(r *Result, sp *symbolic.Space, v string, rib []*symbolic.R
 	d := r.eng.Net.Devices[v]
 	var entries []fibEntry
 	for _, sr := range rib {
-		for _, c := range r.convertU(sp, sr.U).Matches {
+		for _, c := range r.convertU(sp, sr.U) {
 			entries = append(entries, fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: sr.NextHop})
 		}
 	}

@@ -127,10 +127,11 @@ type Result struct {
 	varsMu   sync.Mutex
 	varsUsed map[int]bool
 
-	// converted and reused count the run's conversions — one per (router,
-	// next hop) union of U, plus AvailPredicate's per-candidate ones — by
-	// where they came from: computed here, or found in the manager's memo
-	// (symbolic.Space.Converted), filled by this run or an earlier one.
+	// converted and reused count the run's conversions — one per length
+	// slice of each (router, next hop) union of U, and of AvailPredicate's
+	// per-candidate sets — by where they came from: computed here, or found
+	// in the manager's memo (symbolic.Space.Convert), filled by this run or
+	// an earlier one.
 	converted, reused atomic.Int64
 }
 
@@ -313,38 +314,16 @@ func (r *Result) DataVar(neighbor string, length int) int {
 }
 
 // convertU compiles a prefix-environment set into per-length data-plane
-// match predicates (§5.1), memoized on the U handle in the manager's data
-// block. The sets FIBs convert are unions, one per (router, next hop), so a
-// delta against a pinned baseline finds the unions its change did not
-// reach converted by the baseline's own run.
-func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
-	c, ok := sp.Converted(u)
-	if ok {
-		r.reused.Add(1)
-	} else {
-		r.converted.Add(1)
-		c = convert(sp, u)
-		sp.RememberConversion(u, c)
-	}
-	return c
-}
-
-// convert is convertU's computation: for each prefix length, one
-// bdd.Worker.Convert pass selects that length's prefixes, drops their host
-// and length bits, and renames each control-plane advertiser variable n_i
-// to n_i^l, reporting the n_i^l the match kept. A length u does not hold
-// converts to False; under the initial order, whose length bits sit on
-// top, that costs only the walk down them.
-func convert(sp *symbolic.Space, u bdd.Node) symbolic.Conversion {
-	var c symbolic.Conversion
-	for l := 0; l <= symbolic.AddrBits; l++ {
-		match, vars := sp.W.Convert(u, symbolic.LengthSlice(l), sp.PerLengthRename(l))
-		if match != bdd.False {
-			c.Matches = append(c.Matches, symbolic.LengthMatch{Length: l, Match: match})
-			c.Vars = append(c.Vars, vars...)
-		}
-	}
-	return c
+// match predicates (§5.1) through the manager's slice memo
+// (symbolic.Space.Convert), and counts the slices it computed and reused.
+// The sets FIBs convert are unions, one per (router, next hop), so a delta
+// against a pinned baseline converts only the length slices of the unions
+// its change reached and finds the rest converted by the baseline's run.
+func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []symbolic.LengthMatch {
+	matches, computed, reused := sp.Convert(u)
+	r.converted.Add(computed)
+	r.reused.Add(reused)
+	return matches
 }
 
 // buildFIB assembles the router's symbolic FIB from its BGP RIB plus static
@@ -368,13 +347,13 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 	}
 	var entries []fibEntry
 	for _, hop := range hops {
-		conv := r.convertU(sp, symbolic.OrBalanced(sp.W, byHop[hop]))
-		for _, c := range conv.Matches {
-			entries = append(entries, fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: hop})
-		}
+		matches := r.convertU(sp, symbolic.OrBalanced(sp.W, byHop[hop]))
 		r.varsMu.Lock()
-		for _, dv := range conv.Vars {
-			r.varsUsed[dv] = true
+		for _, c := range matches {
+			entries = append(entries, fibEntry{length: c.Length, admin: route.ProtoBGP.AdminDistance(), match: c.Match, port: hop})
+			for _, dv := range c.Vars {
+				r.varsUsed[dv] = true
+			}
 		}
 		r.varsMu.Unlock()
 	}
@@ -656,7 +635,7 @@ func (r *Result) AvailPredicate(ext string, dest route.Prefix) bdd.Node {
 	avail := bdd.False
 	for _, u := range r.eng.Net.Neighbors(ext) {
 		for _, cand := range r.eng.ImportCandidates(u, ext) {
-			for _, c := range r.convertU(s, cand.U).Matches {
+			for _, c := range r.convertU(s, cand.U) {
 				if overlap := s.M.And(c.Match, destPkt); overlap != bdd.False {
 					avail = s.M.Or(avail, r.CondOfPkt(overlap))
 				}

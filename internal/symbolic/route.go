@@ -338,11 +338,19 @@ func SortCanonical(cs *community.Space, rs []*Route) {
 	copy(rs, sorted)
 }
 
-// RIBKey canonically identifies a route list, for fixed-point detection.
+// RIBKey identifies a route list as a set, for fixed-point detection: the
+// routes' Keys in sorted order, so a list and any permutation of it — a
+// warm seed in SortCanonical order and Merge's recomputation of it in Key
+// order — get one key.
 func RIBKey(rs []*Route) string {
+	keys := make([]string, len(rs))
+	for i, r := range rs {
+		keys[i] = r.Key()
+	}
+	sort.Strings(keys)
 	var sb strings.Builder
-	for _, r := range rs {
-		sb.WriteString(r.Key())
+	for _, k := range keys {
+		sb.WriteString(k)
 		sb.WriteByte(';')
 	}
 	return sb.String()

@@ -90,11 +90,13 @@ func (m *RunMemo) stripe(h uint64) *memoStripe {
 }
 
 // Edge returns the routes v accepts when u advertises r, as transfer
-// computes them (EPVP's import∘export), once per (u, v, r.Key()) for the
-// memo's life. transfer runs outside the stripe lock. Its outputs are
-// sealed before they are published and shared with every later caller,
-// which must treat them as immutable (Merge clones before mutating). Edge
-// lookups count in neither Stats figure.
+// computes them (EPVP's import∘export, or import alone for a route u
+// injects without an export step), once per (u, v, r.Key()) for the memo's
+// life. The caller keeps one transfer function per key. transfer runs
+// outside the stripe lock. Its outputs are sealed before they are
+// published and shared with every later caller, which must treat them as
+// immutable (Merge clones before mutating). Edge lookups count in neither
+// Stats figure.
 func (m *RunMemo) Edge(u, v string, r *Route, transfer func() []*Route) []*Route {
 	k := edgeKey{u: u, v: v, rkey: r.Key(), un: r.U}
 	st := &m.stripes[k.stripe()]

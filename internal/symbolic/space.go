@@ -63,14 +63,14 @@ type dataBlock struct {
 	mu      sync.Mutex // guards lengths
 	lengths []int      // the block's prefix lengths, topmost level first; nil until allocated
 
-	// conv memoizes conversion by U for every SPF run in the manager (a
-	// pinned baseline's deltas mostly convert the baseline's own sets).
-	// convGen is the manager generation it was filled under: a reclaim or
-	// a sift may recycle handle numbers, so a stale memo is dropped, not
-	// trusted. memoMu guards both.
+	// conv memoizes Convert for every SPF run in the manager, one length
+	// slice at a time (a pinned baseline's deltas mostly convert the
+	// baseline's own slices). convGen is the manager generation it was
+	// filled under: a reclaim or a sift may recycle handle numbers, so a
+	// stale memo is dropped, not trusted. memoMu guards both.
 	memoMu  sync.Mutex
 	convGen uint64
-	conv    map[bdd.Node]Conversion
+	conv    map[sliceKey]LengthMatch
 
 	// renames[l] is PerLengthRename(l), built on first use.
 	renameOnce sync.Once
@@ -79,47 +79,65 @@ type dataBlock struct {
 
 // LengthMatch is one prefix length's share of a converted set: packets to
 // prefixes of that length, over the destination bits and the length's
-// data-plane advertiser variables.
+// data-plane advertiser variables, and the variables Match references.
 type LengthMatch struct {
 	Length int
 	Match  bdd.Node
+	Vars   []int
 }
 
-// Conversion is a prefix-environment set compiled into the data plane
-// (§5.1): one match per prefix length present, and the data-plane
-// variables those matches reference.
-type Conversion struct {
-	Matches []LengthMatch
-	Vars    []int
+// sliceKey names one length slice of a route set by the set's
+// LengthCofactor at that length, which stands for the slice one for one.
+type sliceKey struct {
+	cofactor bdd.Node
+	length   int
 }
 
-// Converted returns the conversion of u memoized in M's data block, if one
-// was made since M last moved its generation. Safe for concurrent use.
-func (s *Space) Converted(u bdd.Node) (Conversion, bool) {
+// Convert compiles route set u into the data plane (§5.1): for each prefix
+// length u holds, one bdd.Worker.Convert pass on s's worker selects that
+// length's prefixes, drops their host and length bits, and renames each
+// control-plane advertiser variable n_i to n_i^l. Each slice is memoized in
+// M's data block under (LengthCofactor(u, l), l), so sets that differ only
+// at other lengths share it: a delta that adds one /24 to a hop union
+// converts that union's /24 slice and finds the rest. computed and reused
+// count the slices by where they came from. The memo is dropped when M's
+// generation moves. Safe for concurrent use on distinct workers.
+func (s *Space) Convert(u bdd.Node) (matches []LengthMatch, computed, reused int64) {
 	d := s.data
-	d.memoMu.Lock()
-	defer d.memoMu.Unlock()
-	d.sync(s.M)
-	c, ok := d.conv[u]
-	return c, ok
-}
-
-// RememberConversion memoizes c as the conversion of u in M's data block.
-// Conversions are pure functions of u, so of two racing callers the later
-// overwrites an equal value. Safe for concurrent use.
-func (s *Space) RememberConversion(u bdd.Node, c Conversion) {
-	d := s.data
-	d.memoMu.Lock()
-	defer d.memoMu.Unlock()
-	d.sync(s.M)
-	d.conv[u] = c
+	for l := 0; l <= AddrBits; l++ {
+		k := sliceKey{s.LengthCofactor(u, l), l}
+		if k.cofactor == bdd.False {
+			continue
+		}
+		d.memoMu.Lock()
+		d.sync(s.M)
+		lm, ok := d.conv[k]
+		d.memoMu.Unlock()
+		if ok {
+			reused++
+		} else {
+			computed++
+			lm.Length = l
+			lm.Match, lm.Vars = s.W.Convert(u, LengthSlice(l), s.PerLengthRename(l))
+			// Slices are pure functions of their key, so of two racing
+			// callers the later overwrites an equal value.
+			d.memoMu.Lock()
+			d.sync(s.M)
+			d.conv[k] = lm
+			d.memoMu.Unlock()
+		}
+		if lm.Match != bdd.False {
+			matches = append(matches, lm)
+		}
+	}
+	return matches, computed, reused
 }
 
 // sync drops a memo filled under an earlier generation of m. Caller holds
 // d.memoMu.
 func (d *dataBlock) sync(m *bdd.Manager) {
 	if g := m.Gen(); d.conv == nil || g != d.convGen {
-		d.convGen, d.conv = g, map[bdd.Node]Conversion{}
+		d.convGen, d.conv = g, map[sliceKey]LengthMatch{}
 	}
 }
 

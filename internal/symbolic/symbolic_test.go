@@ -309,6 +309,44 @@ func TestMergeDropsEmpty(t *testing.T) {
 	}
 }
 
+// TestRIBKeyIsASetKey: RIBKey names a route list as a set, so a permutation
+// keeps the key, and a change to one route's U or attributes moves it.
+func TestRIBKeyIsASetKey(t *testing.T) {
+	s := NewSpace(2)
+	mk := func(p string, nbr int, nh string, lp uint32) *Route {
+		return &Route{
+			U:         s.M.And(s.PrefixBDD(route.MustParsePrefix(p)), s.M.Var(s.NbrVar(nbr))),
+			Comm:      bdd.True,
+			LocalPref: lp,
+			NextHop:   nh,
+			Path:      []string{nh, "R"},
+		}
+	}
+	rib := []*Route{mk("10.0.0.0/8", 0, "a", 100), mk("20.0.0.0/8", 1, "b", 100), mk("30.0.0.0/8", 0, "c", 200)}
+	key := RIBKey(rib)
+	for _, perm := range [][]int{{2, 1, 0}, {1, 0, 2}, {0, 2, 1}, {1, 2, 0}} {
+		shuffled := make([]*Route, len(perm))
+		for i, j := range perm {
+			shuffled[i] = rib[j]
+		}
+		if got := RIBKey(shuffled); got != key {
+			t.Errorf("permutation %v changed the key:\n%s\n%s", perm, got, key)
+		}
+	}
+	for name, r := range map[string]*Route{
+		"U":          mk("10.0.0.0/8", 1, "a", 100),
+		"attributes": mk("10.0.0.0/8", 0, "a", 150),
+	} {
+		changed := append([]*Route{r}, rib[1:]...)
+		if RIBKey(changed) == key {
+			t.Errorf("changing one route's %s kept the key", name)
+		}
+	}
+	if RIBKey(rib[:2]) == key {
+		t.Error("dropping a route kept the key")
+	}
+}
+
 func TestCompilePolicyFigure4Import(t *testing.T) {
 	ctx, devices := newCtx(t, testnet.Figure4)
 	pr1 := devices[0]

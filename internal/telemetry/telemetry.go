@@ -70,9 +70,13 @@ type RoundEvent struct {
 	// Recomputed counts the routers whose RIBs were rebuilt this round.
 	Recomputed int `json:"recomputed"`
 	// Frontier counts the routers whose RIBs changed in the previous
-	// round (the change set driving this round's work list).
+	// round (the change set driving this round's work list). Round 1 has
+	// no previous round: a cold run counts every internal router, a warm
+	// one the internal routers of its dirty set plus those its seed lacks.
 	Frontier int `json:"frontier"`
-	// RIBChanges counts the routers whose RIBs changed this round.
+	// RIBChanges counts the routers whose RIBs changed this round, as
+	// route sets: a recomputed RIB holding the same routes in another
+	// order is unchanged.
 	RIBChanges int `json:"rib_changes"`
 	// BDDNodes is the manager's live node count after the round (post any
 	// reclamation); BDDGrowth is the round's hash-consing growth, which is
@@ -146,10 +150,12 @@ type CoalesceEvent struct {
 // SPFOrderEvent records the variable order an SPF run built under: the
 // data-plane advertiser block's prefix lengths from the topmost level down
 // (one block of n per-neighbor variables each), how many of the 33·n
-// variables the run's FIBs reference, and how many conversions — one per
-// (router, next hop) union of route sets — the run computed against how
-// many it found in the manager's memo (a delta against a pinned baseline
-// reuses the baseline's).
+// variables the run's FIBs reference, and how many conversions the run
+// computed against how many it found in the manager's memo. A conversion
+// is one prefix length's slice of a converted set — a (router, next hop)
+// union of route sets — keyed by that length's cofactor, so a delta
+// against a pinned baseline computes only the slices its change reached
+// and reuses the baseline's for the rest.
 type SPFOrderEvent struct {
 	Lengths   []int `json:"lengths"`
 	VarsUsed  int   `json:"vars_used"`

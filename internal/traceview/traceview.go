@@ -120,7 +120,7 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 			n, len(tr.SPFForwards), len(tr.PECCoalesce))
 	}
 	if o := tr.SPFOrder; o != nil {
-		fmt.Fprintf(w, "spf order: length blocks top to bottom %v; %d data-plane variables referenced; conversions %d computed, %d reused\n",
+		fmt.Fprintf(w, "spf order: length blocks top to bottom %v; %d data-plane variables referenced; length-slice conversions %d computed, %d reused\n",
 			o.Lengths, o.VarsUsed, o.Converted, o.Reused)
 	}
 	if wm := tr.Watermark; wm != nil {

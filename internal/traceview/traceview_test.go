@@ -123,7 +123,7 @@ func TestLoadRoundTrip(t *testing.T) {
 	var sum strings.Builder
 	Summarize(&sum, got)
 	for _, want := range []string{"load", "src", "warm", "watermark: peak 42",
-		"spf order: length blocks top to bottom [24 32 31]; 17 data-plane variables referenced; conversions 5 computed, 40 reused"} {
+		"spf order: length blocks top to bottom [24 32 31]; 17 data-plane variables referenced; length-slice conversions 5 computed, 40 reused"} {
 		if !strings.Contains(sum.String(), want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum.String())
 		}
